@@ -868,7 +868,9 @@ fn supersedes(new: &Mutation, last: &Mutation) -> bool {
 /// metric, linkage) are untouched since a previous `cluster_all` —
 /// `Session::cluster_dataset` is a pure function of the underlying
 /// matrix and settings, so repeating it is idempotent. Skipping these keeps restore replay from paying for
-/// redundant re-clustering (the dominant cost in `BENCH_PR9.json`).
+/// redundant re-clustering (the dominant cost of a restore: see
+/// `api.engine.restore_ms` against `api.image.parse_us` in the
+/// benchmark ledger).
 fn replays_as_noop(log: &[Mutation], new: &Mutation) -> bool {
     use forestview::command::Command;
     match new {

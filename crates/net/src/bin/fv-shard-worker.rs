@@ -1,4 +1,4 @@
-//! Standalone shard worker binary — the process a [`ProcBackend`] test
+//! Standalone shard worker binary — the process a process-shard test
 //! spawns per shard (production servers re-exec themselves as `fvtool
 //! shard-worker` instead; both paths are [`fv_net::worker_main`]).
 //! Not meant to be run by hand: it immediately dials the parent given

@@ -16,9 +16,13 @@
 //!        │  contiguous same-session runs, bounded    [`server`], [`poll`]
 //!        │  pending queues (E_BUSY), stats counters  [`metrics`]
 //!        ▼
-//!   ShardPool          hash(SessionId) → shard; each worker owns one
-//!        │  EngineHub behind a channel; results      [`shard`]
-//!        │  return over a completion channel + waker
+//!   Shards             hash(SessionId) → shard; each shard is one
+//!        │  WorkerCore (an EngineHub) behind a queue. [`shard`]
+//!        │  One seam: ShardOp in, ShardReply out, one
+//!        │  `serve` both backends drive — by value on
+//!        │  a thread, or through the control-protocol
+//!        │  codec to a child process. Replies return as
+//!        │  Completion{to: Waiter, reply} + waker.
 //!        ▼
 //!   fv-api             EngineHub::execute_run_on (shared layout passes)
 //! ```

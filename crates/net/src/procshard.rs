@@ -1,6 +1,5 @@
-//! Process shards: the [`ShardBackend`] that runs each shard in a child
-//! OS process, speaking a length-framed control protocol over a loopback
-//! TCP socket.
+//! Process shards: the [`Link`] that runs a shard in a child OS process,
+//! speaking a length-framed control protocol over a loopback TCP socket.
 //!
 //! Everything that crosses the parent↔child seam is serializable text or
 //! raw pixel bytes — requests and responses as their canonical wire
@@ -10,6 +9,13 @@
 //! which is the whole point: a shard that segfaults takes its sessions
 //! with it, answers [`ErrorCode::ShardDown`] (`E_SHARD_DOWN`) from then
 //! on, and leaves the server and every other shard healthy.
+//!
+//! The codec is four functions over the seam's two types: the parent's
+//! [`ChildLink`] is `encode_op → exchange → decode_reply`, the child's
+//! [`worker_main`] is `decode_op → WorkerCore::serve → encode_reply`.
+//! Neither side dispatches on op kinds beyond that — `serve` is the same
+//! function thread shards call by value, which is what keeps the two
+//! backends identical.
 //!
 //! ## Frame layer
 //!
@@ -28,8 +34,8 @@
 //! hello <shard>
 //! ```
 //!
-//! Parent → child (one outstanding at a time per shard; the forwarder
-//! thread serializes), and the reply each must produce:
+//! Parent → child (one outstanding at a time per shard; the shard's
+//! drain thread serializes), and the reply each must produce:
 //!
 //! ```text
 //! run <publish 0|1> <n> <session>      → run-done dropped=<0|1> nresp=<k>
@@ -48,8 +54,8 @@
 //!                                        <k "session datasets=<n>
 //!                                           requests=<r> bytes=<b>
 //!                                           name=<name>" lines>
-//! extract <session>                    → extracted <0|1> [image blob]
-//! snapshot <session>                   → snapshotted <0|1> [image blob]
+//! extract <session>                    → image <0|1> [image blob]
+//! snapshot <session>                   → image <0|1> [image blob]
 //! install <session>                    → installed ok
 //!   <image blob>                       | installed err <CODE>
 //!                                        <msg blob> <image blob>
@@ -58,36 +64,37 @@
 //!
 //! A failed install hands the image blob back so the caller can restore
 //! the session — the same never-lose-a-live-session contract as
-//! [`WorkerCore::install`].
+//! [`ShardOp::Install`] on a thread shard.
 //!
 //! ## Topology
 //!
-//! [`ProcBackend::spawn`] binds an ephemeral loopback listener, launches
-//! `worker_cmd` once per shard (`fvtool shard-worker` in production, the
+//! [`spawn`] binds an ephemeral loopback listener, launches `worker_cmd`
+//! once per shard (`fvtool shard-worker` in production, the
 //! `fv-shard-worker` test binary under `cargo test`), and pairs each
-//! child to its shard index via `hello`. One forwarder thread per shard
-//! owns the socket and drains that shard's job queue in order: encode,
-//! write, read, decode, fire the job's responder — exactly once, with a
-//! typed `E_SHARD_DOWN` refusal if the child is gone. The child runs
-//! [`worker_main`]: a single-threaded loop around a [`WorkerCore`] with
-//! its own per-process [`DatasetCache`] (the cache seam is per child;
-//! the parent aggregates the gauges from report replies).
+//! child to its shard index via `hello`. Each paired socket becomes a
+//! [`ChildLink`] owned by that shard's drain thread (`crate::shard`),
+//! which calls it strictly in queue order: encode, write, read, decode —
+//! or the typed `E_SHARD_DOWN` refusal if the child is gone. The child
+//! runs [`worker_main`]: a single-threaded loop around a [`WorkerCore`]
+//! with its own per-process [`DatasetCache`] (the cache seam is per
+//! child; the parent aggregates the gauges from report replies).
 
 use crate::metrics::LatencyHistogram;
-use crate::shard::{Job, PubFrame, RunDone, SessionReport, ShardBackend, ShardReport, WorkerCore};
+use crate::shard::{
+    Backend, Link, PubFrame, RunDone, SessionReport, ShardOp, ShardReply, ShardReport, Shards,
+    WorkerCore,
+};
+use fv_api::decode::{field, num};
 use fv_api::{
     format_request, format_response, format_session_image, parse_request, parse_response,
     parse_session_image, ApiError, CacheStats, DatasetCache, ErrorCode, RunOutcome, SessionId,
-    SessionImage,
 };
 use fv_render::Framebuffer;
 use fv_wall::tile::Viewport;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Upper bound on one protocol frame. Must fit a keyframe-sized
@@ -95,12 +102,19 @@ use std::time::{Duration, Instant};
 /// corrupt length prefix, not a legitimate message.
 const MAX_FRAME: usize = 64 * 1024 * 1024;
 
+/// Upper bound on the two fixed-shape frames, `hello <shard>` and `bye`.
+const MAX_GREETING: usize = 64;
+
 /// How long `spawn` waits for every child to connect and say `hello`.
 const CONNECT_DEADLINE: Duration = Duration::from_secs(10);
 
-/// How long `shutdown` waits for a child to exit after `bye` before
-/// killing it — the zero-orphans guarantee.
+/// How long a dropped [`ChildLink`] waits for its child to exit after
+/// `bye` before killing it — the zero-orphans guarantee.
 const REAP_DEADLINE: Duration = Duration::from_secs(5);
+
+/// The parent's last frame to a child; not a [`ShardOp`] (nothing waits
+/// on a reply value), so both sides match it before the op codec runs.
+const SHUTDOWN: &[u8] = b"shutdown\n";
 
 // ---------------------------------------------------------------------
 // Frame layer
@@ -112,18 +126,28 @@ fn write_frame(stream: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     stream.flush()
 }
 
-fn read_frame(stream: &mut impl Read) -> io::Result<Vec<u8>> {
+/// Read one frame of at most `limit` payload bytes. The buffer grows
+/// with the bytes that actually arrive — a length prefix is a claim, not
+/// a reason to allocate — and a stream that ends short of its prefix is
+/// `UnexpectedEof`.
+fn read_frame(stream: &mut impl Read, limit: usize) -> io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     stream.read_exact(&mut len)?;
     let len = u32::from_be_bytes(len) as usize;
-    if len > MAX_FRAME {
+    if len > limit {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds the {MAX_FRAME}-byte limit"),
+            format!("frame length {len} exceeds the {limit}-byte limit"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(64 * 1024));
+    stream.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame ended after {} of {len} bytes", payload.len()),
+        ));
+    }
     Ok(payload)
 }
 
@@ -158,7 +182,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn blob(&mut self) -> Result<&'a [u8], ApiError> {
-        let len: usize = num(self.line()?, "blob length")? as usize;
+        let len: usize = num(self.line()?, "blob length")?;
         if len > self.buf.len() {
             return Err(ApiError::parse(format!(
                 "frame truncated: blob wants {len} bytes, {} remain",
@@ -174,6 +198,20 @@ impl<'a> Cursor<'a> {
         std::str::from_utf8(self.blob()?).map_err(|_| ApiError::parse("blob is not valid UTF-8"))
     }
 
+    /// Parse a header's item count, refusing one the rest of the payload
+    /// cannot hold (every counted item is at least a one-byte line) — so
+    /// a corrupt count is a typed error, never a huge reservation.
+    fn count(&self, token: &str, what: &str) -> Result<usize, ApiError> {
+        let n: usize = num(token, what)?;
+        if n > self.buf.len() {
+            return Err(ApiError::parse(format!(
+                "frame truncated: {what} {n} exceeds the {} bytes that remain",
+                self.buf.len()
+            )));
+        }
+        Ok(n)
+    }
+
     fn done(&self) -> Result<(), ApiError> {
         if self.buf.is_empty() {
             Ok(())
@@ -186,63 +224,149 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn num(s: &str, what: &str) -> Result<u64, ApiError> {
-    s.parse()
-        .map_err(|_| ApiError::parse(format!("bad {what} {s:?}")))
-}
-
-/// `key=value` field extractor for header lines (values never contain
-/// spaces in this grammar).
-fn field<'a>(line: &'a str, key: &str) -> Result<&'a str, ApiError> {
-    line.split(' ')
-        .find_map(|part| part.strip_prefix(key).and_then(|r| r.strip_prefix('=')))
-        .ok_or_else(|| ApiError::parse(format!("frame header is missing {key}=")))
-}
-
-fn session_id(name: &str) -> Result<SessionId, ApiError> {
-    SessionId::new(name)
+fn flag(token: &str) -> Result<bool, ApiError> {
+    match token {
+        "0" => Ok(false),
+        "1" => Ok(true),
+        other => Err(ApiError::parse(format!("bad 0|1 flag {other:?}"))),
+    }
 }
 
 // ---------------------------------------------------------------------
 // Message codec (both sides)
 // ---------------------------------------------------------------------
 
-/// Encode a job as a parent→child payload. Borrows the job — the caller
-/// keeps it whole so its responder survives a transport failure.
-fn encode_job(job: &Job) -> Vec<u8> {
-    let mut out = Vec::new();
-    match job {
-        Job::Run {
+/// Encode an op as a parent→child payload. Borrows the op — the caller
+/// keeps it whole so an install's image survives a transport failure.
+fn encode_op(op: &ShardOp) -> Vec<u8> {
+    match op {
+        ShardOp::Run {
             session,
             requests,
             publish,
-            ..
         } => {
-            out.extend_from_slice(
-                format!("run {} {} {session}\n", *publish as u8, requests.len()).as_bytes(),
-            );
+            let mut out =
+                format!("run {} {} {session}\n", *publish as u8, requests.len()).into_bytes();
             for request in requests {
                 out.extend_from_slice(format_request(request).as_bytes());
                 out.push(b'\n');
             }
+            out
         }
-        Job::Close { session, .. } => {
-            out.extend_from_slice(format!("close {session}\n").as_bytes())
-        }
-        Job::Report { .. } => out.extend_from_slice(b"report\n"),
-        Job::Extract { session, .. } => {
-            out.extend_from_slice(format!("extract {session}\n").as_bytes())
-        }
-        Job::Snapshot { session, .. } => {
-            out.extend_from_slice(format!("snapshot {session}\n").as_bytes())
-        }
-        Job::Install { session, image, .. } => {
-            out.extend_from_slice(format!("install {session}\n").as_bytes());
+        ShardOp::Close { session } => format!("close {session}\n").into_bytes(),
+        ShardOp::Report => b"report\n".to_vec(),
+        ShardOp::Extract { session } => format!("extract {session}\n").into_bytes(),
+        ShardOp::Snapshot { session } => format!("snapshot {session}\n").into_bytes(),
+        ShardOp::Install { session, image } => {
+            let mut out = format!("install {session}\n").into_bytes();
             push_blob(&mut out, format_session_image(image).as_bytes());
+            out
         }
-        Job::Shutdown => out.extend_from_slice(b"shutdown\n"),
     }
-    out
+}
+
+fn decode_op(payload: &[u8]) -> Result<ShardOp, ApiError> {
+    let mut c = Cursor::new(payload);
+    let header = c.line()?;
+    let (verb, rest) = header.split_once(' ').unwrap_or((header, ""));
+    let op = match verb {
+        "run" => {
+            let mut parts = rest.splitn(3, ' ');
+            let (Some(publish), Some(n), Some(session)) =
+                (parts.next(), parts.next(), parts.next())
+            else {
+                return Err(ApiError::parse(format!("bad run header {header:?}")));
+            };
+            let n = c.count(n, "request count")?;
+            let mut requests = Vec::with_capacity(n);
+            for _ in 0..n {
+                requests.push(parse_request(c.line()?)?);
+            }
+            ShardOp::Run {
+                session: SessionId::new(session)?,
+                requests,
+                publish: flag(publish)?,
+            }
+        }
+        "close" => ShardOp::Close {
+            session: SessionId::new(rest)?,
+        },
+        "report" if rest.is_empty() => ShardOp::Report,
+        "extract" => ShardOp::Extract {
+            session: SessionId::new(rest)?,
+        },
+        "snapshot" => ShardOp::Snapshot {
+            session: SessionId::new(rest)?,
+        },
+        "install" => ShardOp::Install {
+            session: SessionId::new(rest)?,
+            image: parse_session_image(c.text_blob()?)?,
+        },
+        _ => return Err(ApiError::parse(format!("unknown op {header:?}"))),
+    };
+    c.done()?;
+    Ok(op)
+}
+
+fn encode_reply(reply: &ShardReply) -> Vec<u8> {
+    match reply {
+        ShardReply::Run(done) => encode_run_done(done),
+        ShardReply::Closed(existed) => format!("closed {}\n", *existed as u8).into_bytes(),
+        ShardReply::Report(report) => encode_report(report),
+        ShardReply::Image(image) => {
+            let mut out = format!("image {}\n", image.is_some() as u8).into_bytes();
+            if let Some(image) = image {
+                push_blob(&mut out, format_session_image(image).as_bytes());
+            }
+            out
+        }
+        ShardReply::Installed(Ok(())) => b"installed ok\n".to_vec(),
+        ShardReply::Installed(Err((image, e))) => {
+            let mut out = format!("installed err {}\n", e.code.as_str()).into_bytes();
+            push_blob(&mut out, e.message.as_bytes());
+            push_blob(&mut out, format_session_image(image).as_bytes());
+            out
+        }
+    }
+}
+
+/// Decode the child's answer to `op`. A reply of the wrong kind for the
+/// op is as corrupt as a malformed one.
+fn decode_reply(payload: &[u8], op: &ShardOp) -> Result<ShardReply, ApiError> {
+    let mut c = Cursor::new(payload);
+    let header = c.line()?;
+    let (verb, rest) = header.split_once(' ').unwrap_or((header, ""));
+    let reply = match (op, verb) {
+        (ShardOp::Run { session, .. }, "run-done") => {
+            ShardReply::Run(decode_run_done(header, &mut c, session)?)
+        }
+        (ShardOp::Close { .. }, "closed") => ShardReply::Closed(flag(rest)?),
+        (ShardOp::Report, "report") => ShardReply::Report(decode_report(header, &mut c)?),
+        (ShardOp::Extract { .. } | ShardOp::Snapshot { .. }, "image") => {
+            ShardReply::Image(if flag(rest)? {
+                Some(parse_session_image(c.text_blob()?)?)
+            } else {
+                None
+            })
+        }
+        (ShardOp::Install { .. }, "installed") if rest == "ok" => ShardReply::Installed(Ok(())),
+        (ShardOp::Install { .. }, "installed") => {
+            let code = rest
+                .strip_prefix("err ")
+                .and_then(ErrorCode::from_wire)
+                .ok_or_else(|| ApiError::parse(format!("bad install reply {header:?}")))?;
+            let message = c.text_blob()?.to_string();
+            let image = parse_session_image(c.text_blob()?)?;
+            ShardReply::Installed(Err((image, ApiError::new(code, message))))
+        }
+        _ => {
+            return Err(ApiError::parse(format!(
+                "reply {header:?} does not answer the op sent"
+            )))
+        }
+    };
+    c.done()?;
+    Ok(reply)
 }
 
 fn encode_run_done(done: &RunDone) -> Vec<u8> {
@@ -291,19 +415,12 @@ fn encode_run_done(done: &RunDone) -> Vec<u8> {
     out
 }
 
-fn decode_run_done(payload: &[u8], session: &SessionId) -> Result<RunDone, ApiError> {
-    let mut c = Cursor::new(payload);
-    let header = c.line()?;
-    if !header.starts_with("run-done ") {
-        return Err(ApiError::parse(format!(
-            "expected run-done, got {header:?}"
-        )));
-    }
-    let dropped = field(header, "dropped")? == "1";
-    let nresp = num(field(header, "nresp")?, "response count")? as usize;
+fn decode_run_done(header: &str, c: &mut Cursor, session: &SessionId) -> Result<RunDone, ApiError> {
+    let dropped = flag(field(header, "dropped")?)?;
+    let nresp = c.count(field(header, "nresp")?, "response count")?;
     let err_spec = field(header, "err")?;
     let lat_spec = field(header, "lat")?;
-    let has_frame = field(header, "frame")? == "1";
+    let has_frame = flag(field(header, "frame")?)?;
     let mut responses = Vec::with_capacity(nresp);
     for _ in 0..nresp {
         responses.push(parse_response(c.text_blob()?)?);
@@ -318,7 +435,7 @@ fn decode_run_done(payload: &[u8], session: &SessionId) -> Result<RunDone, ApiEr
             .ok_or_else(|| ApiError::parse(format!("unknown error code {code:?}")))?;
         let message = c.text_blob()?.to_string();
         Some((
-            num(idx, "failing request index")? as usize,
+            num(idx, "failing request index")?,
             ApiError::new(code, message),
         ))
     };
@@ -337,9 +454,9 @@ fn decode_run_done(payload: &[u8], session: &SessionId) -> Result<RunDone, ApiEr
         if verb != Some("frame") || parts.next().is_some() {
             return Err(ApiError::parse(format!("bad frame line {fl:?}")));
         }
-        let w = num(w.unwrap_or(""), "frame width")? as usize;
-        let h = num(h.unwrap_or(""), "frame height")? as usize;
-        let nrects = num(nrects.unwrap_or(""), "damage rect count")? as usize;
+        let w: usize = num(w.unwrap_or(""), "frame width")?;
+        let h: usize = num(h.unwrap_or(""), "frame height")?;
+        let nrects = c.count(nrects.unwrap_or(""), "damage rect count")?;
         if w.saturating_mul(h).saturating_mul(3) > MAX_FRAME {
             return Err(ApiError::parse(format!(
                 "frame {w}x{h} is implausibly large"
@@ -348,14 +465,14 @@ fn decode_run_done(payload: &[u8], session: &SessionId) -> Result<RunDone, ApiEr
         let mut damage = Vec::with_capacity(nrects);
         for _ in 0..nrects {
             let rl = c.line()?;
-            let mut n = rl.split(' ').map(|v| num(v, "damage rect"));
+            let mut n = rl.split(' ').map(|v| num::<usize>(v, "damage rect"));
             let (x, y, rw, rh) = (n.next(), n.next(), n.next(), n.next());
             match (x, y, rw, rh, n.next()) {
                 (Some(x), Some(y), Some(rw), Some(rh), None) => damage.push(Viewport {
-                    x: x? as usize,
-                    y: y? as usize,
-                    w: rw? as usize,
-                    h: rh? as usize,
+                    x: x?,
+                    y: y?,
+                    w: rw?,
+                    h: rh?,
                 }),
                 _ => return Err(ApiError::parse(format!("bad damage rect {rl:?}"))),
             }
@@ -378,7 +495,6 @@ fn decode_run_done(payload: &[u8], session: &SessionId) -> Result<RunDone, ApiEr
     } else {
         None
     };
-    c.done()?;
     Ok(RunDone {
         outcome: RunOutcome {
             responses,
@@ -390,7 +506,7 @@ fn decode_run_done(payload: &[u8], session: &SessionId) -> Result<RunDone, ApiEr
     })
 }
 
-fn encode_report(report: &ShardReport, cache: &CacheStats) -> Vec<u8> {
+fn encode_report(report: &ShardReport) -> Vec<u8> {
     let mut out = format!(
         "report shard={} runs={} requests={} max_run={} lat={} lat_max_us={} \
          cache={},{},{},{} sessions={}\n",
@@ -400,10 +516,10 @@ fn encode_report(report: &ShardReport, cache: &CacheStats) -> Vec<u8> {
         report.max_run,
         report.latency.format(),
         report.latency.max_us,
-        cache.entries,
-        cache.hits,
-        cache.misses,
-        cache.evictions,
+        report.cache.entries,
+        report.cache.hits,
+        report.cache.misses,
+        report.cache.evictions,
         report.sessions.len(),
     )
     .into_bytes();
@@ -419,15 +535,10 @@ fn encode_report(report: &ShardReport, cache: &CacheStats) -> Vec<u8> {
     out
 }
 
-fn decode_report(payload: &[u8]) -> Result<(ShardReport, CacheStats), ApiError> {
-    let mut c = Cursor::new(payload);
-    let header = c.line()?;
-    if !header.starts_with("report ") {
-        return Err(ApiError::parse(format!("expected report, got {header:?}")));
-    }
-    let n_sessions = num(field(header, "sessions")?, "session count")? as usize;
+fn decode_report(header: &str, c: &mut Cursor) -> Result<ShardReport, ApiError> {
+    let n_sessions = c.count(field(header, "sessions")?, "session count")?;
     let cache_spec = field(header, "cache")?;
-    let mut cs = cache_spec.split(',').map(|v| num(v, "cache gauge"));
+    let mut cs = cache_spec.split(',').map(|v| num::<u64>(v, "cache gauge"));
     let cache = match (cs.next(), cs.next(), cs.next(), cs.next(), cs.next()) {
         (Some(e), Some(h), Some(m), Some(ev), None) => CacheStats {
             entries: e? as usize,
@@ -445,107 +556,28 @@ fn decode_report(payload: &[u8]) -> Result<(ShardReport, CacheStats), ApiError> 
         }
         sessions.push(SessionReport {
             name: field(row, "name")?.to_string(),
-            n_datasets: num(field(row, "datasets")?, "dataset count")? as usize,
+            n_datasets: num(field(row, "datasets")?, "dataset count")?,
             requests: num(field(row, "requests")?, "session requests")?,
             dataset_bytes: num(field(row, "bytes")?, "dataset bytes")?,
         });
     }
-    c.done()?;
-    Ok((
-        ShardReport {
-            shard: num(field(header, "shard")?, "shard index")? as usize,
-            sessions,
-            runs: num(field(header, "runs")?, "runs")?,
-            requests: num(field(header, "requests")?, "requests")?,
-            max_run: num(field(header, "max_run")?, "max_run")? as usize,
-            latency: LatencyHistogram::parse(field(header, "lat")?, field(header, "lat_max_us")?)?,
-        },
+    Ok(ShardReport {
+        shard: num(field(header, "shard")?, "shard index")?,
+        sessions,
+        runs: num(field(header, "runs")?, "runs")?,
+        requests: num(field(header, "requests")?, "requests")?,
+        max_run: num(field(header, "max_run")?, "max_run")?,
+        latency: LatencyHistogram::parse(field(header, "lat")?, field(header, "lat_max_us")?)?,
         cache,
-    ))
-}
-
-fn decode_closed(payload: &[u8]) -> Result<bool, ApiError> {
-    let mut c = Cursor::new(payload);
-    let header = c.line()?;
-    c.done()?;
-    match header {
-        "closed 0" => Ok(false),
-        "closed 1" => Ok(true),
-        other => Err(ApiError::parse(format!("expected closed, got {other:?}"))),
-    }
-}
-
-fn decode_extracted(payload: &[u8]) -> Result<Option<SessionImage>, ApiError> {
-    let mut c = Cursor::new(payload);
-    let header = c.line()?;
-    let image = match header {
-        "extracted 0" => None,
-        "extracted 1" => Some(parse_session_image(c.text_blob()?)?),
-        other => {
-            return Err(ApiError::parse(format!(
-                "expected extracted, got {other:?}"
-            )))
-        }
-    };
-    c.done()?;
-    Ok(image)
-}
-
-fn decode_snapshotted(payload: &[u8]) -> Result<Option<SessionImage>, ApiError> {
-    let mut c = Cursor::new(payload);
-    let header = c.line()?;
-    let image = match header {
-        "snapshotted 0" => None,
-        "snapshotted 1" => Some(parse_session_image(c.text_blob()?)?),
-        other => {
-            return Err(ApiError::parse(format!(
-                "expected snapshotted, got {other:?}"
-            )))
-        }
-    };
-    c.done()?;
-    Ok(image)
-}
-
-type InstallResult = Result<(), (SessionImage, ApiError)>;
-
-fn decode_installed(payload: &[u8]) -> Result<InstallResult, ApiError> {
-    let mut c = Cursor::new(payload);
-    let header = c.line()?;
-    if header == "installed ok" {
-        c.done()?;
-        return Ok(Ok(()));
-    }
-    let code = header
-        .strip_prefix("installed err ")
-        .and_then(ErrorCode::from_wire)
-        .ok_or_else(|| ApiError::parse(format!("expected installed, got {header:?}")))?;
-    let message = c.text_blob()?.to_string();
-    let image = parse_session_image(c.text_blob()?)?;
-    c.done()?;
-    Ok(Err((image, ApiError::new(code, message))))
+    })
 }
 
 // ---------------------------------------------------------------------
-// Parent side: ProcBackend
+// Parent side: spawn + ChildLink
 // ---------------------------------------------------------------------
 
-/// The process-shard backend: one child worker process per shard, one
-/// forwarder thread per child to bridge the in-memory [`Job`] queue onto
-/// the control socket. See the module docs for the protocol.
-pub(crate) struct ProcBackend {
-    senders: Vec<mpsc::Sender<Job>>,
-    depth: Arc<Vec<AtomicUsize>>,
-    pids: Vec<u32>,
-    /// Last-known per-child dataset-cache gauges, refreshed from every
-    /// report reply; `cache_stats` sums them. Each child owns a private
-    /// cache, so the sum (not a shared cache's view) is the truth.
-    cache: Arc<Mutex<Vec<CacheStats>>>,
-    forwarders: Mutex<Vec<JoinHandle<()>>>,
-    children: Mutex<Vec<Child>>,
-}
-
-fn down(shard: usize, pid: u32) -> ApiError {
+/// The typed refusal of a process shard whose child is gone.
+pub(crate) fn down(shard: usize, pid: u32) -> ApiError {
     ApiError::shard_down(format!(
         "shard {shard} worker process (pid {pid}) is gone; its sessions are lost"
     ))
@@ -558,343 +590,214 @@ fn kill_all(children: &mut [Child]) {
     }
 }
 
-impl ProcBackend {
-    /// Launch `n` worker processes and pair each to a shard. `worker_cmd`
-    /// is the argv prefix to exec (`["/path/to/fvtool", "shard-worker"]`
-    /// in production); `--connect/--shard/--scene` are appended per
-    /// child, plus `--refuse-install` on the `refuse_install_to` shard
-    /// (the migration-restore fault tests inject). Fails — with every
-    /// already-spawned child killed — if any child dies or fails to
-    /// say `hello` within the deadline.
-    pub fn spawn(
-        worker_cmd: &[String],
-        n: usize,
-        scene: (usize, usize),
-        refuse_install_to: Option<usize>,
-    ) -> io::Result<ProcBackend> {
-        let n = n.max(1);
-        let (program, prefix) = worker_cmd.split_first().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "empty shard worker command")
-        })?;
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let mut children: Vec<Child> = Vec::with_capacity(n);
-        for shard in 0..n {
-            let mut cmd = Command::new(program);
-            cmd.args(prefix)
-                .arg("--connect")
-                .arg(addr.to_string())
-                .arg("--shard")
-                .arg(shard.to_string())
-                .arg("--scene")
-                .arg(format!("{}x{}", scene.0, scene.1))
-                .stdin(Stdio::null());
-            if refuse_install_to == Some(shard) {
-                cmd.arg("--refuse-install");
-            }
-            match cmd.spawn() {
-                Ok(child) => children.push(child),
-                Err(e) => {
-                    kill_all(&mut children);
-                    return Err(e);
-                }
-            }
+/// Launch `n` worker processes, pair each to a shard, and start the
+/// shards over the paired sockets. `worker_cmd` is the argv prefix to
+/// exec (`["/path/to/fvtool", "shard-worker"]` in production);
+/// `--connect/--shard/--scene` are appended per child, plus
+/// `--refuse-install` on the `refuse_install_to` shard (the
+/// migration-restore fault tests inject). Fails — with every
+/// already-spawned child killed — if any child dies or fails to say
+/// `hello` within the deadline.
+pub(crate) fn spawn(
+    worker_cmd: &[String],
+    n: usize,
+    scene: (usize, usize),
+    refuse_install_to: Option<usize>,
+) -> io::Result<Shards> {
+    let n = n.max(1);
+    let (program, prefix) = worker_cmd
+        .split_first()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "empty shard worker command"))?;
+    let listener = TcpListener::bind("127.0.0.1:0")?;
+    let addr = listener.local_addr()?;
+    listener.set_nonblocking(true)?;
+    let mut children: Vec<Child> = Vec::with_capacity(n);
+    for shard in 0..n {
+        let mut cmd = Command::new(program);
+        cmd.args(prefix)
+            .arg("--connect")
+            .arg(addr.to_string())
+            .arg("--shard")
+            .arg(shard.to_string())
+            .arg("--scene")
+            .arg(format!("{}x{}", scene.0, scene.1))
+            .stdin(Stdio::null());
+        if refuse_install_to == Some(shard) {
+            cmd.arg("--refuse-install");
         }
-        let slots = match Self::pair(&listener, &mut children, n) {
-            Ok(slots) => slots,
+        match cmd.spawn() {
+            Ok(child) => children.push(child),
             Err(e) => {
                 kill_all(&mut children);
                 return Err(e);
             }
-        };
-        drop(listener);
-        let pids: Vec<u32> = children.iter().map(Child::id).collect();
-        let depth: Arc<Vec<AtomicUsize>> = Arc::new((0..n).map(|_| AtomicUsize::new(0)).collect());
-        let cache = Arc::new(Mutex::new(vec![CacheStats::default(); n]));
-        let mut senders = Vec::with_capacity(n);
-        let mut forwarders = Vec::with_capacity(n);
-        for (shard, stream) in slots.into_iter().enumerate() {
-            let (tx, rx) = mpsc::channel();
-            senders.push(tx);
-            let depth = Arc::clone(&depth);
-            let cache = Arc::clone(&cache);
-            let pid = pids[shard];
-            let spawned = std::thread::Builder::new()
-                .name(format!("fv-net-procshard-{shard}"))
-                .spawn(move || forward(shard, pid, stream, rx, depth, cache));
-            match spawned {
-                Ok(handle) => forwarders.push(handle),
-                Err(e) => {
-                    // Dropping `senders` unblocks the forwarders already
-                    // running; then reap everything.
-                    drop(senders);
-                    for f in forwarders {
-                        let _ = f.join();
-                    }
-                    kill_all(&mut children);
-                    return Err(e);
-                }
-            }
         }
-        Ok(ProcBackend {
-            senders,
-            depth,
-            pids,
-            cache,
-            forwarders: Mutex::new(forwarders),
-            children: Mutex::new(children),
+    }
+    let streams = match pair(&listener, &mut children, n) {
+        Ok(streams) => streams,
+        Err(e) => {
+            kill_all(&mut children);
+            return Err(e);
+        }
+    };
+    drop(listener);
+    let caches = Arc::new(Mutex::new(vec![CacheStats::default(); n]));
+    let links = children
+        .into_iter()
+        .zip(streams)
+        .enumerate()
+        .map(|(shard, (child, stream))| {
+            Link::Child(ChildLink {
+                shard,
+                stream,
+                child,
+                dead: false,
+                caches: Arc::clone(&caches),
+            })
         })
-    }
-
-    /// Accept loop of `spawn`: wait for all `n` children to connect and
-    /// identify themselves, watching for early child exits so a broken
-    /// worker command fails fast instead of timing out.
-    fn pair(
-        listener: &TcpListener,
-        children: &mut [Child],
-        n: usize,
-    ) -> io::Result<Vec<TcpStream>> {
-        let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let deadline = Instant::now() + CONNECT_DEADLINE;
-        let mut slots: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-        let mut connected = 0;
-        while connected < n {
-            match listener.accept() {
-                Ok((mut stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    stream.set_nodelay(true).ok();
-                    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-                    let hello = read_frame(&mut stream)?;
-                    let mut c = Cursor::new(&hello);
-                    let shard = c
-                        .line()
-                        .and_then(|l| {
-                            num(
-                                l.strip_prefix("hello ").unwrap_or("not a hello"),
-                                "hello shard index",
-                            )
-                        })
-                        .map_err(|e| bad(e.message))? as usize;
-                    if shard >= n {
-                        return Err(bad(format!("hello from out-of-range shard {shard}")));
-                    }
-                    if slots[shard].is_some() {
-                        return Err(bad(format!("two workers claimed shard {shard}")));
-                    }
-                    stream.set_read_timeout(None)?;
-                    slots[shard] = Some(stream);
-                    connected += 1;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!("{connected}/{n} shard workers connected before the deadline"),
-                        ));
-                    }
-                    for (shard, child) in children.iter_mut().enumerate() {
-                        if let Ok(Some(status)) = child.try_wait() {
-                            return Err(bad(format!(
-                                "shard {shard} worker exited at startup ({status})"
-                            )));
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // All slots are Some once `connected == n`; flatten without
-        // panicking anyway.
-        Ok(slots.into_iter().flatten().collect())
-    }
+        .collect();
+    Shards::start(links, Backend::Procs(caches))
 }
 
-impl ShardBackend for ProcBackend {
-    fn kind(&self) -> &'static str {
-        "procs"
-    }
-
-    fn n_shards(&self) -> usize {
-        self.senders.len()
-    }
-
-    fn pids(&self) -> Vec<u32> {
-        self.pids.clone()
-    }
-
-    fn queue_depths(&self) -> Vec<usize> {
-        self.depth
-            .iter()
-            .map(|d| d.load(Ordering::SeqCst))
-            .collect()
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        let mut sum = CacheStats::default();
-        if let Ok(per_child) = self.cache.lock() {
-            for c in per_child.iter() {
-                sum.entries += c.entries;
-                sum.hits += c.hits;
-                sum.misses += c.misses;
-                sum.evictions += c.evictions;
+/// Accept loop of `spawn`: wait for all `n` children to connect and
+/// identify themselves, watching for early child exits so a broken
+/// worker command fails fast instead of timing out.
+fn pair(listener: &TcpListener, children: &mut [Child], n: usize) -> io::Result<Vec<TcpStream>> {
+    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let deadline = Instant::now() + CONNECT_DEADLINE;
+    let mut slots: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
+    let mut connected = 0;
+    while connected < n {
+        if Instant::now() >= deadline {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("{connected}/{n} shard workers connected before the deadline"),
+            ));
+        }
+        match listener.accept() {
+            Ok((stream, _)) => {
+                // Any local process can dial the ephemeral port. A
+                // connection that does not open with a well-formed
+                // `hello` is not one of ours: drop it and keep waiting.
+                let Some((shard, stream)) = read_hello(stream) else {
+                    continue;
+                };
+                if shard >= n {
+                    return Err(bad(format!("hello from out-of-range shard {shard}")));
+                }
+                if slots[shard].is_some() {
+                    return Err(bad(format!("two workers claimed shard {shard}")));
+                }
+                slots[shard] = Some(stream);
+                connected += 1;
             }
-        }
-        sum
-    }
-
-    fn submit(&self, shard: usize, job: Job) {
-        self.depth[shard].fetch_add(1, Ordering::SeqCst);
-        if let Err(mpsc::SendError(job)) = self.senders[shard].send(job) {
-            self.depth[shard].fetch_sub(1, Ordering::SeqCst);
-            job.respond_shard_down(down(shard, self.pids[shard]));
-        }
-    }
-
-    fn shutdown(&self) {
-        for shard in 0..self.senders.len() {
-            self.submit(shard, Job::Shutdown);
-        }
-        let forwarders = match self.forwarders.lock() {
-            Ok(mut f) => std::mem::take(&mut *f),
-            Err(_) => return,
-        };
-        for f in forwarders {
-            let _ = f.join();
-        }
-        let children = match self.children.lock() {
-            Ok(mut c) => std::mem::take(&mut *c),
-            Err(_) => return,
-        };
-        for mut child in children {
-            // The worker answered `bye` (or its socket is gone); give it
-            // a moment to exit on its own, then make sure — no orphans.
-            let deadline = Instant::now() + REAP_DEADLINE;
-            loop {
-                match child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(10))
-                    }
-                    _ => {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                for (shard, child) in children.iter_mut().enumerate() {
+                    if let Ok(Some(status)) = child.try_wait() {
+                        return Err(bad(format!(
+                            "shard {shard} worker exited at startup ({status})"
+                        )));
                     }
                 }
+                std::thread::sleep(Duration::from_millis(5));
             }
+            Err(e) => return Err(e),
         }
     }
+    // All slots are Some once `connected == n`; flatten without
+    // panicking anyway.
+    Ok(slots.into_iter().flatten().collect())
 }
 
-/// Per-shard forwarder: owns the control socket, drains the shard's job
-/// queue strictly in order. One outstanding protocol exchange at a time
-/// — the shard itself is serial, so the socket being serial costs no
-/// parallelism. A transport or decode failure marks the shard dead;
-/// every queued and future job then gets the typed `E_SHARD_DOWN`
-/// refusal, and an [`Job::Install`]'s image is handed back untouched.
-fn forward(
+/// Read a freshly accepted connection's `hello <shard>` greeting;
+/// `None` if it does not arrive intact within the read timeout.
+fn read_hello(mut stream: TcpStream) -> Option<(usize, TcpStream)> {
+    stream.set_nonblocking(false).ok()?;
+    stream.set_nodelay(true).ok();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
+    let hello = read_frame(&mut stream, MAX_GREETING).ok()?;
+    let mut c = Cursor::new(&hello);
+    let shard = num(c.line().ok()?.strip_prefix("hello ")?, "hello shard index").ok()?;
+    c.done().ok()?;
+    stream.set_read_timeout(None).ok()?;
+    Some((shard, stream))
+}
+
+/// The parent's end of one process shard: the control socket plus the
+/// child it leads to. A transport or decode failure marks the shard
+/// dead; that op and every later one then gets the typed `E_SHARD_DOWN`
+/// refusal, an install's image handed back untouched.
+///
+/// Dropping the link is the child's orderly end: `shutdown`, wait for
+/// `bye`, reap (kill after [`REAP_DEADLINE`]). The link lives on its
+/// shard's drain thread, so [`Shards::shutdown`] stops all children in
+/// parallel and no path that loses a link can leak its process.
+pub(crate) struct ChildLink {
     shard: usize,
-    pid: u32,
-    mut stream: TcpStream,
-    rx: mpsc::Receiver<Job>,
-    depth: Arc<Vec<AtomicUsize>>,
-    cache: Arc<Mutex<Vec<CacheStats>>>,
-) {
-    let mut dead = false;
-    while let Ok(job) = rx.recv() {
-        depth[shard].fetch_sub(1, Ordering::SeqCst);
-        if matches!(job, Job::Shutdown) {
-            if !dead {
-                let _ = write_frame(&mut stream, &encode_job(&job));
-                // Wait for `bye` so the child has drained before the
-                // parent starts reaping.
-                let _ = read_frame(&mut stream);
+    stream: TcpStream,
+    child: Child,
+    dead: bool,
+    /// Last-known per-child dataset-cache gauges; this link refreshes
+    /// its own slot from every report reply.
+    caches: Arc<Mutex<Vec<CacheStats>>>,
+}
+
+impl ChildLink {
+    pub fn pid(&self) -> u32 {
+        self.child.id()
+    }
+
+    pub fn call(&mut self, op: ShardOp) -> ShardReply {
+        if !self.dead {
+            match self.exchange(&op) {
+                Some(reply) => return reply,
+                None => self.dead = true,
             }
-            break;
         }
-        if dead {
-            job.respond_shard_down(down(shard, pid));
-            continue;
-        }
-        let payload = encode_job(&job);
-        let reply = write_frame(&mut stream, &payload).and_then(|_| read_frame(&mut stream));
-        let reply = match reply {
-            Ok(reply) => reply,
-            Err(_) => {
-                dead = true;
-                job.respond_shard_down(down(shard, pid));
-                continue;
+        op.refused(self.shard, down(self.shard, self.pid()))
+    }
+
+    /// One protocol exchange. `None` on a transport failure or a
+    /// malformed reply — the protocol is corrupt and nothing the child
+    /// says afterwards can be trusted.
+    fn exchange(&mut self, op: &ShardOp) -> Option<ShardReply> {
+        write_frame(&mut self.stream, &encode_op(op)).ok()?;
+        let payload = read_frame(&mut self.stream, MAX_FRAME).ok()?;
+        let reply = decode_reply(&payload, op).ok()?;
+        if let ShardReply::Report(report) = &reply {
+            if let Ok(mut caches) = self.caches.lock() {
+                if let Some(slot) = caches.get_mut(self.shard) {
+                    *slot = report.cache;
+                }
             }
-        };
-        // Decode per job kind. A malformed reply also counts as a dead
-        // shard (the protocol is corrupt; nothing it says can be
-        // trusted), but the responder still fires exactly once.
-        match job {
-            Job::Shutdown => {}
-            Job::Run {
-                session, respond, ..
-            } => match decode_run_done(&reply, &session) {
-                Ok(done) => respond(done),
-                Err(_) => {
-                    dead = true;
-                    respond(RunDone {
-                        outcome: RunOutcome {
-                            responses: Vec::new(),
-                            error: Some((0, down(shard, pid))),
-                            latencies: Vec::new(),
-                        },
-                        session_dropped: false,
-                        frame: None,
-                    });
+        }
+        Some(reply)
+    }
+}
+
+impl Drop for ChildLink {
+    fn drop(&mut self) {
+        if !self.dead {
+            let _ = write_frame(&mut self.stream, SHUTDOWN);
+            // Wait for `bye` so the child has drained before it is
+            // reaped.
+            let _ = read_frame(&mut self.stream, MAX_GREETING);
+        }
+        // The worker answered `bye` (or its socket is gone); give it a
+        // moment to exit on its own, then make sure — no orphans.
+        let deadline = Instant::now() + REAP_DEADLINE;
+        loop {
+            match self.child.try_wait() {
+                Ok(Some(_)) => break,
+                Ok(None) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(10))
                 }
-            },
-            Job::Close { respond, .. } => match decode_closed(&reply) {
-                Ok(existed) => respond(existed),
-                Err(_) => {
-                    dead = true;
-                    respond(false);
+                _ => {
+                    let _ = self.child.kill();
+                    let _ = self.child.wait();
+                    break;
                 }
-            },
-            Job::Report {
-                shard: target,
-                respond,
-            } => match decode_report(&reply) {
-                Ok((report, child_cache)) => {
-                    if let Ok(mut per_child) = cache.lock() {
-                        if let Some(slot) = per_child.get_mut(shard) {
-                            *slot = child_cache;
-                        }
-                    }
-                    respond(report);
-                }
-                Err(_) => {
-                    dead = true;
-                    respond(ShardReport::empty(target));
-                }
-            },
-            Job::Extract { respond, .. } => match decode_extracted(&reply) {
-                Ok(image) => respond(image),
-                Err(_) => {
-                    dead = true;
-                    respond(None);
-                }
-            },
-            Job::Snapshot { respond, .. } => match decode_snapshotted(&reply) {
-                Ok(image) => respond(image),
-                Err(_) => {
-                    dead = true;
-                    respond(None);
-                }
-            },
-            Job::Install { image, respond, .. } => match decode_installed(&reply) {
-                Ok(result) => respond(result),
-                Err(_) => {
-                    dead = true;
-                    respond(Err((image, down(shard, pid))));
-                }
-            },
+            }
         }
     }
 }
@@ -902,95 +805,6 @@ fn forward(
 // ---------------------------------------------------------------------
 // Child side: worker_main
 // ---------------------------------------------------------------------
-
-enum Served {
-    Reply(Vec<u8>),
-    Bye,
-}
-
-/// Serve one decoded parent frame against the core. Pure protocol — no
-/// I/O — so tests can drive the full parent↔child codec in memory.
-fn serve_frame(core: &mut WorkerCore, payload: &[u8]) -> Result<Served, ApiError> {
-    let mut c = Cursor::new(payload);
-    let header = c.line()?;
-    let (verb, rest) = header.split_once(' ').unwrap_or((header, ""));
-    match verb {
-        "run" => {
-            let mut parts = rest.splitn(3, ' ');
-            let (publish, n, session) = match (parts.next(), parts.next(), parts.next()) {
-                (Some(p), Some(n), Some(s)) => {
-                    (p == "1", num(n, "request count")? as usize, session_id(s)?)
-                }
-                _ => return Err(ApiError::parse(format!("bad run header {header:?}"))),
-            };
-            let mut requests = Vec::with_capacity(n);
-            for _ in 0..n {
-                requests.push(parse_request(c.line()?)?);
-            }
-            c.done()?;
-            let done = core.run(&session, &requests, publish);
-            Ok(Served::Reply(encode_run_done(&done)))
-        }
-        "close" => {
-            c.done()?;
-            let existed = core.close(&session_id(rest)?);
-            Ok(Served::Reply(
-                format!("closed {}\n", existed as u8).into_bytes(),
-            ))
-        }
-        "report" => {
-            c.done()?;
-            Ok(Served::Reply(encode_report(
-                &core.report(),
-                &core.cache_stats(),
-            )))
-        }
-        "extract" => {
-            c.done()?;
-            let reply = match core.extract(&session_id(rest)?) {
-                Some(image) => {
-                    let mut out = b"extracted 1\n".to_vec();
-                    push_blob(&mut out, format_session_image(&image).as_bytes());
-                    out
-                }
-                None => b"extracted 0\n".to_vec(),
-            };
-            Ok(Served::Reply(reply))
-        }
-        "snapshot" => {
-            c.done()?;
-            let reply = match core.snapshot(&session_id(rest)?) {
-                Some(image) => {
-                    let mut out = b"snapshotted 1\n".to_vec();
-                    push_blob(&mut out, format_session_image(&image).as_bytes());
-                    out
-                }
-                None => b"snapshotted 0\n".to_vec(),
-            };
-            Ok(Served::Reply(reply))
-        }
-        "install" => {
-            let session = session_id(rest)?;
-            let image = parse_session_image(c.text_blob()?)?;
-            c.done()?;
-            let reply = match core.install(&session, image) {
-                Ok(()) => b"installed ok\n".to_vec(),
-                Err((image, e)) => {
-                    let mut out = format!("installed err {}\n", e.code.as_str()).into_bytes();
-                    push_blob(&mut out, e.message.as_bytes());
-                    push_blob(&mut out, format_session_image(&image).as_bytes());
-                    out
-                }
-            };
-            Ok(Served::Reply(reply))
-        }
-        "shutdown" => {
-            c.done()?;
-            Ok(Served::Bye)
-        }
-        other => Err(ApiError::parse(format!("unknown verb {other:?}"))),
-    }
-}
 
 /// Entry point of a shard worker process (`fvtool shard-worker`, or the
 /// `fv-shard-worker` binary tests spawn). Connects back to the parent,
@@ -1042,23 +856,21 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("hello: {e}"))?;
     let mut core = WorkerCore::new(shard, scene, DatasetCache::new(), refuse_install);
     loop {
-        let payload = match read_frame(&mut stream) {
+        let payload = match read_frame(&mut stream, MAX_FRAME) {
             Ok(payload) => payload,
             // Parent is gone; nothing left to serve and nobody to tell.
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
             Err(e) => return Err(format!("shard {shard}: read: {e}")),
         };
-        let reply = match serve_frame(&mut core, &payload) {
-            Ok(Served::Reply(reply)) => reply,
-            Ok(Served::Bye) => {
-                let _ = write_frame(&mut stream, b"bye\n");
-                return Ok(());
-            }
-            // A corrupt frame from the parent: the channel cannot be
-            // trusted, so die loudly and let the parent's forwarder
-            // declare the shard down.
-            Err(e) => return Err(format!("shard {shard}: protocol: {e}")),
-        };
+        if payload == SHUTDOWN {
+            let _ = write_frame(&mut stream, b"bye\n");
+            return Ok(());
+        }
+        // A corrupt frame from the parent: the channel cannot be
+        // trusted, so die loudly and let the parent's link declare the
+        // shard down.
+        let op = decode_op(&payload).map_err(|e| format!("shard {shard}: protocol: {e}"))?;
+        let reply = encode_reply(&core.serve(op));
         write_frame(&mut stream, &reply).map_err(|e| format!("shard {shard}: write: {e}"))?;
     }
 }
@@ -1066,253 +878,327 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fv_api::{Mutation, Query, Request};
+    use fv_api::{Mutation, Query, Request, SessionImage};
+    use proptest::prelude::*;
 
-    fn core() -> WorkerCore {
-        WorkerCore::new(0, (640, 480), DatasetCache::new(), false)
+    fn core(scene: (usize, usize), refuse_install: bool) -> WorkerCore {
+        WorkerCore::new(0, scene, DatasetCache::new(), refuse_install)
     }
 
-    /// Drive a parent-encoded job through the child's serve path in
-    /// memory — the full codec round trip with no process or socket.
-    fn exchange(core: &mut WorkerCore, job: &Job) -> Vec<u8> {
-        match serve_frame(core, &encode_job(job)).expect("serve") {
-            Served::Reply(reply) => reply,
-            Served::Bye => b"bye\n".to_vec(),
+    /// What the child does with a parent frame and the parent with the
+    /// answer — the full codec round trip with no process or socket.
+    fn over_the_wire(core: &mut WorkerCore, op: &ShardOp) -> ShardReply {
+        let served = core.serve(decode_op(&encode_op(op)).expect("decode op"));
+        decode_reply(&encode_reply(&served), op).expect("decode reply")
+    }
+
+    /// Blank out what legitimately differs between two cores doing the
+    /// same work: measured latencies keep their count, lose their value.
+    fn timeless(mut reply: ShardReply) -> ShardReply {
+        match &mut reply {
+            ShardReply::Run(done) => {
+                for l in &mut done.outcome.latencies {
+                    *l = Duration::ZERO;
+                }
+            }
+            ShardReply::Report(report) => {
+                let total = report.latency.total();
+                report.latency = LatencyHistogram::new();
+                report.latency.counts[0] = total;
+            }
+            _ => {}
         }
+        reply
     }
 
-    fn run_job(session: &SessionId, requests: Vec<Request>, publish: bool) -> Job {
-        Job::Run {
+    fn run(session: &SessionId, requests: Vec<Request>, publish: bool) -> ShardOp {
+        ShardOp::Run {
             session: session.clone(),
             requests,
             publish,
-            respond: Box::new(|_| {}),
         }
     }
 
+    fn load_scenario(seed: u64) -> Request {
+        Request::Mutate(Mutation::LoadScenario { n_genes: 60, seed })
+    }
+
+    /// Parity by construction, checked once: every op, served by value
+    /// (what a thread shard does) and through the codec (what a process
+    /// shard does) on twin cores, must produce equal replies. The script
+    /// is stateful — each step's expectation names the behaviour it pins.
     #[test]
-    fn run_round_trips_responses_errors_and_latencies() {
-        let mut core = core();
-        let s = SessionId::new("s").unwrap();
-        let reply = exchange(
-            &mut core,
-            &run_job(
-                &s,
-                vec![
-                    Request::Mutate(Mutation::LoadScenario {
-                        n_genes: 60,
-                        seed: 1,
-                    }),
-                    Request::Query(Query::SessionInfo),
-                    Request::Mutate(Mutation::Impute { dataset: 9, k: 3 }),
-                ],
-                false,
-            ),
-        );
-        let done = decode_run_done(&reply, &s).expect("decode");
+    fn every_op_answers_the_same_by_value_and_over_the_wire() {
+        let s = SessionId::new("mover").unwrap();
+        let ghost = SessionId::new("ghost").unwrap();
+        let viewer = SessionId::new("viewer").unwrap();
+        let scene = (640, 480);
+        let (mut direct, mut wired) = (core(scene, false), core(scene, false));
+        // `make` builds the op once per core: an op owns its image and
+        // request list, so it is moved into whoever serves it.
+        let mut step = |make: &dyn Fn() -> ShardOp| -> ShardReply {
+            let by_value = timeless(direct.serve(make()));
+            let by_wire = timeless(over_the_wire(&mut wired, &make()));
+            assert_eq!(by_value, by_wire);
+            by_wire
+        };
+
+        // A failing run: the completed prefix, the failing index and
+        // typed code, one latency per ATTEMPTED request, no frame.
+        let failing = || {
+            let requests = vec![
+                load_scenario(2),
+                Request::Query(Query::SessionInfo),
+                Request::Mutate(Mutation::Impute { dataset: 9, k: 3 }),
+            ];
+            run(&s, requests, false)
+        };
+        let ShardReply::Run(done) = step(&failing) else {
+            panic!("a run answers with a run reply");
+        };
         assert_eq!(done.outcome.responses.len(), 2);
         let (idx, err) = done.outcome.error.expect("bad impute fails");
-        assert_eq!(idx, 2);
-        assert_eq!(err.code, ErrorCode::NotFound);
+        assert_eq!((idx, err.code), (2, ErrorCode::NotFound));
         assert_eq!(done.outcome.latencies.len(), 3, "one per attempted request");
         assert!(!done.session_dropped);
         assert!(done.frame.is_none(), "publish was off");
-        // The child recorded the run in its counters.
-        let report_reply = exchange(&mut core, &run_job(&s, Vec::new(), false));
-        let done = decode_run_done(&report_reply, &s).unwrap();
-        assert!(done.outcome.error.is_none(), "empty run materializes only");
-    }
+        // An empty run only materializes.
+        let ShardReply::Run(done) = step(&|| run(&s, Vec::new(), false)) else {
+            panic!("a run answers with a run reply");
+        };
+        assert!(done.outcome.error.is_none());
+        assert!(done.outcome.responses.is_empty());
 
-    #[test]
-    fn published_run_ships_the_framebuffer_and_damage() {
-        let mut core = core();
-        let s = SessionId::new("viewer").unwrap();
-        let reply = exchange(
-            &mut core,
-            &run_job(
-                &s,
-                vec![Request::Mutate(Mutation::LoadScenario {
-                    n_genes: 60,
-                    seed: 1,
-                })],
-                true,
-            ),
-        );
-        let done = decode_run_done(&reply, &s).expect("decode");
+        // A published run ships the framebuffer and its damage.
+        let ShardReply::Run(done) = step(&|| run(&viewer, vec![load_scenario(1)], true)) else {
+            panic!("a run answers with a run reply");
+        };
         let frame = done.frame.expect("published run carries a frame");
-        assert_eq!(frame.session, s);
-        assert_eq!((frame.wall.width(), frame.wall.height()), (640, 480));
+        assert_eq!(frame.session, viewer);
+        assert_eq!((frame.wall.width(), frame.wall.height()), scene);
         assert_eq!(frame.damage.len(), 1, "a load damages the full scene");
         assert_eq!(frame.wall.bytes().len(), 640 * 480 * 3);
         assert!(
             frame.wall.bytes().iter().any(|&b| b != 0),
             "the shipped render is not blank"
         );
-    }
 
-    #[test]
-    fn close_extract_install_round_trip_via_the_wire_codec() {
-        let mut core = core();
-        let s = SessionId::new("mover").unwrap();
-        exchange(
-            &mut core,
-            &run_job(
-                &s,
-                vec![Request::Mutate(Mutation::LoadScenario {
-                    n_genes: 60,
-                    seed: 2,
-                })],
-                false,
-            ),
-        );
-        // snapshot: a checkpoint copy, the session keeps serving…
-        let reply = exchange(
-            &mut core,
-            &Job::Snapshot {
-                session: s.clone(),
-                respond: Box::new(|_| {}),
-            },
-        );
-        let copy = decode_snapshotted(&reply).unwrap().expect("session live");
-        assert_eq!(copy.log.len(), 1);
-        // …an unknown session snapshots to nothing…
-        let reply = exchange(
-            &mut core,
-            &Job::Snapshot {
-                session: SessionId::new("ghost").unwrap(),
-                respond: Box::new(|_| {}),
-            },
-        );
-        assert!(decode_snapshotted(&reply).unwrap().is_none());
-        // extract: the session leaves as an image…
-        let reply = exchange(
-            &mut core,
-            &Job::Extract {
-                session: s.clone(),
-                respond: Box::new(|_| {}),
-            },
-        );
-        let image = decode_extracted(&reply).unwrap().expect("session existed");
-        assert_eq!(image.log.len(), 1);
-        assert_eq!(
-            fv_api::format_session_image(&copy),
-            fv_api::format_session_image(&image),
-            "snapshot and extract see the same state"
-        );
-        // …a second extract finds nothing…
-        let reply = exchange(
-            &mut core,
-            &Job::Extract {
-                session: s.clone(),
-                respond: Box::new(|_| {}),
-            },
-        );
-        assert!(decode_extracted(&reply).unwrap().is_none());
-        // …install brings it back…
-        let reply = exchange(
-            &mut core,
-            &Job::Install {
-                session: s.clone(),
-                image: image.clone(),
-                respond: Box::new(|_| {}),
-            },
-        );
-        assert!(decode_installed(&reply).unwrap().is_ok());
-        // …a duplicate install is refused WITH the image returned…
-        let reply = exchange(
-            &mut core,
-            &Job::Install {
-                session: s.clone(),
-                image,
-                respond: Box::new(|_| {}),
-            },
-        );
-        let (returned, why) = decode_installed(&reply).unwrap().expect_err("occupied");
-        assert_eq!(why.code, ErrorCode::InvalidRequest);
-        assert_eq!(returned.log.len(), 1, "image survived the refusal");
-        // …and close reports existence faithfully.
-        let reply = exchange(
-            &mut core,
-            &Job::Close {
-                session: s.clone(),
-                respond: Box::new(|_| {}),
-            },
-        );
-        assert!(decode_closed(&reply).unwrap());
-        let reply = exchange(
-            &mut core,
-            &Job::Close {
-                session: s,
-                respond: Box::new(|_| {}),
-            },
-        );
-        assert!(!decode_closed(&reply).unwrap());
-    }
-
-    #[test]
-    fn report_round_trips_counters_cache_and_sessions() {
-        let mut core = core();
-        let s = SessionId::new("alpha").unwrap();
-        exchange(
-            &mut core,
-            &run_job(
-                &s,
-                vec![Request::Mutate(Mutation::LoadScenario {
-                    n_genes: 60,
-                    seed: 1,
-                })],
-                false,
-            ),
-        );
-        let reply = exchange(
-            &mut core,
-            &Job::Report {
-                shard: 0,
-                respond: Box::new(|_| {}),
-            },
-        );
-        let (report, cache) = decode_report(&reply).expect("decode");
+        // Report: counters, cache gauges and per-session rows.
+        let ShardReply::Report(report) = step(&|| ShardOp::Report) else {
+            panic!("a report answers with a report reply");
+        };
         assert_eq!(report.shard, 0);
-        assert_eq!(report.runs, 1);
-        assert_eq!(report.requests, 1);
-        assert_eq!(report.max_run, 1);
-        assert_eq!(report.latency.total(), 1);
-        assert_eq!(report.sessions.len(), 1);
-        assert_eq!(report.sessions[0].name, "alpha");
+        assert_eq!((report.runs, report.requests, report.max_run), (2, 4, 3));
+        assert_eq!(report.latency.total(), 4);
+        assert_eq!(report.sessions.len(), 2);
+        assert_eq!(report.sessions[0].name, "mover");
         assert_eq!(report.sessions[0].n_datasets, 3);
+        assert_eq!(report.sessions[0].requests, 3);
         assert!(report.sessions[0].dataset_bytes > 0);
-        assert_eq!(cache.misses, 0, "scenario loads bypass the file cache");
+        assert_eq!(
+            report.cache.misses, 0,
+            "scenario loads bypass the file cache"
+        );
+
+        // Snapshot: a checkpoint copy, the session keeps serving; an
+        // unknown session snapshots to nothing.
+        let snapshot = |session: &SessionId| {
+            let session = session.clone();
+            move || ShardOp::Snapshot {
+                session: session.clone(),
+            }
+        };
+        let ShardReply::Image(Some(copy)) = step(&snapshot(&s)) else {
+            panic!("a live session snapshots to an image");
+        };
+        assert_eq!(copy.log.len(), 1);
+        assert_eq!(step(&snapshot(&ghost)), ShardReply::Image(None));
+        // Extract: the session leaves as the same image; a second
+        // extract finds nothing.
+        let extract = || ShardOp::Extract { session: s.clone() };
+        assert_eq!(step(&extract), ShardReply::Image(Some(copy.clone())));
+        assert_eq!(step(&extract), ShardReply::Image(None));
+        // Install brings it back; a duplicate install is refused WITH
+        // the image returned.
+        let install = || ShardOp::Install {
+            session: s.clone(),
+            image: copy.clone(),
+        };
+        assert_eq!(step(&install), ShardReply::Installed(Ok(())));
+        let ShardReply::Installed(Err((returned, why))) = step(&install) else {
+            panic!("an occupied name must refuse");
+        };
+        assert_eq!(why.code, ErrorCode::InvalidRequest);
+        assert_eq!(returned, copy, "image survived the refusal");
+        // Close reports existence faithfully.
+        let close = || ShardOp::Close { session: s.clone() };
+        assert_eq!(step(&close), ShardReply::Closed(true));
+        assert_eq!(step(&close), ShardReply::Closed(false));
+
+        // The injected install refusal crosses the wire like any other.
+        let (mut direct, mut wired) = (core(scene, true), core(scene, true));
+        let by_value = direct.serve(install());
+        assert_eq!(by_value, over_the_wire(&mut wired, &install()));
+        let ShardReply::Installed(Err((returned, why))) = by_value else {
+            panic!("the injected fault must refuse");
+        };
+        assert_eq!(why.code, ErrorCode::Internal);
+        assert_eq!(returned, copy);
+    }
+
+    #[test]
+    fn a_dead_child_refuses_with_shard_down_naming_the_pid() {
+        let err = down(3, 4242);
+        assert_eq!(err.code, ErrorCode::ShardDown);
+        assert!(err.message.contains("shard 3") && err.message.contains("pid 4242"));
+    }
+
+    fn ops() -> Vec<ShardOp> {
+        let s = SessionId::new("s").unwrap();
+        vec![
+            run(&s, vec![load_scenario(1)], true),
+            ShardOp::Close { session: s.clone() },
+            ShardOp::Report,
+            ShardOp::Extract { session: s.clone() },
+            ShardOp::Snapshot { session: s.clone() },
+            ShardOp::Install {
+                session: s.clone(),
+                image: SessionImage {
+                    scene: (640, 480),
+                    requests: 1,
+                    datasets: Vec::new(),
+                    log: vec![Mutation::LoadScenario {
+                        n_genes: 60,
+                        seed: 1,
+                    }],
+                },
+            },
+        ]
     }
 
     #[test]
     fn corrupt_frames_are_typed_errors_not_panics() {
-        let mut core = core();
         for garbage in [
             &b""[..],
             b"warble\n",
+            b"shutdown\n", // not an op: both sides match it before the codec
             b"run\n",
             b"run 1 one s\n",
-            b"run 0 1 s\n",                // missing request line
-            b"install s\n5\nnot an image", // bad blob / bad image
-            b"close not a session\n",      // whitespace in name
-            b"report trailing\nextra",     // trailing bytes
+            b"run 0 1 s\n",                    // missing request line
+            b"run 0 18446744073709551615 s\n", // count no payload could hold
+            b"install s\n5\nnot an image",     // bad blob / bad image
+            b"close not a session\n",          // whitespace in name
+            b"report trailing\nextra",         // trailing bytes
+        ] {
+            assert!(decode_op(garbage).is_err(), "{garbage:?} must be rejected");
+        }
+        // Reply decoders reject corrupt payloads the same way — headers
+        // whose counts no payload could hold included.
+        let ops = ops();
+        let [run, close, report, extract, snapshot, install] = &ops[..] else {
+            panic!("six ops");
+        };
+        for (op, garbage) in [
+            (run, &b"nope\n"[..]),
+            (run, b"run-done dropped=0 nresp=18446744073709551615 err=- lat=- frame=0\n"),
+            (run, b"run-done dropped=0 nresp=0 err=- lat=- frame=1\nframe 1 1 18446744073709551615\n"),
+            (run, b"run-done dropped=0 nresp=0 err=- lat=- frame=1\nframe 4294967296 4294967296 0\n0\n"),
+            (run, b"closed 1\n"), // well-formed, but not a run's answer
+            (close, b"closed 7\n"),
+            (extract, b"image 1\n"), // missing blob
+            (snapshot, b"image 1\n"),
+            (snapshot, b"image 2\n"),
+            (install, b"installed err E_NOPE\n"),
+            (report, b"report shard=0\n"),
+            (report, b"report shard=0 runs=0 requests=0 max_run=0 lat=0 lat_max_us=0 cache=0,0,0,0 sessions=18446744073709551615\n"),
         ] {
             assert!(
-                serve_frame(&mut core, garbage).is_err(),
-                "{garbage:?} must be rejected"
+                decode_reply(garbage, op).is_err(),
+                "{:?} must be rejected",
+                String::from_utf8_lossy(garbage)
             );
         }
-        // Reply decoders reject corrupt payloads the same way.
-        let s = SessionId::new("s").unwrap();
-        assert!(decode_run_done(b"nope\n", &s).is_err());
-        assert!(decode_closed(b"closed 7\n").is_err());
-        assert!(decode_extracted(b"extracted 1\n").is_err(), "missing blob");
-        assert!(
-            decode_snapshotted(b"snapshotted 1\n").is_err(),
-            "missing blob"
+    }
+
+    /// A valid frame with `flips` bytes overwritten near its front —
+    /// corruption that keeps most of the structure (headers, counts,
+    /// blob lengths), which is what reaches the deep decode paths.
+    fn mangle(mut frame: Vec<u8>, flips: &[(usize, u8)]) -> Vec<u8> {
+        let span = frame.len().min(512);
+        for &(at, byte) in flips {
+            frame[at % span] = byte;
+        }
+        frame
+    }
+
+    proptest! {
+        /// Total parsers: whatever bytes arrive, both decoders return a
+        /// typed error or a well-formed value (one that re-encodes) —
+        /// they never panic and never reserve from a corrupt count.
+        #[test]
+        fn decoders_are_total(
+            noise in prop::collection::vec(any::<u8>(), 0..200),
+            flips in prop::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+            pick in 0usize..6,
+        ) {
+            let op = ops().swap_remove(pick);
+            let valid_op = encode_op(&op);
+            let valid_reply = encode_reply(&core((64, 48), false).serve(ops().swap_remove(pick)));
+            for bytes in [noise.clone(), mangle(valid_op, &flips)] {
+                if let Ok(op) = decode_op(&bytes) {
+                    encode_op(&op);
+                }
+            }
+            for bytes in [noise, mangle(valid_reply, &flips)] {
+                if let Ok(reply) = decode_reply(&bytes, &op) {
+                    encode_reply(&reply);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn read_frame_allocates_with_the_bytes_not_the_prefix() {
+        // A maximal length prefix and then EOF: a short read, not a
+        // 64 MiB buffer.
+        let prefix = (MAX_FRAME as u32).to_be_bytes();
+        let err = read_frame(&mut &prefix[..], MAX_FRAME).expect_err("short frame");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        // One byte over the limit is refused before any payload byte.
+        let over = (MAX_FRAME as u32 + 1).to_be_bytes();
+        let err = read_frame(&mut &over[..], MAX_FRAME).expect_err("oversized frame");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // And a whole frame still reads back.
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"hello 0\n").unwrap();
+        assert_eq!(
+            read_frame(&mut &wire[..], MAX_GREETING).unwrap(),
+            b"hello 0\n"
         );
-        assert!(decode_snapshotted(b"snapshotted 2\n").is_err());
-        assert!(decode_installed(b"installed err E_NOPE\n").is_err());
-        assert!(decode_report(b"report shard=0\n").is_err());
+    }
+
+    #[test]
+    fn pair_drops_a_stray_connection_and_keeps_waiting() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Both connections sit in the accept backlog before `pair` runs:
+        // first a stranger speaking something else, then a real worker.
+        let mut stray = TcpStream::connect(addr).unwrap();
+        stray.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+        let mut worker = TcpStream::connect(addr).unwrap();
+        write_frame(&mut worker, b"hello 0\n").unwrap();
+        let streams = pair(&listener, &mut [], 1).expect("the stray must not fail the boot");
+        assert_eq!(streams.len(), 1);
+        assert_eq!(
+            streams[0].peer_addr().unwrap(),
+            worker.local_addr().unwrap(),
+            "the paired socket is the worker's"
+        );
+        // A well-formed hello for a shard that does not exist stays a
+        // hard error.
+        let mut liar = TcpStream::connect(addr).unwrap();
+        write_frame(&mut liar, b"hello 9\n").unwrap();
+        assert!(pair(&listener, &mut [], 1).is_err());
     }
 }

@@ -1,19 +1,28 @@
 //! The event-loop TCP server: one poll-driven thread owns every
-//! connection; N shard workers own the engines. No thread is ever spawned
-//! per connection — 1000 idle clients cost 1000 file descriptors and
-//! nothing else.
+//! connection; N shards own the engines. No thread is ever spawned per
+//! connection — 1000 idle clients cost 1000 file descriptors and nothing
+//! else.
 //!
 //! ```text
 //!   poll(listener, waker, conn fds…)           [`crate::poll`]
 //!        │ readiness
 //!        ▼
 //!   event loop      accept · read → FrameBuf → wire items → inbox
-//!        │          inbox → contiguous request runs → shard jobs
-//!        │          completions → response frames → outbox → write
+//!        │          inbox → contiguous request runs → ShardOp
+//!        │          Completion{to: Waiter, reply} → frames → outbox
 //!        ▼
-//!   ShardPool       async jobs; results return over a completion
-//!                   channel + waker pipe       [`crate::shard`]
+//!   Shards          async ops; each ShardReply returns over the
+//!                   completion channel + waker pipe  [`crate::shard`]
 //! ```
+//!
+//! **One seam, one way back.** Everything the loop asks of a shard is a
+//! [`ShardOp`] submitted with a [`Waiter`] naming who wants the answer: a
+//! connection, the balancer's snapshot gather, a checkpoint, a stream
+//! re-sync, or a step of a migration chain. The shard's [`ShardReply`]
+//! comes back as a [`Completion`] and one `match` on the waiter routes
+//! it (`EventLoop::on_completion`). Loop-wide state lives in one owned
+//! [`LoopState`] beside the connection table; the loop body itself only
+//! sequences named handlers.
 //!
 //! **Batching.** Consecutive request lines for the connection's current
 //! session are dispatched as one *run* — everything the client has
@@ -42,11 +51,11 @@ use crate::balance::{
 use crate::frame::{push_err_frame, push_ok_frame, FrameBuf, LineFault, MAX_LINE};
 use crate::metrics::{ServerStats, ShardStats, StreamStats};
 use crate::poll::{self, PollEntry};
-use crate::procshard::ProcBackend;
-use crate::shard::{shard_of, InProcBackend, PubFrame, ShardBackend, ShardReport};
+use crate::procshard;
+use crate::shard::{shard_of, PubFrame, ShardOp, ShardReply, ShardReport, Shards};
 use crate::stream::{union_rect, StreamPlane, SubState};
 use fv_api::codec::ScriptItem;
-use fv_api::{ApiError, EngineHub, Request, SessionId, SessionImage, SessionStore, WireItem};
+use fv_api::{ApiError, EngineHub, Request, SessionId, SessionStore, WireItem};
 use fv_render::Framebuffer;
 use fv_wall::stream::tile_damage;
 use fv_wall::tile::TileGrid;
@@ -82,7 +91,7 @@ const SHUTDOWN_FLUSH_GRACE: Duration = Duration::from_millis(500);
 #[derive(Debug, Clone, Default)]
 pub enum ShardBackendConfig {
     /// In-process worker threads sharing one dataset cache (the
-    /// default): [`crate::shard::InProcBackend`].
+    /// default): [`crate::shard::Shards::threads`].
     #[default]
     Threads,
     /// One child worker process per shard, each with its own dataset
@@ -145,7 +154,7 @@ impl Default for ServerConfig {
 /// self-pipe with an at-most-one-byte-in-flight guarantee, so writes
 /// never block and a drain never starves.
 #[derive(Clone)]
-pub(crate) struct Waker {
+struct Waker {
     tx: Arc<PipeWriter>,
     pending: Arc<AtomicBool>,
 }
@@ -158,7 +167,7 @@ impl Waker {
         }
     }
 
-    pub fn wake(&self) {
+    fn wake(&self) {
         if !self.pending.swap(true, Ordering::SeqCst) {
             let _ = (&*self.tx).write(&[1u8]);
         }
@@ -200,23 +209,21 @@ impl Server {
             waker: Waker::new(waker_tx),
         });
         let loop_shared = Arc::clone(&shared);
-        let shards = config.shards.max(1);
-        // Spawn the shard backend here so a failure (a worker thread or
-        // child process that cannot start) surfaces as the bind error
-        // instead of a panic inside the event-loop thread.
-        let backend: Arc<dyn ShardBackend> = match &config.backend {
-            ShardBackendConfig::Threads => Arc::new(InProcBackend::spawn(
-                config.shards,
-                config.scene,
-                config.fault_refuse_install_to,
-            )?),
-            ShardBackendConfig::Procs { worker_cmd } => Arc::new(ProcBackend::spawn(
+        // Start the shards here so a failure (a worker thread or child
+        // process that cannot start) surfaces as the bind error instead
+        // of a panic inside the event-loop thread.
+        let shards = match &config.backend {
+            ShardBackendConfig::Threads => {
+                Shards::threads(config.shards, config.scene, config.fault_refuse_install_to)?
+            }
+            ShardBackendConfig::Procs { worker_cmd } => procshard::spawn(
                 worker_cmd,
                 config.shards,
                 config.scene,
                 config.fault_refuse_install_to,
-            )?),
+            )?,
         };
+        let n_shards = shards.n_shards();
         // Crash recovery happens HERE, synchronously, before the loop
         // thread exists: every checkpoint in the state directory is
         // re-installed through the same never-lose-a-session install
@@ -227,19 +234,19 @@ impl Server {
         let (checkpoints, recovered) = match &config.state_dir {
             None => (None, 0),
             Some(dir) => {
-                let (plane, recovered) = recover_sessions(dir, &backend, shards)
+                let (plane, recovered) = recover_sessions(dir, &shards)
                     .map_err(|e| std::io::Error::other(e.to_string()))?;
                 (Some(plane), recovered)
             }
         };
-        // fv-lint: allow(no-spawn-outside-sanctioned-modules) -- the one event-loop thread; every other server thread comes from the shard backend (shard.rs / procshard.rs)
+        // fv-lint: allow(no-spawn-outside-sanctioned-modules) -- the one event-loop thread; every other server thread is a shard drain (shard.rs)
         let event_loop = std::thread::Builder::new()
             .name("fv-net-loop".into())
             .spawn(move || {
                 event_loop(
                     listener,
                     config,
-                    backend,
+                    shards,
                     loop_shared,
                     waker_rx,
                     checkpoints,
@@ -248,7 +255,7 @@ impl Server {
             })?;
         Ok(Server {
             addr: local,
-            shards,
+            shards: n_shards,
             recovered,
             shared,
             event_loop: Some(event_loop),
@@ -317,8 +324,8 @@ enum Item {
     /// `ack <seq>`: subscriber flow control. Answered with nothing —
     /// acks pace the stream, they are not requests.
     Ack(u64),
-    Stats,
-    ListSessions,
+    /// `stats` / `list-sessions`: one report from every shard.
+    Gather(Gather),
     Shutdown,
 }
 
@@ -338,8 +345,7 @@ impl Item {
             | Item::Balance(_)
             | Item::Unsubscribe
             | Item::Ack(_)
-            | Item::Stats
-            | Item::ListSessions
+            | Item::Gather(_)
             | Item::Shutdown => None,
         }
     }
@@ -368,7 +374,6 @@ enum Inflight {
     /// shard.
     Gather {
         what: Gather,
-        waiting: usize,
         reports: Vec<ShardReport>,
     },
 }
@@ -501,8 +506,7 @@ struct CheckpointPlane {
 /// the count `stats` reports as `recovered=`.
 fn recover_sessions(
     state_dir: &std::path::Path,
-    backend: &Arc<dyn ShardBackend>,
-    shards: usize,
+    shards: &Shards,
 ) -> Result<(CheckpointPlane, u64), ApiError> {
     let store = SessionStore::open(state_dir)?;
     let scan = store.scan()?;
@@ -516,25 +520,20 @@ fn recover_sessions(
     let mut recovered = 0u64;
     for (session, image) in scan.sessions {
         let requests = image.requests;
-        let shard = shard_of(&session, shards);
-        let (tx, rx) = mpsc::channel();
-        backend.submit_install(
-            shard,
-            &session,
+        let shard = shard_of(&session, shards.n_shards());
+        let install = ShardOp::Install {
+            session: session.clone(),
             image,
-            Box::new(move |result| {
-                let _ = tx.send(result.map_err(|(_image, why)| why));
-            }),
-        );
-        match rx.recv() {
-            Ok(Ok(())) => {
+        };
+        match shards.call(shard, install) {
+            Some(ShardReply::Installed(Ok(()))) => {
                 clean.insert(session.as_str().to_string(), requests);
                 recovered += 1;
             }
-            Ok(Err(why)) => eprintln!("fv-net: not recovering session {session}: {why}"),
-            Err(_) => {
-                eprintln!("fv-net: shard {shard} went away while recovering session {session}")
+            Some(ShardReply::Installed(Err((_image, why)))) => {
+                eprintln!("fv-net: not recovering session {session}: {why}")
             }
+            _ => eprintln!("fv-net: shard {shard} went away while recovering session {session}"),
         }
     }
     Ok((
@@ -547,98 +546,122 @@ fn recover_sessions(
     ))
 }
 
-/// Results shard workers push back to the loop.
-pub(crate) struct Completion {
-    conn: u64,
-    payload: Payload,
+/// A shard's answer on its way back to the loop, addressed to whoever
+/// asked.
+struct Completion {
+    to: Waiter,
+    reply: ShardReply,
 }
 
-pub(crate) enum Payload {
-    Run(crate::shard::RunDone),
-    /// A close finished (whether the session existed is not part of the
-    /// reply — `closed <name>` is acknowledged either way).
-    Closed,
-    Shard(ShardReport),
-    /// A migration chain finished (extract → install). Handled by the
-    /// loop itself — routing tables and the migration stall are loop
-    /// state, and the requesting connection may be gone by now.
-    Migrated {
-        session: SessionId,
-        to: usize,
-        result: Result<(), ApiError>,
-    },
-    /// A checkpoint snapshot came back (always on [`CHECKPOINT_CONN`]).
-    /// `None` means the session vanished between the report and the
-    /// snapshot (closed, crashed, or mid-migration) — the last durable
-    /// checkpoint stands.
-    Snapshot {
-        session: SessionId,
-        image: Option<SessionImage>,
-    },
+/// Who a submitted [`ShardOp`] is for. Connections have at most one op
+/// in flight; everything else is the loop's own business and must
+/// resolve even if the connection that triggered it is long gone.
+enum Waiter {
+    /// The connection's one dispatched item (see [`Inflight`]).
+    Conn(u64),
+    /// One shard's report toward the balancer's snapshot gather; the
+    /// last one in triggers the checkpoint cadence and the policy tick.
+    BalanceGather,
+    /// The empty publish run submitted after a watched session migrates:
+    /// its only purpose is the fresh framebuffer that re-syncs every
+    /// subscriber with a keyframe on the new shard, so no connection
+    /// settles it.
+    StreamResync,
+    /// A checkpoint snapshot of this session: the durability plane
+    /// asked, not a connection, so the reply only updates the store.
+    Checkpoint(SessionId),
+    /// The current step of a migration chain.
+    Migration(Migration),
 }
 
-/// Adapter: the shard's close responder reports existence, the loop's
-/// completion does not care.
-fn closed_payload(_existed: bool) -> Payload {
-    Payload::Closed
+/// A migration in flight: extract on `from`, install on `to`, and — if
+/// the target refuses — restore on `from`. The loop drives the chain one
+/// shard reply at a time, so routing tables and the stall set update in
+/// one place no matter who asked or whether they are still connected.
+struct Migration {
+    /// The connection to answer, or `None` for a balancer-planned move.
+    asker: Option<u64>,
+    session: SessionId,
+    from: usize,
+    to: usize,
+    step: MigrationStep,
 }
 
-/// Everything item processing needs besides the connection itself.
-struct Ctx<'a> {
-    shards: &'a Arc<dyn ShardBackend>,
-    done_tx: &'a mpsc::Sender<Completion>,
-    waker: &'a Waker,
+#[derive(Clone, Copy)]
+enum MigrationStep {
+    Extract,
+    Install,
+    Restore,
+}
+
+/// Everything the loop owns besides the connections themselves — one
+/// value, built once, handed to item processing by `&mut`.
+struct LoopState {
+    shards: Shards,
+    done_tx: mpsc::Sender<Completion>,
+    waker: Waker,
     queue_limit: usize,
-    metrics: &'a mut LoopMetrics,
-    /// Live connections (for `stats`), the serviced connection included.
-    n_conns: usize,
+    /// Scene dimensions (the wall a subscriber's tile grid must divide).
+    scene: (usize, usize),
+    metrics: LoopMetrics,
     /// Migration routing overrides: sessions living away from their hash
-    /// shard. The loop inserts on migration completion; item processing
-    /// removes an override when its session is closed (a re-created
-    /// session must fall back to hash routing, and the table must not
-    /// grow without bound).
-    routes: &'a mut BTreeMap<SessionId, usize>,
+    /// shard. Inserted on migration completion; removed when the session
+    /// is closed (a re-created session must fall back to hash routing,
+    /// and the table must not grow without bound).
+    routes: BTreeMap<SessionId, usize>,
     /// Sessions with a migration in flight. Items targeting one stall in
     /// their connection's inbox until the migration completes (the loop
     /// re-pumps every connection then).
-    migrating: &'a mut BTreeSet<SessionId>,
-    /// The automatic rebalancer: mode, counters, and decision ring (the
-    /// `balance` wire line reads and flips it; `stats` reads its
-    /// gauges).
-    balancer: &'a mut Balancer,
+    migrating: BTreeSet<SessionId>,
+    /// Set when a migration finished: stalled items (on any connection)
+    /// may now proceed, so the loop pumps them all once.
+    repump: bool,
+    /// The automatic rebalancer: the deterministic policy core (mode,
+    /// counters, decision ring); the loop supplies the wall-clock
+    /// scheduling around it.
+    balancer: Balancer,
+    /// A balancer snapshot gather in progress, accumulating one report
+    /// per shard before the balancer ticks.
+    balance_gather: Option<Vec<ShardReport>>,
     /// The fv-stream subscription registry: who watches which session,
     /// the latest published framebuffer per watched session, and the
     /// stream counters `stats` reports.
-    streams: &'a mut StreamPlane,
+    streams: StreamPlane,
     /// The durability plane, when the server runs with a state
-    /// directory. Item processing deletes checkpoints on explicit
-    /// closes through it.
-    checkpoints: &'a mut Option<CheckpointPlane>,
+    /// directory.
+    checkpoints: Option<CheckpointPlane>,
     /// Sessions recovered from checkpoints at boot (`stats` reports it).
     recovered: u64,
-    /// Scene dimensions (the wall a subscriber's tile grid must divide).
-    scene: (usize, usize),
     /// Set by a wire `shutdown`.
-    stop: &'a mut bool,
+    stop: bool,
 }
 
-impl Ctx<'_> {
-    /// A responder that routes a shard result back through the completion
-    /// channel and pokes the waker.
-    fn responder<T: Send + 'static>(
-        &self,
-        conn: u64,
-        wrap: fn(T) -> Payload,
-    ) -> Box<dyn FnOnce(T) + Send> {
+impl LoopState {
+    /// Submit `op` to `shard`; its reply comes back through the
+    /// completion channel addressed to `to`, with the waker poked so the
+    /// loop (which never blocks on a shard) notices.
+    fn submit(&self, shard: usize, op: ShardOp, to: Waiter) {
         let done = self.done_tx.clone();
         let waker = self.waker.clone();
-        Box::new(move |value| {
-            let _ = done.send(Completion {
-                conn,
-                payload: wrap(value),
-            });
-            waker.wake();
-        })
+        self.shards.submit(
+            shard,
+            op,
+            Box::new(move |reply| {
+                let _ = done.send(Completion { to, reply });
+                waker.wake();
+            }),
+        );
+    }
+
+    /// Submit a run to the shard currently serving `session`.
+    fn submit_run(&self, session: SessionId, requests: Vec<Request>, publish: bool, to: Waiter) {
+        let shard = self.route(&session);
+        let run = ShardOp::Run {
+            session,
+            requests,
+            publish,
+        };
+        self.submit(shard, run, to);
     }
 
     /// Forget `session`'s durable state: baseline, in-flight marker, and
@@ -662,148 +685,222 @@ impl Ctx<'_> {
         self.routes
             .get(session)
             .copied()
-            .unwrap_or_else(|| self.shards.shard_of(session))
+            .unwrap_or_else(|| shard_of(session, self.shards.n_shards()))
     }
 
-    /// Kick off the extract → install migration chain for `session`. The
-    /// chain runs on the shard workers; the loop hears back once, as a
-    /// [`Payload::Migrated`] completion. Running the chain even when the
-    /// session already lives on `to` keeps the existence check (and the
-    /// reply) uniform.
-    fn submit_migration(&self, conn: u64, session: &SessionId, to: usize) {
+    /// Kick off the extract → install migration chain for `session`
+    /// (continued by `EventLoop::on_migration`), stalling every other
+    /// item that targets the session until the move lands. Running the
+    /// chain even when the session already lives on `to` keeps the
+    /// existence check (and the reply) uniform.
+    fn start_migration(&mut self, asker: Option<u64>, session: &SessionId, to: usize) {
+        self.migrating.insert(session.clone());
         let from = self.route(session);
-        let shards = Arc::clone(self.shards);
-        let done = self.done_tx.clone();
-        let waker = self.waker.clone();
-        let session = session.clone();
-        self.shards.submit_extract(
+        self.submit(
             from,
-            &session.clone(),
-            Box::new(move |extracted: Option<SessionImage>| {
-                let finish = {
-                    let session = session.clone();
-                    let done = done.clone();
-                    let waker = waker.clone();
-                    move |result: Result<(), ApiError>| {
-                        let _ = done.send(Completion {
-                            conn,
-                            payload: Payload::Migrated {
-                                session,
-                                to,
-                                result,
-                            },
-                        });
-                        waker.wake();
-                    }
-                };
-                match extracted {
-                    None => finish(Err(ApiError::not_found(format!(
-                        "session {session} does not exist"
-                    )))),
-                    Some(image) => {
-                        let restore = Arc::clone(&shards);
-                        let restore_session = session.clone();
-                        shards.submit_install(
-                            to,
-                            &session,
-                            image,
-                            Box::new(move |installed| match installed {
-                                Ok(()) => finish(Ok(())),
-                                Err((image, _why)) => {
-                                    // The target refused (dead shard /
-                                    // occupied name / failed replay): the
-                                    // session was alive before the
-                                    // migration and must stay alive — put
-                                    // the image back where it came from
-                                    // before reporting failure.
-                                    restore.submit_install(
-                                        from,
-                                        &restore_session,
-                                        image,
-                                        Box::new(move |restored| {
-                                            finish(Err(ApiError::new(
-                                                fv_api::ErrorCode::Internal,
-                                                match restored {
-                                                    Ok(()) => {
-                                                        "target shard refused the session; \
-                                                         it stays on its current shard"
-                                                    }
-                                                    Err(_) => {
-                                                        "target shard refused the session \
-                                                         and restoring it failed; the \
-                                                         session was lost"
-                                                    }
-                                                },
-                                            )))
-                                        }),
-                                    );
-                                }
-                            }),
-                        );
-                    }
-                }
+            ShardOp::Extract {
+                session: session.clone(),
+            },
+            Waiter::Migration(Migration {
+                asker,
+                session: session.clone(),
+                from,
+                to,
+                step: MigrationStep::Extract,
             }),
         );
+    }
+
+    /// Snapshot every shard for the balancer; the reports come back one
+    /// by one to [`LoopState::on_balance_report`].
+    fn start_balance_gather(&mut self) {
+        let n = self.shards.n_shards();
+        self.balance_gather = Some(Vec::with_capacity(n));
+        for shard in 0..n {
+            self.submit(shard, ShardOp::Report, Waiter::BalanceGather);
+        }
+    }
+
+    /// One shard's report for the balancer's snapshot gather; the last
+    /// one in triggers the tick.
+    fn on_balance_report(&mut self, reply: ShardReply) {
+        let ShardReply::Report(report) = reply else {
+            return;
+        };
+        let Some(mut reports) = self.balance_gather.take() else {
+            return;
+        };
+        reports.push(report);
+        if reports.len() < self.shards.n_shards() {
+            self.balance_gather = Some(reports);
+            return;
+        }
+        // The gather the balancer needed is also the checkpoint cadence:
+        // the reports carry every session's attempted-request counter,
+        // so dirtiness detection costs no extra fan-out and idle
+        // sessions cost zero I/O.
+        self.checkpoint_dirty_sessions(&reports);
+        self.run_balance_tick(reports);
+    }
+
+    /// Piggy-back the checkpoint cadence on a completed balance gather:
+    /// request a non-destructive [`ShardOp::Snapshot`] for every session
+    /// whose attempted-request counter moved since its last durable
+    /// checkpoint. Sessions mid-migration are skipped (their shard
+    /// fan-out location is in flux; the next gather catches them), as
+    /// are sessions with a snapshot already in flight.
+    fn checkpoint_dirty_sessions(&mut self, reports: &[ShardReport]) {
+        let Some(cp) = self.checkpoints.as_mut() else {
+            return;
+        };
+        let mut dirty = Vec::new();
+        for report in reports {
+            for s in &report.sessions {
+                if cp.pending.contains(&s.name) || cp.clean.get(&s.name) == Some(&s.requests) {
+                    continue;
+                }
+                let Ok(session) = SessionId::new(s.name.clone()) else {
+                    continue;
+                };
+                if self.migrating.contains(&session) {
+                    continue;
+                }
+                cp.pending.insert(s.name.clone());
+                dirty.push((report.shard, session));
+            }
+        }
+        for (shard, session) in dirty {
+            let snapshot = ShardOp::Snapshot {
+                session: session.clone(),
+            };
+            self.submit(shard, snapshot, Waiter::Checkpoint(session));
+        }
+    }
+
+    /// A checkpoint snapshot came back: persist the image and advance
+    /// the clean baseline. No image (session closed, crashed, or
+    /// mid-migration since the report) leaves the last durable
+    /// checkpoint standing — only an explicit close deletes one.
+    fn on_checkpoint(&mut self, session: SessionId, reply: ShardReply) {
+        let Some(cp) = self.checkpoints.as_mut() else {
+            return;
+        };
+        cp.pending.remove(session.as_str());
+        if let ShardReply::Image(Some(image)) = reply {
+            match cp.store.save(&session, &image) {
+                Ok(()) => {
+                    cp.clean
+                        .insert(session.as_str().to_string(), image.requests);
+                }
+                Err(e) => eprintln!("fv-net: checkpoint of session {session} failed: {e}"),
+            }
+        }
+    }
+
+    /// A completed balancer snapshot gather: fold the shard reports into
+    /// observations, tick the policy, and start every still-valid plan
+    /// down the same extract → install → restore-on-failure chain
+    /// operator migrations use. Plans that went stale between snapshot
+    /// and execution (session migrated, closed, or already moving) are
+    /// counted failed and skipped — the balancer must never bounce a
+    /// session around on outdated data.
+    fn run_balance_tick(&mut self, mut reports: Vec<ShardReport>) {
+        reports.sort_by_key(|r| r.shard);
+        let depths = self.shards.queue_depths();
+        let observations: Vec<ShardObservation> = reports
+            .iter()
+            .map(|r| ShardObservation {
+                shard: r.shard,
+                queued: depths.get(r.shard).copied().unwrap_or(0),
+                requests_total: r.requests,
+                latency: r.latency.clone(),
+                sessions: r
+                    .sessions
+                    .iter()
+                    .map(|s| SessionObservation {
+                        session: s.name.clone(),
+                        requests_total: s.requests,
+                        dataset_bytes: s.dataset_bytes,
+                        in_flight: SessionId::new(s.name.clone())
+                            .map(|id| self.migrating.contains(&id))
+                            .unwrap_or(false),
+                    })
+                    .collect(),
+            })
+            .collect();
+        let plans = self.balancer.tick(&observations);
+        for plan in plans {
+            let Ok(session) = SessionId::new(plan.session.clone()) else {
+                self.balancer.record_outcome(&plan.session, false);
+                continue;
+            };
+            let from = self.route(&session);
+            if self.migrating.contains(&session)
+                || from != plan.from
+                || plan.to == from
+                || plan.to >= self.shards.n_shards()
+            {
+                self.balancer.record_outcome(&plan.session, false);
+                continue;
+            }
+            self.start_migration(None, &session, plan.to);
+        }
     }
 }
 
 // ── the loop ────────────────────────────────────────────────────────────
 
-/// Sentinel connection id for completions the loop itself asked for
-/// (balancer snapshot gathers and automatic migrations). Real connection
-/// ids count up from 0 and can never reach it.
-const BALANCER_CONN: u64 = u64::MAX;
-
-/// Sentinel connection id for the empty publish run the loop submits
-/// after a watched session migrates: its only purpose is the fresh
-/// framebuffer that re-syncs every subscriber with a keyframe on the new
-/// shard, so no connection settles it.
-const STREAM_CONN: u64 = u64::MAX - 1;
-
-/// Sentinel connection id for checkpoint snapshots: the durability plane
-/// asked, not a connection, so the completion only updates the store.
-const CHECKPOINT_CONN: u64 = u64::MAX - 2;
+/// The connection table plus the loop-wide state. Handlers that touch a
+/// connection borrow it from `conns` and pass `&mut self.st` alongside.
+struct EventLoop {
+    conns: BTreeMap<u64, Conn>,
+    next_conn_id: u64,
+    st: LoopState,
+}
 
 fn event_loop(
     listener: TcpListener,
     config: ServerConfig,
-    shards: Arc<dyn ShardBackend>,
+    shards: Shards,
     shared: Arc<Shared>,
     waker_rx: PipeReader,
-    mut checkpoints: Option<CheckpointPlane>,
+    checkpoints: Option<CheckpointPlane>,
     recovered: u64,
 ) {
     let (done_tx, done_rx) = mpsc::channel::<Completion>();
-    let mut conns: BTreeMap<u64, Conn> = BTreeMap::new();
-    let mut next_conn_id: u64 = 0;
-    let mut metrics = LoopMetrics::default();
-    let mut stop = false;
-    // Migration state: overrides route a session away from its hash
-    // shard; `migrating` sessions stall every item targeting them until
-    // the in-flight move completes.
-    let mut routes: BTreeMap<SessionId, usize> = BTreeMap::new();
-    let mut migrating: BTreeSet<SessionId> = BTreeSet::new();
-    // fv-stream state: subscriber registry, retained latest frame per
-    // watched session, and the counters the `stats` stream row reports.
-    let mut streams = StreamPlane::default();
-    // Rebalancer state: the deterministic policy core plus the loop's
-    // wall-clock scheduling around it. A gather in progress accumulates
-    // one report per shard before the balancer ticks.
-    let mut balancer = Balancer::new(config.balance, config.balance_cfg);
+    let mut lp = EventLoop {
+        conns: BTreeMap::new(),
+        next_conn_id: 0,
+        st: LoopState {
+            shards,
+            done_tx,
+            waker: shared.waker.clone(),
+            queue_limit: config.queue_limit,
+            scene: config.scene,
+            metrics: LoopMetrics::default(),
+            routes: BTreeMap::new(),
+            migrating: BTreeSet::new(),
+            repump: false,
+            balancer: Balancer::new(config.balance, config.balance_cfg),
+            balance_gather: None,
+            streams: StreamPlane::default(),
+            checkpoints,
+            recovered,
+            stop: false,
+        },
+    };
     let mut last_balance = Instant::now();
-    let mut balance_gather: Option<Vec<ShardReport>> = None;
     // Poll must wake often enough to honor the balance interval; a
     // too-small interval must not busy-spin the loop.
     let balance_tick_ms = config.balance_interval.as_millis().clamp(10, 250) as i32;
 
-    while !stop && !shared.stop.load(Ordering::SeqCst) {
+    while !lp.st.stop && !shared.stop.load(Ordering::SeqCst) {
         // Interest set, rebuilt per iteration: [listener, waker, conns…].
-        let ids: Vec<u64> = conns.keys().copied().collect();
+        let ids: Vec<u64> = lp.conns.keys().copied().collect();
         let mut entries = Vec::with_capacity(ids.len() + 2);
         entries.push(PollEntry::new(listener.as_raw_fd(), true, false));
         entries.push(PollEntry::new(waker_rx.as_raw_fd(), REAL_POLL, false));
-        for id in &ids {
-            let c = &conns[id];
+        for c in lp.conns.values() {
             entries.push(PollEntry::new(
                 c.stream.as_raw_fd(),
                 c.wants_read(),
@@ -813,7 +910,7 @@ fn event_loop(
         // Finite timeout: a bounded safety net under the waker, the tick
         // the portable fallback scans on, and (in auto mode) the
         // heartbeat the balance interval rides on.
-        let timeout = if balancer.mode == BalanceMode::Auto {
+        let timeout = if lp.st.balancer.mode == BalanceMode::Auto {
             balance_tick_ms
         } else {
             250
@@ -838,222 +935,15 @@ fn event_loop(
             let _ = (&waker_rx).read(&mut sink);
             shared.waker.clear();
         }
-        let mut repump = false;
-        while let Ok(mut done) = done_rx.try_recv() {
-            // Checkpoint snapshots are durability-plane events: persist
-            // the image and advance the clean baseline. A `None` image
-            // (session closed, crashed, or mid-migration since the
-            // report) leaves the last durable checkpoint standing —
-            // only an explicit close deletes one.
-            if let Payload::Snapshot { session, image } = done.payload {
-                if let Some(cp) = checkpoints.as_mut() {
-                    cp.pending.remove(session.as_str());
-                    if let Some(image) = image {
-                        match cp.store.save(&session, &image) {
-                            Ok(()) => {
-                                cp.clean
-                                    .insert(session.as_str().to_string(), image.requests);
-                            }
-                            Err(e) => {
-                                eprintln!("fv-net: checkpoint of session {session} failed: {e}")
-                            }
-                        }
-                    }
-                }
-                continue;
-            }
-            // Migration completions are loop events, not connection
-            // events: the routing table and stall set must update even if
-            // the asking connection hung up mid-migration.
-            if let Payload::Migrated {
-                session,
-                to,
-                result,
-            } = done.payload
-            {
-                if result.is_ok() {
-                    if to == shard_of(&session, shards.n_shards()) {
-                        routes.remove(&session);
-                    } else {
-                        routes.insert(session.clone(), to);
-                    }
-                    // Subscriptions survive the move: force a keyframe
-                    // re-sync for every subscriber (their encoders keep
-                    // counting, so the keyframe lands at the next seq —
-                    // no gap) and ask the session's *new* shard for a
-                    // fresh frame via an empty publish run.
-                    if streams.has_subscribers(&session) {
-                        for cid in streams.subscribers_of(&session) {
-                            if let Some(sub) = conns.get_mut(&cid).and_then(|c| c.sub.as_mut()) {
-                                sub.need_keyframe = true;
-                                sub.pending.clear();
-                            }
-                        }
-                        let route = routes
-                            .get(&session)
-                            .copied()
-                            .unwrap_or_else(|| shard_of(&session, shards.n_shards()));
-                        let resync_done = done_tx.clone();
-                        let resync_waker = shared.waker.clone();
-                        shards.submit_run_to(
-                            route,
-                            &session,
-                            Vec::new(),
-                            true,
-                            Box::new(move |run| {
-                                let _ = resync_done.send(Completion {
-                                    conn: STREAM_CONN,
-                                    payload: Payload::Run(run),
-                                });
-                                resync_waker.wake();
-                            }),
-                        );
-                    }
-                }
-                migrating.remove(&session);
-                // Stalled items (on any connection) may now proceed.
-                repump = true;
-                if done.conn == BALANCER_CONN {
-                    // A policy-initiated move resolved; its session's
-                    // cooldown started at plan time, so a failure (the
-                    // restore path) is not retried until it lapses.
-                    balancer.record_outcome(session.as_str(), result.is_ok());
-                    continue;
-                }
-                if let Some(conn) = conns.get_mut(&done.conn) {
-                    if matches!(conn.inflight, Some(Inflight::Migrate)) {
-                        conn.inflight = None;
-                        match result {
-                            Ok(()) => conn
-                                .push_ok(&format!("migrated {session} shard={to}"), &mut metrics),
-                            Err(e) => conn.push_err(&e, &mut metrics),
-                        }
-                    }
-                }
-                continue;
-            }
-            if done.conn == BALANCER_CONN {
-                // One shard's report for the balancer's snapshot gather;
-                // the last one in triggers the tick.
-                if let Payload::Shard(report) = done.payload {
-                    if let Some(mut reports) = balance_gather.take() {
-                        reports.push(report);
-                        if reports.len() < shards.n_shards() {
-                            balance_gather = Some(reports);
-                        } else {
-                            // The gather the balancer needed is also
-                            // the checkpoint cadence: the reports carry
-                            // every session's attempted-request counter,
-                            // so dirtiness detection costs no extra
-                            // fan-out and idle sessions cost zero I/O.
-                            if let Some(cp) = checkpoints.as_mut() {
-                                checkpoint_dirty_sessions(
-                                    cp,
-                                    &reports,
-                                    &migrating,
-                                    &shards,
-                                    &done_tx,
-                                    &shared.waker,
-                                );
-                            }
-                            let n_conns = conns.len();
-                            let mut ctx = Ctx {
-                                shards: &shards,
-                                done_tx: &done_tx,
-                                waker: &shared.waker,
-                                queue_limit: config.queue_limit,
-                                metrics: &mut metrics,
-                                n_conns,
-                                routes: &mut routes,
-                                migrating: &mut migrating,
-                                balancer: &mut balancer,
-                                streams: &mut streams,
-                                checkpoints: &mut checkpoints,
-                                recovered,
-                                scene: config.scene,
-                                stop: &mut stop,
-                            };
-                            run_balance_tick(reports, &mut ctx);
-                        }
-                    }
-                }
-                continue;
-            }
-            // Pull the published frame (if the run rendered one) out
-            // before the payload settles the requesting connection: the
-            // fan-out targets *every* subscriber of the session, not the
-            // connection that happened to trigger the run.
-            let frame = match &mut done.payload {
-                Payload::Run(run) => run.frame.take(),
-                _ => None,
-            };
-            if done.conn == STREAM_CONN {
-                // A migration re-sync publish; there is no connection
-                // waiting — the frame is the whole point.
-                if let Some(f) = frame {
-                    publish_frame(f, &mut conns, &mut streams, &mut metrics);
-                }
-                continue;
-            }
-            let n_conns = conns.len();
-            if let Some(conn) = conns.get_mut(&done.conn) {
-                let mut ctx = Ctx {
-                    shards: &shards,
-                    done_tx: &done_tx,
-                    waker: &shared.waker,
-                    queue_limit: config.queue_limit,
-                    metrics: &mut metrics,
-                    n_conns,
-                    routes: &mut routes,
-                    migrating: &mut migrating,
-                    balancer: &mut balancer,
-                    streams: &mut streams,
-                    checkpoints: &mut checkpoints,
-                    recovered,
-                    scene: config.scene,
-                    stop: &mut stop,
-                };
-                settle_completion(conn, done.conn, done.payload, &mut ctx);
-                pump(conn, done.conn, &mut ctx);
-                service_stream(conn, ctx.streams);
-                if !conn.flush() || conn.finished() {
-                    drop_conn(&mut conns, &mut streams, done.conn, &mut metrics);
-                }
-            }
-            if let Some(f) = frame {
-                publish_frame(f, &mut conns, &mut streams, &mut metrics);
-            }
+        while let Ok(done) = done_rx.try_recv() {
+            lp.on_completion(done);
         }
-        if repump {
+        if std::mem::take(&mut lp.st.repump) {
             // A migration finished: every connection may hold stalled
             // items, so give each a pump (idle ones no-op cheaply).
-            let ids: Vec<u64> = conns.keys().copied().collect();
+            let ids: Vec<u64> = lp.conns.keys().copied().collect();
             for id in ids {
-                let n_conns = conns.len();
-                let Some(conn) = conns.get_mut(&id) else {
-                    continue;
-                };
-                let mut ctx = Ctx {
-                    shards: &shards,
-                    done_tx: &done_tx,
-                    waker: &shared.waker,
-                    queue_limit: config.queue_limit,
-                    metrics: &mut metrics,
-                    n_conns,
-                    routes: &mut routes,
-                    migrating: &mut migrating,
-                    balancer: &mut balancer,
-                    streams: &mut streams,
-                    checkpoints: &mut checkpoints,
-                    recovered,
-                    scene: config.scene,
-                    stop: &mut stop,
-                };
-                pump(conn, id, &mut ctx);
-                service_stream(conn, ctx.streams);
-                if !conn.flush() || conn.finished() {
-                    drop_conn(&mut conns, &mut streams, id, &mut metrics);
-                }
+                lp.pump_conn(id);
             }
         }
 
@@ -1066,111 +956,19 @@ fn event_loop(
         // keeping the delta baselines fresh means a runtime flip to
         // auto reacts to *current* load, not to hours of accumulated
         // counters.
-        if balance_gather.is_none()
-            && migrating.is_empty()
+        if lp.st.balance_gather.is_none()
+            && lp.st.migrating.is_empty()
             && last_balance.elapsed() >= config.balance_interval
         {
             last_balance = Instant::now();
-            balance_gather = Some(Vec::with_capacity(shards.n_shards()));
-            shards.submit_report_all(&mut || {
-                let done = done_tx.clone();
-                let waker = shared.waker.clone();
-                Box::new(move |report| {
-                    let _ = done.send(Completion {
-                        conn: BALANCER_CONN,
-                        payload: Payload::Shard(report),
-                    });
-                    waker.wake();
-                })
-            });
+            lp.st.start_balance_gather();
         }
 
-        // New connections.
         if entries[0].readable || entries[0].hangup {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        let id = next_conn_id;
-                        next_conn_id += 1;
-                        conns.insert(id, Conn::new(stream));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::Interrupted
-                                | std::io::ErrorKind::ConnectionAborted
-                                | std::io::ErrorKind::ConnectionReset
-                        ) =>
-                    {
-                        // A peer that reset before we accepted costs
-                        // nothing but its own slot; keep accepting.
-                        continue;
-                    }
-                    Err(_) => {
-                        // EMFILE/ENFILE and friends are load conditions,
-                        // not reasons to drop every live session. Stop
-                        // this accept burst and back off briefly so a
-                        // persistent condition cannot spin the loop (the
-                        // listener stays level-triggered readable).
-                        std::thread::sleep(Duration::from_millis(10));
-                        break;
-                    }
-                }
-            }
+            lp.accept_all(&listener);
         }
-
-        // Connection I/O.
-        for (i, id) in ids.iter().enumerate() {
-            let e = entries[i + 2];
-            if !(e.readable || e.writable || e.hangup) {
-                continue;
-            }
-            let n_conns = conns.len();
-            let Some(conn) = conns.get_mut(id) else {
-                continue;
-            };
-            let mut alive = true;
-            if e.writable || e.hangup {
-                alive = conn.flush();
-                if alive {
-                    // The outbox just drained: a backlogged subscriber
-                    // waiting on a drop-to-keyframe re-sync can have it
-                    // now.
-                    service_stream(conn, &mut streams);
-                    alive = conn.flush();
-                }
-            }
-            if alive && (e.readable || e.hangup) && conn.wants_read() {
-                let mut ctx = Ctx {
-                    shards: &shards,
-                    done_tx: &done_tx,
-                    waker: &shared.waker,
-                    queue_limit: config.queue_limit,
-                    metrics: &mut metrics,
-                    n_conns,
-                    routes: &mut routes,
-                    migrating: &mut migrating,
-                    balancer: &mut balancer,
-                    streams: &mut streams,
-                    checkpoints: &mut checkpoints,
-                    recovered,
-                    scene: config.scene,
-                    stop: &mut stop,
-                };
-                alive = read_conn(conn, &mut ctx);
-                if alive {
-                    pump(conn, *id, &mut ctx);
-                    service_stream(conn, ctx.streams);
-                    alive = conn.flush();
-                }
-            }
-            if !alive || conn.finished() {
-                drop_conn(&mut conns, &mut streams, *id, &mut metrics);
-            }
+        for (id, e) in ids.iter().zip(&entries[2..]) {
+            lp.conn_io(*id, *e);
         }
     }
 
@@ -1180,6 +978,7 @@ fn event_loop(
     // abandoned — the sockets are about to close.
     shared.stop.store(true, Ordering::SeqCst);
     drop(listener);
+    let EventLoop { mut conns, st, .. } = lp;
     let deadline = Instant::now() + SHUTDOWN_FLUSH_GRACE;
     while Instant::now() < deadline {
         conns.retain(|_, c| c.flush() && c.wants_write());
@@ -1195,113 +994,311 @@ fn event_loop(
         }
     }
     drop(conns);
-    // Stop every shard and reclaim it — joins worker threads or reaps
-    // child worker processes, depending on the backend.
-    shards.shutdown();
+    // Stop every shard and reclaim it — joins worker threads, and with
+    // them reaps child worker processes.
+    st.shards.shutdown();
 }
 
-/// Piggy-back the checkpoint cadence on a completed balance gather:
-/// request a non-destructive [`crate::shard::Job::Snapshot`] for every
-/// session whose attempted-request counter moved since its last durable
-/// checkpoint. Sessions mid-migration are skipped (their shard fan-out
-/// location is in flux; the next gather catches them), as are sessions
-/// with a snapshot already in flight.
-fn checkpoint_dirty_sessions(
-    cp: &mut CheckpointPlane,
-    reports: &[ShardReport],
-    migrating: &BTreeSet<SessionId>,
-    shards: &Arc<dyn ShardBackend>,
-    done_tx: &mpsc::Sender<Completion>,
-    waker: &Waker,
-) {
-    for report in reports {
-        for s in &report.sessions {
-            if cp.pending.contains(&s.name) || cp.clean.get(&s.name) == Some(&s.requests) {
-                continue;
+impl EventLoop {
+    /// Route a shard's reply to whoever was waiting on it.
+    fn on_completion(&mut self, done: Completion) {
+        let Completion { to, mut reply } = done;
+        // Pull the published frame (if the run rendered one) out before
+        // the reply settles the requesting connection: the fan-out
+        // targets *every* subscriber of the session, not the connection
+        // that happened to trigger the run.
+        let frame = match &mut reply {
+            ShardReply::Run(run) => run.frame.take(),
+            _ => None,
+        };
+        match to {
+            Waiter::Conn(id) => {
+                let n_conns = self.conns.len();
+                if let Some(conn) = self.conns.get_mut(&id) {
+                    settle_completion(conn, reply, n_conns, &mut self.st);
+                    self.pump_conn(id);
+                }
             }
-            let Ok(session) = SessionId::new(s.name.clone()) else {
-                continue;
-            };
-            if migrating.contains(&session) {
-                continue;
-            }
-            cp.pending.insert(s.name.clone());
-            let done = done_tx.clone();
-            let waker = waker.clone();
-            let name = session.clone();
-            shards.submit_snapshot(
-                report.shard,
-                &session,
-                Box::new(move |image| {
-                    let _ = done.send(Completion {
-                        conn: CHECKPOINT_CONN,
-                        payload: Payload::Snapshot {
-                            session: name,
-                            image,
-                        },
-                    });
-                    waker.wake();
-                }),
-            );
+            Waiter::BalanceGather => self.st.on_balance_report(reply),
+            Waiter::Checkpoint(session) => self.st.on_checkpoint(session, reply),
+            Waiter::Migration(m) => self.on_migration(m, reply),
+            // There is no connection waiting — the frame is the whole
+            // point.
+            Waiter::StreamResync => {}
+        }
+        if let Some(frame) = frame {
+            self.publish_frame(frame);
         }
     }
-}
 
-/// A completed balancer snapshot gather: fold the shard reports into
-/// observations, tick the policy, and submit every still-valid plan
-/// through the same extract → install → restore-on-failure chain
-/// operator migrations use. Plans that went stale between snapshot and
-/// execution (session migrated, closed, or already moving) are counted
-/// failed and skipped — the balancer must never bounce a session around
-/// on outdated data.
-fn run_balance_tick(mut reports: Vec<ShardReport>, ctx: &mut Ctx) {
-    reports.sort_by_key(|r| r.shard);
-    let depths = ctx.shards.queue_depths();
-    let observations: Vec<ShardObservation> = reports
-        .iter()
-        .map(|r| ShardObservation {
-            shard: r.shard,
-            queued: depths.get(r.shard).copied().unwrap_or(0),
-            requests_total: r.requests,
-            latency: r.latency.clone(),
-            sessions: r
-                .sessions
-                .iter()
-                .map(|s| SessionObservation {
-                    session: s.name.clone(),
-                    requests_total: s.requests,
-                    dataset_bytes: s.dataset_bytes,
-                    in_flight: SessionId::new(s.name.clone())
-                        .map(|id| ctx.migrating.contains(&id))
-                        .unwrap_or(false),
-                })
-                .collect(),
-        })
-        .collect();
-    let plans = ctx.balancer.tick(&observations);
-    for plan in plans {
-        let Ok(session) = SessionId::new(plan.session.clone()) else {
-            ctx.balancer.record_outcome(&plan.session, false);
-            continue;
+    /// Advance a migration chain by one shard reply: extract → install,
+    /// and on a refused install → restore on the source shard.
+    fn on_migration(&mut self, mut m: Migration, reply: ShardReply) {
+        let (shard, image) = match (m.step, reply) {
+            (MigrationStep::Extract, ShardReply::Image(Some(image))) => {
+                m.step = MigrationStep::Install;
+                (m.to, image)
+            }
+            (MigrationStep::Install, ShardReply::Installed(Ok(()))) => {
+                return self.finish_migration(m, Ok(()));
+            }
+            // The target refused (dead shard / occupied name / failed
+            // replay): the session was alive before the migration and
+            // must stay alive — put the image back where it came from
+            // before reporting failure.
+            (MigrationStep::Install, ShardReply::Installed(Err((image, _why)))) => {
+                m.step = MigrationStep::Restore;
+                (m.from, image)
+            }
+            (MigrationStep::Restore, ShardReply::Installed(restored)) => {
+                let refused = ApiError::new(
+                    fv_api::ErrorCode::Internal,
+                    match restored {
+                        Ok(()) => "target shard refused the session; it stays on its current shard",
+                        Err(_) => {
+                            "target shard refused the session and restoring it failed; the \
+                             session was lost"
+                        }
+                    },
+                );
+                return self.finish_migration(m, Err(refused));
+            }
+            // The extract found nothing. (No other pairing can occur:
+            // every op has exactly one reply kind.)
+            _ => {
+                let missing = ApiError::not_found(format!("session {} does not exist", m.session));
+                return self.finish_migration(m, Err(missing));
+            }
         };
-        let from = ctx.route(&session);
-        if ctx.migrating.contains(&session)
-            || from != plan.from
-            || plan.to == from
-            || plan.to >= ctx.shards.n_shards()
-        {
-            ctx.balancer.record_outcome(&plan.session, false);
-            continue;
+        let install = ShardOp::Install {
+            session: m.session.clone(),
+            image,
+        };
+        self.st.submit(shard, install, Waiter::Migration(m));
+    }
+
+    /// A migration chain ended. This is a loop event, not a connection
+    /// event: the routing table and stall set must update even if the
+    /// asking connection hung up mid-migration.
+    fn finish_migration(&mut self, m: Migration, result: Result<(), ApiError>) {
+        let Migration {
+            asker, session, to, ..
+        } = m;
+        if result.is_ok() {
+            if to == shard_of(&session, self.st.shards.n_shards()) {
+                self.st.routes.remove(&session);
+            } else {
+                self.st.routes.insert(session.clone(), to);
+            }
+            // Subscriptions survive the move: force a keyframe re-sync
+            // for every subscriber (their encoders keep counting, so the
+            // keyframe lands at the next seq — no gap) and ask the
+            // session's *new* shard for a fresh frame via an empty
+            // publish run.
+            if self.st.streams.has_subscribers(&session) {
+                for cid in self.st.streams.subscribers_of(&session) {
+                    if let Some(sub) = self.conns.get_mut(&cid).and_then(|c| c.sub.as_mut()) {
+                        sub.need_keyframe = true;
+                        sub.pending.clear();
+                    }
+                }
+                self.st
+                    .submit_run(session.clone(), Vec::new(), true, Waiter::StreamResync);
+            }
         }
-        ctx.migrating.insert(session.clone());
-        ctx.submit_migration(BALANCER_CONN, &session, plan.to);
+        self.st.migrating.remove(&session);
+        self.st.repump = true;
+        let Some(id) = asker else {
+            // A policy-initiated move resolved; its session's cooldown
+            // started at plan time, so a failure (the restore path) is
+            // not retried until it lapses.
+            self.st
+                .balancer
+                .record_outcome(session.as_str(), result.is_ok());
+            return;
+        };
+        if let Some(conn) = self.conns.get_mut(&id) {
+            if matches!(conn.inflight, Some(Inflight::Migrate)) {
+                conn.inflight = None;
+                match result {
+                    Ok(()) => conn.push_ok(
+                        &format!("migrated {session} shard={to}"),
+                        &mut self.st.metrics,
+                    ),
+                    Err(e) => conn.push_err(&e, &mut self.st.metrics),
+                }
+            }
+        }
+    }
+
+    /// Let a connection make progress: answer what it has queued, hand
+    /// its subscriber any deferred frames, flush, and drop it if that
+    /// finished it (or the transport died).
+    fn pump_conn(&mut self, id: u64) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        pump(conn, id, &mut self.st);
+        service_stream(conn, &mut self.st.streams);
+        if !conn.flush() || conn.finished() {
+            self.drop_conn(id);
+        }
+    }
+
+    fn accept_all(&mut self, listener: &TcpListener) {
+        loop {
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    self.conns.insert(self.next_conn_id, Conn::new(stream));
+                    self.next_conn_id += 1;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::Interrupted
+                            | std::io::ErrorKind::ConnectionAborted
+                            | std::io::ErrorKind::ConnectionReset
+                    ) =>
+                {
+                    // A peer that reset before we accepted costs nothing
+                    // but its own slot; keep accepting.
+                    continue;
+                }
+                Err(_) => {
+                    // EMFILE/ENFILE and friends are load conditions, not
+                    // reasons to drop every live session. Stop this
+                    // accept burst and back off briefly so a persistent
+                    // condition cannot spin the loop (the listener stays
+                    // level-triggered readable).
+                    std::thread::sleep(Duration::from_millis(10));
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Service one connection's readiness: flush, then read and pump.
+    fn conn_io(&mut self, id: u64, e: PollEntry) {
+        if !(e.readable || e.writable || e.hangup) {
+            return;
+        }
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        let mut alive = true;
+        if e.writable || e.hangup {
+            alive = conn.flush();
+            if alive {
+                // The outbox just drained: a backlogged subscriber
+                // waiting on a drop-to-keyframe re-sync can have it now.
+                service_stream(conn, &mut self.st.streams);
+                alive = conn.flush();
+            }
+        }
+        if alive && (e.readable || e.hangup) && conn.wants_read() {
+            if read_conn(conn, &mut self.st) {
+                return self.pump_conn(id);
+            }
+            alive = false;
+        }
+        if !alive || conn.finished() {
+            self.drop_conn(id);
+        }
+    }
+
+    /// Fan a freshly rendered wall frame out to every subscriber of its
+    /// session: retain the framebuffer (keyframes and coalesced deltas are
+    /// cut from it at drain time), fold the run's damage into each
+    /// subscriber's pending set — or drop-to-keyframe a backlogged one — and
+    /// drain whoever has room.
+    fn publish_frame(&mut self, frame: PubFrame) {
+        let streams = &mut self.st.streams;
+        let PubFrame {
+            session,
+            wall,
+            damage,
+        } = frame;
+        let fb = Rc::new(wall);
+        let subs = match streams.session_mut(&session) {
+            // Every subscriber left between dispatch and completion.
+            None => return,
+            Some(entry) => {
+                entry.last = Some(Rc::clone(&fb));
+                entry.subscribers.iter().copied().collect::<Vec<u64>>()
+            }
+        };
+        let mut dead = Vec::new();
+        for cid in subs {
+            let Some(conn) = self.conns.get_mut(&cid) else {
+                continue;
+            };
+            let backlogged = conn.out_pending() >= OUTBOX_HIGH_WATER;
+            if let Some(sub) = conn.sub.as_mut() {
+                if backlogged || sub.ack_lagging() {
+                    // Never queue behind a slow peer: forget the deltas and
+                    // re-sync from a keyframe once the outbox drains.
+                    if !sub.need_keyframe {
+                        sub.need_keyframe = true;
+                        sub.pending.clear();
+                        streams.metrics.dropped += 1;
+                    }
+                } else if !sub.need_keyframe {
+                    for (tile, rect) in tile_damage(sub.encoder.grid(), &damage) {
+                        match sub.pending.entry(tile) {
+                            std::collections::btree_map::Entry::Vacant(v) => {
+                                v.insert(rect);
+                            }
+                            std::collections::btree_map::Entry::Occupied(mut o) => {
+                                // Two updates to one tile collapse into one
+                                // bounding rect — the retained framebuffer
+                                // already contains both, so nothing is lost.
+                                let merged = union_rect(o.get(), &rect);
+                                o.insert(merged);
+                                streams.metrics.coalesced += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            drain_stream(conn, &fb, streams);
+            if !conn.flush() || conn.finished() {
+                dead.push(cid);
+            }
+        }
+        for cid in dead {
+            self.drop_conn(cid);
+        }
+    }
+
+    /// Remove a connection, deregistering its subscription — every removal
+    /// site must go through here or the registry leaks dead subscriber ids.
+    /// A connection that still owed work (queued or in-flight requests, or
+    /// unflushed response bytes) counts as a dirty disconnect; a graceful
+    /// EOF after every reply drained does not.
+    fn drop_conn(&mut self, id: u64) {
+        if let Some(conn) = self.conns.remove(&id) {
+            if conn.queued_requests > 0
+                || conn.inflight.is_some()
+                || !conn.inbox.is_empty()
+                || conn.out_pending() > 0
+            {
+                self.st.metrics.dirty_disconnects += 1;
+            }
+            if let Some(sub) = conn.sub {
+                self.st.streams.unsubscribe(&sub.session, id);
+            }
+        }
     }
 }
 
 /// Pull every readable byte (bounded per iteration for fairness across
 /// connections) and parse complete lines into inbox items. `false` on a
 /// dead transport.
-fn read_conn(conn: &mut Conn, ctx: &mut Ctx) -> bool {
+fn read_conn(conn: &mut Conn, st: &mut LoopState) -> bool {
     let mut chunk = [0u8; 16 * 1024];
     let mut budget = 4;
     while budget > 0 && !conn.eof {
@@ -1322,34 +1319,34 @@ fn read_conn(conn: &mut Conn, ctx: &mut Ctx) -> bool {
     while let Some(next) = conn.frames.next_line() {
         let item = match next {
             Err(LineFault::TooLong) => {
-                ctx.metrics.frames_in += 1;
-                ctx.metrics.garbage_frames += 1;
+                st.metrics.frames_in += 1;
+                st.metrics.garbage_frames += 1;
                 Item::Reject(ApiError::invalid(format!(
                     "request line exceeds {MAX_LINE} bytes; the rest of the line was discarded"
                 )))
             }
             Err(LineFault::BadUtf8) => {
-                ctx.metrics.frames_in += 1;
-                ctx.metrics.garbage_frames += 1;
+                st.metrics.frames_in += 1;
+                st.metrics.garbage_frames += 1;
                 Item::Reject(ApiError::invalid("request line is not valid UTF-8"))
             }
             Ok(line) => match fv_api::parse_wire_line(&line) {
                 Ok(None) => continue,
                 Err(e) => {
-                    ctx.metrics.frames_in += 1;
+                    st.metrics.frames_in += 1;
                     Item::Reject(e)
                 }
                 Ok(Some(wire)) => {
-                    ctx.metrics.frames_in += 1;
+                    st.metrics.frames_in += 1;
                     match wire {
                         WireItem::Script(ScriptItem::Request(request)) => {
-                            if conn.pending_requests() >= ctx.queue_limit {
-                                ctx.metrics.busy_rejections += 1;
+                            if conn.pending_requests() >= st.queue_limit {
+                                st.metrics.busy_rejections += 1;
                                 Item::Reject(ApiError::busy(format!(
                                     "pending request queue is full ({} pending, limit {}); \
                                      the request was not executed",
                                     conn.pending_requests(),
-                                    ctx.queue_limit
+                                    st.queue_limit
                                 )))
                             } else {
                                 conn.queued_requests += 1;
@@ -1365,7 +1362,7 @@ fn read_conn(conn: &mut Conn, ctx: &mut Ctx) -> bool {
                             Err(e) => Item::Reject(e),
                         },
                         WireItem::Migrate { session, shard } => {
-                            let n = ctx.shards.n_shards();
+                            let n = st.shards.n_shards();
                             if shard >= n {
                                 Item::Reject(ApiError::invalid(format!(
                                     "shard {shard} out of range (server has {n})"
@@ -1390,8 +1387,8 @@ fn read_conn(conn: &mut Conn, ctx: &mut Ctx) -> bool {
                         WireItem::Ping => Item::Ping,
                         WireItem::Close => Item::Close,
                         WireItem::Balance { set } => Item::Balance(set),
-                        WireItem::Stats => Item::Stats,
-                        WireItem::ListSessions => Item::ListSessions,
+                        WireItem::Stats => Item::Gather(Gather::Stats),
+                        WireItem::ListSessions => Item::Gather(Gather::Sessions),
                         WireItem::Shutdown => Item::Shutdown,
                     }
                 }
@@ -1401,12 +1398,11 @@ fn read_conn(conn: &mut Conn, ctx: &mut Ctx) -> bool {
     }
     true
 }
-
 /// Answer inbox items in arrival order until one needs shard work (at
 /// most one dispatch in flight per connection), the front item targets a
 /// session whose migration is in flight (the loop re-pumps every
 /// connection when a migration completes), or the inbox is empty.
-fn pump(conn: &mut Conn, id: u64, ctx: &mut Ctx) {
+fn pump(conn: &mut Conn, id: u64, st: &mut LoopState) {
     while conn.inflight.is_none() {
         // Stall checks peek the front; only when the item may proceed is
         // it popped (once) and matched by value — no peek/pop pairing to
@@ -1415,11 +1411,11 @@ fn pump(conn: &mut Conn, id: u64, ctx: &mut Ctx) {
             break;
         };
         if let Some(target) = front.target_session(&conn.session) {
-            if ctx.migrating.contains(target) {
+            if st.migrating.contains(target) {
                 break;
             }
         }
-        if matches!(front, Item::Stats | Item::ListSessions) && !ctx.migrating.is_empty() {
+        if matches!(front, Item::Gather(_)) && !st.migrating.is_empty() {
             // A session mid-migration lives in neither shard's hub (its
             // engine is in transit between Extract and Install), so a
             // fan-out now could miss it. Stall until every move lands —
@@ -1446,17 +1442,10 @@ fn pump(conn: &mut Conn, id: u64, ctx: &mut Ctx) {
                 // Runs on a watched session come back with a rendered
                 // wall frame for the fan-out; unwatched runs skip the
                 // render entirely.
-                let publish = ctx.streams.has_subscribers(&conn.session);
-                ctx.shards.submit_run_to(
-                    ctx.route(&conn.session),
-                    &conn.session,
-                    requests,
-                    publish,
-                    ctx.responder(id, Payload::Run),
-                );
+                let publish = st.streams.has_subscribers(&conn.session);
+                st.submit_run(conn.session.clone(), requests, publish, Waiter::Conn(id));
             }
             Item::Use(session) => {
-                conn.session = session.clone();
                 // Materialize eagerly (the `use` semantics) on the owning
                 // shard; the ack frame waits for the empty run so later
                 // requests cannot outrun the materialization.
@@ -1464,41 +1453,36 @@ fn pump(conn: &mut Conn, id: u64, ctx: &mut Ctx) {
                 conn.inflight = Some(Inflight::Run {
                     ack: Some(format!("using {session}")),
                 });
-                ctx.shards.submit_run_to(
-                    ctx.route(&session),
-                    &session,
-                    Vec::new(),
-                    false,
-                    ctx.responder(id, Payload::Run),
-                );
+                st.submit_run(session.clone(), Vec::new(), false, Waiter::Conn(id));
+                conn.session = session;
             }
             Item::Ping => {
-                conn.push_ok("pong", ctx.metrics);
+                conn.push_ok("pong", &mut st.metrics);
             }
             Item::Balance(set) => {
                 // Answered from loop state — no shard round trip, so a
                 // `balance` line never stalls behind engine work.
                 let reply = match set {
-                    None => format_balance(&ctx.balancer.status()),
+                    None => format_balance(&st.balancer.status()),
                     Some(mode) => {
-                        ctx.balancer.mode = mode;
+                        st.balancer.mode = mode;
                         format!("balance mode={mode}")
                     }
                 };
-                conn.push_ok(&reply, ctx.metrics);
+                conn.push_ok(&reply, &mut st.metrics);
             }
             Item::Reject(e) => {
-                conn.push_err(&e, ctx.metrics);
+                conn.push_err(&e, &mut st.metrics);
             }
             Item::Subscribe(session, tiles_x, tiles_y) => {
-                let (sw, sh) = ctx.scene;
+                let (sw, sh) = st.scene;
                 if sw % tiles_x != 0 || sh % tiles_y != 0 {
                     conn.push_err(
                         &ApiError::invalid(format!(
                             "tile grid {tiles_x}x{tiles_y} does not divide the {sw}x{sh} scene \
                              evenly"
                         )),
-                        ctx.metrics,
+                        &mut st.metrics,
                     );
                     continue;
                 }
@@ -1506,10 +1490,10 @@ fn pump(conn: &mut Conn, id: u64, ctx: &mut Ctx) {
                 // of a different session) wholesale: fresh encoder, fresh
                 // keyframe.
                 if let Some(old) = conn.sub.take() {
-                    ctx.streams.unsubscribe(&old.session, id);
+                    st.streams.unsubscribe(&old.session, id);
                 }
                 let grid = TileGrid::new(tiles_x, tiles_y, sw / tiles_x, sh / tiles_y);
-                ctx.streams.subscribe(session.clone(), id);
+                st.streams.subscribe(session.clone(), id);
                 conn.sub = Some(SubState::new(session.clone(), grid));
                 // Ack NOW — binary tile frames may enter the outbox as
                 // soon as this pump returns (a retained frame services
@@ -1518,26 +1502,20 @@ fn pump(conn: &mut Conn, id: u64, ctx: &mut Ctx) {
                 // via an empty *published* run on the owning shard.
                 conn.push_ok(
                     &format!("subscribed {session} {tiles_x}x{tiles_y} {sw}x{sh}"),
-                    ctx.metrics,
+                    &mut st.metrics,
                 );
                 conn.inflight_requests = 0;
                 conn.inflight = Some(Inflight::Run { ack: None });
-                ctx.shards.submit_run_to(
-                    ctx.route(&session),
-                    &session,
-                    Vec::new(),
-                    true,
-                    ctx.responder(id, Payload::Run),
-                );
+                st.submit_run(session, Vec::new(), true, Waiter::Conn(id));
             }
             Item::Unsubscribe => {
                 match conn.sub.take() {
                     Some(sub) => {
-                        ctx.streams.unsubscribe(&sub.session, id);
-                        conn.push_ok(&format!("unsubscribed {}", sub.session), ctx.metrics);
+                        st.streams.unsubscribe(&sub.session, id);
+                        conn.push_ok(&format!("unsubscribed {}", sub.session), &mut st.metrics);
                     }
                     // Idempotent: unsubscribing a non-subscriber is fine.
-                    None => conn.push_ok("unsubscribed", ctx.metrics),
+                    None => conn.push_ok("unsubscribed", &mut st.metrics),
                 }
             }
             Item::Ack(seq) => {
@@ -1558,46 +1536,37 @@ fn pump(conn: &mut Conn, id: u64, ctx: &mut Ctx) {
                 conn.inflight = Some(Inflight::Close {
                     closed: closed.clone(),
                 });
-                let shard = ctx.route(&closed);
+                let shard = st.route(&closed);
                 // The closed session's routing override dies with it: a
                 // re-created session of the same name must fall back to
                 // hash routing, and the override table must not grow
                 // without bound.
-                ctx.routes.remove(&closed);
+                st.routes.remove(&closed);
                 // An explicit close is what deletes durable state: the
                 // client said the session is over, so a restart must
                 // not bring it back.
-                ctx.drop_checkpoint(&closed);
-                ctx.shards
-                    .submit_close_to(shard, &closed, ctx.responder(id, closed_payload));
+                st.drop_checkpoint(&closed);
+                st.submit(shard, ShardOp::Close { session: closed }, Waiter::Conn(id));
             }
             Item::Migrate(session, to) => {
-                // Stall every other item targeting this session until the
-                // move lands; the loop clears the flag (and re-pumps) on
-                // the Migrated completion.
-                ctx.migrating.insert(session.clone());
                 conn.inflight = Some(Inflight::Migrate);
-                ctx.submit_migration(id, &session, to);
+                st.start_migration(Some(id), &session, to);
             }
-            Item::Stats | Item::ListSessions => {
+            Item::Gather(what) => {
                 // The migration stall was checked before the pop.
-                let what = match item {
-                    Item::Stats => Gather::Stats,
-                    _ => Gather::Sessions,
-                };
                 conn.inflight = Some(Inflight::Gather {
                     what,
-                    waiting: ctx.shards.n_shards(),
                     reports: Vec::new(),
                 });
-                ctx.shards
-                    .submit_report_all(&mut || ctx.responder(id, Payload::Shard));
+                for shard in 0..st.shards.n_shards() {
+                    st.submit(shard, ShardOp::Report, Waiter::Conn(id));
+                }
             }
             Item::Shutdown => {
                 conn.inbox.clear();
                 conn.queued_requests = 0;
-                conn.push_ok("bye", ctx.metrics);
-                *ctx.stop = true;
+                conn.push_ok("bye", &mut st.metrics);
+                st.stop = true;
                 break;
             }
         }
@@ -1606,12 +1575,12 @@ fn pump(conn: &mut Conn, id: u64, ctx: &mut Ctx) {
 
 /// Fold a shard result into the connection that was waiting on it,
 /// writing whatever frames it resolves.
-fn settle_completion(conn: &mut Conn, _id: u64, payload: Payload, ctx: &mut Ctx) {
-    match (conn.inflight.take(), payload) {
-        (Some(Inflight::Run { ack: Some(ack) }), Payload::Run(_)) => {
-            conn.push_ok(&ack, ctx.metrics);
+fn settle_completion(conn: &mut Conn, reply: ShardReply, n_conns: usize, st: &mut LoopState) {
+    match (conn.inflight.take(), reply) {
+        (Some(Inflight::Run { ack: Some(ack) }), ShardReply::Run(_)) => {
+            conn.push_ok(&ack, &mut st.metrics);
         }
-        (Some(Inflight::Run { ack: None }), Payload::Run(done)) => {
+        (Some(Inflight::Run { ack: None }), ShardReply::Run(done)) => {
             if done.session_dropped {
                 // The worker dropped the session (a request panicked);
                 // its routing override dies with it, exactly as on a
@@ -1619,52 +1588,41 @@ fn settle_completion(conn: &mut Conn, _id: u64, payload: Payload, ctx: &mut Ctx)
                 // has one dispatch in flight and `use` items only pump
                 // while idle, so the pointer still names the run's
                 // session.
-                ctx.routes.remove(&conn.session);
-                ctx.drop_checkpoint(&conn.session);
+                st.routes.remove(&conn.session);
+                st.drop_checkpoint(&conn.session);
             }
             let outcome = done.outcome;
             let n = conn.inflight_requests;
             for response in &outcome.responses {
-                conn.push_ok(&fv_api::format_response(response), ctx.metrics);
+                conn.push_ok(&fv_api::format_response(response), &mut st.metrics);
             }
             if let Some((idx, e)) = outcome.error {
-                conn.push_err(&e, ctx.metrics);
+                conn.push_err(&e, &mut st.metrics);
                 let skipped = ApiError::invalid(format!(
                     "skipped: request {} earlier in this pipelined run failed ({})",
                     idx + 1,
                     e.code.as_str()
                 ));
                 for _ in idx + 1..n {
-                    conn.push_err(&skipped, ctx.metrics);
+                    conn.push_err(&skipped, &mut st.metrics);
                 }
             }
             conn.inflight_requests = 0;
         }
-        (Some(Inflight::Close { closed }), Payload::Closed) => {
-            conn.push_ok(&format!("closed {closed}"), ctx.metrics);
+        (Some(Inflight::Close { closed }), ShardReply::Closed(_existed)) => {
+            conn.push_ok(&format!("closed {closed}"), &mut st.metrics);
         }
-        (
-            Some(Inflight::Gather {
-                what,
-                waiting,
-                mut reports,
-            }),
-            Payload::Shard(report),
-        ) => {
+        (Some(Inflight::Gather { what, mut reports }), ShardReply::Report(report)) => {
             reports.push(report);
-            if waiting > 1 {
-                conn.inflight = Some(Inflight::Gather {
-                    what,
-                    waiting: waiting - 1,
-                    reports,
-                });
+            if reports.len() < st.shards.n_shards() {
+                conn.inflight = Some(Inflight::Gather { what, reports });
             } else {
                 reports.sort_by_key(|r| r.shard);
                 let reply = match what {
                     Gather::Sessions => sessions_reply(&reports),
-                    Gather::Stats => stats_reply(&reports, ctx),
+                    Gather::Stats => stats_reply(&reports, n_conns, st),
                 };
-                conn.push_ok(&reply, ctx.metrics);
+                conn.push_ok(&reply, &mut st.metrics);
             }
         }
         // A completion with no (or the wrong) inflight record means the
@@ -1692,10 +1650,10 @@ fn sessions_reply(reports: &[ShardReport]) -> String {
 
 /// Merge per-shard reports with the loop's own counters and the shared
 /// cache's gauges into the `stats` reply.
-fn stats_reply(reports: &[ShardReport], ctx: &mut Ctx) -> String {
-    let depths = ctx.shards.queue_depths();
-    let cache = ctx.shards.cache_stats();
-    let pids = ctx.shards.pids();
+fn stats_reply(reports: &[ShardReport], n_conns: usize, st: &LoopState) -> String {
+    let depths = st.shards.queue_depths();
+    let cache = st.shards.cache_stats();
+    let pids = st.shards.pids();
     let shards: Vec<ShardStats> = reports
         .iter()
         .map(|r| ShardStats {
@@ -1710,16 +1668,16 @@ fn stats_reply(reports: &[ShardReport], ctx: &mut Ctx) -> String {
         })
         .collect();
     let stats = ServerStats {
-        backend: ctx.shards.kind().to_string(),
-        connections: ctx.n_conns,
+        backend: st.shards.kind().to_string(),
+        connections: n_conns,
         sessions: shards.iter().map(|s| s.sessions).sum(),
         // The stats frame itself is about to be written; count it so the
         // reply is self-consistent (frames_out includes this frame).
-        frames_in: ctx.metrics.frames_in,
-        frames_out: ctx.metrics.frames_out + 1,
-        busy_rejections: ctx.metrics.busy_rejections,
-        garbage_frames: ctx.metrics.garbage_frames,
-        dirty_disconnects: ctx.metrics.dirty_disconnects,
+        frames_in: st.metrics.frames_in,
+        frames_out: st.metrics.frames_out + 1,
+        busy_rejections: st.metrics.busy_rejections,
+        garbage_frames: st.metrics.garbage_frames,
+        dirty_disconnects: st.metrics.dirty_disconnects,
         runs: shards.iter().map(|s| s.runs).sum(),
         requests: shards.iter().map(|s| s.requests).sum(),
         max_run: shards.iter().map(|s| s.max_run).max().unwrap_or(0),
@@ -1727,14 +1685,14 @@ fn stats_reply(reports: &[ShardReport], ctx: &mut Ctx) -> String {
         cache_hits: cache.hits,
         cache_misses: cache.misses,
         cache_evictions: cache.evictions,
-        balancer_ticks: ctx.balancer.ticks(),
-        balancer_moves: ctx.balancer.counters().1,
-        balancer_failed: ctx.balancer.counters().2,
-        recovered: ctx.recovered,
+        balancer_ticks: st.balancer.ticks(),
+        balancer_moves: st.balancer.counters().1,
+        balancer_failed: st.balancer.counters().2,
+        recovered: st.recovered,
         stream: {
-            let m = ctx.streams.metrics;
+            let m = st.streams.metrics;
             StreamStats {
-                subscribers: ctx.streams.n_subscribers(),
+                subscribers: st.streams.n_subscribers(),
                 frames: m.frames,
                 bytes: m.bytes,
                 pixels: m.pixels,
@@ -1752,76 +1710,7 @@ fn stats_reply(reports: &[ShardReport], ctx: &mut Ctx) -> String {
     };
     crate::metrics::format_stats(&stats)
 }
-
 // ── fv-stream fan-out ───────────────────────────────────────────────────
-
-/// Fan a freshly rendered wall frame out to every subscriber of its
-/// session: retain the framebuffer (keyframes and coalesced deltas are
-/// cut from it at drain time), fold the run's damage into each
-/// subscriber's pending set — or drop-to-keyframe a backlogged one — and
-/// drain whoever has room.
-fn publish_frame(
-    frame: PubFrame,
-    conns: &mut BTreeMap<u64, Conn>,
-    streams: &mut StreamPlane,
-    metrics: &mut LoopMetrics,
-) {
-    let PubFrame {
-        session,
-        wall,
-        damage,
-    } = frame;
-    let fb = Rc::new(wall);
-    let subs = match streams.session_mut(&session) {
-        // Every subscriber left between dispatch and completion.
-        None => return,
-        Some(entry) => {
-            entry.last = Some(Rc::clone(&fb));
-            entry.subscribers.iter().copied().collect::<Vec<u64>>()
-        }
-    };
-    let mut dead = Vec::new();
-    for cid in subs {
-        let Some(conn) = conns.get_mut(&cid) else {
-            continue;
-        };
-        let backlogged = conn.out_pending() >= OUTBOX_HIGH_WATER;
-        if let Some(sub) = conn.sub.as_mut() {
-            if backlogged || sub.ack_lagging() {
-                // Never queue behind a slow peer: forget the deltas and
-                // re-sync from a keyframe once the outbox drains.
-                if !sub.need_keyframe {
-                    sub.need_keyframe = true;
-                    sub.pending.clear();
-                    streams.metrics.dropped += 1;
-                }
-            } else if !sub.need_keyframe {
-                for (tile, rect) in tile_damage(sub.encoder.grid(), &damage) {
-                    match sub.pending.entry(tile) {
-                        std::collections::btree_map::Entry::Vacant(v) => {
-                            v.insert(rect);
-                        }
-                        std::collections::btree_map::Entry::Occupied(mut o) => {
-                            // Two updates to one tile collapse into one
-                            // bounding rect — the retained framebuffer
-                            // already contains both, so nothing is lost.
-                            let merged = union_rect(o.get(), &rect);
-                            o.insert(merged);
-                            streams.metrics.coalesced += 1;
-                        }
-                    }
-                }
-            }
-        }
-        drain_stream(conn, &fb, streams);
-        if !conn.flush() || conn.finished() {
-            dead.push(cid);
-        }
-    }
-    for cid in dead {
-        drop_conn(conns, streams, cid, metrics);
-    }
-}
 
 /// Encode whatever the subscriber is owed — a keyframe if one is due,
 /// otherwise its coalesced pending deltas — into its outbox. A
@@ -1870,29 +1759,4 @@ fn service_stream(conn: &mut Conn, streams: &mut StreamPlane) {
         return;
     };
     drain_stream(conn, &fb, streams);
-}
-
-/// Remove a connection, deregistering its subscription — every removal
-/// site must go through here or the registry leaks dead subscriber ids.
-/// A connection that still owed work (queued or in-flight requests, or
-/// unflushed response bytes) counts as a dirty disconnect; a graceful
-/// EOF after every reply drained does not.
-fn drop_conn(
-    conns: &mut BTreeMap<u64, Conn>,
-    streams: &mut StreamPlane,
-    id: u64,
-    metrics: &mut LoopMetrics,
-) {
-    if let Some(conn) = conns.remove(&id) {
-        if conn.queued_requests > 0
-            || conn.inflight.is_some()
-            || !conn.inbox.is_empty()
-            || conn.out_pending() > 0
-        {
-            metrics.dirty_disconnects += 1;
-        }
-        if let Some(sub) = conn.sub {
-            streams.unsubscribe(&sub.session, id);
-        }
-    }
 }

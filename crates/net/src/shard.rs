@@ -1,40 +1,46 @@
-//! Session sharding: N worker threads, each owning one [`EngineHub`].
+//! Session sharding: N shards, each one [`WorkerCore`] owning one
+//! [`EngineHub`], behind one concrete [`Shards`] handle.
 //!
 //! The hub is the sharding seam (see `crates/api/README.md`): sessions
 //! are partitioned by a stable hash of their name, so every request for a
-//! session lands on the same worker and sessions never need cross-shard
-//! coordination. Workers own their hub outright — the event loop talks to
-//! them over channels, so there is no lock to contend on or poison; a
+//! session lands on the same shard and sessions never need cross-shard
+//! coordination. A shard owns its hub outright — the event loop talks to
+//! it over a channel, so there is no lock to contend on or poison; a
 //! panicking request (an engine bug) costs the offending session, never
 //! the shard.
 //!
-//! Two things *are* shared across shards:
+//! The seam is one request type, one reply type and one dispatch:
+//! callers build a [`ShardOp`] and [`Shards::submit`] it with a boxed
+//! `FnOnce(ShardReply)` responder; [`WorkerCore::serve`] is the single
+//! `match` that turns an op into its [`ShardReply`]; and
+//! [`ShardOp::refused`] is the single answer a dead shard gives. The
+//! responder fires exactly once either way, so the same seam serves
+//! blocking callers ([`Shards::call`]: boot recovery, tests) and the
+//! event loop's completion channel (which must never block).
 //!
-//! - **The dataset cache**: every worker's hub is built over one
+//! The only per-backend part is the [`Link`] each shard's drain thread
+//! calls: a [`WorkerCore`] served by value (thread shards — nothing is
+//! encoded, a published framebuffer moves through the channel as it is),
+//! or a socket to a child process that runs the same `serve` behind the
+//! control-protocol codec (`crate::procshard`). The two backends agree
+//! by construction, not through parallel dispatch code.
+//!
+//! Two things *are* shared across thread shards:
+//!
+//! - **The dataset cache**: every hub is built over one
 //!   [`DatasetCache`], so the same PCL loaded into sessions on different
-//!   shards is parsed exactly once and shared as `Arc` handles. (The
-//!   process backend re-creates this seam per child process — see
-//!   `crate::procshard`.)
-//! - **Sessions, by migration**: [`Job::Extract`] snapshots a session
-//!   into a serializable [`SessionImage`] and [`Job::Install`] restores
-//!   it on another shard by replaying its compacted mutation log — no
-//!   engine value ever crosses the seam, which is exactly what lets a
-//!   shard be a child process. Routing overrides live in the event loop
-//!   (see `crate::server`), which is why the `*_to` submit variants take
-//!   an explicit shard index.
-//!
-//! Jobs carry their reply as a boxed `FnOnce` responder, so the same
-//! worker serves both blocking callers (tests, tools) and the
-//! event loop's completion channel (which must never block): the loop's
-//! responders push a completion and poke the loop's waker.
-//!
-//! The seam itself is the [`ShardBackend`] trait: the event loop submits
-//! [`Job`]s against `Arc<dyn ShardBackend>` and never learns whether the
-//! shard lives on a thread ([`InProcBackend`], this module) or in a
-//! child process (`ProcBackend`, `crate::procshard`). [`WorkerCore`]
-//! holds the per-shard execution logic both backends drive.
+//!   shards is parsed exactly once and shared as `Arc` handles. (Process
+//!   shards re-create this seam per child — see `crate::procshard`.)
+//! - **Sessions, by migration**: [`ShardOp::Extract`] snapshots a
+//!   session into a serializable [`SessionImage`] and
+//!   [`ShardOp::Install`] restores it on another shard by replaying its
+//!   compacted mutation log — no engine value ever crosses the seam,
+//!   which is exactly what lets a shard be a child process. Routing
+//!   overrides live in the event loop (see `crate::server`), which is
+//!   why `submit` takes an explicit shard index.
 
 use crate::metrics::LatencyHistogram;
+use crate::procshard::{self, ChildLink};
 use fv_api::engine::fnv1a;
 use fv_api::{
     ApiError, CacheStats, DatasetCache, Engine, EngineHub, Request, Response, RunOutcome,
@@ -49,7 +55,7 @@ use std::thread::JoinHandle;
 
 /// One session's slice of a [`ShardReport`]: identity for
 /// `list-sessions`, cumulative cost estimates for the rebalancer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SessionReport {
     pub name: String,
     pub n_datasets: usize,
@@ -63,7 +69,7 @@ pub(crate) struct SessionReport {
 /// One shard's contribution to a `stats`, `list-sessions`, or balancer
 /// snapshot: sessions it owns (with cost estimates) plus its execution
 /// counters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ShardReport {
     pub shard: usize,
     /// Per-session reports, sorted by name (hub order).
@@ -76,6 +82,10 @@ pub(crate) struct ShardReport {
     pub max_run: usize,
     /// Per-request latency histogram of everything this shard executed.
     pub latency: LatencyHistogram,
+    /// Gauges of the dataset cache this shard's hub loads through (one
+    /// cache shared by all thread shards, a private one per child
+    /// process — which is how the parent learns a child's gauges).
+    pub cache: CacheStats,
 }
 
 impl ShardReport {
@@ -87,6 +97,7 @@ impl ShardReport {
             requests: 0,
             max_run: 0,
             latency: LatencyHistogram::new(),
+            cache: CacheStats::default(),
         }
     }
 }
@@ -95,6 +106,7 @@ impl ShardReport {
 /// the session once into a scene-sized framebuffer, and the damage says
 /// which of its pixels this run may have changed (scene coordinates;
 /// conservatively the full scene when a response type carries no rects).
+#[derive(Debug, PartialEq)]
 pub(crate) struct PubFrame {
     pub session: SessionId,
     pub wall: Framebuffer,
@@ -105,6 +117,7 @@ pub(crate) struct PubFrame {
 /// session (a panicking request poisons its session). Transports use the
 /// flag to clean up per-session routing state. `frame` carries the
 /// publish rasterization when the run asked for one.
+#[derive(Debug, PartialEq)]
 pub(crate) struct RunDone {
     pub outcome: RunOutcome,
     pub session_dropped: bool,
@@ -115,69 +128,64 @@ pub(crate) struct RunDone {
 /// the typed refusal so the caller can restore the session.
 pub(crate) type InstallOutcome = Result<(), (SessionImage, ApiError)>;
 
-pub(crate) enum Job {
+/// Everything a shard can be asked to do. Serializable by design:
+/// requests as canonical wire text, sessions as [`SessionImage`]s.
+pub(crate) enum ShardOp {
     /// Execute a request run on the session (empty runs just materialize
-    /// it — the `use` semantics). Answered with the run's
-    /// [`RunDone`]. With `publish` set the worker also renders the
-    /// session's scene once after the run — the fv-stream fan-out hook;
-    /// the event loop sets it exactly when the session has subscribers.
+    /// it — the `use` semantics). With `publish` set the worker also
+    /// renders the session's scene once after the run — the fv-stream
+    /// fan-out hook; the event loop sets it exactly when the session has
+    /// subscribers.
     Run {
         session: SessionId,
         requests: Vec<Request>,
         publish: bool,
-        respond: Box<dyn FnOnce(RunDone) + Send>,
     },
     /// Drop the session; replies whether it existed.
-    Close {
-        session: SessionId,
-        respond: Box<dyn FnOnce(bool) + Send>,
-    },
-    /// Snapshot the shard's sessions and counters. Carries the target
-    /// shard index so a dead shard can still answer an attributed empty
-    /// report.
-    Report {
-        shard: usize,
-        respond: Box<dyn FnOnce(ShardReport) + Send>,
-    },
+    Close { session: SessionId },
+    /// Snapshot the shard's sessions and counters.
+    Report,
     /// Pull the session out of this shard as a serializable
     /// [`SessionImage`] (migration step 1); the engine itself is dropped.
     /// Replies `None` if the session does not live here.
-    Extract {
-        session: SessionId,
-        respond: Box<dyn FnOnce(Option<SessionImage>) + Send>,
-    },
+    Extract { session: SessionId },
     /// Snapshot the session as a [`SessionImage`] WITHOUT dropping the
     /// engine — the checkpoint read: the session keeps serving while its
     /// image goes to the durable store. Replies `None` if the session
     /// does not live here.
-    Snapshot {
-        session: SessionId,
-        respond: Box<dyn FnOnce(Option<SessionImage>) + Send>,
-    },
+    Snapshot { session: SessionId },
     /// Restore a previously extracted image (migration step 2). On
     /// failure (name already taken here, which routing prevents; a
     /// fingerprint mismatch on replay; or a dead shard) the image is
-    /// handed BACK through the responder with the reason, so the caller
-    /// can restore it — an install failure must never destroy a session
-    /// that was alive before the migration.
+    /// handed BACK in the reply with the reason, so the caller can
+    /// restore it — an install failure must never destroy a session that
+    /// was alive before the migration.
     Install {
         session: SessionId,
         image: SessionImage,
-        respond: Box<dyn FnOnce(InstallOutcome) + Send>,
     },
-    /// Stop the worker after draining everything queued before this job.
-    /// Backends submit it from their `shutdown`; it has no reply.
-    Shutdown,
 }
 
-impl Job {
-    /// Answer this job the way a dead shard must: every responder fires
-    /// exactly once with a typed refusal built from `err`, and an
-    /// [`Job::Install`]'s image comes back so the session is not lost.
-    /// The one generic fallback every backend's submit path shares.
-    pub fn respond_shard_down(self, err: ApiError) {
+/// What a shard answers; each [`ShardOp`] has exactly one reply kind
+/// (`Extract` and `Snapshot` share `Image`).
+#[derive(Debug, PartialEq)]
+pub(crate) enum ShardReply {
+    Run(RunDone),
+    Closed(bool),
+    Report(ShardReport),
+    Image(Option<SessionImage>),
+    Installed(InstallOutcome),
+}
+
+impl ShardOp {
+    /// Answer this op the way a dead shard must: a typed refusal built
+    /// from `err` (an empty report attributed to `shard`, so gathers
+    /// still complete), and an [`ShardOp::Install`]'s image comes back
+    /// so the session is not lost. The one fallback every dead-shard
+    /// path shares.
+    pub fn refused(self, shard: usize, err: ApiError) -> ShardReply {
         match self {
-            Job::Run { respond, .. } => respond(RunDone {
+            ShardOp::Run { .. } => ShardReply::Run(RunDone {
                 outcome: RunOutcome {
                     responses: Vec::new(),
                     error: Some((0, err)),
@@ -186,41 +194,156 @@ impl Job {
                 session_dropped: false,
                 frame: None,
             }),
-            Job::Close { respond, .. } => respond(false),
-            Job::Report { shard, respond } => respond(ShardReport::empty(shard)),
-            Job::Extract { respond, .. } => respond(None),
-            Job::Snapshot { respond, .. } => respond(None),
-            Job::Install { image, respond, .. } => respond(Err((image, err))),
-            Job::Shutdown => {}
+            ShardOp::Close { .. } => ShardReply::Closed(false),
+            ShardOp::Report => ShardReply::Report(ShardReport::empty(shard)),
+            ShardOp::Extract { .. } | ShardOp::Snapshot { .. } => ShardReply::Image(None),
+            ShardOp::Install { image, .. } => ShardReply::Installed(Err((image, err))),
         }
     }
 }
 
-/// Cloneable handle onto the shard workers.
-#[derive(Clone)]
-pub(crate) struct ShardHandles {
-    senders: Vec<mpsc::Sender<Job>>,
+/// A queued op plus the responder that must fire exactly once with its
+/// reply.
+struct Job {
+    op: ShardOp,
+    respond: Box<dyn FnOnce(ShardReply) + Send>,
+}
+
+impl Job {
+    fn refuse(self, shard: usize, err: ApiError) {
+        (self.respond)(self.op.refused(shard, err));
+    }
+}
+
+/// Where a shard's ops are served — the one per-backend part of the
+/// seam, owned by the shard's drain thread.
+pub(crate) enum Link {
+    /// A thread shard: the core is served in place, by value.
+    Core(WorkerCore),
+    /// A process shard: the op crosses a socket to a child that serves
+    /// it on its own core.
+    Child(ChildLink),
+}
+
+impl Link {
+    /// OS process id serving this shard.
+    fn pid(&self) -> u32 {
+        match self {
+            Link::Core(_) => std::process::id(),
+            Link::Child(child) => child.pid(),
+        }
+    }
+
+    fn call(&mut self, op: ShardOp) -> ShardReply {
+        match self {
+            Link::Core(core) => core.serve(op),
+            Link::Child(child) => child.call(op),
+        }
+    }
+}
+
+/// What differs between the backends above the links: where dataset
+/// cache gauges come from (and with that, what `stats` calls the
+/// backend and how a vanished shard is reported).
+pub(crate) enum Backend {
+    /// Worker threads; every hub shares this cache.
+    Threads(DatasetCache),
+    /// Child processes, each with a private cache: the gauges each child
+    /// sent with its last report, refreshed by its [`ChildLink`]. The sum
+    /// (not any one cache's view) is the truth.
+    Procs(Arc<Mutex<Vec<CacheStats>>>),
+}
+
+/// The shards: one queue and one drain thread per shard, each draining
+/// strictly in order into its [`Link`]. One outstanding op at a time per
+/// shard — the shard itself is serial, so a serial link costs no
+/// parallelism. Dropping a `Shards` without [`Shards::shutdown`] stops
+/// the shards just the same (a closed queue ends its drain thread, which
+/// drops its link) but does not wait for them.
+pub(crate) struct Shards {
+    /// `None` is the stop marker [`Shards::shutdown`] queues.
+    senders: Vec<mpsc::Sender<Option<Job>>>,
     /// Jobs sent but not yet dequeued, per shard — the queue-depth gauge
     /// `stats` reports without a worker round trip.
     depth: Arc<Vec<AtomicUsize>>,
-    /// The dataset cache every worker's hub shares.
-    cache: DatasetCache,
+    pids: Vec<u32>,
+    backend: Backend,
+    drains: Vec<JoinHandle<()>>,
 }
 
-impl ShardHandles {
-    /// Which shard owns `id` *by hash*: FNV-1a of the session name, mod
-    /// shard count. Stable across connections and server restarts.
-    /// Transports that support migration overlay their own routing
-    /// overrides on top of this default. (Production callers route via
-    /// [`ShardBackend::shard_of`]; this is the test convenience.)
-    #[cfg(test)]
-    pub fn shard_of(&self, id: &SessionId) -> usize {
-        shard_of(id, self.senders.len())
+impl Shards {
+    /// Thread shards: `n` cores resolving damage against `scene`, all
+    /// hubs over one [`DatasetCache`] so a file loaded by sessions on
+    /// different shards is parsed once. The shard at `refuse_install_to`
+    /// (tests only) refuses every install, handing the image back — how
+    /// tests drive the migration restore path without killing a worker.
+    pub fn threads(
+        n: usize,
+        scene: (usize, usize),
+        refuse_install_to: Option<usize>,
+    ) -> std::io::Result<Shards> {
+        let cache = DatasetCache::new();
+        let links = (0..n.max(1))
+            .map(|i| {
+                Link::Core(WorkerCore::new(
+                    i,
+                    scene,
+                    cache.clone(),
+                    refuse_install_to == Some(i),
+                ))
+            })
+            .collect();
+        Shards::start(links, Backend::Threads(cache))
     }
 
-    /// Worker count.
+    /// Give every link its queue and drain thread. On a failed thread
+    /// spawn the drains already running are stopped and the remaining
+    /// links dropped (a dropped [`ChildLink`] reaps its process).
+    pub fn start(links: Vec<Link>, backend: Backend) -> std::io::Result<Shards> {
+        let mut shards = Shards {
+            senders: Vec::with_capacity(links.len()),
+            depth: Arc::new(links.iter().map(|_| AtomicUsize::new(0)).collect()),
+            pids: links.iter().map(Link::pid).collect(),
+            backend,
+            drains: Vec::with_capacity(links.len()),
+        };
+        for (shard, link) in links.into_iter().enumerate() {
+            let (tx, rx) = mpsc::channel();
+            let depth = Arc::clone(&shards.depth);
+            let spawned = std::thread::Builder::new()
+                .name(format!("fv-net-shard-{shard}"))
+                .spawn(move || drain(shard, rx, depth, link));
+            match spawned {
+                Ok(handle) => {
+                    shards.senders.push(tx);
+                    shards.drains.push(handle);
+                }
+                Err(e) => {
+                    shards.shutdown();
+                    return Err(e);
+                }
+            }
+        }
+        Ok(shards)
+    }
+
+    /// `"threads"` or `"procs"` — surfaced by `stats`.
+    pub fn kind(&self) -> &'static str {
+        match self.backend {
+            Backend::Threads(_) => "threads",
+            Backend::Procs(_) => "procs",
+        }
+    }
+
+    /// Shard count.
     pub fn n_shards(&self) -> usize {
         self.senders.len()
+    }
+
+    /// OS process id serving each shard (the server's own pid for every
+    /// thread shard) — surfaced by `stats`.
+    pub fn pids(&self) -> &[u32] {
+        &self.pids
     }
 
     /// Snapshot of per-shard queued (sent, not yet dequeued) job counts.
@@ -231,275 +354,90 @@ impl ShardHandles {
             .collect()
     }
 
-    /// Gauges of the cache all shards share.
+    /// Dataset-cache gauges, aggregated across whatever caches the
+    /// shards actually hold (one shared cache for threads, one per child
+    /// for processes).
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Enqueue `job` on `shard`. On a dead shard the job's responder
-    /// fires immediately with a typed `E_INTERNAL` refusal (a thread
-    /// worker only dies with the process, so this is an internal bug, not
-    /// the crash-isolation `E_SHARD_DOWN` the process backend reports) —
-    /// callers always hear back exactly once.
-    pub fn submit(&self, shard: usize, job: Job) {
-        self.depth[shard].fetch_add(1, Ordering::SeqCst);
-        if let Err(mpsc::SendError(job)) = self.senders[shard].send(job) {
-            self.depth[shard].fetch_sub(1, Ordering::SeqCst);
-            job.respond_shard_down(ApiError::new(
-                fv_api::ErrorCode::Internal,
-                "shard worker is gone",
-            ));
+        match &self.backend {
+            Backend::Threads(cache) => cache.stats(),
+            Backend::Procs(per_child) => {
+                let mut sum = CacheStats::default();
+                if let Ok(per_child) = per_child.lock() {
+                    for c in per_child.iter() {
+                        sum.entries += c.entries;
+                        sum.hits += c.hits;
+                        sum.misses += c.misses;
+                        sum.evictions += c.evictions;
+                    }
+                }
+                sum
+            }
         }
     }
 
-    /// Execute a request run on the owning shard, blocking until the
-    /// shard replies. An empty `requests` still materializes the session
-    /// (the `use` semantics). The event loop never blocks on a shard —
-    /// this is the synchronous convenience for tests and tools.
-    #[cfg(test)]
-    pub fn execute(&self, session: &SessionId, requests: Vec<Request>) -> RunOutcome {
-        let (tx, rx) = mpsc::channel();
-        self.submit(
-            self.shard_of(session),
-            Job::Run {
-                session: session.clone(),
-                requests,
-                publish: false,
-                respond: Box::new(move |done| {
-                    let _ = tx.send(done);
-                }),
-            },
-        );
-        rx.recv().map(|done| done.outcome).unwrap_or(RunOutcome {
-            responses: Vec::new(),
-            error: Some((
-                0,
-                ApiError::new(fv_api::ErrorCode::Internal, "shard worker is gone"),
-            )),
-            latencies: Vec::new(),
-        })
-    }
-
-    /// Drop a session on its owning shard; `false` if it did not exist
-    /// (or the shard is gone). Blocking convenience for tests.
-    #[cfg(test)]
-    pub fn close(&self, session: &SessionId) -> bool {
-        let (tx, rx) = mpsc::channel();
-        self.submit(
-            self.shard_of(session),
-            Job::Close {
-                session: session.clone(),
-                respond: Box::new(move |existed| {
-                    let _ = tx.send(existed);
-                }),
-            },
-        );
-        rx.recv().unwrap_or(false)
-    }
-}
-
-/// The shard seam, as a trait: the event loop (and the balancer chain it
-/// hosts) submits [`Job`]s against `Arc<dyn ShardBackend>` and never
-/// learns where the shard lives. Two implementations exist —
-/// [`InProcBackend`] (worker threads, one shared [`DatasetCache`]) and
-/// `crate::procshard::ProcBackend` (child processes speaking the
-/// length-framed shard control protocol). Everything that crosses this
-/// seam is serializable: requests and responses as canonical wire text,
-/// sessions as [`SessionImage`]s.
-pub(crate) trait ShardBackend: Send + Sync {
-    /// `"threads"` or `"procs"` — surfaced by `stats`.
-    fn kind(&self) -> &'static str;
-    /// Shard count.
-    fn n_shards(&self) -> usize;
-    /// OS process id serving each shard (the server's own pid for every
-    /// thread shard) — surfaced by `stats`.
-    fn pids(&self) -> Vec<u32>;
-    /// Snapshot of per-shard queued (submitted, not yet picked up) jobs.
-    fn queue_depths(&self) -> Vec<usize>;
-    /// Dataset-cache gauges, aggregated across whatever caches the
-    /// backend's shards actually hold (one shared cache for threads, one
-    /// per child for processes).
-    fn cache_stats(&self) -> CacheStats;
-    /// Enqueue `job` on `shard`. Must never block and must guarantee the
-    /// job's responder fires exactly once — immediately, with the
-    /// backend's typed dead-shard refusal, if the shard is gone.
-    fn submit(&self, shard: usize, job: Job);
-    /// Stop every shard and reclaim it (join threads / reap child
-    /// processes). Idempotent; jobs submitted afterwards get dead-shard
-    /// replies.
-    fn shutdown(&self);
-
-    /// Which shard owns `id` by hash (transports overlay migration
-    /// routing overrides on top of this default).
-    fn shard_of(&self, id: &SessionId) -> usize {
-        shard_of(id, self.n_shards())
-    }
-
-    /// Enqueue a run on an explicit shard.
-    fn submit_run_to(
-        &self,
-        shard: usize,
-        session: &SessionId,
-        requests: Vec<Request>,
-        publish: bool,
-        respond: Box<dyn FnOnce(RunDone) + Send>,
-    ) {
-        self.submit(
-            shard,
-            Job::Run {
-                session: session.clone(),
-                requests,
-                publish,
-                respond,
-            },
-        );
-    }
-
-    /// Enqueue a close on an explicit shard; a dead shard answers `false`.
-    fn submit_close_to(
-        &self,
-        shard: usize,
-        session: &SessionId,
-        respond: Box<dyn FnOnce(bool) + Send>,
-    ) {
-        self.submit(
-            shard,
-            Job::Close {
-                session: session.clone(),
-                respond,
-            },
-        );
-    }
-
-    /// Enqueue a session extraction (migration step 1) on `shard`; a
-    /// dead shard answers `None`.
-    fn submit_extract(
-        &self,
-        shard: usize,
-        session: &SessionId,
-        respond: Box<dyn FnOnce(Option<SessionImage>) + Send>,
-    ) {
-        self.submit(
-            shard,
-            Job::Extract {
-                session: session.clone(),
-                respond,
-            },
-        );
-    }
-
-    /// Enqueue a non-destructive session snapshot (the checkpoint read)
-    /// on `shard`; a dead shard answers `None`.
-    fn submit_snapshot(
-        &self,
-        shard: usize,
-        session: &SessionId,
-        respond: Box<dyn FnOnce(Option<SessionImage>) + Send>,
-    ) {
-        self.submit(
-            shard,
-            Job::Snapshot {
-                session: session.clone(),
-                respond,
-            },
-        );
-    }
-
-    /// Enqueue an image install (migration step 2) on `shard`; on
-    /// failure the image comes straight back through the responder.
-    fn submit_install(
-        &self,
-        shard: usize,
-        session: &SessionId,
-        image: SessionImage,
-        respond: Box<dyn FnOnce(InstallOutcome) + Send>,
-    ) {
-        self.submit(
-            shard,
-            Job::Install {
-                session: session.clone(),
-                image,
-                respond,
-            },
-        );
-    }
-
-    /// Fan a report request out to every shard. `make` builds one
-    /// responder per shard; dead shards answer with an empty report so
-    /// gathers always complete.
-    fn submit_report_all(&self, make: &mut dyn FnMut() -> Box<dyn FnOnce(ShardReport) + Send>) {
-        for shard in 0..self.n_shards() {
-            self.submit(
+    /// Enqueue `op` on `shard`. Never blocks, and `respond` fires exactly
+    /// once — immediately, with the backend's typed refusal, if the
+    /// shard's drain thread is gone: `E_INTERNAL` for threads (a thread
+    /// worker only dies with the process, so this is an internal bug),
+    /// the crash-isolation `E_SHARD_DOWN` naming the pid for processes.
+    pub fn submit(&self, shard: usize, op: ShardOp, respond: Box<dyn FnOnce(ShardReply) + Send>) {
+        self.depth[shard].fetch_add(1, Ordering::SeqCst);
+        let job = Job { op, respond };
+        if let Err(mpsc::SendError(Some(job))) = self.senders[shard].send(Some(job)) {
+            self.depth[shard].fetch_sub(1, Ordering::SeqCst);
+            job.refuse(
                 shard,
-                Job::Report {
-                    shard,
-                    respond: make(),
+                match self.backend {
+                    Backend::Threads(_) => {
+                        ApiError::new(fv_api::ErrorCode::Internal, "shard worker is gone")
+                    }
+                    Backend::Procs(_) => procshard::down(shard, self.pids[shard]),
                 },
             );
         }
     }
-}
 
-/// The thread-shard backend: today's worker threads behind the
-/// [`ShardBackend`] seam, byte-identical behavior included.
-pub(crate) struct InProcBackend {
-    handles: ShardHandles,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl InProcBackend {
-    /// Spawn `n` worker threads sharing one [`DatasetCache`]. The shard
-    /// at `refuse_install_to` (tests only) refuses every install, forcing
-    /// the migration restore path.
-    pub fn spawn(
-        n: usize,
-        scene: (usize, usize),
-        refuse_install_to: Option<usize>,
-    ) -> std::io::Result<InProcBackend> {
-        let pool = ShardPool::spawn_with_faults(n, scene, refuse_install_to)?;
-        Ok(InProcBackend {
-            handles: pool.handles,
-            workers: Mutex::new(pool.workers),
-        })
-    }
-}
-
-impl ShardBackend for InProcBackend {
-    fn kind(&self) -> &'static str {
-        "threads"
+    /// Submit `op` and block until the shard replies; `None` if the
+    /// shard stopped with the op still queued. The event loop never
+    /// blocks on a shard — this is for boot recovery (before the loop
+    /// exists) and tests.
+    pub fn call(&self, shard: usize, op: ShardOp) -> Option<ShardReply> {
+        let (tx, rx) = mpsc::channel();
+        self.submit(
+            shard,
+            op,
+            Box::new(move |reply| {
+                let _ = tx.send(reply);
+            }),
+        );
+        rx.recv().ok()
     }
 
-    fn n_shards(&self) -> usize {
-        self.handles.n_shards()
-    }
-
-    fn pids(&self) -> Vec<u32> {
-        vec![std::process::id(); self.handles.n_shards()]
-    }
-
-    fn queue_depths(&self) -> Vec<usize> {
-        self.handles.queue_depths()
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.handles.cache_stats()
-    }
-
-    fn submit(&self, shard: usize, job: Job) {
-        self.handles.submit(shard, job);
-    }
-
-    fn shutdown(&self) {
-        for shard in 0..self.handles.n_shards() {
-            self.handles.submit(shard, Job::Shutdown);
+    /// Stop every shard after it drains everything queued so far, and
+    /// reclaim it: joins the drain threads, whose links go with them (a
+    /// child process is told `shutdown` and reaped — see
+    /// [`ChildLink`]).
+    pub fn shutdown(self) {
+        for tx in &self.senders {
+            let _ = tx.send(None);
         }
-        let workers = match self.workers.lock() {
-            Ok(mut w) => std::mem::take(&mut *w),
-            Err(_) => return,
-        };
-        for w in workers {
-            let _ = w.join();
+        for drain in self.drains {
+            let _ = drain.join();
         }
+    }
+}
+
+fn drain(
+    shard: usize,
+    rx: mpsc::Receiver<Option<Job>>,
+    depth: Arc<Vec<AtomicUsize>>,
+    mut link: Link,
+) {
+    while let Ok(Some(Job { op, respond })) = rx.recv() {
+        depth[shard].fetch_sub(1, Ordering::SeqCst);
+        // Whoever asked may already be gone; that is not the shard's
+        // problem.
+        respond(link.call(op));
     }
 }
 
@@ -538,88 +476,18 @@ fn run_damage(out: &RunOutcome, scene: (usize, usize)) -> Vec<Viewport> {
     rects
 }
 
-/// Stable shard routing function (exposed for tests and docs).
+/// Which shard owns `id` *by hash*: FNV-1a of the session name, mod
+/// shard count. Stable across connections and server restarts; the event
+/// loop overlays its migration routing overrides on top of this default.
 pub fn shard_of(id: &SessionId, n_shards: usize) -> usize {
     (fnv1a(id.as_str().as_bytes()) % n_shards.max(1) as u64) as usize
 }
 
-/// The worker threads plus the means to stop them. Workers exit when
-/// every [`ShardHandles`] clone is gone and [`ShardPool::join`] drops the
-/// originals.
-pub(crate) struct ShardPool {
-    handles: ShardHandles,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ShardPool {
-    /// Spawn `n` workers, each with an empty [`EngineHub`] resolving
-    /// damage against `scene`. All hubs share one [`DatasetCache`], so a
-    /// file loaded by sessions on different shards is parsed once.
-    /// (Production callers go through [`ShardPool::spawn_with_faults`]
-    /// with `None` — this is the test convenience.)
-    #[cfg(test)]
-    pub fn spawn(n: usize, scene: (usize, usize)) -> ShardPool {
-        ShardPool::spawn_with_faults(n, scene, None).expect("spawn shard workers")
-    }
-
-    /// Like [`ShardPool::spawn`], but with fault injection: the shard at
-    /// `refuse_install_to` refuses every [`Job::Install`], handing the
-    /// engine back — how tests drive the migration restore path without
-    /// killing a worker. `None` in production.
-    pub fn spawn_with_faults(
-        n: usize,
-        scene: (usize, usize),
-        refuse_install_to: Option<usize>,
-    ) -> std::io::Result<ShardPool> {
-        let n = n.max(1);
-        let cache = DatasetCache::new();
-        let depth: Arc<Vec<AtomicUsize>> = Arc::new((0..n).map(|_| AtomicUsize::new(0)).collect());
-        let mut senders = Vec::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
-        for i in 0..n {
-            let (tx, rx) = mpsc::channel::<Job>();
-            senders.push(tx);
-            let depth = Arc::clone(&depth);
-            let cache = cache.clone();
-            let refuse_install = refuse_install_to == Some(i);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("fv-net-shard-{i}"))
-                    .spawn(move || worker(i, rx, depth, scene, cache, refuse_install))?,
-            );
-        }
-        Ok(ShardPool {
-            handles: ShardHandles {
-                senders,
-                depth,
-                cache,
-            },
-            workers,
-        })
-    }
-
-    #[cfg(test)]
-    pub fn handles(&self) -> ShardHandles {
-        self.handles.clone()
-    }
-
-    /// Drop the original senders and wait for the workers to drain and
-    /// exit. Callers must first drop every other handle clone, or this
-    /// blocks until they are gone.
-    #[cfg(test)]
-    pub fn join(self) {
-        drop(self.handles);
-        for w in self.workers {
-            let _ = w.join();
-        }
-    }
-}
-
 /// One shard's execution logic, backend-agnostic: the hub plus the
-/// counters a [`ShardReport`] snapshots. The thread worker loop drives
-/// it from an mpsc channel; the child-process worker
-/// (`crate::procshard`) drives it from decoded protocol frames. Keeping
-/// the logic here is what makes the two backends behave identically.
+/// counters a [`ShardReport`] snapshots. A thread shard's drain thread
+/// serves it directly; a child process (`crate::procshard`) serves it
+/// from decoded protocol frames. [`WorkerCore::serve`] being the only
+/// way in is what makes the two backends behave identically.
 pub(crate) struct WorkerCore {
     shard: usize,
     scene: (usize, usize),
@@ -650,19 +518,27 @@ impl WorkerCore {
         }
     }
 
-    /// Gauges of this worker's dataset cache (shared across shards in the
-    /// thread backend, per-process in the process backend).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.hub.cache_stats()
-    }
-
-    pub fn close(&mut self, session: &SessionId) -> bool {
-        self.hub.close(session)
+    /// Execute one op — the single dispatch both backends drive.
+    pub fn serve(&mut self, op: ShardOp) -> ShardReply {
+        match op {
+            ShardOp::Run {
+                session,
+                requests,
+                publish,
+            } => ShardReply::Run(self.run(&session, &requests, publish)),
+            ShardOp::Close { session } => ShardReply::Closed(self.hub.close(&session)),
+            ShardOp::Report => ShardReply::Report(self.report()),
+            ShardOp::Extract { session } => ShardReply::Image(self.extract(&session)),
+            ShardOp::Snapshot { session } => ShardReply::Image(self.snapshot(&session)),
+            ShardOp::Install { session, image } => {
+                ShardReply::Installed(self.install(&session, image))
+            }
+        }
     }
 
     /// Migration step 1: snapshot the session into a [`SessionImage`]
     /// and drop the engine. `None` if the session does not live here.
-    pub fn extract(&mut self, session: &SessionId) -> Option<SessionImage> {
+    fn extract(&mut self, session: &SessionId) -> Option<SessionImage> {
         self.hub
             .take_session(session)
             .map(|engine| engine.snapshot())
@@ -672,7 +548,7 @@ impl WorkerCore {
     /// while the engine stays in place and keeps serving. `None` if the
     /// session does not live here (it may be mid-migration — the caller
     /// must treat that as "skip", never as "the session is gone").
-    pub fn snapshot(&self, session: &SessionId) -> Option<SessionImage> {
+    fn snapshot(&self, session: &SessionId) -> Option<SessionImage> {
         self.hub.get(session).map(Engine::snapshot)
     }
 
@@ -680,11 +556,7 @@ impl WorkerCore {
     /// its log ([`Engine::restore`] asserts the dataset fingerprints).
     /// On refusal or a failed replay the image is handed back with the
     /// reason.
-    pub fn install(
-        &mut self,
-        session: &SessionId,
-        image: SessionImage,
-    ) -> Result<(), (SessionImage, ApiError)> {
+    fn install(&mut self, session: &SessionId, image: SessionImage) -> InstallOutcome {
         if self.refuse_install {
             // Injected fault (tests drive the migration restore path
             // with it).
@@ -713,7 +585,7 @@ impl WorkerCore {
         }
     }
 
-    pub fn report(&self) -> ShardReport {
+    fn report(&self) -> ShardReport {
         ShardReport {
             shard: self.shard,
             sessions: self
@@ -734,10 +606,11 @@ impl WorkerCore {
             requests: self.requests_executed,
             max_run: self.max_run,
             latency: self.latency.clone(),
+            cache: self.hub.cache_stats(),
         }
     }
 
-    pub fn run(&mut self, session: &SessionId, requests: &[Request], publish: bool) -> RunDone {
+    fn run(&mut self, session: &SessionId, requests: &[Request], publish: bool) -> RunDone {
         if !requests.is_empty() {
             self.runs += 1;
             self.max_run = self.max_run.max(requests.len());
@@ -797,46 +670,38 @@ impl WorkerCore {
     }
 }
 
-fn worker(
-    shard: usize,
-    rx: mpsc::Receiver<Job>,
-    depth: Arc<Vec<AtomicUsize>>,
-    scene: (usize, usize),
-    cache: DatasetCache,
-    refuse_install: bool,
-) {
-    let mut core = WorkerCore::new(shard, scene, cache, refuse_install);
-    while let Ok(job) = rx.recv() {
-        depth[shard].fetch_sub(1, Ordering::SeqCst);
-        match job {
-            Job::Shutdown => break,
-            Job::Close { session, respond } => respond(core.close(&session)),
-            Job::Extract { session, respond } => respond(core.extract(&session)),
-            Job::Snapshot { session, respond } => respond(core.snapshot(&session)),
-            Job::Install {
-                session,
-                image,
-                respond,
-            } => respond(core.install(&session, image)),
-            Job::Report { respond, .. } => respond(core.report()),
-            Job::Run {
-                session,
-                requests,
-                publish,
-                respond,
-            } => {
-                // The connection may already be gone; that is not the
-                // shard's problem.
-                respond(core.run(&session, &requests, publish));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fv_api::{Mutation, Query};
+
+    fn shards(n: usize) -> Shards {
+        Shards::threads(n, (640, 480), None).expect("spawn shard workers")
+    }
+
+    fn call(shards: &Shards, shard: usize, op: ShardOp) -> ShardReply {
+        shards.call(shard, op).expect("a live shard answers")
+    }
+
+    /// Run `requests` on the session's hash shard.
+    fn execute(shards: &Shards, session: &SessionId, requests: Vec<Request>) -> RunOutcome {
+        let op = ShardOp::Run {
+            session: session.clone(),
+            requests,
+            publish: false,
+        };
+        match call(shards, shard_of(session, shards.n_shards()), op) {
+            ShardReply::Run(done) => done.outcome,
+            other => panic!("wrong reply: {other:?}"),
+        }
+    }
+
+    fn load_scenario() -> Request {
+        Request::Mutate(Mutation::LoadScenario {
+            n_genes: 60,
+            seed: 1,
+        })
+    }
 
     #[test]
     fn routing_is_stable_and_in_range() {
@@ -850,43 +715,34 @@ mod tests {
     }
 
     #[test]
-    fn pool_executes_and_isolates_sessions() {
-        let pool = ShardPool::spawn(4, (640, 480));
-        let handles = pool.handles();
+    fn shards_execute_and_isolate_sessions() {
+        let shards = shards(4);
         let a = SessionId::new("a").unwrap();
         let b = SessionId::new("b").unwrap();
-        let reply = handles.execute(
-            &a,
-            vec![Request::Mutate(Mutation::LoadScenario {
-                n_genes: 60,
-                seed: 1,
-            })],
-        );
+        let reply = execute(&shards, &a, vec![load_scenario()]);
         assert!(reply.error.is_none());
-        let reply = handles.execute(&b, vec![Request::Query(Query::SessionInfo)]);
+        let reply = execute(&shards, &b, vec![Request::Query(Query::SessionInfo)]);
         assert!(reply.error.is_none());
         match &reply.responses[0] {
             fv_api::Response::SessionInfo(info) => assert_eq!(info.n_datasets, 0),
             other => panic!("wrong response: {other:?}"),
         }
-        assert!(handles.close(&a), "a existed");
-        assert!(!handles.close(&a), "a already closed");
-        drop(handles);
-        pool.join();
+        let close = || ShardOp::Close { session: a.clone() };
+        let home = shard_of(&a, 4);
+        assert_eq!(call(&shards, home, close()), ShardReply::Closed(true));
+        assert_eq!(call(&shards, home, close()), ShardReply::Closed(false));
+        shards.shutdown();
     }
 
     #[test]
     fn failed_run_reports_index_and_prefix() {
-        let pool = ShardPool::spawn(2, (640, 480));
-        let handles = pool.handles();
+        let shards = shards(2);
         let s = SessionId::new("s").unwrap();
-        let reply = handles.execute(
+        let reply = execute(
+            &shards,
             &s,
             vec![
-                Request::Mutate(Mutation::LoadScenario {
-                    n_genes: 60,
-                    seed: 1,
-                }),
+                load_scenario(),
                 Request::Mutate(Mutation::Impute { dataset: 9, k: 3 }),
             ],
         );
@@ -894,38 +750,22 @@ mod tests {
         let (idx, err) = reply.error.unwrap();
         assert_eq!(idx, 1);
         assert_eq!(err.code, fv_api::ErrorCode::NotFound);
-        drop(handles);
-        pool.join();
+        shards.shutdown();
     }
 
     #[test]
     fn reports_cover_sessions_counters_and_latency() {
-        let pool = ShardPool::spawn(2, (640, 480));
-        let handles = pool.handles();
+        let shards = shards(2);
         let a = SessionId::new("alpha").unwrap();
-        handles.execute(
-            &a,
-            vec![Request::Mutate(Mutation::LoadScenario {
-                n_genes: 60,
-                seed: 1,
-            })],
-        );
-        let (tx, rx) = mpsc::channel();
-        for shard in 0..2 {
-            let tx = tx.clone();
-            handles.submit(
-                shard,
-                Job::Report {
-                    shard,
-                    respond: Box::new(move |report| {
-                        let _ = tx.send(report);
-                    }),
-                },
-            );
-        }
-        let mut reports: Vec<ShardReport> = (0..2).map(|_| rx.recv().unwrap()).collect();
-        reports.sort_by_key(|r| r.shard);
+        execute(&shards, &a, vec![load_scenario()]);
+        let reports: Vec<ShardReport> = (0..2)
+            .map(|shard| match call(&shards, shard, ShardOp::Report) {
+                ShardReply::Report(report) => report,
+                other => panic!("wrong reply: {other:?}"),
+            })
+            .collect();
         let owner = shard_of(&a, 2);
+        assert_eq!(reports[owner].shard, owner);
         assert_eq!(reports[owner].sessions.len(), 1);
         let alpha = &reports[owner].sessions[0];
         assert_eq!(alpha.name, "alpha");
@@ -943,142 +783,95 @@ mod tests {
         assert!(reports[owner].latency.max_us > 0);
         assert!(reports[1 - owner].sessions.is_empty());
         assert_eq!(reports[1 - owner].latency.total(), 0);
-        assert_eq!(handles.queue_depths(), [0, 0], "queues drained");
-        drop(handles);
-        pool.join();
+        assert_eq!(shards.queue_depths(), [0, 0], "queues drained");
+        assert_eq!(shards.kind(), "threads");
+        assert_eq!(shards.pids(), [std::process::id(); 2]);
+        shards.shutdown();
     }
 
-    fn extract_on(handles: &ShardHandles, shard: usize, s: &SessionId) -> Option<SessionImage> {
-        let (tx, rx) = mpsc::channel();
-        handles.submit(
-            shard,
-            Job::Extract {
-                session: s.clone(),
-                respond: Box::new(move |image| {
-                    let _ = tx.send(image);
-                }),
-            },
-        );
-        rx.recv().unwrap()
-    }
-
-    fn install_on(
-        handles: &ShardHandles,
-        shard: usize,
-        s: &SessionId,
-        image: SessionImage,
-    ) -> Result<(), (SessionImage, ApiError)> {
-        let (tx, rx) = mpsc::channel();
-        handles.submit(
-            shard,
-            Job::Install {
-                session: s.clone(),
-                image,
-                respond: Box::new(move |result| {
-                    let _ = tx.send(result);
-                }),
-            },
-        );
-        rx.recv().unwrap()
-    }
-
-    fn snapshot_on(handles: &ShardHandles, shard: usize, s: &SessionId) -> Option<SessionImage> {
-        let (tx, rx) = mpsc::channel();
-        handles.submit(
-            shard,
-            Job::Snapshot {
-                session: s.clone(),
-                respond: Box::new(move |image| {
-                    let _ = tx.send(image);
-                }),
-            },
-        );
-        rx.recv().unwrap()
+    fn image_of(reply: ShardReply) -> Option<SessionImage> {
+        match reply {
+            ShardReply::Image(image) => image,
+            other => panic!("wrong reply: {other:?}"),
+        }
     }
 
     #[test]
     fn snapshot_leaves_the_session_serving() {
-        let pool = ShardPool::spawn(2, (640, 480));
-        let handles = pool.handles();
+        let shards = shards(2);
         let s = SessionId::new("durable").unwrap();
         let shard = shard_of(&s, 2);
-        handles.execute(
-            &s,
-            vec![Request::Mutate(Mutation::LoadScenario {
-                n_genes: 60,
-                seed: 1,
-            })],
-        );
+        execute(&shards, &s, vec![load_scenario()]);
+        let snapshot = |session: &SessionId| {
+            let session = session.clone();
+            image_of(call(&shards, shard, ShardOp::Snapshot { session }))
+        };
         // unlike Extract, Snapshot answers without dropping the engine
-        let image = snapshot_on(&handles, shard, &s).expect("session lives here");
+        let image = snapshot(&s).expect("session lives here");
         assert_eq!(image.requests, 1);
         assert_eq!(image.log.len(), 1);
-        let again = snapshot_on(&handles, shard, &s).expect("still here after a snapshot");
+        let again = snapshot(&s).expect("still here after a snapshot");
         assert_eq!(again, image, "snapshots are repeatable");
-        let out = handles.execute(&s, vec![Request::Query(Query::SessionInfo)]);
+        let out = execute(&shards, &s, vec![Request::Query(Query::SessionInfo)]);
         assert!(out.error.is_none(), "session still serves after snapshots");
         // a session that does not live here answers None
-        assert!(snapshot_on(&handles, shard, &SessionId::new("nobody").unwrap()).is_none());
-        drop(handles);
-        pool.join();
+        assert!(snapshot(&SessionId::new("nobody").unwrap()).is_none());
+        shards.shutdown();
     }
 
     #[test]
     fn extract_install_moves_a_session_image_between_shards() {
-        let pool = ShardPool::spawn(2, (640, 480));
-        let handles = pool.handles();
+        let shards = shards(2);
         let s = SessionId::new("mover").unwrap();
         let from = shard_of(&s, 2);
         let to = 1 - from;
-        handles.execute(
-            &s,
-            vec![Request::Mutate(Mutation::LoadScenario {
-                n_genes: 60,
-                seed: 1,
-            })],
-        );
+        execute(&shards, &s, vec![load_scenario()]);
+        let extract = |shard| {
+            image_of(call(
+                &shards,
+                shard,
+                ShardOp::Extract { session: s.clone() },
+            ))
+        };
+        let install = |shard, image| {
+            let session = s.clone();
+            match call(&shards, shard, ShardOp::Install { session, image }) {
+                ShardReply::Installed(outcome) => outcome,
+                other => panic!("wrong reply: {other:?}"),
+            }
+        };
         // extract from the hash owner: a serializable image, not an
         // engine — the scenario load is its whole (compacted) log.
-        let image = extract_on(&handles, from, &s).expect("session lives on its shard");
+        let image = extract(from).expect("session lives on its shard");
         assert_eq!(image.requests, 1);
         assert_eq!(image.log.len(), 1);
         assert!(image.datasets.is_empty(), "scenario loads stamp no files");
         // …install on the other shard…
-        assert!(
-            install_on(&handles, to, &s, image).is_ok(),
-            "install must take"
-        );
+        assert!(install(to, image).is_ok(), "install must take");
         // …and a run routed at the new shard sees the intact state.
-        let (tx, rx) = mpsc::channel();
-        handles.submit(
-            to,
-            Job::Run {
-                session: s.clone(),
-                requests: vec![Request::Query(Query::SessionInfo)],
-                publish: false,
-                respond: Box::new(move |done| {
-                    let _ = tx.send(done);
-                }),
-            },
-        );
-        let out = rx.recv().unwrap().outcome;
-        assert!(out.error.is_none());
-        match &out.responses[0] {
+        let probe = ShardOp::Run {
+            session: s.clone(),
+            requests: vec![Request::Query(Query::SessionInfo)],
+            publish: false,
+        };
+        let ShardReply::Run(done) = call(&shards, to, probe) else {
+            panic!("a run answers with a run reply");
+        };
+        assert!(done.outcome.error.is_none());
+        match &done.outcome.responses[0] {
             fv_api::Response::SessionInfo(info) => assert_eq!(info.n_datasets, 3),
             other => panic!("wrong response: {other:?}"),
         }
         // extracting a session that is not there answers None
-        assert!(extract_on(&handles, from, &s).is_none());
+        assert!(extract(from).is_none());
         // installing over an occupied name hands the image BACK (with the
         // reason) instead of dropping it
-        handles.execute(&s, Vec::new()); // fresh empty `s` on `from`
-        let image = extract_on(&handles, to, &s).expect("moved session still on `to`");
-        let (returned, why) =
-            install_on(&handles, from, &s, image).expect_err("occupied name must refuse");
+        execute(&shards, &s, Vec::new()); // fresh empty `s` on `from`
+        let image = extract(to).expect("moved session still on `to`");
+        let (returned, why) = install(from, image).expect_err("occupied name must refuse");
         assert_eq!(why.code, fv_api::ErrorCode::InvalidRequest);
         assert_eq!(returned.log.len(), 1, "image came back intact");
-        drop(handles);
-        pool.join();
+        shards.shutdown();
     }
 
     #[test]
@@ -1091,22 +884,75 @@ mod tests {
             "ID\tNAME\tGWEIGHT\tc0\tc1\nG1\tG1\t1\t1.0\t2.0\nG2\tG2\t1\t3.0\t4.0\n",
         )
         .unwrap();
-        let pool = ShardPool::spawn(4, (640, 480));
-        let handles = pool.handles();
+        let shards = shards(4);
         let load = Request::Mutate(Mutation::LoadDataset {
             path: path.to_string_lossy().into_owned(),
         });
         // session names chosen to spread across shards
         for name in ["s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"] {
-            let out = handles.execute(&SessionId::new(name).unwrap(), vec![load.clone()]);
+            let out = execute(&shards, &SessionId::new(name).unwrap(), vec![load.clone()]);
             assert!(out.error.is_none(), "{name}: {:?}", out.error);
         }
-        let stats = handles.cache_stats();
+        let stats = shards.cache_stats();
         assert_eq!(stats.misses, 1, "one parse across all shards");
         assert_eq!(stats.hits, 7);
         assert_eq!(stats.entries, 1);
-        drop(handles);
-        pool.join();
+        shards.shutdown();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_refused_job_fires_its_responder_exactly_once_with_a_typed_refusal() {
+        let s = SessionId::new("s").unwrap();
+        let image = SessionImage {
+            scene: (640, 480),
+            requests: 7,
+            datasets: Vec::new(),
+            log: Vec::new(),
+        };
+        let ops = || {
+            vec![
+                ShardOp::Run {
+                    session: s.clone(),
+                    requests: vec![Request::Query(Query::SessionInfo)],
+                    publish: true,
+                },
+                ShardOp::Close { session: s.clone() },
+                ShardOp::Report,
+                ShardOp::Extract { session: s.clone() },
+                ShardOp::Snapshot { session: s.clone() },
+                ShardOp::Install {
+                    session: s.clone(),
+                    image: image.clone(),
+                },
+            ]
+        };
+        let gone = ApiError::shard_down("shard 3 is gone");
+        let expected = vec![
+            ShardReply::Run(RunDone {
+                outcome: RunOutcome {
+                    responses: Vec::new(),
+                    error: Some((0, gone.clone())),
+                    latencies: Vec::new(),
+                },
+                session_dropped: false,
+                frame: None,
+            }),
+            ShardReply::Closed(false),
+            ShardReply::Report(ShardReport::empty(3)),
+            ShardReply::Image(None),
+            ShardReply::Image(None),
+            ShardReply::Installed(Err((image.clone(), gone.clone()))),
+        ];
+        for (op, want) in ops().into_iter().zip(expected) {
+            let fired = Arc::new(Mutex::new(Vec::new()));
+            let sink = Arc::clone(&fired);
+            let job = Job {
+                op,
+                respond: Box::new(move |reply| sink.lock().unwrap().push(reply)),
+            };
+            job.refuse(3, gone.clone());
+            assert_eq!(*fired.lock().unwrap(), [want]);
+        }
     }
 }
