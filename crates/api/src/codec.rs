@@ -17,6 +17,7 @@
 //! named session (a later `use` recreates it empty); everything else
 //! flows to the current session's engine.
 
+use crate::decode::num;
 use crate::error::ApiError;
 use crate::request::{
     linkage_from_str, linkage_str, metric_from_str, metric_str, Mutation, NormalizeMethod, Query,
@@ -182,7 +183,7 @@ pub fn parse_wire_line(raw: &str) -> Result<Option<WireItem>, ApiError> {
         }
         return Ok(Some(WireItem::Migrate {
             session: session.to_string(),
-            shard: parse_num(shard, "shard")?,
+            shard: num(shard, "shard")?,
         }));
     }
     if line == "balance" {
@@ -212,7 +213,7 @@ pub fn parse_wire_line(raw: &str) -> Result<Option<WireItem>, ApiError> {
     if let Some(rest) = line.strip_prefix("ack ") {
         let [seq] = fixed_args("ack", rest.trim())?;
         return Ok(Some(WireItem::Ack {
-            seq: parse_num(seq, "seq")?,
+            seq: num(seq, "seq")?,
         }));
     }
     if let Some(name) = parse_session_directive(line, "use ")? {
@@ -234,8 +235,8 @@ fn parse_grid_token(token: &str) -> Result<(usize, usize), ApiError> {
             "tile grid is <tiles_x>x<tiles_y>, got {token:?}"
         )));
     };
-    let tiles_x: usize = parse_num(tx, "tiles_x")?;
-    let tiles_y: usize = parse_num(ty, "tiles_y")?;
+    let tiles_x: usize = num(tx, "tiles_x")?;
+    let tiles_y: usize = num(ty, "tiles_y")?;
     if tiles_x == 0 || tiles_y == 0 {
         return Err(ApiError::parse("tile counts must be non-zero"));
     }
@@ -299,9 +300,9 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
         "select_region" => {
             let [d, a, b] = fixed_args(keyword, rest)?;
             Ok(Command::SelectRegion {
-                dataset: parse_num(d, "dataset")?,
-                start_frac: parse_num(a, "start fraction")?,
-                end_frac: parse_num(b, "end fraction")?,
+                dataset: num(d, "dataset")?,
+                start_frac: num(a, "start fraction")?,
+                end_frac: num(b, "end fraction")?,
             }
             .into())
         }
@@ -317,7 +318,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
         }
         "scroll" => {
             let [delta] = fixed_args(keyword, rest)?;
-            Ok(Command::Scroll(parse_num(delta, "scroll delta")?).into())
+            Ok(Command::Scroll(num(delta, "scroll delta")?).into())
         }
         "order_by_name" => {
             no_args(keyword, rest)?;
@@ -326,7 +327,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
         "order_by_relevance" => {
             let scores = parse_list(rest)?
                 .iter()
-                .map(|s| parse_num::<f32>(s, "relevance score"))
+                .map(|s| num::<f32>(s, "relevance score"))
                 .collect::<Result<Vec<f32>, _>>()?;
             Ok(Command::OrderByRelevance(scores).into())
         }
@@ -338,7 +339,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
             let [target, value] = fixed_args(keyword, rest)?;
             Ok(Command::SetContrast {
                 dataset: parse_target(target)?,
-                contrast: parse_num(value, "contrast")?,
+                contrast: num(value, "contrast")?,
             }
             .into())
         }
@@ -368,33 +369,33 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
         "scenario" => {
             let [n, seed] = fixed_args(keyword, rest)?;
             Ok(Mutation::LoadScenario {
-                n_genes: parse_num(n, "gene count")?,
-                seed: parse_num(seed, "seed")?,
+                n_genes: num(n, "gene count")?,
+                seed: num(seed, "seed")?,
             }
             .into())
         }
         "compendium" => {
             let [n, d, seed] = fixed_args(keyword, rest)?;
             Ok(Mutation::LoadCompendium {
-                n_genes: parse_num(n, "gene count")?,
-                n_datasets: parse_num(d, "dataset count")?,
-                seed: parse_num(seed, "seed")?,
+                n_genes: num(n, "gene count")?,
+                n_datasets: num(d, "dataset count")?,
+                seed: num(seed, "seed")?,
             }
             .into())
         }
         "ontology" => {
             let [n, seed] = fixed_args(keyword, rest)?;
             Ok(Mutation::BuildOntology {
-                n_filler: parse_num(n, "filler term count")?,
-                seed: parse_num(seed, "seed")?,
+                n_filler: num(n, "filler term count")?,
+                seed: num(seed, "seed")?,
             }
             .into())
         }
         "impute" => {
             let [d, k] = fixed_args(keyword, rest)?;
             Ok(Mutation::Impute {
-                dataset: parse_num(d, "dataset")?,
-                k: parse_num(k, "k")?,
+                dataset: num(d, "dataset")?,
+                k: num(k, "k")?,
             }
             .into())
         }
@@ -411,7 +412,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
         "cluster_arrays" => {
             let [d] = fixed_args(keyword, rest)?;
             Ok(Mutation::ClusterArrays {
-                dataset: parse_num(d, "dataset")?,
+                dataset: num(d, "dataset")?,
             }
             .into())
         }
@@ -427,7 +428,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
                 .ok_or_else(|| ApiError::parse("spell needs <top_n> <gene,gene,...>"))?;
             Ok(Query::Spell {
                 genes: parse_list(genes.trim())?,
-                top_n: parse_num(top_n, "top_n")?,
+                top_n: num(top_n, "top_n")?,
             }
             .into())
         }
@@ -441,7 +442,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
             };
             Ok(Query::Enrich {
                 genes,
-                max_terms: parse_num(max_terms, "max_terms")?,
+                max_terms: num(max_terms, "max_terms")?,
             }
             .into())
         }
@@ -456,8 +457,8 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
                 .map(|p| p.trim().to_string())
                 .filter(|p| !p.is_empty());
             Ok(Query::Render {
-                width: parse_num(w, "width")?,
-                height: parse_num(h, "height")?,
+                width: num(w, "width")?,
+                height: num(h, "height")?,
                 path,
             }
             .into())
@@ -473,7 +474,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
                 .map(|p| p.trim().to_string())
                 .filter(|p| !p.is_empty());
             Ok(Query::ExportCdt {
-                dataset: parse_num(d, "dataset")?,
+                dataset: num(d, "dataset")?,
                 prefix,
             }
             .into())
@@ -483,7 +484,7 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
                 .split_once(char::is_whitespace)
                 .ok_or_else(|| ApiError::parse("export_pcl needs <dataset> <path>"))?;
             Ok(Query::ExportPcl {
-                dataset: parse_num(d, "dataset")?,
+                dataset: num(d, "dataset")?,
                 path: path.trim().to_string(),
             }
             .into())
@@ -790,18 +791,12 @@ fn fixed_args<'a, const N: usize>(keyword: &str, rest: &'a str) -> Result<[&'a s
         .map_err(|_| ApiError::parse("argument count mismatch"))
 }
 
-fn parse_num<T: std::str::FromStr>(token: &str, what: &str) -> Result<T, ApiError> {
-    token
-        .parse()
-        .map_err(|_| ApiError::parse(format!("bad {what}: {token:?}")))
-}
-
 /// `all` → None, `<index>` → Some(index).
 fn parse_target(token: &str) -> Result<Option<usize>, ApiError> {
     if token == "all" {
         Ok(None)
     } else {
-        parse_num(token, "dataset").map(Some)
+        num(token, "dataset").map(Some)
     }
 }
 

@@ -35,7 +35,9 @@ pub fn parse_sessions_reply(text: &str) -> Result<Vec<SessionEntry>, ApiError> {
     let n: usize = num(field(tail, "n")?, "n")?;
     let cont: Vec<&str> = lines.collect();
     let cont = de_indent(&cont)?;
-    let mut entries = Vec::with_capacity(n);
+    // Here and in the decoders below the header count only checks the
+    // rows found; it is wire input and never sizes a reservation.
+    let mut entries = Vec::new();
     for line in &cont {
         let row = line
             .strip_prefix("session ")
@@ -201,8 +203,8 @@ fn parse_spell(tail: &str, cont: &[String]) -> Result<Response, ApiError> {
     let n_datasets: usize = num(field(tail, "datasets")?, "datasets")?;
     let n_genes: usize = num(field(tail, "genes")?, "genes")?;
     let query_missing = parse_list(field(tail, "missing")?)?;
-    let mut datasets = Vec::with_capacity(n_datasets);
-    let mut genes = Vec::with_capacity(n_genes);
+    let mut datasets = Vec::new();
+    let mut genes = Vec::new();
     for line in cont {
         if let Some(row) = line.strip_prefix("dataset ") {
             let (name, rest) = name_before(row, " weight=")?;
@@ -234,7 +236,7 @@ fn parse_spell(tail: &str, cont: &[String]) -> Result<Response, ApiError> {
 
 fn parse_enrich(tail: &str, cont: &[String]) -> Result<Response, ApiError> {
     let n: usize = num(field(tail, "terms")?, "terms")?;
-    let mut rows = Vec::with_capacity(n);
+    let mut rows = Vec::new();
     for line in cont {
         let row = line
             .strip_prefix("term ")
@@ -266,7 +268,7 @@ fn parse_enrich(tail: &str, cont: &[String]) -> Result<Response, ApiError> {
 
 fn parse_datasets(tail: &str, cont: &[String]) -> Result<Response, ApiError> {
     let n: usize = num(field(tail, "n")?, "n")?;
-    let mut rows = Vec::with_capacity(n);
+    let mut rows = Vec::new();
     for line in cont {
         let row = line
             .strip_prefix("dataset ")
@@ -600,6 +602,11 @@ mod tests {
         }
         assert!(parse_sessions_reply("sessions n=2\n  session a shard=0 datasets=0").is_err());
         assert!(parse_sessions_reply("wat n=0").is_err());
+        let huge = "sessions n=18446744073709551615\n  session a shard=0 datasets=0";
+        assert_eq!(
+            parse_sessions_reply(huge).unwrap_err().code,
+            crate::error::ErrorCode::Parse
+        );
     }
 
     #[test]
@@ -613,6 +620,11 @@ mod tests {
             "frame 400 panes=3 checksum=00 path=-",
             "text bytes=5\n  G1",
             "session datasets=1 universe=1 measurements=1 selection=- sync=maybe scroll=0 order=0 summary_bytes=0",
+            // header counts no reply could hold
+            "spell datasets=18446744073709551615 genes=0 missing=-",
+            "spell datasets=0 genes=1099511627776 missing=-\n  gene G1 score=0.5 datasets=1",
+            "enrich terms=18446744073709551615",
+            "datasets n=1099511627776\n  dataset 0 name=d genes=1 conditions=1 clustered=none",
         ] {
             let err = parse_response(bad).unwrap_err();
             assert_eq!(

@@ -2,11 +2,10 @@
 //! [`Request`]s.
 //!
 //! `Engine` is the seam between the protocol and the application core.
-//! Single requests execute immediately; [`Engine::execute_batch`] applies
-//! a whole request stream with **one layout/damage pass for the entire
-//! batch** — the coalescing that makes replayed scripts and future
-//! network transports cheap, since damage resolution (pane layout) is the
-//! per-command fixed cost.
+//! Single requests execute immediately; [`Engine::execute_run`] executes
+//! a contiguous request run with the pane-layout passes **shared across
+//! the run** — damage resolution (pane layout) is the per-command fixed
+//! cost, and replayed scripts and the network transport go through it.
 //!
 //! The engine owns lazily-built analysis state: a SPELL index rebuilt only
 //! when dataset contents change (a version counter tracks mutations), and
@@ -29,28 +28,18 @@ use fv_spell::{SpellConfig, SpellEngine};
 use fv_synth::modules::GroundTruth;
 use fv_synth::ontogen::generate_ontology;
 use fv_synth::scenario::Scenario;
+use fv_wall::tile::Viewport;
 use std::path::Path;
 
 /// Default scene dimensions damage rectangles are resolved against.
 pub const DEFAULT_SCENE: (usize, usize) = (1280, 960);
 
-/// Outcome of a batch execution: per-request responses plus the single
-/// coalesced damage set for all mutations in the batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchOutcome {
-    /// One response per request, in order.
-    pub responses: Vec<Response>,
-    /// Deduplicated union of all mutation damage, resolved in one layout
-    /// pass after the last request.
-    pub damage: Vec<DamageRect>,
-}
-
 /// Outcome of a request *run* ([`Engine::execute_run`]): the responses of
 /// the completed prefix, plus the first error (with its request index) if
-/// the run stopped early. Unlike [`BatchOutcome`], each `Applied` response
-/// carries its own damage rectangles — byte-identical to what sequential
-/// [`Engine::execute`] calls would have produced — so a transport can
-/// relay per-request results while still sharing layout passes.
+/// the run stopped early. Each `Applied` response carries its own damage
+/// rectangles — byte-identical to what sequential [`Engine::execute`]
+/// calls would have produced — so a transport can relay per-request
+/// results while still sharing layout passes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
     /// One response per *completed* request, in order.
@@ -190,55 +179,13 @@ impl Engine {
         self.requests_executed += 1;
         match request {
             Request::Mutate(m) => {
-                let (response, class) = self.perform_mutation(m)?;
-                // Only `Applied` carries rectangles on the wire; for the
-                // data-management mutations the damage class is implied by
-                // the response kind, so skip the layout pass entirely.
-                match (response, class) {
-                    (Response::Applied { selection_len, .. }, Some(class)) => {
-                        let rects = command::resolve_damage(
-                            &self.session,
-                            class,
-                            self.scene.0,
-                            self.scene.1,
-                        );
-                        Ok(Response::Applied {
-                            selection_len,
-                            damage: rects.into_iter().map(DamageRect::from).collect(),
-                        })
-                    }
-                    (other, _) => Ok(other),
-                }
+                let (w, h) = self.scene;
+                self.perform_mutation(m, |session, class| {
+                    command::resolve_damage(session, class, w, h)
+                })
             }
             Request::Query(q) => self.run_query(q),
         }
-    }
-
-    /// Execute a request stream with one layout/damage pass for the whole
-    /// batch. Fails fast: the first error aborts the batch (mutations
-    /// already performed stay performed — the protocol has no rollback).
-    pub fn execute_batch(&mut self, requests: &[Request]) -> Result<BatchOutcome, ApiError> {
-        let mut responses = Vec::with_capacity(requests.len());
-        let mut classes: Vec<DamageClass> = Vec::new();
-        for request in requests {
-            self.requests_executed += 1;
-            match request {
-                Request::Mutate(m) => {
-                    let (response, class) = self.perform_mutation(m)?;
-                    if let Some(class) = class {
-                        classes.push(class);
-                    }
-                    responses.push(response);
-                }
-                Request::Query(q) => responses.push(self.run_query(q)?),
-            }
-        }
-        let damage =
-            command::resolve_damage_batch(&self.session, &classes, self.scene.0, self.scene.1);
-        Ok(BatchOutcome {
-            responses,
-            damage: damage.into_iter().map(DamageRect::from).collect(),
-        })
     }
 
     /// Execute a request run: like sequential [`Engine::execute`] calls —
@@ -258,17 +205,7 @@ impl Engine {
             self.requests_executed += 1;
             let result = match request {
                 Request::Mutate(m) => {
-                    self.perform_mutation(m)
-                        .map(|(response, class)| match (response, class) {
-                            (Response::Applied { selection_len, .. }, Some(class)) => {
-                                let rects = layouts.resolve(&self.session, class);
-                                Response::Applied {
-                                    selection_len,
-                                    damage: rects.into_iter().map(DamageRect::from).collect(),
-                                }
-                            }
-                            (other, _) => other,
-                        })
+                    self.perform_mutation(m, |session, class| layouts.resolve(session, class))
                 }
                 Request::Query(q) => self.run_query(q),
             };
@@ -364,15 +301,18 @@ impl Engine {
         Ok(engine)
     }
 
-    /// Apply a mutation without resolving damage, recording it (and, for
-    /// file loads, the dataset fingerprint) in the session log on
-    /// success. Returns the response (with empty damage for `Applied`)
-    /// and the damage class, if any.
+    /// Apply a mutation, recording it (and, for file loads, the dataset
+    /// fingerprint) in the session log on success. `resolve` turns a
+    /// command's damage class into scene rectangles; only `Applied`
+    /// carries rectangles on the wire — for the data-management
+    /// mutations the damage is implied by the response kind, so they
+    /// never pay for a layout pass.
     fn perform_mutation(
         &mut self,
         mutation: &Mutation,
-    ) -> Result<(Response, Option<DamageClass>), ApiError> {
-        let result = self.apply_mutation(mutation);
+        resolve: impl FnOnce(&Session, DamageClass) -> Vec<Viewport>,
+    ) -> Result<Response, ApiError> {
+        let result = self.apply_mutation(mutation, resolve);
         if result.is_ok() {
             if let Mutation::LoadDataset { path } = mutation {
                 // The cache just parsed (or served) this file, so its
@@ -410,7 +350,8 @@ impl Engine {
     fn apply_mutation(
         &mut self,
         mutation: &Mutation,
-    ) -> Result<(Response, Option<DamageClass>), ApiError> {
+        resolve: impl FnOnce(&Session, DamageClass) -> Vec<Viewport>,
+    ) -> Result<Response, ApiError> {
         match mutation {
             Mutation::Command(cmd) => {
                 self.validate_command(cmd)?;
@@ -421,28 +362,23 @@ impl Engine {
                     // than reasoning about every future command.
                     self.dataset_version += 1;
                 }
-                Ok((
-                    Response::Applied {
-                        selection_len: self.session.selection().map(|s| s.len()),
-                        damage: Vec::new(),
-                    },
-                    Some(class),
-                ))
+                let rects = resolve(&self.session, class);
+                Ok(Response::Applied {
+                    selection_len: self.session.selection().map(|s| s.len()),
+                    damage: rects.into_iter().map(DamageRect::from).collect(),
+                })
             }
             Mutation::LoadDataset { path } => {
                 let ds = self.cache.load(path)?;
                 let (name, genes, conditions) = (ds.name.clone(), ds.n_genes(), ds.n_conditions());
                 let idx = self.session.load_shared_dataset(ds)?;
                 self.dataset_version += 1;
-                Ok((
-                    Response::Loaded {
-                        dataset: idx,
-                        name,
-                        genes,
-                        conditions,
-                    },
-                    Some(DamageClass::Full),
-                ))
+                Ok(Response::Loaded {
+                    dataset: idx,
+                    name,
+                    genes,
+                    conditions,
+                })
             }
             Mutation::LoadScenario { n_genes, seed } => {
                 if *n_genes == 0 {
@@ -455,13 +391,10 @@ impl Engine {
                 }
                 self.truth = Some(scenario.truth);
                 self.dataset_version += 1;
-                Ok((
-                    Response::ScenarioLoaded {
-                        names,
-                        n_genes: *n_genes,
-                    },
-                    Some(DamageClass::Full),
-                ))
+                Ok(Response::ScenarioLoaded {
+                    names,
+                    n_genes: *n_genes,
+                })
             }
             Mutation::LoadCompendium {
                 n_genes,
@@ -480,13 +413,10 @@ impl Engine {
                 }
                 self.truth = Some(scenario.truth);
                 self.dataset_version += 1;
-                Ok((
-                    Response::ScenarioLoaded {
-                        names,
-                        n_genes: *n_genes,
-                    },
-                    Some(DamageClass::Full),
-                ))
+                Ok(Response::ScenarioLoaded {
+                    names,
+                    n_genes: *n_genes,
+                })
             }
             Mutation::BuildOntology { n_filler, seed } => {
                 let truth = self.truth.as_ref().ok_or_else(|| {
@@ -501,7 +431,7 @@ impl Engine {
                     dag: generated.dag,
                     annotations,
                 });
-                Ok((Response::OntologyReady { terms }, None))
+                Ok(Response::OntologyReady { terms })
             }
             Mutation::Impute { dataset, k } => {
                 self.check_dataset(*dataset)?;
@@ -517,13 +447,10 @@ impl Engine {
                     fv_cluster::distance::Metric::Euclidean,
                 );
                 self.dataset_version += 1;
-                Ok((
-                    Response::Imputed {
-                        filled: stats.filled,
-                        missing_before: stats.missing_before,
-                    },
-                    Some(DamageClass::SinglePane(*dataset)),
-                ))
+                Ok(Response::Imputed {
+                    filled: stats.filled,
+                    missing_before: stats.missing_before,
+                })
             }
             Mutation::Normalize { dataset, method } => {
                 let targets: Vec<usize> = match dataset {
@@ -545,33 +472,15 @@ impl Engine {
                     }
                 }
                 self.dataset_version += 1;
-                let class = match dataset {
-                    Some(d) => DamageClass::SinglePane(*d),
-                    None => DamageClass::Full,
-                };
-                Ok((
-                    Response::Normalized {
-                        datasets: targets.len(),
-                    },
-                    Some(class),
-                ))
+                Ok(Response::Normalized {
+                    datasets: targets.len(),
+                })
             }
             Mutation::ClusterArrays { dataset } => {
                 self.check_dataset(*dataset)?;
-                // The FIRST array tree in the session turns on the
-                // array-tree strip, which shifts every pane's content down
-                // (see forestview::layout) — that repaints the whole scene,
-                // not just this pane.
-                let first_array_tree =
-                    (0..self.session.n_datasets()).all(|d| self.session.array_tree(d).is_none());
                 let (metric, linkage) = self.session.cluster_settings();
                 self.session.cluster_arrays(*dataset, metric, linkage);
-                let class = if first_array_tree {
-                    DamageClass::Full
-                } else {
-                    DamageClass::SinglePane(*dataset)
-                };
-                Ok((Response::ArraysClustered { dataset: *dataset }, Some(class)))
+                Ok(Response::ArraysClustered { dataset: *dataset })
             }
         }
     }
@@ -1075,69 +984,6 @@ mod tests {
         .unwrap();
         e.execute(&q).unwrap();
         assert_ne!(e.spell.as_ref().unwrap().0, v1, "cache rebuilt");
-    }
-
-    #[test]
-    fn batch_damage_is_single_pass_union() {
-        // The same request stream through a batch and through singles must
-        // mutate identically, and the batch damage must equal the
-        // deduplicated union of the singles' damage.
-        let script = vec![
-            Request::Mutate(Mutation::Command(Command::SelectRegion {
-                dataset: 0,
-                start_frac: 0.0,
-                end_frac: 0.4,
-            })),
-            Request::Mutate(Mutation::Command(Command::Scroll(2))),
-            Request::Mutate(Mutation::Command(Command::SetContrast {
-                dataset: Some(1),
-                contrast: 2.0,
-            })),
-        ];
-        let mut seq = loaded_engine();
-        let mut union: Vec<DamageRect> = Vec::new();
-        for r in &script {
-            if let Response::Applied { damage, .. } = seq.execute(r).unwrap() {
-                for d in damage {
-                    if !union.contains(&d) {
-                        union.push(d);
-                    }
-                }
-            }
-        }
-        let mut batched = loaded_engine();
-        let outcome = batched.execute_batch(&script).unwrap();
-        assert_eq!(outcome.damage, union);
-        assert_eq!(
-            batched.session().selection().map(|s| s.len()),
-            seq.session().selection().map(|s| s.len())
-        );
-        assert_eq!(batched.session().scroll(), seq.session().scroll());
-    }
-
-    #[test]
-    fn first_array_tree_damages_whole_scene() {
-        // The first array tree toggles the array-tree strip, shifting
-        // every pane's content — the damage must cover the whole scene,
-        // not just the clustered pane. Later array trees are pane-local.
-        let mut e = loaded_engine();
-        let first = e
-            .execute_batch(&[Request::Mutate(Mutation::ClusterArrays { dataset: 0 })])
-            .unwrap();
-        assert_eq!(
-            first.damage,
-            vec![DamageRect {
-                x: 0,
-                y: 0,
-                w: 800,
-                h: 600
-            }]
-        );
-        let second = e
-            .execute_batch(&[Request::Mutate(Mutation::ClusterArrays { dataset: 1 })])
-            .unwrap();
-        assert_eq!(second.damage.len(), 1);
-        assert_ne!(second.damage, first.damage, "later trees are pane-local");
     }
 
     #[test]

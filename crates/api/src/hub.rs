@@ -1,14 +1,17 @@
 //! Multi-session hub: many named engines behind one dispatch surface.
 //!
-//! `EngineHub` is the seam where horizontal scaling attaches. Today it is
-//! an in-process map from [`SessionId`] to [`Engine`]; a network transport
-//! (the next planned layer — see ROADMAP.md) serializes requests with the
-//! wire codec, routes them here by session id, and shards hubs across
-//! workers without the protocol changing shape.
+//! `EngineHub` is the seam where horizontal scaling attaches: an
+//! in-process map from [`SessionId`] to [`Engine`]. The network transport
+//! (`fv-net`) serializes requests with the wire codec, routes them here by
+//! session id, and gives every shard worker — a thread or a child process
+//! — a hub of its own. Sessions move between hubs as
+//! [`SessionImage`](crate::SessionImage)s: [`EngineHub::take_session`] on
+//! the source, [`Engine::restore`] (a log replay) plus
+//! [`EngineHub::install_session`] on the destination.
 
 use crate::cache::{CacheStats, DatasetCache};
 use crate::codec::{format_response, parse_script, ScriptItem};
-use crate::engine::{BatchOutcome, Engine, RunOutcome};
+use crate::engine::{Engine, RunOutcome};
 use crate::error::ApiError;
 use crate::request::Request;
 use crate::response::Response;
@@ -206,10 +209,10 @@ impl EngineHub {
         self.sessions.remove(id).is_some()
     }
 
-    /// Remove the session and hand its engine out intact — the extract
-    /// half of cross-shard session migration. The engine keeps its loaded
-    /// dataset handles (`Arc`s), so migrating never re-reads or re-parses
-    /// a file.
+    /// Remove the session and hand its engine out — the extract half of
+    /// cross-shard session migration. The transport snapshots the engine
+    /// into a [`SessionImage`](crate::SessionImage) and drops it; the
+    /// destination rebuilds the session with [`Engine::restore`].
     pub fn take_session(&mut self, id: &SessionId) -> Option<Engine> {
         self.sessions.remove(id)
     }
@@ -231,15 +234,6 @@ impl EngineHub {
     /// Execute one request against a named session.
     pub fn execute_on(&mut self, id: &SessionId, request: &Request) -> Result<Response, ApiError> {
         self.engine(id).execute(request)
-    }
-
-    /// Execute a batch against a named session (one layout/damage pass).
-    pub fn execute_batch_on(
-        &mut self,
-        id: &SessionId,
-        requests: &[Request],
-    ) -> Result<BatchOutcome, ApiError> {
-        self.engine(id).execute_batch(requests)
     }
 
     /// Execute a request run against a named session — the entry point

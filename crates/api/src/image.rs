@@ -132,14 +132,16 @@ pub fn parse_session_image(text: &str) -> Result<SessionImage, ApiError> {
     let n_datasets: usize =
         crate::decode::num(crate::decode::field(tail, "datasets")?, "datasets")?;
     let n_log: usize = crate::decode::num(crate::decode::field(tail, "log")?, "log")?;
-    let mut datasets = Vec::with_capacity(n_datasets);
+    // The counts are on-disk bytes: rows are pushed as they are found,
+    // never reserved for, so a lying header costs one "missing rows" error.
+    let mut datasets = Vec::new();
     for _ in 0..n_datasets {
         let line = lines
             .next()
             .ok_or_else(|| ApiError::parse("session image is missing dataset rows"))?;
         datasets.push(parse_dataset_row(line)?);
     }
-    let mut log = Vec::with_capacity(n_log);
+    let mut log = Vec::new();
     for _ in 0..n_log {
         let line = lines
             .next()
@@ -287,6 +289,9 @@ mod tests {
             "session-image v2 scene=800x600 requests=0 datasets=1 log=0\n  dataset len=1 mtime=2 path=a.pcl",
             // bad scene token
             "session-image v2 scene=800 requests=0 datasets=0 log=0",
+            // counts no file could hold: a typed error, not a reservation
+            "session-image v2 scene=1x1 requests=0 datasets=18446744073709551615 log=0",
+            "session-image v2 scene=1x1 requests=0 datasets=0 log=1099511627776\n  cluster_all",
         ] {
             assert!(parse_session_image(bad).is_err(), "{bad:?} must not parse");
         }

@@ -17,8 +17,8 @@
 //!   EngineHub           named sessions, script replay        [`hub`]
 //!        │ SessionId routing
 //!        ▼
-//!   Engine              single session, batch damage         [`engine`]
-//!        │ Command perform + one damage pass per batch
+//!   Engine              single session, request runs         [`engine`]
+//!        │ Command perform + layout passes shared per run
 //!        ▼
 //!   forestview core     Session · command · renderer · export
 //! ```
@@ -38,16 +38,14 @@
 //! engine
 //!     .execute(&Request::Mutate(Mutation::LoadScenario { n_genes: 60, seed: 1 }))
 //!     .unwrap();
-//! // Batches coalesce damage: one layout pass for the whole stream.
-//! let outcome = engine
-//!     .execute_batch(&[
-//!         Request::Mutate(Mutation::Command(Command::ClusterAll)),
-//!         Request::Mutate(Mutation::Command(Command::Search("stress".into()))),
-//!         Request::Query(Query::SessionInfo),
-//!     ])
-//!     .unwrap();
-//! assert_eq!(outcome.responses.len(), 3);
-//! assert!(!outcome.damage.is_empty());
+//! // A run answers request by request; its layout passes are shared.
+//! let outcome = engine.execute_run(&[
+//!     Request::Mutate(Mutation::Command(Command::ClusterAll)),
+//!     Request::Mutate(Mutation::Command(Command::Search("stress".into()))),
+//!     Request::Query(Query::SessionInfo),
+//! ]);
+//! assert!(outcome.error.is_none());
+//! assert!(matches!(&outcome.responses[0], Response::Applied { damage, .. } if !damage.is_empty()));
 //! match &outcome.responses[2] {
 //!     Response::SessionInfo(info) => assert_eq!(info.n_datasets, 3),
 //!     other => panic!("unexpected: {other:?}"),
@@ -74,7 +72,7 @@ pub use codec::{
     parse_wire_line, BalanceMode, SessionEntry, WireItem,
 };
 pub use decode::{parse_response, parse_sessions_reply};
-pub use engine::{BatchOutcome, Engine, EngineCost, RunOutcome};
+pub use engine::{Engine, EngineCost, RunOutcome};
 pub use error::{ApiError, ErrorCode};
 pub use hub::{EngineHub, ScriptOutcome, SessionId};
 pub use image::{format_session_image, parse_session_image, DatasetStamp, SessionImage};

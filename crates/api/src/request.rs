@@ -4,9 +4,8 @@
 //! Requests split into **mutations** (state changes: interaction commands,
 //! dataset loading, in-place transforms) and **queries** (read-only
 //! computations: search, SPELL, enrichment, rendering, exports, session
-//! introspection). The split is what makes batching sound: an engine can
-//! coalesce the damage of consecutive mutations because queries declare
-//! they touch nothing.
+//! introspection). Only mutations enter a session's replay log and can
+//! damage the scene; queries declare they touch nothing.
 
 use forestview::command::Command;
 use fv_cluster::distance::Metric;

@@ -152,8 +152,7 @@ pub enum Response {
     Applied {
         /// Selection size after the mutation, if a selection exists.
         selection_len: Option<usize>,
-        /// Scene rectangles invalidated (empty inside batches, where
-        /// damage is reported once at batch level).
+        /// Scene rectangles invalidated.
         damage: Vec<DamageRect>,
     },
     /// A dataset was loaded.

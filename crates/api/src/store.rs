@@ -328,6 +328,21 @@ mod tests {
         assert_eq!(scan.corrupt.len(), 1);
         assert_eq!(scan.sessions.len(), 1);
         assert_eq!(scan.sessions[0].0, other);
+        // So is a header whose counts lie: scan runs inside server boot,
+        // where reserving room for the claimed rows would abort the
+        // process (or ask the allocator for terabytes).
+        for counts in [
+            "datasets=18446744073709551615 log=0",
+            "datasets=0 log=1099511627776",
+        ] {
+            let planted = format!("session-image v2 scene=1x1 requests=0 {counts}\n");
+            std::fs::write(store.checkpoint_path(&s), planted).unwrap();
+            let scan = store.scan().unwrap();
+            assert_eq!(scan.corrupt.len(), 1, "{counts}");
+            assert_eq!(scan.corrupt[0].1.code, crate::error::ErrorCode::Parse);
+            assert_eq!(scan.sessions.len(), 1, "{counts}");
+            assert_eq!(scan.sessions[0].0, other);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,11 +1,11 @@
-//! Ablation benches A1–A4: the design choices DESIGN.md calls out.
+//! Ablation benches A1–A3 and A5: the design choices the reproduction makes.
 //!
 //! - A1 sync on/off: cost of building synchronized vs unsynchronized views.
 //! - A2 damage tracking: repaint cost of interaction with dirty-rect
 //!   repaints vs full-frame redraws (the "dynamic" axis at wall scale).
 //! - A3 SPELL weighting: ranking with coherence weights vs uniform weights
 //!   (quality is asserted in tests; here we show the cost is identical).
-//! - A4 parallelism: distance-matrix construction across thread counts.
+//! - A5 imputation: KNN vs the row-mean baseline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use forestview::command::{apply, Command};
@@ -13,7 +13,7 @@ use forestview::pane::build_all;
 use forestview::renderer::paint_scene;
 use forestview::selection::SelectionOrigin;
 use forestview::Session;
-use fv_cluster::distance::{condensed_distances, Metric};
+use fv_cluster::distance::Metric;
 use fv_spell::rank::combine_rankings;
 use fv_synth::scenario::Scenario;
 use fv_wall::{TileGrid, WallRenderer};
@@ -126,26 +126,6 @@ fn a3_weighting_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-fn a4_parallel_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_a4_parallel_distance");
-    group.sample_size(10);
-    let scenario = Scenario::three_datasets(1200, 5);
-    let m = &scenario.datasets[0].matrix;
-    let max = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    for threads in [1usize, max] {
-        group.bench_function(format!("pearson_matrix_1200_threads_{threads}"), |b| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool");
-            b.iter(|| pool.install(|| black_box(condensed_distances(m, Metric::Pearson))))
-        });
-    }
-    group.finish();
-}
-
 fn a5_impute_ablation(c: &mut Criterion) {
     // KNN imputation vs row-mean baseline: cost here, quality in
     // fv-cluster's impute tests (KNN error < mean error / 4 on
@@ -180,7 +160,6 @@ criterion_group!(
     a1_sync_ablation,
     a2_damage_ablation,
     a3_weighting_ablation,
-    a4_parallel_ablation,
     a5_impute_ablation
 );
 criterion_main!(benches);

@@ -1,19 +1,16 @@
 //! E3 / Figure 3: display-wall rendering and its scaling.
 //!
-//! Three series reproduce the figure's claims:
-//! 1. desktop vs wall frame time (the "two orders of magnitude more
-//!    pixels" axis — capacity ratios are printed alongside),
-//! 2. thread scaling of the tile-parallel renderer (the wall's render
-//!    cluster, collapsed into one machine),
-//! 3. the rayon scheduler vs the channel pipeline (how the real
-//!    distributed wall moved tiles).
+//! One series reproduces the figure's claim: desktop vs wall frame time
+//! (the "two orders of magnitude more pixels" axis — capacity ratios are
+//! printed alongside), through `render_wall` and the tile scheduler it
+//! drives. The scaling axis is the tile grid, which is the paper's axis;
+//! the worker count follows the machine (printed, since every number here
+//! depends on it).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use forestview::pane::build_all;
-use forestview::renderer::{paint_scene, render_wall};
+use forestview::renderer::render_wall;
 use forestview::Session;
 use fv_synth::scenario::Scenario;
-use fv_wall::pipeline::render_pipeline;
 use fv_wall::{TileGrid, WallRenderer};
 use std::hint::black_box;
 
@@ -34,13 +31,19 @@ fn bench_surfaces(c: &mut Criterion) {
     let desktop = TileGrid::desktop();
     let wall = TileGrid::princeton_wall();
     eprintln!(
-        "[fig3] desktop {} px; princeton wall {} px (ratio {:.1}x); 6x4 HD wall ratio {:.1}x",
+        "[fig3] desktop {} px; princeton wall {} px (ratio {:.1}x); 6x4 HD wall ratio {:.1}x; {} core(s)",
         desktop.total_pixels(),
         wall.total_pixels(),
         wall.capacity_ratio(&desktop),
         TileGrid::new(6, 4, 1920, 1080).capacity_ratio(&desktop),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
-    for (name, grid) in [("desktop_2mp", desktop), ("princeton_wall_19mp", wall)] {
+    for (name, grid) in [
+        ("desktop_2mp", desktop),
+        // The 12-tile frame the scheduler measurements in CHANGES.md quote.
+        ("grid_4x3_512x384", TileGrid::new(4, 3, 512, 384)),
+        ("princeton_wall_19mp", wall),
+    ] {
         group.bench_function(name, |b| {
             let mut renderer = WallRenderer::new(grid);
             b.iter(|| black_box(render_wall(&s, &mut renderer)))
@@ -49,70 +52,5 @@ fn bench_surfaces(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_thread_scaling(c: &mut Criterion) {
-    let s = session();
-    let panes = build_all(&s);
-    let grid = TileGrid::princeton_wall();
-    let mut group = c.benchmark_group("fig3_thread_scaling");
-    group.sample_size(10);
-    let max = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    for threads in [1usize, 2, 4, max] {
-        if threads > max {
-            continue;
-        }
-        group.bench_function(format!("threads_{threads}"), |b| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool");
-            let mut renderer = WallRenderer::new(grid);
-            b.iter(|| {
-                pool.install(|| {
-                    renderer.render_frame(|fb, vp| {
-                        paint_scene(
-                            fb,
-                            &s,
-                            &panes,
-                            grid.wall_width(),
-                            grid.wall_height(),
-                            vp.x as i64,
-                            vp.y as i64,
-                        )
-                    })
-                })
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_schedulers(c: &mut Criterion) {
-    let s = session();
-    let panes = build_all(&s);
-    let grid = TileGrid::new(4, 3, 512, 384);
-    let w = grid.wall_width();
-    let h = grid.wall_height();
-    let paint = |fb: &mut fv_render::Framebuffer, vp: fv_wall::tile::Viewport| {
-        paint_scene(fb, &s, &panes, w, h, vp.x as i64, vp.y as i64)
-    };
-    let mut group = c.benchmark_group("fig3_scheduler");
-    group.sample_size(10);
-    group.bench_function("rayon_tiles", |b| {
-        let mut renderer = WallRenderer::new(grid);
-        b.iter(|| black_box(renderer.render_frame(paint)))
-    });
-    group.bench_function("channel_pipeline", |b| {
-        b.iter(|| black_box(render_pipeline(grid, 4, paint)))
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_surfaces,
-    bench_thread_scaling,
-    bench_schedulers
-);
+criterion_group!(benches, bench_surfaces);
 criterion_main!(benches);

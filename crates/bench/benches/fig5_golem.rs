@@ -1,7 +1,7 @@
 //! E5 / Figure 5: GOLEM enrichment and local-map layout.
 //!
 //! Series: annotation propagation over the DAG, hypergeometric enrichment
-//! of a cluster against all candidate terms (rayon-parallel), and local
+//! of a cluster against all candidate terms, and local
 //! exploration map construction + layered layout at radius 1–3.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -8,7 +8,6 @@
 
 use fv_expr::matrix::ExprMatrix;
 use fv_expr::stats;
-use rayon::prelude::*;
 
 /// Row dissimilarity metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -77,8 +76,8 @@ impl CondensedMatrix {
         }
     }
 
-    /// Build from a row-parallel generator: `f(i, j)` for `i < j`.
-    pub fn from_fn_par<F>(n: usize, f: F) -> Self
+    /// Build from a generator: `f(i, j)` for every `i < j`, row by row.
+    pub fn from_fn<F>(n: usize, f: F) -> Self
     where
         F: Fn(usize, usize) -> f32 + Sync,
     {
@@ -89,8 +88,15 @@ impl CondensedMatrix {
             };
         }
         // Each row i owns the contiguous segment for pairs (i, i+1..n).
+        // The rows are built apart and then concatenated, which copies
+        // every distance once more than filling `data` directly would.
+        // That is deliberate for now: the direct fill was measured and
+        // raised a re-clustering server's peak RSS by 15 % (`recluster`,
+        // 1000 genes), because the allocator then no longer finds a
+        // freed span wide enough for the frame rendered afterwards (see
+        // CHANGES.md, PR 14). It can go when `Session::cluster_dataset`
+        // stops cloning the whole matrix for the linkage.
         let rows: Vec<Vec<f32>> = (0..n - 1)
-            .into_par_iter()
             .map(|i| ((i + 1)..n).map(|j| f(i, j)).collect())
             .collect();
         let mut data = Vec::with_capacity(n * (n - 1) / 2);
@@ -150,9 +156,9 @@ impl CondensedMatrix {
 }
 
 /// Compute the condensed distance matrix of all row pairs of `m` under
-/// `metric`, parallelized across rows with rayon.
+/// `metric`.
 pub fn condensed_distances(m: &ExprMatrix, metric: Metric) -> CondensedMatrix {
-    CondensedMatrix::from_fn_par(m.n_rows(), |i, j| metric.distance(m, i, j))
+    CondensedMatrix::from_fn(m.n_rows(), |i, j| metric.distance(m, i, j))
 }
 
 #[cfg(test)]
@@ -240,7 +246,7 @@ mod tests {
 
     #[test]
     fn condensed_from_fn_matches_direct() {
-        let c = CondensedMatrix::from_fn_par(5, |i, j| (i * 10 + j) as f32);
+        let c = CondensedMatrix::from_fn(5, |i, j| (i * 10 + j) as f32);
         for i in 0..4 {
             for j in (i + 1)..5 {
                 assert_eq!(c.get(i, j), (i * 10 + j) as f32);
@@ -250,10 +256,10 @@ mod tests {
 
     #[test]
     fn condensed_tiny_n() {
-        let c0 = CondensedMatrix::from_fn_par(0, |_, _| 1.0);
+        let c0 = CondensedMatrix::from_fn(0, |_, _| 1.0);
         assert_eq!(c0.n(), 0);
         assert_eq!(c0.min_pair(), None);
-        let c1 = CondensedMatrix::from_fn_par(1, |_, _| 1.0);
+        let c1 = CondensedMatrix::from_fn(1, |_, _| 1.0);
         assert_eq!(c1.min_pair(), None);
     }
 

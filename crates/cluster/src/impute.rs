@@ -9,7 +9,6 @@
 
 use crate::distance::Metric;
 use fv_expr::matrix::ExprMatrix;
-use rayon::prelude::*;
 
 /// Result summary of an imputation pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,10 +23,10 @@ pub struct ImputeStats {
 /// Impute missing values in place using `k` nearest neighbours under
 /// `metric`. Returns fill statistics.
 ///
-/// Neighbour distances are computed once per gene against all rows
-/// (rayon-parallel across genes with missing cells); a neighbour
-/// contributes to a cell only if it measures that column. Weights are
-/// `1 / (d + ε)` so near-identical rows dominate.
+/// Neighbour distances are computed once per gene with missing cells,
+/// against all rows; a neighbour contributes to a cell only if it
+/// measures that column. Weights are `1 / (d + ε)` so near-identical rows
+/// dominate.
 pub fn knn_impute(m: &mut ExprMatrix, k: usize, metric: Metric) -> ImputeStats {
     let n_rows = m.n_rows();
     let n_cols = m.n_cols();
@@ -39,17 +38,12 @@ pub fn knn_impute(m: &mut ExprMatrix, k: usize, metric: Metric) -> ImputeStats {
         };
     }
 
-    // Rows that need work.
-    let targets: Vec<usize> = (0..n_rows)
-        .filter(|&r| m.present_in_row(r) < n_cols)
-        .collect();
-
     // For determinism and to avoid read/write hazards, compute all fills
     // against the ORIGINAL matrix, then apply.
     let snapshot = m.clone();
-    let fills: Vec<(usize, usize, f32)> = targets
-        .par_iter()
-        .flat_map_iter(|&r| {
+    let fills: Vec<(usize, usize, f32)> = (0..n_rows)
+        .filter(|&r| snapshot.present_in_row(r) < n_cols)
+        .flat_map(|r| {
             // distances to every other row
             let mut neigh: Vec<(usize, f32)> = (0..n_rows)
                 .filter(|&o| o != r)

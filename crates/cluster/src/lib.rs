@@ -8,8 +8,7 @@
 //!
 //! - [`distance`] — the Cluster-3.0 family of row metrics (Pearson,
 //!   absolute/uncentered Pearson, Spearman, Euclidean), with missing-value
-//!   aware pairwise computation and a rayon-parallel condensed distance
-//!   matrix,
+//!   aware pairwise computation and a condensed distance matrix,
 //! - [`linkage`] — agglomerative clustering via the nearest-neighbor-chain
 //!   algorithm with Lance–Williams updates (single, complete, average,
 //!   Ward), O(n²) time, one condensed matrix of space,

@@ -43,7 +43,7 @@ impl Linkage {
 }
 
 /// Cluster the rows of `m`: compute the condensed distance matrix under
-/// `metric` (rayon-parallel), then run NN-chain under `linkage`.
+/// `metric`, then run NN-chain under `linkage`.
 pub fn cluster(m: &ExprMatrix, metric: Metric, linkage: Linkage) -> ClusterTree {
     let d = condensed_distances(m, metric);
     cluster_condensed(d, linkage)

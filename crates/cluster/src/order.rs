@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn trivial_trees() {
         let t = ClusterTree::new(1, vec![]).unwrap();
-        let d = CondensedMatrix::from_fn_par(1, |_, _| 0.0);
+        let d = CondensedMatrix::from_fn(1, |_, _| 0.0);
         let (order, flip) = improve_order(&t, &d, 3);
         assert_eq!(order, vec![0]);
         assert!(flip.is_empty());

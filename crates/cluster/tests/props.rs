@@ -121,7 +121,7 @@ proptest! {
 
     #[test]
     fn condensed_matrix_symmetric_access(n in 2usize..20, seed in any::<u64>()) {
-        let c = CondensedMatrix::from_fn_par(n, |i, j| ((i * 31 + j * 17) as f32) + seed as f32 % 7.0);
+        let c = CondensedMatrix::from_fn(n, |i, j| ((i * 31 + j * 17) as f32) + seed as f32 % 7.0);
         for i in 0..n {
             for j in 0..n {
                 prop_assert_eq!(c.get(i, j), c.get(j, i));

@@ -110,8 +110,9 @@ fn full_damage(scene_w: usize, scene_h: usize) -> Vec<Viewport> {
 
 /// Which scene regions a command invalidates, independent of scene
 /// dimensions. Resolved to concrete rectangles by [`resolve_damage`] in a
-/// single layout pass — the seam that lets a batch of commands share one
-/// layout computation instead of paying one per command.
+/// single layout pass, or by a [`LayoutCache`] — the seam that lets a run
+/// of commands share one layout computation instead of paying one per
+/// command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DamageClass {
     /// Zoom views, label gutters, and global-view marks of every pane.
@@ -237,30 +238,6 @@ pub fn resolve_damage(
     class_damage(session, &layouts, class, scene_w, scene_h)
 }
 
-/// Resolve many damage classes against ONE layout pass, returning the
-/// deduplicated union of their rectangles. Full-scene damage short-circuits
-/// to a single covering rectangle.
-pub fn resolve_damage_batch(
-    session: &Session,
-    classes: &[DamageClass],
-    scene_w: usize,
-    scene_h: usize,
-) -> Vec<Viewport> {
-    if classes.iter().any(|c| matches!(c, DamageClass::Full)) {
-        return full_damage(scene_w, scene_h);
-    }
-    let layouts = scene_layouts(session, scene_w, scene_h);
-    let mut rects: Vec<Viewport> = Vec::new();
-    for &class in classes {
-        for r in class_damage(session, &layouts, class, scene_w, scene_h) {
-            if !rects.contains(&r) {
-                rects.push(r);
-            }
-        }
-    }
-    rects
-}
-
 /// Memoized pane layout for resolving a *sequence* of damage classes with
 /// as few layout passes as possible.
 ///
@@ -289,7 +266,7 @@ impl LayoutCache {
     }
 
     /// Number of `layout_panes` passes run so far — observability for
-    /// tests asserting that batches actually coalesce.
+    /// tests asserting that runs actually share them.
     pub fn passes(&self) -> usize {
         self.passes
     }
@@ -506,54 +483,6 @@ mod tests {
         // the settings drive the next ClusterAll
         apply(&mut s, &Command::ClusterAll, 640, 480);
         assert!(s.gene_tree(0).is_some());
-    }
-
-    #[test]
-    fn batch_damage_matches_sequential_union() {
-        let mut a = session();
-        let mut b = session();
-        let script = [
-            Command::SelectRegion {
-                dataset: 0,
-                start_frac: 0.0,
-                end_frac: 0.5,
-            },
-            Command::Scroll(1),
-            Command::SetContrast {
-                dataset: Some(1),
-                contrast: 1.4,
-            },
-        ];
-        // Sequential: one layout pass per command.
-        let mut sequential: Vec<Viewport> = Vec::new();
-        for cmd in &script {
-            for r in apply(&mut a, cmd, 800, 600).damage {
-                if !sequential.contains(&r) {
-                    sequential.push(r);
-                }
-            }
-        }
-        // Batched: perform all, then one layout pass.
-        let classes: Vec<DamageClass> = script.iter().map(|c| perform(&mut b, c)).collect();
-        let batched = resolve_damage_batch(&b, &classes, 800, 600);
-        assert_eq!(batched, sequential);
-    }
-
-    #[test]
-    fn batch_full_damage_short_circuits() {
-        let mut s = session();
-        let classes = [DamageClass::ZoomOnly, DamageClass::Full];
-        let damage = resolve_damage_batch(&s, &classes, 640, 480);
-        assert_eq!(
-            damage,
-            vec![Viewport {
-                x: 0,
-                y: 0,
-                w: 640,
-                h: 480
-            }]
-        );
-        let _ = &mut s;
     }
 
     #[test]

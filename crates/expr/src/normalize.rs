@@ -8,7 +8,6 @@
 
 use crate::matrix::ExprMatrix;
 use crate::stats::{self, Welford};
-use rayon::prelude::*;
 
 /// log2-transform every present value. Values ≤ 0 become missing
 /// (their logarithm is undefined), matching Cluster 3.0 behaviour.
@@ -44,20 +43,13 @@ pub fn median_center_rows(m: &mut ExprMatrix) {
 
 /// Z-score each row: subtract the row mean and divide by the row sample
 /// standard deviation. Rows with zero variance (or <2 present values) are
-/// centered only. Parallelized over row blocks with rayon — this transform
-/// runs over every dataset of a compendium when a SPELL index is built.
+/// centered only. This transform runs over every dataset of a compendium
+/// when a SPELL index is built.
 pub fn zscore_rows(m: &mut ExprMatrix) {
     let n_cols = m.n_cols();
-    // Compute per-row (mean, std) first to avoid borrowing conflicts.
-    let params: Vec<(f64, f64)> = (0..m.n_rows())
-        .into_par_iter()
-        .map(|r| {
-            let w = row_welford(m, r);
-            (w.mean(), w.stddev_sample())
-        })
-        .collect();
     for r in 0..m.n_rows() {
-        let (mean, sd) = params[r];
+        let w = row_welford(m, r);
+        let (mean, sd) = (w.mean(), w.stddev_sample());
         let cols: Vec<(usize, f32)> = m.present_in_row_iter(r).collect();
         if cols.is_empty() {
             continue;
@@ -211,8 +203,8 @@ mod tests {
     }
 
     #[test]
-    fn zscore_large_parallel_consistent() {
-        // The rayon-parallel z-score must equal a serial reference.
+    fn zscore_large_matches_reference() {
+        // The in-place z-score must equal an independent reference.
         let n = 500;
         let cols = 37;
         let vals: Vec<f32> = (0..n * cols)
@@ -221,7 +213,7 @@ mod tests {
         let mut a = mat(n, cols, &vals);
         let mut b = a.clone();
         zscore_rows(&mut a);
-        // serial reference
+        // reference
         for r in 0..n {
             let w = stats::row_moments(&b, r);
             let (mean, sd) = (w.mean(), w.stddev_sample());

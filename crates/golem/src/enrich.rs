@@ -3,15 +3,14 @@
 //! For every term with at least `min_annotated` propagated annotations,
 //! compute the hypergeometric upper-tail p-value of the query list's
 //! overlap, then attach Bonferroni and Benjamini–Hochberg corrections.
-//! Terms are tested in parallel with rayon — a compendium-scale ontology
-//! has thousands of testable terms.
+//! A compendium-scale ontology has thousands of testable terms; each
+//! term's test is independent of the others.
 
 use crate::correct::benjamini_hochberg;
 use crate::hypergeom::sf;
 use fv_ontology::annotations::PropagatedAnnotations;
 use fv_ontology::dag::OntologyDag;
 use fv_ontology::term::TermId;
-use rayon::prelude::*;
 
 /// Configuration for an enrichment run.
 #[derive(Debug, Clone, Copy)]
@@ -96,7 +95,7 @@ pub fn enrich(
         .collect();
 
     let mut results: Vec<EnrichmentResult> = candidates
-        .par_iter()
+        .iter()
         .filter_map(|&t| {
             let k_ann = ann.count(t);
             let overlap = ann.count_overlap(t, &q);

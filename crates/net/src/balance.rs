@@ -1,8 +1,9 @@
 //! Load-aware automatic shard rebalancing.
 //!
-//! PR 4 gave the transport the *mechanism* — `migrate <session> <shard>`
-//! moves a live engine across shards with zero re-parse — but placement
-//! stayed operator-driven, so a hot shard stays hot under skewed traffic.
+//! The transport has the *mechanism* — `migrate <session> <shard>` moves
+//! a live session across shards as a `SessionImage` the target replays —
+//! but placement stayed operator-driven, so a hot shard stays hot under
+//! skewed traffic.
 //! This module adds the *policy*: the server periodically snapshots the
 //! per-shard signals it already collects (queue depth, cumulative
 //! request counters, latency histograms, per-session cost estimates from
@@ -40,9 +41,12 @@
 //! interval (derived from the latency-histogram delta via bucket
 //! midpoints), plus a small resident-size term so giant idle sessions
 //! still spread out under memory pressure. Queue depth joins the shard's
-//! total as un-movable pressure. The shared dataset cache is deliberately
-//! *not* a placement signal: it is server-wide, so migration never
-//! re-parses and placement cannot improve cache behavior.
+//! total as un-movable pressure. The cost of the move itself — the
+//! target replays the session's log, which re-clusters and, when its
+//! dataset cache does not hold the file (always possible on process
+//! shards, whose caches are per child), re-parses — is *not* a placement
+//! signal; the per-tick move budget and the per-session cooldown bound
+//! it.
 //!
 //! ## Hysteresis
 //!

@@ -69,10 +69,14 @@ impl Client {
     }
 
     /// Move a live session to another shard (`migrate` control line). The
-    /// session's engine — loaded datasets, selection, cluster trees,
-    /// everything — crosses shards intact; no file is re-read or
-    /// re-parsed. Fails typed (`E_NOT_FOUND` / `E_INVALID`) for unknown
-    /// sessions or out-of-range shards.
+    /// source shard extracts the session as a `SessionImage` and drops
+    /// its engine; the target rebuilds it with `Engine::restore`, which
+    /// checks the dataset fingerprints and replays the mutation log — so
+    /// the move re-clusters, and re-parses any file the target's dataset
+    /// cache no longer (thread shards) or never (process shards) holds.
+    /// The rebuilt session answers byte-identically. Fails typed
+    /// (`E_NOT_FOUND` / `E_INVALID`) for unknown sessions or out-of-range
+    /// shards.
     pub fn migrate(&mut self, session: &str, shard: usize) -> Result<(), ApiError> {
         let reply = self.roundtrip(&format!("migrate {session} {shard}"))??;
         if reply == format!("migrated {session} shard={shard}") {

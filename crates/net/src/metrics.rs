@@ -302,7 +302,8 @@ pub fn parse_stats(text: &str) -> Result<ServerStats, ApiError> {
         dropped: num(field(stream_tail, "dropped")?, "dropped")?,
         link_us: num(field(stream_tail, "link_us")?, "link_us")?,
     };
-    let mut shards = Vec::with_capacity(n_shards);
+    // `n_shards` is wire input: it checks the rows, it reserves nothing.
+    let mut shards = Vec::new();
     for line in lines {
         let row = line
             .strip_prefix("  shard ")
@@ -493,5 +494,12 @@ mod tests {
         ] {
             assert!(parse_stats(bad).is_err(), "{bad:?} must not parse");
         }
+        // a shard count no reply could hold is a typed error, not a
+        // reservation
+        let huge = format_stats(&sample()).replacen("shards=2", "shards=18446744073709551615", 1);
+        assert_eq!(
+            parse_stats(&huge).unwrap_err().code,
+            fv_api::ErrorCode::Parse
+        );
     }
 }

@@ -1,13 +1,11 @@
 //! RGB8 pixel surface.
 //!
 //! Pixels are stored as packed RGB bytes in one contiguous row-major `Vec`.
-//! The wall simulator renders many framebuffers (one per tile) in parallel
-//! with rayon and composites them with [`Framebuffer::blit`]; the
-//! [`Framebuffer::par_rows_mut`] accessor lets painters parallelize across
-//! scanlines safely.
+//! The wall simulator renders many framebuffers (one per tile, each owned
+//! by one worker thread at a time) and composites them with
+//! [`Framebuffer::blit`].
 
 use crate::color::Rgb;
-use rayon::prelude::*;
 
 /// A width × height RGB8 image surface.
 #[derive(Debug, Clone, PartialEq)]
@@ -177,22 +175,6 @@ impl Framebuffer {
         }
     }
 
-    /// Parallel iterator over `(row_index, row_bytes)` for scanline-parallel
-    /// painting.
-    pub fn par_rows_mut(&mut self) -> impl IndexedParallelIterator<Item = (usize, &mut [u8])> {
-        self.data.par_chunks_exact_mut(self.width * 3).enumerate()
-    }
-
-    /// Write a pixel into a raw row slice obtained from
-    /// [`Framebuffer::par_rows_mut`].
-    #[inline]
-    pub fn put_in_row(row: &mut [u8], x: usize, color: Rgb) {
-        let i = x * 3;
-        row[i] = color.r;
-        row[i + 1] = color.g;
-        row[i + 2] = color.b;
-    }
-
     /// Count pixels equal to `color` (test/diagnostic helper).
     pub fn count_pixels(&self, color: Rgb) -> usize {
         self.data
@@ -347,18 +329,5 @@ mod tests {
     fn write_rect_bad_payload_panics() {
         let mut fb = Framebuffer::new(3, 3);
         fb.write_rect(0, 0, 2, 2, &[0u8; 5]);
-    }
-
-    #[test]
-    fn par_rows_paint_gradient() {
-        let mut fb = Framebuffer::new(16, 8);
-        fb.par_rows_mut().for_each(|(y, row)| {
-            for x in 0..16 {
-                Framebuffer::put_in_row(row, x, Rgb::new(y as u8, 0, 0));
-            }
-        });
-        for y in 0..8 {
-            assert_eq!(fb.get(0, y as i64), Some(Rgb::new(y as u8, 0, 0)));
-        }
     }
 }

@@ -109,7 +109,7 @@ pub fn paint_zoom_at<F>(
 /// Paint a global (downsampled) view: each pixel of the region averages all
 /// data cells it covers, in value space. Missing cells are excluded from the
 /// average; a pixel covering only missing cells renders in the map's missing
-/// color. Scanlines render in parallel with rayon.
+/// color.
 pub fn paint_global<F>(
     fb: &mut Framebuffer,
     region: Region,
@@ -120,39 +120,17 @@ pub fn paint_global<F>(
 ) where
     F: Fn(usize, usize) -> Option<f32> + Sync,
 {
-    if n_rows == 0 || n_cols == 0 || region.w == 0 || region.h == 0 {
-        return;
-    }
-    // Render into a region-sized scratch surface so scanline parallelism
-    // does not have to reason about the enclosing framebuffer, then blit.
-    let mut scratch = Framebuffer::new(region.w, region.h);
-    let w = region.w;
-    let h = region.h;
-    scratch.par_rows_mut().for_each(|(py, row)| {
-        let r0 = py * n_rows / h;
-        let r1 = (((py + 1) * n_rows).div_ceil(h)).min(n_rows).max(r0 + 1);
-        for px in 0..w {
-            let c0 = px * n_cols / w;
-            let c1 = (((px + 1) * n_cols).div_ceil(w)).min(n_cols).max(c0 + 1);
-            let mut sum = 0.0f64;
-            let mut n = 0usize;
-            for r in r0..r1 {
-                for c in c0..c1 {
-                    if let Some(v) = src(r, c) {
-                        sum += v as f64;
-                        n += 1;
-                    }
-                }
-            }
-            let color = if n == 0 {
-                map.missing
-            } else {
-                map.map((sum / n as f64) as f32)
-            };
-            Framebuffer::put_in_row(row, px, color);
-        }
-    });
-    fb.blit(&scratch, region.x as i64, region.y as i64);
+    paint_global_at(
+        fb,
+        region.x as i64,
+        region.y as i64,
+        region.w,
+        region.h,
+        n_rows,
+        n_cols,
+        src,
+        map,
+    );
 }
 
 /// [`paint_global`] with a signed origin, clipped to the framebuffer.

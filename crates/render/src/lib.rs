@@ -11,7 +11,7 @@
 //! - [`color`] / [`colormap`] — RGB handling and the classic microarray
 //!   color scales (red/green, red/blue, yellow/blue) with contrast control,
 //! - [`framebuffer`] — an RGB8 pixel surface with fills, blits and
-//!   rayon-parallel row access,
+//!   rectangle copy-out/write-back,
 //! - [`draw`] — lines, rectangles, polylines (Bresenham),
 //! - [`font`] — an embedded 5×7 bitmap font for labels and annotations,
 //! - [`heatmap`] — the expression-matrix painters: exact **zoom view** and

@@ -5,11 +5,10 @@
 //! `corr_d(g, Q)` is the mean correlation of `g` to the query genes present
 //! in dataset `d`, and the denominator only sums the weight of datasets
 //! that actually measure `g` — so a gene measured in few (but relevant)
-//! datasets is not penalized for absence elsewhere. Per-dataset scoring is
-//! rayon-parallel across genes.
+//! datasets is not penalized for absence elsewhere. Each gene's score
+//! depends on no other gene's.
 
 use crate::prep::PreparedDataset;
-use rayon::prelude::*;
 
 /// Per-dataset correlation of every gene row to the query rows: mean dot
 /// product against the query genes' prepared vectors. Invalid rows score
@@ -34,7 +33,6 @@ pub fn dataset_gene_scores(ds: &PreparedDataset, query_rows: &[usize]) -> Vec<Op
     }
     let inv_q = 1.0 / q.len() as f32;
     (0..ds.n_genes())
-        .into_par_iter()
         .map(|g| {
             if !ds.is_valid(g) {
                 return None;
@@ -78,7 +76,6 @@ pub fn combine_rankings(
     assert_eq!(per_dataset.len(), weights.len());
     let n_genes = gene_names.len();
     let mut out: Vec<RankedGene> = (0..n_genes)
-        .into_par_iter()
         .filter_map(|g| {
             let mut num = 0.0f64;
             let mut denom = 0.0f64;

@@ -4,15 +4,15 @@
 //! microarray data" (paper, Section 3). This module assembles one: the
 //! three themed datasets (stress, nutrient limitation, knockouts) plus as
 //! many generic experiments as requested, all over the same planted ground
-//! truth. Datasets generate in parallel with rayon — compendium
-//! construction is itself one of the scale claims (E8).
+//! truth. Every dataset has its own seed, so each generates independently
+//! of the others — compendium construction is itself one of the scale
+//! claims (E8).
 
 use crate::dataset::{
     generic_dataset, knockout_dataset, nutrient_limitation_dataset, stress_dataset, GenConfig,
 };
 use crate::modules::{plant_modules, GroundTruth};
 use fv_expr::Dataset;
-use rayon::prelude::*;
 
 /// Compendium shape parameters.
 #[derive(Debug, Clone, Copy)]
@@ -60,37 +60,25 @@ pub fn generate_compendium(spec: &CompendiumSpec) -> (Vec<Dataset>, GroundTruth)
         seed: spec.seed.wrapping_mul(0x9E37).wrapping_add(i),
     };
 
-    let mut jobs: Vec<Box<dyn FnOnce() -> Dataset + Send>> = Vec::new();
-    {
-        let t = truth.clone();
-        let c = cfg(0);
-        jobs.push(Box::new(move || stress_dataset("gasch_stress", &t, &c)));
-    }
-    {
-        let t = truth.clone();
-        let c = cfg(1);
-        jobs.push(Box::new(move || {
-            nutrient_limitation_dataset("brauer_nutrient", &t, &c)
-        }));
-    }
-    {
-        let t = truth.clone();
-        let c = cfg(2);
-        let n_ko = spec.conds_per_dataset.max(24);
-        jobs.push(Box::new(move || {
-            knockout_dataset("hughes_knockout", &t, n_ko, 0.3, &c)
-        }));
-    }
-    for i in 3..spec.n_datasets {
-        let t = truth.clone();
-        let c = cfg(i as u64);
-        let n_conds = spec.conds_per_dataset;
-        jobs.push(Box::new(move || {
-            generic_dataset(&format!("experiment_{i:03}"), &t, n_conds, &c)
-        }));
-    }
-
-    let datasets: Vec<Dataset> = jobs.into_par_iter().map(|j| j()).collect();
+    let mut datasets = vec![
+        stress_dataset("gasch_stress", &truth, &cfg(0)),
+        nutrient_limitation_dataset("brauer_nutrient", &truth, &cfg(1)),
+        knockout_dataset(
+            "hughes_knockout",
+            &truth,
+            spec.conds_per_dataset.max(24),
+            0.3,
+            &cfg(2),
+        ),
+    ];
+    datasets.extend((3..spec.n_datasets).map(|i| {
+        generic_dataset(
+            &format!("experiment_{i:03}"),
+            &truth,
+            spec.conds_per_dataset,
+            &cfg(i as u64),
+        )
+    }));
     (datasets, truth)
 }
 

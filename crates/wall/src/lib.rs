@@ -9,13 +9,13 @@
 //!
 //! - [`tile`] — tile grids (a wall is `tiles_x × tiles_y` fixed-resolution
 //!   tiles) with the Princeton-wall and desktop presets,
-//! - [`renderer`] — rayon-parallel per-tile rendering against any painter
-//!   callback, plus compositing into a single full-wall surface,
+//! - [`renderer`] — the one tile scheduler: per-tile rendering against any
+//!   painter callback on scoped `std::thread` workers that pull tiles
+//!   from a shared queue (one worker per core, at most one per tile, the
+//!   caller being the first), plus compositing into a single full-wall
+//!   surface,
 //! - [`damage`] — dirty-rectangle tracking so dynamic interaction (pan,
 //!   zoom, selection) re-renders only what changed,
-//! - [`pipeline`] — an alternative crossbeam channel-based tile pipeline
-//!   (producer/worker/compositor), the ablation counterpart to the rayon
-//!   scheduler,
 //! - [`net`] — a distribution cost model (per-message latency + bandwidth)
 //!   for shipping rendered tiles to their display nodes,
 //! - [`stream`] — the tile-frame codec the fv-stream pub/sub plane ships
@@ -26,7 +26,6 @@
 
 pub mod damage;
 pub mod net;
-pub mod pipeline;
 pub mod renderer;
 pub mod stats;
 pub mod stream;

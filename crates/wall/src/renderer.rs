@@ -1,4 +1,4 @@
-//! Rayon-parallel per-tile wall rendering.
+//! Per-tile wall rendering on scoped threads.
 //!
 //! The painter callback receives a tile framebuffer plus the tile's
 //! viewport in wall coordinates and draws the portion of the scene that
@@ -9,7 +9,8 @@
 use crate::stats::FrameStats;
 use crate::tile::{TileGrid, Viewport};
 use fv_render::Framebuffer;
-use rayon::prelude::*;
+use std::num::NonZeroUsize;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// A wall renderer holding one framebuffer per tile.
@@ -45,19 +46,7 @@ impl WallRenderer {
     where
         F: Fn(&mut Framebuffer, Viewport) + Sync,
     {
-        let start = Instant::now();
-        let grid = self.grid;
-        self.tiles.par_iter_mut().enumerate().for_each(|(i, fb)| {
-            let vp = grid.tile_viewport_linear(i);
-            paint(fb, vp);
-        });
-        let pixels = grid.total_pixels();
-        FrameStats {
-            tiles_rendered: grid.n_tiles(),
-            pixels_rendered: pixels,
-            bytes_shipped: pixels * 3,
-            render_time: start.elapsed(),
-        }
+        self.paint_tiles(|_| true, paint)
     }
 
     /// Render only the tiles intersecting any of `dirty` (wall-coordinate
@@ -68,28 +57,51 @@ impl WallRenderer {
     where
         F: Fn(&mut Framebuffer, Viewport) + Sync,
     {
+        self.paint_tiles(|vp| dirty.iter().any(|d| vp.intersect(d).is_some()), paint)
+    }
+
+    /// The tile scheduler: paint every tile whose viewport `wanted`
+    /// selects. Tiles cost unevenly (a global view, a zoom, an empty
+    /// gutter), so workers pull the next tile from a shared queue when
+    /// free instead of owning a fixed slice. There are as many workers as
+    /// the machine has cores, never more than there are tiles to paint;
+    /// the calling thread is one of them, so one worker spawns no thread.
+    fn paint_tiles<F>(&mut self, wanted: impl Fn(&Viewport) -> bool, paint: F) -> FrameStats
+    where
+        F: Fn(&mut Framebuffer, Viewport) + Sync,
+    {
         let start = Instant::now();
         let grid = self.grid;
-        let needs: Vec<bool> = (0..grid.n_tiles())
-            .map(|i| {
-                let vp = grid.tile_viewport_linear(i);
-                dirty.iter().any(|d| vp.intersect(d).is_some())
-            })
-            .collect();
-        let rendered: usize = self
+        let tiles: Vec<(Viewport, &mut Framebuffer)> = self
             .tiles
-            .par_iter_mut()
+            .iter_mut()
             .enumerate()
-            .map(|(i, fb)| {
-                if needs[i] {
-                    let vp = grid.tile_viewport_linear(i);
-                    paint(fb, vp);
-                    1usize
-                } else {
-                    0
-                }
-            })
-            .sum();
+            .map(|(i, fb)| (grid.tile_viewport_linear(i), fb))
+            .filter(|(vp, _)| wanted(vp))
+            .collect();
+        let rendered = tiles.len();
+        let workers = std::thread::available_parallelism()
+            .map_or(1, NonZeroUsize::get)
+            .min(rendered);
+        let queue = Mutex::new(tiles.into_iter());
+        let drain = || loop {
+            // The guard is a temporary of this statement: the queue is
+            // unlocked again before the tile is painted.
+            let next = queue
+                .lock()
+                .expect("no painter runs under the queue lock")
+                .next();
+            match next {
+                Some((vp, fb)) => paint(fb, vp),
+                None => break,
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(drain);
+            }
+            drain();
+        });
         let pixels = rendered * grid.tile_w * grid.tile_h;
         FrameStats {
             tiles_rendered: rendered,
@@ -115,6 +127,7 @@ impl WallRenderer {
 mod tests {
     use super::*;
     use fv_render::color::Rgb;
+    use std::thread;
 
     /// Paint each pixel with a color derived from wall coordinates so tile
     /// seams are verifiable after compositing.
@@ -168,6 +181,48 @@ mod tests {
         a.render_frame(coordinate_paint);
         b.render_frame(coordinate_paint);
         assert_eq!(a.composite(), b.composite());
+    }
+
+    #[test]
+    fn tiles_paint_on_more_than_one_thread() {
+        use std::collections::HashSet;
+        use std::sync::Condvar;
+        use std::time::Duration;
+
+        // A 1×1 wall has one tile to paint: the calling thread paints it.
+        let painters = Mutex::new(HashSet::new());
+        let record = |_: &mut Framebuffer, _: Viewport| {
+            painters.lock().unwrap().insert(thread::current().id());
+        };
+        WallRenderer::new(TileGrid::new(1, 1, 4, 4)).render_frame(record);
+        assert_eq!(
+            painters.into_inner().unwrap(),
+            HashSet::from([thread::current().id()])
+        );
+
+        if thread::available_parallelism().map_or(1, NonZeroUsize::get) < 2 {
+            return;
+        }
+        // Each painter holds its tile until a second thread has shown up,
+        // so a sequential loop can only run into the (shared) deadline.
+        let painters = (Mutex::new(HashSet::new()), Condvar::new());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let rendezvous = |_: &mut Framebuffer, _: Viewport| {
+            let (ids, arrived) = &painters;
+            let mut ids = ids.lock().unwrap();
+            ids.insert(thread::current().id());
+            arrived.notify_all();
+            let _ = arrived
+                .wait_timeout_while(
+                    ids,
+                    deadline.saturating_duration_since(Instant::now()),
+                    |ids| ids.len() < 2,
+                )
+                .unwrap();
+        };
+        let stats = WallRenderer::new(TileGrid::new(4, 4, 4, 4)).render_frame(rendezvous);
+        assert_eq!(stats.tiles_rendered, 16);
+        assert!(painters.0.into_inner().unwrap().len() >= 2);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! - [`api`] (`fv-api`) — the [`api::Request`] / [`api::Response`] enums,
 //!   typed [`api::ApiError`] codes, the single-session [`api::Engine`]
-//!   (with one layout/damage pass per batch), the multi-session
+//!   (layout/damage passes shared across a request run), the multi-session
 //!   [`api::EngineHub`], and the line-oriented wire codec that makes
 //!   request streams replayable from text files (`fvtool script`).
 //!   See `crates/api/README.md` for the protocol grammar.

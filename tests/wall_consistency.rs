@@ -8,7 +8,6 @@ use fv_expr::{Dataset, ExprMatrix};
 use fv_render::color::Rgb;
 use fv_render::Framebuffer;
 use fv_wall::damage::DamageTracker;
-use fv_wall::pipeline::render_pipeline;
 use fv_wall::tile::Viewport;
 use fv_wall::{TileGrid, WallRenderer};
 use proptest::prelude::*;
@@ -48,20 +47,6 @@ proptest! {
         let mut direct = WallRenderer::new(one);
         direct.render_frame(|fb, vp| scene_paint(fb, vp, salt));
         prop_assert_eq!(composite, direct.composite());
-    }
-
-    #[test]
-    fn pipeline_equals_rayon_renderer(
-        tiles_x in 1usize..4,
-        tiles_y in 1usize..3,
-        workers in 1usize..6,
-        salt in any::<u8>(),
-    ) {
-        let grid = TileGrid::new(tiles_x, tiles_y, 16, 12);
-        let (piped, _) = render_pipeline(grid, workers, |fb, vp| scene_paint(fb, vp, salt));
-        let mut reference = WallRenderer::new(grid);
-        reference.render_frame(|fb, vp| scene_paint(fb, vp, salt));
-        prop_assert_eq!(piped, reference.composite());
     }
 
     #[test]
@@ -128,7 +113,14 @@ fn session_wall_render_equals_desktop_multiple_grids() {
         .unwrap();
     session.cluster_all();
     session.select_region(0, 10, 30);
-    for (tx, ty, tw, th) in [(2, 2, 80, 60), (4, 1, 40, 120), (1, 3, 160, 40)] {
+    // 2×1: fewer tiles than most machines have cores — the scheduler must
+    // not start a worker that has no tile to take.
+    for (tx, ty, tw, th) in [
+        (2, 2, 80, 60),
+        (4, 1, 40, 120),
+        (1, 3, 160, 40),
+        (2, 1, 80, 120),
+    ] {
         let grid = TileGrid::new(tx, ty, tw, th);
         let mut wall = WallRenderer::new(grid);
         render_wall(&session, &mut wall);
