@@ -126,17 +126,21 @@ pub enum BalanceMode {
     Off,
 }
 
-impl BalanceMode {
-    /// Canonical wire token (`auto` / `off`).
-    pub fn as_str(self) -> &'static str {
-        match self {
+/// Canonical wire token (`auto` / `off`).
+impl std::fmt::Display for BalanceMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
             BalanceMode::Auto => "auto",
             BalanceMode::Off => "off",
-        }
+        })
     }
+}
 
-    /// Parse a wire token; inverse of [`BalanceMode::as_str`].
-    pub fn from_str_token(token: &str) -> Result<BalanceMode, ApiError> {
+/// Parse a wire token; inverse of the `Display` form.
+impl std::str::FromStr for BalanceMode {
+    type Err = ApiError;
+
+    fn from_str(token: &str) -> Result<BalanceMode, ApiError> {
         match token {
             "auto" => Ok(BalanceMode::Auto),
             "off" => Ok(BalanceMode::Off),
@@ -144,12 +148,6 @@ impl BalanceMode {
                 "balance mode is auto|off, got {other:?}"
             ))),
         }
-    }
-}
-
-impl std::fmt::Display for BalanceMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
     }
 }
 
@@ -192,7 +190,7 @@ pub fn parse_wire_line(raw: &str) -> Result<Option<WireItem>, ApiError> {
     if let Some(rest) = line.strip_prefix("balance ") {
         let [mode] = fixed_args("balance", rest.trim())?;
         return Ok(Some(WireItem::Balance {
-            set: Some(BalanceMode::from_str_token(mode)?),
+            set: Some(mode.parse()?),
         }));
     }
     if let Some(rest) = line.strip_prefix("subscribe ") {
@@ -741,16 +739,19 @@ pub fn format_response(response: &Response) -> String {
     }
 }
 
-/// One session in a cross-shard `list-sessions` reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionEntry {
-    /// Session name (a single whitespace-free token, per
-    /// [`crate::SessionId`]).
-    pub name: String,
-    /// Shard the session lives on.
-    pub shard: usize,
-    /// Datasets loaded into the session.
-    pub n_datasets: usize,
+crate::wire_record! {
+    /// One session in a cross-shard `list-sessions` reply.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SessionEntry {
+        /// Shard the session lives on.
+        pub shard: usize => "shard",
+        /// Datasets loaded into the session.
+        pub n_datasets: usize => "datasets",
+        ..
+        /// Session name (a single whitespace-free token, per
+        /// [`crate::SessionId`]); leads its row.
+        pub name: String,
+    }
 }
 
 /// Canonical reply text for a `list-sessions` control line. Entries are
@@ -760,10 +761,9 @@ pub struct SessionEntry {
 pub fn format_sessions_reply(entries: &[SessionEntry]) -> String {
     let mut out = format!("sessions n={}", entries.len());
     for e in entries {
-        out.push_str(&format!(
-            "\n  session {} shard={} datasets={}",
-            e.name, e.shard, e.n_datasets
-        ));
+        out.push_str("\n  session ");
+        out.push_str(&e.name);
+        e.put_fields(&mut out);
     }
     out
 }
@@ -1114,26 +1114,5 @@ mod tests {
         let lines = parse_script("use alpha\nclose alpha\nuse alpha\n").unwrap();
         assert_eq!(lines[1].item, ScriptItem::Close("alpha".into()));
         assert!(parse_script("close two words\n").is_err());
-    }
-
-    #[test]
-    fn sessions_reply_format_is_stable() {
-        assert_eq!(format_sessions_reply(&[]), "sessions n=0");
-        let entries = [
-            SessionEntry {
-                name: "alpha".into(),
-                shard: 1,
-                n_datasets: 3,
-            },
-            SessionEntry {
-                name: "beta".into(),
-                shard: 0,
-                n_datasets: 0,
-            },
-        ];
-        assert_eq!(
-            format_sessions_reply(&entries),
-            "sessions n=2\n  session alpha shard=1 datasets=3\n  session beta shard=0 datasets=0"
-        );
     }
 }

@@ -47,8 +47,7 @@ pub fn parse_sessions_reply(text: &str) -> Result<Vec<SessionEntry>, ApiError> {
             .ok_or_else(|| ApiError::parse("session row needs fields"))?;
         entries.push(SessionEntry {
             name: name.to_string(),
-            shard: num(field(rest, "shard")?, "shard")?,
-            n_datasets: num(field(rest, "datasets")?, "datasets")?,
+            ..SessionEntry::get_fields(rest)?
         });
     }
     if entries.len() != n {
@@ -328,7 +327,8 @@ fn no_continuation(cont: &[String], what: &str) -> Result<(), ApiError> {
 /// Whitespace-delimited `key=value` lookup. Only safe for values without
 /// spaces — use [`mid_name`] / [`name_before`] for embedded names.
 /// Public because transport-level reply decoders (e.g. fv-net's `stats`
-/// parser) share this exact grammar — one parser, no drift.
+/// parser) share this exact grammar — one parser, no drift. Whole
+/// records are read through it by [`crate::record`].
 pub fn field<'a>(s: &'a str, key: &str) -> Result<&'a str, ApiError> {
     s.split_whitespace()
         .find_map(|tok| tok.strip_prefix(key).and_then(|v| v.strip_prefix('=')))
@@ -580,26 +580,8 @@ mod tests {
     }
 
     #[test]
-    fn sessions_reply_roundtrips() {
-        use crate::codec::format_sessions_reply;
-        for entries in [
-            vec![],
-            vec![
-                SessionEntry {
-                    name: "alpha".into(),
-                    shard: 1,
-                    n_datasets: 3,
-                },
-                SessionEntry {
-                    name: "beta".into(),
-                    shard: 0,
-                    n_datasets: 0,
-                },
-            ],
-        ] {
-            let text = format_sessions_reply(&entries);
-            assert_eq!(parse_sessions_reply(&text).unwrap(), entries, "{text:?}");
-        }
+    fn malformed_sessions_replies_are_parse_errors() {
+        // (the text itself is pinned by `tests/record_props.rs`)
         assert!(parse_sessions_reply("sessions n=2\n  session a shard=0 datasets=0").is_err());
         assert!(parse_sessions_reply("wat n=0").is_err());
         let huge = "sessions n=18446744073709551615\n  session a shard=0 datasets=0";

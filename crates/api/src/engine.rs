@@ -2,10 +2,10 @@
 //! [`Request`]s.
 //!
 //! `Engine` is the seam between the protocol and the application core.
-//! Single requests execute immediately; [`Engine::execute_run`] executes
-//! a contiguous request run with the pane-layout passes **shared across
-//! the run** — damage resolution (pane layout) is the per-command fixed
-//! cost, and replayed scripts and the network transport go through it.
+//! [`Engine::execute`] runs one request; [`Engine::execute_run`] runs a
+//! contiguous request run — the same step per request, timed, stopping
+//! at the first error — and is what replayed scripts and the network
+//! transport go through.
 //!
 //! The engine owns lazily-built analysis state: a SPELL index rebuilt only
 //! when dataset contents change (a version counter tracks mutations), and
@@ -19,7 +19,7 @@ use crate::request::{Mutation, NormalizeMethod, Query, Request, SelectionExport}
 use crate::response::{
     DamageRect, DatasetRow, EnrichmentRow, Response, SessionInfoData, SpellDatasetRow, SpellGeneRow,
 };
-use forestview::command::{self, DamageClass};
+use forestview::command;
 use forestview::Session;
 use fv_golem::{enrich, EnrichmentConfig};
 use fv_ontology::annotations::PropagatedAnnotations;
@@ -28,7 +28,6 @@ use fv_spell::{SpellConfig, SpellEngine};
 use fv_synth::modules::GroundTruth;
 use fv_synth::ontogen::generate_ontology;
 use fv_synth::scenario::Scenario;
-use fv_wall::tile::Viewport;
 use std::path::Path;
 
 /// Default scene dimensions damage rectangles are resolved against.
@@ -39,7 +38,7 @@ pub const DEFAULT_SCENE: (usize, usize) = (1280, 960);
 /// the run stopped early. Each `Applied` response carries its own damage
 /// rectangles — byte-identical to what sequential [`Engine::execute`]
 /// calls would have produced — so a transport can relay per-request
-/// results while still sharing layout passes.
+/// results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
     /// One response per *completed* request, in order.
@@ -178,54 +177,35 @@ impl Engine {
     pub fn execute(&mut self, request: &Request) -> Result<Response, ApiError> {
         self.requests_executed += 1;
         match request {
-            Request::Mutate(m) => {
-                let (w, h) = self.scene;
-                self.perform_mutation(m, |session, class| {
-                    command::resolve_damage(session, class, w, h)
-                })
-            }
+            Request::Mutate(m) => self.perform_mutation(m),
             Request::Query(q) => self.run_query(q),
         }
     }
 
-    /// Execute a request run: like sequential [`Engine::execute`] calls —
-    /// same responses, same per-request damage rectangles — but layout
-    /// passes are shared across the run via [`command::LayoutCache`], so a
-    /// run of layout-stable requests (the common interactive stream) pays
-    /// for ONE pane-layout pass instead of one per command. This is the
-    /// entry point network transports map contiguous same-session request
-    /// runs onto. Stops at the first error, keeping the completed prefix's
-    /// responses.
+    /// Execute a request run: sequential [`Engine::execute`] calls — a
+    /// request is a run of one — each timed, stopping at the first error
+    /// and keeping the completed prefix's responses. This is the entry
+    /// point network transports map contiguous same-session request runs
+    /// onto.
     pub fn execute_run(&mut self, requests: &[Request]) -> RunOutcome {
-        let mut responses = Vec::with_capacity(requests.len());
-        let mut latencies = Vec::with_capacity(requests.len());
-        let mut layouts = command::LayoutCache::new(self.scene.0, self.scene.1);
+        let mut outcome = RunOutcome {
+            responses: Vec::with_capacity(requests.len()),
+            error: None,
+            latencies: Vec::with_capacity(requests.len()),
+        };
         for (i, request) in requests.iter().enumerate() {
             let started = std::time::Instant::now();
-            self.requests_executed += 1;
-            let result = match request {
-                Request::Mutate(m) => {
-                    self.perform_mutation(m, |session, class| layouts.resolve(session, class))
-                }
-                Request::Query(q) => self.run_query(q),
-            };
-            latencies.push(started.elapsed());
+            let result = self.execute(request);
+            outcome.latencies.push(started.elapsed());
             match result {
-                Ok(r) => responses.push(r),
+                Ok(r) => outcome.responses.push(r),
                 Err(e) => {
-                    return RunOutcome {
-                        responses,
-                        error: Some((i, e)),
-                        latencies,
-                    }
+                    outcome.error = Some((i, e));
+                    break;
                 }
             }
         }
-        RunOutcome {
-            responses,
-            error: None,
-            latencies,
-        }
+        outcome
     }
 
     /// Durably represent this session: scene, attempted-request counter,
@@ -302,17 +282,12 @@ impl Engine {
     }
 
     /// Apply a mutation, recording it (and, for file loads, the dataset
-    /// fingerprint) in the session log on success. `resolve` turns a
-    /// command's damage class into scene rectangles; only `Applied`
-    /// carries rectangles on the wire — for the data-management
-    /// mutations the damage is implied by the response kind, so they
-    /// never pay for a layout pass.
-    fn perform_mutation(
-        &mut self,
-        mutation: &Mutation,
-        resolve: impl FnOnce(&Session, DamageClass) -> Vec<Viewport>,
-    ) -> Result<Response, ApiError> {
-        let result = self.apply_mutation(mutation, resolve);
+    /// fingerprint) in the session log on success. Only `Applied` carries
+    /// damage rectangles on the wire — for the data-management mutations
+    /// the damage is implied by the response kind, so they never pay for
+    /// a layout pass.
+    fn perform_mutation(&mut self, mutation: &Mutation) -> Result<Response, ApiError> {
+        let result = self.apply_mutation(mutation);
         if result.is_ok() {
             if let Mutation::LoadDataset { path } = mutation {
                 // The cache just parsed (or served) this file, so its
@@ -347,11 +322,7 @@ impl Engine {
         self.log.push(mutation.clone());
     }
 
-    fn apply_mutation(
-        &mut self,
-        mutation: &Mutation,
-        resolve: impl FnOnce(&Session, DamageClass) -> Vec<Viewport>,
-    ) -> Result<Response, ApiError> {
+    fn apply_mutation(&mut self, mutation: &Mutation) -> Result<Response, ApiError> {
         match mutation {
             Mutation::Command(cmd) => {
                 self.validate_command(cmd)?;
@@ -362,7 +333,8 @@ impl Engine {
                     // than reasoning about every future command.
                     self.dataset_version += 1;
                 }
-                let rects = resolve(&self.session, class);
+                let (w, h) = self.scene;
+                let rects = command::resolve_damage(&self.session, class, w, h);
                 Ok(Response::Applied {
                     selection_len: self.session.selection().map(|s| s.len()),
                     damage: rects.into_iter().map(DamageRect::from).collect(),
@@ -991,7 +963,7 @@ mod tests {
         // execute_run must produce byte-for-byte the responses (damage
         // rects included) of sequential execute calls — including across
         // layout changes mid-run (scenario load, first array tree,
-        // reordering) — while sharing layout passes where possible.
+        // reordering).
         let script = vec![
             Request::Mutate(Mutation::LoadScenario {
                 n_genes: 90,

@@ -239,8 +239,7 @@ impl EngineHub {
     /// Execute a request run against a named session — the entry point
     /// both script replay and network transports use for contiguous
     /// same-session request runs. Responses (damage rects included) are
-    /// identical to sequential [`EngineHub::execute_on`] calls, but
-    /// layout passes are shared across the run
+    /// identical to sequential [`EngineHub::execute_on`] calls
     /// (see [`Engine::execute_run`]).
     ///
     /// Session lifecycle: a session this call implicitly creates is

@@ -33,73 +33,76 @@
 //! ever travel between processes of one build, or through the versioned
 //! on-disk [`SessionStore`](crate::store::SessionStore) layout.
 
-use crate::codec::{format_request, parse_request, NONE};
+use crate::codec::{format_request, parse_request};
 use crate::error::ApiError;
+use crate::record::get;
 use crate::request::{Mutation, Request};
+use std::fmt::Write;
 
-/// Fingerprint of one file-backed dataset a session loaded: enough for a
-/// restoring process to assert it is replaying against the same bytes.
-/// Paths are the user-spelled `load` argument, not the canonicalized
-/// cache key, so the image replays through the same cache lookup.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DatasetStamp {
-    /// File length in bytes at load time.
-    pub len: u64,
-    /// Modification time in nanoseconds since the Unix epoch; `None`
-    /// when the filesystem reports no (or a pre-epoch) mtime.
-    pub mtime_nanos: Option<u64>,
-    /// FNV-1a hash of the file's bytes at load time. The restore-time
-    /// fallback: when only the mtime disagrees (the file was copied or
-    /// `touch`ed), identical bytes — proven by this hash — still
-    /// restore.
-    pub hash: u64,
-    /// The path as the `load` request spelled it.
-    pub path: String,
+crate::wire_record! {
+    /// Fingerprint of one file-backed dataset a session loaded: enough for a
+    /// restoring process to assert it is replaying against the same bytes.
+    /// Paths are the user-spelled `load` argument, not the canonicalized
+    /// cache key, so the image replays through the same cache lookup.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct DatasetStamp {
+        /// File length in bytes at load time.
+        pub len: u64 => "len",
+        /// Modification time in nanoseconds since the Unix epoch; `None`
+        /// when the filesystem reports no (or a pre-epoch) mtime.
+        pub mtime_nanos: Option<u64> => "mtime",
+        /// FNV-1a hash of the file's bytes at load time. The restore-time
+        /// fallback: when only the mtime disagrees (the file was copied or
+        /// `touch`ed), identical bytes — proven by this hash — still
+        /// restore.
+        pub hash: u64 => "hash",
+        ..
+        /// The path as the `load` request spelled it. Last on the row, so
+        /// it may contain spaces.
+        pub path: String,
+    }
 }
 
-/// A session, durably: everything needed to rebuild its engine exactly,
-/// provided its dataset files are unchanged (which [`DatasetStamp`]s
-/// assert at restore time).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionImage {
-    /// Scene dimensions damage resolves against.
-    pub scene: (usize, usize),
-    /// The engine's attempted-request counter. Queries and failed
-    /// requests count here but never appear in the log, so the counter
-    /// must travel explicitly for `Engine::cost` to survive a restore.
-    pub requests: u64,
-    /// Fingerprints of every file-loaded dataset, sorted by path. One
-    /// stamp per path (the latest observation) — an image is exact
-    /// provided each file is unchanged since the session loaded it.
-    pub datasets: Vec<DatasetStamp>,
-    /// The compacted log of successful mutations, in application order.
-    /// Replaying it through the normal execute path rebuilds the session
-    /// state exactly.
-    pub log: Vec<Mutation>,
+crate::wire_record! {
+    /// A session, durably: everything needed to rebuild its engine exactly,
+    /// provided its dataset files are unchanged (which [`DatasetStamp`]s
+    /// assert at restore time).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SessionImage {
+        /// Scene dimensions damage resolves against.
+        pub scene: (usize, usize) => "scene",
+        /// The engine's attempted-request counter. Queries and failed
+        /// requests count here but never appear in the log, so the counter
+        /// must travel explicitly for `Engine::cost` to survive a restore.
+        pub requests: u64 => "requests",
+        ..
+        /// Fingerprints of every file-loaded dataset, sorted by path. One
+        /// stamp per path (the latest observation) — an image is exact
+        /// provided each file is unchanged since the session loaded it.
+        pub datasets: Vec<DatasetStamp>,
+        /// The compacted log of successful mutations, in application order.
+        /// Replaying it through the normal execute path rebuilds the session
+        /// state exactly.
+        pub log: Vec<Mutation>,
+    }
 }
 
 /// Canonical text form of a session image; inverse of
 /// [`parse_session_image`].
 pub fn format_session_image(image: &SessionImage) -> String {
-    let mut out = format!(
-        "session-image v2 scene={}x{} requests={} datasets={} log={}",
-        image.scene.0,
-        image.scene.1,
-        image.requests,
+    let mut out = String::from("session-image v2");
+    image.put_fields(&mut out);
+    let _ = write!(
+        out,
+        " datasets={} log={}",
         image.datasets.len(),
         image.log.len()
     );
     for d in &image.datasets {
-        out.push_str(&format!(
-            "\n  dataset len={} mtime={} hash={} path={}",
-            d.len,
-            match d.mtime_nanos {
-                Some(ns) => ns.to_string(),
-                None => NONE.to_string(),
-            },
-            d.hash,
-            d.path
-        ));
+        out.push_str("\n  dataset");
+        d.put_fields(&mut out);
+        out.push_str(" path=");
+        out.push_str(&d.path);
     }
     for m in &image.log {
         out.push_str("\n  ");
@@ -120,28 +123,17 @@ pub fn parse_session_image(text: &str) -> Result<SessionImage, ApiError> {
     let tail = head
         .strip_prefix("session-image v2 ")
         .ok_or_else(|| ApiError::parse(format!("not a v2 session image: {head:?}")))?;
-    let scene_tok = crate::decode::field(tail, "scene")?;
-    let (sw, sh) = scene_tok
-        .split_once('x')
-        .ok_or_else(|| ApiError::parse(format!("scene is <w>x<h>, got {scene_tok:?}")))?;
-    let scene = (
-        crate::decode::num(sw, "scene width")?,
-        crate::decode::num(sh, "scene height")?,
-    );
-    let requests: u64 = crate::decode::num(crate::decode::field(tail, "requests")?, "requests")?;
-    let n_datasets: usize =
-        crate::decode::num(crate::decode::field(tail, "datasets")?, "datasets")?;
-    let n_log: usize = crate::decode::num(crate::decode::field(tail, "log")?, "log")?;
+    let mut image = SessionImage::get_fields(tail)?;
+    let n_datasets: usize = get(tail, "datasets")?;
+    let n_log: usize = get(tail, "log")?;
     // The counts are on-disk bytes: rows are pushed as they are found,
     // never reserved for, so a lying header costs one "missing rows" error.
-    let mut datasets = Vec::new();
     for _ in 0..n_datasets {
         let line = lines
             .next()
             .ok_or_else(|| ApiError::parse("session image is missing dataset rows"))?;
-        datasets.push(parse_dataset_row(line)?);
+        image.datasets.push(parse_dataset_row(line)?);
     }
-    let mut log = Vec::new();
     for _ in 0..n_log {
         let line = lines
             .next()
@@ -150,7 +142,7 @@ pub fn parse_session_image(text: &str) -> Result<SessionImage, ApiError> {
             .strip_prefix("  ")
             .ok_or_else(|| ApiError::parse(format!("log rows are indented, got {line:?}")))?;
         match parse_request(row)? {
-            Request::Mutate(m) => log.push(m),
+            Request::Mutate(m) => image.log.push(m),
             Request::Query(_) => {
                 return Err(ApiError::parse(format!(
                     "session image log rows are mutations, got query {row:?}"
@@ -163,26 +155,13 @@ pub fn parse_session_image(text: &str) -> Result<SessionImage, ApiError> {
             "session image has rows past its declared counts: {extra:?}"
         )));
     }
-    Ok(SessionImage {
-        scene,
-        requests,
-        datasets,
-        log,
-    })
+    Ok(image)
 }
 
 fn parse_dataset_row(line: &str) -> Result<DatasetStamp, ApiError> {
     let row = line
         .strip_prefix("  dataset ")
         .ok_or_else(|| ApiError::parse(format!("expected a dataset row, got {line:?}")))?;
-    let len: u64 = crate::decode::num(crate::decode::field(row, "len")?, "len")?;
-    let mtime_tok = crate::decode::field(row, "mtime")?;
-    let mtime_nanos = if mtime_tok == NONE {
-        None
-    } else {
-        Some(crate::decode::num(mtime_tok, "mtime")?)
-    };
-    let hash: u64 = crate::decode::num(crate::decode::field(row, "hash")?, "hash")?;
     // The path is the trailing field and may contain spaces.
     let path = row
         .split_once("path=")
@@ -192,82 +171,18 @@ fn parse_dataset_row(line: &str) -> Result<DatasetStamp, ApiError> {
         return Err(ApiError::parse(format!("bad dataset path {path:?}")));
     }
     Ok(DatasetStamp {
-        len,
-        mtime_nanos,
-        hash,
         path: path.to_string(),
+        ..DatasetStamp::get_fields(row)?
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::NormalizeMethod;
-    use forestview::command::Command;
 
-    fn sample() -> SessionImage {
-        SessionImage {
-            scene: (800, 600),
-            requests: 12,
-            datasets: vec![
-                DatasetStamp {
-                    len: 482,
-                    mtime_nanos: Some(1_754_550_000_000_000_000),
-                    hash: 9_637_325_990_313_059_835,
-                    path: "data/gasch stress.pcl".into(),
-                },
-                DatasetStamp {
-                    len: 77,
-                    mtime_nanos: None,
-                    hash: 42,
-                    path: "data/other.pcl".into(),
-                },
-            ],
-            log: vec![
-                Mutation::LoadDataset {
-                    path: "data/gasch stress.pcl".into(),
-                },
-                Mutation::Command(Command::SetMetric(fv_cluster::distance::Metric::Euclidean)),
-                Mutation::Normalize {
-                    dataset: None,
-                    method: NormalizeMethod::ZscoreRows,
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn image_text_is_stable_and_roundtrips() {
-        let image = sample();
-        let text = format_session_image(&image);
-        assert_eq!(
-            text,
-            "session-image v2 scene=800x600 requests=12 datasets=2 log=3\n  \
-             dataset len=482 mtime=1754550000000000000 hash=9637325990313059835 \
-             path=data/gasch stress.pcl\n  \
-             dataset len=77 mtime=- hash=42 path=data/other.pcl\n  \
-             load data/gasch stress.pcl\n  \
-             set_metric euclidean\n  \
-             normalize all zscore"
-        );
-        assert_eq!(parse_session_image(&text).unwrap(), image);
-    }
-
-    #[test]
-    fn empty_image_roundtrips() {
-        let image = SessionImage {
-            scene: (1280, 960),
-            requests: 0,
-            datasets: Vec::new(),
-            log: Vec::new(),
-        };
-        let text = format_session_image(&image);
-        assert_eq!(
-            text,
-            "session-image v2 scene=1280x960 requests=0 datasets=0 log=0"
-        );
-        assert_eq!(parse_session_image(&text).unwrap(), image);
-    }
+    // The image text itself is pinned, and walked parse → format → parse,
+    // by `tests/record_props.rs` (and property-tested by
+    // `tests/image_props.rs`).
 
     #[test]
     fn garbage_is_a_parse_error() {

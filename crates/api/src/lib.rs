@@ -18,7 +18,7 @@
 //!        │ SessionId routing
 //!        ▼
 //!   Engine              single session, request runs         [`engine`]
-//!        │ Command perform + layout passes shared per run
+//!        │ Command perform + damage resolve, per request
 //!        ▼
 //!   forestview core     Session · command · renderer · export
 //! ```
@@ -38,7 +38,7 @@
 //! engine
 //!     .execute(&Request::Mutate(Mutation::LoadScenario { n_genes: 60, seed: 1 }))
 //!     .unwrap();
-//! // A run answers request by request; its layout passes are shared.
+//! // A run answers request by request and stops at the first error.
 //! let outcome = engine.execute_run(&[
 //!     Request::Mutate(Mutation::Command(Command::ClusterAll)),
 //!     Request::Mutate(Mutation::Command(Command::Search("stress".into()))),
@@ -61,6 +61,7 @@ pub mod engine;
 pub mod error;
 pub mod hub;
 pub mod image;
+pub mod record;
 pub mod request;
 pub mod response;
 pub mod store;

@@ -1,0 +1,106 @@
+//! Total parsers for the text records fv-api reads back from disk or the
+//! wire: `parse_session_image` (checkpoints, migrating sessions),
+//! `parse_sessions_reply` (`list-sessions`) and `parse_trace` (`fvtrace`
+//! files). Whatever text arrives — arbitrary bytes, or a valid record
+//! with a few bytes flipped or its tail cut off — each returns a typed
+//! `ApiError` or a well-formed value (one that re-formats and re-parses
+//! to itself). None panics, and none reserves from a header count.
+
+use fv_api::{
+    format_session_image, format_sessions_reply, format_trace, parse_session_image,
+    parse_sessions_reply, parse_trace,
+};
+use proptest::prelude::*;
+
+const IMAGE: &str = "session-image v2 scene=800x600 requests=12 datasets=2 log=3\n  \
+    dataset len=482 mtime=1754550000000000000 hash=9637325990313059835 \
+    path=data/gasch stress.pcl\n  \
+    dataset len=77 mtime=- hash=42 path=data/other.pcl\n  \
+    load data/gasch stress.pcl\n  \
+    set_metric euclidean\n  \
+    normalize all zscore";
+const SESSIONS: &str =
+    "sessions n=2\n  session alpha shard=1 datasets=3\n  session beta shard=0 datasets=0";
+const TRACE: &str = "fvtrace 1\n\
+    send use α\n\
+    recv ok using α\n\
+    send session_info\n\
+    recv ok session datasets=0\n  \
+    ForestView session: 0 dataset(s)\n\
+    send impute 9 3\n\
+    recv err E_NOT_FOUND dataset 9\n";
+
+/// `text` with `flips` bytes overwritten and, one time in four, its tail
+/// cut off — corruption that keeps most of the structure (headers,
+/// counts, keys), which is what reaches the deep parse paths. Lossy
+/// UTF-8: the parsers take `&str`, their callers having already refused
+/// bytes that are not.
+fn mangle(text: &str, flips: &[(usize, u8)]) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    for &(at, byte) in flips {
+        let at = at % bytes.len();
+        if byte % 4 == 0 {
+            bytes.truncate(at);
+            break;
+        }
+        bytes[at] = byte;
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// The texts above are the wire bytes, pinned: each parses, re-formats
+/// to itself, and so is a fair seed for the property below (which would
+/// be vacuous over seeds that do not parse). The empty forms ride along.
+#[test]
+fn the_pinned_texts_roundtrip() {
+    for text in [
+        IMAGE,
+        "session-image v2 scene=1280x960 requests=0 datasets=0 log=0",
+    ] {
+        let image = parse_session_image(text).unwrap();
+        assert_eq!(format_session_image(&image), text);
+    }
+    for text in [SESSIONS, "sessions n=0"] {
+        let sessions = parse_sessions_reply(text).unwrap();
+        assert_eq!(format_sessions_reply(&sessions), text);
+    }
+    let trace = parse_trace(TRACE).unwrap();
+    assert_eq!(format_trace(&trace), TRACE);
+    // keyed and un-keyed fields land where they should
+    let image = parse_session_image(IMAGE).unwrap();
+    assert_eq!((image.scene, image.requests), ((800, 600), 12));
+    assert_eq!(image.datasets[0].path, "data/gasch stress.pcl");
+    assert_eq!(image.datasets[1].mtime_nanos, None);
+    assert_eq!((image.datasets[1].len, image.datasets[1].hash), (77, 42));
+    let sessions = parse_sessions_reply(SESSIONS).unwrap();
+    assert_eq!(sessions[0].name, "alpha");
+    assert_eq!((sessions[0].shard, sessions[0].n_datasets), (1, 3));
+}
+
+proptest! {
+    #[test]
+    fn image_sessions_and_trace_parsers_are_total(
+        noise in prop::collection::vec(any::<u8>(), 0..300),
+        flips in prop::collection::vec((any::<usize>(), any::<u8>()), 1..5),
+    ) {
+        let noise = String::from_utf8_lossy(&noise).into_owned();
+        for text in [noise.clone(), mangle(IMAGE, &flips)] {
+            if let Ok(image) = parse_session_image(&text) {
+                prop_assert_eq!(parse_session_image(&format_session_image(&image)).unwrap(), image);
+            }
+        }
+        for text in [noise.clone(), mangle(SESSIONS, &flips)] {
+            if let Ok(entries) = parse_sessions_reply(&text) {
+                prop_assert_eq!(
+                    parse_sessions_reply(&format_sessions_reply(&entries)).unwrap(),
+                    entries
+                );
+            }
+        }
+        for text in [noise, mangle(TRACE, &flips)] {
+            if let Ok(events) = parse_trace(&text) {
+                prop_assert_eq!(parse_trace(&format_trace(&events)).unwrap(), events);
+            }
+        }
+    }
+}

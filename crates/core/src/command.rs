@@ -110,9 +110,7 @@ fn full_damage(scene_w: usize, scene_h: usize) -> Vec<Viewport> {
 
 /// Which scene regions a command invalidates, independent of scene
 /// dimensions. Resolved to concrete rectangles by [`resolve_damage`] in a
-/// single layout pass, or by a [`LayoutCache`] — the seam that lets a run
-/// of commands share one layout computation instead of paying one per
-/// command.
+/// single layout pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DamageClass {
     /// Zoom views, label gutters, and global-view marks of every pane.
@@ -236,67 +234,6 @@ pub fn resolve_damage(
 ) -> Vec<Viewport> {
     let layouts = scene_layouts(session, scene_w, scene_h);
     class_damage(session, &layouts, class, scene_w, scene_h)
-}
-
-/// Memoized pane layout for resolving a *sequence* of damage classes with
-/// as few layout passes as possible.
-///
-/// Sequential [`resolve_damage`] calls pay one `layout_panes` pass each.
-/// Across a request run the layout inputs (pane order, array-tree strip)
-/// rarely change, so a cache keyed on exactly those inputs collapses the
-/// per-command fixed cost to one pass per *distinct layout state* — while
-/// returning rectangles identical to what per-command resolution would
-/// have produced (each `resolve` reads the session as it is *now*, so
-/// interleaving mutations with resolutions stays exact).
-pub struct LayoutCache {
-    scene: (usize, usize),
-    /// `(dataset order, array-tree strip shown, layouts)` of the last pass.
-    state: Option<(Vec<usize>, bool, Vec<PaneLayout>)>,
-    passes: usize,
-}
-
-impl LayoutCache {
-    /// Empty cache for a `scene_w × scene_h` scene.
-    pub fn new(scene_w: usize, scene_h: usize) -> Self {
-        LayoutCache {
-            scene: (scene_w, scene_h),
-            state: None,
-            passes: 0,
-        }
-    }
-
-    /// Number of `layout_panes` passes run so far — observability for
-    /// tests asserting that runs actually share them.
-    pub fn passes(&self) -> usize {
-        self.passes
-    }
-
-    /// Resolve one damage class against the session's *current* state,
-    /// re-running layout only if the layout-relevant state changed since
-    /// the previous resolution. Equivalent to [`resolve_damage`] call for
-    /// call.
-    pub fn resolve(&mut self, session: &Session, class: DamageClass) -> Vec<Viewport> {
-        let order = session.dataset_order();
-        let show_atree = (0..session.n_datasets()).any(|d| session.array_tree(d).is_some());
-        let stale = match &self.state {
-            Some((o, a, _)) => o != order || *a != show_atree,
-            None => true,
-        };
-        if stale {
-            self.passes += 1;
-            let layouts = layout_panes(
-                self.scene.0,
-                self.scene.1,
-                order.len(),
-                true,
-                true,
-                show_atree,
-            );
-            self.state = Some((order.to_vec(), show_atree, layouts));
-        }
-        let (_, _, layouts) = self.state.as_ref().expect("state just ensured");
-        class_damage(session, layouts, class, self.scene.0, self.scene.1)
-    }
 }
 
 /// Apply a command to the session, reporting damage for a scene laid out
@@ -483,61 +420,5 @@ mod tests {
         // the settings drive the next ClusterAll
         apply(&mut s, &Command::ClusterAll, 640, 480);
         assert!(s.gene_tree(0).is_some());
-    }
-
-    #[test]
-    fn layout_cache_matches_per_command_resolution() {
-        let mut s = session();
-        let script = [
-            Command::SelectRegion {
-                dataset: 0,
-                start_frac: 0.0,
-                end_frac: 0.4,
-            },
-            Command::Scroll(2),
-            Command::ToggleSync,
-            Command::SetContrast {
-                dataset: Some(1),
-                contrast: 1.5,
-            },
-        ];
-        let mut cache = LayoutCache::new(640, 480);
-        for cmd in &script {
-            let class = perform(&mut s, cmd);
-            let direct = resolve_damage(&s, class, 640, 480);
-            assert_eq!(cache.resolve(&s, class), direct);
-        }
-        assert_eq!(cache.passes(), 1, "layout-stable run shares one pass");
-    }
-
-    #[test]
-    fn layout_cache_recomputes_on_reorder() {
-        let mut s = session();
-        let mut cache = LayoutCache::new(640, 480);
-        let class = perform(&mut s, &Command::Scroll(1));
-        assert_eq!(
-            cache.resolve(&s, class),
-            resolve_damage(&s, class, 640, 480)
-        );
-        // Relevance ordering flips the pane order, which moves SinglePane
-        // rectangles — the cache must notice and re-run layout.
-        let class = perform(&mut s, &Command::OrderByRelevance(vec![0.1, 0.9]));
-        assert_eq!(s.dataset_order(), &[1, 0]);
-        let class2 = perform(
-            &mut s,
-            &Command::SetContrast {
-                dataset: Some(0),
-                contrast: 2.0,
-            },
-        );
-        assert_eq!(
-            cache.resolve(&s, class),
-            resolve_damage(&s, class, 640, 480)
-        );
-        assert_eq!(
-            cache.resolve(&s, class2),
-            resolve_damage(&s, class2, 640, 480)
-        );
-        assert_eq!(cache.passes(), 2, "reorder forces exactly one more pass");
     }
 }

@@ -56,10 +56,12 @@
 //! sitting anywhere between the two watermarks is left alone.
 
 use crate::metrics::{LatencyHistogram, LATENCY_BUCKET_COUNT};
-use fv_api::decode::{field, num};
+use fv_api::decode::num;
+use fv_api::record::Token;
 use fv_api::ApiError;
 pub use fv_api::BalanceMode;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt::Write;
 
 /// Representative per-request cost (µs) of each latency bucket —
 /// midpoints of the [`crate::metrics::LATENCY_BUCKETS_US`] bounds, used
@@ -323,40 +325,44 @@ pub enum MoveOutcome {
     Failed,
 }
 
-impl MoveOutcome {
-    fn as_str(self) -> &'static str {
-        match self {
+impl Token for MoveOutcome {
+    fn put(&self, out: &mut String) {
+        out.push_str(match self {
             MoveOutcome::InFlight => "inflight",
             MoveOutcome::Done => "done",
             MoveOutcome::Failed => "failed",
-        }
+        });
     }
 
-    fn from_str_token(token: &str) -> Result<MoveOutcome, ApiError> {
+    fn get(token: &str) -> Option<MoveOutcome> {
         match token {
-            "inflight" => Ok(MoveOutcome::InFlight),
-            "done" => Ok(MoveOutcome::Done),
-            "failed" => Ok(MoveOutcome::Failed),
-            other => Err(ApiError::parse(format!("unknown move outcome {other:?}"))),
+            "inflight" => Some(MoveOutcome::InFlight),
+            "done" => Some(MoveOutcome::Done),
+            "failed" => Some(MoveOutcome::Failed),
+            _ => None,
         }
     }
 }
 
-/// One decision the balancer took, for the `balance` status reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MoveRecord {
-    /// Tick the move was planned on.
-    pub tick: u64,
-    /// Session moved.
-    pub session: String,
-    /// Source shard.
-    pub from: usize,
-    /// Destination shard.
-    pub to: usize,
-    /// Session load the decision was based on.
-    pub load: u64,
-    /// What became of it.
-    pub outcome: MoveOutcome,
+fv_api::wire_record! {
+    /// One decision the balancer took, for the `balance` status reply: a
+    /// `move <session> <from> <to>` row.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct MoveRecord {
+        /// Tick the move was planned on.
+        pub tick: u64 => "tick",
+        /// Session load the decision was based on.
+        pub load: u64 => "load",
+        /// What became of it.
+        pub outcome: MoveOutcome => "outcome",
+        ..
+        /// Session moved.
+        pub session: String,
+        /// Source shard.
+        pub from: usize,
+        /// Destination shard.
+        pub to: usize,
+    }
 }
 
 /// How many recent decisions the status reply retains.
@@ -536,63 +542,47 @@ impl Balancer {
 
 // ── status wire text ────────────────────────────────────────────────────
 
-/// Typed reply of the `balance` control line; [`format_balance`] /
-/// [`parse_balance`] are exact inverses, mirroring the `stats` plane.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BalanceStatus {
-    /// Current mode.
-    pub mode: BalanceMode,
-    /// Ticks elapsed since startup.
-    pub ticks: u64,
-    /// Moves ever planned.
-    pub planned: u64,
-    /// Moves that completed.
-    pub completed: u64,
-    /// Moves that failed (session restored to its source shard).
-    pub failed: u64,
-    /// Sessions currently in cooldown.
-    pub cooling: usize,
-    /// Per-tick migration budget.
-    pub budget: usize,
-    /// High watermark ratio.
-    pub trigger_ratio: f64,
-    /// Low watermark ratio.
-    pub settle_ratio: f64,
-    /// Cooldown length, in ticks.
-    pub cooldown_ticks: u64,
-    /// Minimum interval load worth balancing.
-    pub min_total_load: u64,
-    /// Most recent decisions, oldest first (bounded ring).
-    pub recent: Vec<MoveRecord>,
+fv_api::wire_record! {
+    /// Typed reply of the `balance` control line; [`format_balance`] /
+    /// [`parse_balance`] are exact inverses, mirroring the `stats` plane.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BalanceStatus {
+        /// Current mode.
+        pub mode: BalanceMode => "mode",
+        /// Ticks elapsed since startup.
+        pub ticks: u64 => "ticks",
+        /// Moves ever planned.
+        pub planned: u64 => "planned",
+        /// Moves that completed.
+        pub completed: u64 => "completed",
+        /// Moves that failed (session restored to its source shard).
+        pub failed: u64 => "failed",
+        /// Sessions currently in cooldown.
+        pub cooling: usize => "cooling",
+        /// Per-tick migration budget.
+        pub budget: usize => "budget",
+        /// High watermark ratio.
+        pub trigger_ratio: f64 => "trigger",
+        /// Low watermark ratio.
+        pub settle_ratio: f64 => "settle",
+        /// Cooldown length, in ticks.
+        pub cooldown_ticks: u64 => "cooldown",
+        /// Minimum interval load worth balancing.
+        pub min_total_load: u64 => "min_load",
+        ..
+        /// Most recent decisions, oldest first (bounded ring).
+        pub recent: Vec<MoveRecord>,
+    }
 }
 
 /// Canonical reply text for the `balance` control line; inverse of
 /// [`parse_balance`].
 pub fn format_balance(status: &BalanceStatus) -> String {
-    let mut out = format!(
-        "balance mode={} ticks={} planned={} completed={} failed={} cooling={} budget={} trigger={} settle={} cooldown={} min_load={}",
-        status.mode,
-        status.ticks,
-        status.planned,
-        status.completed,
-        status.failed,
-        status.cooling,
-        status.budget,
-        status.trigger_ratio,
-        status.settle_ratio,
-        status.cooldown_ticks,
-        status.min_total_load,
-    );
+    let mut out = String::from("balance");
+    status.put_fields(&mut out);
     for m in &status.recent {
-        out.push_str(&format!(
-            "\n  move {} {} {} tick={} load={} outcome={}",
-            m.session,
-            m.from,
-            m.to,
-            m.tick,
-            m.load,
-            m.outcome.as_str()
-        ));
+        let _ = write!(out, "\n  move {} {} {}", m.session, m.from, m.to);
+        m.put_fields(&mut out);
     }
     out
 }
@@ -606,48 +596,27 @@ pub fn parse_balance(text: &str) -> Result<BalanceStatus, ApiError> {
     let tail = head
         .strip_prefix("balance ")
         .ok_or_else(|| ApiError::parse(format!("not a balance reply: {head:?}")))?;
-    let ratio = |name: &str| -> Result<f64, ApiError> {
-        field(tail, name)?
-            .parse::<f64>()
-            .map_err(|_| ApiError::parse(format!("bad {name}")))
-    };
-    let mut recent = Vec::new();
+    let mut status = BalanceStatus::get_fields(tail)?;
     for line in lines {
         let row = line
             .strip_prefix("  move ")
             .ok_or_else(|| ApiError::parse(format!("unexpected balance row {line:?}")))?;
-        let mut parts = row.split_whitespace();
-        let (Some(session), Some(from), Some(to)) = (parts.next(), parts.next(), parts.next())
+        let mut parts = row.splitn(4, ' ');
+        let (Some(session), Some(from), Some(to), Some(rest)) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
         else {
-            return Err(ApiError::parse("move row needs <session> <from> <to>"));
+            return Err(ApiError::parse(
+                "move row needs <session> <from> <to> and fields",
+            ));
         };
-        let rest = row
-            .splitn(4, ' ')
-            .nth(3)
-            .ok_or_else(|| ApiError::parse("move row needs fields"))?;
-        recent.push(MoveRecord {
-            tick: num(field(rest, "tick")?, "tick")?,
+        status.recent.push(MoveRecord {
             session: session.to_string(),
             from: num(from, "from")?,
             to: num(to, "to")?,
-            load: num(field(rest, "load")?, "load")?,
-            outcome: MoveOutcome::from_str_token(field(rest, "outcome")?)?,
+            ..MoveRecord::get_fields(rest)?
         });
     }
-    Ok(BalanceStatus {
-        mode: BalanceMode::from_str_token(field(tail, "mode")?)?,
-        ticks: num(field(tail, "ticks")?, "ticks")?,
-        planned: num(field(tail, "planned")?, "planned")?,
-        completed: num(field(tail, "completed")?, "completed")?,
-        failed: num(field(tail, "failed")?, "failed")?,
-        cooling: num(field(tail, "cooling")?, "cooling")?,
-        budget: num(field(tail, "budget")?, "budget")?,
-        trigger_ratio: ratio("trigger")?,
-        settle_ratio: ratio("settle")?,
-        cooldown_ticks: num(field(tail, "cooldown")?, "cooldown")?,
-        min_total_load: num(field(tail, "min_load")?, "min_load")?,
-        recent,
-    })
+    Ok(status)
 }
 
 #[cfg(test)]
@@ -967,56 +936,8 @@ mod tests {
         assert!(status.cooling >= 1, "failed session still cools down");
     }
 
-    #[test]
-    fn status_text_roundtrips() {
-        let status = BalanceStatus {
-            mode: BalanceMode::Auto,
-            ticks: 42,
-            planned: 5,
-            completed: 4,
-            failed: 1,
-            cooling: 2,
-            budget: 2,
-            trigger_ratio: 1.5,
-            settle_ratio: 1.15,
-            cooldown_ticks: 8,
-            min_total_load: 1000,
-            recent: vec![
-                MoveRecord {
-                    tick: 40,
-                    session: "alpha".into(),
-                    from: 0,
-                    to: 3,
-                    load: 512,
-                    outcome: MoveOutcome::Done,
-                },
-                MoveRecord {
-                    tick: 41,
-                    session: "beta".into(),
-                    from: 2,
-                    to: 1,
-                    load: 77,
-                    outcome: MoveOutcome::Failed,
-                },
-            ],
-        };
-        let text = format_balance(&status);
-        assert_eq!(
-            text,
-            "balance mode=auto ticks=42 planned=5 completed=4 failed=1 cooling=2 budget=2 \
-             trigger=1.5 settle=1.15 cooldown=8 min_load=1000\n  \
-             move alpha 0 3 tick=40 load=512 outcome=done\n  \
-             move beta 2 1 tick=41 load=77 outcome=failed"
-        );
-        assert_eq!(parse_balance(&text).unwrap(), status);
-        // empty recent list roundtrips too
-        let bare = BalanceStatus {
-            recent: Vec::new(),
-            mode: BalanceMode::Off,
-            ..status
-        };
-        assert_eq!(parse_balance(&format_balance(&bare)).unwrap(), bare);
-    }
+    // The `balance` text itself is pinned, and walked format → parse →
+    // ==, by `tests/adversarial.rs` beside the other transport records.
 
     #[test]
     fn garbage_status_is_a_parse_error() {

@@ -5,7 +5,8 @@ use crate::frame::{read_reply, LineReader};
 use fv_api::codec::{ScriptItem, ScriptLine};
 use fv_api::{format_request, parse_response, parse_script, ApiError, Request, Response};
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
+use std::sync::mpsc::Sender;
 
 /// A connected client. One request at a time: [`Client::execute`] writes
 /// a line and blocks for its frame. (The script runner below pipelines
@@ -148,7 +149,7 @@ impl Client {
 ///
 /// The whole script is parsed locally first (so parse errors carry the
 /// same line numbers as local replay, and nothing is sent for a bad
-/// script), then written to the socket in one pipelined burst while
+/// script), then written to the socket in one `pipelined` burst while
 /// frames are read back in order. On a request error the runner stops —
 /// with the same `line N:`-prefixed error local replay produces — and
 /// drops the connection; lines already in flight may still execute
@@ -160,19 +161,8 @@ pub fn run_script_remote(
     mut sink: impl FnMut(&str),
 ) -> Result<(), ApiError> {
     let lines = parse_script(text)?;
-    let stream =
-        TcpStream::connect(addr).map_err(|e| ApiError::io(format!("connect {addr}: {e}")))?;
-    let mut write_half = stream
-        .try_clone()
-        .map_err(|e| ApiError::io(format!("clone stream: {e}")))?;
-    let ctrl = stream
-        .try_clone()
-        .map_err(|e| ApiError::io(format!("clone stream: {e}")))?;
-    let mut reader = LineReader::new(stream);
-
     // One burst: the server sees the whole script buffered and batches
-    // contiguous same-session runs. A writer thread keeps large scripts
-    // from deadlocking against un-drained responses.
+    // contiguous same-session runs.
     let mut wire = String::new();
     for line in &lines {
         match &line.item {
@@ -188,21 +178,52 @@ pub fn run_script_remote(
         }
         wire.push('\n');
     }
-    // fv-lint: allow(no-spawn-outside-sanctioned-modules) -- client-side writer thread so a pipelined script cannot deadlock against a flushing server; joined below
-    let writer = std::thread::spawn(move || {
-        // A send failure surfaces as missing frames on the read side.
-        let _ = write_half.write_all(wire.as_bytes());
-        let _ = write_half.shutdown(std::net::Shutdown::Write);
-    });
+    pipelined(addr, |reader, tx| {
+        // Sending then dropping `tx` half-closes once the burst is out.
+        let _ = tx.send(wire);
+        drop(tx);
+        read_script_replies(&lines, reader, &mut sink)
+    })
+}
 
-    let result = read_script_replies(&lines, &mut reader, &mut sink);
-    // Tear the socket down BEFORE joining the writer: after a mid-script
-    // error we stop draining responses, so for a large script the server
-    // can stall against our full receive path, stop reading, and leave
-    // the writer thread blocked in write_all forever. Killing the socket
-    // fails that write and lets the join complete. (Harmless on success —
-    // the writer already finished and half-closed.)
-    let _ = ctrl.shutdown(std::net::Shutdown::Both);
+/// Connect to `addr` and run `read` over the reply stream while a writer
+/// thread sends every chunk `read` queues on the channel, so a long
+/// pipelined burst cannot deadlock against a server that stopped reading
+/// to flush un-drained replies. Dropping the sender half-closes the
+/// write side; a send failure surfaces as missing frames on the read
+/// side.
+pub(crate) fn pipelined<T>(
+    addr: &str,
+    read: impl FnOnce(&mut LineReader<TcpStream>, Sender<String>) -> Result<T, ApiError>,
+) -> Result<T, ApiError> {
+    let stream =
+        TcpStream::connect(addr).map_err(|e| ApiError::io(format!("connect {addr}: {e}")))?;
+    let mut write_half = stream
+        .try_clone()
+        .map_err(|e| ApiError::io(format!("clone stream: {e}")))?;
+    let ctrl = stream
+        .try_clone()
+        .map_err(|e| ApiError::io(format!("clone stream: {e}")))?;
+    let mut reader = LineReader::new(stream);
+    let (tx, rx) = std::sync::mpsc::channel::<String>();
+    // fv-lint: allow(no-spawn-outside-sanctioned-modules) -- client-side writer thread so a pipelined burst cannot deadlock against a flushing server; joined below
+    let writer = std::thread::spawn(move || {
+        while let Ok(chunk) = rx.recv() {
+            if write_half.write_all(chunk.as_bytes()).is_err() {
+                return;
+            }
+        }
+        let _ = write_half.shutdown(Shutdown::Write);
+    });
+    let result = read(&mut reader, tx);
+    // Tear the socket down BEFORE joining the writer: after an error we
+    // stop draining responses, so for a large burst the server can stall
+    // against our full receive path, stop reading, and leave the writer
+    // blocked in write_all forever. Killing the socket fails that write
+    // and lets the join complete.
+    if result.is_err() {
+        let _ = ctrl.shutdown(Shutdown::Both);
+    }
     let _ = writer.join();
     result
 }

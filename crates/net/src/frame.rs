@@ -24,12 +24,18 @@
 //! connection alive — error parity with local script replay, where a bad
 //! line never tears down the session.
 //!
-//! The core is [`FrameBuf`], a push parser fed raw bytes — the shape a
-//! readiness-driven event loop needs. [`LineReader`] wraps it for
-//! blocking `Read` streams (the client side).
+//! Both directions are push parsers, so every caller owns its own
+//! transport. [`FrameBuf`] turns raw bytes into lines — the shape a
+//! readiness-driven event loop needs — and [`LineReader`] wraps it for
+//! blocking `Read` streams (the client side). [`ReplyAssembler`] turns
+//! lines into completed [`Reply`] frames and is the **only** decoder of
+//! the `ok`/`err` grammar above: [`read_reply`] drives it from a
+//! `LineReader`, the recording tap (`crate::tap`) from the bytes it
+//! proxies, and the stream `Watcher` (`crate::stream`) from the private
+//! buffer that keeps it from over-reading into binary tile frames.
 
 use fv_api::{ApiError, ErrorCode};
-use std::io::{self, Read, Write};
+use std::io::Read;
 
 /// Upper bound on one request line (bytes, excluding the newline). Longer
 /// lines are adversarial or corrupt, never legitimate requests.
@@ -46,33 +52,6 @@ pub enum LineFault {
     /// Line bytes are not valid UTF-8. The line boundary was found, so
     /// the next line is unaffected.
     BadUtf8,
-}
-
-/// How reading one line can fail ([`LineReader`]).
-#[derive(Debug)]
-pub enum LineError {
-    /// See [`LineFault::TooLong`]. The reader stays usable: the next
-    /// [`LineReader::read_line`] resumes at the next line boundary.
-    TooLong,
-    /// See [`LineFault::BadUtf8`]. The reader stays usable.
-    BadUtf8,
-    /// Transport failure.
-    Io(io::Error),
-}
-
-impl From<io::Error> for LineError {
-    fn from(e: io::Error) -> Self {
-        LineError::Io(e)
-    }
-}
-
-impl From<LineFault> for LineError {
-    fn from(f: LineFault) -> Self {
-        match f {
-            LineFault::TooLong => LineError::TooLong,
-            LineFault::BadUtf8 => LineError::BadUtf8,
-        }
-    }
 }
 
 /// Incremental line framer: bytes in ([`FrameBuf::feed`]), complete lines
@@ -165,9 +144,7 @@ impl FrameBuf {
 }
 
 /// Buffered line reader over a blocking `Read` stream — [`FrameBuf`]
-/// plus the reads. Exposes whether a complete line is already buffered,
-/// the hook batching servers/clients use to avoid blocking while holding
-/// a partial batch.
+/// plus the reads.
 pub struct LineReader<R: Read> {
     inner: R,
     frames: FrameBuf,
@@ -181,23 +158,23 @@ impl<R: Read> LineReader<R> {
         }
     }
 
-    /// Whether a complete line is already buffered, i.e. the next
-    /// [`LineReader::read_line`] will return without touching the
-    /// transport.
-    pub fn has_buffered_line(&self) -> bool {
-        self.frames.has_line()
-    }
-
     /// Read one line (without its terminator). `Ok(None)` is a clean EOF
     /// at a line boundary; EOF in the middle of a line (a truncated
     /// frame) also returns `Ok(None)`, discarding the partial line — a
-    /// disconnected peer cannot receive a response anyway. Fault errors
-    /// ([`LineError::TooLong`], [`LineError::BadUtf8`]) are per-line: the
-    /// reader stays usable and resyncs at the next boundary.
-    pub fn read_line(&mut self) -> Result<Option<String>, LineError> {
+    /// disconnected peer cannot receive a response anyway. A framing
+    /// fault is a typed `E_PARSE` and per-line: the reader stays usable
+    /// and resyncs at the next boundary. A transport failure is `E_IO`.
+    pub fn read_line(&mut self) -> Result<Option<String>, ApiError> {
         loop {
-            if let Some(line) = self.frames.next_line() {
-                return line.map(Some).map_err(LineError::from);
+            match self.frames.next_line() {
+                Some(Ok(line)) => return Ok(Some(line)),
+                Some(Err(LineFault::TooLong)) => {
+                    return Err(ApiError::parse("response line exceeds the frame limit"))
+                }
+                Some(Err(LineFault::BadUtf8)) => {
+                    return Err(ApiError::parse("response line is not valid UTF-8"))
+                }
+                None => {}
             }
             let mut chunk = [0u8; 4096];
             let n = self.inner.read(&mut chunk)?;
@@ -227,74 +204,78 @@ pub fn push_err_frame(out: &mut Vec<u8>, e: &ApiError) {
     out.extend_from_slice(format!("err {} {msg}\n", e.code.as_str()).as_bytes());
 }
 
-/// Write a success frame for response text `body` (no trailing newline in
-/// `body`; the frame adds its own terminators).
-pub fn write_ok(w: &mut impl Write, body: &str) -> io::Result<()> {
-    let mut buf = Vec::new();
-    push_ok_frame(&mut buf, body);
-    w.write_all(&buf)
-}
-
-/// Write an error frame; byte-identical to [`push_err_frame`].
-pub fn write_err(w: &mut impl Write, e: &ApiError) -> io::Result<()> {
-    let mut buf = Vec::new();
-    push_err_frame(&mut buf, e);
-    w.write_all(&buf)
-}
-
 /// One response frame, as a client sees it.
 pub type Reply = Result<String, ApiError>;
+
+/// Incremental reply-frame parser, the one decoder of the `ok <n>` /
+/// `err <CODE>` grammar: feed the server→client stream one line at a
+/// time, get a completed [`Reply`] whenever a frame closes. The line
+/// count of an `ok <n>` header is wire input: it is bounded
+/// (`1..=MAX_LINE`) and counted down, never reserved for.
+#[derive(Debug, Default)]
+pub struct ReplyAssembler {
+    /// `(lines still to come, body so far)` of an open `ok <n>` frame.
+    pending: Option<(usize, String)>,
+}
+
+impl ReplyAssembler {
+    pub fn new() -> ReplyAssembler {
+        ReplyAssembler::default()
+    }
+
+    /// Whether a multi-line `ok` frame is mid-assembly (EOF here is a
+    /// truncated frame, not a clean close).
+    pub fn mid_frame(&self) -> bool {
+        self.pending.is_some()
+    }
+
+    /// Feed one reply-plane line. Returns `Some(reply)` when a frame
+    /// completes, `None` while an `ok <n>` body is still arriving.
+    pub fn push_line(&mut self, line: &str) -> Result<Option<Reply>, ApiError> {
+        if let Some((left, mut body)) = self.pending.take() {
+            body.push_str(line);
+            if left == 1 {
+                return Ok(Some(Ok(body)));
+            }
+            body.push('\n');
+            self.pending = Some((left - 1, body));
+            return Ok(None);
+        }
+        if let Some(rest) = line.strip_prefix("ok ") {
+            let n: usize = rest
+                .parse()
+                .map_err(|_| ApiError::parse(format!("bad frame header {line:?}")))?;
+            if n == 0 || n > MAX_LINE {
+                return Err(ApiError::parse(format!("bad frame line count {n}")));
+            }
+            self.pending = Some((n, String::new()));
+            return Ok(None);
+        }
+        if let Some(rest) = line.strip_prefix("err ") {
+            let (code, message) = rest.split_once(' ').unwrap_or((rest, ""));
+            let code = ErrorCode::from_wire(code)
+                .ok_or_else(|| ApiError::parse(format!("unknown error code in frame {line:?}")))?;
+            return Ok(Some(Err(ApiError::new(code, message))));
+        }
+        Err(ApiError::parse(format!("malformed frame header {line:?}")))
+    }
+}
 
 /// Read one response frame: `Ok(None)` on clean EOF, `Ok(Some(reply))`
 /// with the server's answer (success text or typed error), `Err` on a
 /// transport/framing failure.
 pub fn read_reply<R: Read>(reader: &mut LineReader<R>) -> Result<Option<Reply>, ApiError> {
-    let header = match reader.read_line() {
-        Ok(Some(h)) => h,
-        Ok(None) => return Ok(None),
-        Err(e) => return Err(transport_error(e)),
-    };
-    if let Some(rest) = header.strip_prefix("ok ") {
-        let n: usize = rest
-            .parse()
-            .map_err(|_| ApiError::parse(format!("bad frame header {header:?}")))?;
-        if n == 0 || n > MAX_LINE {
-            return Err(ApiError::parse(format!("bad frame line count {n}")));
-        }
-        let mut body = String::new();
-        for i in 0..n {
-            match reader.read_line() {
-                Ok(Some(line)) => {
-                    if i > 0 {
-                        body.push('\n');
-                    }
-                    body.push_str(&line);
+    let mut frame = ReplyAssembler::new();
+    loop {
+        match reader.read_line()? {
+            Some(line) => {
+                if let Some(reply) = frame.push_line(&line)? {
+                    return Ok(Some(reply));
                 }
-                Ok(None) => return Err(ApiError::io("connection closed mid-frame")),
-                Err(e) => return Err(transport_error(e)),
             }
+            None if frame.mid_frame() => return Err(ApiError::io("connection closed mid-frame")),
+            None => return Ok(None),
         }
-        return Ok(Some(Ok(body)));
-    }
-    if let Some(rest) = header.strip_prefix("err ") {
-        let (code, message) = match rest.split_once(' ') {
-            Some((c, m)) => (c, m.to_string()),
-            None => (rest, String::new()),
-        };
-        let code = ErrorCode::from_wire(code)
-            .ok_or_else(|| ApiError::parse(format!("unknown error code in frame {header:?}")))?;
-        return Ok(Some(Err(ApiError::new(code, message))));
-    }
-    Err(ApiError::parse(format!(
-        "malformed frame header {header:?}"
-    )))
-}
-
-fn transport_error(e: LineError) -> ApiError {
-    match e {
-        LineError::TooLong => ApiError::parse("response line exceeds the frame limit"),
-        LineError::BadUtf8 => ApiError::parse("response line is not valid UTF-8"),
-        LineError::Io(e) => ApiError::io(e.to_string()),
     }
 }
 
@@ -302,23 +283,27 @@ fn transport_error(e: LineError) -> ApiError {
 mod tests {
     use super::*;
 
-    #[test]
-    fn push_frames_match_write_frames_byte_for_byte() {
-        for body in ["pong", "first\nsecond\nthird", ""] {
-            let mut pushed = Vec::new();
-            push_ok_frame(&mut pushed, body);
-            let n = body.lines().count().max(1);
-            assert_eq!(pushed, format!("ok {n}\n{body}\n").as_bytes());
-            let mut written = Vec::new();
-            write_ok(&mut written, body).unwrap();
-            assert_eq!(pushed, written);
+    fn frames(parts: &[Reply]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for part in parts {
+            match part {
+                Ok(body) => push_ok_frame(&mut buf, body),
+                Err(e) => push_err_frame(&mut buf, e),
+            }
         }
-        let e = ApiError::invalid("multi\nline");
-        let mut pushed = Vec::new();
-        push_err_frame(&mut pushed, &e);
-        let mut written = Vec::new();
-        write_err(&mut written, &e).unwrap();
-        assert_eq!(pushed, written);
+        buf
+    }
+
+    #[test]
+    fn pushed_frames_have_the_documented_byte_layout() {
+        for body in ["pong", "first\nsecond\nthird", ""] {
+            let n = body.lines().count().max(1);
+            assert_eq!(
+                frames(&[Ok(body.to_string())]),
+                format!("ok {n}\n{body}\n").as_bytes()
+            );
+        }
+        let pushed = frames(&[Err(ApiError::invalid("multi\nline"))]);
         assert_eq!(
             pushed.iter().filter(|&&b| b == b'\n').count(),
             1,
@@ -327,13 +312,11 @@ mod tests {
     }
 
     #[test]
-    fn lines_split_and_buffering_is_visible() {
+    fn lines_split_and_a_truncated_tail_is_eof() {
         let data = b"alpha\nbeta\ngamma".to_vec();
         let mut r = LineReader::new(&data[..]);
         assert_eq!(r.read_line().unwrap(), Some("alpha".to_string()));
-        assert!(r.has_buffered_line(), "beta is already buffered");
         assert_eq!(r.read_line().unwrap(), Some("beta".to_string()));
-        assert!(!r.has_buffered_line());
         // trailing bytes without a newline are a truncated line → EOF
         assert_eq!(r.read_line().unwrap(), None);
     }
@@ -351,7 +334,7 @@ mod tests {
         let mut data = vec![b'a'; MAX_LINE + 2];
         data.extend_from_slice(b"\nping\n");
         let mut r = LineReader::new(&data[..]);
-        assert!(matches!(r.read_line(), Err(LineError::TooLong)));
+        assert_eq!(r.read_line().unwrap_err().code, ErrorCode::Parse);
         // the reader recovered at the newline: the next line is intact
         assert_eq!(r.read_line().unwrap(), Some("ping".to_string()));
         assert_eq!(r.read_line().unwrap(), None);
@@ -380,31 +363,49 @@ mod tests {
         let mut data = vec![0xff, 0xfe, b'\n'];
         data.extend_from_slice(b"ok\n");
         let mut r = LineReader::new(&data[..]);
-        assert!(matches!(r.read_line(), Err(LineError::BadUtf8)));
+        assert_eq!(r.read_line().unwrap_err().code, ErrorCode::Parse);
         assert_eq!(r.read_line().unwrap(), Some("ok".to_string()));
     }
 
     #[test]
     fn frames_roundtrip() {
-        let mut buf = Vec::new();
-        write_ok(&mut buf, "one line").unwrap();
-        write_ok(&mut buf, "two\nlines").unwrap();
-        write_err(&mut buf, &ApiError::not_found("dataset 7")).unwrap();
+        // "" frames as `ok 1` + one empty line; newlines in an error
+        // message are flattened so the frame stays one line.
+        let buf = frames(&[
+            Ok("one line".into()),
+            Ok("two\n\nlines".into()),
+            Err(ApiError::not_found("dataset 7")),
+            Ok(String::new()),
+            Err(ApiError::invalid("multi\nline\nmessage")),
+        ]);
         let mut r = LineReader::new(&buf[..]);
         assert_eq!(read_reply(&mut r).unwrap().unwrap().unwrap(), "one line");
-        assert_eq!(read_reply(&mut r).unwrap().unwrap().unwrap(), "two\nlines");
+        assert_eq!(
+            read_reply(&mut r).unwrap().unwrap().unwrap(),
+            "two\n\nlines"
+        );
         let err = read_reply(&mut r).unwrap().unwrap().unwrap_err();
         assert_eq!(err.code, ErrorCode::NotFound);
         assert_eq!(err.message, "dataset 7");
+        assert_eq!(read_reply(&mut r).unwrap().unwrap().unwrap(), "");
+        let err = read_reply(&mut r).unwrap().unwrap().unwrap_err();
+        assert_eq!(err.message, "multi line message");
         assert!(read_reply(&mut r).unwrap().is_none(), "clean EOF");
     }
 
     #[test]
-    fn newlines_in_error_messages_are_flattened() {
-        let mut buf = Vec::new();
-        write_err(&mut buf, &ApiError::invalid("multi\nline\nmessage")).unwrap();
-        let mut r = LineReader::new(&buf[..]);
-        let err = read_reply(&mut r).unwrap().unwrap().unwrap_err();
-        assert_eq!(err.message, "multi line message");
+    fn assembler_tracks_open_frames_and_rejects_garbage_headers() {
+        let mut a = ReplyAssembler::new();
+        assert!(a.push_line("ok 2").unwrap().is_none());
+        assert!(a.mid_frame());
+        assert!(a.push_line("alpha").unwrap().is_none());
+        assert_eq!(a.push_line("").unwrap().unwrap().unwrap(), "alpha\n");
+        assert!(!a.mid_frame());
+        let err = a.push_line("err E_BUSY queue full").unwrap().unwrap();
+        assert_eq!(err.unwrap_err().code, ErrorCode::Busy);
+        for bad in ["hello", "ok zero", "ok 0", "ok 65537", "err E_NOPE what"] {
+            assert_eq!(a.push_line(bad).unwrap_err().code, ErrorCode::Parse);
+            assert!(!a.mid_frame(), "{bad:?} opens no frame");
+        }
     }
 }

@@ -24,7 +24,7 @@
 //!        │  codec to a child process. Replies return as
 //!        │  Completion{to: Waiter, reply} + waker.
 //!        ▼
-//!   fv-api             EngineHub::execute_run_on (shared layout passes)
+//!   fv-api             EngineHub::execute_run_on (one shard hop per run)
 //! ```
 //!
 //! Guarantees:
@@ -35,8 +35,8 @@
 //!   same shard, serialized; disjoint sessions on different shards run
 //!   concurrently.
 //! - **Coalescing survives the wire**: contiguous same-session request
-//!   runs map onto `EngineHub::execute_run_on`, sharing pane-layout
-//!   passes exactly like local script replay (which uses the same entry
+//!   runs map onto `EngineHub::execute_run_on` — one shard hop per run
+//!   — exactly like local script replay (which uses the same entry
 //!   point).
 //! - **Bounded resources**: thread count is `1 + n_shards`, independent
 //!   of connection count; per-connection memory is bounded by the
@@ -84,10 +84,11 @@ pub use balance::{
     plan_moves, BalanceConfig, BalanceMode, BalanceStatus, Balancer, MovePlan, ShardSnapshot,
 };
 pub use client::{run_script_remote, Client};
+pub use frame::ReplyAssembler;
 pub use metrics::{ServerStats, ShardStats};
 pub use procshard::worker_main;
 pub use replay::{recv_transcript, replay_local, replay_on_hub, replay_remote, ReplayOutcome};
 pub use server::{Server, ServerConfig, ShardBackendConfig};
 pub use shard::shard_of;
 pub use stream::Watcher;
-pub use tap::{record_session, ReplyAssembler};
+pub use tap::record_session;

@@ -85,12 +85,14 @@ use crate::shard::{
     WorkerCore,
 };
 use fv_api::decode::{field, num};
+use fv_api::record::Token;
 use fv_api::{
     format_request, format_response, format_session_image, parse_request, parse_response,
     parse_session_image, ApiError, CacheStats, DatasetCache, ErrorCode, RunOutcome, SessionId,
 };
 use fv_render::Framebuffer;
 use fv_wall::tile::Viewport;
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -202,7 +204,11 @@ impl<'a> Cursor<'a> {
     /// cannot hold (every counted item is at least a one-byte line) — so
     /// a corrupt count is a typed error, never a huge reservation.
     fn count(&self, token: &str, what: &str) -> Result<usize, ApiError> {
-        let n: usize = num(token, what)?;
+        self.fits(num(token, what)?, what)
+    }
+
+    /// [`Cursor::count`] for a count that is already a number.
+    fn fits(&self, n: usize, what: &str) -> Result<usize, ApiError> {
         if n > self.buf.len() {
             return Err(ApiError::parse(format!(
                 "frame truncated: {what} {n} exceeds the {} bytes that remain",
@@ -225,11 +231,7 @@ impl<'a> Cursor<'a> {
 }
 
 fn flag(token: &str) -> Result<bool, ApiError> {
-    match token {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        other => Err(ApiError::parse(format!("bad 0|1 flag {other:?}"))),
-    }
+    <bool as Token>::get(token).ok_or_else(|| ApiError::parse(format!("bad 0|1 flag {token:?}")))
 }
 
 // ---------------------------------------------------------------------
@@ -369,28 +371,43 @@ fn decode_reply(payload: &[u8], op: &ShardOp) -> Result<ShardReply, ApiError> {
     Ok(reply)
 }
 
+fv_api::wire_record! {
+    /// The `run-done` header: which blobs follow it, and how many.
+    struct RunDoneHead {
+        dropped: bool => "dropped",
+        nresp: usize => "nresp",
+        /// `-`, or `<failing request index>:<CODE>` (the message is a blob).
+        err: String => "err",
+        /// `-`, or one latency in µs per attempted request, comma-separated.
+        lat: String => "lat",
+        frame: bool => "frame",
+    }
+}
+
 fn encode_run_done(done: &RunDone) -> Vec<u8> {
-    let err_spec = match &done.outcome.error {
-        None => "-".to_string(),
-        Some((idx, e)) => format!("{idx}:{}", e.code.as_str()),
+    let head = RunDoneHead {
+        dropped: done.session_dropped,
+        nresp: done.outcome.responses.len(),
+        err: match &done.outcome.error {
+            None => "-".to_string(),
+            Some((idx, e)) => format!("{idx}:{}", e.code.as_str()),
+        },
+        lat: if done.outcome.latencies.is_empty() {
+            "-".to_string()
+        } else {
+            done.outcome
+                .latencies
+                .iter()
+                .map(|l| l.as_micros().min(u64::MAX as u128).to_string())
+                .collect::<Vec<_>>()
+                .join(",")
+        },
+        frame: done.frame.is_some(),
     };
-    let lat_spec = if done.outcome.latencies.is_empty() {
-        "-".to_string()
-    } else {
-        done.outcome
-            .latencies
-            .iter()
-            .map(|l| l.as_micros().min(u64::MAX as u128).to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let mut out = format!(
-        "run-done dropped={} nresp={} err={err_spec} lat={lat_spec} frame={}\n",
-        done.session_dropped as u8,
-        done.outcome.responses.len(),
-        done.frame.is_some() as u8,
-    )
-    .into_bytes();
+    let mut out = String::from("run-done");
+    head.put_fields(&mut out);
+    out.push('\n');
+    let mut out = out.into_bytes();
     for response in &done.outcome.responses {
         push_blob(&mut out, format_response(response).as_bytes());
     }
@@ -416,21 +433,19 @@ fn encode_run_done(done: &RunDone) -> Vec<u8> {
 }
 
 fn decode_run_done(header: &str, c: &mut Cursor, session: &SessionId) -> Result<RunDone, ApiError> {
-    let dropped = flag(field(header, "dropped")?)?;
-    let nresp = c.count(field(header, "nresp")?, "response count")?;
-    let err_spec = field(header, "err")?;
-    let lat_spec = field(header, "lat")?;
-    let has_frame = flag(field(header, "frame")?)?;
+    let head = RunDoneHead::get_fields(header)?;
+    let nresp = c.fits(head.nresp, "response count")?;
     let mut responses = Vec::with_capacity(nresp);
     for _ in 0..nresp {
         responses.push(parse_response(c.text_blob()?)?);
     }
-    let error = if err_spec == "-" {
+    let error = if head.err == "-" {
         None
     } else {
-        let (idx, code) = err_spec
+        let (idx, code) = head
+            .err
             .split_once(':')
-            .ok_or_else(|| ApiError::parse(format!("bad err spec {err_spec:?}")))?;
+            .ok_or_else(|| ApiError::parse(format!("bad err spec {:?}", head.err)))?;
         let code = ErrorCode::from_wire(code)
             .ok_or_else(|| ApiError::parse(format!("unknown error code {code:?}")))?;
         let message = c.text_blob()?.to_string();
@@ -439,15 +454,15 @@ fn decode_run_done(header: &str, c: &mut Cursor, session: &SessionId) -> Result<
             ApiError::new(code, message),
         ))
     };
-    let latencies = if lat_spec == "-" {
+    let latencies = if head.lat == "-" {
         Vec::new()
     } else {
-        lat_spec
+        head.lat
             .split(',')
             .map(|us| num(us, "latency").map(Duration::from_micros))
             .collect::<Result<_, _>>()?
     };
-    let frame = if has_frame {
+    let frame = if head.frame {
         let fl = c.line()?;
         let mut parts = fl.split(' ');
         let (verb, w, h, nrects) = (parts.next(), parts.next(), parts.next(), parts.next());
@@ -501,19 +516,17 @@ fn decode_run_done(header: &str, c: &mut Cursor, session: &SessionId) -> Result<
             error,
             latencies,
         },
-        session_dropped: dropped,
+        session_dropped: head.dropped,
         frame,
     })
 }
 
 fn encode_report(report: &ShardReport) -> Vec<u8> {
-    let mut out = format!(
-        "report shard={} runs={} requests={} max_run={} lat={} lat_max_us={} \
-         cache={},{},{},{} sessions={}\n",
-        report.shard,
-        report.runs,
-        report.requests,
-        report.max_run,
+    let mut out = String::from("report");
+    report.put_fields(&mut out);
+    let _ = writeln!(
+        out,
+        " lat={} lat_max_us={} cache={},{},{},{} sessions={}",
         report.latency.format(),
         report.latency.max_us,
         report.cache.entries,
@@ -521,18 +534,13 @@ fn encode_report(report: &ShardReport) -> Vec<u8> {
         report.cache.misses,
         report.cache.evictions,
         report.sessions.len(),
-    )
-    .into_bytes();
+    );
     for s in &report.sessions {
-        out.extend_from_slice(
-            format!(
-                "session datasets={} requests={} bytes={} name={}\n",
-                s.n_datasets, s.requests, s.dataset_bytes, s.name
-            )
-            .as_bytes(),
-        );
+        out.push_str("session");
+        s.put_fields(&mut out);
+        out.push('\n');
     }
-    out
+    out.into_bytes()
 }
 
 fn decode_report(header: &str, c: &mut Cursor) -> Result<ShardReport, ApiError> {
@@ -554,21 +562,13 @@ fn decode_report(header: &str, c: &mut Cursor) -> Result<ShardReport, ApiError> 
         if !row.starts_with("session ") {
             return Err(ApiError::parse(format!("bad session row {row:?}")));
         }
-        sessions.push(SessionReport {
-            name: field(row, "name")?.to_string(),
-            n_datasets: num(field(row, "datasets")?, "dataset count")?,
-            requests: num(field(row, "requests")?, "session requests")?,
-            dataset_bytes: num(field(row, "bytes")?, "dataset bytes")?,
-        });
+        sessions.push(SessionReport::get_fields(row)?);
     }
     Ok(ShardReport {
-        shard: num(field(header, "shard")?, "shard index")?,
-        sessions,
-        runs: num(field(header, "runs")?, "runs")?,
-        requests: num(field(header, "requests")?, "requests")?,
-        max_run: num(field(header, "max_run")?, "max_run")?,
         latency: LatencyHistogram::parse(field(header, "lat")?, field(header, "lat_max_us")?)?,
         cache,
+        sessions,
+        ..ShardReport::get_fields(header)?
     })
 }
 

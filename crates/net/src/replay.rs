@@ -24,14 +24,13 @@
 //! locally — there is no connection queue — so traces recorded under
 //! queue pressure byte-verify against servers, not hubs.
 
-use crate::frame::{read_reply, LineReader};
+use crate::client::pipelined;
+use crate::frame::read_reply;
 use fv_api::codec::ScriptItem;
 use fv_api::{
     format_response, format_trace, parse_wire_line, ApiError, EngineHub, Request, SessionId,
     TraceEvent, WireItem,
 };
-use std::io::Write;
-use std::net::{Shutdown, TcpStream};
 
 /// What a replay produced, ready for byte comparison.
 #[derive(Debug)]
@@ -88,37 +87,12 @@ pub fn recv_transcript(events: &[TraceEvent]) -> String {
 
 /// Replay a trace against a live server at `addr`.
 ///
-/// Consecutive `send` events go out as one pipelined write (a writer
-/// thread keeps a long burst from deadlocking against undrained
-/// replies); each recorded `recv` reads one frame back. The server
+/// Consecutive `send` events go out as one `pipelined` write; each
+/// recorded `recv` reads one frame back. The server
 /// closing the connection before every expected frame arrived is a
 /// typed `E_IO` error.
 pub fn replay_remote(addr: &str, events: &[TraceEvent]) -> Result<ReplayOutcome, ApiError> {
-    let stream =
-        TcpStream::connect(addr).map_err(|e| ApiError::io(format!("connect {addr}: {e}")))?;
-    let mut write_half = stream
-        .try_clone()
-        .map_err(|e| ApiError::io(format!("clone stream: {e}")))?;
-    let ctrl = stream
-        .try_clone()
-        .map_err(|e| ApiError::io(format!("clone stream: {e}")))?;
-    let mut reader = LineReader::new(stream);
-
-    // Send batches flow through a channel to a writer thread, so a huge
-    // batch can never wedge the replay against a server that stopped
-    // reading to flush replies (same shape as `run_script_remote`).
-    let (tx, rx) = std::sync::mpsc::channel::<String>();
-    // fv-lint: allow(no-spawn-outside-sanctioned-modules) -- replay-side writer thread, same deadlock-avoidance shape as client.rs; joined on teardown
-    let writer = std::thread::spawn(move || {
-        while let Ok(chunk) = rx.recv() {
-            if write_half.write_all(chunk.as_bytes()).is_err() {
-                return; // surfaces as missing frames on the read side
-            }
-        }
-        let _ = write_half.shutdown(Shutdown::Write);
-    });
-
-    let mut run = || -> Result<(usize, Vec<TraceEvent>), ApiError> {
+    let (sends, replies) = pipelined(addr, |reader, tx| {
         let mut sends = 0usize;
         let mut replies = Vec::new();
         let mut batch = String::new();
@@ -133,7 +107,7 @@ pub fn replay_remote(addr: &str, events: &[TraceEvent]) -> Result<ReplayOutcome,
                     if !batch.is_empty() {
                         let _ = tx.send(std::mem::take(&mut batch));
                     }
-                    match read_reply(&mut reader)? {
+                    match read_reply(reader)? {
                         Some(reply) => replies.push(TraceEvent::Recv(reply)),
                         None => {
                             return Err(ApiError::io(
@@ -149,16 +123,7 @@ pub fn replay_remote(addr: &str, events: &[TraceEvent]) -> Result<ReplayOutcome,
             let _ = tx.send(batch);
         }
         Ok((sends, replies))
-    };
-    let result = run();
-    // Drop the sender (writer half-closes) and kill the socket before
-    // joining, so an errored replay cannot leave the writer blocked.
-    drop(tx);
-    if result.is_err() {
-        let _ = ctrl.shutdown(Shutdown::Both);
-    }
-    let _ = writer.join();
-    let (sends, replies) = result?;
+    })?;
 
     Ok(ReplayOutcome {
         sends,

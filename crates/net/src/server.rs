@@ -28,7 +28,7 @@
 //! session are dispatched as one *run* — everything the client has
 //! pipelined when the connection's previous work finishes — and executed
 //! via `EngineHub::execute_run_on`, so a pipelined command stream pays
-//! one layout pass per run with responses still per-request and in
+//! one shard hop per run with responses still per-request and in
 //! request order. Response order per connection always equals request
 //! order; requests from different connections to the *same* session
 //! serialize on the owning shard in arrival order.
@@ -1429,7 +1429,7 @@ fn pump(conn: &mut Conn, id: u64, st: &mut LoopState) {
         match item {
             Item::Request(first) => {
                 // Everything the client has pipelined for the current
-                // session becomes one run — one layout pass server-side.
+                // session becomes one run — one shard hop server-side.
                 let mut requests = vec![first];
                 while matches!(conn.inbox.front(), Some(Item::Request(_))) {
                     if let Some(Item::Request(r)) = conn.inbox.pop_front() {

@@ -53,51 +53,52 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// One session's slice of a [`ShardReport`]: identity for
-/// `list-sessions`, cumulative cost estimates for the rebalancer.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SessionReport {
-    pub name: String,
-    pub n_datasets: usize,
-    /// Attempted requests since the session was created (travels with
-    /// the engine across migrations).
-    pub requests: u64,
-    /// Approximate resident dataset bytes.
-    pub dataset_bytes: u64,
+fv_api::wire_record! {
+    /// One session's slice of a [`ShardReport`]: identity for
+    /// `list-sessions`, cumulative cost estimates for the rebalancer. On a
+    /// process shard it crosses the seam as a `session` row.
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) struct SessionReport {
+        pub n_datasets: usize => "datasets",
+        /// Attempted requests since the session was created (travels with
+        /// the engine across migrations).
+        pub requests: u64 => "requests",
+        /// Approximate resident dataset bytes.
+        pub dataset_bytes: u64 => "bytes",
+        pub name: String => "name",
+    }
 }
 
-/// One shard's contribution to a `stats`, `list-sessions`, or balancer
-/// snapshot: sessions it owns (with cost estimates) plus its execution
-/// counters.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ShardReport {
-    pub shard: usize,
-    /// Per-session reports, sorted by name (hub order).
-    pub sessions: Vec<SessionReport>,
-    /// Non-empty runs executed.
-    pub runs: u64,
-    /// Requests executed across those runs.
-    pub requests: u64,
-    /// Largest single run.
-    pub max_run: usize,
-    /// Per-request latency histogram of everything this shard executed.
-    pub latency: LatencyHistogram,
-    /// Gauges of the dataset cache this shard's hub loads through (one
-    /// cache shared by all thread shards, a private one per child
-    /// process — which is how the parent learns a child's gauges).
-    pub cache: CacheStats,
+fv_api::wire_record! {
+    /// One shard's contribution to a `stats`, `list-sessions`, or balancer
+    /// snapshot: sessions it owns (with cost estimates) plus its execution
+    /// counters. The keyed fields open a process shard's `report` header.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub(crate) struct ShardReport {
+        pub shard: usize => "shard",
+        /// Non-empty runs executed.
+        pub runs: u64 => "runs",
+        /// Requests executed across those runs.
+        pub requests: u64 => "requests",
+        /// Largest single run.
+        pub max_run: usize => "max_run",
+        ..
+        /// Per-request latency histogram of everything this shard executed.
+        pub latency: LatencyHistogram,
+        /// Gauges of the dataset cache this shard's hub loads through (one
+        /// cache shared by all thread shards, a private one per child
+        /// process — which is how the parent learns a child's gauges).
+        pub cache: CacheStats,
+        /// Per-session reports, sorted by name (hub order).
+        pub sessions: Vec<SessionReport>,
+    }
 }
 
 impl ShardReport {
     pub(crate) fn empty(shard: usize) -> ShardReport {
         ShardReport {
             shard,
-            sessions: Vec::new(),
-            runs: 0,
-            requests: 0,
-            max_run: 0,
-            latency: LatencyHistogram::new(),
-            cache: CacheStats::default(),
+            ..ShardReport::default()
         }
     }
 }

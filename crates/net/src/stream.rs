@@ -30,9 +30,15 @@
 //!
 //! The client side is [`Watcher`]: a blocking subscriber that reassembles
 //! tile frames into a local [`Framebuffer`] and can verify it against a
-//! local render (`fvtool watch --verify-script`).
+//! local render (`fvtool watch --verify-script`). Its two text replies
+//! (the `subscribe` ack, the `unsubscribe` confirmation) are ordinary
+//! reply frames, decoded by the one [`ReplyAssembler`] — fed from the
+//! watcher's own byte buffer, because a `LineReader` would read ahead
+//! into the binary tile frames that follow.
 
-use fv_api::{ApiError, ErrorCode, SessionId};
+use crate::frame::ReplyAssembler;
+use fv_api::record::Token;
+use fv_api::{ApiError, SessionId};
 use fv_render::Framebuffer;
 use fv_wall::stream::{decode, TileAssembler, TileFrame, TileStreamEncoder};
 use fv_wall::tile::{TileGrid, Viewport};
@@ -234,40 +240,16 @@ impl Watcher {
             .map_err(|e| ApiError::io(e.to_string()))?;
         let mut buf = Vec::new();
         let mut start = 0usize;
-        let header = read_text_line(&mut stream, &mut buf, &mut start)?;
-        let body = match header.strip_prefix("ok ") {
-            Some(count) => {
-                // Honor the frame's line count: a server dying mid-reply
-                // leaves the body short, and that must surface as the
-                // typed E_IO a dropped connection deserves — never as a
-                // parse error on whatever fragment did arrive.
-                let n: usize = count
-                    .trim()
-                    .parse()
-                    .map_err(|_| ApiError::parse(format!("bad frame header {header:?}")))?;
-                if n == 0 {
-                    return Err(ApiError::parse("bad frame line count 0"));
-                }
-                let mut lines = Vec::with_capacity(n);
-                for _ in 0..n {
-                    lines.push(read_text_line(&mut stream, &mut buf, &mut start)?);
-                }
-                // A well-formed ack is one line; a multi-line body falls
-                // through to the malformed-ack error below.
-                lines.join("\n")
+        // The ack is an ordinary reply frame. A server dying mid-reply
+        // surfaces as the typed E_IO a dropped connection deserves
+        // (`read_text_line` at EOF), never as a parse error on whatever
+        // fragment did arrive; a refusal is the server's own typed error.
+        let mut ack = ReplyAssembler::new();
+        let body = loop {
+            let line = read_text_line(&mut stream, &mut buf, &mut start)?;
+            if let Some(reply) = ack.push_line(&line)? {
+                break reply?;
             }
-            None => match header.strip_prefix("err ") {
-                Some(rest) => {
-                    let (code, msg) = rest.split_once(' ').unwrap_or((rest, ""));
-                    let code = ErrorCode::from_wire(code).unwrap_or(fv_api::ErrorCode::Internal);
-                    return Err(ApiError::new(code, msg));
-                }
-                None => {
-                    return Err(ApiError::parse(format!(
-                        "malformed subscribe reply {header:?}"
-                    )))
-                }
-            },
         };
         // "subscribed <session> <TX>x<TY> <W>x<H>"
         let fields: Vec<&str> = body.split(' ').collect();
@@ -275,9 +257,7 @@ impl Watcher {
             ["subscribed", _, _, dims] => *dims,
             _ => return Err(ApiError::parse(format!("malformed subscribe ack {body:?}"))),
         };
-        let (w, h) = dims
-            .split_once('x')
-            .and_then(|(w, h)| Some((w.parse::<usize>().ok()?, h.parse::<usize>().ok()?)))
+        let (w, h) = <(usize, usize)>::get(dims)
             .ok_or_else(|| ApiError::parse(format!("malformed wall dimensions {dims:?}")))?;
         if tiles_x == 0 || tiles_y == 0 || w % tiles_x != 0 || h % tiles_y != 0 {
             return Err(ApiError::parse(format!(
@@ -360,47 +340,42 @@ impl Watcher {
         self.stream
             .write_all(b"unsubscribe\n")
             .map_err(|e| ApiError::io(e.to_string()))?;
+        let mut reply = ReplyAssembler::new();
         loop {
-            // Disambiguate what is next in the byte stream: a binary tile
-            // frame ("tile …") or the text reply ("ok 1\nunsubscribed…").
+            // What is next in the byte stream: a binary tile frame
+            // ("tile …") or a line of the text reply ("ok 1", then
+            // "unsubscribed …")? Three bytes tell; inside an open reply
+            // frame every line is text.
             let pending = &self.buf[self.start..];
-            if pending.len() < 3 {
-                let mut chunk = [0u8; 4096];
-                match self.stream.read(&mut chunk) {
-                    Ok(0) => return Err(ApiError::io("connection closed during unsubscribe")),
-                    Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(ApiError::io(e.to_string())),
+            if reply.mid_frame() || (pending.len() >= 3 && !pending.starts_with(b"til")) {
+                let line = read_text_line(&mut self.stream, &mut self.buf, &mut self.start)?;
+                match reply.push_line(&line)? {
+                    Some(Ok(body)) if body.starts_with("unsubscribed") => return Ok(()),
+                    Some(Ok(body)) => {
+                        return Err(ApiError::parse(format!(
+                            "unexpected unsubscribe reply {body:?}"
+                        )))
+                    }
+                    Some(Err(e)) => return Err(e),
+                    None => continue,
                 }
-                continue;
             }
-            if pending.starts_with(b"ok ") {
-                let header = read_text_line(&mut self.stream, &mut self.buf, &mut self.start)?;
-                debug_assert!(header.starts_with("ok "));
-                let body = read_text_line(&mut self.stream, &mut self.buf, &mut self.start)?;
-                if !body.starts_with("unsubscribed") {
-                    return Err(ApiError::parse(format!(
-                        "unexpected unsubscribe reply {body:?}"
-                    )));
-                }
-                return Ok(());
-            }
-            match decode(&self.buf[self.start..]).map_err(|e| ApiError::parse(e.to_string()))? {
-                Some((frame, used)) => {
+            if pending.len() >= 3 {
+                let decoded = decode(pending).map_err(|e| ApiError::parse(e.to_string()))?;
+                if let Some((frame, used)) = decoded {
                     self.start += used;
                     self.assembler
                         .apply(&frame)
                         .map_err(|e| ApiError::parse(e.to_string()))?;
+                    continue;
                 }
-                None => {
-                    let mut chunk = [0u8; 64 * 1024];
-                    match self.stream.read(&mut chunk) {
-                        Ok(0) => return Err(ApiError::io("connection closed during unsubscribe")),
-                        Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(e) => return Err(ApiError::io(e.to_string())),
-                    }
-                }
+            }
+            let mut chunk = [0u8; 64 * 1024];
+            match self.stream.read(&mut chunk) {
+                Ok(0) => return Err(ApiError::io("connection closed during unsubscribe")),
+                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(ApiError::io(e.to_string())),
             }
         }
     }
@@ -439,7 +414,7 @@ impl Watcher {
 
 /// Read one `\n`-terminated text line from `stream` through the watcher's
 /// own buffer (a [`crate::frame::LineReader`] would swallow bytes of the
-/// binary stream that follows; this buffer keeps them).
+/// binary stream that follows; this buffer keeps them). EOF is `E_IO`.
 fn read_text_line(
     stream: &mut TcpStream,
     buf: &mut Vec<u8>,

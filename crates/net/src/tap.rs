@@ -5,11 +5,12 @@
 //! The tap forwards raw bytes verbatim in both directions — the proxied
 //! session behaves exactly as a direct connection, pipelining included —
 //! and *observes* the streams through the same framing the endpoints
-//! use: request lines via [`FrameBuf`], reply frames via a
-//! [`ReplyAssembler`] (the incremental counterpart of
-//! [`crate::frame::read_reply`]). When both sides hang up, the recorded
-//! events serialize with [`fv_api::format_trace`] into a `fvtrace 1`
-//! file that [`crate::replay`] can re-drive deterministically.
+//! use: request lines via [`FrameBuf`], reply frames via the same
+//! [`ReplyAssembler`] that [`crate::frame::read_reply`] drives — one
+//! decoder, so a recording cannot disagree with a client about what a
+//! frame is. When both sides hang up, the recorded events serialize
+//! with [`fv_api::format_trace`] into a `fvtrace 1` file that
+//! [`crate::replay`] can re-drive deterministically.
 //!
 //! Scope: the request/reply plane only. Traces are bounded UTF-8 text,
 //! so a session carrying framing faults (oversized or non-UTF-8 lines)
@@ -17,7 +18,7 @@
 //! tap reports a typed error instead of writing a trace that could not
 //! replay.
 
-use crate::frame::{FrameBuf, LineFault, Reply, MAX_LINE};
+use crate::frame::{FrameBuf, LineFault, ReplyAssembler};
 use fv_api::{ApiError, ErrorCode, TraceEvent};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -32,60 +33,6 @@ fn push_event(events: &Mutex<Vec<TraceEvent>>, event: TraceEvent) {
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .push(event);
-}
-
-/// Incremental reply-frame parser: feed the server→client stream one
-/// line at a time, get a completed [`Reply`] whenever a frame closes.
-/// Grammar and error classes match [`crate::frame::read_reply`] exactly.
-#[derive(Debug, Default)]
-pub struct ReplyAssembler {
-    /// `(total_lines, collected)` of an open `ok <n>` frame.
-    pending: Option<(usize, Vec<String>)>,
-}
-
-impl ReplyAssembler {
-    pub fn new() -> ReplyAssembler {
-        ReplyAssembler::default()
-    }
-
-    /// Whether a multi-line `ok` frame is mid-assembly (EOF here is a
-    /// truncated frame, not a clean close).
-    pub fn mid_frame(&self) -> bool {
-        self.pending.is_some()
-    }
-
-    /// Feed one reply-plane line. Returns `Some(reply)` when a frame
-    /// completes, `None` while an `ok <n>` body is still arriving.
-    pub fn push_line(&mut self, line: &str) -> Result<Option<Reply>, ApiError> {
-        if let Some((total, mut collected)) = self.pending.take() {
-            collected.push(line.to_string());
-            if collected.len() == total {
-                return Ok(Some(Ok(collected.join("\n"))));
-            }
-            self.pending = Some((total, collected));
-            return Ok(None);
-        }
-        if let Some(rest) = line.strip_prefix("ok ") {
-            let n: usize = rest
-                .parse()
-                .map_err(|_| ApiError::parse(format!("bad frame header {line:?}")))?;
-            if n == 0 || n > MAX_LINE {
-                return Err(ApiError::parse(format!("bad frame line count {n}")));
-            }
-            self.pending = Some((n, Vec::with_capacity(n)));
-            return Ok(None);
-        }
-        if let Some(rest) = line.strip_prefix("err ") {
-            let (code, message) = match rest.split_once(' ') {
-                Some((c, m)) => (c, m.to_string()),
-                None => (rest, String::new()),
-            };
-            let code = ErrorCode::from_wire(code)
-                .ok_or_else(|| ApiError::parse(format!("unknown error code in frame {line:?}")))?;
-            return Ok(Some(Err(ApiError::new(code, message))));
-        }
-        Err(ApiError::parse(format!("malformed frame header {line:?}")))
-    }
 }
 
 /// Proxy exactly one accepted connection to `upstream`, recording the
@@ -231,54 +178,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn assembler_reassembles_multi_line_ok_and_err_frames() {
-        let mut a = ReplyAssembler::new();
-        assert!(a.push_line("ok 3").unwrap().is_none());
-        assert!(a.mid_frame());
-        assert!(a.push_line("alpha").unwrap().is_none());
-        assert!(a.push_line("").unwrap().is_none());
-        let reply = a.push_line("gamma").unwrap().unwrap().unwrap();
-        assert_eq!(reply, "alpha\n\ngamma");
-        assert!(!a.mid_frame());
-        let err = a
-            .push_line("err E_BUSY queue full")
-            .unwrap()
-            .unwrap()
-            .unwrap_err();
-        assert_eq!(err.code, ErrorCode::Busy);
-        assert_eq!(err.message, "queue full");
-    }
-
-    #[test]
-    fn assembler_matches_read_reply_byte_for_byte() {
-        use crate::frame::{read_reply, write_err, write_ok, LineReader};
-        let mut wire = Vec::new();
-        write_ok(&mut wire, "one").unwrap();
-        write_ok(&mut wire, "first\nsecond\nthird").unwrap();
-        write_err(&mut wire, &ApiError::not_found("dataset 9")).unwrap();
-        write_ok(&mut wire, "").unwrap(); // empty body → "ok 1" + one empty line
-
-        // via the blocking reader
-        let mut reader = LineReader::new(&wire[..]);
-        let mut expected = Vec::new();
-        while let Some(r) = read_reply(&mut reader).unwrap() {
-            expected.push(r);
-        }
-
-        // via the incremental assembler
-        let mut frames = FrameBuf::new();
-        frames.feed(&wire);
-        let mut a = ReplyAssembler::new();
-        let mut got = Vec::new();
-        while let Some(line) = frames.next_line() {
-            if let Some(r) = a.push_line(&line.unwrap()).unwrap() {
-                got.push(r);
-            }
-        }
-        assert_eq!(got, expected);
-    }
-
-    #[test]
     fn event_log_survives_a_poisoned_lock() {
         // A panic while the log is held poisons the mutex; the recorder
         // must still read the events gathered before the panic rather
@@ -298,14 +197,5 @@ mod tests {
             .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
             .unwrap_or_default();
         assert_eq!(log.len(), 2);
-    }
-
-    #[test]
-    fn assembler_rejects_garbage_headers() {
-        let mut a = ReplyAssembler::new();
-        assert!(a.push_line("hello").is_err());
-        assert!(a.push_line("ok zero").is_err());
-        assert!(a.push_line("ok 0").is_err());
-        assert!(a.push_line("err E_NOPE what").is_err());
     }
 }

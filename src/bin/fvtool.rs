@@ -53,9 +53,8 @@ fn usage() -> ExitCode {
          fvtool demo    <out_dir>\n  \
          fvtool script  <file.fvs>\n  \
          fvtool serve   [--addr <host:port>] [--shards <n> | --shard-procs <n>] [--queue-limit <n>]\n           \
-         [--state-dir <dir>] [--balance auto|off] [--balance-interval-ms <n>] [--balance-budget <n>]\n           \
-         [--balance-trigger <ratio>] [--balance-settle <ratio>]\n           \
-         [--balance-cooldown <ticks>] [--balance-min-load <n>]\n  \
+         [--state-dir <dir>] [--balance auto|off] [--balance-interval-ms <n>]\n           \
+         [--balance-trigger <ratio>] [--balance-settle <ratio>] [--balance-min-load <n>]\n  \
          fvtool ping    --remote <host:port>\n  \
          fvtool watch   <session> <TX>x<TY> [--frames <n>] [--idle-ms <n>] [--dally-ms <n>]\n           \
          [--verify-script <file.fvs>] --remote <host:port>\n  \
@@ -319,31 +318,31 @@ fn cmd_script(remote: Option<&str>, args: &[String]) -> Result<(), ApiError> {
     Ok(())
 }
 
+/// The value of option `flag`: the next argument, parsed. A missing
+/// value is `E_INVALID` and one that does not parse `E_PARSE` — the
+/// split the exit codes of every option-taking subcommand rest on.
+fn opt<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+) -> Result<T, ApiError> {
+    let value = it
+        .next()
+        .ok_or_else(|| ApiError::invalid(format!("{flag} needs a value")))?;
+    value
+        .parse()
+        .map_err(|_| ApiError::parse(format!("bad {flag} value {value:?}")))
+}
+
 fn cmd_serve(args: &[String]) -> Result<(), ApiError> {
     let mut addr = "127.0.0.1:7007".to_string();
     let mut config = fv_net::ServerConfig::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--addr" => {
-                addr = it
-                    .next()
-                    .ok_or_else(|| ApiError::invalid("--addr needs <host:port>"))?
-                    .clone();
-            }
-            "--shards" => {
-                config.shards = it
-                    .next()
-                    .ok_or_else(|| ApiError::invalid("--shards needs <n>"))?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad shard count"))?;
-            }
+            "--addr" => addr = opt(&mut it, arg)?,
+            "--shards" => config.shards = opt(&mut it, arg)?,
             "--shard-procs" => {
-                config.shards = it
-                    .next()
-                    .ok_or_else(|| ApiError::invalid("--shard-procs needs <n>"))?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad shard count"))?;
+                config.shards = opt(&mut it, arg)?;
                 // Each shard becomes a child worker process: re-exec this
                 // very binary as `fvtool shard-worker` so there is no
                 // second artifact to deploy.
@@ -354,71 +353,20 @@ fn cmd_serve(args: &[String]) -> Result<(), ApiError> {
                 };
             }
             "--queue-limit" => {
-                config.queue_limit = it
-                    .next()
-                    .ok_or_else(|| ApiError::invalid("--queue-limit needs <n>"))?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad queue limit"))?;
+                config.queue_limit = opt(&mut it, arg)?;
                 if config.queue_limit == 0 {
                     return Err(ApiError::invalid("--queue-limit must be at least 1"));
                 }
             }
-            "--state-dir" => {
-                config.state_dir = Some(
-                    it.next()
-                        .ok_or_else(|| ApiError::invalid("--state-dir needs <dir>"))?
-                        .into(),
-                );
-            }
-            "--balance" => {
-                let mode = it
-                    .next()
-                    .ok_or_else(|| ApiError::invalid("--balance needs auto|off"))?;
-                config.balance = fv_api::BalanceMode::from_str_token(mode)?;
-            }
+            "--state-dir" => config.state_dir = Some(opt(&mut it, arg)?),
+            "--balance" => config.balance = opt(&mut it, arg)?,
             "--balance-interval-ms" => {
-                let ms: u64 = it
-                    .next()
-                    .ok_or_else(|| ApiError::invalid("--balance-interval-ms needs <n>"))?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad balance interval"))?;
+                let ms: u64 = opt(&mut it, arg)?;
                 config.balance_interval = std::time::Duration::from_millis(ms.max(1));
             }
-            "--balance-budget" => {
-                config.balance_cfg.budget = it
-                    .next()
-                    .ok_or_else(|| ApiError::invalid("--balance-budget needs <n>"))?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad balance budget"))?;
-            }
-            "--balance-trigger" => {
-                config.balance_cfg.trigger_ratio = it
-                    .next()
-                    .ok_or_else(|| ApiError::invalid("--balance-trigger needs <ratio>"))?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad balance trigger ratio"))?;
-            }
-            "--balance-settle" => {
-                config.balance_cfg.settle_ratio = it
-                    .next()
-                    .ok_or_else(|| ApiError::invalid("--balance-settle needs <ratio>"))?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad balance settle ratio"))?;
-            }
-            "--balance-cooldown" => {
-                config.balance_cfg.cooldown_ticks = it
-                    .next()
-                    .ok_or_else(|| ApiError::invalid("--balance-cooldown needs <ticks>"))?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad balance cooldown"))?;
-            }
-            "--balance-min-load" => {
-                config.balance_cfg.min_total_load = it
-                    .next()
-                    .ok_or_else(|| ApiError::invalid("--balance-min-load needs <n>"))?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad balance min load"))?;
-            }
+            "--balance-trigger" => config.balance_cfg.trigger_ratio = opt(&mut it, arg)?,
+            "--balance-settle" => config.balance_cfg.settle_ratio = opt(&mut it, arg)?,
+            "--balance-min-load" => config.balance_cfg.min_total_load = opt(&mut it, arg)?,
             other => {
                 return Err(ApiError::invalid(format!("unknown serve option {other:?}")));
             }
@@ -473,29 +421,11 @@ fn cmd_watch(remote: Option<&str>, args: &[String]) -> Result<(), ApiError> {
     let mut verify: Option<String> = None;
     let mut it = opts.iter();
     while let Some(arg) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .ok_or_else(|| ApiError::invalid(format!("{what} needs a value")))
-        };
         match arg.as_str() {
-            "--frames" => {
-                max_seqs = Some(
-                    value("--frames")?
-                        .parse()
-                        .map_err(|_| ApiError::parse("bad --frames count"))?,
-                );
-            }
-            "--idle-ms" => {
-                idle_ms = value("--idle-ms")?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad --idle-ms"))?;
-            }
-            "--dally-ms" => {
-                dally_ms = value("--dally-ms")?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad --dally-ms"))?;
-            }
-            "--verify-script" => verify = Some(value("--verify-script")?.clone()),
+            "--frames" => max_seqs = Some(opt(&mut it, arg)?),
+            "--idle-ms" => idle_ms = opt(&mut it, arg)?,
+            "--dally-ms" => dally_ms = opt(&mut it, arg)?,
+            "--verify-script" => verify = Some(opt(&mut it, arg)?),
             other => {
                 return Err(ApiError::invalid(format!("unknown watch option {other:?}")));
             }
@@ -630,31 +560,11 @@ fn cmd_workload(args: &[String]) -> Result<(), ApiError> {
     let mut spec = fv_synth::workload::WorkloadSpec::small(kind, 2, 1);
     let mut it = opts.iter();
     while let Some(arg) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .ok_or_else(|| ApiError::invalid(format!("{what} needs a value")))
-        };
         match arg.as_str() {
-            "--clients" => {
-                spec.clients = value("--clients")?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad --clients"))?
-            }
-            "--bursts" => {
-                spec.bursts = value("--bursts")?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad --bursts"))?
-            }
-            "--genes" => {
-                spec.n_genes = value("--genes")?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad --genes"))?
-            }
-            "--seed" => {
-                spec.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad --seed"))?
-            }
+            "--clients" => spec.clients = opt(&mut it, arg)?,
+            "--bursts" => spec.bursts = opt(&mut it, arg)?,
+            "--genes" => spec.n_genes = opt(&mut it, arg)?,
+            "--seed" => spec.seed = opt(&mut it, arg)?,
             other => {
                 return Err(ApiError::invalid(format!(
                     "unknown workload option {other:?}"
@@ -703,13 +613,9 @@ fn cmd_trace_record(remote: Option<&str>, args: &[String]) -> Result<(), ApiErro
     let (mut listen, mut upstream) = (None, None);
     let mut it = opts.iter();
     while let Some(arg) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .ok_or_else(|| ApiError::invalid(format!("{what} needs <host:port>")))
-        };
         match arg.as_str() {
-            "--listen" => listen = Some(value("--listen")?.clone()),
-            "--upstream" => upstream = Some(value("--upstream")?.clone()),
+            "--listen" => listen = Some(opt::<String>(&mut it, arg)?),
+            "--upstream" => upstream = Some(opt::<String>(&mut it, arg)?),
             other => {
                 return Err(ApiError::invalid(format!(
                     "unknown trace record option {other:?}"
@@ -787,76 +693,26 @@ fn cmd_soak(remote: Option<&str>, args: &[String]) -> Result<(), ApiError> {
     let mut state_dir: Option<std::path::PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .ok_or_else(|| ApiError::invalid(format!("{what} needs a value")))
-        };
         match arg.as_str() {
             "--kind" => {
-                let name = value("--kind")?;
-                cfg.kind = fv_synth::workload::WorkloadKind::from_name(name)
+                let name: String = opt(&mut it, arg)?;
+                cfg.kind = fv_synth::workload::WorkloadKind::from_name(&name)
                     .ok_or_else(|| ApiError::invalid(format!("unknown workload kind {name:?}")))?;
             }
-            "--clients" => {
-                cfg.clients = value("--clients")?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad --clients"))?
-            }
-            "--bursts" => {
-                cfg.bursts = value("--bursts")?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad --bursts"))?
-            }
-            "--genes" => {
-                cfg.n_genes = value("--genes")?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad --genes"))?
-            }
-            "--seed" => {
-                cfg.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad --seed"))?
-            }
-            "--shards" => {
-                cfg.shards = value("--shards")?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad --shards"))?
-            }
-            "--queue-limit" => {
-                cfg.queue_limit = value("--queue-limit")?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad --queue-limit"))?
-            }
-            "--chaos" => {
-                cfg.chaos_injectors = value("--chaos")?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad --chaos"))?
-            }
-            "--chaos-rounds" => {
-                cfg.chaos_rounds = value("--chaos-rounds")?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad --chaos-rounds"))?
-            }
-            "--watchers" => {
-                cfg.slow_watchers = value("--watchers")?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad --watchers"))?
-            }
-            "--dally-ms" => {
-                cfg.watcher_dally_ms = value("--dally-ms")?
-                    .parse()
-                    .map_err(|_| ApiError::parse("bad --dally-ms"))?
-            }
+            "--clients" => cfg.clients = opt(&mut it, arg)?,
+            "--bursts" => cfg.bursts = opt(&mut it, arg)?,
+            "--genes" => cfg.n_genes = opt(&mut it, arg)?,
+            "--seed" => cfg.seed = opt(&mut it, arg)?,
+            "--shards" => cfg.shards = opt(&mut it, arg)?,
+            "--queue-limit" => cfg.queue_limit = opt(&mut it, arg)?,
+            "--chaos" => cfg.chaos_injectors = opt(&mut it, arg)?,
+            "--chaos-rounds" => cfg.chaos_rounds = opt(&mut it, arg)?,
+            "--watchers" => cfg.slow_watchers = opt(&mut it, arg)?,
+            "--dally-ms" => cfg.watcher_dally_ms = opt(&mut it, arg)?,
             "--no-replay" => cfg.verify_replay = false,
-            "--restart" => {
-                restart_kills = Some(
-                    value("--restart")?
-                        .parse()
-                        .map_err(|_| ApiError::parse("bad --restart"))?,
-                )
-            }
+            "--restart" => restart_kills = Some(opt(&mut it, arg)?),
             "--proc-shards" => proc_shards = true,
-            "--state-dir" => state_dir = Some(value("--state-dir")?.into()),
+            "--state-dir" => state_dir = Some(opt(&mut it, arg)?),
             other => {
                 return Err(ApiError::invalid(format!("unknown soak option {other:?}")));
             }
@@ -999,7 +855,7 @@ fn run(cmd: &str, rest: &[String], remote: Option<&str>) -> Result<(), Failure> 
                     println!("{}", fv_net::balance::format_balance(&status));
                 }
                 [mode] => {
-                    let mode = fv_api::BalanceMode::from_str_token(mode)?;
+                    let mode: fv_api::BalanceMode = mode.parse()?;
                     fv_net::Client::connect(addr)?.set_balance(mode)?;
                     println!("balance mode={mode}");
                 }

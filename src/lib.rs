@@ -19,9 +19,10 @@
 //!
 //! - [`api`] (`fv-api`) — the [`api::Request`] / [`api::Response`] enums,
 //!   typed [`api::ApiError`] codes, the single-session [`api::Engine`]
-//!   (layout/damage passes shared across a request run), the multi-session
-//!   [`api::EngineHub`], and the line-oriented wire codec that makes
-//!   request streams replayable from text files (`fvtool script`).
+//!   (one request, or a request run stopping at its first error), the
+//!   multi-session [`api::EngineHub`], and the line-oriented wire codec
+//!   that makes request streams replayable from text files (`fvtool
+//!   script`).
 //!   See `crates/api/README.md` for the protocol grammar.
 //! - [`forestview`] — the application core the engine executes against:
 //!   session state, interaction commands, panes, synchronization,
