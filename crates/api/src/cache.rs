@@ -34,44 +34,18 @@
 
 use crate::engine::{fnv1a, parse_dataset_text};
 use crate::error::ApiError;
+use crate::image::DatasetStamp;
 use fv_expr::Dataset;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, Weak};
-use std::time::SystemTime;
-
-/// Identity of a file's contents without reading them: length plus
-/// modification time. Cheap to compute on every load; any rewrite that
-/// changes either evicts the entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Fingerprint {
-    len: u64,
-    mtime: Option<SystemTime>,
-}
-
-impl Fingerprint {
-    fn of(meta: &std::fs::Metadata) -> Fingerprint {
-        Fingerprint {
-            len: meta.len(),
-            mtime: meta.modified().ok(),
-        }
-    }
-
-    /// Mtime in nanoseconds since the Unix epoch, as
-    /// [`crate::image::DatasetStamp`] spells it (`None` for missing or pre-epoch mtimes).
-    fn mtime_nanos(&self) -> Option<u64> {
-        self.mtime
-            .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-            .map(|d| d.as_nanos().min(u64::MAX as u128) as u64)
-    }
-}
 
 struct Entry {
-    fingerprint: Fingerprint,
-    /// FNV-1a of the file bytes the parse consumed — the content half
-    /// of a [`crate::image::DatasetStamp`], captured here so sessions stamp loads
-    /// without re-reading the file.
-    hash: u64,
+    /// The file as it read when this entry was parsed or last verified
+    /// (`path` is the canonical one): what a load checks the file
+    /// against, and — its `hash` captured from the bytes the parse
+    /// consumed — how sessions stamp loads without re-reading the file.
+    stamp: DatasetStamp,
     dataset: Weak<Dataset>,
 }
 
@@ -88,17 +62,6 @@ struct Inner {
 }
 
 impl Inner {
-    /// A live entry with a matching fingerprint, counted as a hit.
-    fn lookup_hit(&mut self, canonical: &Path, fingerprint: Fingerprint) -> Option<Arc<Dataset>> {
-        let entry = self.entries.get(canonical)?;
-        if entry.fingerprint != fingerprint {
-            return None;
-        }
-        let ds = entry.dataset.upgrade()?;
-        self.hits += 1;
-        Some(ds)
-    }
-
     /// Drop entries whose dataset is gone (counting them as evictions)
     /// and parse gates nobody holds or waits on.
     fn prune(&mut self) {
@@ -144,33 +107,21 @@ impl DatasetCache {
     /// fingerprint match. Errors name the *offending path as given* (the
     /// canonical path may differ and would send the user hunting).
     pub fn load(&self, path: &str) -> Result<Arc<Dataset>, ApiError> {
-        let canonical =
-            std::fs::canonicalize(path).map_err(|e| ApiError::io(format!("{path}: {e}")))?;
-        let meta =
-            std::fs::metadata(&canonical).map_err(|e| ApiError::io(format!("{path}: {e}")))?;
-        let fingerprint = Fingerprint::of(&meta);
-        // Fast path: a live hit, under the map lock only.
+        let io = |e: std::io::Error| ApiError::io(format!("{path}: {e}"));
+        let canonical = std::fs::canonicalize(path).map_err(io)?;
+        // Fast path: a live, still-valid entry.
+        if let Some(ds) = self.verified_hit(&canonical).map_err(io)? {
+            return Ok(ds);
+        }
         let gate = {
             let mut inner = self.inner.lock().expect("cache lock poisoned");
-            if let Some(ds) = inner.lookup_hit(&canonical, fingerprint) {
-                return Ok(ds);
-            }
             Arc::clone(inner.parsing.entry(canonical.clone()).or_default())
         };
         // Serialize with other loads of THIS file only (lock order is
         // always gate → map, never map → gate, so no deadlock).
         let _parsing = gate.lock().expect("parse gate poisoned");
-        {
-            // Re-check: whoever held the gate before us may have parsed.
-            let mut inner = self.inner.lock().expect("cache lock poisoned");
-            if let Some(ds) = inner.lookup_hit(&canonical, fingerprint) {
-                return Ok(ds);
-            }
-        }
-        // Mtime-only drift over a live entry (a copy or `touch`): hash
-        // the bytes; identical contents refresh the stored fingerprint
-        // instead of re-parsing, so session restores stay cache hits.
-        if let Some(ds) = self.refresh_if_identical(&canonical, fingerprint) {
+        // Re-check: whoever held the gate before us may have parsed.
+        if let Some(ds) = self.verified_hit(&canonical).map_err(io)? {
             return Ok(ds);
         }
         {
@@ -181,66 +132,66 @@ impl DatasetCache {
                 inner.evictions += 1;
             }
         }
+        let meta = std::fs::metadata(&canonical).map_err(io)?;
         let (ds, hash) = load_dataset_file_named(&canonical, path)?;
         let ds = Arc::new(ds);
         let mut inner = self.inner.lock().expect("cache lock poisoned");
         inner.misses += 1;
         inner.entries.insert(
-            canonical,
+            canonical.clone(),
             Entry {
-                fingerprint,
-                hash,
+                stamp: DatasetStamp::observe(&canonical.to_string_lossy(), &meta, hash),
                 dataset: Arc::downgrade(&ds),
             },
         );
         Ok(ds)
     }
 
-    /// When `canonical`'s entry is live and only the mtime disagrees
-    /// with `fingerprint` (same length), hash the file; identical bytes
-    /// update the stored fingerprint and count as a hit. Called with the
-    /// per-file parse gate held, so the file I/O happens outside the map
-    /// lock without racing other loads of this file.
-    fn refresh_if_identical(
-        &self,
-        canonical: &Path,
-        fingerprint: Fingerprint,
-    ) -> Option<Arc<Dataset>> {
-        let (ds, stored_hash) = {
+    /// `canonical`'s live entry, if the file still holds the bytes it
+    /// was parsed from ([`DatasetStamp::verify`]) — counted as a hit. A
+    /// copied or `touch`ed file (same bytes, new mtime) refreshes the
+    /// stored stamp instead of re-parsing, so session restores stay
+    /// cache hits. The file is examined outside the map lock.
+    fn verified_hit(&self, canonical: &Path) -> std::io::Result<Option<Arc<Dataset>>> {
+        let found = {
             let inner = self.inner.lock().expect("cache lock poisoned");
-            let entry = inner.entries.get(canonical)?;
-            if entry.fingerprint.len != fingerprint.len || entry.fingerprint == fingerprint {
-                return None;
-            }
-            (entry.dataset.upgrade()?, entry.hash)
+            inner
+                .entries
+                .get(canonical)
+                .and_then(|e| Some((e.dataset.upgrade()?, e.stamp.clone())))
         };
-        let bytes = std::fs::read(canonical).ok()?;
-        if fnv1a(&bytes) != stored_hash {
-            return None;
-        }
+        let Some((ds, stamp)) = found else {
+            return Ok(None);
+        };
+        let Some(now) = stamp.verify(canonical)? else {
+            return Ok(None);
+        };
         let mut inner = self.inner.lock().expect("cache lock poisoned");
-        match inner.entries.get_mut(canonical) {
-            Some(entry) => entry.fingerprint = fingerprint,
-            None => return None,
-        }
         inner.hits += 1;
-        Some(ds)
+        // Only the entry that was verified may be refreshed: a reload
+        // racing this check has stamped newer bytes.
+        if let Some(entry) = inner
+            .entries
+            .get_mut(canonical)
+            .filter(|e| e.stamp == stamp)
+        {
+            entry.stamp = now;
+        }
+        Ok(Some(ds))
     }
 
-    /// The `(len, mtime_nanos, content hash)` stamp of the live cache
-    /// entry for `path`, if any — what [`crate::Engine`] records in its
-    /// dataset stamps right after a successful load, without re-reading
-    /// the file.
-    pub fn stamp_of(&self, path: &str) -> Option<(u64, Option<u64>, u64)> {
+    /// The stamp of the live cache entry for `path` (under that
+    /// spelling), if any — what [`crate::Engine`] records right after a
+    /// successful load, without re-reading the file.
+    pub fn stamp_of(&self, path: &str) -> Option<DatasetStamp> {
         let canonical = std::fs::canonicalize(path).ok()?;
         let inner = self.inner.lock().expect("cache lock poisoned");
         let entry = inner.entries.get(&canonical)?;
         entry.dataset.upgrade()?;
-        Some((
-            entry.fingerprint.len,
-            entry.fingerprint.mtime_nanos(),
-            entry.hash,
-        ))
+        Some(DatasetStamp {
+            path: path.to_string(),
+            ..entry.stamp.clone()
+        })
     }
 
     /// Drop entries whose dataset is gone; returns how many were pruned.
@@ -433,9 +384,10 @@ mod tests {
         let cache = DatasetCache::new();
         assert!(cache.stamp_of(&path_str).is_none(), "no entry before load");
         let ds = cache.load(&path_str).unwrap();
-        let (len, _mtime, hash) = cache.stamp_of(&path_str).unwrap();
-        assert_eq!(len, std::fs::metadata(&path).unwrap().len());
-        assert_eq!(hash, fnv1a(&std::fs::read(&path).unwrap()));
+        let stamp = cache.stamp_of(&path_str).unwrap();
+        assert_eq!(stamp.len, std::fs::metadata(&path).unwrap().len());
+        assert_eq!(stamp.hash, fnv1a(&std::fs::read(&path).unwrap()));
+        assert_eq!(stamp.path, path_str, "stamped under the spelling asked for");
         drop(ds);
         assert!(
             cache.stamp_of(&path_str).is_none(),

@@ -97,11 +97,10 @@ pub struct Engine {
     /// to the latest, which is provably state-preserving; nothing else is
     /// dropped.
     log: Vec<Mutation>,
-    /// Fingerprint of each file-loaded dataset — `(len, mtime_nanos,
-    /// content hash)`, keyed by the user-spelled path (latest observation
-    /// wins) — the restore-time assertion that replay sees the same
-    /// bytes.
-    stamps: std::collections::BTreeMap<String, (u64, Option<u64>, u64)>,
+    /// Stamp of each file-loaded dataset, keyed by the user-spelled path
+    /// (latest observation wins) — the restore-time assertion that
+    /// replay sees the same bytes.
+    stamps: std::collections::BTreeMap<String, DatasetStamp>,
     spell: Option<(u64, SpellEngine)>,
     golem: Option<GolemContext>,
     truth: Option<GroundTruth>,
@@ -217,16 +216,7 @@ impl Engine {
         SessionImage {
             scene: self.scene,
             requests: self.requests_executed,
-            datasets: self
-                .stamps
-                .iter()
-                .map(|(path, &(len, mtime_nanos, hash))| DatasetStamp {
-                    len,
-                    mtime_nanos,
-                    hash,
-                    path: path.clone(),
-                })
-                .collect(),
+            datasets: self.stamps.values().cloned().collect(),
             log: self.log.clone(),
         }
     }
@@ -238,26 +228,16 @@ impl Engine {
     /// `cache`. The restored engine re-snapshots to the same image.
     pub fn restore(image: &SessionImage, cache: &DatasetCache) -> Result<Engine, ApiError> {
         for stamp in &image.datasets {
-            let (len, mtime_nanos) = probe_stamp(&stamp.path)
+            let same = stamp
+                .verify(Path::new(&stamp.path))
                 .map_err(|e| ApiError::io(format!("{}: {e}", stamp.path)))?;
-            if len == stamp.len && mtime_nanos == stamp.mtime_nanos {
-                continue;
+            if same.is_none() {
+                return Err(ApiError::stale_image(format!(
+                    "dataset {} changed since the session image was taken ({} bytes then); \
+                     refusing to restore",
+                    stamp.path, stamp.len
+                )));
             }
-            // The cheap fingerprint disagrees — but a copied or `touch`ed
-            // file changes only the mtime while the bytes stay identical.
-            // Prove it with the content hash before refusing.
-            if len == stamp.len {
-                let hash = hash_file(&stamp.path)
-                    .map_err(|e| ApiError::io(format!("{}: {e}", stamp.path)))?;
-                if hash == stamp.hash {
-                    continue;
-                }
-            }
-            return Err(ApiError::stale_image(format!(
-                "dataset {} changed since the session image was taken \
-                 (len {} -> {len}); refusing to restore",
-                stamp.path, stamp.len
-            )));
         }
         let mut engine = Engine::with_scene_and_cache(image.scene.0, image.scene.1, cache.clone());
         for mutation in &image.log {
@@ -293,12 +273,17 @@ impl Engine {
                 // The cache just parsed (or served) this file, so its
                 // stamp carries the content hash without re-reading;
                 // fall back to hashing directly if the entry is gone.
-                let stamp = self
-                    .cache
-                    .stamp_of(path)
-                    .or_else(|| full_stamp(path).ok())
-                    .unwrap_or((0, None, 0));
-                self.stamps.insert(path.clone(), stamp);
+                let stamp = self.cache.stamp_of(path).or_else(|| {
+                    let meta = std::fs::metadata(path).ok()?;
+                    Some(DatasetStamp::observe(
+                        path,
+                        &meta,
+                        fnv1a(&std::fs::read(path).ok()?),
+                    ))
+                });
+                if let Some(stamp) = stamp {
+                    self.stamps.insert(path.clone(), stamp);
+                }
             }
             self.record_mutation(mutation);
         }
@@ -692,33 +677,6 @@ impl Engine {
             self.spell = Some((self.dataset_version, engine));
         }
     }
-}
-
-/// Observe a dataset file's fingerprint (byte length + mtime nanos since
-/// the Unix epoch) for a [`DatasetStamp`]. `None` mtime when the
-/// filesystem reports none (or a pre-epoch time).
-fn probe_stamp(path: &str) -> std::io::Result<(u64, Option<u64>)> {
-    let meta = std::fs::metadata(path)?;
-    let mtime_nanos = meta
-        .modified()
-        .ok()
-        .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-        .map(|d| d.as_nanos().min(u64::MAX as u128) as u64);
-    Ok((meta.len(), mtime_nanos))
-}
-
-/// FNV-1a of a file's raw bytes — the content half of a
-/// [`DatasetStamp`], matching what [`DatasetCache`] records at parse
-/// time.
-fn hash_file(path: &str) -> std::io::Result<u64> {
-    Ok(fnv1a(&std::fs::read(path)?))
-}
-
-/// Metadata fingerprint plus content hash in one observation — the
-/// fallback stamp source when the cache entry is already gone.
-fn full_stamp(path: &str) -> std::io::Result<(u64, Option<u64>, u64)> {
-    let (len, mtime_nanos) = probe_stamp(path)?;
-    Ok((len, mtime_nanos, hash_file(path)?))
 }
 
 /// Does recording `new` right after `last` make `last` unobservable?

@@ -34,6 +34,7 @@
 //! on-disk [`SessionStore`](crate::store::SessionStore) layout.
 
 use crate::codec::{format_request, parse_request};
+use crate::engine::fnv1a;
 use crate::error::ApiError;
 use crate::record::get;
 use crate::request::{Mutation, Request};
@@ -60,6 +61,39 @@ crate::wire_record! {
         /// The path as the `load` request spelled it. Last on the row, so
         /// it may contain spaces.
         pub path: String,
+    }
+}
+
+impl DatasetStamp {
+    /// The one observation of a file's identity: `meta`'s length and
+    /// mtime (nanoseconds since the Unix epoch; `None` when the
+    /// filesystem reports none, or a pre-epoch time) beside `hash`, the
+    /// FNV-1a of the file's bytes. Take `meta` BEFORE reading the bytes
+    /// that are hashed: a write racing the read then leaves a stale
+    /// mtime behind, which the next [`DatasetStamp::verify`] catches.
+    pub fn observe(path: &str, meta: &std::fs::Metadata, hash: u64) -> DatasetStamp {
+        DatasetStamp {
+            len: meta.len(),
+            mtime_nanos: meta
+                .modified()
+                .ok()
+                .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
+                .map(|d| d.as_nanos().min(u64::MAX as u128) as u64),
+            hash,
+            path: path.to_string(),
+        }
+    }
+
+    /// The one verification: does the file at `at` still hold the bytes
+    /// this stamp recorded? Equal length and mtime say yes without
+    /// reading it; same length but a different mtime (the file was
+    /// copied or `touch`ed) lets the content hash decide; anything else
+    /// is a changed file. `Some` is the stamp as the file reads now —
+    /// the same bytes under a possibly newer mtime.
+    pub fn verify(&self, at: &std::path::Path) -> std::io::Result<Option<DatasetStamp>> {
+        let now = DatasetStamp::observe(&self.path, &std::fs::metadata(at)?, self.hash);
+        let same = now == *self || (now.len == self.len && fnv1a(&std::fs::read(at)?) == self.hash);
+        Ok(same.then_some(now))
     }
 }
 

@@ -15,8 +15,6 @@
 //! - [`tree`] — the merge tree, leaf ordering, and cluster extraction by
 //!   count or height,
 //! - [`order`] — leaf-ordering improvement by subtree flipping,
-//! - [`kmeans`] — k-means (k-means++ seeding) for flat clustering, the
-//!   other workhorse of microarray analysis,
 //! - [`impute`] — KNN imputation of missing values (Troyanskaya et al.
 //!   2001), the standard preprocessing before clustering sparse arrays.
 
@@ -24,7 +22,6 @@
 
 pub mod distance;
 pub mod impute;
-pub mod kmeans;
 pub mod linkage;
 pub mod order;
 pub mod tree;

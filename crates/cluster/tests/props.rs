@@ -3,7 +3,6 @@
 //! cuts proper partitions.
 
 use fv_cluster::distance::{condensed_distances, CondensedMatrix, Metric};
-use fv_cluster::kmeans::kmeans;
 use fv_cluster::linkage::{cluster_condensed, Linkage};
 use fv_cluster::order::{adjacent_cost, improve_order};
 use fv_expr::matrix::ExprMatrix;
@@ -128,17 +127,6 @@ proptest! {
             }
             prop_assert_eq!(c.get(i, i), 0.0);
         }
-    }
-
-    #[test]
-    fn kmeans_labels_valid_and_deterministic(m in arb_matrix(), k in 1usize..6, seed in any::<u64>()) {
-        let r1 = kmeans(&m, k, seed, 50);
-        let r2 = kmeans(&m, k, seed, 50);
-        prop_assert_eq!(&r1.labels, &r2.labels);
-        let k_eff = k.min(m.n_rows());
-        prop_assert!(r1.labels.iter().all(|&l| l < k_eff));
-        prop_assert!(r1.inertia >= 0.0);
-        prop_assert_eq!(r1.labels.len(), m.n_rows());
     }
 
     #[test]

@@ -8,11 +8,9 @@
 //! kernels the analysis layer needs:
 //!
 //! - [`dense::Matrix`] — column-major `f64` matrix with the usual ops,
-//! - [`qr`] — Householder QR decomposition,
 //! - [`svd`] — one-sided Jacobi SVD (accurate for the small-to-medium
 //!   condition-count matrices microarray datasets produce),
-//! - [`power`] — power iteration for the dominant eigenpair,
-//! - [`solve`] — linear solves via QR.
+//! - [`power`] — power iteration for the dominant eigenpair.
 //!
 //! Matrices here are `f64` (not the `f32` of expression storage): these
 //! routines run on per-dataset condition-count-sized problems where the
@@ -22,10 +20,7 @@
 
 pub mod dense;
 pub mod power;
-pub mod qr;
-pub mod solve;
 pub mod svd;
 
 pub use dense::Matrix;
-pub use qr::QrDecomposition;
 pub use svd::Svd;

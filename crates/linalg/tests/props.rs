@@ -3,8 +3,6 @@
 //! matrices.
 
 use fv_linalg::dense::{dot, Matrix};
-use fv_linalg::qr::qr;
-use fv_linalg::solve::{lstsq, solve};
 use fv_linalg::svd::svd;
 use proptest::prelude::*;
 
@@ -89,48 +87,6 @@ proptest! {
             prop_assert!((err - tail.sqrt()).abs() < 1e-7 * (1.0 + tail.sqrt()),
                 "Eckart-Young identity violated: {} vs {}", err, tail.sqrt());
             last = err;
-        }
-    }
-
-    #[test]
-    fn qr_reconstructs_and_q_orthogonal(a in arb_matrix(8, 8)) {
-        let d = qr(&a);
-        prop_assert!(d.q.matmul(&d.r).max_abs_diff(&a) < 1e-9 * frob(&a));
-        let qtq = d.q.transpose().matmul(&d.q);
-        prop_assert!(qtq.max_abs_diff(&Matrix::identity(a.n_rows())) < 1e-9);
-    }
-
-    #[test]
-    fn solve_verifies(a in arb_matrix(6, 6), bvec in prop::collection::vec(-100f64..100.0, 1..7)) {
-        // square system from the leading block
-        let n = a.n_rows().min(a.n_cols()).min(bvec.len());
-        let mut sq = Matrix::zeros(n, n);
-        for r in 0..n {
-            for c in 0..n {
-                sq.set(r, c, a.get(r, c));
-            }
-        }
-        let b = &bvec[..n];
-        if let Some(x) = solve(&sq, b) {
-            let ax = sq.matvec(&x);
-            for i in 0..n {
-                prop_assert!((ax[i] - b[i]).abs() < 1e-6 * (1.0 + b[i].abs()),
-                    "residual {} at {i}", ax[i] - b[i]);
-            }
-        }
-    }
-
-    #[test]
-    fn lstsq_residual_orthogonal_to_columns(a in arb_matrix(8, 4), bvec in prop::collection::vec(-100f64..100.0, 8)) {
-        if a.n_rows() < a.n_cols() { return Ok(()); }
-        let b = &bvec[..a.n_rows()];
-        if let Some(x) = lstsq(&a, b) {
-            let ax = a.matvec(&x);
-            let resid: Vec<f64> = (0..a.n_rows()).map(|i| b[i] - ax[i]).collect();
-            let atr = a.transpose().matvec(&resid);
-            for v in atr {
-                prop_assert!(v.abs() < 1e-5 * frob(&a), "normal equations violated: {v}");
-            }
         }
     }
 

@@ -74,9 +74,11 @@ impl fmt::Display for Violation {
 }
 
 /// Files where `no-panic-in-server-paths` applies: the event-loop
-/// server and everything it calls on the request path.
+/// server (IO shell and protocol core) and everything it calls on the
+/// request path.
 const SERVER_PATHS: &[&str] = &[
     "crates/net/src/server.rs",
+    "crates/net/src/protocol.rs",
     "crates/net/src/shard.rs",
     "crates/net/src/procshard.rs",
     "crates/net/src/stream.rs",
@@ -125,7 +127,10 @@ fn is_test_path(path: &str) -> bool {
 fn wall_clock_scope(path: &str) -> bool {
     let name = file_name(path);
     name == "balance.rs"
-        || in_path_set(path, &["crates/synth/src/workload.rs"])
+        || in_path_set(
+            path,
+            &["crates/net/src/protocol.rs", "crates/synth/src/workload.rs"],
+        )
         || name.trim_end_matches(".rs").ends_with("_sim")
 }
 

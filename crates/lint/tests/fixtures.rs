@@ -48,6 +48,22 @@ const BAD: &[(&str, &str, &str, usize, Option<&str>)] = &[
         2,
         None,
     ),
+    // The protocol core is a server path AND a clock-free scope: moving
+    // the handlers out of server.rs must not move them out of either.
+    (
+        "core_panic_bad.rs",
+        "crates/net/src/protocol.rs",
+        fv_lint::NO_PANIC,
+        3,
+        None,
+    ),
+    (
+        "core_clock_bad.rs",
+        "crates/net/src/protocol.rs",
+        fv_lint::NO_WALL_CLOCK,
+        3,
+        None,
+    ),
     (
         "no_spawn_bad.rs",
         "crates/net/src/metrics.rs",
@@ -134,6 +150,15 @@ fn waived_fixtures_pass() {
         let v = lint_fixture(name, path, registry);
         assert!(v.is_empty(), "{name}: expected clean, got {v:?}");
     }
+}
+
+#[test]
+fn the_io_shell_may_read_the_clock_the_core_may_not() {
+    // The same snippet, under the shell's path: keeping time is
+    // server.rs's job, so only protocol.rs puts it in the clock-free
+    // scope (flagged above, in `BAD`).
+    let v = lint_fixture("core_clock_bad.rs", "crates/net/src/server.rs", None);
+    assert!(v.is_empty(), "{v:?}");
 }
 
 #[test]

@@ -28,10 +28,11 @@
 //!   timer. A session enters cooldown when its move is *planned* — a
 //!   failed move cools down too, so the balancer never hammers a
 //!   refusing target.
-//! - The server (`crate::server`) — the only layer that owns clocks and
-//!   sockets: it gathers snapshots on an interval, executes plans
-//!   through the same extract → install → restore-on-failure job chain
-//!   operator migrations use, and reports outcomes back.
+//! - The server — `crate::server` is the only layer that owns clocks
+//!   and sockets, and hands the protocol core (`crate::protocol`) one
+//!   `tick()` per interval; the core gathers the snapshots, executes
+//!   plans through the same extract → install → restore-on-failure job
+//!   chain operator migrations use, and reports outcomes back.
 //!
 //! ## Load model
 //!
@@ -406,11 +407,6 @@ impl Balancer {
             failed: 0,
             recent: VecDeque::new(),
         }
-    }
-
-    /// The policy knobs.
-    pub fn config(&self) -> &BalanceConfig {
-        &self.cfg
     }
 
     /// Ticks elapsed.

@@ -94,12 +94,6 @@ impl FrameBuf {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Whether [`FrameBuf::next_line`] would deliver without more input.
-    pub fn has_line(&self) -> bool {
-        self.buf[self.start..].contains(&b'\n')
-            || (!self.discarding && self.buf.len() - self.start > MAX_LINE)
-    }
-
     /// Whether consumed-but-unterminated bytes remain (a truncated final
     /// line at EOF).
     pub fn has_partial(&self) -> bool {

@@ -12,17 +12,19 @@
 //!   clients            fvtool --remote · Client · run_script_remote
 //!        │  request lines ▸ / ◂ ok|err frames        [`frame`]
 //!        ▼
-//!   Server             ONE event-loop thread: poll(accept, conns, waker)
-//!        │  contiguous same-session runs, bounded    [`server`], [`poll`]
-//!        │  pending queues (E_BUSY), stats counters  [`metrics`]
+//!   Server (IO shell)  ONE event-loop thread: poll(accept, conns,
+//!        │  waker) · read · the write pass · the balance clock
+//!        │  open/ingest/hangup · on_completion · tick · wrote  [`server`], [`poll`]
+//!        ▼
+//!   Core (sans-IO)     bytes → inbox → contiguous same-session runs,
+//!        │  bounded pending queues (E_BUSY), migrations, balancing,
+//!        │  checkpoints, stream fan-out, stats → outbox bytes
+//!        │  Completion{to: Waiter, reply} ◂ / ▸ ShardOp     (`protocol`)
 //!        ▼
 //!   Shards             hash(SessionId) → shard; each shard is one
-//!        │  WorkerCore (an EngineHub) behind a queue. [`shard`]
-//!        │  One seam: ShardOp in, ShardReply out, one
-//!        │  `serve` both backends drive — by value on
-//!        │  a thread, or through the control-protocol
-//!        │  codec to a child process. Replies return as
-//!        │  Completion{to: Waiter, reply} + waker.
+//!        │  WorkerCore (an EngineHub) behind a queue; one `serve` both
+//!        │  backends drive — by value on a thread, or through the
+//!        │  control-protocol codec to a child process.       [`shard`]
 //!        ▼
 //!   fv-api             EngineHub::execute_run_on (one shard hop per run)
 //! ```
@@ -74,6 +76,7 @@ pub mod frame;
 pub mod metrics;
 mod poll;
 mod procshard;
+mod protocol;
 pub mod replay;
 pub mod server;
 pub mod shard;

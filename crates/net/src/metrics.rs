@@ -76,14 +76,6 @@ impl LatencyHistogram {
         self.counts.iter().sum()
     }
 
-    /// Fold another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.max_us = self.max_us.max(other.max_us);
-    }
-
     pub(crate) fn format(&self) -> String {
         self.counts
             .iter()
@@ -318,11 +310,6 @@ mod tests {
         assert_eq!(h.counts[LATENCY_BUCKET_COUNT - 1], 1);
         assert_eq!(h.total(), 5);
         assert_eq!(h.max_us, 5_000_000);
-        let mut merged = LatencyHistogram::new();
-        merged.merge(&h);
-        merged.merge(&h);
-        assert_eq!(merged.total(), 10);
-        assert_eq!(merged.max_us, h.max_us);
     }
 
     #[test]

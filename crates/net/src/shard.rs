@@ -36,7 +36,7 @@
 //!   [`ShardOp::Install`] restores it on another shard by replaying its
 //!   compacted mutation log — no engine value ever crosses the seam,
 //!   which is exactly what lets a shard be a child process. Routing
-//!   overrides live in the event loop (see `crate::server`), which is
+//!   overrides live in the protocol core (`crate::protocol`), which is
 //!   why `submit` takes an explicit shard index.
 
 use crate::metrics::LatencyHistogram;

@@ -21,7 +21,7 @@
 //!
 //! **Flow control.** Each subscriber owns an outbox like any other
 //! connection. At publish time a subscriber whose outbox is past
-//! [`OUTBOX_HIGH_WATER`](crate::server) — or whose acks (optional
+//! `OUTBOX_HIGH_WATER` (`crate::protocol`) — or whose acks (optional
 //! `ack <seq>` lines) trail by more than [`STREAM_ACK_LAG`] frames — has
 //! its pending deltas discarded and is marked for a **fresh keyframe on
 //! drain** instead of an ever-growing backlog. Pending deltas for the
@@ -37,6 +37,7 @@
 //! into the binary tile frames that follow.
 
 use crate::frame::ReplyAssembler;
+use crate::metrics::StreamStats;
 use fv_api::record::Token;
 use fv_api::{ApiError, SessionId};
 use fv_render::Framebuffer;
@@ -57,24 +58,6 @@ use std::time::Duration;
 pub const STREAM_ACK_LAG: u64 = 32;
 
 // ── server side: per-subscriber and per-session state ───────────────────
-
-/// Counters for the `stream` section of `stats` (everything except the
-/// live-subscriber gauge, which is derived from the registry).
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct StreamMetrics {
-    /// Tile frames written to subscriber outboxes.
-    pub frames: u64,
-    /// Encoded bytes of those frames (header + pixel payload).
-    pub bytes: u64,
-    /// Pixels shipped (sum of frame rect areas).
-    pub pixels: u64,
-    /// Pending deltas that merged into an already-pending rect for the
-    /// same tile instead of queueing separately.
-    pub coalesced: u64,
-    /// Backlogged subscribers whose pending deltas were discarded in
-    /// favor of a fresh keyframe on drain.
-    pub dropped: u64,
-}
 
 /// One connection's subscription: its tiling of the wall, the encoder
 /// that owns its sequence numbers, and the coalescing pending set.
@@ -129,7 +112,9 @@ pub(crate) struct SessionStream {
 #[derive(Default)]
 pub(crate) struct StreamPlane {
     sessions: BTreeMap<SessionId, SessionStream>,
-    pub metrics: StreamMetrics,
+    /// The `stream` row of `stats`, counted in place; the two derived
+    /// fields (`subscribers`, `link_us`) are filled in when reported.
+    pub metrics: StreamStats,
 }
 
 impl StreamPlane {

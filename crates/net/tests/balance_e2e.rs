@@ -1,8 +1,9 @@
-//! End-to-end autobalancer tests against a real localhost server:
+//! End-to-end autobalancer test against a real localhost server:
 //! skewed traffic must trigger at least one *automatic* migration with
-//! transcripts staying byte-identical to local replay, and an
-//! install-failure during an automatic migration must restore the
-//! session to its source shard and keep it excluded for its cooldown.
+//! transcripts staying byte-identical to local replay. (The decisions
+//! that need no socket — the install-failure restore path and its
+//! cooldown, the Off→Auto flip — are tested on the protocol core, which
+//! is handed its ticks: `crates/net/src/protocol.rs`.)
 
 use fv_api::{EngineHub, SessionId};
 use fv_net::balance::BalanceConfig;
@@ -163,194 +164,6 @@ fn skewed_load_triggers_automatic_migration_with_identical_transcripts() {
         assert_eq!(remote, expected, "post-balance probe drifted for {name}");
     }
 
-    server.shutdown();
-    server.join();
-}
-
-#[test]
-fn install_failure_restores_session_and_cooldown_excludes_it() {
-    // Shard 1 refuses every install (injected fault): each automatic
-    // migration must take the extract → install → restore chain, leave
-    // the session alive on its source shard with state intact, and put
-    // it in cooldown so the balancer does not hammer the refusing
-    // target.
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            shards: 2,
-            scene: SCENE,
-            balance: BalanceMode::Auto,
-            balance_interval: Duration::from_millis(50),
-            balance_cfg: BalanceConfig {
-                budget: 1,
-                trigger_ratio: 1.2,
-                settle_ratio: 1.1,
-                min_total_load: 1,
-                // Effectively infinite: within this test no cooldown may
-                // lapse, so each session is attempted at most once.
-                cooldown_ticks: 1_000_000,
-            },
-            fault_refuse_install_to: Some(1),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
-    let addr = server.local_addr().to_string();
-
-    // Two sessions, both hash-routed to shard 0 — everything the
-    // balancer plans must target the refusing shard 1.
-    let names = skewed_names(2, 2);
-    let mut local = EngineHub::with_scene(SCENE.0, SCENE.1);
-    for name in &names {
-        let script = round_script(name, 0);
-        let remote = remote_transcript(&addr, &script);
-        let mut expected = String::new();
-        local
-            .run_script_streaming(&script, |e| expected.push_str(&e.render()))
-            .expect("local replay succeeds");
-        assert_eq!(remote, expected);
-    }
-
-    // Keep light traffic flowing so every tick sees a fresh load delta,
-    // until both sessions have been tried (and failed) once. The
-    // deadline is generous: under a fully parallel test run (including
-    // the process-shard suite spawning worker children) balancer ticks
-    // can lag well behind the 50ms interval.
-    let mut client = Client::connect(&addr).expect("connect");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        for name in &names {
-            for line in [format!("use {name}"), "session_info".to_string()] {
-                client
-                    .roundtrip(&line)
-                    .expect("transport alive")
-                    .expect("request succeeds");
-            }
-        }
-        let stats = client.stats().expect("stats");
-        assert_eq!(stats.balancer_moves, 0, "no install can succeed here");
-        if stats.balancer_failed >= 2 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "balancer never attempted both sessions; failed={}",
-            stats.balancer_failed
-        );
-        std::thread::sleep(Duration::from_millis(40));
-    }
-
-    // Both sessions are now cooling. Keep driving skewed load across
-    // many more intervals: the cooldown must hold — no third failure,
-    // still no successful move.
-    for _ in 0..12 {
-        for name in &names {
-            client.roundtrip(&format!("use {name}")).unwrap().unwrap();
-            client.roundtrip("session_info").unwrap().unwrap();
-        }
-        std::thread::sleep(Duration::from_millis(40));
-    }
-    let stats = client.stats().expect("stats");
-    assert_eq!(
-        stats.balancer_failed, 2,
-        "cooldown must exclude both sessions after their single failed attempt"
-    );
-    assert_eq!(stats.balancer_moves, 0);
-    let status = client.balance_status().expect("balance status");
-    assert_eq!(status.failed, 2);
-    assert!(status.cooling >= 2, "both sessions must still be cooling");
-    assert!(status
-        .recent
-        .iter()
-        .all(|m| m.outcome == fv_net::balance::MoveOutcome::Failed));
-
-    // The restore path preserved everything: both sessions still live on
-    // shard 0, and their state is byte-identical to local replay (the
-    // poll traffic above was queries only, so the local hub's sessions
-    // saw the same mutations).
-    let sessions = client.list_sessions().expect("list-sessions");
-    assert_eq!(sessions.len(), names.len());
-    for s in &sessions {
-        assert_eq!(
-            s.shard, 0,
-            "restored session {} must stay on shard 0",
-            s.name
-        );
-    }
-    for name in &names {
-        let probe = format!("use {name}\nsession_info\nlist_datasets\n");
-        let remote = remote_transcript(&addr, &probe);
-        let mut expected = String::new();
-        local
-            .run_script_streaming(&probe, |e| expected.push_str(&e.render()))
-            .expect("local probe succeeds");
-        assert_eq!(
-            remote, expected,
-            "restored session {name} lost state on the failed migration"
-        );
-    }
-    server.shutdown();
-    server.join();
-}
-
-#[test]
-fn flipping_to_auto_reacts_to_fresh_load_only_no_stale_burst() {
-    // Regression for the Off→Auto flip: the server keeps gathering and
-    // ticking while the balancer is Off (plans nothing, but load-delta
-    // baselines stay fresh), so flipping to auto after a long skewed
-    // history must NOT replay that history as one giant delta and start
-    // migrating idle sessions.
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            shards: 2,
-            scene: SCENE,
-            balance: BalanceMode::Off,
-            balance_interval: Duration::from_millis(50),
-            balance_cfg: BalanceConfig {
-                budget: 2,
-                trigger_ratio: 1.3,
-                settle_ratio: 1.1,
-                min_total_load: 1,
-                cooldown_ticks: 3,
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
-    let addr = server.local_addr().to_string();
-
-    // Heavy skewed history while Off: all sessions on shard 0.
-    let names = skewed_names(4, 2);
-    for name in &names {
-        remote_transcript(&addr, &round_script(name, 0));
-    }
-    // Let several Off-mode ticks absorb that history into the baselines.
-    let mut client = Client::connect(&addr).expect("connect");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let stats = client.stats().expect("stats");
-        assert_eq!(stats.balancer_moves, 0, "off mode must never move");
-        if stats.balancer_ticks >= 3 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "off-mode ticks never ran");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-
-    // Flip to auto with the system idle: across many intervals, zero
-    // moves — the stale history is already baselined away.
-    client.set_balance(BalanceMode::Auto).expect("set auto");
-    std::thread::sleep(Duration::from_millis(500));
-    let stats = client.stats().expect("stats");
-    assert_eq!(
-        stats.balancer_moves, 0,
-        "idle flip must not migrate on stale load"
-    );
-    assert_eq!(stats.balancer_failed, 0);
-    let status = client.balance_status().expect("status");
-    assert_eq!(status.mode, BalanceMode::Auto);
-    assert_eq!(status.planned, 0);
     server.shutdown();
     server.join();
 }

@@ -1,10 +1,10 @@
 //! Concurrency stress: many client threads hammering disjoint sessions on
 //! a sharded server. Asserts (1) no deadlocks (the test finishes), (2)
 //! per-connection response ordering, (3) final per-session state equal to
-//! a sequential in-process replay of the same requests, (4) thread count
-//! independent of connection count (the event-loop property), and (5)
-//! overload answered with `E_BUSY` while committed state stays equal to
-//! sequential replay of exactly the accepted requests.
+//! a sequential in-process replay of the same requests, and (4) overload
+//! answered with `E_BUSY` while committed state stays equal to sequential
+//! replay of exactly the accepted requests. (Thread count independent of
+//! connection count is `idle_threads.rs`, a test binary of its own.)
 
 use fv_api::{EngineHub, SessionId};
 use fv_net::{shard_of, Client, Server, ServerConfig};
@@ -201,50 +201,6 @@ fn same_session_from_many_connections_serializes() {
         .and_then(|v| v.parse::<usize>().ok())
         .expect("session_info carries scroll=");
     assert_eq!(scroll, 6 * PER_CLIENT_SCROLLS, "lost scroll updates");
-    server.shutdown();
-    server.join();
-}
-
-/// Threads in this process, via /proc (Linux). `None` elsewhere.
-fn thread_count() -> Option<usize> {
-    std::fs::read_dir("/proc/self/task").ok().map(|d| d.count())
-}
-
-#[test]
-fn idle_connections_cost_no_threads() {
-    // The event-loop property the transport rewrite exists for: the
-    // server's thread count is 1 loop + N shards, independent of how
-    // many connections are open. 256 live connections must not add a
-    // single thread.
-    const N_CONNS: usize = 256;
-    let server = Server::bind("127.0.0.1:0", config(N_SHARDS)).expect("bind");
-    let addr = server.local_addr().to_string();
-
-    // Prove the server is up (and fully spawned) before the baseline.
-    let mut probe = Client::connect(&addr).unwrap();
-    probe.ping().unwrap();
-    let baseline = thread_count();
-
-    let mut conns = Vec::with_capacity(N_CONNS);
-    for i in 0..N_CONNS {
-        let mut c =
-            Client::connect(&addr).unwrap_or_else(|e| panic!("connection {i} refused: {e}"));
-        c.ping()
-            .unwrap_or_else(|e| panic!("connection {i} not served: {e}"));
-        conns.push(c);
-    }
-    // every connection is live and answered; none of them cost a thread
-    if let (Some(before), Some(after)) = (baseline, thread_count()) {
-        assert_eq!(
-            after, before,
-            "connection count leaked into thread count ({before} -> {after})"
-        );
-    }
-    // they all still work (round-robin a second ping through a sample)
-    for c in conns.iter_mut().step_by(17) {
-        c.ping().unwrap();
-    }
-    drop(conns);
     server.shutdown();
     server.join();
 }

@@ -17,11 +17,11 @@
 //! fvtool spell   <gene,gene,...> <file.pcl>...       SPELL query over files
 //! fvtool demo    <out_dir>                           write a synthetic demo workspace
 //! fvtool script  <file.fvs>                          replay a request script
-//! fvtool serve   [--addr a:p] [--shards n | --shard-procs n] [--queue-limit n] [--state-dir d] [--balance auto|off] [balance knobs]   run the TCP server
+//! fvtool serve   [--addr a:p] [--shards n | --shard-procs n] [--queue-limit n] [--state-dir d] [--balance auto|off] [--balance-interval-ms n]   run the TCP server
 //! fvtool ping                                        probe a server (needs --remote)
 //! fvtool watch   <session> <TX>x<TY> [--frames n] [--idle-ms n] [--dally-ms n] [--verify-script f]   subscribe to the tile stream (needs --remote)
 //! fvtool stats                                       server metrics + cache gauges (needs --remote)
-//! fvtool sessions [--recovered]                      list live sessions / boot-recovery count (needs --remote)
+//! fvtool sessions                                    list live sessions across all shards (needs --remote)
 //! fvtool migrate <session> <shard>                   move a session across shards (needs --remote)
 //! fvtool balance [auto|off]                          rebalancer status / flip its mode (needs --remote)
 //! fvtool shutdown                                    stop a server (needs --remote)
@@ -53,13 +53,12 @@ fn usage() -> ExitCode {
          fvtool demo    <out_dir>\n  \
          fvtool script  <file.fvs>\n  \
          fvtool serve   [--addr <host:port>] [--shards <n> | --shard-procs <n>] [--queue-limit <n>]\n           \
-         [--state-dir <dir>] [--balance auto|off] [--balance-interval-ms <n>]\n           \
-         [--balance-trigger <ratio>] [--balance-settle <ratio>] [--balance-min-load <n>]\n  \
+         [--state-dir <dir>] [--balance auto|off] [--balance-interval-ms <n>]\n  \
          fvtool ping    --remote <host:port>\n  \
          fvtool watch   <session> <TX>x<TY> [--frames <n>] [--idle-ms <n>] [--dally-ms <n>]\n           \
          [--verify-script <file.fvs>] --remote <host:port>\n  \
          fvtool stats   --remote <host:port>\n  \
-         fvtool sessions [--recovered] --remote <host:port>\n  \
+         fvtool sessions --remote <host:port>\n  \
          fvtool migrate <session> <shard> --remote <host:port>\n  \
          fvtool balance [auto|off] --remote <host:port>\n  \
          fvtool shutdown --remote <host:port>\n  \
@@ -364,9 +363,6 @@ fn cmd_serve(args: &[String]) -> Result<(), ApiError> {
                 let ms: u64 = opt(&mut it, arg)?;
                 config.balance_interval = std::time::Duration::from_millis(ms.max(1));
             }
-            "--balance-trigger" => config.balance_cfg.trigger_ratio = opt(&mut it, arg)?,
-            "--balance-settle" => config.balance_cfg.settle_ratio = opt(&mut it, arg)?,
-            "--balance-min-load" => config.balance_cfg.min_total_load = opt(&mut it, arg)?,
             other => {
                 return Err(ApiError::invalid(format!("unknown serve option {other:?}")));
             }
@@ -812,24 +808,11 @@ fn run(cmd: &str, rest: &[String], remote: Option<&str>) -> Result<(), Failure> 
         }
         "sessions" => {
             let addr = remote.ok_or_else(|| ApiError::invalid("sessions needs --remote <addr>"))?;
-            match rest {
-                [] => {
-                    let sessions = fv_net::Client::connect(addr)?.list_sessions()?;
-                    println!("{}", fv_api::format_sessions_reply(&sessions));
-                }
-                [flag] if flag == "--recovered" => {
-                    // How many sessions the server re-installed from its
-                    // state directory at boot — the crash-recovery gauge,
-                    // pulled from the typed stats snapshot.
-                    let stats = fv_net::Client::connect(addr)?.stats()?;
-                    println!("recovered={}", stats.recovered);
-                }
-                _ => {
-                    return Err(
-                        ApiError::invalid("sessions takes at most one flag: --recovered").into(),
-                    )
-                }
+            if !rest.is_empty() {
+                return Err(ApiError::invalid("sessions takes no arguments").into());
             }
+            let sessions = fv_net::Client::connect(addr)?.list_sessions()?;
+            println!("{}", fv_api::format_sessions_reply(&sessions));
             return Ok(());
         }
         "migrate" => {
