@@ -5,9 +5,10 @@
 //! (`fv-net`) serializes requests with the wire codec, routes them here by
 //! session id, and gives every shard worker — a thread or a child process
 //! — a hub of its own. Sessions move between hubs as
-//! [`SessionImage`](crate::SessionImage)s: [`EngineHub::take_session`] on
-//! the source, [`Engine::restore`] (a log replay) plus
-//! [`EngineHub::install_session`] on the destination.
+//! [`SessionImage`](crate::SessionImage)s, copy first and delete last:
+//! [`Engine::snapshot`] on the source, [`Engine::restore`] (a log replay)
+//! plus [`EngineHub::install_session`] on the destination, and only then
+//! [`EngineHub::close`] on the source.
 
 use crate::cache::{CacheStats, DatasetCache};
 use crate::codec::{format_response, parse_script, ScriptItem};
@@ -159,11 +160,6 @@ impl EngineHub {
         SessionId("main".to_string())
     }
 
-    /// Session ids, sorted by name.
-    pub fn session_ids(&self) -> Vec<SessionId> {
-        self.sessions.keys().cloned().collect()
-    }
-
     /// Number of live sessions.
     pub fn n_sessions(&self) -> usize {
         self.sessions.len()
@@ -176,17 +172,6 @@ impl EngineHub {
         self.sessions
             .iter()
             .map(|(id, engine)| (id.clone(), engine.session().n_datasets()))
-            .collect()
-    }
-
-    /// Per-session placement-cost estimates, sorted by name — the signals
-    /// an automatic rebalancer consumes: cumulative attempted-request
-    /// counts (recent load is the caller's delta between snapshots) and
-    /// approximate dataset bytes via the shared-cache handles.
-    pub fn session_costs(&self) -> Vec<(SessionId, crate::engine::EngineCost)> {
-        self.sessions
-            .iter()
-            .map(|(id, engine)| (id.clone(), engine.cost()))
             .collect()
     }
 
@@ -209,18 +194,18 @@ impl EngineHub {
         self.sessions.remove(id).is_some()
     }
 
-    /// Remove the session and hand its engine out — the extract half of
-    /// cross-shard session migration. The transport snapshots the engine
-    /// into a [`SessionImage`](crate::SessionImage) and drops it; the
-    /// destination rebuilds the session with [`Engine::restore`].
+    /// Remove the session and hand its engine out — [`EngineHub::close`]
+    /// for an embedder that wants the engine back. fv-net does not move
+    /// sessions this way (it copies an image and closes the source once
+    /// the copy is confirmed); `fvbench`'s staged restore pass does.
     pub fn take_session(&mut self, id: &SessionId) -> Option<Engine> {
         self.sessions.remove(id)
     }
 
-    /// Install a previously extracted engine under `id` — the other half
-    /// of migration. Returns `false` (and drops the incoming engine) if a
-    /// session with that name already lives here; routing guarantees
-    /// callers never hit that in practice.
+    /// Install an engine (in fv-net: one [`Engine::restore`] rebuilt from
+    /// an image) under `id`. Returns `false` (and drops the incoming
+    /// engine) if a session with that name already lives here; routing
+    /// guarantees callers never hit that in practice.
     pub fn install_session(&mut self, id: &SessionId, engine: Engine) -> bool {
         match self.sessions.entry(id.clone()) {
             std::collections::btree_map::Entry::Occupied(_) => false,
@@ -527,7 +512,11 @@ session_info
             .run_script("use a\nscenario 60 1\nuse b\nuse main\nimpute 0 3\n")
             .unwrap_err();
         assert_eq!(err.code, crate::error::ErrorCode::NotFound);
-        let names: Vec<String> = hub.session_ids().iter().map(|s| s.to_string()).collect();
+        let names: Vec<String> = hub
+            .list_sessions()
+            .iter()
+            .map(|(s, _)| s.to_string())
+            .collect();
         // `a` ran a request, `b` was materialized by `use`; `main`'s first
         // request failed but `use main` had already materialized it.
         assert_eq!(names, ["a", "b", "main"]);
@@ -597,7 +586,7 @@ session_info
     }
 
     #[test]
-    fn session_costs_track_attempted_requests_and_dataset_bytes() {
+    fn engine_costs_track_attempted_requests_and_dataset_bytes() {
         let mut hub = EngineHub::with_scene(640, 480);
         let a = SessionId::new("a").unwrap();
         let b = SessionId::new("b").unwrap();
@@ -612,21 +601,26 @@ session_info
         hub.execute_on(&a, &Request::Query(Query::SessionInfo))
             .unwrap();
         hub.engine(&b); // materialized, never executed anything
-        let costs = hub.session_costs();
-        assert_eq!(costs.len(), 2);
-        assert_eq!(costs[0].0, a);
-        assert_eq!(costs[0].1.requests, 2);
-        assert!(costs[0].1.dataset_bytes > 0, "scenario datasets have size");
-        assert_eq!(costs[1].1, crate::engine::EngineCost::default());
+        let cost = |hub: &EngineHub, id| hub.get(id).expect("a live session").cost();
+        assert_eq!(hub.list_sessions(), [(a.clone(), 3), (b.clone(), 0)]);
+        assert_eq!(cost(&hub, &a).requests, 2);
+        assert!(
+            cost(&hub, &a).dataset_bytes > 0,
+            "scenario datasets have size"
+        );
+        assert_eq!(cost(&hub, &b), crate::engine::EngineCost::default());
         // A failing request is attempted — it counts, exactly like the
         // shard latency histograms count it.
         let _ = hub.execute_on(&a, &Request::Mutate(Mutation::Impute { dataset: 9, k: 3 }));
-        assert_eq!(hub.session_costs()[0].1.requests, 3);
-        // The counter travels with the engine across extract/install.
+        assert_eq!(cost(&hub, &a).requests, 3);
+        // Taking an engine out and installing it back loses nothing, and
+        // an occupied name refuses the newcomer.
         let engine = hub.take_session(&a).unwrap();
-        assert_eq!(engine.cost().requests, 3);
-        hub.install_session(&a, engine);
-        assert_eq!(hub.session_costs()[0].1.requests, 3);
+        assert!(hub.get(&a).is_none());
+        assert!(hub.install_session(&a, engine));
+        assert_eq!(cost(&hub, &a).requests, 3);
+        assert!(!hub.install_session(&a, Engine::new()));
+        assert_eq!(cost(&hub, &a).requests, 3);
     }
 
     #[test]

@@ -1,16 +1,21 @@
-//! Total parsers for the text records fv-api reads back from disk or the
-//! wire: `parse_session_image` (checkpoints, migrating sessions),
-//! `parse_sessions_reply` (`list-sessions`) and `parse_trace` (`fvtrace`
-//! files). Whatever text arrives — arbitrary bytes, or a valid record
-//! with a few bytes flipped or its tail cut off — each returns a typed
-//! `ApiError` or a well-formed value (one that re-formats and re-parses
-//! to itself). None panics, and none reserves from a header count.
+//! Total parsers for the text fv-api reads back from disk or the wire:
+//! `parse_session_image` (checkpoints, migrating sessions),
+//! `parse_sessions_reply` (`list-sessions`), `parse_trace` (`fvtrace`
+//! files), `parse_wire_line` (every line a server is sent) and
+//! `parse_response` (every body a client is answered). Whatever text
+//! arrives — arbitrary bytes, or a valid record with a few bytes flipped
+//! or its tail cut off — each returns a typed `ApiError` or a well-formed
+//! value (one that re-formats and re-parses to itself). None panics, and
+//! none reserves from a header count.
 
+use fv_api::codec::ScriptItem;
 use fv_api::{
-    format_session_image, format_sessions_reply, format_trace, parse_session_image,
-    parse_sessions_reply, parse_trace,
+    format_request, format_response, format_session_image, format_sessions_reply, format_trace,
+    parse_request, parse_response, parse_session_image, parse_sessions_reply, parse_trace,
+    parse_wire_line, EngineHub, WireItem,
 };
 use proptest::prelude::*;
+use std::sync::LazyLock;
 
 const IMAGE: &str = "session-image v2 scene=800x600 requests=12 datasets=2 log=3\n  \
     dataset len=482 mtime=1754550000000000000 hash=9637325990313059835 \
@@ -29,6 +34,25 @@ const TRACE: &str = "fvtrace 1\n\
     ForestView session: 0 dataset(s)\n\
     send impute 9 3\n\
     recv err E_NOT_FOUND dataset 9\n";
+
+/// The golden script: its lines are wire lines, and replaying it answers
+/// one body of nearly every response kind.
+const SCRIPT: &str = include_str!("data/session.fvs");
+const CONTROL_LINES: &str = "ping\nshutdown\nclose\nstats\nlist-sessions\nmigrate alpha 1\n\
+    balance\nbalance auto\nsubscribe alpha 4x2\nunsubscribe\nack 17\n";
+
+/// Every verb a server can be sent, one valid line each.
+static WIRE_LINES: LazyLock<Vec<&str>> = LazyLock::new(|| {
+    let lines = CONTROL_LINES.lines().chain(SCRIPT.lines());
+    lines.filter(|line| !line.is_empty()).collect()
+});
+
+/// What [`SCRIPT`] is answered, as the wire carries it.
+static RESPONSES: LazyLock<Vec<String>> = LazyLock::new(|| {
+    let outcome = EngineHub::new().run_script(SCRIPT).expect("golden replay");
+    let bodies = outcome.entries.iter().map(|e| format_response(&e.response));
+    bodies.collect()
+});
 
 /// `text` with `flips` bytes overwritten and, one time in four, its tail
 /// cut off — corruption that keeps most of the structure (headers,
@@ -75,6 +99,13 @@ fn the_pinned_texts_roundtrip() {
     let sessions = parse_sessions_reply(SESSIONS).unwrap();
     assert_eq!(sessions[0].name, "alpha");
     assert_eq!((sessions[0].shard, sessions[0].n_datasets), (1, 3));
+    for line in WIRE_LINES.iter() {
+        parse_wire_line(line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+    }
+    for body in RESPONSES.iter() {
+        let response = parse_response(body).unwrap_or_else(|e| panic!("{body:?}: {e}"));
+        assert_eq!(&format_response(&response), body);
+    }
 }
 
 proptest! {
@@ -82,6 +113,7 @@ proptest! {
     fn image_sessions_and_trace_parsers_are_total(
         noise in prop::collection::vec(any::<u8>(), 0..300),
         flips in prop::collection::vec((any::<usize>(), any::<u8>()), 1..5),
+        pick in any::<usize>(),
     ) {
         let noise = String::from_utf8_lossy(&noise).into_owned();
         for text in [noise.clone(), mangle(IMAGE, &flips)] {
@@ -97,9 +129,22 @@ proptest! {
                 );
             }
         }
-        for text in [noise, mangle(TRACE, &flips)] {
+        for text in [noise.clone(), mangle(TRACE, &flips)] {
             if let Ok(events) = parse_trace(&text) {
                 prop_assert_eq!(parse_trace(&format_trace(&events)).unwrap(), events);
+            }
+        }
+        // Control lines have no formatter; a line that parses to a request
+        // has one.
+        for text in [noise.clone(), mangle(WIRE_LINES[pick % WIRE_LINES.len()], &flips)] {
+            if let Ok(Some(WireItem::Script(ScriptItem::Request(request)))) = parse_wire_line(&text)
+            {
+                prop_assert_eq!(parse_request(&format_request(&request)).unwrap(), request);
+            }
+        }
+        for text in [noise, mangle(&RESPONSES[pick % RESPONSES.len()], &flips)] {
+            if let Ok(response) = parse_response(&text) {
+                prop_assert_eq!(parse_response(&format_response(&response)).unwrap(), response);
             }
         }
     }

@@ -69,15 +69,18 @@ impl Client {
         }
     }
 
-    /// Move a live session to another shard (`migrate` control line). The
-    /// source shard extracts the session as a `SessionImage` and drops
-    /// its engine; the target rebuilds it with `Engine::restore`, which
-    /// checks the dataset fingerprints and replays the mutation log — so
-    /// the move re-clusters, and re-parses any file the target's dataset
-    /// cache no longer (thread shards) or never (process shards) holds.
-    /// The rebuilt session answers byte-identically. Fails typed
-    /// (`E_NOT_FOUND` / `E_INVALID`) for unknown sessions or out-of-range
-    /// shards.
+    /// Move a live session to another shard (`migrate` control line) by
+    /// copy, confirm, delete: the source shard snapshots the session as
+    /// a `SessionImage` and keeps serving it; the target rebuilds it with
+    /// `Engine::restore`, which checks the dataset fingerprints and
+    /// replays the mutation log — so the move re-clusters, and re-parses
+    /// any file the target's dataset cache no longer (thread shards) or
+    /// never (process shards) holds; only then does the source close its
+    /// copy. The rebuilt session answers byte-identically. Fails typed
+    /// for unknown sessions (`E_NOT_FOUND`), out-of-range shards
+    /// (`E_INVALID`) and a target that refuses the image (`E_INTERNAL`
+    /// naming the target's reason) — and a failed move leaves the session
+    /// untouched on its source shard.
     pub fn migrate(&mut self, session: &str, shard: usize) -> Result<(), ApiError> {
         let reply = self.roundtrip(&format!("migrate {session} {shard}"))??;
         if reply == format!("migrated {session} shard={shard}") {

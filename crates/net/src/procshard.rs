@@ -54,17 +54,12 @@
 //!                                        <k "session datasets=<n>
 //!                                           requests=<r> bytes=<b>
 //!                                           name=<name>" lines>
-//! extract <session>                    → image <0|1> [image blob]
 //! snapshot <session>                   → image <0|1> [image blob]
 //! install <session>                    → installed ok
 //!   <image blob>                       | installed err <CODE>
-//!                                        <msg blob> <image blob>
+//!                                        <msg blob>
 //! shutdown                             → bye            (then child exits)
 //! ```
-//!
-//! A failed install hands the image blob back so the caller can restore
-//! the session — the same never-lose-a-live-session contract as
-//! [`ShardOp::Install`] on a thread shard.
 //!
 //! ## Topology
 //!
@@ -238,8 +233,7 @@ fn flag(token: &str) -> Result<bool, ApiError> {
 // Message codec (both sides)
 // ---------------------------------------------------------------------
 
-/// Encode an op as a parent→child payload. Borrows the op — the caller
-/// keeps it whole so an install's image survives a transport failure.
+/// Encode an op as a parent→child payload.
 fn encode_op(op: &ShardOp) -> Vec<u8> {
     match op {
         ShardOp::Run {
@@ -257,7 +251,6 @@ fn encode_op(op: &ShardOp) -> Vec<u8> {
         }
         ShardOp::Close { session } => format!("close {session}\n").into_bytes(),
         ShardOp::Report => b"report\n".to_vec(),
-        ShardOp::Extract { session } => format!("extract {session}\n").into_bytes(),
         ShardOp::Snapshot { session } => format!("snapshot {session}\n").into_bytes(),
         ShardOp::Install { session, image } => {
             let mut out = format!("install {session}\n").into_bytes();
@@ -294,9 +287,6 @@ fn decode_op(payload: &[u8]) -> Result<ShardOp, ApiError> {
             session: SessionId::new(rest)?,
         },
         "report" if rest.is_empty() => ShardOp::Report,
-        "extract" => ShardOp::Extract {
-            session: SessionId::new(rest)?,
-        },
         "snapshot" => ShardOp::Snapshot {
             session: SessionId::new(rest)?,
         },
@@ -323,10 +313,9 @@ fn encode_reply(reply: &ShardReply) -> Vec<u8> {
             out
         }
         ShardReply::Installed(Ok(())) => b"installed ok\n".to_vec(),
-        ShardReply::Installed(Err((image, e))) => {
+        ShardReply::Installed(Err(e)) => {
             let mut out = format!("installed err {}\n", e.code.as_str()).into_bytes();
             push_blob(&mut out, e.message.as_bytes());
-            push_blob(&mut out, format_session_image(image).as_bytes());
             out
         }
     }
@@ -344,22 +333,18 @@ fn decode_reply(payload: &[u8], op: &ShardOp) -> Result<ShardReply, ApiError> {
         }
         (ShardOp::Close { .. }, "closed") => ShardReply::Closed(flag(rest)?),
         (ShardOp::Report, "report") => ShardReply::Report(decode_report(header, &mut c)?),
-        (ShardOp::Extract { .. } | ShardOp::Snapshot { .. }, "image") => {
-            ShardReply::Image(if flag(rest)? {
-                Some(parse_session_image(c.text_blob()?)?)
-            } else {
-                None
-            })
-        }
+        (ShardOp::Snapshot { .. }, "image") => ShardReply::Image(if flag(rest)? {
+            Some(parse_session_image(c.text_blob()?)?)
+        } else {
+            None
+        }),
         (ShardOp::Install { .. }, "installed") if rest == "ok" => ShardReply::Installed(Ok(())),
         (ShardOp::Install { .. }, "installed") => {
             let code = rest
                 .strip_prefix("err ")
                 .and_then(ErrorCode::from_wire)
                 .ok_or_else(|| ApiError::parse(format!("bad install reply {header:?}")))?;
-            let message = c.text_blob()?.to_string();
-            let image = parse_session_image(c.text_blob()?)?;
-            ShardReply::Installed(Err((image, ApiError::new(code, message))))
+            ShardReply::Installed(Err(ApiError::new(code, c.text_blob()?)))
         }
         _ => {
             return Err(ApiError::parse(format!(
@@ -593,17 +578,10 @@ fn kill_all(children: &mut [Child]) {
 /// Launch `n` worker processes, pair each to a shard, and start the
 /// shards over the paired sockets. `worker_cmd` is the argv prefix to
 /// exec (`["/path/to/fvtool", "shard-worker"]` in production);
-/// `--connect/--shard/--scene` are appended per child, plus
-/// `--refuse-install` on the `refuse_install_to` shard (the
-/// migration-restore fault tests inject). Fails — with every
-/// already-spawned child killed — if any child dies or fails to say
-/// `hello` within the deadline.
-pub(crate) fn spawn(
-    worker_cmd: &[String],
-    n: usize,
-    scene: (usize, usize),
-    refuse_install_to: Option<usize>,
-) -> io::Result<Shards> {
+/// `--connect/--shard/--scene` are appended per child. Fails — with
+/// every already-spawned child killed — if any child dies or fails to
+/// say `hello` within the deadline.
+pub(crate) fn spawn(worker_cmd: &[String], n: usize, scene: (usize, usize)) -> io::Result<Shards> {
     let n = n.max(1);
     let (program, prefix) = worker_cmd
         .split_first()
@@ -622,9 +600,6 @@ pub(crate) fn spawn(
             .arg("--scene")
             .arg(format!("{}x{}", scene.0, scene.1))
             .stdin(Stdio::null());
-        if refuse_install_to == Some(shard) {
-            cmd.arg("--refuse-install");
-        }
         match cmd.spawn() {
             Ok(child) => children.push(child),
             Err(e) => {
@@ -726,7 +701,7 @@ fn read_hello(mut stream: TcpStream) -> Option<(usize, TcpStream)> {
 /// The parent's end of one process shard: the control socket plus the
 /// child it leads to. A transport or decode failure marks the shard
 /// dead; that op and every later one then gets the typed `E_SHARD_DOWN`
-/// refusal, an install's image handed back untouched.
+/// refusal.
 ///
 /// Dropping the link is the child's orderly end: `shutdown`, wait for
 /// `bye`, reap (kill after [`REAP_DEADLINE`]). The link lives on its
@@ -817,7 +792,6 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
     let mut connect = None;
     let mut shard = None;
     let mut scene = None;
-    let mut refuse_install = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| {
@@ -842,7 +816,6 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
                     .ok_or_else(|| format!("--scene needs WxH, got {spec:?}"))?;
                 scene = Some((w, h));
             }
-            "--refuse-install" => refuse_install = true,
             other => return Err(format!("unknown shard-worker flag {other:?}")),
         }
     }
@@ -854,7 +827,7 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
     stream.set_nodelay(true).ok();
     write_frame(&mut stream, format!("hello {shard}\n").as_bytes())
         .map_err(|e| format!("hello: {e}"))?;
-    let mut core = WorkerCore::new(shard, scene, DatasetCache::new(), refuse_install);
+    let mut core = WorkerCore::new(shard, scene, DatasetCache::new());
     loop {
         let payload = match read_frame(&mut stream, MAX_FRAME) {
             Ok(payload) => payload,
@@ -881,8 +854,8 @@ mod tests {
     use fv_api::{Mutation, Query, Request, SessionImage};
     use proptest::prelude::*;
 
-    fn core(scene: (usize, usize), refuse_install: bool) -> WorkerCore {
-        WorkerCore::new(0, scene, DatasetCache::new(), refuse_install)
+    fn core(scene: (usize, usize)) -> WorkerCore {
+        WorkerCore::new(0, scene, DatasetCache::new())
     }
 
     /// What the child does with a parent frame and the parent with the
@@ -933,7 +906,7 @@ mod tests {
         let ghost = SessionId::new("ghost").unwrap();
         let viewer = SessionId::new("viewer").unwrap();
         let scene = (640, 480);
-        let (mut direct, mut wired) = (core(scene, false), core(scene, false));
+        let (mut direct, mut wired) = (core(scene), core(scene));
         // `make` builds the op once per core: an op owns its image and
         // request list, so it is moved into whoever serves it.
         let mut step = |make: &dyn Fn() -> ShardOp| -> ShardReply {
@@ -1013,37 +986,25 @@ mod tests {
         };
         assert_eq!(copy.log.len(), 1);
         assert_eq!(step(&snapshot(&ghost)), ShardReply::Image(None));
-        // Extract: the session leaves as the same image; a second
-        // extract finds nothing.
-        let extract = || ShardOp::Extract { session: s.clone() };
-        assert_eq!(step(&extract), ShardReply::Image(Some(copy.clone())));
-        assert_eq!(step(&extract), ShardReply::Image(None));
-        // Install brings it back; a duplicate install is refused WITH
-        // the image returned.
+        // Install is refused while the name is taken — the typed reason
+        // and its message cross the wire, nothing else does — and takes
+        // once a close has made room, as the same image.
         let install = || ShardOp::Install {
             session: s.clone(),
             image: copy.clone(),
         };
-        assert_eq!(step(&install), ShardReply::Installed(Ok(())));
-        let ShardReply::Installed(Err((returned, why))) = step(&install) else {
+        let ShardReply::Installed(Err(why)) = step(&install) else {
             panic!("an occupied name must refuse");
         };
         assert_eq!(why.code, ErrorCode::InvalidRequest);
-        assert_eq!(returned, copy, "image survived the refusal");
+        assert!(why.message.contains("mover"), "{why}");
         // Close reports existence faithfully.
         let close = || ShardOp::Close { session: s.clone() };
         assert_eq!(step(&close), ShardReply::Closed(true));
         assert_eq!(step(&close), ShardReply::Closed(false));
-
-        // The injected install refusal crosses the wire like any other.
-        let (mut direct, mut wired) = (core(scene, true), core(scene, true));
-        let by_value = direct.serve(install());
-        assert_eq!(by_value, over_the_wire(&mut wired, &install()));
-        let ShardReply::Installed(Err((returned, why))) = by_value else {
-            panic!("the injected fault must refuse");
-        };
-        assert_eq!(why.code, ErrorCode::Internal);
-        assert_eq!(returned, copy);
+        assert_eq!(step(&snapshot(&s)), ShardReply::Image(None));
+        assert_eq!(step(&install), ShardReply::Installed(Ok(())));
+        assert_eq!(step(&snapshot(&s)), ShardReply::Image(Some(copy.clone())));
     }
 
     #[test]
@@ -1059,7 +1020,6 @@ mod tests {
             run(&s, vec![load_scenario(1)], true),
             ShardOp::Close { session: s.clone() },
             ShardOp::Report,
-            ShardOp::Extract { session: s.clone() },
             ShardOp::Snapshot { session: s.clone() },
             ShardOp::Install {
                 session: s.clone(),
@@ -1095,8 +1055,8 @@ mod tests {
         // Reply decoders reject corrupt payloads the same way — headers
         // whose counts no payload could hold included.
         let ops = ops();
-        let [run, close, report, extract, snapshot, install] = &ops[..] else {
-            panic!("six ops");
+        let [run, close, report, snapshot, install] = &ops[..] else {
+            panic!("five ops");
         };
         for (op, garbage) in [
             (run, &b"nope\n"[..]),
@@ -1105,10 +1065,11 @@ mod tests {
             (run, b"run-done dropped=0 nresp=0 err=- lat=- frame=1\nframe 4294967296 4294967296 0\n0\n"),
             (run, b"closed 1\n"), // well-formed, but not a run's answer
             (close, b"closed 7\n"),
-            (extract, b"image 1\n"), // missing blob
-            (snapshot, b"image 1\n"),
+            (snapshot, b"image 1\n"), // missing blob
             (snapshot, b"image 2\n"),
             (install, b"installed err E_NOPE\n"),
+            (install, b"installed err E_INTERNAL\n"), // missing message blob
+            (install, b"installed err E_INTERNAL\n3\nwhy5\nimage"), // trailing bytes
             (report, b"report shard=0\n"),
             (report, b"report shard=0 runs=0 requests=0 max_run=0 lat=0 lat_max_us=0 cache=0,0,0,0 sessions=18446744073709551615\n"),
         ] {
@@ -1139,11 +1100,11 @@ mod tests {
         fn decoders_are_total(
             noise in prop::collection::vec(any::<u8>(), 0..200),
             flips in prop::collection::vec((any::<usize>(), any::<u8>()), 1..4),
-            pick in 0usize..6,
+            pick in 0usize..5,
         ) {
             let op = ops().swap_remove(pick);
             let valid_op = encode_op(&op);
-            let valid_reply = encode_reply(&core((64, 48), false).serve(ops().swap_remove(pick)));
+            let valid_reply = encode_reply(&core((64, 48)).serve(ops().swap_remove(pick)));
             for bytes in [noise.clone(), mangle(valid_op, &flips)] {
                 if let Ok(op) = decode_op(&bytes) {
                     encode_op(&op);

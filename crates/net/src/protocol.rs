@@ -29,7 +29,7 @@ use crate::frame::{push_err_frame, push_ok_frame, FrameBuf, LineFault, MAX_LINE}
 use crate::metrics::{ServerStats, ShardStats, StreamStats};
 use crate::server::{ServerConfig, Waker};
 use crate::shard::{shard_of, PubFrame, ShardOp, ShardReply, ShardReport, Shards};
-use crate::stream::{union_rect, StreamPlane, SubState};
+use crate::stream::{StreamPlane, SubState};
 use crate::BalanceMode;
 use fv_api::codec::ScriptItem;
 use fv_api::{ApiError, EngineHub, Request, SessionId, SessionStore, WireItem};
@@ -61,8 +61,8 @@ enum Inflight {
     /// `use` materializes its session with, `closed <name>` behind a
     /// session close.
     Ack(String),
-    /// A dispatched migration (extract on the source shard chained to
-    /// install on the target); answered `migrated <name> shard=<to>`.
+    /// A dispatched migration (see [`Migration`]); answered
+    /// `migrated <name> shard=<to>`.
     Migrate,
     /// A `stats` (else `list-sessions`) fan-out collecting one report
     /// per shard.
@@ -210,7 +210,7 @@ pub(crate) fn recover_sessions(
             Some(ShardReply::Installed(Ok(()))) => {
                 clean.insert(session.as_str().to_string(), requests);
             }
-            Some(ShardReply::Installed(Err((_image, why)))) => {
+            Some(ShardReply::Installed(Err(why))) => {
                 eprintln!("fv-net: not recovering session {session}: {why}")
             }
             _ => eprintln!("fv-net: shard {shard} went away while recovering session {session}"),
@@ -252,24 +252,19 @@ enum Waiter {
     Migration(Migration),
 }
 
-/// A migration in flight: extract on `from`, install on `to`, and — if
-/// the target refuses — restore on `from`. The core drives the chain one
-/// shard reply at a time, so routing tables and the stall set update in
-/// one place no matter who asked or whether they are still connected.
+/// A migration in flight — copy, confirm, delete: snapshot on `from`,
+/// install on `to`, close on `from`. Until the close the session is
+/// untouched where it was, so a failure at any step simply ends the
+/// chain. The core drives it one shard reply at a time (each step's op
+/// has a reply kind of its own, so the reply says which step it ends),
+/// and routing tables and the stall set update in one place no matter
+/// who asked or whether they are still connected.
 struct Migration {
     /// The connection to answer, or `None` for a balancer-planned move.
     asker: Option<u64>,
     session: SessionId,
     from: usize,
     to: usize,
-    step: MigrationStep,
-}
-
-#[derive(Clone, Copy)]
-enum MigrationStep {
-    Extract,
-    Install,
-    Restore,
 }
 
 /// Everything the core owns besides the connections themselves — one
@@ -374,10 +369,10 @@ impl LoopState {
     /// Whether `item` must wait at the front of its inbox: it would
     /// dispatch shard work against a session whose migration is in
     /// flight (`current` being the connection's session), or it is a
-    /// fan-out while any migration is — a session mid-migration lives in
-    /// neither shard's hub (its engine is in transit between Extract and
-    /// Install), so a `stats` / `list-sessions` now could miss it.
-    /// Migrations complete promptly, and the core re-pumps every
+    /// fan-out while any migration is — a session mid-migration may live
+    /// in both shards' hubs (installed on the target, not yet closed on
+    /// the source), so a `stats` / `list-sessions` now could count it
+    /// twice. Migrations complete promptly, and the core re-pumps every
     /// connection when one does.
     fn stalls(&self, item: &WireItem, current: &SessionId) -> bool {
         let target = match item {
@@ -395,17 +390,17 @@ impl LoopState {
         self.migrating.contains(target)
     }
 
-    /// Kick off the extract → install migration chain for `session`
-    /// (continued by [`Core::on_migration`]), stalling every other
-    /// item that targets the session until the move lands. Running the
-    /// chain even when the session already lives on `to` keeps the
-    /// existence check (and the reply) uniform.
+    /// Kick off the snapshot → install → close migration chain for
+    /// `session` (continued by [`Core::on_migration`]), stalling every
+    /// other item that targets the session until the move lands. The
+    /// snapshot runs even when the session already lives on `to`: it is
+    /// the existence check, so the reply stays uniform.
     fn start_migration(&mut self, asker: Option<u64>, session: &SessionId, to: usize) {
         self.migrating.insert(session.to_string());
         let from = self.route(session);
         self.submit(
             from,
-            ShardOp::Extract {
+            ShardOp::Snapshot {
                 session: session.clone(),
             },
             Waiter::Migration(Migration {
@@ -413,7 +408,6 @@ impl LoopState {
                 session: session.clone(),
                 from,
                 to,
-                step: MigrationStep::Extract,
             }),
         );
     }
@@ -475,9 +469,9 @@ impl LoopState {
     }
 
     /// A checkpoint snapshot came back: persist the image and advance
-    /// the clean baseline. No image (session closed, crashed, or
-    /// mid-migration since the report) leaves the last durable
-    /// checkpoint standing — only an explicit close deletes one.
+    /// the clean baseline. No image (session closed, crashed, or moved
+    /// away since the report) leaves the last durable checkpoint
+    /// standing — only an explicit close deletes one.
     fn on_checkpoint(&mut self, session: SessionId, reply: ShardReply) {
         let Some(cp) = self.checkpoints.as_mut() else {
             return;
@@ -496,8 +490,8 @@ impl LoopState {
 
     /// A completed balancer snapshot gather: fold the shard reports into
     /// observations, tick the policy, and start every still-valid plan
-    /// down the same extract → install → restore-on-failure chain
-    /// operator migrations use. Plans that went stale between snapshot
+    /// down the same snapshot → install → close chain operator
+    /// migrations use. Plans that went stale between snapshot
     /// and execution (session migrated, closed, or already moving) are
     /// counted failed and skipped — the balancer must never bounce a
     /// session around on outdated data.
@@ -715,9 +709,9 @@ impl Core {
     /// come back one by one to [`LoopState::on_balance_report`]), then
     /// plan once the last lands. `false` (and nothing started) while a
     /// gather is already in flight or any migration is mid-air — a
-    /// session in transit is invisible to a shard fan-out, so the
-    /// snapshot would be wrong (and the planner could double-move); the
-    /// shell asks again. Ticks run in Off mode too (the balancer plans
+    /// session in transit may be on two shards at once, so the snapshot
+    /// would be wrong (and the planner could double-move); the shell
+    /// asks again. Ticks run in Off mode too (the balancer plans
     /// nothing then): keeping the delta baselines fresh means a runtime
     /// flip to auto reacts to *current* load, not to hours of
     /// accumulated counters.
@@ -766,50 +760,41 @@ impl Core {
         }
     }
 
-    /// Advance a migration chain by one shard reply: extract → install,
-    /// and on a refused install → restore on the source shard.
-    fn on_migration(&mut self, mut m: Migration, reply: ShardReply) {
-        let (shard, image) = match (m.step, reply) {
-            (MigrationStep::Extract, ShardReply::Image(Some(image))) => {
-                m.step = MigrationStep::Install;
-                (m.to, image)
-            }
-            (MigrationStep::Install, ShardReply::Installed(Ok(()))) => {
+    /// Advance a migration chain by one shard reply. Whatever ends it
+    /// before the close leaves the session serving on `from`.
+    fn on_migration(&mut self, m: Migration, reply: ShardReply) {
+        let session = m.session.clone();
+        let (shard, next) = match reply {
+            // The snapshot proved the session exists; if it already
+            // lives on the target there is nothing to move.
+            ShardReply::Image(Some(_)) if m.from == m.to => {
                 return self.finish_migration(m, Ok(()));
             }
+            ShardReply::Image(Some(image)) => (m.to, ShardOp::Install { session, image }),
+            ShardReply::Installed(Ok(())) => (m.from, ShardOp::Close { session }),
             // The target refused (dead shard / occupied name / failed
-            // replay): the session was alive before the migration and
-            // must stay alive — put the image back where it came from
-            // before reporting failure.
-            (MigrationStep::Install, ShardReply::Installed(Err((image, _why)))) => {
-                m.step = MigrationStep::Restore;
-                (m.from, image)
-            }
-            (MigrationStep::Restore, ShardReply::Installed(restored)) => {
+            // replay), which costs the session nothing.
+            ShardReply::Installed(Err(why)) => {
                 let refused = ApiError::new(
                     fv_api::ErrorCode::Internal,
-                    match restored {
-                        Ok(()) => "target shard refused the session; it stays on its current shard",
-                        Err(_) => {
-                            "target shard refused the session and restoring it failed; the \
-                             session was lost"
-                        }
-                    },
+                    format!(
+                        "target shard refused the session; it stays on its current shard ({why})"
+                    ),
                 );
                 return self.finish_migration(m, Err(refused));
             }
-            // The extract found nothing. (No other pairing can occur:
-            // every op has exactly one reply kind.)
-            _ => {
-                let missing = ApiError::not_found(format!("session {} does not exist", m.session));
+            // The target has the session now, whatever the source's
+            // close answered (only a shard that died since the install
+            // answers anything but `true`, and its copy died with it).
+            ShardReply::Closed(_) => return self.finish_migration(m, Ok(())),
+            // The snapshot found nothing. (A chain submits no other op,
+            // so no other reply kind can come back.)
+            ShardReply::Image(None) | ShardReply::Run(_) | ShardReply::Report(_) => {
+                let missing = ApiError::not_found(format!("session {session} does not exist"));
                 return self.finish_migration(m, Err(missing));
             }
         };
-        let install = ShardOp::Install {
-            session: m.session.clone(),
-            image,
-        };
-        self.st.submit(shard, install, Waiter::Migration(m));
+        self.st.submit(shard, next, Waiter::Migration(m));
     }
 
     /// A migration chain ended. This is a loop event, not a connection
@@ -844,8 +829,8 @@ impl Core {
         self.st.migrating.remove(session.as_str());
         match asker {
             // A policy-initiated move resolved; its session's cooldown
-            // started at plan time, so a failure (the restore path) is
-            // not retried until it lapses.
+            // started at plan time, so a refused move is not retried
+            // until it lapses.
             None => self
                 .st
                 .balancer
@@ -926,7 +911,7 @@ impl Core {
                         // bounding rect — the retained framebuffer already
                         // contains both, so nothing is lost.
                         if let Some(pending) = sub.pending.get_mut(&tile) {
-                            *pending = union_rect(pending, &rect);
+                            *pending = pending.union(&rect);
                             streams.metrics.coalesced += 1;
                         } else {
                             sub.pending.insert(tile, rect);
@@ -1333,9 +1318,7 @@ mod tests {
 
     impl Rig {
         fn new(config: ServerConfig) -> Rig {
-            let shards =
-                Shards::threads(config.shards, config.scene, config.fault_refuse_install_to)
-                    .expect("spawn shard workers");
+            let shards = Shards::threads(config.shards, config.scene).expect("spawn shard workers");
             let checkpoints = config
                 .state_dir
                 .as_ref()
@@ -1440,12 +1423,20 @@ mod tests {
     }
 
     #[test]
-    fn install_failure_restores_session_and_cooldown_excludes_it() {
-        // Shard 1 refuses every install (injected fault): each automatic
-        // migration must take the extract → install → restore chain, leave
-        // the session alive on its source shard with state intact, and put
-        // it in cooldown so the balancer does not hammer the refusing
-        // target.
+    fn a_refused_install_leaves_the_session_in_place_and_cooldown_excludes_it() {
+        // Both sessions load a PCL that is then rewritten on disk, so every
+        // install of their images is refused with `E_STALE_IMAGE`, on
+        // whichever shard is asked. A refused move — the balancer's or an
+        // operator's — must leave the session serving on its source shard
+        // with state intact, and put it in cooldown so the balancer does
+        // not hammer the refusing target.
+        let pcl = std::env::temp_dir().join(format!("fv-core-stale-{}.pcl", std::process::id()));
+        let export = format!("scenario 80 1\nexport_pcl 0 {}\n", pcl.display());
+        EngineHub::new().run_script(&export).expect("export a PCL");
+        let work = format!(
+            "load {}\ncluster_all\nsearch_select stress\nscroll 1\nsession_info\n",
+            pcl.display()
+        );
         let mut rig = Rig::new(ServerConfig {
             balance: BalanceMode::Auto,
             balance_cfg: BalanceConfig {
@@ -1457,18 +1448,27 @@ mod tests {
                 // lapse, so each session is attempted at most once.
                 cooldown_ticks: 1_000_000,
             },
-            fault_refuse_install_to: Some(1),
             ..config(2)
         });
         // Two sessions, both hash-routed to shard 0 — everything the
-        // balancer plans must target the refusing shard 1.
+        // balancer plans targets shard 1.
         let names = skewed_names(2, 2);
         let mut local = EngineHub::with_scene(SCENE.0, SCENE.1);
         let c = rig.core.open();
         for name in &names {
-            let remote = rig.ask(c, &format!("use {name}\n{WORK}"));
-            assert_eq!(remote, local_replay(&mut local, name, WORK));
+            let remote = rig.ask(c, &format!("use {name}\n{work}"));
+            assert_eq!(remote, local_replay(&mut local, name, &work));
         }
+        let mut text = std::fs::read_to_string(&pcl).expect("the exported PCL");
+        text.push_str("TAMPERED\t0\t0\t1.0\n");
+        std::fs::write(&pcl, text).expect("rewrite the PCL");
+        // An operator's move is answered the target's typed reason.
+        let replies = rig.ask(c, &format!("migrate {} 1\n", names[0]));
+        let [Err(refusal)] = &replies[..] else {
+            panic!("a stale image must be refused: {replies:?}");
+        };
+        assert_eq!(refusal.code, ErrorCode::Internal);
+        assert!(refusal.message.contains("E_STALE_IMAGE"), "{refusal}");
         // Light traffic on both sessions before every tick, so each tick
         // sees a fresh load delta: with a budget of one, both sessions
         // have been tried (and failed) once within a few ticks, and
@@ -1499,27 +1499,24 @@ mod tests {
             .recent
             .iter()
             .all(|m| m.outcome == MoveOutcome::Failed));
-        // The restore path preserved everything: both sessions still live
-        // on shard 0, and their state is byte-identical to local replay
-        // (the traffic above was queries only, so the local hub's
-        // sessions saw the same mutations).
+        // Nothing was lost: both sessions still live on shard 0, and their
+        // state is byte-identical to local replay (the traffic above was
+        // queries only, so the local hub's sessions saw the same
+        // mutations).
         let sessions = rig.sessions(c);
         assert_eq!(sessions.len(), names.len());
         for s in &sessions {
-            assert_eq!(
-                s.shard, 0,
-                "restored session {} must stay on shard 0",
-                s.name
-            );
+            assert_eq!(s.shard, 0, "session {} must stay on shard 0", s.name);
         }
         for name in &names {
             let remote = rig.ask(c, &format!("use {name}\n{PROBE}"));
             assert_eq!(
                 remote,
                 local_replay(&mut local, name, PROBE),
-                "restored session {name} lost state on the failed migration"
+                "session {name} lost state on the refused migration"
             );
         }
+        std::fs::remove_file(&pcl).ok();
     }
 
     #[test]

@@ -79,10 +79,6 @@ pub struct ServerConfig {
     /// server comes back with its sessions instead of losing them all.
     /// `None` (the default) keeps sessions purely in memory.
     pub state_dir: Option<PathBuf>,
-    /// Fault injection (tests only): the shard at this index refuses
-    /// every engine install, forcing the migration restore path.
-    #[doc(hidden)]
-    pub fault_refuse_install_to: Option<usize>,
 }
 
 impl Default for ServerConfig {
@@ -96,7 +92,6 @@ impl Default for ServerConfig {
             balance_cfg: BalanceConfig::default(),
             balance_interval: Duration::from_millis(500),
             state_dir: None,
-            fault_refuse_install_to: None,
         }
     }
 }
@@ -164,24 +159,19 @@ impl Server {
         // process that cannot start) surfaces as the bind error instead
         // of a panic inside the event-loop thread.
         let shards = match &config.backend {
-            ShardBackendConfig::Threads => {
-                Shards::threads(config.shards, config.scene, config.fault_refuse_install_to)?
+            ShardBackendConfig::Threads => Shards::threads(config.shards, config.scene)?,
+            ShardBackendConfig::Procs { worker_cmd } => {
+                procshard::spawn(worker_cmd, config.shards, config.scene)?
             }
-            ShardBackendConfig::Procs { worker_cmd } => procshard::spawn(
-                worker_cmd,
-                config.shards,
-                config.scene,
-                config.fault_refuse_install_to,
-            )?,
         };
         let n_shards = shards.n_shards();
         // Crash recovery happens HERE, synchronously, before the loop
         // thread exists: every checkpoint in the state directory is
-        // re-installed through the same never-lose-a-session install
-        // path migrations use, so by the time `bind` returns the first
-        // client already sees the recovered sessions. Stale images
-        // (dataset changed on disk, `E_STALE_IMAGE`) and corrupt files
-        // are warned about and skipped, never panicked on.
+        // re-installed through the same install op migrations use, so by
+        // the time `bind` returns the first client already sees the
+        // recovered sessions. Stale images (dataset changed on disk,
+        // `E_STALE_IMAGE`) and corrupt files are warned about and
+        // skipped, never panicked on.
         let checkpoints = config
             .state_dir
             .as_deref()

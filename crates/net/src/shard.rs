@@ -31,11 +31,15 @@
 //!   [`DatasetCache`], so the same PCL loaded into sessions on different
 //!   shards is parsed exactly once and shared as `Arc` handles. (Process
 //!   shards re-create this seam per child — see `crate::procshard`.)
-//! - **Sessions, by migration**: [`ShardOp::Extract`] snapshots a
-//!   session into a serializable [`SessionImage`] and
-//!   [`ShardOp::Install`] restores it on another shard by replaying its
-//!   compacted mutation log — no engine value ever crosses the seam,
-//!   which is exactly what lets a shard be a child process. Routing
+//! - **Sessions, by image**: [`ShardOp::Snapshot`] reads a session as a
+//!   serializable [`SessionImage`] and [`ShardOp::Install`] writes one
+//!   into a shard by replaying its compacted mutation log — the two
+//!   verbs migration, checkpointing and boot recovery all share. No
+//!   engine value ever crosses the seam, which is exactly what lets a
+//!   shard be a child process. A migration is copy, confirm, delete:
+//!   `Snapshot` on the source, `Install` on the target, and only then
+//!   [`ShardOp::Close`] on the source — until the close the session is
+//!   untouched where it was, so no failure can lose it. Routing
 //!   overrides live in the protocol core (`crate::protocol`), which is
 //!   why `submit` takes an explicit shard index.
 
@@ -125,10 +129,6 @@ pub(crate) struct RunDone {
     pub frame: Option<PubFrame>,
 }
 
-/// An install's reply: `Ok` on success, or the image handed back with
-/// the typed refusal so the caller can restore the session.
-pub(crate) type InstallOutcome = Result<(), (SessionImage, ApiError)>;
-
 /// Everything a shard can be asked to do. Serializable by design:
 /// requests as canonical wire text, sessions as [`SessionImage`]s.
 pub(crate) enum ShardOp {
@@ -146,44 +146,36 @@ pub(crate) enum ShardOp {
     Close { session: SessionId },
     /// Snapshot the shard's sessions and counters.
     Report,
-    /// Pull the session out of this shard as a serializable
-    /// [`SessionImage`] (migration step 1); the engine itself is dropped.
+    /// Read the session as a [`SessionImage`]; the engine stays in place
+    /// and keeps serving while its image goes to the durable store (a
+    /// checkpoint) or to another shard (a migration's first step).
     /// Replies `None` if the session does not live here.
-    Extract { session: SessionId },
-    /// Snapshot the session as a [`SessionImage`] WITHOUT dropping the
-    /// engine — the checkpoint read: the session keeps serving while its
-    /// image goes to the durable store. Replies `None` if the session
-    /// does not live here.
     Snapshot { session: SessionId },
-    /// Restore a previously extracted image (migration step 2). On
-    /// failure (name already taken here, which routing prevents; a
-    /// fingerprint mismatch on replay; or a dead shard) the image is
-    /// handed BACK in the reply with the reason, so the caller can
-    /// restore it — an install failure must never destroy a session that
-    /// was alive before the migration.
+    /// Rebuild a session from its image: a migration's second step, and
+    /// boot recovery's only one. A refusal (name already taken here,
+    /// which routing prevents; a fingerprint mismatch on replay; a dead
+    /// shard) is just its typed reason — whoever sent the image still
+    /// has the session or its checkpoint.
     Install {
         session: SessionId,
         image: SessionImage,
     },
 }
 
-/// What a shard answers; each [`ShardOp`] has exactly one reply kind
-/// (`Extract` and `Snapshot` share `Image`).
+/// What a shard answers; each [`ShardOp`] has exactly one reply kind.
 #[derive(Debug, PartialEq)]
 pub(crate) enum ShardReply {
     Run(RunDone),
     Closed(bool),
     Report(ShardReport),
     Image(Option<SessionImage>),
-    Installed(InstallOutcome),
+    Installed(Result<(), ApiError>),
 }
 
 impl ShardOp {
     /// Answer this op the way a dead shard must: a typed refusal built
     /// from `err` (an empty report attributed to `shard`, so gathers
-    /// still complete), and an [`ShardOp::Install`]'s image comes back
-    /// so the session is not lost. The one fallback every dead-shard
-    /// path shares.
+    /// still complete). The one fallback every dead-shard path shares.
     pub fn refused(self, shard: usize, err: ApiError) -> ShardReply {
         match self {
             ShardOp::Run { .. } => ShardReply::Run(RunDone {
@@ -197,8 +189,8 @@ impl ShardOp {
             }),
             ShardOp::Close { .. } => ShardReply::Closed(false),
             ShardOp::Report => ShardReply::Report(ShardReport::empty(shard)),
-            ShardOp::Extract { .. } | ShardOp::Snapshot { .. } => ShardReply::Image(None),
-            ShardOp::Install { image, .. } => ShardReply::Installed(Err((image, err))),
+            ShardOp::Snapshot { .. } => ShardReply::Image(None),
+            ShardOp::Install { .. } => ShardReply::Installed(Err(err)),
         }
     }
 }
@@ -275,24 +267,11 @@ pub(crate) struct Shards {
 impl Shards {
     /// Thread shards: `n` cores resolving damage against `scene`, all
     /// hubs over one [`DatasetCache`] so a file loaded by sessions on
-    /// different shards is parsed once. The shard at `refuse_install_to`
-    /// (tests only) refuses every install, handing the image back — how
-    /// tests drive the migration restore path without killing a worker.
-    pub fn threads(
-        n: usize,
-        scene: (usize, usize),
-        refuse_install_to: Option<usize>,
-    ) -> std::io::Result<Shards> {
+    /// different shards is parsed once.
+    pub fn threads(n: usize, scene: (usize, usize)) -> std::io::Result<Shards> {
         let cache = DatasetCache::new();
         let links = (0..n.max(1))
-            .map(|i| {
-                Link::Core(WorkerCore::new(
-                    i,
-                    scene,
-                    cache.clone(),
-                    refuse_install_to == Some(i),
-                ))
-            })
+            .map(|i| Link::Core(WorkerCore::new(i, scene, cache.clone())))
             .collect();
         Shards::start(links, Backend::Threads(cache))
     }
@@ -497,16 +476,10 @@ pub(crate) struct WorkerCore {
     requests_executed: u64,
     max_run: usize,
     latency: LatencyHistogram,
-    refuse_install: bool,
 }
 
 impl WorkerCore {
-    pub fn new(
-        shard: usize,
-        scene: (usize, usize),
-        cache: DatasetCache,
-        refuse_install: bool,
-    ) -> WorkerCore {
+    pub fn new(shard: usize, scene: (usize, usize), cache: DatasetCache) -> WorkerCore {
         WorkerCore {
             shard,
             scene,
@@ -515,7 +488,6 @@ impl WorkerCore {
             requests_executed: 0,
             max_run: 0,
             latency: LatencyHistogram::new(),
-            refuse_install,
         }
     }
 
@@ -529,61 +501,29 @@ impl WorkerCore {
             } => ShardReply::Run(self.run(&session, &requests, publish)),
             ShardOp::Close { session } => ShardReply::Closed(self.hub.close(&session)),
             ShardOp::Report => ShardReply::Report(self.report()),
-            ShardOp::Extract { session } => ShardReply::Image(self.extract(&session)),
-            ShardOp::Snapshot { session } => ShardReply::Image(self.snapshot(&session)),
+            // The engine stays in place and keeps serving.
+            ShardOp::Snapshot { session } => {
+                ShardReply::Image(self.hub.get(&session).map(Engine::snapshot))
+            }
             ShardOp::Install { session, image } => {
-                ShardReply::Installed(self.install(&session, image))
+                ShardReply::Installed(self.install(&session, &image))
             }
         }
     }
 
-    /// Migration step 1: snapshot the session into a [`SessionImage`]
-    /// and drop the engine. `None` if the session does not live here.
-    fn extract(&mut self, session: &SessionId) -> Option<SessionImage> {
-        self.hub
-            .take_session(session)
-            .map(|engine| engine.snapshot())
-    }
-
-    /// The checkpoint read: snapshot the session into a [`SessionImage`]
-    /// while the engine stays in place and keeps serving. `None` if the
-    /// session does not live here (it may be mid-migration — the caller
-    /// must treat that as "skip", never as "the session is gone").
-    fn snapshot(&self, session: &SessionId) -> Option<SessionImage> {
-        self.hub.get(session).map(Engine::snapshot)
-    }
-
-    /// Migration step 2: restore `image` into this shard by replaying
-    /// its log ([`Engine::restore`] asserts the dataset fingerprints).
-    /// On refusal or a failed replay the image is handed back with the
-    /// reason.
-    fn install(&mut self, session: &SessionId, image: SessionImage) -> InstallOutcome {
-        if self.refuse_install {
-            // Injected fault (tests drive the migration restore path
-            // with it).
-            return Err((
-                image,
-                ApiError::new(
-                    fv_api::ErrorCode::Internal,
-                    "install refused (injected fault)",
-                ),
-            ));
-        }
+    /// Rebuild `session` here by replaying `image`'s log
+    /// ([`Engine::restore`] asserts the dataset fingerprints).
+    fn install(&mut self, session: &SessionId, image: &SessionImage) -> Result<(), ApiError> {
         if self.hub.get(session).is_some() {
-            // Name already taken here — routing should prevent this;
-            // hand the image back rather than lose either session.
-            return Err((
-                image,
-                ApiError::invalid(format!("session {session} already exists on this shard")),
-            ));
+            // Routing should prevent this; refuse rather than replace a
+            // live session.
+            return Err(ApiError::invalid(format!(
+                "session {session} already exists on this shard"
+            )));
         }
-        match Engine::restore(&image, self.hub.cache()) {
-            Ok(engine) => {
-                self.hub.install_session(session, engine);
-                Ok(())
-            }
-            Err(e) => Err((image, e)),
-        }
+        let engine = Engine::restore(image, self.hub.cache())?;
+        self.hub.install_session(session, engine);
+        Ok(())
     }
 
     fn report(&self) -> ShardReport {
@@ -677,7 +617,7 @@ mod tests {
     use fv_api::{Mutation, Query};
 
     fn shards(n: usize) -> Shards {
-        Shards::threads(n, (640, 480), None).expect("spawn shard workers")
+        Shards::threads(n, (640, 480)).expect("spawn shard workers")
     }
 
     fn call(shards: &Shards, shard: usize, op: ShardOp) -> ShardReply {
@@ -807,7 +747,6 @@ mod tests {
             let session = session.clone();
             image_of(call(&shards, shard, ShardOp::Snapshot { session }))
         };
-        // unlike Extract, Snapshot answers without dropping the engine
         let image = snapshot(&s).expect("session lives here");
         assert_eq!(image.requests, 1);
         assert_eq!(image.log.len(), 1);
@@ -821,17 +760,17 @@ mod tests {
     }
 
     #[test]
-    fn extract_install_moves_a_session_image_between_shards() {
+    fn snapshot_install_close_moves_a_session_between_shards() {
         let shards = shards(2);
         let s = SessionId::new("mover").unwrap();
         let from = shard_of(&s, 2);
         let to = 1 - from;
         execute(&shards, &s, vec![load_scenario()]);
-        let extract = |shard| {
+        let snapshot = |shard| {
             image_of(call(
                 &shards,
                 shard,
-                ShardOp::Extract { session: s.clone() },
+                ShardOp::Snapshot { session: s.clone() },
             ))
         };
         let install = |shard, image| {
@@ -841,37 +780,42 @@ mod tests {
                 other => panic!("wrong reply: {other:?}"),
             }
         };
-        // extract from the hash owner: a serializable image, not an
-        // engine — the scenario load is its whole (compacted) log.
-        let image = extract(from).expect("session lives on its shard");
+        let n_datasets = |shard| {
+            let probe = ShardOp::Run {
+                session: s.clone(),
+                requests: vec![Request::Query(Query::SessionInfo)],
+                publish: false,
+            };
+            let ShardReply::Run(done) = call(&shards, shard, probe) else {
+                panic!("a run answers with a run reply");
+            };
+            assert!(done.outcome.error.is_none());
+            match &done.outcome.responses[0] {
+                fv_api::Response::SessionInfo(info) => info.n_datasets,
+                other => panic!("wrong response: {other:?}"),
+            }
+        };
+        // copy from the hash owner: a serializable image, not an engine —
+        // the scenario load is its whole (compacted) log.
+        let image = snapshot(from).expect("session lives on its shard");
         assert_eq!(image.requests, 1);
         assert_eq!(image.log.len(), 1);
         assert!(image.datasets.is_empty(), "scenario loads stamp no files");
-        // …install on the other shard…
-        assert!(install(to, image).is_ok(), "install must take");
-        // …and a run routed at the new shard sees the intact state.
-        let probe = ShardOp::Run {
-            session: s.clone(),
-            requests: vec![Request::Query(Query::SessionInfo)],
-            publish: false,
-        };
-        let ShardReply::Run(done) = call(&shards, to, probe) else {
-            panic!("a run answers with a run reply");
-        };
-        assert!(done.outcome.error.is_none());
-        match &done.outcome.responses[0] {
-            fv_api::Response::SessionInfo(info) => assert_eq!(info.n_datasets, 3),
-            other => panic!("wrong response: {other:?}"),
-        }
-        // extracting a session that is not there answers None
-        assert!(extract(from).is_none());
-        // installing over an occupied name hands the image BACK (with the
-        // reason) instead of dropping it
-        execute(&shards, &s, Vec::new()); // fresh empty `s` on `from`
-        let image = extract(to).expect("moved session still on `to`");
-        let (returned, why) = install(from, image).expect_err("occupied name must refuse");
+        // …install on the other shard: a run routed there sees the intact
+        // state…
+        assert_eq!(install(to, image.clone()), Ok(()), "install must take");
+        assert_eq!(n_datasets(to), 3);
+        // …and installing over an occupied name is refused with the
+        // reason, the session that lives there untouched — which is all a
+        // refused move has to guarantee, the source having kept its copy.
+        let why = install(from, image).expect_err("occupied name must refuse");
         assert_eq!(why.code, fv_api::ErrorCode::InvalidRequest);
-        assert_eq!(returned.log.len(), 1, "image came back intact");
+        assert_eq!(n_datasets(from), 3);
+        // The delete is the last step, and only of the source.
+        let close = ShardOp::Close { session: s.clone() };
+        assert_eq!(call(&shards, from, close), ShardReply::Closed(true));
+        assert!(snapshot(from).is_none());
+        assert_eq!(n_datasets(to), 3);
         shards.shutdown();
     }
 
@@ -911,23 +855,20 @@ mod tests {
             datasets: Vec::new(),
             log: Vec::new(),
         };
-        let ops = || {
-            vec![
-                ShardOp::Run {
-                    session: s.clone(),
-                    requests: vec![Request::Query(Query::SessionInfo)],
-                    publish: true,
-                },
-                ShardOp::Close { session: s.clone() },
-                ShardOp::Report,
-                ShardOp::Extract { session: s.clone() },
-                ShardOp::Snapshot { session: s.clone() },
-                ShardOp::Install {
-                    session: s.clone(),
-                    image: image.clone(),
-                },
-            ]
-        };
+        let ops = vec![
+            ShardOp::Run {
+                session: s.clone(),
+                requests: vec![Request::Query(Query::SessionInfo)],
+                publish: true,
+            },
+            ShardOp::Close { session: s.clone() },
+            ShardOp::Report,
+            ShardOp::Snapshot { session: s.clone() },
+            ShardOp::Install {
+                session: s.clone(),
+                image,
+            },
+        ];
         let gone = ApiError::shard_down("shard 3 is gone");
         let expected = vec![
             ShardReply::Run(RunDone {
@@ -942,10 +883,9 @@ mod tests {
             ShardReply::Closed(false),
             ShardReply::Report(ShardReport::empty(3)),
             ShardReply::Image(None),
-            ShardReply::Image(None),
-            ShardReply::Installed(Err((image.clone(), gone.clone()))),
+            ShardReply::Installed(Err(gone.clone())),
         ];
-        for (op, want) in ops().into_iter().zip(expected) {
+        for (op, want) in ops.into_iter().zip(expected) {
             let fired = Arc::new(Mutex::new(Vec::new()));
             let sink = Arc::clone(&fired);
             let job = Job {

@@ -168,21 +168,6 @@ impl StreamPlane {
     }
 }
 
-/// Smallest rect covering both — safe to use as a coalesced pending rect
-/// because both inputs are already clipped to the same tile viewport.
-pub(crate) fn union_rect(a: &Viewport, b: &Viewport) -> Viewport {
-    let x = a.x.min(b.x);
-    let y = a.y.min(b.y);
-    let x1 = (a.x + a.w).max(b.x + b.w);
-    let y1 = (a.y + a.h).max(b.y + b.h);
-    Viewport {
-        x,
-        y,
-        w: x1 - x,
-        h: y1 - y,
-    }
-}
-
 // ── client side: the Watcher ────────────────────────────────────────────
 
 /// A blocking fv-stream subscriber: connects, sends
@@ -476,33 +461,5 @@ mod tests {
         assert!(sub.ack_lagging());
         sub.last_ack = Some(sub.encoder.next_seq());
         assert!(!sub.ack_lagging());
-    }
-
-    #[test]
-    fn union_rect_covers_both_inputs() {
-        let a = Viewport {
-            x: 2,
-            y: 3,
-            w: 4,
-            h: 5,
-        };
-        let b = Viewport {
-            x: 5,
-            y: 1,
-            w: 2,
-            h: 3,
-        };
-        let u = union_rect(&a, &b);
-        assert_eq!(
-            u,
-            Viewport {
-                x: 2,
-                y: 1,
-                w: 5,
-                h: 7
-            }
-        );
-        assert_eq!(u.intersect(&a), Some(a));
-        assert_eq!(u.intersect(&b), Some(b));
     }
 }

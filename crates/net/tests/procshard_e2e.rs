@@ -1,10 +1,11 @@
 //! End-to-end tests of the process shard backend: a real server whose
 //! shards are child `fv-shard-worker` processes must be byte-identical
 //! to the thread backend (golden conformance), migrate sessions across
-//! process boundaries with diff-identical probe transcripts, rebalance
-//! automatically under skewed load, answer `E_SHARD_DOWN` for a killed
-//! worker while other shards keep serving, and leave zero orphaned
-//! children behind after shutdown.
+//! process boundaries with diff-identical probe transcripts (and leave a
+//! session the target refuses where it was), rebalance automatically
+//! under skewed load, answer `E_SHARD_DOWN` for a killed worker while
+//! other shards keep serving, and leave zero orphaned children behind
+//! after shutdown.
 
 use fv_api::{EngineHub, SessionId};
 use fv_net::balance::BalanceConfig;
@@ -160,6 +161,47 @@ fn migration_between_process_shards_preserves_probe_transcripts() {
 
     server.shutdown();
     server.join();
+}
+
+#[test]
+fn a_stale_image_is_refused_and_the_session_stays_in_its_process() {
+    let server = proc_server(2);
+    let addr = server.local_addr().to_string();
+
+    // A session over a real file, which then changes on disk: the
+    // source process still holds what it parsed, but no other process
+    // may rebuild the session from that path any more.
+    let pcl = std::env::temp_dir().join(format!("fv-procshard-stale-{}.pcl", std::process::id()));
+    let export = format!("scenario 80 9\nexport_pcl 0 {}\n", pcl.display());
+    EngineHub::new().run_script(&export).expect("export a PCL");
+    let setup = format!("use stale\nload {}\ncluster_all\nscroll 2\n", pcl.display());
+    let mut local = EngineHub::with_scene(SCENE.0, SCENE.1);
+    let replayed = local.run_script(&setup).expect("local setup succeeds");
+    assert_eq!(remote_transcript(&addr, &setup), replayed.transcript());
+    let mut text = std::fs::read_to_string(&pcl).expect("the exported PCL");
+    text.push_str("TAMPERED\t0\t0\t1.0\n");
+    std::fs::write(&pcl, text).expect("rewrite the PCL");
+
+    // The move is refused with the target's typed reason…
+    let home = shard_of(&SessionId::new("stale").unwrap(), 2);
+    let mut client = Client::connect(&addr).unwrap();
+    let err = client
+        .migrate("stale", 1 - home)
+        .expect_err("a stale image must be refused");
+    assert_eq!(err.code, fv_api::ErrorCode::Internal);
+    assert!(err.message.contains("E_STALE_IMAGE"), "{err}");
+    // …and cost the session nothing: still listed where it was, still
+    // answering exactly what a local replay of its history answers.
+    let listed = client.list_sessions().unwrap();
+    assert_eq!(listed.len(), 1, "{listed:?}");
+    assert_eq!((listed[0].name.as_str(), listed[0].shard), ("stale", home));
+    let probe = "use stale\nsession_info\nlist_datasets\nrender 320 240\n";
+    let replayed = local.run_script(probe).expect("local probe succeeds");
+    assert_eq!(remote_transcript(&addr, probe), replayed.transcript());
+
+    server.shutdown();
+    server.join();
+    std::fs::remove_file(&pcl).ok();
 }
 
 #[test]
@@ -345,6 +387,15 @@ fn killed_worker_answers_shard_down_and_other_shards_survive() {
         sessions.iter().all(|s| s.shard == 1),
         "lost sessions must not be listed: {sessions:?}"
     );
+
+    // Moving the survivor onto the dead shard is a typed refusal too,
+    // and leaves it serving where it is.
+    let before = client.roundtrip("session_info").unwrap().unwrap();
+    let err = client
+        .migrate(&survivor, 0)
+        .expect_err("a dead shard takes no session");
+    assert!(err.message.contains("E_SHARD_DOWN"), "{err}");
+    assert_eq!(client.roundtrip("session_info").unwrap().unwrap(), before);
 
     // Shutdown still reaps cleanly with one shard already dead.
     let surviving_pid = stats.shards[1].pid;

@@ -41,7 +41,7 @@ impl DamageTracker {
             let mut merged_any = false;
             self.rects.retain(|r| {
                 if overlaps_or_touches(r, &merged) {
-                    merged = bounding_box(r, &merged);
+                    merged = merged.union(r);
                     merged_any = true;
                     false
                 } else {
@@ -58,7 +58,7 @@ impl DamageTracker {
                 .rects
                 .iter()
                 .skip(1)
-                .fold(self.rects[0], |acc, r| bounding_box(&acc, r));
+                .fold(self.rects[0], |acc, r| acc.union(r));
             self.rects.clear();
             self.rects.push(all);
         }
@@ -94,19 +94,6 @@ impl DamageTracker {
 
 fn overlaps_or_touches(a: &Viewport, b: &Viewport) -> bool {
     a.x <= b.x + b.w && b.x <= a.x + a.w && a.y <= b.y + b.h && b.y <= a.y + a.h
-}
-
-fn bounding_box(a: &Viewport, b: &Viewport) -> Viewport {
-    let x0 = a.x.min(b.x);
-    let y0 = a.y.min(b.y);
-    let x1 = (a.x + a.w).max(b.x + b.w);
-    let y1 = (a.y + a.h).max(b.y + b.h);
-    Viewport {
-        x: x0,
-        y: y0,
-        w: x1 - x0,
-        h: y1 - y0,
-    }
 }
 
 #[cfg(test)]

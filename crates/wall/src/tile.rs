@@ -37,6 +37,22 @@ impl Viewport {
         }
     }
 
+    /// Smallest viewport covering both — the conservative merge of two
+    /// damage rects (it never under-reports, and two rects clipped to one
+    /// tile stay inside it).
+    pub fn union(&self, other: &Viewport) -> Viewport {
+        let x0 = self.x.min(other.x);
+        let y0 = self.y.min(other.y);
+        let x1 = (self.x + self.w).max(other.x + other.w);
+        let y1 = (self.y + self.h).max(other.y + other.h);
+        Viewport {
+            x: x0,
+            y: y0,
+            w: x1 - x0,
+            h: y1 - y0,
+        }
+    }
+
     /// Pixel area.
     pub fn area(&self) -> usize {
         self.w * self.h
@@ -212,6 +228,34 @@ mod tests {
             h: 3,
         };
         assert!(a.intersect(&c).is_none());
+    }
+
+    #[test]
+    fn union_covers_both_inputs() {
+        let a = Viewport {
+            x: 2,
+            y: 3,
+            w: 4,
+            h: 5,
+        };
+        let b = Viewport {
+            x: 5,
+            y: 1,
+            w: 2,
+            h: 3,
+        };
+        let u = a.union(&b);
+        assert_eq!(
+            u,
+            Viewport {
+                x: 2,
+                y: 1,
+                w: 5,
+                h: 7
+            }
+        );
+        assert_eq!(u.intersect(&a), Some(a));
+        assert_eq!(u.intersect(&b), Some(b));
     }
 
     #[test]

@@ -1,0 +1,98 @@
+#!/usr/bin/env bash
+# Diff the wire bytes two fvtool builds answer a fixed set of lines with.
+#
+#   scripts/wirediff.sh <fvtool-a> <fvtool-b>
+#
+# Boots each binary under `--shards 2` and under `--shard-procs 2`, plays
+# the same lines at it in lockstep over one raw TCP connection (requests,
+# every control verb, `migrate` with its ok and err answers — to another
+# shard and back, to the shard the session already lives on, an unknown
+# session, an out-of-range shard, and a session whose PCL was rewritten
+# on disk), keeps the boot banner and every reply byte, masks what
+# legitimately differs between two runs (pids, latency buckets, balancer
+# ticks, the address, the temp dir, mtimes) and ends in `diff -r`: no
+# output and exit 0 mean the two builds are wire-identical on this set.
+# A refactor that promises "no wire change" runs it parent against change.
+set -euo pipefail
+
+[ $# -eq 2 ] || { echo "usage: $0 <fvtool-a> <fvtool-b>" >&2; exit 2; }
+WORK=$(mktemp -d)
+SERVER_PID=
+trap '[ -z "$SERVER_PID" ] || kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
+
+# Send each line on the open connection and print its reply frame (`ok
+# <n>` + n body lines, or one `err` line) before sending the next: in
+# lockstep every request is a run of its own, so the run counters in
+# `stats` do not depend on how the lines happened to be batched.
+ask() {
+  local line head n
+  for line in "$@"; do
+    printf '%s\n' "$line" >&3
+    IFS= read -r head <&3 || { echo "wirediff: the server hung up on '$line'" >&2; return 1; }
+    printf '%s\n' "$head"
+    [[ $head == ok\ * ]] || continue
+    for ((n = ${head#ok }; n > 0; n--)); do
+      IFS= read -r line <&3
+      printf '%s\n' "$line"
+    done
+  done
+}
+
+# The shard `list-sessions` (in $1) places session $2 on.
+shard_of() { sed -n "s/^  session $2 shard=\([0-9]*\).*/\1/p" <<<"$1"; }
+
+# play <fvtool> <out-dir> <serve flag>
+play() {
+  local fv=$1 out=$2 flag=$3 data=$WORK/data addr listed home fhome
+  rm -rf "$data" && mkdir -p "$out"
+  "$fv" demo "$data" >/dev/null
+  "$fv" serve --addr 127.0.0.1:0 "$flag" 2 >"$out/banner" 2>&1 &
+  SERVER_PID=$!
+  for _ in $(seq 1 100); do
+    addr=$(sed -n 's/.*serving on \([0-9.]*:[0-9]*\).*/\1/p' "$out/banner")
+    [ -z "$addr" ] || break
+    sleep 0.1
+  done
+  [ -n "$addr" ] || { echo "wirediff: $fv did not boot" >&2; cat "$out/banner" >&2; return 1; }
+  exec 3<>"/dev/tcp/${addr%:*}/${addr#*:}"
+  {
+    ask "use wd" "scenario 60 7" "cluster_all" "search_select stress" "scroll 2" \
+      "session_info" "use wdfile" "load $data/gasch_stress.pcl" "list_datasets"
+    listed=$(ask "list-sessions")
+    printf '%s\n' "$listed"
+    home=$(shard_of "$listed" wd)
+    fhome=$(shard_of "$listed" wdfile)
+    ask "stats" "balance" \
+      "migrate wd $home" "migrate wd $((1 - home))" "list-sessions" \
+      "use wd" "session_info" "list_datasets" "render 320 240" \
+      "migrate wd $home" "list-sessions" "session_info" \
+      "migrate nobody 0" "migrate wd 9" "migrate wd" "impute 9 3" "warble"
+    # The same path, different bytes: no other shard may rebuild the
+    # session from it any more.
+    printf 'TAMPERED\t0\t0\t1.0\n' >>"$data/gasch_stress.pcl"
+    ask "migrate wdfile $((1 - fhome))" "list-sessions" \
+      "use wdfile" "session_info" "list_datasets" \
+      "balance auto" "balance off" "balance" "close" "close wd" "list-sessions" "stats"
+    ask "shutdown"
+  } >"$out/wire"
+  exec 3<&-
+  wait "$SERVER_PID" || true
+  SERVER_PID=
+  sed -i -E \
+    -e "s#$data#<DIR>#g" \
+    -e "s#${addr%:*}:[0-9]+#<ADDR>#g" \
+    -e 's/pid=[0-9]+/pid=<N>/g' \
+    -e 's/lat_us=[^ ]*/lat_us=<H>/g' \
+    -e 's/lat_max_us=[0-9]+/lat_max_us=<N>/g' \
+    -e 's/ticks=[0-9]+/ticks=<N>/g' \
+    -e 's/mtime=[^ ]*/mtime=<T>/g' \
+    "$out/banner" "$out/wire"
+}
+
+side=a
+for fv in "$1" "$2"; do
+  play "$fv" "$WORK/$side/threads" --shards
+  play "$fv" "$WORK/$side/procs" --shard-procs
+  side=b
+done
+(cd "$WORK" && diff -r a b)
