@@ -25,6 +25,7 @@ use fv_golem::{enrich, EnrichmentConfig};
 use fv_ontology::annotations::PropagatedAnnotations;
 use fv_ontology::dag::OntologyDag;
 use fv_spell::{SpellConfig, SpellEngine};
+use fv_synth::compendium::CompendiumSpec;
 use fv_synth::modules::GroundTruth;
 use fv_synth::ontogen::generate_ontology;
 use fv_synth::scenario::Scenario;
@@ -338,8 +339,11 @@ impl Engine {
                 })
             }
             Mutation::LoadScenario { n_genes, seed } => {
-                if *n_genes == 0 {
-                    return Err(ApiError::invalid("scenario needs at least one gene"));
+                let min_genes = Scenario::min_genes();
+                if *n_genes < min_genes {
+                    return Err(ApiError::invalid(format!(
+                        "scenario needs at least {min_genes} genes, got {n_genes}"
+                    )));
                 }
                 let scenario = Scenario::three_datasets(*n_genes, *seed);
                 let names: Vec<String> = scenario.datasets.iter().map(|d| d.name.clone()).collect();
@@ -358,10 +362,13 @@ impl Engine {
                 n_datasets,
                 seed,
             } => {
-                if *n_genes == 0 || *n_datasets == 0 {
-                    return Err(ApiError::invalid(
-                        "compendium needs at least one gene and one dataset",
-                    ));
+                let (min_genes, min_datasets) =
+                    (Scenario::min_genes(), CompendiumSpec::MIN_DATASETS);
+                if *n_genes < min_genes || *n_datasets < min_datasets {
+                    return Err(ApiError::invalid(format!(
+                        "compendium needs at least {min_genes} genes and {min_datasets} \
+                         datasets, got {n_genes} and {n_datasets}"
+                    )));
                 }
                 let scenario = Scenario::spell_compendium(*n_genes, *n_datasets, *seed);
                 let names: Vec<String> = scenario.datasets.iter().map(|d| d.name.clone()).collect();
@@ -858,6 +865,51 @@ mod tests {
             .execute(&Request::Mutate(Mutation::Impute { dataset: 9, k: 3 }))
             .unwrap_err();
         assert_eq!(err.code, crate::error::ErrorCode::NotFound);
+    }
+
+    #[test]
+    fn undersized_synthetic_loads_are_invalid_and_change_nothing() {
+        let mut e = loaded_engine();
+        let info = e.execute(&Request::Query(Query::SessionInfo)).unwrap();
+        let min = Scenario::min_genes();
+        let undersized = [
+            Mutation::LoadScenario {
+                n_genes: min - 1,
+                seed: 1,
+            },
+            Mutation::LoadScenario {
+                n_genes: 1,
+                seed: 1,
+            },
+            Mutation::LoadCompendium {
+                n_genes: min - 1,
+                n_datasets: 3,
+                seed: 1,
+            },
+            Mutation::LoadCompendium {
+                n_genes: 100,
+                n_datasets: CompendiumSpec::MIN_DATASETS - 1,
+                seed: 1,
+            },
+        ];
+        for load in undersized {
+            let err = e.execute(&Request::Mutate(load.clone())).unwrap_err();
+            assert_eq!(
+                err.code,
+                crate::error::ErrorCode::InvalidRequest,
+                "{load:?}"
+            );
+            assert!(err.message.contains(&min.to_string()), "{}", err.message);
+            let after = e.execute(&Request::Query(Query::SessionInfo)).unwrap();
+            assert_eq!(after, info, "{load:?} left the session changed");
+        }
+        let mut fresh = Engine::with_scene(800, 600);
+        fresh
+            .execute(&Request::Mutate(Mutation::LoadScenario {
+                n_genes: min,
+                seed: 1,
+            }))
+            .expect("the minimum itself loads");
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //!
 //! Metrics follow Cluster 3.0 conventions: correlation-based metrics become
 //! distances as `1 − r` (range `[0, 2]`); pairs of rows with insufficient
-//! pairwise-present overlap fall back to the metric's *neutral* distance
-//! (`1.0` for correlation metrics — "uncorrelated" — and the matrix-wide
-//! mean for Euclidean), so sparse rows neither attract nor repel.
+//! pairwise-present overlap fall back to the *neutral* distance `1.0`
+//! ("uncorrelated") under every metric, so sparse rows neither attract nor
+//! repel.
+//!
+//! [`Metric::distance`] is the single-pair definition. [`condensed_distances`]
+//! computes all Pearson / absolute-Pearson pairs with one column-streaming
+//! kernel whose `f32` output is bit-identical to it, pair by pair.
 
 use fv_expr::matrix::ExprMatrix;
 use fv_expr::stats;
@@ -31,10 +35,7 @@ impl Metric {
 
     /// Neutral fallback distance when two rows share too few columns.
     pub fn neutral(&self) -> f32 {
-        match self {
-            Metric::Pearson | Metric::AbsPearson | Metric::Uncentered | Metric::Spearman => 1.0,
-            Metric::Euclidean => 1.0,
-        }
+        1.0
     }
 
     /// Distance between two rows of `m`.
@@ -77,6 +78,10 @@ impl CondensedMatrix {
     }
 
     /// Build from a generator: `f(i, j)` for every `i < j`, row by row.
+    ///
+    /// Of the metrics, only Uncentered, Spearman and Euclidean still reach
+    /// this through [`condensed_distances`]; no benchmark workload clusters
+    /// under them.
     pub fn from_fn<F>(n: usize, f: F) -> Self
     where
         F: Fn(usize, usize) -> f32 + Sync,
@@ -156,9 +161,130 @@ impl CondensedMatrix {
 }
 
 /// Compute the condensed distance matrix of all row pairs of `m` under
-/// `metric`.
+/// `metric`. Every entry equals [`Metric::distance`] of its pair exactly.
 pub fn condensed_distances(m: &ExprMatrix, metric: Metric) -> CondensedMatrix {
-    CondensedMatrix::from_fn(m.n_rows(), |i, j| metric.distance(m, i, j))
+    match metric {
+        Metric::Pearson => pearson_condensed(m, false),
+        Metric::AbsPearson => pearson_condensed(m, true),
+        Metric::Uncentered | Metric::Spearman | Metric::Euclidean => {
+            CondensedMatrix::from_fn(m.n_rows(), |i, j| metric.distance(m, i, j))
+        }
+    }
+}
+
+/// All `1 − r` (or `1 − |r|` when `fold_sign`) Pearson distances of `m`.
+///
+/// [`stats::pearson_rows`] walks one pair at a time and tests two mask bits
+/// per cell. Here the matrix is copied once into column-major planes — the
+/// value (0.0 where missing) and the presence as 0.0 / 1.0 — and row `i`
+/// streams each column it has over per-`j` accumulators for `j > i`, so the
+/// inner loops are contiguous in `j`, branch-free and need no reduction
+/// across lanes.
+///
+/// The result is bit-identical to the per-pair form because every pair
+/// still adds the same terms in the same column order: a column `j` lacks
+/// contributes `x · 0.0 = ±0.0`, and an accumulator that started at `+0.0`
+/// is never `−0.0`, so adding `±0.0` leaves it unchanged. That holds only
+/// while the sums stay scalar per pair and unfused: no `mul_add`, no
+/// summing across columns in lanes.
+fn pearson_condensed(m: &ExprMatrix, fold_sign: bool) -> CondensedMatrix {
+    let (n, k) = (m.n_rows(), m.n_cols());
+    if n < 2 {
+        return CondensedMatrix {
+            n,
+            data: Vec::new(),
+        };
+    }
+    let mut val = vec![0.0f64; n * k];
+    let mut pres = vec![0.0f64; n * k];
+    for r in 0..n {
+        for (c, v) in m.present_in_row_iter(r) {
+            val[c * n + r] = v as f64;
+            pres[c * n + r] = 1.0;
+        }
+    }
+    let min_overlap = Metric::MIN_OVERLAP.max(2) as f64;
+    let neutral = Metric::Pearson.neutral();
+
+    // Per-`j` accumulators; `mean_a` / `mean_b` hold the sums until divided.
+    let mut cnt = vec![0.0f64; n];
+    let mut mean_a = vec![0.0f64; n];
+    let mut mean_b = vec![0.0f64; n];
+    let mut num = vec![0.0f64; n];
+    let mut da = vec![0.0f64; n];
+    let mut db = vec![0.0f64; n];
+
+    let mut data: Vec<f32> = Vec::with_capacity(n * (n - 1) / 2);
+    for i in 0..n - 1 {
+        let w = n - i - 1;
+        let (cnt, mean_a, mean_b) = (&mut cnt[..w], &mut mean_a[..w], &mut mean_b[..w]);
+        let (num, da, db) = (&mut num[..w], &mut da[..w], &mut db[..w]);
+        // Columns row `i` has: its value and the planes' tails over `j > i`.
+        let cols = (0..k).filter(|c| pres[c * n + i] != 0.0).map(|c| {
+            let tail = c * n + i + 1..(c + 1) * n;
+            (val[c * n + i], &val[tail.clone()], &pres[tail])
+        });
+
+        cnt.fill(0.0);
+        mean_a.fill(0.0);
+        mean_b.fill(0.0);
+        for (a, v, p) in cols.clone() {
+            for j in 0..w {
+                cnt[j] += p[j];
+                mean_a[j] += a * p[j];
+                mean_b[j] += v[j];
+            }
+        }
+        // A pair with no shared column divides 0 by 0; the NaN stays in
+        // its own lane and the final select discards it.
+        for j in 0..w {
+            mean_a[j] /= cnt[j];
+            mean_b[j] /= cnt[j];
+        }
+
+        num.fill(0.0);
+        da.fill(0.0);
+        db.fill(0.0);
+        for (a, v, p) in cols {
+            for j in 0..w {
+                let xa = (a - mean_a[j]) * p[j];
+                let xb = (v[j] - mean_b[j]) * p[j];
+                num[j] += xa * xb;
+                da[j] += xa * xa;
+                db[j] += xb * xb;
+            }
+        }
+
+        // Zero-fill then overwrite: unlike `extend` over the same
+        // expression, this loop vectorises its square roots and divisions.
+        let start = data.len();
+        data.resize(start + w, 0.0);
+        let out = &mut data[start..];
+        for j in 0..w {
+            let r = num[j] / (da[j].sqrt() * db[j].sqrt());
+            let r = if fold_sign { r.abs() } else { r };
+            let defined = cnt[j] >= min_overlap && da[j] > 0.0 && db[j] > 0.0;
+            out[j] = if defined { (1.0 - r) as f32 } else { neutral };
+        }
+    }
+    CondensedMatrix { n, data }
+}
+
+/// [`condensed_distances`], held to its contract on the way out: every
+/// entry has the bits of [`Metric::distance`] of its pair.
+#[cfg(test)]
+pub(crate) fn checked_condensed_distances(m: &ExprMatrix, metric: Metric) -> CondensedMatrix {
+    let all = condensed_distances(m, metric);
+    for i in 0..m.n_rows() {
+        for j in (i + 1)..m.n_rows() {
+            assert_eq!(
+                all.get(i, j).to_bits(),
+                metric.distance(m, i, j).to_bits(),
+                "{metric:?} differs at ({i},{j})"
+            );
+        }
+    }
+    all
 }
 
 #[cfg(test)]
@@ -273,23 +399,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_distances_match_serial() {
+    fn condensed_pearson_equals_pairwise_bit_for_bit() {
         let n = 40;
         let cols = 11;
         let vals: Vec<f32> = (0..n * cols)
             .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.13)
             .collect();
-        let m = mat(n, cols, &vals);
-        let par = condensed_distances(&m, Metric::Pearson);
-        for i in 0..n - 1 {
-            for j in (i + 1)..n {
-                let serial = Metric::Pearson.distance(&m, i, j);
-                assert!(
-                    (par.get(i, j) - serial).abs() < 1e-6,
-                    "mismatch at ({i},{j})"
-                );
-            }
+        let mut m = mat(n, cols, &vals);
+        for i in (0..n * cols).step_by(7) {
+            m.set_missing(i / cols, i % cols);
         }
+        checked_condensed_distances(&m, Metric::Pearson);
+        checked_condensed_distances(&m, Metric::AbsPearson);
     }
 
     #[test]

@@ -62,8 +62,8 @@ pub fn cluster_condensed(mut d: CondensedMatrix, linkage: Linkage) -> ClusterTre
     // Any leaf inside each active cluster, used for post-sort relabeling.
     let rep_leaf: Vec<u32> = (0..n as u32).collect();
 
-    // Raw merges in NN-chain emission order: (leaf in A, leaf in B, height, size).
-    let mut raw: Vec<(u32, u32, f32, u32)> = Vec::with_capacity(n - 1);
+    // Raw merges in NN-chain emission order: (leaf in A, leaf in B, height).
+    let mut raw: Vec<(u32, u32, f32)> = Vec::with_capacity(n - 1);
     let mut chain: Vec<usize> = Vec::with_capacity(n);
 
     for _ in 0..n - 1 {
@@ -104,7 +104,7 @@ pub fn cluster_condensed(mut d: CondensedMatrix, linkage: Linkage) -> ClusterTre
                 chain.pop();
                 let (a, b) = (tip, nn);
                 let (na, nb) = (size[a], size[b]);
-                raw.push((rep_leaf[a], rep_leaf[b], dist, (na + nb) as u32));
+                raw.push((rep_leaf[a], rep_leaf[b], dist));
                 // Fold b into a.
                 let dab = dist;
                 for k in 0..n {
@@ -125,7 +125,12 @@ pub fn cluster_condensed(mut d: CondensedMatrix, linkage: Linkage) -> ClusterTre
     }
 
     // Sort merges by height (stable: equal heights keep emission order) and
-    // relabel via union-find over representative leaves.
+    // relabel via union-find over representative leaves. The `f32` update
+    // can round a folded distance an ulp below the true one, so where
+    // distances tie a merge can come out lower than a merge it was built
+    // on; the sort then puts it first and it joins smaller clusters than
+    // NN-chain had folded. A node's leaf count is therefore taken from the
+    // two roots joined here, not from the sizes at emission time.
     let mut order: Vec<usize> = (0..raw.len()).collect();
     order.sort_by(|&x, &y| {
         raw[x]
@@ -145,9 +150,10 @@ pub fn cluster_condensed(mut d: CondensedMatrix, linkage: Linkage) -> ClusterTre
     }
     // Each union-find root maps to its current NodeRef.
     let mut node_of_root: Vec<NodeRef> = (0..n as u32).map(NodeRef::Leaf).collect();
+    let mut leaves_of_root: Vec<u32> = vec![1; n];
     let mut merges: Vec<Merge> = Vec::with_capacity(raw.len());
     for (mi, &oi) in order.iter().enumerate() {
-        let (la, lb, h, sz) = raw[oi];
+        let (la, lb, h) = raw[oi];
         let ra = find(&mut parent, la as usize);
         let rb = find(&mut parent, lb as usize);
         debug_assert_ne!(ra, rb, "merge joins two distinct clusters");
@@ -155,9 +161,10 @@ pub fn cluster_condensed(mut d: CondensedMatrix, linkage: Linkage) -> ClusterTre
             left: node_of_root[ra],
             right: node_of_root[rb],
             height: h,
-            size: sz,
+            size: leaves_of_root[ra] + leaves_of_root[rb],
         });
         parent[rb] = ra;
+        leaves_of_root[ra] += leaves_of_root[rb];
         node_of_root[ra] = NodeRef::Internal(mi as u32);
     }
 

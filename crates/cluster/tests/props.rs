@@ -5,24 +5,76 @@
 use fv_cluster::distance::{condensed_distances, CondensedMatrix, Metric};
 use fv_cluster::linkage::{cluster_condensed, Linkage};
 use fv_cluster::order::{adjacent_cost, improve_order};
+use fv_cluster::tree::NodeRef;
 use fv_expr::matrix::ExprMatrix;
 use proptest::prelude::*;
 
+fn xorshift(s: &mut u64) -> u64 {
+    *s ^= *s << 13;
+    *s ^= *s >> 7;
+    *s ^= *s << 17;
+    *s
+}
+
 prop_compose! {
-    fn arb_matrix()(
+    /// A small matrix whose cells `value` draws from an xorshift stream.
+    fn arb_matrix_of(value: fn(u64) -> f32)(
         n_rows in 2usize..24,
         n_cols in 3usize..10,
         seed in any::<u64>(),
     ) -> ExprMatrix {
-        let mut vals = Vec::with_capacity(n_rows * n_cols);
         let mut s = seed | 1;
-        for _ in 0..n_rows * n_cols {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            vals.push(((s % 2001) as f32 - 1000.0) / 100.0);
-        }
+        let vals: Vec<f32> = (0..n_rows * n_cols)
+            .map(|_| value(xorshift(&mut s)))
+            .collect();
         ExprMatrix::from_rows(n_rows, n_cols, &vals).unwrap()
+    }
+}
+
+fn arb_matrix() -> impl Strategy<Value = ExprMatrix> {
+    arb_matrix_of(|s| ((s % 2001) as f32 - 1000.0) / 100.0)
+}
+
+/// Small integers only, so distances and merge heights tie often.
+fn arb_integer_matrix() -> impl Strategy<Value = ExprMatrix> {
+    arb_matrix_of(|s| (s % 4) as f32)
+}
+
+/// Shapes `(rows, cols)` the distance kernel must get right: degenerate,
+/// many short rows (genes) and few long ones (`cluster_arrays` feeds the
+/// transpose).
+fn arb_shape() -> impl Strategy<Value = (usize, usize)> {
+    prop_oneof![
+        (0usize..4, 0usize..6),
+        (2usize..60, 0usize..8),
+        (2usize..8, 20usize..80),
+    ]
+}
+
+prop_compose! {
+    /// Matrices with holes: cells missing at one of four rates, and rows
+    /// that are constant or missing altogether.
+    fn arb_sparse_matrix()(
+        (n_rows, n_cols) in arb_shape(),
+        missing_pct in prop_oneof![Just(0u64), Just(5u64), Just(50u64), Just(90u64)],
+        seed in any::<u64>(),
+    ) -> ExprMatrix {
+        let mut s = seed | 1;
+        let mut m = ExprMatrix::missing(n_rows, n_cols);
+        for r in 0..n_rows {
+            let kind = xorshift(&mut s) % 10;
+            for c in 0..n_cols {
+                let v = ((xorshift(&mut s) % 2001) as f32 - 1000.0) / 100.0;
+                let hole = xorshift(&mut s) % 100 < missing_pct;
+                match kind {
+                    0 => {} // an all-missing row
+                    1 if !hole => m.set(r, c, 2.5), // a constant row
+                    _ if !hole => m.set(r, c, v),
+                    _ => {}
+                }
+            }
+        }
+        m
     }
 }
 
@@ -49,7 +101,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn tree_structurally_valid(m in arb_matrix(), link in arb_linkage(), metric in arb_metric()) {
+    fn tree_structurally_valid(
+        m in prop_oneof![arb_matrix(), arb_integer_matrix()],
+        link in arb_linkage(),
+        metric in arb_metric(),
+    ) {
         let d = condensed_distances(&m, metric);
         let t = cluster_condensed(d, link);
         let n = m.n_rows();
@@ -59,8 +115,28 @@ proptest! {
         let mut order = t.leaf_order();
         order.sort_unstable();
         prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
-        // sizes are consistent
-        prop_assert_eq!(t.merges().last().unwrap().size as usize, n);
+        // every merge counts the leaves under it
+        for (i, mg) in t.merges().iter().enumerate() {
+            let leaves = t.node_leaves(NodeRef::Internal(i as u32)).len();
+            prop_assert_eq!(mg.size as usize, leaves, "merge {} of {:?}/{:?}", i, metric, link);
+        }
+    }
+
+    #[test]
+    fn condensed_pearson_is_pairwise_pearson_bit_for_bit(m in arb_sparse_matrix()) {
+        for metric in [Metric::Pearson, Metric::AbsPearson] {
+            let all = condensed_distances(&m, metric);
+            prop_assert_eq!(all.n(), m.n_rows());
+            for i in 0..m.n_rows() {
+                for j in (i + 1)..m.n_rows() {
+                    prop_assert_eq!(
+                        all.get(i, j).to_bits(),
+                        metric.distance(&m, i, j).to_bits(),
+                        "{:?} differs at ({}, {})", metric, i, j
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -50,9 +50,19 @@ impl Default for CompendiumSpec {
     }
 }
 
-/// Generate a compendium and its ground truth.
+impl CompendiumSpec {
+    /// Fewest datasets a compendium has: the three themed ones.
+    pub const MIN_DATASETS: usize = 3;
+}
+
+/// Generate a compendium and its ground truth. Panics on fewer than
+/// [`CompendiumSpec::MIN_DATASETS`] datasets.
 pub fn generate_compendium(spec: &CompendiumSpec) -> (Vec<Dataset>, GroundTruth) {
-    assert!(spec.n_datasets >= 3, "compendium needs at least 3 datasets");
+    assert!(
+        spec.n_datasets >= CompendiumSpec::MIN_DATASETS,
+        "compendium needs at least {} datasets",
+        CompendiumSpec::MIN_DATASETS
+    );
     let truth = plant_modules(spec.n_genes, spec.n_specific, spec.specific_size, spec.seed);
     let cfg = |i: u64| GenConfig {
         noise_sd: spec.noise_sd,

@@ -68,6 +68,18 @@ impl GroundTruth {
     }
 }
 
+/// Genes in the ESR-induced (~5%) and ESR-repressed (~10%) modules.
+fn esr_sizes(n_genes: usize) -> (usize, usize) {
+    ((n_genes / 20).max(5), (n_genes / 10).max(5))
+}
+
+/// Whether [`plant_modules`] can lay its modules out in `n_genes` genes:
+/// a non-trivial universe with room for the ESR and every specific module.
+pub fn layout_fits(n_genes: usize, n_specific: usize, specific_size: usize) -> bool {
+    let (esr_up, esr_down) = esr_sizes(n_genes);
+    n_genes >= 20 && esr_up + esr_down + n_specific * specific_size <= n_genes
+}
+
 /// Build a module layout over `n_genes` genes.
 ///
 /// Fractions follow the Gasch-scale proportions: ~5% ESR-induced, ~10%
@@ -75,20 +87,20 @@ impl GroundTruth {
 /// genes each. Gene indices are assigned by a seeded shuffle so module
 /// members are scattered through the universe (as in real data, where row
 /// order is arbitrary).
+///
+/// Panics unless [`layout_fits`]; callers taking sizes from outside the
+/// program check that first.
 pub fn plant_modules(
     n_genes: usize,
     n_specific: usize,
     specific_size: usize,
     seed: u64,
 ) -> GroundTruth {
-    assert!(n_genes >= 20, "need a non-trivial universe");
-    let esr_up = (n_genes / 20).max(5); // 5%
-    let esr_down = (n_genes / 10).max(5); // 10%
-    let needed = esr_up + esr_down + n_specific * specific_size;
     assert!(
-        needed <= n_genes,
-        "modules need {needed} genes but universe has {n_genes}"
+        layout_fits(n_genes, n_specific, specific_size),
+        "{n_specific} modules of {specific_size} genes and the ESR do not fit in {n_genes} genes"
     );
+    let (esr_up, esr_down) = esr_sizes(n_genes);
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut idx: Vec<usize> = (0..n_genes).collect();
@@ -208,7 +220,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "modules need")]
+    #[should_panic(expected = "do not fit")]
     fn overfull_universe_panics() {
         let _ = plant_modules(100, 10, 50, 1);
     }

@@ -6,7 +6,7 @@
 
 use crate::compendium::{generate_compendium, CompendiumSpec};
 use crate::dataset::{knockout_dataset, nutrient_limitation_dataset, stress_dataset, GenConfig};
-use crate::modules::{plant_modules, GroundTruth};
+use crate::modules::{layout_fits, plant_modules, GroundTruth};
 use fv_expr::Dataset;
 
 /// A named workload: datasets plus the planted truth.
@@ -20,12 +20,30 @@ pub struct Scenario {
     pub truth: GroundTruth,
 }
 
+/// Specific modules every preset plants beside the ESR.
+const N_SPECIFIC: usize = 4;
+
+/// Genes per specific module in a universe of `n_genes`.
+fn specific_size(n_genes: usize) -> usize {
+    (n_genes / 60).max(10)
+}
+
 impl Scenario {
+    /// Fewest genes any preset can be generated over: the smallest universe
+    /// the presets' module layout fits in (every larger one fits too).
+    /// Smaller sizes panic in [`plant_modules`], so code that takes
+    /// `n_genes` from a request checks it against this first.
+    pub fn min_genes() -> usize {
+        (1..)
+            .find(|&n| layout_fits(n, N_SPECIFIC, specific_size(n)))
+            .expect("the layout takes under a quarter of a large universe")
+    }
+
     /// E2 / Figure 2: three datasets over a shared universe, sized for an
     /// interactive three-pane session. `n_genes` is typically 6 000 (the
     /// paper's lower dataset bound) but tests use smaller.
     pub fn three_datasets(n_genes: usize, seed: u64) -> Scenario {
-        let truth = plant_modules(n_genes, 4, (n_genes / 60).max(10), seed);
+        let truth = plant_modules(n_genes, N_SPECIFIC, specific_size(n_genes), seed);
         let cfg = |i: u64| GenConfig {
             noise_sd: 0.35,
             missing_fraction: 0.02,
@@ -47,7 +65,7 @@ impl Scenario {
     /// compendium's slow-grower fraction prominent so the "general stress
     /// response supersedes specific effects" signal is present to find.
     pub fn case_study(n_genes: usize, seed: u64) -> Scenario {
-        let truth = plant_modules(n_genes, 4, (n_genes / 60).max(10), seed);
+        let truth = plant_modules(n_genes, N_SPECIFIC, specific_size(n_genes), seed);
         let cfg = |i: u64| GenConfig {
             noise_sd: 0.3,
             missing_fraction: 0.02,
@@ -71,8 +89,8 @@ impl Scenario {
             n_genes,
             n_datasets,
             conds_per_dataset: 24,
-            n_specific: 4,
-            specific_size: (n_genes / 60).max(10),
+            n_specific: N_SPECIFIC,
+            specific_size: specific_size(n_genes),
             noise_sd: 0.35,
             missing_fraction: 0.02,
             seed,
@@ -94,6 +112,16 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn min_genes_is_where_the_presets_start_to_fit() {
+        let min = Scenario::min_genes();
+        assert!(!layout_fits(min - 1, N_SPECIFIC, specific_size(min - 1)));
+        assert!((min..5000).all(|n| layout_fits(n, N_SPECIFIC, specific_size(n))));
+        assert_eq!(Scenario::three_datasets(min, 1).datasets[0].n_genes(), min);
+        let smallest = Scenario::spell_compendium(min, CompendiumSpec::MIN_DATASETS, 1);
+        assert_eq!(smallest.datasets.len(), CompendiumSpec::MIN_DATASETS);
+    }
 
     #[test]
     fn three_datasets_preset() {
