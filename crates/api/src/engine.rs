@@ -466,8 +466,7 @@ impl Engine {
                 if self.session.n_datasets() == 0 {
                     return Err(ApiError::invalid("spell needs at least one loaded dataset"));
                 }
-                self.ensure_spell_index();
-                let (_, engine) = self.spell.as_ref().expect("index just ensured");
+                let engine = self.ensure_spell_index();
                 let refs: Vec<&str> = genes.iter().map(|s| s.as_str()).collect();
                 let result = engine.query(&refs);
                 Ok(Response::SpellRanking {
@@ -668,21 +667,22 @@ impl Engine {
         Ok(())
     }
 
-    /// (Re)build the SPELL index when dataset contents changed since the
-    /// last build.
-    fn ensure_spell_index(&mut self) {
-        let stale = match &self.spell {
-            Some((v, _)) => *v != self.dataset_version,
-            None => true,
-        };
-        if stale {
+    /// The SPELL index over the current dataset contents, (re)built when
+    /// they changed since the last build.
+    fn ensure_spell_index(&mut self) -> &SpellEngine {
+        if matches!(&self.spell, Some((v, _)) if *v != self.dataset_version) {
+            self.spell = None;
+        }
+        let (session, version) = (&self.session, self.dataset_version);
+        let (_, engine) = self.spell.get_or_insert_with(|| {
             let mut engine = SpellEngine::new(SpellConfig::default());
-            for d in 0..self.session.n_datasets() {
-                engine.add_dataset(self.session.dataset(d));
+            for d in 0..session.n_datasets() {
+                engine.add_dataset(session.dataset(d));
             }
             engine.finalize();
-            self.spell = Some((self.dataset_version, engine));
-        }
+            (version, engine)
+        });
+        engine
     }
 }
 

@@ -393,5 +393,32 @@ mod tests {
             );
             prop_assert_eq!(decode_name(&encoded).unwrap(), name);
         }
+
+        /// Totality of the open: whatever bytes sit where the manifest
+        /// belongs — noise, or the real one mangled — the store opens
+        /// (and then scans) or refuses with a typed error; never a panic.
+        #[test]
+        fn a_manifest_of_arbitrary_bytes_is_a_store_or_a_typed_error(
+            noise in prop::collection::vec(any::<u8>(), 0..64),
+            flips in prop::collection::vec((any::<usize>(), any::<u8>()), 0..3),
+        ) {
+            let (dir, _) = temp_store("manifest");
+            let mut mangled = format!("{MANIFEST}\n").into_bytes();
+            for (at, byte) in flips {
+                let at = at % mangled.len();
+                mangled[at] = byte;
+            }
+            for manifest in [noise, mangled] {
+                std::fs::write(dir.join("v1/manifest"), &manifest).unwrap();
+                match SessionStore::open(&dir) {
+                    Ok(store) => prop_assert!(store.scan().is_ok()),
+                    Err(e) => prop_assert!(
+                        matches!(e.code, crate::ErrorCode::Format | crate::ErrorCode::Io),
+                        "{e}"
+                    ),
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

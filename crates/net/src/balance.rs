@@ -31,8 +31,8 @@
 //! - The server — `crate::server` is the only layer that owns clocks
 //!   and sockets, and hands the protocol core (`crate::protocol`) one
 //!   `tick()` per interval; the core gathers the snapshots, executes
-//!   plans through the same extract → install → restore-on-failure job
-//!   chain operator migrations use, and reports outcomes back.
+//!   plans through the same snapshot → install → close chain operator
+//!   migrations use, and reports outcomes back.
 //!
 //! ## Load model
 //!

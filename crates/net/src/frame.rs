@@ -276,6 +276,7 @@ pub fn read_reply<R: Read>(reader: &mut LineReader<R>) -> Result<Option<Reply>, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn frames(parts: &[Reply]) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -359,6 +360,103 @@ mod tests {
         let mut r = LineReader::new(&data[..]);
         assert_eq!(r.read_line().unwrap_err().code, ErrorCode::Parse);
         assert_eq!(r.read_line().unwrap(), Some("ok".to_string()));
+    }
+
+    /// What any framing of `bytes` must yield: a line per `\n`, its
+    /// `\r`s shed; a fault for one over [`MAX_LINE`] or not UTF-8; for an
+    /// unterminated tail nothing — unless it is already too long.
+    fn reference(bytes: &[u8]) -> Vec<Result<String, LineFault>> {
+        let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+        let tail = lines.pop().filter(|tail| tail.len() > MAX_LINE);
+        let framed = lines.into_iter().chain(tail).map(|line| match line {
+            _ if line.len() > MAX_LINE => Err(LineFault::TooLong),
+            _ => match std::str::from_utf8(line) {
+                Ok(text) => Ok(text.trim_end_matches('\r').to_string()),
+                Err(_) => Err(LineFault::BadUtf8),
+            },
+        });
+        framed.collect()
+    }
+
+    /// How much of `rest` the next chunk takes, `size` being its turn's
+    /// share. The framer rescans an unterminated line on every feed, so
+    /// the smallest chunks go to input without `long` runs, and inside a
+    /// run chunks are transport-sized.
+    fn chunk_len(rest: &[u8], size: usize, long: bool) -> usize {
+        let far = rest.len() > 1000 && !rest[..1000].contains(&b'\n');
+        let size = match long {
+            _ if far => size + 4000,
+            true => size.max(64),
+            false => size % 40 + 1,
+        };
+        size.min(rest.len())
+    }
+
+    /// A transport that hands its bytes out in chunks of the given sizes,
+    /// over and over.
+    struct Chunked<'a>(&'a [u8], Vec<usize>, bool);
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.1.rotate_left(1);
+            let n = chunk_len(self.0, self.1[0], self.2).min(buf.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    proptest! {
+        /// Totality under chunking: any bytes in any chunks frame into the
+        /// lines and faults the bytes fed whole do — CRLF shed, a fault
+        /// reported once and recovered from at the next boundary — through
+        /// [`FrameBuf`] and through a [`LineReader`] over a transport that
+        /// returns those chunks; never a panic, and never more buffered
+        /// than `MAX_LINE` plus one chunk.
+        #[test]
+        fn any_bytes_in_any_chunks_frame_like_the_bytes_fed_whole(
+            pieces in prop::collection::vec(
+                (0usize..8, prop::collection::vec(any::<u8>(), 0..24)),
+                0..12,
+            ),
+            sizes in prop::collection::vec(1usize..9000, 1..40),
+        ) {
+            // Noise over a small alphabet, and runs that straddle MAX_LINE.
+            let mut bytes = Vec::new();
+            for (kind, noise) in &pieces {
+                match kind {
+                    0 => bytes.resize(bytes.len() + MAX_LINE - 2 + noise.len(), b'x'),
+                    _ => bytes.extend(noise.iter().map(|b| b"\n\n\r\xffa\xc3\xab "[*b as usize % 8])),
+                }
+            }
+            let long = pieces.iter().any(|(kind, _)| *kind == 0);
+            let want = reference(&bytes);
+            let (mut framer, mut framed, mut rest) = (FrameBuf::new(), Vec::new(), &bytes[..]);
+            for size in sizes.iter().cycle() {
+                let (chunk, left) = rest.split_at(chunk_len(rest, *size, long));
+                framer.feed(chunk);
+                framed.extend(std::iter::from_fn(|| framer.next_line()));
+                prop_assert!(framer.buf.len() - framer.start <= MAX_LINE + chunk.len());
+                rest = left;
+                if rest.is_empty() {
+                    break;
+                }
+            }
+            prop_assert_eq!(&framed, &want);
+            let mut reader = LineReader::new(Chunked(&bytes, sizes, long));
+            for line in want {
+                match (reader.read_line(), line) {
+                    (Ok(Some(read)), Ok(line)) => prop_assert_eq!(read, line),
+                    (Err(e), Err(fault)) => {
+                        let long = e.message.contains("exceeds");
+                        prop_assert_eq!(e.code, ErrorCode::Parse);
+                        prop_assert_eq!(long, fault == LineFault::TooLong);
+                    }
+                    (read, line) => prop_assert!(false, "{read:?} for {line:?}"),
+                }
+            }
+            prop_assert_eq!(reader.read_line().ok(), Some(None));
+        }
     }
 
     #[test]

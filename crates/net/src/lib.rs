@@ -64,9 +64,9 @@
 //!   clock-free policy engine ([`balance`]) periodically turns the
 //!   stats plane (queue depths, latency-histogram deltas, per-session
 //!   cost estimates) into migration plans executed through the same
-//!   extract/install chain as operator `migrate`s — with hysteresis
-//!   watermarks, a per-tick budget, and per-session cooldowns so it
-//!   never thrashes.
+//!   snapshot → install → close chain as operator `migrate`s — with
+//!   hysteresis watermarks, a per-tick budget, and per-session
+//!   cooldowns so it never thrashes.
 //!
 //! See `crates/net/README.md` for the framing grammar and a quickstart.
 

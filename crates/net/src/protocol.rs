@@ -19,10 +19,10 @@
 //! It produces only outbox bytes ([`Conn::outbox`]) and shard
 //! submissions. The IO shell (`crate::server`) turns readiness into
 //! those inputs and runs its write pass over [`Core::take_touched`]
-//! after each; the tests below do the same with byte slices over thread
-//! [`Shards`], blocking on the completion receiver while
-//! `Core::in_flight` is non-zero — every handler is reachable
-//! deterministically, without a listener or a timer.
+//! after each. The tests do the same over *parked* shards, whose every
+//! `serve` and `deliver` is the test's to order: by hand below, by one
+//! seeded loop over whole worlds in `protocol/server_sim.rs` (steps,
+//! invariants, re-running a seed: `crates/net/README.md`).
 
 use crate::balance::{format_balance, Balancer, SessionObservation, ShardObservation};
 use crate::frame::{push_err_frame, push_ok_frame, FrameBuf, LineFault, MAX_LINE};
@@ -180,7 +180,8 @@ pub(crate) struct CheckpointPlane {
 }
 
 /// Boot-time crash recovery: open the store, sweep and scan it, and
-/// re-install every readable checkpoint on its hash shard. Install
+/// re-install every readable checkpoint on its hash shard through `call`
+/// (the blocking [`Shards::call`]: no loop exists yet). Install
 /// refusals (occupied name, failed replay, `E_STALE_IMAGE` from a
 /// dataset that changed on disk) and corrupt checkpoint files are
 /// warnings — recovery recovers what it can and reports the rest.
@@ -188,7 +189,8 @@ pub(crate) struct CheckpointPlane {
 /// an idle recovered session is not immediately re-checkpointed.
 pub(crate) fn recover_sessions(
     state_dir: &std::path::Path,
-    shards: &Shards,
+    n_shards: usize,
+    mut call: impl FnMut(usize, ShardOp) -> Option<ShardReply>,
 ) -> Result<CheckpointPlane, ApiError> {
     let store = SessionStore::open(state_dir)?;
     let scan = store.scan()?;
@@ -201,12 +203,12 @@ pub(crate) fn recover_sessions(
     let mut clean = BTreeMap::new();
     for (session, image) in scan.sessions {
         let requests = image.requests;
-        let shard = shard_of(&session, shards.n_shards());
+        let shard = shard_of(&session, n_shards);
         let install = ShardOp::Install {
             session: session.clone(),
             image,
         };
-        match shards.call(shard, install) {
+        match call(shard, install) {
             Some(ShardReply::Installed(Ok(()))) => {
                 clean.insert(session.as_str().to_string(), requests);
             }
@@ -234,6 +236,7 @@ pub(crate) struct Completion {
 /// Who a submitted [`ShardOp`] is for. Connections have at most one op
 /// in flight; everything else is the core's own business and must
 /// resolve even if the connection that triggered it is long gone.
+#[cfg_attr(test, derive(Debug))]
 enum Waiter {
     /// The connection's one dispatched item (see [`Inflight`]).
     Conn(u64),
@@ -259,6 +262,7 @@ enum Waiter {
 /// has a reply kind of its own, so the reply says which step it ends),
 /// and routing tables and the stall set update in one place no matter
 /// who asked or whether they are still connected.
+#[cfg_attr(test, derive(Debug))]
 struct Migration {
     /// The connection to answer, or `None` for a balancer-planned move.
     asker: Option<u64>,
@@ -471,12 +475,19 @@ impl LoopState {
     /// A checkpoint snapshot came back: persist the image and advance
     /// the clean baseline. No image (session closed, crashed, or moved
     /// away since the report) leaves the last durable checkpoint
-    /// standing — only an explicit close deletes one.
+    /// standing — only an explicit close deletes one. A snapshot whose
+    /// `pending` marker is gone was disowned by [`Self::drop_checkpoint`]
+    /// in flight: saving it would bring a closed session back at the
+    /// next boot, or write it under a namesake created since. (Only a
+    /// later gather can set the marker again, and this snapshot's shard
+    /// answers that gather's report after the snapshot.)
     fn on_checkpoint(&mut self, session: SessionId, reply: ShardReply) {
         let Some(cp) = self.checkpoints.as_mut() else {
             return;
         };
-        cp.pending.remove(session.as_str());
+        if !cp.pending.remove(session.as_str()) {
+            return;
+        }
         if let ShardReply::Image(Some(image)) = reply {
             match cp.store.save(&session, &image) {
                 Ok(()) => {
@@ -595,12 +606,6 @@ impl Core {
     /// Connections touched since the last call (see `touched`).
     pub fn take_touched(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.touched)
-    }
-
-    /// Submitted ops still awaiting [`Core::on_completion`].
-    #[cfg(test)]
-    pub fn in_flight(&self) -> usize {
-        self.st.in_flight
     }
 
     /// A wire `shutdown` was answered: the shell should stop.
@@ -1296,47 +1301,85 @@ fn service_stream(conn: &mut Conn, streams: &mut StreamPlane) {
 }
 
 #[cfg(test)]
+mod server_sim;
+
+#[cfg(test)]
 mod tests {
-    //! The core driven the way the shell drives it, minus the shell:
-    //! bytes in, [`Rig::settle`], bytes out.
+    //! The core driven the way the shell drives it, minus the shell and
+    //! the shard threads: bytes in, [`Rig::settle`], bytes out.
 
     use super::*;
     use crate::balance::{parse_balance, BalanceConfig, BalanceStatus, MoveOutcome};
     use crate::frame::{read_reply, LineReader, Reply};
     use crate::metrics::parse_stats;
+    use crate::shard::Parked;
     use fv_api::{ErrorCode, Mutation};
     use fv_wall::stream::{decode, FrameKind, TileFrame};
 
     const SCENE: (usize, usize) = (800, 600);
 
-    /// A core over thread shards. The waker pokes a pipe nobody polls.
-    struct Rig {
-        core: Core,
-        done: mpsc::Receiver<Completion>,
+    /// A core over parked shards, served at once and in shard order —
+    /// the one schedule these tests need. The waker pokes a pipe nobody
+    /// polls.
+    pub(super) struct Rig {
+        pub core: Core,
+        pub done: mpsc::Receiver<Completion>,
+        pub parked: Parked,
         _waker_rx: std::io::PipeReader,
     }
 
     impl Rig {
-        fn new(config: ServerConfig) -> Rig {
-            let shards = Shards::threads(config.shards, config.scene).expect("spawn shard workers");
-            let checkpoints = config
-                .state_dir
-                .as_ref()
-                .map(|dir| recover_sessions(dir, &shards).expect("open the state directory"));
+        pub fn new(config: ServerConfig) -> Rig {
+            let (shards, mut parked) = Shards::parked(config.shards, config.scene);
+            let checkpoints = config.state_dir.as_ref().map(|dir| {
+                recover_sessions(dir, config.shards, |k, op| parked.call(&shards, k, op))
+                    .expect("open the state directory")
+            });
             let (waker_rx, waker_tx) = std::io::pipe().expect("pipe");
             let (core, done) = Core::new(&config, shards, Waker::new(waker_tx), checkpoints);
             Rig {
                 core,
                 done,
+                parked,
                 _waker_rx: waker_rx,
             }
         }
 
-        /// Handle completions until no submitted op is outstanding.
+        /// Shard `k`'s oldest served reply, as the completion the core
+        /// is owed.
+        pub fn next_completion(&mut self, k: usize) -> Option<Completion> {
+            let delivered = self.parked.deliver(k);
+            delivered.then(|| self.done.try_recv().expect("a delivered reply completes"))
+        }
+
+        /// Serve shard `k` until its queue is empty, delivering each
+        /// reply at once (so what a reply sets off on `k` is served too).
+        fn run_shard(&mut self, k: usize) {
+            while self.parked.serve(k, |_| ()).is_some() {
+                self.complete(k);
+            }
+        }
+
+        fn complete(&mut self, k: usize) {
+            let done = self.next_completion(k).expect("a served reply");
+            self.core.on_completion(done);
+        }
+
+        /// After a tick: every shard serves its report and nothing else,
+        /// so what the completed gather set off is queued, unserved.
+        fn gather_reports(&mut self) {
+            for k in 0..self.core.st.shards.n_shards() {
+                self.parked.serve(k, |_| ()).expect("the shard's report");
+                self.complete(k);
+            }
+        }
+
+        /// Serve and deliver until no submitted op is outstanding.
         fn settle(&mut self) {
-            while self.core.in_flight() > 0 {
-                let done = self.done.recv().expect("shards are alive");
-                self.core.on_completion(done);
+            while self.core.st.in_flight > 0 {
+                for k in 0..self.core.st.shards.n_shards() {
+                    self.run_shard(k);
+                }
             }
         }
 
@@ -1426,11 +1469,25 @@ mod tests {
     fn a_refused_install_leaves_the_session_in_place_and_cooldown_excludes_it() {
         // Both sessions load a PCL that is then rewritten on disk, so every
         // install of their images is refused with `E_STALE_IMAGE`, on
-        // whichever shard is asked. A refused move — the balancer's or an
-        // operator's — must leave the session serving on its source shard
-        // with state intact, and put it in cooldown so the balancer does
-        // not hammer the refusing target.
-        let pcl = std::env::temp_dir().join(format!("fv-core-stale-{}.pcl", std::process::id()));
+        // whichever shard is asked.
+        a_refused_move_leaves_the_session_in_place("E_STALE_IMAGE");
+    }
+
+    #[test]
+    fn a_move_onto_a_dead_shard_leaves_the_session_in_place_and_cooldown_excludes_it() {
+        // The only other shard is down: it refuses every install with
+        // `E_SHARD_DOWN` and reports empty — which is exactly what makes
+        // it the balancer's favourite target.
+        a_refused_move_leaves_the_session_in_place("E_SHARD_DOWN");
+    }
+
+    /// A refused move — the balancer's or an operator's — must leave the
+    /// session serving on its source shard with state intact, and put it
+    /// in cooldown so the balancer does not hammer the refusing target;
+    /// `stats` and `list-sessions` gathers complete throughout.
+    fn a_refused_move_leaves_the_session_in_place(refusal: &str) {
+        let pcl = format!("fv-core-{refusal}-{}.pcl", std::process::id());
+        let pcl = std::env::temp_dir().join(pcl);
         let export = format!("scenario 80 1\nexport_pcl 0 {}\n", pcl.display());
         EngineHub::new().run_script(&export).expect("export a PCL");
         let work = format!(
@@ -1459,16 +1516,20 @@ mod tests {
             let remote = rig.ask(c, &format!("use {name}\n{work}"));
             assert_eq!(remote, local_replay(&mut local, name, &work));
         }
-        let mut text = std::fs::read_to_string(&pcl).expect("the exported PCL");
-        text.push_str("TAMPERED\t0\t0\t1.0\n");
-        std::fs::write(&pcl, text).expect("rewrite the PCL");
+        if refusal == "E_SHARD_DOWN" {
+            rig.parked.kill(1);
+        } else {
+            let mut text = std::fs::read_to_string(&pcl).expect("the exported PCL");
+            text.push_str("TAMPERED\t0\t0\t1.0\n");
+            std::fs::write(&pcl, text).expect("rewrite the PCL");
+        }
         // An operator's move is answered the target's typed reason.
         let replies = rig.ask(c, &format!("migrate {} 1\n", names[0]));
-        let [Err(refusal)] = &replies[..] else {
-            panic!("a stale image must be refused: {replies:?}");
+        let [Err(refused)] = &replies[..] else {
+            panic!("the install must be refused: {replies:?}");
         };
-        assert_eq!(refusal.code, ErrorCode::Internal);
-        assert!(refusal.message.contains("E_STALE_IMAGE"), "{refusal}");
+        assert_eq!(refused.code, ErrorCode::Internal);
+        assert!(refused.message.contains(refusal), "{refused}");
         // Light traffic on both sessions before every tick, so each tick
         // sees a fresh load delta: with a budget of one, both sessions
         // have been tried (and failed) once within a few ticks, and
@@ -1720,13 +1781,8 @@ mod tests {
 
     #[test]
     fn only_sessions_whose_request_counter_moved_are_checkpointed() {
-        let dir = std::env::temp_dir().join(format!("fv-core-checkpoint-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut rig = Rig::new(ServerConfig {
-            state_dir: Some(dir.clone()),
-            ..config(2)
-        });
-        let store = SessionStore::open(&dir).expect("a second handle on the store");
+        let (dir, store, config) = durable("cadence");
+        let mut rig = Rig::new(config);
         let path = |name: &str| store.checkpoint_path(&SessionId::new(name).unwrap());
         let c = rig.core.open();
         rig.ask(c, "use a\nscenario 60 1\nuse b\nscenario 60 2\n");
@@ -1749,6 +1805,96 @@ mod tests {
         std::fs::remove_file(path("a")).unwrap();
         rig.tick();
         assert!(!path("a").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_sweep_spawns_no_thread() {
+        // Threads are counted process-wide (`/proc/self/task`, as
+        // `tests/idle_threads.rs` does) and this binary's other tests
+        // boot shard threads beside the sweep — so a slice of the sweep
+        // runs again in a process of its own and counts there.
+        let exe = std::env::current_exe().expect("this test binary");
+        let alone = "protocol::server_sim::a_sweep_alone_in_its_process";
+        let out = std::process::Command::new(exe)
+            .args(["--exact", alone, "--ignored", "--test-threads=1"])
+            .output()
+            .expect("run the test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let alone = out.status.success() && stdout.contains("1 passed");
+        assert!(alone, "{stdout}");
+    }
+
+    /// A state directory of this test's own, a second handle on its
+    /// store, and the config that serves from it.
+    fn durable(name: &str) -> (std::path::PathBuf, SessionStore, ServerConfig) {
+        let dir = std::env::temp_dir().join(format!("fv-core-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = SessionStore::open(&dir).expect("a second handle on the store");
+        let config = ServerConfig {
+            state_dir: Some(dir.clone()),
+            ..config(2)
+        };
+        (dir, store, config)
+    }
+
+    #[test]
+    fn a_close_racing_a_checkpoint_does_not_bring_the_session_back() {
+        let (dir, store, config) = durable("close-race");
+        let a = SessionId::new("a").unwrap();
+        let mut rig = Rig::new(config.clone());
+        let c = rig.core.open();
+        rig.ask(c, "use a\nscenario 60 1\n");
+        // The gather completes, so the checkpoint snapshot of `a` is
+        // queued on its shard…
+        assert!(rig.core.tick());
+        rig.gather_reports();
+        // …and the close is dispatched before that snapshot is served:
+        // its image arrives after `drop_checkpoint` disowned it.
+        assert_eq!(rig.ok(c, "close a"), "closed a");
+        assert!(rig.sessions(c).is_empty());
+        assert!(!store.checkpoint_path(&a).exists(), "the user closed `a`");
+        // A restart must not resurrect it.
+        drop(rig);
+        let mut rebooted = Rig::new(config);
+        let c = rebooted.core.open();
+        assert_eq!(rebooted.stats(c).recovered, 0);
+        assert!(rebooted.sessions(c).is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_reused_name_is_never_checkpointed_from_its_predecessors_snapshot() {
+        let (dir, store, config) = durable("reuse");
+        let a = SessionId::new("a").unwrap();
+        let home = shard_of(&a, 2);
+        let mut rig = Rig::new(config.clone());
+        let (closer, creator) = (rig.core.open(), rig.core.open());
+        // `a` lives away from its hash shard, with its checkpoint
+        // snapshot queued there…
+        rig.ask(closer, "use a\nscenario 60 1\n");
+        rig.ask(closer, &format!("migrate a {}\n", 1 - home));
+        assert!(rig.core.tick());
+        rig.gather_reports();
+        // …when it is closed, and a namesake with other content is
+        // created on the hash shard before the away shard serves a thing.
+        rig.core.ingest(closer, b"close a\n");
+        rig.core.ingest(creator, b"use a\nscenario 60 2\n");
+        rig.run_shard(home);
+        // The old snapshot lands now. It is not the new session's state.
+        rig.settle();
+        assert!(!store.checkpoint_path(&a).exists(), "pre-close image saved");
+        // The next tick checkpoints the session that is there, and that
+        // is what a restart brings back.
+        rig.tick();
+        drop(rig);
+        let mut rebooted = Rig::new(config);
+        let c = rebooted.core.open();
+        assert_eq!(rebooted.stats(c).recovered, 1);
+        let mut local = EngineHub::with_scene(SCENE.0, SCENE.1);
+        local_replay(&mut local, "a", "scenario 60 2\n");
+        let probed = rebooted.ask(c, &format!("use a\n{PROBE}"));
+        assert_eq!(probed, local_replay(&mut local, "a", PROBE));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

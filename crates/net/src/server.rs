@@ -175,7 +175,7 @@ impl Server {
         let checkpoints = config
             .state_dir
             .as_deref()
-            .map(|dir| recover_sessions(dir, &shards))
+            .map(|dir| recover_sessions(dir, n_shards, |shard, op| shards.call(shard, op)))
             .transpose()
             .map_err(|e| std::io::Error::other(e.to_string()))?;
         let recovered = checkpoints.as_ref().map_or(0, |plane| plane.recovered);

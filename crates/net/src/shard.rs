@@ -131,6 +131,7 @@ pub(crate) struct RunDone {
 
 /// Everything a shard can be asked to do. Serializable by design:
 /// requests as canonical wire text, sessions as [`SessionImage`]s.
+#[cfg_attr(test, derive(Debug))]
 pub(crate) enum ShardOp {
     /// Execute a request run on the session (empty runs just materialize
     /// it — the `use` semantics). With `publish` set the worker also
@@ -608,6 +609,133 @@ impl WorkerCore {
             session_dropped,
             frame,
         }
+    }
+}
+
+#[cfg(test)]
+/// The third way to run shards, for tests: **parked**. No drain thread —
+/// [`Shards::submit`] leaves the [`Job`] in its shard's queue exactly as
+/// it does for the real backends, and the harness holding this value
+/// decides when a shard serves its head job ([`Parked::serve`], inline,
+/// through the same [`WorkerCore::serve`]) and when each served reply
+/// reaches its responder ([`Parked::deliver`]). Order is kept per shard
+/// and free across shards, which is all the real backends promise.
+pub(crate) struct Parked {
+    depth: Arc<Vec<AtomicUsize>>,
+    shards: Vec<ParkedShard>,
+}
+
+#[cfg(test)]
+type Responder = Box<dyn FnOnce(ShardReply) + Send>;
+
+#[cfg(test)]
+struct ParkedShard {
+    queue: mpsc::Receiver<Option<Job>>,
+    /// `None` once the shard went down ([`Parked::kill`]).
+    core: Option<WorkerCore>,
+    /// Replies served but not yet delivered, oldest first.
+    served: std::collections::VecDeque<(ShardReply, Responder)>,
+}
+
+#[cfg(test)]
+impl Shards {
+    /// `n` parked shards over one shared cache, and the handle that
+    /// drives them.
+    pub fn parked(n: usize, scene: (usize, usize)) -> (Shards, Parked) {
+        let cache = DatasetCache::new();
+        let depth: Arc<Vec<AtomicUsize>> = Arc::new((0..n).map(|_| AtomicUsize::new(0)).collect());
+        let mut senders = Vec::with_capacity(n);
+        let park = |shard| {
+            let (tx, queue) = mpsc::channel();
+            senders.push(tx);
+            ParkedShard {
+                queue,
+                core: Some(WorkerCore::new(shard, scene, cache.clone())),
+                served: Default::default(),
+            }
+        };
+        let shards = (0..n).map(park).collect();
+        let parked = Parked {
+            depth: Arc::clone(&depth),
+            shards,
+        };
+        let shards = Shards {
+            senders,
+            depth,
+            pids: vec![std::process::id(); n],
+            backend: Backend::Threads(cache),
+            drains: Vec::new(),
+        };
+        (shards, parked)
+    }
+}
+
+#[cfg(test)]
+impl Parked {
+    /// Replies `shard` has served and not yet delivered.
+    pub fn served(&self, shard: usize) -> usize {
+        self.shards[shard].served.len()
+    }
+
+    /// The hub of a live shard.
+    pub fn hub(&self, shard: usize) -> Option<&EngineHub> {
+        self.shards[shard].core.as_ref().map(|core| &core.hub)
+    }
+
+    /// `shard` goes down, its sessions with it: every job it serves from
+    /// now on is refused the way a dead worker process is. Replies it
+    /// had already served still deliver — they were on the wire.
+    pub fn kill(&mut self, shard: usize) {
+        self.shards[shard].core = None;
+    }
+
+    /// Serve `shard`'s head job, if it has one; `peek` sees the op first.
+    /// The reply parks until [`Parked::deliver`]. A parked shard reports
+    /// no latency: a measured duration is the one input a seeded run
+    /// could not reproduce.
+    pub fn serve<R>(
+        &mut self,
+        shard: usize,
+        peek: impl FnOnce(&ShardOp) -> R,
+    ) -> Option<(R, &ShardReply)> {
+        let parked = &mut self.shards[shard];
+        let Ok(Some(Job { op, respond })) = parked.queue.try_recv() else {
+            return None;
+        };
+        self.depth[shard].fetch_sub(1, Ordering::SeqCst);
+        let seen = peek(&op);
+        let reply = match parked.core.as_mut() {
+            Some(core) => {
+                let reply = core.serve(op);
+                core.latency = LatencyHistogram::new();
+                reply
+            }
+            None => op.refused(shard, procshard::down(shard, std::process::id())),
+        };
+        parked.served.push_back((reply, respond));
+        parked.served.back().map(|(reply, _)| (seen, reply))
+    }
+
+    /// Hand `shard`'s oldest served reply to its responder.
+    pub fn deliver(&mut self, shard: usize) -> bool {
+        let Some((reply, respond)) = self.shards[shard].served.pop_front() else {
+            return false;
+        };
+        respond(reply);
+        true
+    }
+
+    /// [`Shards::call`] for parked shards: submit, serve everything
+    /// queued up to and including `op`, and deliver.
+    pub fn call(&mut self, shards: &Shards, shard: usize, op: ShardOp) -> Option<ShardReply> {
+        let (tx, rx) = mpsc::channel();
+        let respond = move |reply| {
+            let _ = tx.send(reply);
+        };
+        shards.submit(shard, op, Box::new(respond));
+        while self.serve(shard, |_| ()).is_some() {}
+        while self.deliver(shard) {}
+        rx.try_recv().ok()
     }
 }
 

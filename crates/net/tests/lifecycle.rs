@@ -2,10 +2,12 @@
 //! server down must complete promptly even while idle clients sit on
 //! open connections — the threaded design could hang `join()` until
 //! every idle peer disconnected on its own; the event loop is woken
-//! explicitly and closes them.
+//! explicitly and closes them. Also here: the one socket check that the
+//! shell's own clock drives the protocol core's `tick()` (what a tick
+//! decides is the core's, tested on parked shards).
 
-use fv_net::{Client, Server, ServerConfig};
-use std::time::Duration;
+use fv_net::{BalanceMode, Client, Server, ServerConfig};
+use std::time::{Duration, Instant};
 
 fn server() -> Server {
     Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind")
@@ -65,4 +67,32 @@ fn clients_connected_mid_shutdown_are_refused_not_stranded() {
     server.join();
     // after join, the listener is gone: connects fail fast
     assert!(Client::connect(&addr).is_err());
+}
+
+#[test]
+fn the_shells_clock_ticks_the_balancer() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            shards: 2,
+            balance_interval: Duration::from_millis(20),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    client.set_balance(BalanceMode::Auto).unwrap();
+    // Nobody hands this server its ticks: only the event loop's timer can
+    // move the counter, and a tick's gather has to complete for it to.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let before = client.balance_status().unwrap().ticks;
+    while client.balance_status().unwrap().ticks == before {
+        assert!(Instant::now() < deadline, "no tick after 10 s of 20 ms");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let status = client.balance_status().unwrap();
+    assert_eq!(status.mode, BalanceMode::Auto);
+    assert!(client.stats().unwrap().balancer_ticks >= status.ticks);
+    server.shutdown();
+    server.join();
 }

@@ -11,8 +11,6 @@
 //! - [`term`] — GO terms (`GO:nnnnnnn` accessions, names, namespaces),
 //! - [`dag`] — the directed acyclic graph of `is_a` / `part_of` relations,
 //!   with cycle rejection and topological ordering,
-//! - [`obo`] — a parser and writer for the OBO-flavoured flat file format
-//!   GO is distributed in,
 //! - [`annotations`] — gene↔term annotation sets with ancestor propagation
 //!   (the *true-path rule*: a gene annotated to a term is implicitly
 //!   annotated to every ancestor),
@@ -23,7 +21,6 @@
 
 pub mod annotations;
 pub mod dag;
-pub mod obo;
 pub mod query;
 pub mod term;
 

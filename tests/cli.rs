@@ -304,3 +304,157 @@ fn load_failures_use_stable_exit_codes() {
     assert!(!out.status.success());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// One live `fvtool serve` child, its address read off the boot banner.
+/// Dropping it kills the child, so no server outlives a failed test; the
+/// stdout pipe is held open for as long (the server prints on its way
+/// out).
+struct Served {
+    child: std::process::Child,
+    _stdout: std::io::BufReader<std::process::ChildStdout>,
+    addr: String,
+}
+
+impl Served {
+    fn boot(args: &[&str]) -> Served {
+        use std::io::BufRead;
+        let mut child = fvtool()
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn fvtool serve");
+        let mut stdout = std::io::BufReader::new(child.stdout.take().expect("a piped stdout"));
+        let mut banner = String::new();
+        stdout.read_line(&mut banner).expect("the boot banner");
+        let addr = banner.strip_prefix("fvtool: serving on ");
+        let addr = addr.and_then(|rest| rest.split_whitespace().next());
+        let addr = addr.unwrap_or_else(|| panic!("unexpected serve banner {banner:?}"));
+        Served {
+            addr: addr.to_string(),
+            child,
+            _stdout: stdout,
+        }
+    }
+}
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// The remote control plane, through the binary: `stats`, `sessions`,
+/// `migrate`, `balance`, `watch --verify-script` and `shutdown` against a
+/// live `fvtool serve --shards 4` — stdout shapes and exit codes.
+#[test]
+fn remote_control_plane_drives_a_live_server() {
+    let dir = tmpdir("remote");
+    let demo = fvtool().args(["demo", dir.to_str().unwrap()]).output();
+    assert!(demo.unwrap().status.success());
+    let pcl = dir.join("gasch_stress.pcl");
+    let mut server = Served::boot(&["--shards", "4"]);
+    let remote = |args: &[&str]| {
+        let out = fvtool()
+            .args(args)
+            .args(["--remote", &server.addr])
+            .output();
+        let out = out.expect("run fvtool");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        (out.status.code(), stdout)
+    };
+    let ok = |args: &[&str]| {
+        let (code, stdout) = remote(args);
+        assert_eq!(code, Some(0), "fvtool {args:?} printed {stdout}");
+        stdout
+    };
+    let script = |name: &str, text: String| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        ok(&["script", path.to_str().unwrap()])
+    };
+
+    // One PCL into six sessions over four shards is parsed once.
+    for i in 0..6 {
+        let load = format!("use cli{i}\nload {}\nsession_info\n", pcl.display());
+        assert!(script("load.fvs", load).contains("session datasets=1"));
+    }
+    let stats = ok(&["stats"]);
+    assert!(
+        stats.starts_with("stats shards=4 backend=threads "),
+        "{stats}"
+    );
+    assert!(
+        stats.contains(" cache_entries=1 cache_hits=5 cache_misses=1 "),
+        "{stats}"
+    );
+    let sessions = ok(&["sessions"]);
+    assert!(
+        sessions.starts_with("sessions n=6\n  session cli0 shard="),
+        "{sessions}"
+    );
+
+    // A migrate round trip: the probe transcript never changes, the
+    // listing follows the session there and back.
+    let at = sessions
+        .split("session cli3 shard=")
+        .nth(1)
+        .expect("cli3 is listed");
+    let home: usize = at[..1].parse().expect("a shard index");
+    let away = ((home + 1) % 4).to_string();
+    let probe = || {
+        script(
+            "probe.fvs",
+            "use cli3\nsession_info\nlist_datasets\n".into(),
+        )
+    };
+    let before = probe();
+    assert_eq!(
+        ok(&["migrate", "cli3", &away]),
+        format!("migrated cli3 shard={away}\n")
+    );
+    assert_eq!(probe(), before);
+    assert!(ok(&["sessions"]).contains(&format!("session cli3 shard={away} ")));
+    ok(&["migrate", "cli3", &home.to_string()]);
+    assert_eq!(probe(), before);
+    assert_eq!(ok(&["sessions"]), sessions);
+    // Typed failures carry their exit codes across the wire.
+    assert_eq!(
+        remote(&["migrate", "ghost", "1"]).0,
+        Some(66),
+        "E_NOT_FOUND"
+    );
+    assert_eq!(remote(&["migrate", "cli3", "99"]).0, Some(2), "E_INVALID");
+
+    assert_eq!(ok(&["balance", "auto"]), "balance mode=auto\n");
+    assert!(ok(&["balance"]).starts_with("balance mode=auto ticks="));
+
+    // A viewer's reassembled wall equals a local replay's render.
+    let replay = dir.join("replay.fvs");
+    std::fs::write(&replay, format!("use cli3\nload {}\n", pcl.display())).unwrap();
+    let verify = ["--frames", "1", "--idle-ms", "2000", "--verify-script"];
+    let watched = ok(&[
+        &["watch", "cli3", "2x2"],
+        &verify[..],
+        &[replay.to_str().unwrap()],
+    ]
+    .concat());
+    assert!(
+        watched.contains("frame seq=0 kind=key tiles=4 "),
+        "{watched}"
+    );
+    assert!(
+        watched.contains("verify ok: wall matches local render"),
+        "{watched}"
+    );
+
+    assert_eq!(ok(&["shutdown"]), "server shutting down\n");
+    let exit = server.child.wait().expect("reap the server");
+    assert!(
+        exit.success(),
+        "the server exits cleanly on a wire shutdown"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
