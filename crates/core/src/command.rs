@@ -8,8 +8,9 @@
 //! changed — that is the measurable meaning of "dynamic" at wall scale
 //! (ablation A2).
 
-use crate::layout::{layout_panes, PaneLayout};
+use crate::layout::PaneLayout;
 use crate::ordering::{apply_order, OrderPolicy};
+use crate::renderer::scene_layouts;
 use crate::selection::SelectionOrigin;
 use crate::session::Session;
 use fv_cluster::distance::Metric;
@@ -196,13 +197,6 @@ pub fn perform(session: &mut Session, cmd: &Command) -> DamageClass {
     }
 }
 
-/// Current pane layouts for a `scene_w × scene_h` scene.
-fn scene_layouts(session: &Session, scene_w: usize, scene_h: usize) -> Vec<PaneLayout> {
-    let n = session.dataset_order().len();
-    let show_atree = (0..session.n_datasets()).any(|d| session.array_tree(d).is_some());
-    layout_panes(scene_w, scene_h, n, true, true, show_atree)
-}
-
 fn class_damage(
     session: &Session,
     layouts: &[PaneLayout],
@@ -319,7 +313,7 @@ mod tests {
         let out = apply(&mut s, &Command::Scroll(1), 800, 600);
         // zoom+labels per pane = 4 rects for 2 panes; none should be the
         // global region
-        let layouts = layout_panes(800, 600, 2, true, true, false);
+        let layouts = scene_layouts(&s, 800, 600);
         for d in &out.damage {
             for l in &layouts {
                 assert_ne!(

@@ -31,6 +31,28 @@ const TITLE: Rgb = Rgb::new(220, 220, 220);
 /// Label text color.
 const LABEL: Rgb = Rgb::new(180, 180, 180);
 
+/// Pane layouts of the session's scene at `scene_w × scene_h`. The tree
+/// column, label strip and array-tree strip are reserved only when some
+/// pane shows one; the painter and damage resolution both lay out here, so
+/// a reported rectangle is the one that was painted.
+pub(crate) fn scene_layouts(session: &Session, scene_w: usize, scene_h: usize) -> Vec<PaneLayout> {
+    let order = session.dataset_order();
+    let prefs = |d: usize| session.prefs.for_dataset(d);
+    let show_tree = order
+        .iter()
+        .any(|&d| session.gene_tree(d).is_some() && prefs(d).show_gene_tree);
+    let show_labels = order.iter().any(|&d| prefs(d).show_annotations);
+    let show_atree = order.iter().any(|&d| session.array_tree(d).is_some());
+    layout_panes(
+        scene_w,
+        scene_h,
+        order.len(),
+        show_tree,
+        show_labels,
+        show_atree,
+    )
+}
+
 /// Paint the whole session scene, laid out for a `scene_w × scene_h`
 /// surface, translated by `(-origin_x, -origin_y)` into `fb`.
 ///
@@ -44,19 +66,7 @@ pub fn paint_scene(
     origin_x: i64,
     origin_y: i64,
 ) {
-    let show_tree = panes
-        .iter()
-        .any(|p| p.tree.is_some() && p.prefs.show_gene_tree);
-    let show_labels = panes.iter().any(|p| p.prefs.show_annotations);
-    let show_atree = panes.iter().any(|p| p.array_tree.is_some());
-    let layouts = layout_panes(
-        scene_w,
-        scene_h,
-        panes.len(),
-        show_tree,
-        show_labels,
-        show_atree,
-    );
+    let layouts = scene_layouts(session, scene_w, scene_h);
     for (content, lay) in panes.iter().zip(&layouts) {
         paint_pane(fb, session, content, lay, origin_x, origin_y);
     }
@@ -96,6 +106,7 @@ fn paint_pane(
     // averaging.
     if !lay.global.is_empty() && c.n_rows > 0 {
         let map = c.prefs.colormap;
+        let matrix = &session.dataset(c.dataset).matrix;
         paint_global_at(
             fb,
             tx(lay.global.x),
@@ -104,7 +115,7 @@ fn paint_pane(
             lay.global.h,
             c.n_rows,
             c.n_cols,
-            |r, col| c.global_value(session, r, col),
+            |r, col| matrix.get(c.display_order[r], c.col_order[col]),
             &map,
         );
         // Selection highlight lines.
@@ -461,6 +472,114 @@ mod tests {
         let mut wall = WallRenderer::new(grid);
         render_wall(&s, &mut wall);
         assert_eq!(wall.composite(), render_desktop(&s, 150, 100));
+    }
+
+    /// Without a gene tree the painter reserves no tree column, and damage
+    /// must be resolved for that same layout (found by fv-net's simulation:
+    /// stream deltas left a 48-px gutter of every pane stale).
+    #[test]
+    fn damage_covers_what_changed_without_a_gene_tree() {
+        use crate::command::{apply, Command};
+        let mut s = Session::new();
+        let vals: Vec<f32> = (0..40 * 6)
+            .map(|i| ((i * 13 % 17) as f32 - 8.0) * 0.4)
+            .collect();
+        let m = ExprMatrix::from_rows(40, 6, &vals).unwrap();
+        for name in ["alpha", "beta", "gamma"] {
+            s.load_dataset(Dataset::with_default_meta(name, m.clone()))
+                .unwrap();
+        }
+        let (w, h) = (800, 600);
+        // 40-px tiles: narrower than the tree column damage used to be
+        // shifted by, so a stale gutter would have a tile of its own.
+        let mut wall = WallRenderer::new(TileGrid::new(20, 15, 40, 40));
+        render_wall(&s, &mut wall);
+        let select = Command::SelectRegion {
+            dataset: 0,
+            start_frac: 0.1,
+            end_frac: 0.9,
+        };
+        for cmd in [select, Command::Scroll(1)] {
+            let before = render_desktop(&s, w, h);
+            let damage = apply(&mut s, &cmd, w, h).damage;
+            let after = render_desktop(&s, w, h);
+            assert_ne!(before, after, "{cmd:?} must change the scene");
+            for y in 0..h {
+                for x in 0..w {
+                    assert!(
+                        before.get(x as i64, y as i64) == after.get(x as i64, y as i64)
+                            || damage.iter().any(|d| d.contains(x, y)),
+                        "{cmd:?} changed ({x},{y}) outside its damage {damage:?}"
+                    );
+                }
+            }
+            let panes = build_all(&s);
+            wall.render_damage(&damage, |fb, vp| {
+                paint_scene(fb, &s, &panes, w, h, vp.x as i64, vp.y as i64)
+            });
+            assert_eq!(wall.composite(), after, "wall patched after {cmd:?}");
+        }
+    }
+
+    /// The benchmark's scene (`wallstream`, and the `render 1280 960` that
+    /// ends every `recluster` op) against the definition of the global
+    /// view: every pixel the mean of the cells it covers. Release only:
+    /// `cargo test -p forestview --release -- --ignored`.
+    #[test]
+    #[ignore = "benchmark size; run in release"]
+    fn benchmark_size_scene_equals_per_pixel_reference() {
+        let (w, h) = (1280, 960);
+        let mut s = Session::new();
+        for ds in fv_synth::scenario::Scenario::three_datasets(1000, 1).datasets {
+            s.load_dataset(ds).unwrap();
+        }
+        s.cluster_all();
+        s.select_region(1, 200, 420);
+        s.scroll_by(7);
+        let direct = render_desktop(&s, w, h);
+
+        // Repaint every global view one pixel at a time over the render.
+        let mut reference = direct.clone();
+        for (c, lay) in build_all(&s).iter().zip(scene_layouts(&s, w, h)) {
+            let g = lay.global;
+            for py in 0..g.h {
+                let r0 = py * c.n_rows / g.h;
+                let r1 = ((py + 1) * c.n_rows).div_ceil(g.h).max(r0 + 1);
+                for px in 0..g.w {
+                    let c0 = px * c.n_cols / g.w;
+                    let c1 = ((px + 1) * c.n_cols).div_ceil(g.w).max(c0 + 1);
+                    let (mut sum, mut n) = (0.0f64, 0usize);
+                    for r in r0..r1 {
+                        for col in c0..c1 {
+                            if let Some(v) = c.global_value(&s, r, col) {
+                                sum += v as f64;
+                                n += 1;
+                            }
+                        }
+                    }
+                    let color = match n {
+                        0 => c.prefs.colormap.missing,
+                        _ => c.prefs.colormap.map((sum / n as f64) as f32),
+                    };
+                    reference.put((g.x + px) as i64, (g.y + py) as i64, color);
+                }
+            }
+            mark_rows_at(
+                &mut reference,
+                g.x as i64,
+                g.y as i64,
+                g.w,
+                g.h,
+                c.n_rows,
+                &c.marks,
+                MARK,
+            );
+        }
+        assert_eq!(direct, reference, "run-sharing painter vs per-pixel mean");
+
+        let mut wall = WallRenderer::new(TileGrid::new(4, 2, w / 4, h / 2));
+        render_wall(&s, &mut wall);
+        assert_eq!(wall.composite(), direct, "4x2 wall vs desktop");
     }
 
     #[test]

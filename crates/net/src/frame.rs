@@ -66,6 +66,13 @@ pub struct FrameBuf {
     buf: Vec<u8>,
     /// Read cursor into `buf`; everything before it has been consumed.
     start: usize,
+    /// How many bytes from `start` are known to hold no `\n`: an
+    /// unterminated line is searched once, not again on every call. Zero
+    /// whenever `start` moves or the buffer is emptied.
+    scanned: usize,
+    /// Bytes handed to the newline search so far.
+    #[cfg(test)]
+    examined: usize,
     /// Inside an oversized line whose fault was already reported: drop
     /// everything up to the next newline.
     discarding: bool,
@@ -75,8 +82,7 @@ impl FrameBuf {
     pub fn new() -> Self {
         FrameBuf {
             buf: Vec::with_capacity(4096),
-            start: 0,
-            discarding: false,
+            ..FrameBuf::default()
         }
     }
 
@@ -103,9 +109,14 @@ impl FrameBuf {
     /// Next complete line (without its terminator, `\r` tolerated) or a
     /// framing fault; `None` until more bytes arrive.
     pub fn next_line(&mut self) -> Option<Result<String, LineFault>> {
-        if let Some(pos) = self.buf[self.start..].iter().position(|&b| b == b'\n') {
-            let end = self.start + pos;
-            let line = if pos > MAX_LINE {
+        let from = self.start + self.scanned;
+        #[cfg(test)]
+        {
+            self.examined += self.buf.len() - from;
+        }
+        if let Some(pos) = self.buf[from..].iter().position(|&b| b == b'\n') {
+            let end = from + pos;
+            let line = if end - self.start > MAX_LINE {
                 // Whole line arrived in one feed but is over the limit;
                 // its boundary is known, so no discard state is needed.
                 Err(LineFault::TooLong)
@@ -115,14 +126,17 @@ impl FrameBuf {
                     .map_err(|_| LineFault::BadUtf8)
             };
             self.start = end + 1;
+            self.scanned = 0;
             self.compact();
             return Some(line);
         }
-        if self.buf.len() - self.start > MAX_LINE {
+        self.scanned = self.buf.len() - self.start;
+        if self.scanned > MAX_LINE {
             // Report once, then discard the rest of the line as it
             // streams in.
             self.buf.clear();
             self.start = 0;
+            self.scanned = 0;
             self.discarding = true;
             return Some(Err(LineFault::TooLong));
         }
@@ -354,6 +368,34 @@ mod tests {
     }
 
     #[test]
+    fn a_dripped_line_is_searched_once() {
+        // A full-size line one byte at a time: each call looks at the new
+        // byte only, so the search is linear in the line, not quadratic
+        // (2·10⁹ byte comparisons before the scan cursor).
+        let mut f = FrameBuf::new();
+        for _ in 0..MAX_LINE {
+            f.feed(b"x");
+            assert!(f.next_line().is_none());
+        }
+        f.feed(b"\n");
+        assert_eq!(
+            f.next_line().map(|l| l.map(|s| s.len())),
+            Some(Ok(MAX_LINE))
+        );
+        assert_eq!(f.examined, MAX_LINE + 1);
+        // The cursor went back with the line: the next one is found whole.
+        f.feed(b"ping\nrest");
+        assert_eq!(f.next_line(), Some(Ok("ping".to_string())));
+        assert!(f.next_line().is_none());
+        f.feed(b"\n");
+        assert_eq!(f.next_line(), Some(Ok("rest".to_string())));
+        assert_eq!(
+            f.examined,
+            MAX_LINE + 1 + "ping\nrest".len() + "rest".len() + 1
+        );
+    }
+
+    #[test]
     fn bad_utf8_is_recoverable() {
         let mut data = vec![0xff, 0xfe, b'\n'];
         data.extend_from_slice(b"ok\n");
@@ -378,28 +420,14 @@ mod tests {
         framed.collect()
     }
 
-    /// How much of `rest` the next chunk takes, `size` being its turn's
-    /// share. The framer rescans an unterminated line on every feed, so
-    /// the smallest chunks go to input without `long` runs, and inside a
-    /// run chunks are transport-sized.
-    fn chunk_len(rest: &[u8], size: usize, long: bool) -> usize {
-        let far = rest.len() > 1000 && !rest[..1000].contains(&b'\n');
-        let size = match long {
-            _ if far => size + 4000,
-            true => size.max(64),
-            false => size % 40 + 1,
-        };
-        size.min(rest.len())
-    }
-
     /// A transport that hands its bytes out in chunks of the given sizes,
     /// over and over.
-    struct Chunked<'a>(&'a [u8], Vec<usize>, bool);
+    struct Chunked<'a>(&'a [u8], Vec<usize>);
 
     impl Read for Chunked<'_> {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
             self.1.rotate_left(1);
-            let n = chunk_len(self.0, self.1[0], self.2).min(buf.len());
+            let n = self.1[0].min(self.0.len()).min(buf.len());
             buf[..n].copy_from_slice(&self.0[..n]);
             self.0 = &self.0[n..];
             Ok(n)
@@ -419,7 +447,7 @@ mod tests {
                 (0usize..8, prop::collection::vec(any::<u8>(), 0..24)),
                 0..12,
             ),
-            sizes in prop::collection::vec(1usize..9000, 1..40),
+            sizes in prop::collection::vec(prop_oneof![1usize..40, 1usize..9000], 1..40),
         ) {
             // Noise over a small alphabet, and runs that straddle MAX_LINE.
             let mut bytes = Vec::new();
@@ -429,11 +457,10 @@ mod tests {
                     _ => bytes.extend(noise.iter().map(|b| b"\n\n\r\xffa\xc3\xab "[*b as usize % 8])),
                 }
             }
-            let long = pieces.iter().any(|(kind, _)| *kind == 0);
             let want = reference(&bytes);
             let (mut framer, mut framed, mut rest) = (FrameBuf::new(), Vec::new(), &bytes[..]);
             for size in sizes.iter().cycle() {
-                let (chunk, left) = rest.split_at(chunk_len(rest, *size, long));
+                let (chunk, left) = rest.split_at(rest.len().min(*size));
                 framer.feed(chunk);
                 framed.extend(std::iter::from_fn(|| framer.next_line()));
                 prop_assert!(framer.buf.len() - framer.start <= MAX_LINE + chunk.len());
@@ -443,7 +470,7 @@ mod tests {
                 }
             }
             prop_assert_eq!(&framed, &want);
-            let mut reader = LineReader::new(Chunked(&bytes, sizes, long));
+            let mut reader = LineReader::new(Chunked(&bytes, sizes));
             for line in want {
                 match (reader.read_line(), line) {
                     (Ok(Some(read)), Ok(line)) => prop_assert_eq!(read, line),

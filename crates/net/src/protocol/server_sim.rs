@@ -869,30 +869,13 @@ impl World {
             };
             let engine = self.oracle.hubs[k].get(&sid(session));
             let engine = engine.expect("its holder holds it");
-            // Two known ways to a stale wall (`ROADMAP.md`). A session that
+            // One known way to a stale wall (`ROADMAP.md`): a session that
             // ended tells the stream plane nothing, and its retained frame
-            // serves a namesake's viewers the old pixels. And a session
-            // whose datasets all lack a gene tree is painted without the
-            // tree column `forestview::command` resolves damage for, so its
-            // deltas miss that column's width at the left of every pane
-            // until `cluster_all` repaints it all: those pixels go unjudged.
+            // serves a namesake's viewers the old pixels.
             if self.oracle.ended.contains(session) {
                 continue;
             }
-            let state = engine.session();
-            let mut trees = (0..state.n_datasets()).filter(|&d| state.gene_tree(d).is_some());
-            let smeared = state.n_datasets() > 0 && trees.next().is_none();
-            let (w, h) = self.oracle.scene;
-            let panes = state.dataset_order().len() * smeared as usize;
-            let panes = forestview::layout::layout_panes(w, h, panes, true, true, false);
-            let gutter = |p: &forestview::layout::PaneLayout| {
-                p.global_tree.x..p.global_tree.x + p.global_tree.w
-            };
-            let judged = |px: usize| !panes.iter().any(|p| gutter(p).contains(&(px % w)));
-            let (got, want) = (wall.framebuffer().bytes(), self.oracle.render(engine));
-            let synced = (0..w * h)
-                .filter(|&px| judged(px))
-                .all(|px| got[px * 3..][..3] == want[px * 3..][..3]);
+            let synced = wall.framebuffer().bytes() == &self.oracle.render(engine)[..];
             assert!(synced, "c{}'s wall is not session {session}", client.id);
         }
     }

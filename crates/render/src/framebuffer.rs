@@ -97,13 +97,37 @@ impl Framebuffer {
             return;
         }
         for yy in y0..y1 {
-            let row = (yy * self.width + x0) * 3;
-            for px in self.data[row..row + (x1 - x0) * 3].chunks_exact_mut(3) {
-                px[0] = color.r;
-                px[1] = color.g;
-                px[2] = color.b;
-            }
+            self.fill_span(x0, yy, x1 - x0, color);
         }
+    }
+
+    /// Byte range of the `len` pixels of row `y` starting at column `x`.
+    /// The span must lie inside the surface.
+    fn span(&self, x: usize, y: usize, len: usize) -> std::ops::Range<usize> {
+        assert!(
+            x + len <= self.width && y < self.height,
+            "span out of bounds"
+        );
+        let i = (y * self.width + x) * 3;
+        i..i + len * 3
+    }
+
+    /// Fill `len` pixels of row `y` from column `x` — the unclipped inner
+    /// step of [`Framebuffer::fill_rect`] and of the global-view painter.
+    pub(crate) fn fill_span(&mut self, x: usize, y: usize, len: usize, color: Rgb) {
+        let span = self.span(x, y, len);
+        for px in self.data[span].chunks_exact_mut(3) {
+            px[0] = color.r;
+            px[1] = color.g;
+            px[2] = color.b;
+        }
+    }
+
+    /// Copy `len` pixels from column `x` of row `src_y` to the same columns
+    /// of row `dst_y`.
+    pub(crate) fn copy_span(&mut self, x: usize, src_y: usize, dst_y: usize, len: usize) {
+        let (src, dst) = (self.span(x, src_y, len), self.span(x, dst_y, len));
+        self.data.copy_within(src, dst.start);
     }
 
     /// Copy `src` onto this surface with its top-left corner at `(x, y)`,

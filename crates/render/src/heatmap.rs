@@ -10,6 +10,31 @@
 //! Painters are generic over a `Fn(row, col) -> Option<f32>` source so any
 //! data structure (matrix, submatrix view, merged interface) can be painted
 //! without copies.
+//!
+//! # How the global view is painted
+//!
+//! Pixel `(px, py)` of a `w × h` region covers the data block
+//! `rows(py) × cols(px)`, and its colour depends on nothing else. Two
+//! pixels with the same block get the same colour, so a block is averaged
+//! and colour-mapped **once** and written as a span:
+//!
+//! * **Runs.** After clipping, the visible pixel columns are cut once per
+//!   call into maximal runs of adjacent columns with equal `cols(px)`. With
+//!   at least as many pixels as conditions (`w ≥ n_cols`, every pane the
+//!   renderer lays out) a run is one data column and about `w / n_cols`
+//!   pixels wide; with fewer, every run is one pixel and nothing is lost.
+//!   A clip that cuts a run in the middle only shortens it.
+//! * **Row reuse.** A visible pixel row whose `rows(py)` equals that of the
+//!   visible row above it is a copy of that row's span (`h > n_rows`: few
+//!   genes in a tall pane). Otherwise each run costs one sum, one
+//!   [`ExpressionColorMap::map`] and one span fill.
+//! * **Summation order.** A block is summed in `f64`, data rows outer and
+//!   data columns inner, skipping missing cells, then divided by the count
+//!   and narrowed to `f32` — the order the per-pixel loop this replaces
+//!   used (kept under `#[cfg(test)]` as `paint_global_reference`). That is
+//!   the contract that keeps every figure checksum, golden transcript and
+//!   streamed tile byte-identical; a change that reassociates the sum
+//!   (per-column partial sums, a prefix table) breaks it.
 
 use crate::color::Rgb;
 use crate::colormap::ExpressionColorMap;
@@ -118,7 +143,7 @@ pub fn paint_global<F>(
     src: F,
     map: &ExpressionColorMap,
 ) where
-    F: Fn(usize, usize) -> Option<f32> + Sync,
+    F: Fn(usize, usize) -> Option<f32>,
 {
     paint_global_at(
         fb,
@@ -133,12 +158,90 @@ pub fn paint_global<F>(
     );
 }
 
+/// The data indices `[i0, i1)` that pixel `p` of a `len`-pixel axis covers
+/// when `n` data cells are spread over it (always at least one).
+fn covered(p: usize, n: usize, len: usize) -> (usize, usize) {
+    let i0 = p * n / len;
+    (i0, ((p + 1) * n).div_ceil(len).min(n).max(i0 + 1))
+}
+
 /// [`paint_global`] with a signed origin, clipped to the framebuffer.
 /// Only the visible pixel rows/columns are computed, so a tile covering a
 /// fraction of a pane pays only for that fraction — the property that makes
-/// tile-parallel wall rendering scale.
+/// tile-parallel wall rendering scale. Each covered data block is averaged
+/// once (see the module doc for runs, row reuse and the summation order).
 #[allow(clippy::too_many_arguments)]
 pub fn paint_global_at<F>(
+    fb: &mut Framebuffer,
+    x: i64,
+    y: i64,
+    w: usize,
+    h: usize,
+    n_rows: usize,
+    n_cols: usize,
+    src: F,
+    map: &ExpressionColorMap,
+) where
+    F: Fn(usize, usize) -> Option<f32>,
+{
+    if n_rows == 0 || n_cols == 0 || w == 0 || h == 0 {
+        return;
+    }
+    let py0 = (-y).max(0) as usize;
+    let py1 = ((fb.height() as i64 - y).min(h as i64)).max(0) as usize;
+    let px0 = (-x).max(0) as usize;
+    let px1 = ((fb.width() as i64 - x).min(w as i64)).max(0) as usize;
+    if py0 >= py1 || px0 >= px1 {
+        return;
+    }
+    // Framebuffer coordinates of the first visible pixel, `(px0, py0)`.
+    let (fx0, fy0) = (x.max(0) as usize, y.max(0) as usize);
+
+    // (first framebuffer column, pixel count, data columns) of each run.
+    let mut runs: Vec<(usize, usize, (usize, usize))> = Vec::new();
+    for px in px0..px1 {
+        let cols = covered(px, n_cols, w);
+        match runs.last_mut() {
+            Some((_, len, last)) if *last == cols => *len += 1,
+            _ => runs.push((fx0 + px - px0, 1, cols)),
+        }
+    }
+
+    let mut above = None;
+    for py in py0..py1 {
+        let fy = fy0 + py - py0;
+        let rows = covered(py, n_rows, h);
+        if above == Some(rows) {
+            fb.copy_span(fx0, fy - 1, fy, px1 - px0);
+            continue;
+        }
+        above = Some(rows);
+        for &(fx, len, (c0, c1)) in &runs {
+            let mut sum = 0.0f64;
+            let mut n = 0usize;
+            for r in rows.0..rows.1 {
+                for c in c0..c1 {
+                    if let Some(v) = src(r, c) {
+                        sum += v as f64;
+                        n += 1;
+                    }
+                }
+            }
+            let color = if n == 0 {
+                map.missing
+            } else {
+                map.map((sum / n as f64) as f32)
+            };
+            fb.fill_span(fx, fy, len, color);
+        }
+    }
+}
+
+/// The per-pixel loop [`paint_global_at`] replaced, kept as the reference
+/// its output must equal byte for byte.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn paint_global_reference<F>(
     fb: &mut Framebuffer,
     x: i64,
     y: i64,
@@ -390,6 +493,38 @@ mod tests {
         assert_eq!(fb.get(0, 1), Some(Rgb::RED));
         assert_eq!(fb.get(0, 2), Some(Rgb::GREEN));
         assert_eq!(fb.get(0, 3), Some(Rgb::GREEN));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The run-sharing painter against the per-pixel loop it replaced:
+        /// more and fewer pixels than cells on either axis, missing cells,
+        /// origins off any edge, framebuffers smaller than the region.
+        #[test]
+        fn global_equals_per_pixel_reference(
+            (n_rows, n_cols) in (1usize..48, 1usize..48),
+            (w, h) in (1usize..48, 1usize..48),
+            (x, y) in (-40i64..40, -40i64..40),
+            (fb_w, fb_h) in (1usize..32, 1usize..32),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut s = seed | 1;
+            let cells: Vec<Option<f32>> = (0..n_rows * n_cols)
+                .map(|_| {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    (!s.is_multiple_of(5)).then(|| (s >> 40) as f32 / (1u64 << 22) as f32 - 2.0)
+                })
+                .collect();
+            let src = |r: usize, c: usize| cells[r * n_cols + c];
+            let mut fast = Framebuffer::filled(fb_w, fb_h, Rgb::BLUE);
+            let mut slow = fast.clone();
+            paint_global_at(&mut fast, x, y, w, h, n_rows, n_cols, src, &map());
+            paint_global_reference(&mut slow, x, y, w, h, n_rows, n_cols, src, &map());
+            proptest::prop_assert_eq!(fast, slow);
+        }
     }
 
     #[test]

@@ -113,24 +113,36 @@ proptest! {
     #[test]
     fn global_painter_translation_invariant(
         rows in 1usize..30, cols in 1usize..8,
+        (w, h) in (18usize..50, 22usize..50),
         ox in 0i64..20, oy in 0i64..20,
+        pick in any::<usize>(),
     ) {
         let src = |r: usize, c: usize| {
             if (r + c).is_multiple_of(7) { None } else { Some(((r * 13 + c * 5) % 11) as f32 - 5.0) }
         };
         let map = ExpressionColorMap::default();
-        let (w, h) = (18usize, 22usize);
-        let mut full = Framebuffer::new(48, 48);
+        let mut full = Framebuffer::new(64, 64);
         paint_global_at(&mut full, 4, 4, w, h, rows, cols, src, &map);
-        let mut tile = Framebuffer::new(16, 16);
-        paint_global_at(&mut tile, 4 - ox, 4 - oy, w, h, rows, cols, src, &map);
-        for y in 0..16i64 {
-            for x in 0..16i64 {
-                let fx = x + ox;
-                let fy = y + oy;
-                if fx < 48 && fy < 48 {
-                    prop_assert_eq!(tile.get(x, y), full.get(fx, fy),
-                        "mismatch at tile ({}, {})", x, y);
+        // A pixel of a `len`-pixel axis over `n` cells that covers the same
+        // cells as the pixel before it: a tile edge there cuts a run of
+        // equal pixels in the middle (0 when every pixel differs).
+        let inside_run = |n: usize, len: usize| {
+            let cells = |p: usize| (p * n / len, ((p + 1) * n).div_ceil(len));
+            let mid: Vec<usize> = (1..len).filter(|&p| cells(p) == cells(p - 1)).collect();
+            if mid.is_empty() { 0 } else { mid[pick % mid.len()] as i64 }
+        };
+        // A free tile origin, and one whose left and top edges cut a run.
+        for (ox, oy) in [(ox, oy), (4 + inside_run(cols, w), 4 + inside_run(rows, h))] {
+            let mut tile = Framebuffer::new(16, 16);
+            paint_global_at(&mut tile, 4 - ox, 4 - oy, w, h, rows, cols, src, &map);
+            for y in 0..16i64 {
+                for x in 0..16i64 {
+                    let fx = x + ox;
+                    let fy = y + oy;
+                    if fx < 64 && fy < 64 {
+                        prop_assert_eq!(tile.get(x, y), full.get(fx, fy),
+                            "mismatch at tile ({}, {}) of origin ({}, {})", x, y, ox, oy);
+                    }
                 }
             }
         }

@@ -8,6 +8,7 @@
 
 use crate::stats::FrameStats;
 use crate::tile::{TileGrid, Viewport};
+use fv_render::color::Rgb;
 use fv_render::Framebuffer;
 use std::num::NonZeroUsize;
 use std::sync::Mutex;
@@ -92,7 +93,14 @@ impl WallRenderer {
                 .expect("no painter runs under the queue lock")
                 .next();
             match next {
-                Some((vp, fb)) => paint(fb, vp),
+                // A repainted tile starts blank: scene painters draw on
+                // black and leave the background alone, so what the tile
+                // showed before (a label, a zoom row since scrolled away)
+                // must not show through.
+                Some((vp, fb)) => {
+                    fb.clear(Rgb::BLACK);
+                    paint(fb, vp)
+                }
                 None => break,
             }
         };
@@ -126,7 +134,6 @@ impl WallRenderer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fv_render::color::Rgb;
     use std::thread;
 
     /// Paint each pixel with a color derived from wall coordinates so tile
