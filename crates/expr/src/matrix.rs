@@ -263,6 +263,27 @@ impl ExprMatrix {
         Ok(out)
     }
 
+    /// 64-bit FNV-1a over shape, raw value bits and presence-mask words,
+    /// standing for the content where a derived result is shared by it.
+    /// Missing cells store `0.0` (the derived `PartialEq` relies on that
+    /// too), so equal matrices hash equal unless a zero differs in sign:
+    /// a missed sharing, never a wrong one.
+    pub fn content_hash(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        eat(&(self.n_rows as u64).to_le_bytes());
+        eat(&(self.n_cols as u64).to_le_bytes());
+        self.data
+            .iter()
+            .for_each(|v| eat(&v.to_bits().to_le_bytes()));
+        self.mask.iter().for_each(|w| eat(&w.to_le_bytes()));
+        h
+    }
+
     /// Transposed copy (conditions become rows).
     pub fn transpose(&self) -> ExprMatrix {
         let mut out = ExprMatrix::missing(self.n_cols, self.n_rows);
@@ -436,6 +457,29 @@ mod tests {
         assert_eq!(t.get(0, 1), None);
         assert_eq!(t.get(2, 0), Some(3.0));
         assert_eq!(t.transpose(), m);
+    }
+
+    #[test]
+    fn content_hash_sees_shape_values_and_mask() {
+        let m = ExprMatrix::from_rows(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
+        assert_eq!(m.content_hash(), m.clone().content_hash());
+        let reshaped = ExprMatrix::from_rows(3, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
+        assert_ne!(m.content_hash(), reshaped.content_hash());
+        let mut edited = m.clone();
+        edited.set(1, 1, 5.5);
+        assert_ne!(m.content_hash(), edited.content_hash());
+        // a present 0.0 and a missing cell store the same value bits
+        let mut zero = m.clone();
+        zero.set(0, 0, 0.0);
+        let mut gone = m.clone();
+        gone.set_missing(0, 0);
+        assert_ne!(zero.content_hash(), gone.content_hash());
+        // set → set_missing leaves no trace of the old value
+        let mut cleared = edited;
+        cleared.set_missing(1, 1);
+        let mut direct = m.clone();
+        direct.set_missing(1, 1);
+        assert_eq!(cleared.content_hash(), direct.content_hash());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! as `fv-api` response text, so transcripts stay line-parseable:
 //!
 //! ```text
-//! stats shards=2 backend=threads connections=1 sessions=3 frames_in=12 frames_out=11 busy=0 garbage=0 disconnects=0 runs=5 requests=9 max_run=4 cache_entries=1 cache_hits=63 cache_misses=1 cache_evictions=0
+//! stats shards=2 backend=threads connections=1 sessions=3 frames_in=12 frames_out=11 busy=0 garbage=0 disconnects=0 runs=5 requests=9 max_run=4 cache_entries=1 cache_hits=63 cache_misses=1 cache_evictions=0 derived_entries=3 derived_hits=6 derived_misses=3 balancer_ticks=0 balancer_moves=0 balancer_failed=0 recovered=0
 //!   stream subscribers=2 frames=48 bytes=1843298 pixels=614400 coalesced=3 dropped=1 link_us=19546
 //!   shard 0 pid=4242 sessions=2 queued=0 runs=3 requests=6 max_run=4 lat_us=0,2,3,1,0,0,0,0,0,0 lat_max_us=812
 //!   shard 1 pid=4242 sessions=1 queued=0 runs=2 requests=3 max_run=2 lat_us=0,1,2,0,0,0,0,0,0,0 lat_max_us=401
@@ -19,9 +19,11 @@
 //! in the process backend: `cache_entries` live cached parses,
 //! `cache_hits`/`cache_misses` loads served shared vs. parsed, and
 //! `cache_evictions` entries replaced (file changed on disk) or pruned
-//! (last holder gone). `lat_us` is the per-shard request-latency
-//! histogram: one count per [`LATENCY_BUCKETS_US`] bucket plus a final
-//! overflow bucket, with `lat_max_us` the largest single request.
+//! (last holder gone); `derived_*` the same cache's content-keyed map of
+//! clusterings: ones some session holds, and ones served shared vs.
+//! computed. `lat_us` is the per-shard request-latency histogram: one
+//! count per [`LATENCY_BUCKETS_US`] bucket plus a final overflow bucket,
+//! with `lat_max_us` the largest single request.
 //!
 //! [`format_stats`] and [`parse_stats`] are exact inverses — the typed
 //! client (`Client::stats`, `fvtool stats --remote`) round-trips through
@@ -204,6 +206,12 @@ fv_api::wire_record! {
         /// Cache entries replaced (file changed) or pruned (last holder
         /// dropped). Never invalidates a live session's handle.
         pub cache_evictions: u64 => "cache_evictions",
+        /// Clusterings some session holds in the cache's derived map.
+        pub derived_entries: usize => "derived_entries",
+        /// Clusterings served shared (equal content and settings).
+        pub derived_hits: u64 => "derived_hits",
+        /// Clusterings computed.
+        pub derived_misses: u64 => "derived_misses",
         /// Rebalancer planning intervals observed. Ticks run in `off` mode
         /// too (keeping load-delta baselines fresh for a runtime flip to
         /// auto); only `auto` mode plans moves.
@@ -332,6 +340,8 @@ mod tests {
             "stats shards=1 backend=threads connections=1 sessions=0 frames_in=0 frames_out=0 busy=0 garbage=0 disconnects=0 runs=0 requests=0 max_run=0 cache_entries=0 cache_hits=0 cache_misses=0 cache_evictions=0 balancer_ticks=0 balancer_moves=0 balancer_failed=0\n  stream subscribers=0 frames=0 bytes=0 pixels=0 coalesced=0 dropped=0 link_us=0\n  shard 0 pid=1 sessions=0 queued=0 runs=0 requests=0 max_run=0 lat_us=0,0 lat_max_us=0",
             // pre-recovery header (missing the recovered= counter)
             "stats shards=0 backend=threads connections=1 sessions=0 frames_in=0 frames_out=0 busy=0 garbage=0 disconnects=0 runs=0 requests=0 max_run=0 cache_entries=0 cache_hits=0 cache_misses=0 cache_evictions=0 balancer_ticks=0 balancer_moves=0 balancer_failed=0\n  stream subscribers=0 frames=0 bytes=0 pixels=0 coalesced=0 dropped=0 link_us=0",
+            // pre-derived-map header (missing the derived_* gauges)
+            "stats shards=0 backend=threads connections=1 sessions=0 frames_in=0 frames_out=0 busy=0 garbage=0 disconnects=0 runs=0 requests=0 max_run=0 cache_entries=0 cache_hits=0 cache_misses=0 cache_evictions=0 balancer_ticks=0 balancer_moves=0 balancer_failed=0 recovered=0\n  stream subscribers=0 frames=0 bytes=0 pixels=0 coalesced=0 dropped=0 link_us=0",
             // pre-process-shards header (no backend= kind, no shard pid=)
             "stats shards=1 connections=1 sessions=0 frames_in=0 frames_out=0 busy=0 garbage=0 disconnects=0 runs=0 requests=0 max_run=0 cache_entries=0 cache_hits=0 cache_misses=0 cache_evictions=0 balancer_ticks=0 balancer_moves=0 balancer_failed=0\n  stream subscribers=0 frames=0 bytes=0 pixels=0 coalesced=0 dropped=0 link_us=0\n  shard 0 sessions=0 queued=0 runs=0 requests=0 max_run=0 lat_us=0,0,0,0,0,0,0,0,0,0 lat_max_us=0",
         ] {
@@ -339,7 +349,7 @@ mod tests {
         }
         // a shard count no reply could hold is a typed error, not a
         // reservation
-        let huge = "stats shards=18446744073709551615 backend=threads connections=1 sessions=0 frames_in=0 frames_out=0 busy=0 garbage=0 disconnects=0 runs=0 requests=0 max_run=0 cache_entries=0 cache_hits=0 cache_misses=0 cache_evictions=0 balancer_ticks=0 balancer_moves=0 balancer_failed=0 recovered=0\n  stream subscribers=0 frames=0 bytes=0 pixels=0 coalesced=0 dropped=0 link_us=0";
+        let huge = "stats shards=18446744073709551615 backend=threads connections=1 sessions=0 frames_in=0 frames_out=0 busy=0 garbage=0 disconnects=0 runs=0 requests=0 max_run=0 cache_entries=0 cache_hits=0 cache_misses=0 cache_evictions=0 derived_entries=0 derived_hits=0 derived_misses=0 balancer_ticks=0 balancer_moves=0 balancer_failed=0 recovered=0\n  stream subscribers=0 frames=0 bytes=0 pixels=0 coalesced=0 dropped=0 link_us=0";
         assert_eq!(
             parse_stats(huge).unwrap_err().code,
             fv_api::ErrorCode::Parse

@@ -49,7 +49,7 @@
 //! report                               → report shard=<i> runs=<r>
 //!                                          requests=<q> max_run=<m>
 //!                                          lat=<counts> lat_max_us=<u>
-//!                                          cache=<e>,<h>,<m>,<ev>
+//!                                          cache=<e>,<h>,<m>,<ev>,<de>,<dh>,<dm>
 //!                                          sessions=<k>
 //!                                        <k "session datasets=<n>
 //!                                           requests=<r> bytes=<b>
@@ -511,13 +511,16 @@ fn encode_report(report: &ShardReport) -> Vec<u8> {
     report.put_fields(&mut out);
     let _ = writeln!(
         out,
-        " lat={} lat_max_us={} cache={},{},{},{} sessions={}",
+        " lat={} lat_max_us={} cache={},{},{},{},{},{},{} sessions={}",
         report.latency.format(),
         report.latency.max_us,
         report.cache.entries,
         report.cache.hits,
         report.cache.misses,
         report.cache.evictions,
+        report.cache.derived_entries,
+        report.cache.derived_hits,
+        report.cache.derived_misses,
         report.sessions.len(),
     );
     for s in &report.sessions {
@@ -531,14 +534,22 @@ fn encode_report(report: &ShardReport) -> Vec<u8> {
 fn decode_report(header: &str, c: &mut Cursor) -> Result<ShardReport, ApiError> {
     let n_sessions = c.count(field(header, "sessions")?, "session count")?;
     let cache_spec = field(header, "cache")?;
-    let mut cs = cache_spec.split(',').map(|v| num::<u64>(v, "cache gauge"));
-    let cache = match (cs.next(), cs.next(), cs.next(), cs.next(), cs.next()) {
-        (Some(e), Some(h), Some(m), Some(ev), None) => CacheStats {
-            entries: e? as usize,
-            hits: h?,
-            misses: m?,
-            evictions: ev?,
-        },
+    let gauges: Result<Vec<u64>, ApiError> = cache_spec
+        .split(',')
+        .map(|v| num(v, "cache gauge"))
+        .collect();
+    let cache = match gauges?[..] {
+        [entries, hits, misses, evictions, derived_entries, derived_hits, derived_misses] => {
+            CacheStats {
+                entries: entries as usize,
+                hits,
+                misses,
+                evictions,
+                derived_entries: derived_entries as usize,
+                derived_hits,
+                derived_misses,
+            }
+        }
         _ => return Err(ApiError::parse(format!("bad cache gauges {cache_spec:?}"))),
     };
     let mut sessions = Vec::with_capacity(n_sessions);
@@ -1071,7 +1082,10 @@ mod tests {
             (install, b"installed err E_INTERNAL\n"), // missing message blob
             (install, b"installed err E_INTERNAL\n3\nwhy5\nimage"), // trailing bytes
             (report, b"report shard=0\n"),
-            (report, b"report shard=0 runs=0 requests=0 max_run=0 lat=0 lat_max_us=0 cache=0,0,0,0 sessions=18446744073709551615\n"),
+            (report, b"report shard=0 runs=0 requests=0 max_run=0 lat=0 lat_max_us=0 cache=0,0,0,0,0,0,0 sessions=18446744073709551615\n"),
+            // the pre-derived-map gauge quad, and one gauge too many
+            (report, b"report shard=0 runs=0 requests=0 max_run=0 lat=0 lat_max_us=0 cache=0,0,0,0 sessions=0\n"),
+            (report, b"report shard=0 runs=0 requests=0 max_run=0 lat=0 lat_max_us=0 cache=0,0,0,0,0,0,0,0 sessions=0\n"),
         ] {
             assert!(
                 decode_reply(garbage, op).is_err(),

@@ -1231,6 +1231,9 @@ fn stats_reply(reports: &[ShardReport], n_conns: usize, st: &LoopState) -> Strin
         cache_hits: cache.hits,
         cache_misses: cache.misses,
         cache_evictions: cache.evictions,
+        derived_entries: cache.derived_entries,
+        derived_hits: cache.derived_hits,
+        derived_misses: cache.derived_misses,
         balancer_ticks: st.balancer.ticks(),
         balancer_moves: st.balancer.counters().1,
         balancer_failed: st.balancer.counters().2,

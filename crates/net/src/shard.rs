@@ -349,6 +349,9 @@ impl Shards {
                         sum.hits += c.hits;
                         sum.misses += c.misses;
                         sum.evictions += c.evictions;
+                        sum.derived_entries += c.derived_entries;
+                        sum.derived_hits += c.derived_hits;
+                        sum.derived_misses += c.derived_misses;
                     }
                 }
                 sum

@@ -135,8 +135,9 @@ fn hostile_subscribe_acks_are_typed_errors_through_every_entry_point() {
 /// wire bytes, pinned.
 const STATS: &str = "stats shards=2 backend=procs connections=3 sessions=5 frames_in=120 \
     frames_out=118 busy=2 garbage=4 disconnects=3 runs=40 requests=90 max_run=12 \
-    cache_entries=1 cache_hits=63 cache_misses=1 cache_evictions=0 balancer_ticks=7 \
-    balancer_moves=2 balancer_failed=1 recovered=4\n  \
+    cache_entries=1 cache_hits=63 cache_misses=1 cache_evictions=0 derived_entries=3 \
+    derived_hits=6 derived_misses=3 balancer_ticks=7 balancer_moves=2 balancer_failed=1 \
+    recovered=4\n  \
     stream subscribers=2 frames=48 bytes=1843298 pixels=614400 coalesced=3 dropped=1 \
     link_us=19546\n  \
     shard 0 pid=4242 sessions=3 queued=0 runs=25 requests=60 max_run=12 \
@@ -145,8 +146,9 @@ const STATS: &str = "stats shards=2 backend=procs connections=3 sessions=5 frame
     lat_us=0,30,0,0,0,0,0,0,0,0 lat_max_us=99";
 const STATS_NO_SHARDS: &str = "stats shards=0 backend=threads connections=1 sessions=0 \
     frames_in=1 frames_out=0 busy=0 garbage=0 disconnects=0 runs=0 requests=0 max_run=0 \
-    cache_entries=0 cache_hits=0 cache_misses=0 cache_evictions=0 balancer_ticks=0 \
-    balancer_moves=0 balancer_failed=0 recovered=0\n  \
+    cache_entries=0 cache_hits=0 cache_misses=0 cache_evictions=0 derived_entries=0 \
+    derived_hits=0 derived_misses=0 balancer_ticks=0 balancer_moves=0 balancer_failed=0 \
+    recovered=0\n  \
     stream subscribers=0 frames=0 bytes=0 pixels=0 coalesced=0 dropped=0 link_us=0";
 const BALANCE: &str = "balance mode=auto ticks=42 planned=5 completed=4 failed=1 cooling=2 \
     budget=2 trigger=1.5 settle=1.15 cooldown=8 min_load=1000\n  \

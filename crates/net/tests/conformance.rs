@@ -323,6 +323,12 @@ fn cached_and_cold_loads_produce_identical_transcripts_across_shard_counts() {
         let stats = Client::connect(&addr).unwrap().stats().unwrap();
         assert_eq!(stats.cache_misses, 1, "shards={shards}");
         assert_eq!(stats.cache_hits, 5, "shards={shards}");
+        // `d` clusters the parse `a` clustered: served, not recomputed
+        assert_eq!(
+            (stats.derived_misses, stats.derived_hits),
+            (1, 1),
+            "shards={shards}"
+        );
         server.shutdown();
         server.join();
     }

@@ -164,6 +164,68 @@ fn migration_between_process_shards_preserves_probe_transcripts() {
 }
 
 #[test]
+fn a_move_onto_a_siblings_worker_is_a_derived_hit_and_a_lone_move_a_miss() {
+    let server = proc_server(2);
+    let addr = server.local_addr().to_string();
+    let pcl = std::env::temp_dir().join(format!("fv-procshard-twin-{}.pcl", std::process::id()));
+    let export = format!("scenario 80 9\nexport_pcl 0 {}\n", pcl.display());
+    EngineHub::new().run_script(&export).expect("export a PCL");
+
+    // Two sessions over one PCL, one per worker process: each process
+    // has its own cache, so each clusters once.
+    let home = |name: &str| shard_of(&SessionId::new(name).unwrap(), 2);
+    let names: Vec<String> = (0..16).map(|i| format!("twin{i}")).collect();
+    let twins = [0, 1].map(|shard| {
+        let name = names.iter().find(|n| home(n) == shard);
+        name.expect("a name per shard").as_str()
+    });
+    let probe = |name: &str| {
+        remote_transcript(
+            &addr,
+            &format!("use {name}\nsession_info\nlist_datasets\nrender 320 240\n"),
+        )
+    };
+    for name in twins {
+        let setup = format!(
+            "use {name}\nload {}\ncluster_all\nscroll 2\n",
+            pcl.display()
+        );
+        remote_transcript(&addr, &setup);
+    }
+    let before = twins.map(probe);
+    let mut client = Client::connect(&addr).unwrap();
+    let derived = |client: &mut Client| {
+        let stats = client.stats().unwrap();
+        (stats.derived_misses, stats.derived_hits)
+    };
+    assert_eq!(derived(&mut client), (2, 0));
+
+    // Onto the sibling's worker: the sibling holds the clustering, so
+    // the install is served it.
+    client.migrate(twins[0], 1).unwrap();
+    assert_eq!(derived(&mut client), (2, 1));
+    assert_eq!(
+        twins.map(probe),
+        before,
+        "probes differ after a served install"
+    );
+
+    // Worker 0 now holds no session: moving one in alone finds nothing
+    // to share and computes — the limit of holding results weakly.
+    client.migrate(twins[1], 0).unwrap();
+    assert_eq!(derived(&mut client), (3, 1));
+    assert_eq!(
+        twins.map(probe),
+        before,
+        "probes differ after a computed install"
+    );
+
+    server.shutdown();
+    server.join();
+    std::fs::remove_file(&pcl).ok();
+}
+
+#[test]
 fn a_stale_image_is_refused_and_the_session_stays_in_its_process() {
     let server = proc_server(2);
     let addr = server.local_addr().to_string();

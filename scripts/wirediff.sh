@@ -6,12 +6,14 @@
 # Boots each binary under `--shards 2` and under `--shard-procs 2`, plays
 # the same lines at it in lockstep over one raw TCP connection (requests,
 # every control verb, `migrate` with its ok and err answers — to another
-# shard and back, to the shard the session already lives on, an unknown
-# session, an out-of-range shard, and a session whose PCL was rewritten
-# on disk), keeps the boot banner and every reply byte, masks what
-# legitimately differs between two runs (pids, latency buckets, balancer
-# ticks, the address, the temp dir, mtimes) and ends in `diff -r`: no
-# output and exit 0 mean the two builds are wire-identical on this set.
+# shard and back beside a twin session over the same content, so an
+# install served a shared clustering is compared too; to the shard the
+# session already lives on, an unknown session, an out-of-range shard,
+# and a session whose PCL was rewritten on disk), keeps the boot banner
+# and every reply byte, masks what legitimately differs between two runs
+# (pids, latency buckets, balancer ticks, the address, the temp dir,
+# mtimes) and ends in `diff -r`: no output and exit 0 mean the two builds
+# are wire-identical on this set.
 # A refactor that promises "no wire change" runs it parent against change.
 set -euo pipefail
 
@@ -44,6 +46,7 @@ shard_of() { sed -n "s/^  session $2 shard=\([0-9]*\).*/\1/p" <<<"$1"; }
 # play <fvtool> <out-dir> <serve flag>
 play() {
   local fv=$1 out=$2 flag=$3 data=$WORK/data addr listed home fhome
+  local probes=("use wd2" "session_info" "render 320 240" "use wd" "session_info" "render 320 240")
   rm -rf "$data" && mkdir -p "$out"
   "$fv" demo "$data" >/dev/null
   "$fv" serve --addr 127.0.0.1:0 "$flag" 2 >"$out/banner" 2>&1 &
@@ -57,15 +60,16 @@ play() {
   exec 3<>"/dev/tcp/${addr%:*}/${addr#*:}"
   {
     ask "use wd" "scenario 60 7" "cluster_all" "search_select stress" "scroll 2" \
-      "session_info" "use wdfile" "load $data/gasch_stress.pcl" "list_datasets"
+      "session_info" "use wd2" "scenario 60 7" "cluster_all" \
+      "use wdfile" "load $data/gasch_stress.pcl" "list_datasets"
     listed=$(ask "list-sessions")
     printf '%s\n' "$listed"
     home=$(shard_of "$listed" wd)
     fhome=$(shard_of "$listed" wdfile)
     ask "stats" "balance" \
       "migrate wd $home" "migrate wd $((1 - home))" "list-sessions" \
-      "use wd" "session_info" "list_datasets" "render 320 240" \
-      "migrate wd $home" "list-sessions" "session_info" \
+      "${probes[@]}" "list_datasets" \
+      "migrate wd $home" "list-sessions" "${probes[@]}" \
       "migrate nobody 0" "migrate wd 9" "migrate wd" "impute 9 3" "warble"
     # The same path, different bytes: no other shard may rebuild the
     # session from it any more.
