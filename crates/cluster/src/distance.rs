@@ -8,10 +8,34 @@
 //!
 //! [`Metric::distance`] is the single-pair definition. [`condensed_distances`]
 //! computes all Pearson / absolute-Pearson pairs with one column-streaming
-//! kernel whose `f32` output is bit-identical to it, pair by pair.
+//! kernel whose `f32` output is bit-identical to it, pair by pair; the
+//! other metrics go through [`CondensedMatrix::from_fn`].
+//!
+//! Both fill rows `0..n−1` in contiguous **bands** of equal pair counts
+//! (row `i` owns `n − i − 1`), each its own slice of the one `Vec<f32>`.
+//! Workers, one per core but none for fewer than `MIN_WORKER_PAIRS` pairs,
+//! take bands from a queue, so one that starts late or loses its core
+//! leaves its bands to the others. A small matrix gets one worker, the
+//! calling thread, and spawns nothing; scoped threads are the rest, each
+//! with scratch the calling thread allocated before any spawn, so no
+//! worker grows a heap arena of its own. A band decides which thread
+//! computes a pair, never its arithmetic.
 
 use fv_expr::matrix::ExprMatrix;
 use fv_expr::stats;
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::sync::Mutex;
+
+/// The fewest pairs worth a worker thread. On a 2-core x86-64 box the
+/// Pearson kernel runs 16.9 M pairs/s at 60 columns, so this is ~3.9 ms
+/// of work, against ~30 µs to spawn and join a scoped thread.
+const MIN_WORKER_PAIRS: usize = 1 << 16;
+
+/// Bands per worker: at 1000 rows on two cores a band is 7.8 K pairs,
+/// ~0.5 ms of Pearson, the longest a worker finishing last keeps the
+/// call waiting.
+const BANDS_PER_WORKER: usize = 32;
 
 /// Row dissimilarity metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -65,7 +89,13 @@ impl Metric {
 #[derive(Debug, Clone)]
 pub struct CondensedMatrix {
     n: usize,
-    data: Vec<f32>,
+    pub(crate) data: Vec<f32>,
+}
+
+/// Where row `i`, the pairs `(i, i+1..n)`, starts in the storage of `n`.
+#[inline]
+pub(crate) fn row_offset(n: usize, i: usize) -> usize {
+    i * n - i * (i + 1) / 2
 }
 
 impl CondensedMatrix {
@@ -77,38 +107,14 @@ impl CondensedMatrix {
         }
     }
 
-    /// Build from a generator: `f(i, j)` for every `i < j`, row by row.
-    ///
-    /// Of the metrics, only Uncentered, Spearman and Euclidean still reach
-    /// this through [`condensed_distances`]; no benchmark workload clusters
-    /// under them.
+    /// Build from a generator: `f(i, j)` for every `i < j`, in row bands
+    /// (see the module docs). `f` runs on the worker's thread, so whatever
+    /// it allocates — Spearman ranks each pair afresh — is allocated there.
     pub fn from_fn<F>(n: usize, f: F) -> Self
     where
         F: Fn(usize, usize) -> f32 + Sync,
     {
-        if n < 2 {
-            return CondensedMatrix {
-                n,
-                data: Vec::new(),
-            };
-        }
-        // Each row i owns the contiguous segment for pairs (i, i+1..n).
-        // The rows are built apart and then concatenated, which copies
-        // every distance once more than filling `data` directly would.
-        // That is deliberate for now: the direct fill was measured and
-        // raised a re-clustering server's peak RSS by 15 % (`recluster`,
-        // 1000 genes), because the allocator then no longer finds a
-        // freed span wide enough for the frame rendered afterwards (see
-        // CHANGES.md, PR 14). It can go when `Session::cluster_dataset`
-        // stops cloning the whole matrix for the linkage.
-        let rows: Vec<Vec<f32>> = (0..n - 1)
-            .map(|i| ((i + 1)..n).map(|j| f(i, j)).collect())
-            .collect();
-        let mut data = Vec::with_capacity(n * (n - 1) / 2);
-        for r in rows {
-            data.extend_from_slice(&r);
-        }
-        CondensedMatrix { n, data }
+        pairwise(n, worker_count(n), f)
     }
 
     /// Number of observations.
@@ -119,8 +125,7 @@ impl CondensedMatrix {
     #[inline]
     fn index(&self, i: usize, j: usize) -> usize {
         debug_assert!(i < j && j < self.n, "bad condensed index ({i},{j})");
-        // offset(i) = i*n - i(i+1)/2 - i  … derived from summing row lengths
-        i * self.n - i * (i + 1) / 2 + (j - i - 1)
+        row_offset(self.n, i) + (j - i - 1)
     }
 
     /// Distance between observations `a` and `b` (order-free); 0 for `a==b`.
@@ -163,13 +168,96 @@ impl CondensedMatrix {
 /// Compute the condensed distance matrix of all row pairs of `m` under
 /// `metric`. Every entry equals [`Metric::distance`] of its pair exactly.
 pub fn condensed_distances(m: &ExprMatrix, metric: Metric) -> CondensedMatrix {
+    condensed_distances_in(m, metric, worker_count(m.n_rows()))
+}
+
+/// [`condensed_distances`] by exactly `workers` threads.
+fn condensed_distances_in(m: &ExprMatrix, metric: Metric, workers: usize) -> CondensedMatrix {
     match metric {
-        Metric::Pearson => pearson_condensed(m, false),
-        Metric::AbsPearson => pearson_condensed(m, true),
+        Metric::Pearson => pearson_condensed(m, false, workers),
+        Metric::AbsPearson => pearson_condensed(m, true, workers),
         Metric::Uncentered | Metric::Spearman | Metric::Euclidean => {
-            CondensedMatrix::from_fn(m.n_rows(), |i, j| metric.distance(m, i, j))
+            pairwise(m.n_rows(), workers, |i, j| metric.distance(m, i, j))
         }
     }
+}
+
+/// How many workers `n` observations get: one per core, but none for
+/// fewer than [`MIN_WORKER_PAIRS`] pairs, and always at least one.
+fn worker_count(n: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    cores
+        .min(n * n.saturating_sub(1) / 2 / MIN_WORKER_PAIRS)
+        .max(1)
+}
+
+/// Rows `0..n−1` cut into `bands` contiguous ranges of about equal pair
+/// counts; a band may get no row at all when there are few.
+fn band_rows(n: usize, bands: usize) -> Vec<Range<usize>> {
+    let pairs = n * (n - 1) / 2;
+    let mut row = 0;
+    (1..=bands)
+        .map(|b| {
+            let start = row;
+            while row_offset(n, row) < pairs * b / bands {
+                row += 1;
+            }
+            start..row
+        })
+        .collect()
+}
+
+/// `f(i, j)` for every pair of `n` observations, by exactly `workers` threads.
+fn pairwise(n: usize, workers: usize, f: impl Fn(usize, usize) -> f32 + Sync) -> CondensedMatrix {
+    let row = |i: usize, out: &mut [f32], _: &mut ()| {
+        for (j, o) in (i + 1..n).zip(out) {
+            *o = f(i, j);
+        }
+    };
+    fill_bands(n, workers, || (), row)
+}
+
+/// The condensed matrix of `n` observations, its bands filled by `workers`
+/// threads (module docs): `fill(i, out, s)` writes row `i` to `out`, `s`
+/// being the worker's scratch, which `scratch()` made before any spawn.
+fn fill_bands<S: Send>(
+    n: usize,
+    workers: usize,
+    scratch: impl FnMut() -> S,
+    fill: impl Fn(usize, &mut [f32], &mut S) + Sync,
+) -> CondensedMatrix {
+    if n < 2 {
+        return CondensedMatrix { n, data: vec![] };
+    }
+    let mut data = vec![0.0f32; n * (n - 1) / 2];
+    let mut rest = &mut data[..];
+    // A band's slice is cut from the front of the rest when it is taken.
+    let bands = band_rows(n, workers * BANDS_PER_WORKER).into_iter();
+    let queue = Mutex::new(bands.map(|rows| {
+        let len = row_offset(n, rows.end) - row_offset(n, rows.start);
+        let (out, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        (rows, out)
+    }));
+    // The guard drops when `next` returns: no band is filled under it.
+    let next = || queue.lock().expect("band queue poisoned").next();
+    let drain = &|mut s: S| {
+        while let Some((rows, out)) = next() {
+            let band_start = row_offset(n, rows.start);
+            for i in rows {
+                let row = &mut out[row_offset(n, i) - band_start..][..n - i - 1];
+                fill(i, row, &mut s);
+            }
+        }
+    };
+    let mut scratch: Vec<S> = std::iter::repeat_with(scratch).take(workers).collect();
+    std::thread::scope(|scope| {
+        for s in scratch.drain(1..) {
+            scope.spawn(move || drain(s));
+        }
+        drain(scratch.pop().expect("at least one worker"));
+    });
+    CondensedMatrix { n, data }
 }
 
 /// All `1 − r` (or `1 − |r|` when `fold_sign`) Pearson distances of `m`.
@@ -186,15 +274,10 @@ pub fn condensed_distances(m: &ExprMatrix, metric: Metric) -> CondensedMatrix {
 /// contributes `x · 0.0 = ±0.0`, and an accumulator that started at `+0.0`
 /// is never `−0.0`, so adding `±0.0` leaves it unchanged. That holds only
 /// while the sums stay scalar per pair and unfused: no `mul_add`, no
-/// summing across columns in lanes.
-fn pearson_condensed(m: &ExprMatrix, fold_sign: bool) -> CondensedMatrix {
+/// summing across columns in lanes. Each worker has its own accumulators,
+/// so which band, and which thread, computes a pair does not matter.
+fn pearson_condensed(m: &ExprMatrix, fold_sign: bool, workers: usize) -> CondensedMatrix {
     let (n, k) = (m.n_rows(), m.n_cols());
-    if n < 2 {
-        return CondensedMatrix {
-            n,
-            data: Vec::new(),
-        };
-    }
     let mut val = vec![0.0f64; n * k];
     let mut pres = vec![0.0f64; n * k];
     for r in 0..n {
@@ -206,17 +289,12 @@ fn pearson_condensed(m: &ExprMatrix, fold_sign: bool) -> CondensedMatrix {
     let min_overlap = Metric::MIN_OVERLAP.max(2) as f64;
     let neutral = Metric::Pearson.neutral();
 
-    // Per-`j` accumulators; `mean_a` / `mean_b` hold the sums until divided.
-    let mut cnt = vec![0.0f64; n];
-    let mut mean_a = vec![0.0f64; n];
-    let mut mean_b = vec![0.0f64; n];
-    let mut num = vec![0.0f64; n];
-    let mut da = vec![0.0f64; n];
-    let mut db = vec![0.0f64; n];
-
-    let mut data: Vec<f32> = Vec::with_capacity(n * (n - 1) / 2);
-    for i in 0..n - 1 {
+    // Per-`j` accumulators, as wide as row 0, the widest a worker may
+    // take; `mean_a` / `mean_b` hold the sums until divided.
+    let accumulators = || -> [Vec<f64>; 6] { std::array::from_fn(|_| vec![0.0; n - 1]) };
+    fill_bands(n, workers, accumulators, |i, out, acc| {
         let w = n - i - 1;
+        let [cnt, mean_a, mean_b, num, da, db] = acc;
         let (cnt, mean_a, mean_b) = (&mut cnt[..w], &mut mean_a[..w], &mut mean_b[..w]);
         let (num, da, db) = (&mut num[..w], &mut da[..w], &mut db[..w]);
         // Columns row `i` has: its value and the planes' tails over `j > i`.
@@ -255,19 +333,15 @@ fn pearson_condensed(m: &ExprMatrix, fold_sign: bool) -> CondensedMatrix {
             }
         }
 
-        // Zero-fill then overwrite: unlike `extend` over the same
+        // An indexed store into the row: unlike `extend` over the same
         // expression, this loop vectorises its square roots and divisions.
-        let start = data.len();
-        data.resize(start + w, 0.0);
-        let out = &mut data[start..];
         for j in 0..w {
             let r = num[j] / (da[j].sqrt() * db[j].sqrt());
             let r = if fold_sign { r.abs() } else { r };
             let defined = cnt[j] >= min_overlap && da[j] > 0.0 && db[j] > 0.0;
             out[j] = if defined { (1.0 - r) as f32 } else { neutral };
         }
-    }
-    CondensedMatrix { n, data }
+    })
 }
 
 /// [`condensed_distances`], held to its contract on the way out: every
@@ -290,9 +364,127 @@ pub(crate) fn checked_condensed_distances(m: &ExprMatrix, metric: Metric) -> Con
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const METRICS: [Metric; 5] = [
+        Metric::Pearson,
+        Metric::AbsPearson,
+        Metric::Uncentered,
+        Metric::Spearman,
+        Metric::Euclidean,
+    ];
 
     fn mat(rows: usize, cols: usize, v: &[f32]) -> ExprMatrix {
         ExprMatrix::from_rows(rows, cols, v).unwrap()
+    }
+
+    /// `rows × cols` values from an xorshift stream, `missing_pct` % of
+    /// the cells missing.
+    fn holey(rows: usize, cols: usize, missing_pct: u64, seed: u64) -> ExprMatrix {
+        let mut s = seed | 1;
+        let mut next = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut m = ExprMatrix::missing(rows, cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                let v = ((next() % 2001) as f32 - 1000.0) / 100.0;
+                if next() % 100 >= missing_pct {
+                    m.set(r, c, v);
+                }
+            }
+        }
+        m
+    }
+
+    fn assert_same_bits(got: &CondensedMatrix, want: &CondensedMatrix, what: &str) {
+        assert_eq!(got.n(), want.n(), "{what}");
+        let bits = |c: &CondensedMatrix| c.data.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        assert!(bits(got) == bits(want), "{what}");
+    }
+
+    #[test]
+    fn bands_cover_the_rows_in_order_with_balanced_pairs() {
+        for n in 2..60 {
+            for bands in 1..=5 {
+                let rows = band_rows(n, bands);
+                assert_eq!(rows.len(), bands);
+                assert_eq!(rows[0].start, 0);
+                assert_eq!(rows[bands - 1].end, n - 1);
+                assert!(rows.windows(2).all(|w| w[0].end == w[1].start));
+                // A band ends at the first row that reaches its share, so
+                // it overshoots by less than one row: row 0's n − 1 pairs.
+                let pairs = |r: &Range<usize>| row_offset(n, r.end) - row_offset(n, r.start);
+                let share = n * (n - 1) / 2 / bands;
+                assert!(rows.iter().all(|r| pairs(r) < share + n), "n={n}, {bands}");
+            }
+        }
+        // Few rows, many bands: some bands get none.
+        assert!(band_rows(3, 5).iter().any(Range::is_empty));
+    }
+
+    #[test]
+    fn small_matrices_get_one_band() {
+        assert_eq!(worker_count(0), 1);
+        assert_eq!(worker_count(1), 1);
+        // n(n−1)/2 < 2 · MIN_WORKER_PAIRS: a second worker would fall
+        // below its floor.
+        assert_eq!(worker_count(400), 1);
+    }
+
+    #[test]
+    fn shards_computing_at_once_both_get_the_serial_bits() {
+        // 600 rows are ≥ 2 · MIN_WORKER_PAIRS pairs, two workers a call
+        // on two cores: two calls at once put four workers on the cores
+        // together, as two shards would.
+        let m = holey(600, 12, 10, 7);
+        let serial = condensed_distances_in(&m, Metric::Pearson, 1);
+        let together = std::sync::Barrier::new(2);
+        let shard = || {
+            together.wait();
+            condensed_distances(&m, Metric::Pearson)
+        };
+        std::thread::scope(|scope| {
+            let shards = [(); 2].map(|_| scope.spawn(shard));
+            for shard in shards {
+                assert_same_bits(&shard.join().unwrap(), &serial, "a shard's matrix");
+            }
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn every_band_count_gives_the_per_pair_bits(
+            n in prop_oneof![0usize..4, 4usize..12, 12usize..40],
+            cols in 0usize..9,
+            missing_pct in prop_oneof![Just(0u64), Just(5u64), Just(50u64), Just(90u64)],
+            seed in any::<u64>(),
+        ) {
+            let m = holey(n, cols, missing_pct, seed);
+            for metric in METRICS {
+                let one = condensed_distances_in(&m, metric, 1);
+                for i in 0..n {
+                    for j in (i + 1)..n {
+                        prop_assert_eq!(
+                            one.get(i, j).to_bits(),
+                            metric.distance(&m, i, j).to_bits(),
+                            "{:?} differs at ({}, {})", metric, i, j
+                        );
+                    }
+                }
+                // 32 bands a worker, most of them empty at these sizes.
+                for workers in 2..=5 {
+                    let what = format!("{metric:?}, {workers} workers");
+                    let got = condensed_distances_in(&m, metric, workers);
+                    assert_same_bits(&got, &one, &what);
+                }
+            }
+        }
     }
 
     #[test]

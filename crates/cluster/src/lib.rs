@@ -8,10 +8,11 @@
 //!
 //! - [`distance`] — the Cluster-3.0 family of row metrics (Pearson,
 //!   absolute/uncentered Pearson, Spearman, Euclidean), with missing-value
-//!   aware pairwise computation and a condensed distance matrix,
+//!   aware pairwise computation and a condensed distance matrix filled in
+//!   pair-balanced row bands across the cores, bit-identical at any count,
 //! - [`linkage`] — agglomerative clustering via the nearest-neighbor-chain
 //!   algorithm with Lance–Williams updates (single, complete, average,
-//!   Ward), O(n²) time, one condensed matrix of space,
+//!   Ward), O(n²) over the active clusters, one condensed matrix of space,
 //! - [`tree`] — the merge tree, leaf ordering, and cluster extraction by
 //!   count or height,
 //! - [`order`] — leaf-ordering improvement by subtree flipping,

@@ -7,8 +7,10 @@
 //! why those four are offered. Merges are emitted in height order (the
 //! scipy relabeling convention) so [`crate::tree::ClusterTree::cut_k`] can
 //! cut by simply dropping the top merges.
+//! Scans and folds visit only the active clusters, on one thread, and
+//! decide exactly as the scan over every cluster they replaced.
 
-use crate::distance::{condensed_distances, CondensedMatrix, Metric};
+use crate::distance::{condensed_distances, row_offset, CondensedMatrix, Metric};
 use crate::tree::{ClusterTree, Merge, NodeRef};
 use fv_expr::matrix::ExprMatrix;
 
@@ -51,7 +53,97 @@ pub fn cluster(m: &ExprMatrix, metric: Metric, linkage: Linkage) -> ClusterTree 
 
 /// Run NN-chain over a precomputed condensed distance matrix (consumed —
 /// it is updated in place as clusters merge).
+///
+/// The active clusters are a sorted list a merge drops its absorbed one
+/// from; `d(t, j)` is read in place, from row `t`'s segment for `j > t`
+/// and row `j`'s for `j < t`. Same candidates, same order: every decision,
+/// ties included, is the reference scan's.
 pub fn cluster_condensed(mut d: CondensedMatrix, linkage: Linkage) -> ClusterTree {
+    let n = d.n();
+    if n <= 1 {
+        return ClusterTree::new(n, Vec::new()).expect("trivial tree");
+    }
+    let offset: Vec<usize> = (0..n).map(|i| row_offset(n, i)).collect();
+    // Where `d(x, y)` lives, `x != y`.
+    let at = |x: usize, y: usize| offset[x.min(y)] + x.abs_diff(y) - 1;
+
+    let mut active: Vec<usize> = (0..n).collect();
+    let mut size: Vec<f32> = vec![1.0; n];
+    // A cluster goes by a leaf of its own (a merge keeps the tip's).
+    let mut raw: Vec<(u32, u32, f32)> = Vec::with_capacity(n - 1);
+    let mut chain: Vec<usize> = Vec::with_capacity(n);
+
+    for _ in 0..n - 1 {
+        if chain.is_empty() {
+            chain.push(active[0]);
+        }
+        loop {
+            let tip = *chain.last().unwrap();
+            let prev = chain.len().checked_sub(2).map(|p| chain[p]);
+            // Nearest active neighbour of tip; preferring `prev` on ties ends the chain.
+            let mut best: Option<(usize, f32)> = None;
+            let mut consider = |j: usize, dj: f32| {
+                let better = match best {
+                    None => true,
+                    Some((bj, bd)) => dj < bd || (dj == bd && Some(j) == prev && Some(bj) != prev),
+                };
+                if better {
+                    best = Some((j, dj));
+                }
+            };
+            let split = active.partition_point(|&j| j < tip);
+            for &j in &active[..split] {
+                consider(j, d.data[offset[j] + (tip - j - 1)]);
+            }
+            let segment = &d.data[offset[tip]..];
+            for &j in &active[split + 1..] {
+                consider(j, segment[j - tip - 1]);
+            }
+            let (nn, dist) = best.expect("at least two active clusters");
+            if Some(nn) != prev {
+                chain.push(nn);
+                continue;
+            }
+            // Reciprocal pair (tip, nn): fold nn into tip.
+            chain.truncate(chain.len() - 2);
+            let (a, b) = (tip, nn);
+            let (na, nb) = (size[a], size[b]);
+            raw.push((a as u32, b as u32, dist));
+            active.remove(active.binary_search(&b).expect("b is active"));
+            for &k in &active {
+                if k != a {
+                    let (ka, kb) = (at(k, a), at(k, b));
+                    d.data[ka] = linkage.update(d.data[ka], d.data[kb], dist, na, nb, size[k]);
+                }
+            }
+            size[a] = na + nb;
+            break;
+        }
+    }
+    tree_of(n, &raw)
+}
+
+/// [`cluster_condensed`], held to its contract on the way out: the tree
+/// of [`cluster_condensed_reference`], merge for merge, heights bit for bit.
+#[cfg(test)]
+pub(crate) fn checked_cluster_condensed(d: CondensedMatrix, linkage: Linkage) -> ClusterTree {
+    let want = cluster_condensed_reference(d.clone(), linkage);
+    let got = cluster_condensed(d, linkage);
+    let bits = |t: &ClusterTree| {
+        let merges = t.merges().iter();
+        merges
+            .map(|m| (m.left, m.right, m.size, m.height.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    assert!(bits(&got) == bits(&want), "{linkage:?} tree differs");
+    got
+}
+
+/// [`cluster_condensed`] as first written — every cluster visited, active
+/// or not, through [`CondensedMatrix::get`] — kept as the reference the
+/// tests hold the row-segment form to.
+#[cfg(test)]
+pub(crate) fn cluster_condensed_reference(mut d: CondensedMatrix, linkage: Linkage) -> ClusterTree {
     let n = d.n();
     if n <= 1 {
         return ClusterTree::new(n, Vec::new()).expect("trivial tree");
@@ -123,7 +215,12 @@ pub fn cluster_condensed(mut d: CondensedMatrix, linkage: Linkage) -> ClusterTre
             chain.push(nn);
         }
     }
+    tree_of(n, &raw)
+}
 
+/// The tree of `n` leaves from NN-chain's merges in emission order, each
+/// `(leaf in A, leaf in B, height)`.
+fn tree_of(n: usize, raw: &[(u32, u32, f32)]) -> ClusterTree {
     // Sort merges by height (stable: equal heights keep emission order) and
     // relabel via union-find over representative leaves. The `f32` update
     // can round a folded distance an ulp below the true one, so where

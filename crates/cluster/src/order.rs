@@ -141,7 +141,7 @@ pub(crate) fn improve_order_reference(
 mod tests {
     use super::*;
     use crate::distance::{checked_condensed_distances, condensed_distances, Metric};
-    use crate::linkage::{cluster, cluster_condensed, Linkage};
+    use crate::linkage::{checked_cluster_condensed, cluster, Linkage};
     use crate::tree::Merge;
     use fv_expr::matrix::ExprMatrix;
     use fv_synth::scenario::Scenario;
@@ -158,7 +158,7 @@ mod tests {
     /// order, same flip mask, on the tree of `d` under every linkage.
     fn assert_orders_as_reference(d: &CondensedMatrix, passes: &[usize], what: &str) {
         for linkage in LINKAGES {
-            let tree = cluster_condensed(d.clone(), linkage);
+            let tree = checked_cluster_condensed(d.clone(), linkage);
             for &p in passes {
                 assert_eq!(
                     improve_order(&tree, d, p),
@@ -298,10 +298,11 @@ mod tests {
         );
     }
 
-    /// Both equalities the kernels rest on, at the sizes the benchmark runs:
-    /// distances equal the per-pair definition bit for bit, and the orderer
-    /// decides as the reference does. Too slow for a debug build; CI runs it
-    /// with `cargo test -p fv-cluster --release -- --ignored`.
+    /// The equalities the kernels rest on, at the sizes the benchmark runs:
+    /// distances equal the per-pair definition bit for bit, NN-chain builds
+    /// the reference's tree under every linkage, and the orderer decides as
+    /// the reference does. Too slow for a debug build; CI runs it with
+    /// `cargo test -p fv-cluster --release -- --ignored`.
     #[test]
     #[ignore = "benchmark-size inputs; run in release"]
     fn equalities_hold_at_benchmark_size() {
@@ -309,13 +310,8 @@ mod tests {
             for ds in Scenario::three_datasets(n_genes, seed).datasets {
                 for metric in [Metric::Pearson, Metric::AbsPearson] {
                     let d = checked_condensed_distances(&ds.matrix, metric);
-                    let tree = cluster_condensed(d.clone(), Linkage::Average);
-                    assert_eq!(
-                        improve_order(&tree, &d, 2),
-                        improve_order_reference(&tree, &d, 2),
-                        "{} x{n_genes} {metric:?}",
-                        ds.name
-                    );
+                    let what = format!("{} x{n_genes} {metric:?}", ds.name);
+                    assert_orders_as_reference(&d, &[2], &what);
                 }
             }
         }

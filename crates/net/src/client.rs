@@ -73,10 +73,13 @@ impl Client {
     /// copy, confirm, delete: the source shard snapshots the session as
     /// a `SessionImage` and keeps serving it; the target rebuilds it with
     /// `Engine::restore`, which checks the dataset fingerprints and
-    /// replays the mutation log — so the move re-clusters, and re-parses
-    /// any file the target's dataset cache no longer (thread shards) or
-    /// never (process shards) holds; only then does the source close its
-    /// copy. The rebuilt session answers byte-identically. Fails typed
+    /// replays the mutation log. A replayed clustering is a derived-cache
+    /// hit whenever the target's cache holds one over the same content —
+    /// always for thread shards, which share one cache with the source;
+    /// for process shards, when the target worker holds a sibling session —
+    /// and is computed afresh otherwise. Any file the target's dataset
+    /// cache no longer (thread shards) or never (process shards) holds is
+    /// re-parsed. Only then does the source close its copy. The rebuilt session answers byte-identically. Fails typed
     /// for unknown sessions (`E_NOT_FOUND`), out-of-range shards
     /// (`E_INVALID`) and a target that refuses the image (`E_INTERNAL`
     /// naming the target's reason) — and a failed move leaves the session

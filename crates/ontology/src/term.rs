@@ -35,16 +35,6 @@ impl Namespace {
             Namespace::CellularComponent => "cellular_component",
         }
     }
-
-    /// Parse the OBO spelling.
-    pub fn from_obo(s: &str) -> Option<Namespace> {
-        match s.trim() {
-            "biological_process" => Some(Namespace::BiologicalProcess),
-            "molecular_function" => Some(Namespace::MolecularFunction),
-            "cellular_component" => Some(Namespace::CellularComponent),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Namespace {
@@ -89,22 +79,6 @@ impl Term {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn namespace_roundtrip() {
-        for ns in [
-            Namespace::BiologicalProcess,
-            Namespace::MolecularFunction,
-            Namespace::CellularComponent,
-        ] {
-            assert_eq!(Namespace::from_obo(ns.as_obo()), Some(ns));
-        }
-        assert_eq!(Namespace::from_obo("bogus"), None);
-        assert_eq!(
-            Namespace::from_obo(" biological_process "),
-            Some(Namespace::BiologicalProcess)
-        );
-    }
 
     #[test]
     fn display_matches_obo() {
