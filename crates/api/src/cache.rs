@@ -44,6 +44,10 @@
 //!   content, not path: sessions that generated the same scenario share,
 //!   and a normalize or impute changes the key whether `Arc::make_mut`
 //!   copied the matrix or rewrote it in place, so no stale tree is served.
+//!   The hash eats whole words (shape, two values per word, mask words),
+//!   ~0.08 ms at 1500 × 60, and is taken per ask: a replayed redundant
+//!   `cluster_all` costs that and a hit, which is why session logs keep
+//!   every re-cluster.
 //! - **Value:** a [`Weak`] clustering. Sessions hold the `Arc`s; the last
 //!   to drop frees the entry, pruned on the next access — so a lone
 //!   session entering a worker process where nobody holds its content is
@@ -51,9 +55,12 @@
 //! - **Compute gate:** each entry's own lock. N racers of one key cost
 //!   one clustering and N − 1 hits; the map lock is never held across a
 //!   compute.
-//! - **Collisions:** equal hashes are taken for equal content — the
-//!   64-bit FNV-1a, and the trust, [`DatasetStamp`] places in file bytes,
-//!   here with the shape hashed in beside them.
+//! - **Collisions:** equal hashes are taken for equal content, the trust
+//!   [`DatasetStamp`] places in a 64-bit hash of file bytes. The key is
+//!   in-process only (never persisted, never on the wire). Its word steps
+//!   are bijective, so one changed word always changes it, and they fold
+//!   high bits back down, so structured edits such as two sign flips do
+//!   not cancel (tests in `fv_expr::matrix`).
 //!
 //! Only [`crate::Engine`] asks; `forestview::Session::cluster_all` always
 //! recomputes (it is what the kernels' benchmarks time).
@@ -157,11 +164,26 @@ impl DatasetCache {
     /// fingerprint match. Errors name the *offending path as given* (the
     /// canonical path may differ and would send the user hunting).
     pub fn load(&self, path: &str) -> Result<Arc<Dataset>, ApiError> {
+        self.load_stamped(path).map(|(ds, _)| ds)
+    }
+
+    /// [`DatasetCache::load`], plus the stamp of the bytes this very load
+    /// was served from — the parse's, or the verified hit's — under the
+    /// user's spelling of `path`. Asking the map again afterwards could
+    /// stamp bytes a racing reload parsed instead.
+    pub(crate) fn load_stamped(
+        &self,
+        path: &str,
+    ) -> Result<(Arc<Dataset>, DatasetStamp), ApiError> {
         let io = |e: std::io::Error| ApiError::io(format!("{path}: {e}"));
         let canonical = std::fs::canonicalize(path).map_err(io)?;
+        let spelled = |(ds, mut stamp): (Arc<Dataset>, DatasetStamp)| {
+            stamp.path = path.to_string();
+            (ds, stamp)
+        };
         // Fast path: a live, still-valid entry.
-        if let Some(ds) = self.verified_hit(&canonical).map_err(io)? {
-            return Ok(ds);
+        if let Some(hit) = self.verified_hit(&canonical).map_err(io)? {
+            return Ok(spelled(hit));
         }
         let gate = {
             let mut inner = self.inner.lock().expect("cache lock poisoned");
@@ -171,8 +193,8 @@ impl DatasetCache {
         // always gate → map, never map → gate, so no deadlock).
         let _parsing = gate.lock().expect("parse gate poisoned");
         // Re-check: whoever held the gate before us may have parsed.
-        if let Some(ds) = self.verified_hit(&canonical).map_err(io)? {
-            return Ok(ds);
+        if let Some(hit) = self.verified_hit(&canonical).map_err(io)? {
+            return Ok(spelled(hit));
         }
         {
             let mut inner = self.inner.lock().expect("cache lock poisoned");
@@ -185,24 +207,29 @@ impl DatasetCache {
         let meta = std::fs::metadata(&canonical).map_err(io)?;
         let (ds, hash) = load_dataset_file_named(&canonical, path)?;
         let ds = Arc::new(ds);
+        let stamp = DatasetStamp::observe(&canonical.to_string_lossy(), &meta, hash);
         let mut inner = self.inner.lock().expect("cache lock poisoned");
         inner.misses += 1;
         inner.entries.insert(
-            canonical.clone(),
+            canonical,
             Entry {
-                stamp: DatasetStamp::observe(&canonical.to_string_lossy(), &meta, hash),
+                stamp: stamp.clone(),
                 dataset: Arc::downgrade(&ds),
             },
         );
-        Ok(ds)
+        Ok(spelled((ds, stamp)))
     }
 
-    /// `canonical`'s live entry, if the file still holds the bytes it
-    /// was parsed from ([`DatasetStamp::verify`]) — counted as a hit. A
-    /// copied or `touch`ed file (same bytes, new mtime) refreshes the
-    /// stored stamp instead of re-parsing, so session restores stay
-    /// cache hits. The file is examined outside the map lock.
-    fn verified_hit(&self, canonical: &Path) -> std::io::Result<Option<Arc<Dataset>>> {
+    /// `canonical`'s live entry and the stamp it verified as, if the file
+    /// still holds the bytes it was parsed from ([`DatasetStamp::verify`])
+    /// — counted as a hit. A copied or `touch`ed file (same bytes, new
+    /// mtime) refreshes the stored stamp instead of re-parsing, so session
+    /// restores stay cache hits. The file is examined outside the map
+    /// lock.
+    fn verified_hit(
+        &self,
+        canonical: &Path,
+    ) -> std::io::Result<Option<(Arc<Dataset>, DatasetStamp)>> {
         let found = {
             let inner = self.inner.lock().expect("cache lock poisoned");
             inner
@@ -225,23 +252,9 @@ impl DatasetCache {
             .get_mut(canonical)
             .filter(|e| e.stamp == stamp)
         {
-            entry.stamp = now;
+            entry.stamp = now.clone();
         }
-        Ok(Some(ds))
-    }
-
-    /// The stamp of the live cache entry for `path` (under that
-    /// spelling), if any — what [`crate::Engine`] records right after a
-    /// successful load, without re-reading the file.
-    pub fn stamp_of(&self, path: &str) -> Option<DatasetStamp> {
-        let canonical = std::fs::canonicalize(path).ok()?;
-        let inner = self.inner.lock().expect("cache lock poisoned");
-        let entry = inner.entries.get(&canonical)?;
-        entry.dataset.upgrade()?;
-        Some(DatasetStamp {
-            path: path.to_string(),
-            ..entry.stamp.clone()
-        })
+        Ok(Some((ds, now)))
     }
 
     /// Cluster `axis` of `matrix`, or share the result a session still
@@ -466,22 +479,51 @@ mod tests {
     }
 
     #[test]
-    fn stamp_of_reports_the_live_entry() {
+    fn a_load_is_stamped_with_the_bytes_that_served_it() {
         let dir = temp_dir("stamp");
         let path = write_pcl(&dir, "s.pcl", &[("G1", &[1.0, 2.0])], 2);
         let path_str = path.to_str().unwrap().to_string();
+        let as_file_reads = |spelling: &str| {
+            DatasetStamp::observe(
+                spelling,
+                &std::fs::metadata(&path).unwrap(),
+                fnv1a(&std::fs::read(&path).unwrap()),
+            )
+        };
         let cache = DatasetCache::new();
-        assert!(cache.stamp_of(&path_str).is_none(), "no entry before load");
-        let ds = cache.load(&path_str).unwrap();
-        let stamp = cache.stamp_of(&path_str).unwrap();
-        assert_eq!(stamp.len, std::fs::metadata(&path).unwrap().len());
-        assert_eq!(stamp.hash, fnv1a(&std::fs::read(&path).unwrap()));
-        assert_eq!(stamp.path, path_str, "stamped under the spelling asked for");
-        drop(ds);
-        assert!(
-            cache.stamp_of(&path_str).is_none(),
-            "dead entries do not stamp"
+        // miss: the parse's stamp
+        let (parsed, stamp) = cache.load_stamped(&path_str).unwrap();
+        assert_eq!(stamp, as_file_reads(&path_str));
+        // hit under another spelling: the entry's stamp, re-spelled
+        let dotted = format!(
+            "{}/../{}/s.pcl",
+            dir.display(),
+            dir.file_name().unwrap().to_string_lossy()
         );
+        let (hit, stamp) = cache.load_stamped(&dotted).unwrap();
+        assert!(Arc::ptr_eq(&parsed, &hit));
+        assert_eq!(stamp, as_file_reads(&dotted));
+        // same bytes, newer mtime: the refreshed stamp of the verified hit
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        std::fs::write(&path, std::fs::read(&path).unwrap()).unwrap();
+        let (touched, stamp) = cache.load_stamped(&path_str).unwrap();
+        assert!(
+            Arc::ptr_eq(&parsed, &touched),
+            "identical bytes: no re-parse"
+        );
+        assert_eq!(stamp, as_file_reads(&path_str));
+        // new bytes: the new parse's stamp, never the old entry's
+        write_pcl(
+            &dir,
+            "s.pcl",
+            &[("G1", &[3.0, 4.0]), ("G2", &[5.0, 6.0])],
+            2,
+        );
+        let (reparsed, stamp) = cache.load_stamped(&path_str).unwrap();
+        assert!(!Arc::ptr_eq(&parsed, &reparsed));
+        assert_eq!(stamp, as_file_reads(&path_str));
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (2, 2));
         std::fs::remove_dir_all(&dir).ok();
     }
 

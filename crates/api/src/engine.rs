@@ -97,7 +97,8 @@ pub struct Engine {
     /// the replay half of [`Engine::snapshot`]. Consecutive same-slot
     /// absolute writes (contrast on one target, linkage, metric) collapse
     /// to the latest, which is provably state-preserving; nothing else is
-    /// dropped.
+    /// dropped, not even a repeated `cluster_all`, which replays as a
+    /// derived-cache hit.
     log: Vec<Mutation>,
     /// Stamp of each file-loaded dataset, keyed by the user-spelled path
     /// (latest observation wins) — the restore-time assertion that
@@ -263,48 +264,28 @@ impl Engine {
         Ok(engine)
     }
 
-    /// Apply a mutation, recording it (and, for file loads, the dataset
-    /// fingerprint) in the session log on success. Only `Applied` carries
-    /// damage rectangles on the wire — for the data-management mutations
-    /// the damage is implied by the response kind, so they never pay for
-    /// a layout pass.
+    /// Apply a mutation, recording it in the session log on success. Only
+    /// `Applied` carries damage rectangles on the wire — for the
+    /// data-management mutations the damage is implied by the response
+    /// kind, so they never pay for a layout pass.
     fn perform_mutation(&mut self, mutation: &Mutation) -> Result<Response, ApiError> {
         let result = self.apply_mutation(mutation);
         if result.is_ok() {
-            if let Mutation::LoadDataset { path } = mutation {
-                // The cache just parsed (or served) this file, so its
-                // stamp carries the content hash without re-reading;
-                // fall back to hashing directly if the entry is gone.
-                let stamp = self.cache.stamp_of(path).or_else(|| {
-                    let meta = std::fs::metadata(path).ok()?;
-                    Some(DatasetStamp::observe(
-                        path,
-                        &meta,
-                        fnv1a(&std::fs::read(path).ok()?),
-                    ))
-                });
-                if let Some(stamp) = stamp {
-                    self.stamps.insert(path.clone(), stamp);
-                }
-            }
             self.record_mutation(mutation);
         }
         result
     }
 
-    /// Append a successful mutation to the log: a consecutive same-slot
-    /// absolute write collapses into the latest value, and a mutation the
-    /// log already makes a state no-op (see [`replays_as_noop`]) is not
-    /// recorded at all — so restore replay never pays for redundant
-    /// re-clustering.
+    /// Append a successful mutation to the log, where a consecutive
+    /// same-slot absolute write ([`supersedes`]) replaces the one before
+    /// it. Nothing else is dropped: a repeated `cluster_all` or a
+    /// re-asserted metric is recorded too, and replays as a derived-cache
+    /// hit.
     fn record_mutation(&mut self, mutation: &Mutation) {
         if let Some(last) = self.log.last() {
             if supersedes(mutation, last) {
                 self.log.pop();
             }
-        }
-        if replays_as_noop(&self.log, mutation) {
-            return;
         }
         self.log.push(mutation.clone());
     }
@@ -318,10 +299,6 @@ impl Engine {
                     for d in 0..self.session.n_datasets() {
                         self.cluster_shared(d, Axis::Genes);
                     }
-                    // Re-clustering reorders rows; SPELL indexes by gene id
-                    // and is unaffected, but cheap invalidation is safer
-                    // than reasoning about every future command.
-                    self.dataset_version += 1;
                     command::DamageClass::Full
                 } else {
                     command::perform(&mut self.session, cmd)
@@ -334,9 +311,10 @@ impl Engine {
                 })
             }
             Mutation::LoadDataset { path } => {
-                let ds = self.cache.load(path)?;
+                let (ds, stamp) = self.cache.load_stamped(path)?;
                 let (name, genes, conditions) = (ds.name.clone(), ds.n_genes(), ds.n_conditions());
                 let idx = self.session.load_shared_dataset(ds)?;
+                self.stamps.insert(path.clone(), stamp);
                 self.dataset_version += 1;
                 Ok(Response::Loaded {
                     dataset: idx,
@@ -720,71 +698,6 @@ fn supersedes(new: &Mutation, last: &Mutation) -> bool {
         }
         _ => false,
     }
-}
-
-/// Would replaying `new` at the end of `log` leave the session state
-/// unchanged? True for the recompute-triggering no-ops interactive
-/// streams produce: a linkage/metric write whose value the log already
-/// establishes, and a `cluster_all` whose inputs (dataset contents,
-/// metric, linkage) are untouched since a previous `cluster_all` —
-/// `Session::cluster_dataset` is a pure function of the underlying
-/// matrix and settings, so repeating it is idempotent. Replayed, a
-/// redundant `cluster_all` is a cache hit (the restoring session holds
-/// the first one's result) that still hashes every matrix: ~0.5 ms each
-/// at 1500 × 60, 3.7 ms for the 7 this keeps out of a log of 8.
-fn replays_as_noop(log: &[Mutation], new: &Mutation) -> bool {
-    use forestview::command::Command;
-    match new {
-        Mutation::Command(Command::SetLinkage(value)) => log
-            .iter()
-            .rev()
-            .find_map(|m| match m {
-                Mutation::Command(Command::SetLinkage(prior)) => Some(prior == value),
-                _ => None,
-            })
-            .unwrap_or(false),
-        Mutation::Command(Command::SetMetric(value)) => log
-            .iter()
-            .rev()
-            .find_map(|m| match m {
-                Mutation::Command(Command::SetMetric(prior)) => Some(prior == value),
-                _ => None,
-            })
-            .unwrap_or(false),
-        Mutation::Command(Command::ClusterAll) => {
-            for m in log.iter().rev() {
-                match m {
-                    Mutation::Command(Command::ClusterAll) => return true,
-                    m if cluster_neutral(m) => continue,
-                    _ => return false,
-                }
-            }
-            false
-        }
-        _ => false,
-    }
-}
-
-/// Mutations that cannot change what `cluster_all` computes or
-/// overwrites: pure selection/view state. Ordering commands are NOT
-/// neutral — they overwrite the display order `cluster_all` writes, so
-/// a re-cluster after them is meaningful. Everything else (loads,
-/// normalize, impute, linkage/metric writes, array clustering)
-/// conservatively blocks the redundant-`cluster_all` elision.
-fn cluster_neutral(m: &Mutation) -> bool {
-    use forestview::command::Command;
-    matches!(
-        m,
-        Mutation::Command(
-            Command::SelectRegion { .. }
-                | Command::SelectGenes(_)
-                | Command::Search(_)
-                | Command::ClearSelection
-                | Command::ToggleSync
-                | Command::Scroll(_)
-                | Command::SetContrast { .. }
-        )
-    )
 }
 
 /// Load a PCL or CDT dataset from disk, named after the file stem.
@@ -1207,63 +1120,87 @@ mod tests {
     }
 
     #[test]
-    fn log_elides_recompute_noops() {
+    fn the_log_keeps_every_mutation_but_a_superseded_write() {
+        let euclidean = Command::SetMetric(fv_cluster::distance::Metric::Euclidean);
+        let contrast = |contrast| Command::SetContrast {
+            dataset: Some(1),
+            contrast,
+        };
+        let mutations = [
+            euclidean.clone(),
+            Command::ClusterAll,
+            Command::Scroll(3),
+            Command::Search("stress".into()),
+            // the metric re-asserted, then re-clusterings that change nothing
+            euclidean,
+            Command::ClusterAll,
+            Command::ClusterAll,
+            // a re-cluster that restores the order `order_by_name` wrote over
+            Command::OrderByName,
+            Command::ClusterAll,
+            // the one drop: a same-slot absolute write right after another
+            contrast(2.0),
+            contrast(3.0),
+        ]
+        .map(Mutation::Command);
         let mut e = loaded_engine();
-        for r in [
-            Request::Mutate(Mutation::Command(Command::SetMetric(
-                fv_cluster::distance::Metric::Euclidean,
-            ))),
-            Request::Mutate(Mutation::Command(Command::ClusterAll)),
-            // view-only traffic between the clusterings
-            Request::Mutate(Mutation::Command(Command::Scroll(3))),
-            Request::Mutate(Mutation::Command(Command::Search("stress".into()))),
-            // same metric re-asserted, then a redundant re-cluster: both
-            // are state no-ops and must not survive into the log
-            Request::Mutate(Mutation::Command(Command::SetMetric(
-                fv_cluster::distance::Metric::Euclidean,
-            ))),
-            Request::Mutate(Mutation::Command(Command::ClusterAll)),
-        ] {
-            e.execute(&r).unwrap();
+        for m in &mutations {
+            e.execute(&Request::Mutate(m.clone())).unwrap();
         }
         let image = e.snapshot();
-        // scenario + set_metric + cluster_all + scroll + search
-        assert_eq!(image.log.len(), 5, "recompute no-ops are elided");
+        let mut expected = vec![Mutation::LoadScenario {
+            n_genes: 120,
+            seed: 7,
+        }];
+        expected.extend(
+            mutations
+                .iter()
+                .filter(|&m| *m != Mutation::Command(contrast(2.0)))
+                .cloned(),
+        );
+        assert_eq!(image.log, expected);
         let mut restored = Engine::restore(&image, &DatasetCache::new()).unwrap();
-        assert_eq!(
-            restored.session().cluster_settings(),
-            e.session().cluster_settings()
-        );
         assert_eq!(restored.snapshot(), image, "re-snapshot is stable");
-        let probe = Request::Query(Query::Render {
-            width: 320,
-            height: 240,
-            path: None,
-        });
-        assert_eq!(
-            restored.execute(&probe).unwrap(),
-            e.execute(&probe).unwrap(),
-            "eliding idempotent re-clustering must not change pixels"
-        );
+        for probe in [
+            Query::SessionInfo,
+            Query::Render {
+                width: 320,
+                height: 240,
+                path: None,
+            },
+        ] {
+            let probe = Request::Query(probe);
+            assert_eq!(
+                restored.execute(&probe).unwrap(),
+                e.execute(&probe).unwrap()
+            );
+        }
     }
 
     #[test]
-    fn ordering_blocks_cluster_all_elision() {
+    fn clustering_keeps_the_spell_index() {
         let mut e = loaded_engine();
-        for r in [
-            Request::Mutate(Mutation::Command(Command::ClusterAll)),
-            // OrderByName overwrites the display order cluster_all wrote,
-            // so the second cluster_all is meaningful and must stay
-            Request::Mutate(Mutation::Command(Command::OrderByName)),
-            Request::Mutate(Mutation::Command(Command::ClusterAll)),
-        ] {
-            e.execute(&r).unwrap();
+        let q = Request::Query(Query::Spell {
+            genes: vec![fv_synth::names::orf_name(0), fv_synth::names::orf_name(3)],
+            top_n: 10,
+        });
+        let clusterings = [
+            Mutation::Command(Command::ClusterAll),
+            Mutation::ClusterArrays { dataset: 1 },
+        ];
+        let before = e.execute(&q).unwrap();
+        let version = e.spell.as_ref().unwrap().0;
+        for m in &clusterings {
+            e.execute(&Request::Mutate(m.clone())).unwrap();
+            assert_eq!(e.execute(&q).unwrap(), before);
+            assert_eq!(e.spell.as_ref().unwrap().0, version, "index kept");
         }
-        let image = e.snapshot();
-        // scenario + cluster_all + order_by_name + cluster_all
-        assert_eq!(image.log.len(), 4);
-        let restored = Engine::restore(&image, &DatasetCache::new()).unwrap();
-        assert_eq!(restored.snapshot(), image, "re-snapshot is stable");
+        // and the index a clustered session builds afresh answers the same
+        let mut clustered_first = loaded_engine();
+        for m in clusterings {
+            clustered_first.execute(&Request::Mutate(m)).unwrap();
+        }
+        assert_eq!(clustered_first.execute(&q).unwrap(), before);
     }
 
     #[test]

@@ -485,8 +485,7 @@ fn scenario_sessions_share_by_content_not_by_path() {
 
 #[test]
 fn a_redundant_cluster_all_in_a_replayed_log_is_a_hit() {
-    // What record-time elision keeps out of real logs, hand-built: eight
-    // `cluster_all`s separated by scrolls, against the log with one.
+    // Eight `cluster_all`s separated by scrolls, against the log with one.
     let log = |n_cluster: usize| {
         let mut log = vec![
             Mutation::LoadScenario {
@@ -518,7 +517,8 @@ fn a_redundant_cluster_all_in_a_replayed_log_is_a_hit() {
         "the restoring session itself keeps the first clustering alive"
     );
     let mut once = Engine::restore(&log(1), &DatasetCache::new()).unwrap();
-    // same pixels, same summary, and — replay re-records through the
-    // elision — the same log
-    assert_eq!(observe(&mut redundant), observe(&mut once));
+    let (image, info, frame) = observe(&mut redundant);
+    assert_eq!(image.log, log(8).log, "the log survives a restore verbatim");
+    let (_, once_info, once_frame) = observe(&mut once);
+    assert_eq!((info, frame), (once_info, once_frame));
 }

@@ -263,24 +263,34 @@ impl ExprMatrix {
         Ok(out)
     }
 
-    /// 64-bit FNV-1a over shape, raw value bits and presence-mask words,
+    /// A 64-bit hash of shape, raw value bits and presence-mask words,
     /// standing for the content where a derived result is shared by it.
     /// Missing cells store `0.0` (the derived `PartialEq` relies on that
     /// too), so equal matrices hash equal unless a zero differs in sign:
     /// a missed sharing, never a wrong one.
+    ///
+    /// It eats whole words — two values per word, a lone tail value as
+    /// its own — each step `h = (h.rotate_left(5) ^ w·K)·K`. Every step is
+    /// a bijection of `h` and of `w`, so one changed word always changes
+    /// the hash. The rotation folds bit 63, which a multiply never moves,
+    /// back down; without it two sign flips at odd indices cancel. The
+    /// pre-multiplied word keeps the bit that rotation lands on (bit 4)
+    /// from being cancelled by a one-bit change in the next word.
     pub fn content_hash(&self) -> u64 {
+        const K: u64 = 0x9e37_79b9_7f4a_7c15;
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        eat(&(self.n_rows as u64).to_le_bytes());
-        eat(&(self.n_cols as u64).to_le_bytes());
-        self.data
-            .iter()
-            .for_each(|v| eat(&v.to_bits().to_le_bytes()));
-        self.mask.iter().for_each(|w| eat(&w.to_le_bytes()));
+        let mut eat = |w: u64| h = (h.rotate_left(5) ^ w.wrapping_mul(K)).wrapping_mul(K);
+        eat(self.n_rows as u64);
+        eat(self.n_cols as u64);
+        let pairs = self.data.chunks_exact(2);
+        let tail = pairs.remainder();
+        for pair in pairs {
+            eat(u64::from(pair[0].to_bits()) | u64::from(pair[1].to_bits()) << 32);
+        }
+        if let [last] = tail {
+            eat(u64::from(last.to_bits()));
+        }
+        self.mask.iter().for_each(|&w| eat(w));
         h
     }
 
@@ -337,6 +347,9 @@ impl ExprMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::strategy::FnStrategy;
+    use proptest::test_runner::TestRng;
 
     #[test]
     fn zeros_all_present() {
@@ -480,6 +493,85 @@ mod tests {
         let mut direct = m.clone();
         direct.set_missing(1, 1);
         assert_eq!(cleared.content_hash(), direct.content_hash());
+    }
+
+    fn flip_bit(m: &ExprMatrix, i: usize, bit: u32) -> ExprMatrix {
+        let mut flipped = m.clone();
+        let (r, c) = (i / m.n_cols(), i % m.n_cols());
+        flipped.set(r, c, f32::from_bits(m.get_raw(r, c).to_bits() ^ 1 << bit));
+        flipped
+    }
+
+    #[test]
+    fn two_sign_flips_at_odd_indices_do_not_cancel() {
+        // Word-wise FNV, `(h ^ w)·P`, keeps a bit-63 difference in bit 63
+        // forever, so the second sign flip (bit 63 of the next word) undoes
+        // the first and a wrong tree would be served.
+        let m = ExprMatrix::from_rows(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
+        let negated = flip_bit(&flip_bit(&m, 1, 31), 3, 31);
+        assert_eq!(negated.get(0, 1), Some(-2.0));
+        assert_eq!(negated.get(1, 0), Some(-4.0));
+        assert_ne!(m.content_hash(), negated.content_hash());
+    }
+
+    #[test]
+    fn a_sign_flip_and_the_next_values_bit_four_do_not_cancel() {
+        // Rotating by 5 moves a bit-63 difference to bit 4 of the state;
+        // were the next word xored in unmultiplied, flipping its bit 4
+        // would cancel it.
+        let m = ExprMatrix::from_rows(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
+        let changed = flip_bit(&flip_bit(&m, 1, 31), 2, 4);
+        assert_ne!(changed.get(0, 2), Some(3.0));
+        assert_ne!(m.content_hash(), changed.content_hash());
+    }
+
+    /// An odd row count times a column count of either parity, so odd
+    /// cell counts (a lone tail value) and even ones both come up; about
+    /// one cell in five missing and one in five a present zero.
+    fn arb_hash_matrix() -> impl Strategy<Value = ExprMatrix> {
+        FnStrategy::new(|rng: &mut TestRng| {
+            let n_rows = 1 + 2 * rng.below(5) as usize;
+            let n_cols = 1 + rng.below(12) as usize;
+            let mut m = ExprMatrix::missing(n_rows, n_cols);
+            for r in 0..n_rows {
+                for c in 0..n_cols {
+                    match rng.below(5) {
+                        0 => {}
+                        1 => m.set(r, c, 0.0),
+                        _ => m.set(r, c, (rng.unit_f64() * 200.0 - 100.0) as f32),
+                    }
+                }
+            }
+            m
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn every_single_bit_and_mask_change_moves_the_hash(m in arb_hash_matrix()) {
+            let h = m.content_hash();
+            for i in 0..m.n_cells() {
+                let (r, c) = (i / m.n_cols(), i % m.n_cols());
+                if m.is_present(r, c) {
+                    for bit in 0..32 {
+                        let flipped = flip_bit(&m, i, bit);
+                        // a non-finite pattern cannot be stored as present
+                        if flipped.is_present(r, c) {
+                            prop_assert_ne!(h, flipped.content_hash(), "cell {} bit {}", i, bit);
+                        }
+                    }
+                }
+                let mut toggled = m.clone();
+                if m.is_present(r, c) {
+                    toggled.set_missing(r, c);
+                } else {
+                    toggled.set(r, c, 0.0);
+                }
+                prop_assert_ne!(h, toggled.content_hash(), "mask bit {}", i);
+            }
+        }
     }
 
     #[test]

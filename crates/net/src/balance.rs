@@ -43,11 +43,12 @@
 //! midpoints), plus a small resident-size term so giant idle sessions
 //! still spread out under memory pressure. Queue depth joins the shard's
 //! total as un-movable pressure. The cost of the move itself — the
-//! target replays the session's log, which re-clusters and, when its
-//! dataset cache does not hold the file (always possible on process
-//! shards, whose caches are per child), re-parses — is *not* a placement
-//! signal; the per-tick move budget and the per-session cooldown bound
-//! it.
+//! target replays the session's log, whose clusterings are derived-cache
+//! hits when the target's cache holds that content and are recomputed
+//! otherwise, and which re-parses a file the target's cache does not
+//! hold (always possible on process shards, whose caches are per child)
+//! — is *not* a placement signal; the per-tick move budget and the
+//! per-session cooldown bound it.
 //!
 //! ## Hysteresis
 //!
