@@ -91,7 +91,7 @@ const SERVER_PATHS: &[&str] = &[
 /// *process* creation is tighter still: `rule_no_spawn` only ever
 /// accepts it here, and in practice only `procshard.rs` (the process
 /// shard backend) does it.
-const SPAWN_SANCTIONED: &[&str] = &["shard.rs", "procshard.rs", "tap.rs", "soak.rs"];
+const SPAWN_SANCTIONED: &[&str] = &["shard.rs", "procshard.rs", "tap.rs"];
 
 /// The module set for `format-parse-inverse`: the wire codec and its
 /// satellite text formats. A `parse_x` anywhere in the set satisfies a
@@ -397,7 +397,7 @@ fn rule_no_spawn(out: &mut Vec<Violation>, ctx: &FileCtx<'_>) {
                 toks[i].line,
                 NO_SPAWN,
                 "thread creation outside the sanctioned modules \
-                 (shard.rs, procshard.rs, tap.rs, soak.rs, tests)"
+                 (shard.rs, procshard.rs, tap.rs, tests)"
                     .to_string(),
             );
         }

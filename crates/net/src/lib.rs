@@ -90,7 +90,7 @@ pub use client::{run_script_remote, Client};
 pub use frame::ReplyAssembler;
 pub use metrics::{ServerStats, ShardStats};
 pub use procshard::worker_main;
-pub use replay::{recv_transcript, replay_local, replay_on_hub, replay_remote, ReplayOutcome};
+pub use replay::{recv_transcript, replay_local, replay_remote, ReplayOutcome};
 pub use server::{Server, ServerConfig, ShardBackendConfig};
 pub use shard::shard_of;
 pub use stream::Watcher;

@@ -184,12 +184,15 @@ fv_api::wire_record! {
         /// Garbage frames accepted then rejected: request lines that failed
         /// framing (over [`crate::frame::MAX_LINE`] or not UTF-8) and were
         /// answered with a typed `err` instead of tearing the connection
-        /// down. The soak harness's chaos injectors drive this counter.
+        /// down. The server simulation holds it to the faults its own
+        /// client framers saw.
         pub garbage_frames: u64 => "garbage",
-        /// Connections that disconnected with unanswered work still pending
-        /// (queued, in flight, or buffered responses unflushed) — mid-run
-        /// drops, as injected by the soak harness. Clean closes at a
-        /// request boundary are not counted.
+        /// Connections that disconnected with work still pending: lines
+        /// queued, shard work in flight, or buffered responses unflushed.
+        /// A `subscribe`'s keyframe run counts while it is at the shard,
+        /// though its ack went out at dispatch: the viewer left before
+        /// the work it asked for was done. Clean closes at a request
+        /// boundary are not counted.
         pub dirty_disconnects: u64 => "disconnects",
         /// Sum of per-shard executed runs.
         pub runs: u64 => "runs",

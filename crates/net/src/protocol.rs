@@ -154,7 +154,7 @@ struct LoopMetrics {
     frames_out: u64,
     busy_rejections: u64,
     /// Framing faults (oversized / non-UTF-8 lines) accepted and answered
-    /// with a typed `err` — the soak chaos injectors drive this.
+    /// with a typed `err` — the simulation's scripts drive this.
     garbage_frames: u64,
     /// Connections dropped with unanswered work still pending (queued,
     /// in flight, or unflushed responses); clean closes don't count.
@@ -1143,7 +1143,10 @@ fn settle_completion(conn: &mut Conn, reply: ShardReply, n_conns: usize, st: &mu
             for response in &outcome.responses {
                 conn.push_ok(&fv_api::format_response(response), &mut st.metrics);
             }
-            if let Some((idx, e)) = outcome.error {
+            // Only a request line is answered: the empty run of a
+            // `subscribe` (acked at dispatch) that a dead shard refuses
+            // has no line to write its error for.
+            if let Some((idx, e)) = outcome.error.filter(|(idx, _)| *idx < n) {
                 conn.push_err(&e, &mut st.metrics);
                 let skipped = ApiError::invalid(format!(
                     "skipped: request {} earlier in this pipelined run failed ({})",
@@ -1685,6 +1688,18 @@ mod tests {
         }
         // The tail really was skipped, not executed.
         assert!(rig.ok(c, "session_info").contains("scroll=1"));
+    }
+
+    #[test]
+    fn a_subscribe_on_a_dead_shard_is_answered_by_its_ack_alone() {
+        let mut rig = Rig::new(config(1));
+        rig.parked.kill(0);
+        let c = rig.core.open();
+        // The refused keyframe run owes no frame: the ack answered the
+        // line, and the next frame is the ping's.
+        let replies = rig.ask(c, "subscribe s 2x2\nping\n");
+        let subscribed = Ok("subscribed s 2x2 800x600".to_string());
+        assert_eq!(replies, [subscribed, Ok("pong".to_string())]);
     }
 
     #[test]

@@ -133,22 +133,14 @@ pub fn replay_remote(addr: &str, events: &[TraceEvent]) -> Result<ReplayOutcome,
     })
 }
 
-/// Replay a trace against a fresh local hub with the given scene.
+/// Replay a trace against a fresh local hub with the given scene. Reply
+/// formatting mirrors the server frame-for-frame; see the module docs
+/// for the supported plane.
 pub fn replay_local(
     scene: (usize, usize),
     events: &[TraceEvent],
 ) -> Result<ReplayOutcome, ApiError> {
-    let mut hub = EngineHub::with_scene(scene.0, scene.1);
-    replay_on_hub(&mut hub, events)
-}
-
-/// Replay a trace against a caller-owned hub (so state can be inspected
-/// afterwards). Reply formatting mirrors the server frame-for-frame;
-/// see the module docs for the supported plane.
-pub fn replay_on_hub(
-    hub: &mut EngineHub,
-    events: &[TraceEvent],
-) -> Result<ReplayOutcome, ApiError> {
+    let hub = &mut EngineHub::with_scene(scene.0, scene.1);
     let mut current = EngineHub::default_session();
     let mut sends = 0usize;
     let mut replies: Vec<TraceEvent> = Vec::new();

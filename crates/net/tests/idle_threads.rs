@@ -5,6 +5,8 @@
 //! connections can stay exact. Keep this file at one test.
 
 use fv_net::{Client, Server, ServerConfig};
+use std::io::Write;
+use std::time::Duration;
 
 /// Threads in this process, via /proc (Linux). `None` elsewhere.
 fn thread_count() -> Option<usize> {
@@ -18,6 +20,7 @@ fn idle_connections_cost_no_threads() {
     // many connections are open. 256 live connections must not add a
     // single thread.
     const N_CONNS: usize = 256;
+    let before_bind = thread_count();
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
     let addr = server.local_addr().to_string();
 
@@ -46,6 +49,30 @@ fn idle_connections_cost_no_threads() {
         c.ping().unwrap();
     }
     drop(conns);
+
+    // Churn: real work, a migration, and a burst written then dropped
+    // unread. None of it may leave a thread behind once the server is
+    // shut down and joined.
+    probe.use_session("churn").unwrap();
+    probe.roundtrip("scenario 60 1").unwrap().unwrap();
+    probe.migrate("churn", 1).unwrap();
+    let mut vanishing = std::net::TcpStream::connect(&addr).unwrap();
+    let burst = b"use churn\ncluster_all\nscroll 1\nsession_info\n";
+    vanishing.write_all(burst).unwrap();
+    drop(vanishing);
     server.shutdown();
     server.join();
+    // Joined threads can linger in /proc for a moment while the OS reaps
+    // them; give it a bounded while.
+    if let Some(before) = before_bind {
+        let mut after = thread_count();
+        for _ in 0..50 {
+            if after <= Some(before) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            after = thread_count();
+        }
+        assert_eq!(after, Some(before), "threads outlived the server");
+    }
 }

@@ -98,14 +98,6 @@ impl WorkloadKind {
     pub fn from_name(s: &str) -> Option<WorkloadKind> {
         WORKLOAD_KINDS.iter().copied().find(|k| k.name() == s)
     }
-
-    /// Whether every client's stream touches only its own private
-    /// session, making a per-client sequential replay byte-deterministic.
-    /// Fan-in clients share a session (reads race the driver's writes),
-    /// so their replies depend on interleaving.
-    pub fn replay_deterministic(self) -> bool {
-        !matches!(self, WorkloadKind::FanIn)
-    }
 }
 
 impl std::fmt::Display for WorkloadKind {
@@ -615,8 +607,6 @@ mod tests {
             assert_eq!(WorkloadKind::from_name(kind.name()), Some(kind));
         }
         assert_eq!(WorkloadKind::from_name("nope"), None);
-        assert!(!WorkloadKind::FanIn.replay_deterministic());
-        assert!(WorkloadKind::Overview.replay_deterministic());
     }
 
     #[test]

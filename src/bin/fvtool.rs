@@ -28,8 +28,6 @@
 //! fvtool workload <kind> [--clients n] [--bursts n] [--genes n] [--seed n]   print generated workload scripts
 //! fvtool trace record <out.trace> --listen <a:p> --upstream <a:p>   tap one connection, write its wire trace
 //! fvtool trace replay <file.trace> [--remote a:p]    replay a trace, byte-compare replies
-//! fvtool soak [--clients n] [--chaos n] [--watchers n] [...]        soak/chaos run against an in-process server
-//! fvtool soak --restart <kills> [--clients n] [--proc-shards] [--state-dir d]   SIGKILL+reboot durability soak against real server processes
 //! ```
 //!
 //! `--remote <addr>` may appear anywhere in the argument list. File paths
@@ -65,10 +63,6 @@ fn usage() -> ExitCode {
          fvtool workload <kind> [--clients <n>] [--bursts <n>] [--genes <n>] [--seed <n>]\n  \
          fvtool trace record <out.trace> --listen <host:port> --upstream <host:port>\n  \
          fvtool trace replay <file.trace> [--remote <host:port>]\n  \
-         fvtool soak    [--kind <k>] [--clients <n>] [--bursts <n>] [--genes <n>] [--seed <n>]\n           \
-         [--shards <n>] [--queue-limit <n>] [--chaos <n>] [--chaos-rounds <n>]\n           \
-         [--watchers <n>] [--dally-ms <n>] [--no-replay]\n           \
-         [--restart <kills>] [--proc-shards] [--state-dir <dir>]\n  \
          fvtool lint    [--json]\n\
          options:\n  --remote <host:port>   run the subcommand against a live fvtool server"
     );
@@ -530,8 +524,8 @@ fn cmd_watch(remote: Option<&str>, args: &[String]) -> Result<(), ApiError> {
     Ok(())
 }
 
-/// Print the generated per-client scripts of one workload spec — what a
-/// soak run's clients would send, as replayable `fvtool script` text.
+/// Print the generated per-client scripts of one workload spec, as
+/// replayable `fvtool script` text.
 fn cmd_workload(args: &[String]) -> Result<(), ApiError> {
     let [kind, opts @ ..] = args else {
         let names: Vec<&str> = fv_synth::workload::WORKLOAD_KINDS
@@ -675,89 +669,6 @@ fn cmd_trace_replay(remote: Option<&str>, args: &[String]) -> Result<(), ApiErro
     Ok(())
 }
 
-/// Run the in-process soak/chaos harness and print its report; any
-/// violated invariant is a typed failure (exit 70).
-fn cmd_soak(remote: Option<&str>, args: &[String]) -> Result<(), ApiError> {
-    if remote.is_some() {
-        return Err(ApiError::invalid(
-            "soak runs its own in-process server; drop --remote",
-        ));
-    }
-    let mut cfg = forestview_repro::soak::SoakConfig::default();
-    let mut restart_kills: Option<usize> = None;
-    let mut proc_shards = false;
-    let mut state_dir: Option<std::path::PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--kind" => {
-                let name: String = opt(&mut it, arg)?;
-                cfg.kind = fv_synth::workload::WorkloadKind::from_name(&name)
-                    .ok_or_else(|| ApiError::invalid(format!("unknown workload kind {name:?}")))?;
-            }
-            "--clients" => cfg.clients = opt(&mut it, arg)?,
-            "--bursts" => cfg.bursts = opt(&mut it, arg)?,
-            "--genes" => cfg.n_genes = opt(&mut it, arg)?,
-            "--seed" => cfg.seed = opt(&mut it, arg)?,
-            "--shards" => cfg.shards = opt(&mut it, arg)?,
-            "--queue-limit" => cfg.queue_limit = opt(&mut it, arg)?,
-            "--chaos" => cfg.chaos_injectors = opt(&mut it, arg)?,
-            "--chaos-rounds" => cfg.chaos_rounds = opt(&mut it, arg)?,
-            "--watchers" => cfg.slow_watchers = opt(&mut it, arg)?,
-            "--dally-ms" => cfg.watcher_dally_ms = opt(&mut it, arg)?,
-            "--no-replay" => cfg.verify_replay = false,
-            "--restart" => restart_kills = Some(opt(&mut it, arg)?),
-            "--proc-shards" => proc_shards = true,
-            "--state-dir" => state_dir = Some(opt(&mut it, arg)?),
-            other => {
-                return Err(ApiError::invalid(format!("unknown soak option {other:?}")));
-            }
-        }
-    }
-    if let Some(kills) = restart_kills {
-        // Durability mode: SIGKILL + reboot real `fvtool serve
-        // --state-dir` children (this very binary) instead of chaos
-        // against an in-process server.
-        let me = std::env::current_exe()
-            .map_err(|e| ApiError::io(format!("cannot locate own executable: {e}")))?;
-        let state_dir = state_dir.unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("fv-restart-soak-{}", std::process::id()))
-        });
-        let rcfg = forestview_repro::soak::RestartConfig {
-            sessions: cfg.clients,
-            kills,
-            shards: cfg.shards,
-            proc_shards,
-            ..forestview_repro::soak::RestartConfig::new(me, state_dir)
-        };
-        let report = forestview_repro::soak::run_restart_soak(&rcfg)?;
-        println!("{}", report.render());
-        return if report.passed() {
-            Ok(())
-        } else {
-            Err(ApiError::new(
-                fv_api::ErrorCode::Internal,
-                format!("{} restart invariant(s) violated", report.failures.len()),
-            ))
-        };
-    }
-    if proc_shards || state_dir.is_some() {
-        return Err(ApiError::invalid(
-            "--proc-shards/--state-dir only apply to soak --restart",
-        ));
-    }
-    let report = forestview_repro::soak::run_soak(&cfg)?;
-    println!("{}", report.render());
-    if report.passed() {
-        Ok(())
-    } else {
-        Err(ApiError::new(
-            fv_api::ErrorCode::Internal,
-            format!("{} soak invariant(s) violated", report.failures.len()),
-        ))
-    }
-}
-
 /// Why an invocation failed: an unrecognized command line (print usage),
 /// a protocol error from executing a recognized one, or a command that
 /// already reported its findings and only needs a nonzero exit
@@ -861,7 +772,6 @@ fn run(cmd: &str, rest: &[String], remote: Option<&str>) -> Result<(), Failure> 
         "lint" => return cmd_lint(rest),
         "workload" => return Ok(cmd_workload(rest)?),
         "trace" => return Ok(cmd_trace(remote, rest)?),
-        "soak" => return Ok(cmd_soak(remote, rest)?),
         "render" | "cluster" | "impute" | "search" | "spell" | "demo" => {}
         _ => return Err(Failure::Usage),
     }

@@ -32,17 +32,8 @@
 //!   `fv-golem`, `fv-linalg`, `fv-ontology`), visualization (`fv-render`,
 //!   `fv-wall`), transport (`fv-net`, re-exported as [`net`]), and
 //!   synthetic data/workloads (`fv-synth`).
-//! - [`soak`] — the soak/chaos harness (`fvtool soak`): generated
-//!   workload clients + fault injectors against an in-process server,
-//!   with replay-equivalence, drain, and thread-leak invariants checked
-//!   at teardown.
-//!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! per-figure reproduction records.
 
 #![forbid(unsafe_code)]
-
-pub mod soak;
 
 pub use forestview;
 pub use fv_api as api;

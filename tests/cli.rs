@@ -1,6 +1,9 @@
 //! End-to-end tests of the `fvtool` command-line front end: the binary a
 //! downstream user would actually script against.
 
+mod common;
+
+use common::Served;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -303,47 +306,6 @@ fn load_failures_use_stable_exit_codes() {
         .unwrap();
     assert!(!out.status.success());
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// One live `fvtool serve` child, its address read off the boot banner.
-/// Dropping it kills the child, so no server outlives a failed test; the
-/// stdout pipe is held open for as long (the server prints on its way
-/// out).
-struct Served {
-    child: std::process::Child,
-    _stdout: std::io::BufReader<std::process::ChildStdout>,
-    addr: String,
-}
-
-impl Served {
-    fn boot(args: &[&str]) -> Served {
-        use std::io::BufRead;
-        let mut child = fvtool()
-            .args(["serve", "--addr", "127.0.0.1:0"])
-            .args(args)
-            .stdin(std::process::Stdio::null())
-            .stdout(std::process::Stdio::piped())
-            .spawn()
-            .expect("spawn fvtool serve");
-        let mut stdout = std::io::BufReader::new(child.stdout.take().expect("a piped stdout"));
-        let mut banner = String::new();
-        stdout.read_line(&mut banner).expect("the boot banner");
-        let addr = banner.strip_prefix("fvtool: serving on ");
-        let addr = addr.and_then(|rest| rest.split_whitespace().next());
-        let addr = addr.unwrap_or_else(|| panic!("unexpected serve banner {banner:?}"));
-        Served {
-            addr: addr.to_string(),
-            child,
-            _stdout: stdout,
-        }
-    }
-}
-
-impl Drop for Served {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
 }
 
 /// The remote control plane, through the binary: `stats`, `sessions`,

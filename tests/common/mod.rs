@@ -1,0 +1,94 @@
+//! What the root tests share: a live `fvtool serve` child, and a wait on
+//! the checkpoint cadence of a server's state directory. Each test binary
+//! uses the part it needs.
+#![allow(dead_code)]
+
+use fv_api::{parse_session_image, SessionId, SessionStore};
+use std::io::{BufRead, BufReader};
+use std::process::{Child, ChildStdout, Command, Stdio};
+use std::time::{Duration, Instant};
+
+/// One live `fvtool serve` child, its address (and, under `--state-dir`,
+/// its recovered-session count) read off the boot banner. Dropping it
+/// SIGKILLs the child, so no server outlives a failed test; the stdout
+/// pipe is held open for as long (the server prints on its way out).
+pub struct Served {
+    pub child: Child,
+    _stdout: BufReader<ChildStdout>,
+    pub addr: String,
+    /// `fvtool: recovered <n> session(s)`; 0 without a state directory.
+    pub recovered: u64,
+}
+
+impl Served {
+    /// `fvtool serve --addr 127.0.0.1:0 <args>`, once it is listening.
+    pub fn boot(args: &[&str]) -> Served {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_fvtool"))
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            .args(args)
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn fvtool serve");
+        let mut stdout = BufReader::new(child.stdout.take().expect("a piped stdout"));
+        let serving = banner(&mut stdout);
+        let addr = serving.strip_prefix("fvtool: serving on ");
+        let addr = addr.and_then(|rest| rest.split_whitespace().next());
+        let addr = addr.unwrap_or_else(|| panic!("unexpected serve banner {serving:?}"));
+        let mut recovered = 0;
+        if args.contains(&"--state-dir") {
+            let line = banner(&mut stdout);
+            let n = line.strip_prefix("fvtool: recovered ");
+            let n = n.and_then(|rest| rest.split_whitespace().next()?.parse().ok());
+            recovered = n.unwrap_or_else(|| panic!("unexpected recovery banner {line:?}"));
+        }
+        Served {
+            addr: addr.to_string(),
+            child,
+            _stdout: stdout,
+            recovered,
+        }
+    }
+}
+
+fn banner(stdout: &mut BufReader<ChildStdout>) -> String {
+    let mut line = String::new();
+    let n = stdout.read_line(&mut line).expect("read the boot banner");
+    assert!(n > 0, "the server exited before its banner");
+    line
+}
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Block until each named session's checkpoint carries its expected
+/// attempted-request counter. The counter travels inside the image and
+/// is what the cadence judges dirtiness by, so once every file matches,
+/// no later write can change it: the server may be killed at any
+/// instant afterwards.
+pub fn wait_for_checkpoints<'a>(
+    store: &SessionStore,
+    expect: impl IntoIterator<Item = (&'a str, u64)>,
+) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    for (session, want) in expect {
+        let path = store.checkpoint_path(&SessionId::new(session).expect("a session name"));
+        loop {
+            let text = std::fs::read_to_string(&path).ok();
+            let got = text.and_then(|text| parse_session_image(&text).ok());
+            let got = got.map(|image| image.requests);
+            if got == Some(want) {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "checkpoint of {session} stuck at {got:?}, want {want}"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+}

@@ -1,14 +1,16 @@
 //! End-to-end durability: a real `fvtool serve --state-dir` process is
 //! SIGKILL'd and rebooted, and every checkpointed session must come
-//! back byte-identically — the restart soak drives the full loop
-//! (populate → checkpoint → kill → reboot → diff rosters and probe
-//! transcripts) under both shard backends. A third test covers the
-//! refusal path: a checkpoint whose dataset file changed on disk is a
-//! stale image and must NOT be recovered.
+//! back byte-identically: populate → checkpoint → kill → reboot → diff
+//! rosters and probe transcripts, under both shard backends. A third
+//! test covers the refusal path: a checkpoint whose dataset file changed
+//! on disk is a stale image and must NOT be recovered.
 
-use forestview_repro::soak::{run_restart_soak, RestartConfig, RestartReport};
-use fv_api::{parse_session_image, SessionId, SessionStore};
+mod common;
+
+use common::{wait_for_checkpoints, Served};
+use fv_api::{SessionId, SessionStore};
 use fv_net::{Client, Server, ServerConfig};
+use std::fmt::Write;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -18,61 +20,123 @@ fn state_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn assert_full_recovery(report: &RestartReport) {
-    assert!(report.passed(), "{}", report.render());
-    let cycles = (report.sessions * report.kills) as u64;
-    assert_eq!(report.recovered_total, cycles, "{}", report.render());
-    assert_eq!(
-        report.probes_compared,
-        cycles as usize,
-        "{}",
-        report.render()
-    );
+/// Read-only probe replayed against every session before the kill and
+/// after the reboot; the two transcripts must match byte for byte.
+const PROBE_LINES: &[&str] = &["session_info", "list_datasets", "render 200 150"];
+
+/// Play a few mutations into `name`, distinct per session and per cycle
+/// so every reboot proves a fresh checkpoint rather than the first one.
+/// `scenario` goes in once per session (`setup`): it refuses duplicates.
+/// Returns the number of requests sent.
+fn burst(addr: &str, name: &str, salt: usize, setup: bool) -> u64 {
+    let mut client = Client::connect(addr).expect("connect");
+    client.use_session(name).expect("use the session");
+    let setup = setup.then(|| format!("scenario 80 {salt}"));
+    let rest = ["cluster_all".to_string(), format!("scroll {}", salt % 7)];
+    let mut sent = 0;
+    for line in setup.into_iter().chain(rest) {
+        let reply = client.roundtrip(&line).expect("a reply");
+        reply.unwrap_or_else(|e| panic!("{name} rejected {line:?}: {e}"));
+        sent += 1;
+    }
+    sent
+}
+
+/// [`PROBE_LINES`] against `name`, its raw replies folded into one
+/// transcript.
+fn probe(addr: &str, name: &str) -> String {
+    let mut client = Client::connect(addr).expect("connect");
+    client.use_session(name).expect("use the session");
+    let mut out = String::new();
+    for line in PROBE_LINES {
+        let reply = client.roundtrip(line).expect("a reply");
+        let _ = writeln!(out, "{line}\n{}", reply.unwrap_or_else(|e| e.to_string()));
+    }
+    out
+}
+
+/// The `list-sessions` reply, its lines sorted so the order the shards
+/// answer the gather in cannot flake the comparison.
+fn roster(addr: &str) -> String {
+    let mut client = Client::connect(addr).expect("connect");
+    let text = client.roundtrip("list-sessions").expect("a reply");
+    let text = text.expect("a listing");
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.sort_unstable();
+    lines.join("\n")
+}
+
+/// Populate `sessions` sessions, then `kills` times over: mutate, probe,
+/// wait for the checkpoints, kill the server with SIGKILL, reboot it on
+/// the same state directory, and demand every session back as it was.
+fn kill_and_reboot(shards: &str, sessions: usize, kills: usize) {
+    let dir = state_dir(shards.trim_start_matches('-'));
+    // The server owns every write; this handle only knows the layout.
+    let store = SessionStore::open(&dir).expect("open the state directory");
+    let dir_arg = dir.to_str().expect("a UTF-8 path");
+    // A fast gather cadence, so checkpoints land within the wait.
+    let args = [
+        shards,
+        "2",
+        "--state-dir",
+        dir_arg,
+        "--balance-interval-ms",
+        "50",
+    ];
+    let mut server = Served::boot(&args);
+    assert_eq!(server.recovered, 0, "a fresh state directory");
+    let names: Vec<String> = (0..sessions).map(|i| format!("restart-{i}")).collect();
+    // Requests attempted per session: the counter its checkpoint reaches.
+    let mut attempted: Vec<u64> = (0..sessions)
+        .map(|i| burst(&server.addr, &names[i], i, true))
+        .collect();
+    let mut recovered = 0;
+    for cycle in 0..kills {
+        if cycle > 0 {
+            for (i, name) in names.iter().enumerate() {
+                attempted[i] += burst(&server.addr, name, cycle * 100 + i, false);
+            }
+        }
+        let roster_before = roster(&server.addr);
+        let probes: Vec<String> = names.iter().map(|n| probe(&server.addr, n)).collect();
+        for n in &mut attempted {
+            *n += PROBE_LINES.len() as u64;
+        }
+        let sent = attempted.iter().copied();
+        wait_for_checkpoints(&store, names.iter().map(String::as_str).zip(sent));
+
+        drop(server); // the crash under test: no flush, no goodbye
+        server = Served::boot(&args);
+        recovered += server.recovered;
+        assert_eq!(server.recovered, sessions as u64, "cycle {cycle}: banner");
+        let stats = Client::connect(&server.addr).and_then(|mut c| c.stats());
+        let stats = stats.expect("stats");
+        assert_eq!(stats.recovered, server.recovered, "cycle {cycle}: stats");
+        assert_eq!(roster(&server.addr), roster_before, "cycle {cycle}: roster");
+        for (name, before) in names.iter().zip(&probes) {
+            let after = probe(&server.addr, name);
+            assert_eq!(&after, before, "cycle {cycle}: the probe of {name}");
+        }
+        for n in &mut attempted {
+            *n += PROBE_LINES.len() as u64;
+        }
+    }
+    assert_eq!(recovered, (sessions * kills) as u64);
+    let shutdown = Client::connect(&server.addr).and_then(|mut c| c.shutdown_server());
+    shutdown.expect("a wire shutdown");
+    let exit = server.child.wait().expect("reap the server");
+    assert!(exit.success(), "the server exits cleanly at the end");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn sigkill_and_reboot_recovers_every_session_with_thread_shards() {
-    let cfg = RestartConfig {
-        sessions: 3,
-        kills: 2,
-        ..RestartConfig::new(env!("CARGO_BIN_EXE_fvtool"), state_dir("threads"))
-    };
-    let report = run_restart_soak(&cfg).expect("restart soak ran");
-    assert_full_recovery(&report);
+    kill_and_reboot("--shards", 3, 2);
 }
 
 #[test]
 fn sigkill_and_reboot_recovers_every_session_with_process_shards() {
-    let cfg = RestartConfig {
-        sessions: 2,
-        kills: 2,
-        proc_shards: true,
-        ..RestartConfig::new(env!("CARGO_BIN_EXE_fvtool"), state_dir("procs"))
-    };
-    let report = run_restart_soak(&cfg).expect("restart soak ran");
-    assert_full_recovery(&report);
-}
-
-/// Wait until `session`'s checkpoint lands with the expected
-/// attempted-request counter (the cadence piggy-backs on the balance
-/// gather, so it arrives within a tick or two).
-fn wait_for_checkpoint(store: &SessionStore, session: &str, requests: u64) {
-    let path = store.checkpoint_path(&SessionId::new(session).unwrap());
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let got = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| parse_session_image(&text).ok())
-            .map(|image| image.requests);
-        if got == Some(requests) {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "checkpoint for {session} stuck at {got:?}, want {requests}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    kill_and_reboot("--shard-procs", 2, 2);
 }
 
 fn durable_config(dir: &Path) -> ServerConfig {
@@ -117,7 +181,7 @@ fn reboot_refuses_checkpoints_whose_dataset_changed_on_disk() {
             .unwrap()
             .unwrap();
         let store = SessionStore::open(&dir).unwrap();
-        wait_for_checkpoint(&store, "survivor", 1);
+        wait_for_checkpoints(&store, [("survivor", 1)]);
         client.shutdown_server().unwrap();
         server.join();
     }
@@ -164,8 +228,7 @@ fn closed_sessions_stay_closed_across_a_restart() {
         let mut goner = Client::connect(&addr).unwrap();
         goner.use_session("gone").unwrap();
         goner.roundtrip("scenario 80 2").unwrap().unwrap();
-        wait_for_checkpoint(&store, "kept", 1);
-        wait_for_checkpoint(&store, "gone", 1);
+        wait_for_checkpoints(&store, [("kept", 1), ("gone", 1)]);
 
         goner.close_session().unwrap();
         let gone_path = store.checkpoint_path(&SessionId::new("gone").unwrap());
