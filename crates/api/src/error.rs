@@ -157,6 +157,12 @@ impl ApiError {
         Self::new(ErrorCode::StaleImage, message)
     }
 
+    /// This error as a script reports it at line `line_no`: the same
+    /// code, the message prefixed `line <n>: `.
+    pub fn at_line(self, line_no: usize) -> Self {
+        Self::new(self.code, format!("line {line_no}: {}", self.message))
+    }
+
     /// Exit code a CLI process should terminate with.
     pub fn exit_code(&self) -> u8 {
         self.code.exit_code()

@@ -70,20 +70,28 @@ pub struct TranscriptEntry {
 }
 
 impl TranscriptEntry {
-    /// Canonical transcript block for this entry:
-    /// `<session>:<line>> <canonical request>` followed by the formatted
-    /// response, newline-terminated. The single source of the transcript
-    /// shape — both [`ScriptOutcome::transcript`] and streaming front ends
-    /// (`fvtool script`) emit exactly this.
+    /// Canonical transcript block for this entry: [`transcript_block`]
+    /// of its formatted response.
     pub fn render(&self) -> String {
-        format!(
-            "{}:{}> {}\n{}\n",
-            self.session,
-            self.line_no,
-            crate::codec::format_request(&self.request),
-            format_response(&self.response)
-        )
+        let text = format_response(&self.response);
+        transcript_block(&self.session, self.line_no, &self.request, &text)
     }
+}
+
+/// Canonical transcript block of one executed request:
+/// `<session>:<line>> <canonical request>` followed by the response
+/// text, newline-terminated. The single source of the transcript shape —
+/// [`ScriptOutcome::transcript`], streaming front ends (`fvtool script`)
+/// and the remote script runner, which holds only the reply text, all
+/// emit exactly this.
+pub fn transcript_block(
+    session: &SessionId,
+    line_no: usize,
+    request: &Request,
+    text: &str,
+) -> String {
+    let request = crate::codec::format_request(request);
+    format!("{session}:{line_no}> {request}\n{text}\n")
 }
 
 /// Result of replaying a script through a hub.
@@ -312,10 +320,7 @@ impl EngineHub {
                         });
                     }
                     if let Some((idx, e)) = outcome.error {
-                        return Err(ApiError::new(
-                            e.code,
-                            format!("line {}: {}", lines[start + idx].line_no, e.message),
-                        ));
+                        return Err(e.at_line(lines[start + idx].line_no));
                     }
                 }
             }

@@ -75,12 +75,12 @@ pub use codec::{
 pub use decode::{parse_response, parse_sessions_reply};
 pub use engine::{Engine, EngineCost, RunOutcome};
 pub use error::{ApiError, ErrorCode};
-pub use hub::{EngineHub, ScriptOutcome, SessionId};
+pub use hub::{transcript_block, EngineHub, ScriptOutcome, SessionId};
 pub use image::{format_session_image, parse_session_image, DatasetStamp, SessionImage};
 pub use request::{Mutation, NormalizeMethod, Query, Request, SelectionExport};
 pub use response::Response;
 pub use store::{ScanOutcome, SessionStore};
 pub use trace::{
-    format_trace, format_trace_line, parse_trace, parse_trace_line, trace_recvs, trace_sends,
-    TraceEvent, TRACE_HEADER, TRACE_VERSION,
+    format_trace, format_trace_line, parse_trace, parse_trace_line, TraceEvent, TRACE_HEADER,
+    TRACE_VERSION,
 };

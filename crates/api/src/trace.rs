@@ -256,28 +256,6 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, ApiError> {
     Ok(events)
 }
 
-/// The request lines of a trace, in order — what a replay sends.
-pub fn trace_sends(events: &[TraceEvent]) -> Vec<&str> {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::Send(line) => Some(line.as_str()),
-            TraceEvent::Recv(_) => None,
-        })
-        .collect()
-}
-
-/// The reply frames of a trace, in order — what a replay must observe.
-pub fn trace_recvs(events: &[TraceEvent]) -> Vec<&Result<String, ApiError>> {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::Send(_) => None,
-            TraceEvent::Recv(reply) => Some(reply),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,18 +318,6 @@ mod tests {
         assert!(parse_trace_line("send ping\n  tail").is_err());
         assert!(parse_trace_line("recv err E_IO x\n  tail").is_err());
         assert!(parse_trace_line("recv ok x\nbad continuation").is_err());
-    }
-
-    #[test]
-    fn sends_and_recvs_project_in_order() {
-        let events = vec![
-            TraceEvent::Send("ping".into()),
-            TraceEvent::Send("ping".into()),
-            TraceEvent::recv_ok("pong"),
-            TraceEvent::recv_err(ApiError::busy("full")),
-        ];
-        assert_eq!(trace_sends(&events), vec!["ping", "ping"]);
-        assert_eq!(trace_recvs(&events).len(), 2);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 
 use crate::frame::{read_reply, LineReader};
 use fv_api::codec::{ScriptItem, ScriptLine};
-use fv_api::{format_request, parse_response, parse_script, ApiError, Request, Response};
+use fv_api::{
+    format_request, parse_response, parse_script, transcript_block, ApiError, Request, Response,
+};
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::mpsc::Sender;
@@ -149,9 +151,8 @@ impl Client {
 
 /// Replay a script against a remote server, streaming transcript blocks
 /// to `sink` — the remote counterpart of `EngineHub::run_script_streaming`
-/// plus `TranscriptEntry::render`, producing byte-identical text: for
-/// each executed request, `<session>:<line>> <canonical request>\n` then
-/// the response text and a newline.
+/// plus `TranscriptEntry::render`, producing byte-identical text: one
+/// [`transcript_block`] of the reply text per executed request.
 ///
 /// The whole script is parsed locally first (so parse errors carry the
 /// same line numbers as local replay, and nothing is sent for a bad
@@ -246,31 +247,19 @@ fn read_script_replies(
         match &line.item {
             ScriptItem::Use(name) => {
                 // consume the `using` acknowledgement
-                reply.map_err(|e| decorate(line.line_no, e))?;
+                reply.map_err(|e| e.at_line(line.line_no))?;
                 session = fv_api::SessionId::new(name.clone())?;
             }
             ScriptItem::Close(_) => {
                 // consume the `closed` acknowledgement; like `use`, close
                 // directives produce no transcript block
-                reply.map_err(|e| decorate(line.line_no, e))?;
+                reply.map_err(|e| e.at_line(line.line_no))?;
             }
-            ScriptItem::Request(request) => match reply {
-                Ok(text) => sink(&format!(
-                    "{}:{}> {}\n{}\n",
-                    session,
-                    line.line_no,
-                    format_request(request),
-                    text
-                )),
-                Err(e) => return Err(decorate(line.line_no, e)),
-            },
+            ScriptItem::Request(request) => {
+                let text = reply.map_err(|e| e.at_line(line.line_no))?;
+                sink(&transcript_block(&session, line.line_no, request, &text));
+            }
         }
     }
     Ok(())
-}
-
-/// Prefix a server-side error with its script line, matching the local
-/// `run_script` error shape exactly.
-fn decorate(line_no: usize, e: ApiError) -> ApiError {
-    ApiError::new(e.code, format!("line {line_no}: {}", e.message))
 }

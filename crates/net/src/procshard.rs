@@ -64,15 +64,15 @@
 //! ## Topology
 //!
 //! [`spawn`] binds an ephemeral loopback listener, launches `worker_cmd`
-//! once per shard (`fvtool shard-worker` in production, the
-//! `fv-shard-worker` test binary under `cargo test`), and pairs each
-//! child to its shard index via `hello`. Each paired socket becomes a
-//! [`ChildLink`] owned by that shard's drain thread (`crate::shard`),
-//! which calls it strictly in queue order: encode, write, read, decode —
-//! or the typed `E_SHARD_DOWN` refusal if the child is gone. The child
-//! runs [`worker_main`]: a single-threaded loop around a [`WorkerCore`]
-//! with its own per-process [`DatasetCache`] (the cache seam is per
-//! child; the parent aggregates the gauges from report replies).
+//! once per shard (`fvtool shard-worker`, in production and in the
+//! tests alike), and pairs each child to its shard index via `hello`.
+//! Each paired socket becomes a [`ChildLink`] owned by that shard's
+//! drain thread (`crate::shard`), which calls it strictly in queue
+//! order: encode, write, read, decode — or the typed `E_SHARD_DOWN`
+//! refusal if the child is gone. The child runs [`worker_main`]: a
+//! single-threaded loop around a [`WorkerCore`] with its own
+//! per-process [`DatasetCache`] (the cache seam is per child; the
+//! parent aggregates the gauges from report replies).
 
 use crate::metrics::LatencyHistogram;
 use crate::shard::{
@@ -588,7 +588,7 @@ fn kill_all(children: &mut [Child]) {
 
 /// Launch `n` worker processes, pair each to a shard, and start the
 /// shards over the paired sockets. `worker_cmd` is the argv prefix to
-/// exec (`["/path/to/fvtool", "shard-worker"]` in production);
+/// exec (`["/path/to/fvtool", "shard-worker"]`);
 /// `--connect/--shard/--scene` are appended per child. Fails — with
 /// every already-spawned child killed — if any child dies or fails to
 /// say `hello` within the deadline.
@@ -792,13 +792,12 @@ impl Drop for ChildLink {
 // Child side: worker_main
 // ---------------------------------------------------------------------
 
-/// Entry point of a shard worker process (`fvtool shard-worker`, or the
-/// `fv-shard-worker` binary tests spawn). Connects back to the parent,
-/// announces its shard index, then serves protocol frames one at a time
-/// against a [`WorkerCore`] with its own [`DatasetCache`] until
-/// `shutdown` (clean exit) or EOF (parent died — exit quietly; there is
-/// nobody left to serve). Errors are returned as text for the caller to
-/// print and map to a nonzero exit.
+/// Entry point of a shard worker process (`fvtool shard-worker`).
+/// Connects back to the parent, announces its shard index, then serves
+/// protocol frames one at a time against a [`WorkerCore`] with its own
+/// [`DatasetCache`] until `shutdown` (clean exit) or EOF (parent died —
+/// exit quietly; there is nobody left to serve). Errors are returned as
+/// text for the caller to print and map to a nonzero exit.
 pub fn worker_main(args: &[String]) -> Result<(), String> {
     let mut connect = None;
     let mut shard = None;

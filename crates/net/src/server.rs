@@ -48,8 +48,7 @@ pub enum ShardBackendConfig {
     /// One child worker process per shard, each with its own dataset
     /// cache, speaking the shard control protocol
     /// (`crate::procshard`). `worker_cmd` is the argv prefix to exec
-    /// per shard — `["/path/to/fvtool", "shard-worker"]` in
-    /// production.
+    /// per shard: `["/path/to/fvtool", "shard-worker"]`.
     Procs { worker_cmd: Vec<String> },
 }
 

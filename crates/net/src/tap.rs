@@ -50,14 +50,6 @@ pub fn record_session(listener: TcpListener, upstream: &str) -> Result<Vec<Trace
         .map_err(|e| ApiError::io(format!("tap accept: {e}")))?;
     let server = TcpStream::connect(upstream)
         .map_err(|e| ApiError::io(format!("tap connect {upstream}: {e}")))?;
-    record_streams(client, server)
-}
-
-/// [`record_session`] on already-connected streams (test seam).
-pub(crate) fn record_streams(
-    client: TcpStream,
-    server: TcpStream,
-) -> Result<Vec<TraceEvent>, ApiError> {
     let events: Arc<Mutex<Vec<TraceEvent>>> = Arc::new(Mutex::new(Vec::new()));
 
     let c2s = {

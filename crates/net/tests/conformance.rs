@@ -488,57 +488,3 @@ fn close_drops_only_the_current_session() {
     server.shutdown();
     server.join();
 }
-
-/// Sizes the synthetic generators cannot build used to panic inside the
-/// shard, whose `catch_unwind` then dropped the session that had asked.
-#[test]
-fn undersized_synthetic_loads_answer_invalid_and_keep_the_session() {
-    use fv_net::ShardBackendConfig;
-    let worker_cmd = vec![env!("CARGO_BIN_EXE_fv-shard-worker").to_string()];
-    for backend in [
-        ShardBackendConfig::Threads,
-        ShardBackendConfig::Procs { worker_cmd },
-    ] {
-        let config = ServerConfig {
-            shards: 1,
-            backend: backend.clone(),
-            scene: SCENE,
-            ..ServerConfig::default()
-        };
-        let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral port");
-        let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
-        client.use_session("small").unwrap();
-        client
-            .roundtrip("scenario 50 1")
-            .unwrap()
-            .expect("the smallest scenario loads");
-        let info = client.roundtrip("session_info").unwrap().unwrap();
-
-        let mut hub = EngineHub::with_scene(SCENE.0, SCENE.1);
-        for line in [
-            "scenario 49 1",
-            "scenario 1 1",
-            "compendium 30 3 1",
-            "compendium 100 2 1",
-        ] {
-            let remote = client.roundtrip(line).unwrap().expect_err(line);
-            let local = hub
-                .run_script_streaming(&format!("{line}\n"), |_| {})
-                .expect_err(line);
-            assert_eq!(remote.code, fv_api::ErrorCode::InvalidRequest, "{line}");
-            assert_eq!(remote.code, local.code, "{line} under {backend:?}");
-            assert_eq!(
-                format!("line 1: {}", remote.message),
-                local.message,
-                "{line} under {backend:?}"
-            );
-            assert_eq!(
-                client.roundtrip("session_info").unwrap().unwrap(),
-                info,
-                "{line} under {backend:?} must leave the session as it was"
-            );
-        }
-        server.shutdown();
-        server.join();
-    }
-}

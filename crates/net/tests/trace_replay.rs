@@ -1,7 +1,7 @@
 //! End-to-end wire-trace tests: record a live exchange (by hand or
 //! through the [`fv_net::tap`] proxy), then prove replays of that trace
-//! are byte-identical — against fresh servers, across servers, and
-//! against a local hub.
+//! are byte-identical — against fresh servers of the recorder's shape,
+//! and against the private default-config server [`replay_local`] boots.
 //!
 //! The regression the E_BUSY test pins: a trace whose recorded burst
 //! overflowed the server's pending-request queue (so its transcript
@@ -12,21 +12,36 @@
 
 use fv_api::{ErrorCode, TraceEvent};
 use fv_net::frame::{read_reply, LineReader};
-use fv_net::{replay_local, replay_remote, Server, ServerConfig};
+use fv_net::{replay_local, replay_remote, ReplayOutcome, Server, ServerConfig};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 
-fn tiny_server(queue_limit: usize) -> Server {
-    Server::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            shards: 2,
-            scene: (640, 480),
-            queue_limit,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind")
+/// A small server whose pending-request queue a burst can overflow.
+fn queue_of_three() -> ServerConfig {
+    ServerConfig {
+        shards: 2,
+        scene: (640, 480),
+        queue_limit: 3,
+        ..ServerConfig::default()
+    }
+}
+
+/// Record `lines` as one pipelined burst against a fresh server shaped
+/// by `config`.
+fn record_on_fresh_server(config: ServerConfig, lines: &[&str]) -> Vec<TraceEvent> {
+    let recorder = Server::bind("127.0.0.1:0", config).expect("bind");
+    let events = record_pipelined_burst(&recorder.local_addr().to_string(), lines);
+    recorder.shutdown();
+    recorder.join();
+    events
+}
+
+fn assert_replays(outcome: &ReplayOutcome) {
+    assert!(
+        outcome.matches(),
+        "replay diverged: {:?}",
+        outcome.first_divergence()
+    );
 }
 
 /// Write all of `lines` as ONE pipelined burst, then read one reply per
@@ -54,11 +69,10 @@ fn record_pipelined_burst(addr: &str, lines: &[&str]) -> Vec<TraceEvent> {
 
 /// A burst that overflows a queue_limit=3 server *and* fails mid-run:
 /// the recorded transcript must contain an E_BUSY rejection and a
-/// skipped-tail error, and replaying the trace twice against fresh
-/// servers must reproduce both, byte-for-byte.
+/// skipped-tail error, and replaying the trace against fresh servers of
+/// the same shape must reproduce both, byte-for-byte.
 #[test]
 fn busy_and_skipped_tail_replays_byte_identically() {
-    let recorder = tiny_server(3);
     let lines = [
         "use t",
         "scenario 60 7", // ok (slow: queue stays occupied)
@@ -68,9 +82,7 @@ fn busy_and_skipped_tail_replays_byte_identically() {
         "session_info",
         "ping",
     ];
-    let events = record_pipelined_burst(&recorder.local_addr().to_string(), &lines);
-    recorder.shutdown();
-    recorder.join();
+    let events = record_on_fresh_server(queue_of_three(), &lines);
 
     let errs: Vec<&fv_api::ApiError> = events.iter().filter_map(|e| e.err()).collect();
     assert!(
@@ -87,55 +99,64 @@ fn busy_and_skipped_tail_replays_byte_identically() {
         "the failed run should skip its tail: {errs:?}"
     );
 
-    // Two fresh servers with the same shape; the replays must agree with
-    // the recording and (therefore) with each other, byte for byte.
-    let mut transcripts = Vec::new();
-    for _ in 0..2 {
-        let server = tiny_server(3);
+    // Two fresh servers with the recorder's shape: both agree with the
+    // recording and (therefore) with each other, byte for byte.
+    let replay_fresh = || {
+        let server = Server::bind("127.0.0.1:0", queue_of_three()).expect("bind");
         let outcome = replay_remote(&server.local_addr().to_string(), &events).expect("replay ran");
-        assert!(
-            outcome.matches(),
-            "replay diverged: {:?}",
-            outcome.first_divergence()
-        );
-        transcripts.push(outcome.received);
         server.shutdown();
         server.join();
-    }
-    assert_eq!(transcripts[0], transcripts[1]);
+        assert_replays(&outcome);
+        outcome.received
+    };
+    assert_eq!(replay_fresh(), replay_fresh());
+}
+
+/// Transport controls have no stand-in to answer them wrongly: the
+/// private server routes, lists and migrates exactly as the recorder did.
+#[test]
+fn transport_controls_replay_on_the_private_server() {
+    let shards = ServerConfig::default().shards;
+    let away = (fv_net::shard_of(&fv_api::SessionId::new("t").unwrap(), shards) + 1) % shards;
+    let migrate = format!("migrate t {away}");
+    let lines = [
+        "use t",
+        "scenario 60 7",
+        "list-sessions",
+        &migrate,
+        "list-sessions",
+        "session_info",
+        "garbage word",
+        "close",
+        "ping",
+    ];
+    let events = record_on_fresh_server(ServerConfig::default(), &lines);
+    assert_eq!(
+        events.last().and_then(TraceEvent::ok_body),
+        Some("pong"),
+        "{events:?}"
+    );
+    assert_replays(&replay_local(&events).expect("replay ran"));
 }
 
 /// The same trace survives a round-trip through the text format: what
 /// `fvtool trace record` writes, `fvtool trace replay` reproduces.
 #[test]
 fn formatted_trace_replays_after_reparse() {
-    let server = tiny_server(128);
     let lines = ["use fmt", "scenario 60 3", "session_info", "scroll 2"];
-    let events = record_pipelined_burst(&server.local_addr().to_string(), &lines);
-    server.shutdown();
-    server.join();
+    let events = record_on_fresh_server(ServerConfig::default(), &lines);
 
     let text = fv_api::format_trace(&events);
     let reparsed = fv_api::parse_trace(&text).expect("trace text parses");
     assert_eq!(events, reparsed);
-
-    let server = tiny_server(128);
-    let outcome = replay_remote(&server.local_addr().to_string(), &reparsed).expect("replay ran");
-    assert!(
-        outcome.matches(),
-        "replay diverged: {:?}",
-        outcome.first_divergence()
-    );
-    server.shutdown();
-    server.join();
+    assert_replays(&replay_local(&reparsed).expect("replay ran"));
 }
 
 /// Record through the tap proxy (a real client talking through it to a
-/// real server), then replay the captured trace both remotely and
-/// locally: all three transcripts must agree.
+/// real server), then replay the captured trace on a private server.
 #[test]
-fn tap_recorded_trace_replays_remotely_and_locally() {
-    let server = tiny_server(128);
+fn tap_recorded_trace_replays() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
     let upstream = server.local_addr().to_string();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind tap");
     let tap_addr = listener.local_addr().expect("tap addr").to_string();
@@ -153,30 +174,7 @@ fn tap_recorded_trace_replays_remotely_and_locally() {
         .expect("recording succeeded");
     assert_eq!(events.iter().filter(|e| e.is_send()).count(), 4);
     assert_eq!(events.iter().filter(|e| !e.is_send()).count(), 4);
-
-    let remote = {
-        let fresh = tiny_server(128);
-        let outcome =
-            replay_remote(&fresh.local_addr().to_string(), &events).expect("remote replay");
-        assert!(
-            outcome.matches(),
-            "remote replay diverged: {:?}",
-            outcome.first_divergence()
-        );
-        fresh.shutdown();
-        fresh.join();
-        outcome.received
-    };
-    let local = {
-        let outcome = replay_local((640, 480), &events).expect("local replay");
-        assert!(
-            outcome.matches(),
-            "local replay diverged: {:?}",
-            outcome.first_divergence()
-        );
-        outcome.received
-    };
-    assert_eq!(remote, local);
+    assert_replays(&replay_local(&events).expect("replay ran"));
 
     server.shutdown();
     server.join();

@@ -621,8 +621,8 @@ fn cmd_trace_record(remote: Option<&str>, args: &[String]) -> Result<(), ApiErro
         .local_addr()
         .map_err(|e| ApiError::io(e.to_string()))?;
     println!("fvtool: tapping on {bound} -> {upstream}");
-    // CI parses the ephemeral port from that line; make it visible even
-    // through a pipe before we block in accept().
+    // tests/cli.rs parses the ephemeral port from that line; make it
+    // visible even through a pipe before we block in accept().
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     let events = fv_net::record_session(listener, &upstream)?;
@@ -636,10 +636,11 @@ fn cmd_trace_record(remote: Option<&str>, args: &[String]) -> Result<(), ApiErro
     Ok(())
 }
 
-/// Replay a recorded trace — against a live server (`--remote`,
-/// preserving the recorded pipelining) or a fresh local hub — and
-/// byte-compare the replies against the recording. The received
-/// transcript goes to stdout so two replays can be diffed directly.
+/// Replay a recorded trace — against a live server (`--remote`) or a
+/// private default-shaped server of its own — preserving the recorded
+/// pipelining, and byte-compare the replies against the recording. The
+/// received transcript goes to stdout so two replays can be diffed
+/// directly.
 fn cmd_trace_replay(remote: Option<&str>, args: &[String]) -> Result<(), ApiError> {
     let [path] = args else {
         return Err(ApiError::invalid(
@@ -650,7 +651,7 @@ fn cmd_trace_replay(remote: Option<&str>, args: &[String]) -> Result<(), ApiErro
     let events = fv_api::parse_trace(&text)?;
     let outcome = match remote {
         Some(addr) => fv_net::replay_remote(addr, &events)?,
-        None => fv_net::replay_local(fv_api::engine::DEFAULT_SCENE, &events)?,
+        None => fv_net::replay_local(&events)?,
     };
     print!("{}", outcome.received);
     if let Some((line, expected, got)) = outcome.first_divergence() {

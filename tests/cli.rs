@@ -4,8 +4,9 @@
 mod common;
 
 use common::Served;
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn fvtool() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fvtool"))
@@ -309,8 +310,9 @@ fn load_failures_use_stable_exit_codes() {
 }
 
 /// The remote control plane, through the binary: `stats`, `sessions`,
-/// `migrate`, `balance`, `watch --verify-script` and `shutdown` against a
-/// live `fvtool serve --shards 4` — stdout shapes and exit codes.
+/// `migrate`, the golden `script`, `balance`, `watch --verify-script` and
+/// `shutdown` against a live `fvtool serve --shards 4` — stdout shapes and
+/// exit codes.
 #[test]
 fn remote_control_plane_drives_a_live_server() {
     let dir = tmpdir("remote");
@@ -382,6 +384,16 @@ fn remote_control_plane_drives_a_live_server() {
     ok(&["migrate", "cli3", &home.to_string()]);
     assert_eq!(probe(), before);
     assert_eq!(ok(&["sessions"]), sessions);
+    // The golden script prints the same bytes here as in-process.
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/api/tests/data/session.fvs"
+    );
+    let local = fvtool().args(["script", golden]).output().unwrap();
+    assert_eq!(
+        ok(&["script", golden]),
+        String::from_utf8_lossy(&local.stdout)
+    );
     // Typed failures carry their exit codes across the wire.
     assert_eq!(
         remote(&["migrate", "ghost", "1"]).0,
@@ -417,6 +429,79 @@ fn remote_control_plane_drives_a_live_server() {
     assert!(
         exit.success(),
         "the server exits cleanly on a wire shutdown"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `trace record` taps one connection to a live server and writes its
+/// trace; `trace replay` plays it back on a private server of its own
+/// and on a fresh `fvtool serve` through `--remote`, both matching the
+/// recording. A recording that lies about a reply diverges with exit 2
+/// and names the first differing line.
+#[test]
+fn trace_record_then_replay_through_the_binary() {
+    let dir = tmpdir("trace");
+    let trace = dir.join("session.trace");
+    let trace_arg = trace.to_str().unwrap();
+    let upstream = Served::boot(&[]);
+    let mut tap = fvtool()
+        .args(["trace", "record", trace_arg, "--listen", "127.0.0.1:0"])
+        .args(["--upstream", &upstream.addr])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn the tap");
+    let mut banner = String::new();
+    let mut tap_out = BufReader::new(tap.stdout.take().expect("a piped stdout"));
+    tap_out.read_line(&mut banner).expect("the tap banner");
+    let tap_addr = banner.strip_prefix("fvtool: tapping on ");
+    let tap_addr = tap_addr.and_then(|rest| rest.split_whitespace().next());
+    let tap_addr = tap_addr.unwrap_or_else(|| panic!("unexpected tap banner {banner:?}"));
+
+    let workload = ["workload", "zoom-filter", "--clients", "1", "--bursts", "3"];
+    let script = fvtool().args(workload).args(["--seed", "11"]).output();
+    let script_path = dir.join("workload.fvs");
+    std::fs::write(&script_path, script.unwrap().stdout).unwrap();
+    let through_tap = fvtool()
+        .args([
+            "script",
+            script_path.to_str().unwrap(),
+            "--remote",
+            tap_addr,
+        ])
+        .output();
+    assert!(through_tap.unwrap().status.success());
+    assert!(tap.wait().expect("the tap exits").success());
+    let mut wrote = String::new();
+    tap_out.read_to_string(&mut wrote).unwrap();
+    assert!(
+        wrote.starts_with(&format!("wrote {trace_arg} (")),
+        "{wrote}"
+    );
+
+    let replay = |extra: &[&str]| {
+        let out = fvtool()
+            .args(["trace", "replay", trace_arg])
+            .args(extra)
+            .output();
+        let out = out.expect("run fvtool trace replay");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.code(), out.stdout, stderr)
+    };
+    let (code, local, stderr) = replay(&[]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let fresh = Served::boot(&[]);
+    let (code, remote, stderr) = replay(&["--remote", &fresh.addr]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(local, remote);
+
+    let mut lie = std::fs::read_to_string(&trace).unwrap();
+    lie.push_str("send ping\nrecv ok pang\n");
+    std::fs::write(&trace, lie).unwrap();
+    let (code, _, stderr) = replay(&[]);
+    assert_eq!(code, Some(2));
+    assert!(
+        stderr.contains("recorded: recv ok pang\n  replayed: recv ok pong"),
+        "{stderr}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

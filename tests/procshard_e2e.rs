@@ -1,7 +1,9 @@
 //! End-to-end tests of the process shard backend: a real server whose
-//! shards are child `fv-shard-worker` processes must be byte-identical
-//! to the thread backend (golden conformance), migrate sessions across
-//! process boundaries with diff-identical probe transcripts (and leave a
+//! shards are child `fvtool shard-worker` processes — the very worker
+//! `fvtool serve --shard-procs` re-execs — must be byte-identical to the
+//! thread backend (golden conformance), answer an unbuildable synthetic
+//! load as the thread backend does, migrate sessions across process
+//! boundaries with diff-identical probe transcripts (and leave a
 //! session the target refuses where it was), rebalance automatically
 //! under skewed load, answer `E_SHARD_DOWN` for a killed worker while
 //! other shards keep serving, and leave zero orphaned children behind
@@ -15,14 +17,14 @@ use fv_net::{
 use std::time::{Duration, Instant};
 
 /// The golden script of `fv-api` (the protocol's reference workload).
-const GOLDEN_SCRIPT: &str = include_str!("../../api/tests/data/session.fvs");
+const GOLDEN_SCRIPT: &str = include_str!("../crates/api/tests/data/session.fvs");
 
 /// Scene used by the golden transcript.
 const SCENE: (usize, usize) = (800, 600);
 
-/// The standalone worker binary Cargo built alongside this test.
+/// `fvtool shard-worker`, from the `fvtool` Cargo built for this test.
 fn worker_cmd() -> Vec<String> {
-    vec![env!("CARGO_BIN_EXE_fv-shard-worker").to_string()]
+    vec![env!("CARGO_BIN_EXE_fvtool").into(), "shard-worker".into()]
 }
 
 fn proc_server(shards: usize) -> Server {
@@ -58,6 +60,7 @@ fn remote_transcript(addr: &str, script: &str) -> String {
 fn pid_alive(pid: u32) -> bool {
     std::process::Command::new("kill")
         .args(["-0", &pid.to_string()])
+        .stderr(std::process::Stdio::null())
         .status()
         .map(|s| s.success())
         .unwrap_or(false)
@@ -76,7 +79,7 @@ fn golden_script_is_byte_identical_against_process_shards() {
     assert_eq!(remote, local, "proc-shard transcript drifted from local");
     let golden = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/../api/tests/data/session.golden"
+        "/crates/api/tests/data/session.golden"
     ))
     .expect("golden file");
     assert_eq!(remote, golden);
@@ -105,6 +108,60 @@ fn golden_script_is_byte_identical_against_process_shards() {
     // Zero orphans: every child was reaped before join() returned.
     for pid in pids {
         assert!(!pid_alive(pid), "worker {pid} survived shutdown");
+    }
+}
+
+/// Sizes the synthetic generators cannot build used to panic inside the
+/// shard, whose `catch_unwind` then dropped the session that had asked.
+#[test]
+fn undersized_synthetic_loads_answer_invalid_and_keep_the_session() {
+    for backend in [
+        ShardBackendConfig::Threads,
+        ShardBackendConfig::Procs {
+            worker_cmd: worker_cmd(),
+        },
+    ] {
+        let config = ServerConfig {
+            shards: 1,
+            backend: backend.clone(),
+            scene: SCENE,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral port");
+        let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+        client.use_session("small").unwrap();
+        client
+            .roundtrip("scenario 50 1")
+            .unwrap()
+            .expect("the smallest scenario loads");
+        let info = client.roundtrip("session_info").unwrap().unwrap();
+
+        let mut hub = EngineHub::with_scene(SCENE.0, SCENE.1);
+        for line in [
+            "scenario 49 1",
+            "scenario 1 1",
+            "compendium 30 3 1",
+            "compendium 100 2 1",
+        ] {
+            let remote = client.roundtrip(line).unwrap().expect_err(line);
+            let local = hub
+                .run_script_streaming(&format!("{line}\n"), |_| {})
+                .expect_err(line);
+            assert_eq!(remote.code, fv_api::ErrorCode::InvalidRequest, "{line}");
+            assert_eq!(remote.code, local.code, "{line} under {backend:?}");
+            assert_eq!(
+                format!("line 1: {}", remote.message),
+                local.message,
+                "{line} under {backend:?}"
+            );
+            assert_eq!(
+                client.roundtrip("session_info").unwrap().unwrap(),
+                info,
+                "{line} under {backend:?} must leave the session as it was"
+            );
+        }
+        server.shutdown();
+        server.join();
     }
 }
 
