@@ -63,14 +63,6 @@ impl TraceEvent {
         matches!(self, TraceEvent::Send(_))
     }
 
-    /// The reply body when this is a successful `recv`, else `None`.
-    pub fn ok_body(&self) -> Option<&str> {
-        match self {
-            TraceEvent::Recv(Ok(body)) => Some(body),
-            _ => None,
-        }
-    }
-
     /// The typed error when this is an error `recv`, else `None`.
     pub fn err(&self) -> Option<&ApiError> {
         match self {

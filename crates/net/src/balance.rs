@@ -323,7 +323,8 @@ pub enum MoveOutcome {
     InFlight,
     /// Migration completed.
     Done,
-    /// Migration failed (the session was restored to its source shard).
+    /// Migration failed or went stale; the session never left its source
+    /// shard.
     Failed,
 }
 
@@ -552,7 +553,7 @@ fv_api::wire_record! {
         pub planned: u64 => "planned",
         /// Moves that completed.
         pub completed: u64 => "completed",
-        /// Moves that failed (session restored to its source shard).
+        /// Moves that failed (the session never left its source shard).
         pub failed: u64 => "failed",
         /// Sessions currently in cooldown.
         pub cooling: usize => "cooling",

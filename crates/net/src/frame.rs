@@ -100,12 +100,6 @@ impl FrameBuf {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Whether consumed-but-unterminated bytes remain (a truncated final
-    /// line at EOF).
-    pub fn has_partial(&self) -> bool {
-        self.buf.len() > self.start
-    }
-
     /// Next complete line (without its terminator, `\r` tolerated) or a
     /// framing fault; `None` until more bytes arrive.
     pub fn next_line(&mut self) -> Option<Result<String, LineFault>> {
@@ -361,7 +355,7 @@ mod tests {
         for _ in 0..64 {
             f.feed(&[b'y'; 1024]);
             assert!(f.next_line().is_none(), "still discarding");
-            assert!(!f.has_partial(), "discarded bytes must not buffer");
+            assert_eq!(f.buf.len() - f.start, 0, "discarded bytes must not buffer");
         }
         f.feed(b"tail\nok\n");
         assert_eq!(f.next_line(), Some(Ok("ok".to_string())));

@@ -222,7 +222,7 @@ fv_api::wire_record! {
         /// Automatic migrations completed by the rebalancer. Operator
         /// `migrate` lines are not counted here.
         pub balancer_moves: u64 => "balancer_moves",
-        /// Automatic migrations that failed (the session was restored to its
+        /// Automatic migrations that failed (the session never left its
         /// source shard) or were skipped as stale.
         pub balancer_failed: u64 => "balancer_failed",
         /// Sessions re-installed from the state directory's checkpoints at

@@ -371,7 +371,7 @@ fv_api::wire_record! {
 
 fn encode_run_done(done: &RunDone) -> Vec<u8> {
     let head = RunDoneHead {
-        dropped: done.session_dropped,
+        dropped: done.dropped.is_some(),
         nresp: done.outcome.responses.len(),
         err: match &done.outcome.error {
             None => "-".to_string(),
@@ -501,7 +501,7 @@ fn decode_run_done(header: &str, c: &mut Cursor, session: &SessionId) -> Result<
             error,
             latencies,
         },
-        session_dropped: head.dropped,
+        dropped: head.dropped.then(|| session.clone()),
         frame,
     })
 }
@@ -943,7 +943,7 @@ mod tests {
         let (idx, err) = done.outcome.error.expect("bad impute fails");
         assert_eq!((idx, err.code), (2, ErrorCode::NotFound));
         assert_eq!(done.outcome.latencies.len(), 3, "one per attempted request");
-        assert!(!done.session_dropped);
+        assert!(done.dropped.is_none());
         assert!(done.frame.is_none(), "publish was off");
         // An empty run only materializes.
         let ShardReply::Run(done) = step(&|| run(&s, Vec::new(), false)) else {

@@ -36,7 +36,7 @@ use fv_api::{ApiError, EngineHub, Request, SessionId, SessionStore, WireItem};
 use fv_render::Framebuffer;
 use fv_wall::stream::tile_damage;
 use fv_wall::tile::TileGrid;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 use std::sync::mpsc;
 
@@ -56,13 +56,12 @@ const INBOX_HIGH_WATER: usize = 1024;
 enum Inflight {
     /// A dispatched request run, answered with its responses.
     Run,
-    /// An op whose answer was decided at dispatch and only waits for the
-    /// shard to have done it: `using <name>` behind the empty run a
-    /// `use` materializes its session with, `closed <name>` behind a
-    /// session close.
-    Ack(String),
-    /// A dispatched migration (see [`Migration`]); answered
-    /// `migrated <name> shard=<to>`.
+    /// The empty run a `use` materializes its session with, answered
+    /// `using <name>` once the shard has done it, so later requests
+    /// cannot outrun the materialization.
+    Use,
+    /// A dispatched migration or close (see [`Migration`]); answered
+    /// `migrated <name> shard=<to>` or `closed <name>`.
     Migrate,
     /// A `stats` (else `list-sessions`) fan-out collecting one report
     /// per shard.
@@ -174,9 +173,6 @@ pub(crate) struct CheckpointPlane {
     /// checkpoint — the dirtiness baseline. A session whose reported
     /// counter equals its entry is clean and costs zero checkpoint I/O.
     clean: BTreeMap<String, u64>,
-    /// Sessions with a snapshot in flight, skipped until it settles so
-    /// back-to-back balance gathers cannot pile up duplicate snapshots.
-    pending: BTreeSet<String>,
 }
 
 /// Boot-time crash recovery: open the store, sweep and scan it, and
@@ -222,7 +218,6 @@ pub(crate) fn recover_sessions(
         store,
         recovered: clean.len() as u64,
         clean,
-        pending: BTreeSet::new(),
     })
 }
 
@@ -258,17 +253,19 @@ enum Waiter {
 /// A migration in flight — copy, confirm, delete: snapshot on `from`,
 /// install on `to`, close on `from`. Until the close the session is
 /// untouched where it was, so a failure at any step simply ends the
-/// chain. The core drives it one shard reply at a time (each step's op
-/// has a reply kind of its own, so the reply says which step it ends),
-/// and routing tables and the stall set update in one place no matter
-/// who asked or whether they are still connected.
+/// chain. A session `close` is a move to nowhere: its chain is the last
+/// step alone. The core drives it one shard reply at a time (each step's
+/// op has a reply kind of its own, so the reply says which step it
+/// ends), and routing tables, the stall set and the session's end update
+/// in one place no matter who asked or whether they are still connected.
 #[cfg_attr(test, derive(Debug))]
 struct Migration {
     /// The connection to answer, or `None` for a balancer-planned move.
     asker: Option<u64>,
     session: SessionId,
     from: usize,
-    to: usize,
+    /// The target shard; `None` for a close.
+    to: Option<usize>,
 }
 
 /// Everything the core owns besides the connections themselves — one
@@ -286,13 +283,14 @@ struct LoopState {
     metrics: LoopMetrics,
     /// Migration routing overrides: sessions living away from their hash
     /// shard. Inserted on migration completion; removed when the session
-    /// is closed (a re-created session must fall back to hash routing,
-    /// and the table must not grow without bound).
+    /// ends (a re-created session must fall back to hash routing, and the
+    /// table must not grow without bound).
     routes: BTreeMap<SessionId, usize>,
-    /// Sessions with a migration in flight, by name. Items targeting one
-    /// stall in their connection's inbox until the migration completes
-    /// (the core re-pumps every connection then).
-    migrating: BTreeSet<String>,
+    /// Sessions with a migration or close in flight, by name, with the
+    /// chain's target (`None` for a close). Items targeting one stall in
+    /// their connection's inbox until the chain completes (the core
+    /// re-pumps every connection then).
+    moving: BTreeMap<String, Option<usize>>,
     /// The automatic rebalancer: the deterministic policy core (mode,
     /// counters, decision ring); the shell supplies the wall-clock
     /// scheduling around it ([`Core::tick`]).
@@ -346,21 +344,6 @@ impl LoopState {
         self.submit(shard, run, to);
     }
 
-    /// Forget `session`'s durable state: baseline, in-flight marker, and
-    /// the checkpoint file itself. Explicit closes (and a worker
-    /// dropping the session after a panicking request) are the only
-    /// events that delete a checkpoint — a restart must not resurrect a
-    /// session the user closed.
-    fn drop_checkpoint(&mut self, session: &SessionId) {
-        if let Some(cp) = self.checkpoints.as_mut() {
-            cp.clean.remove(session.as_str());
-            cp.pending.remove(session.as_str());
-            if let Err(e) = cp.store.remove(session) {
-                eprintln!("fv-net: removing checkpoint of session {session} failed: {e}");
-            }
-        }
-    }
-
     /// The shard serving `session`: its migration override if one exists,
     /// its stable hash otherwise.
     fn route(&self, session: &SessionId) -> usize {
@@ -371,49 +354,53 @@ impl LoopState {
     }
 
     /// Whether `item` must wait at the front of its inbox: it would
-    /// dispatch shard work against a session whose migration is in
-    /// flight (`current` being the connection's session), or it is a
-    /// fan-out while any migration is — a session mid-migration may live
-    /// in both shards' hubs (installed on the target, not yet closed on
-    /// the source), so a `stats` / `list-sessions` now could count it
-    /// twice. Migrations complete promptly, and the core re-pumps every
-    /// connection when one does.
+    /// dispatch shard work against a session whose migration or close is
+    /// in flight (`current` being the connection's session), or it is a
+    /// fan-out while any is — a session mid-migration may live in both
+    /// shards' hubs (installed on the target, not yet closed on the
+    /// source), so a `stats` / `list-sessions` now could count it twice.
+    /// Chains complete promptly, and the core re-pumps every connection
+    /// when one does.
     fn stalls(&self, item: &WireItem, current: &SessionId) -> bool {
         let target = match item {
             WireItem::Script(ScriptItem::Request(_)) | WireItem::Close => current.as_str(),
             WireItem::Script(ScriptItem::Use(s) | ScriptItem::Close(s)) => s,
             // A subscribe materializes (and keyframe-renders) its session.
             WireItem::Migrate { session, .. } | WireItem::Subscribe { session, .. } => session,
-            WireItem::Stats | WireItem::ListSessions => return !self.migrating.is_empty(),
+            WireItem::Stats | WireItem::ListSessions => return !self.moving.is_empty(),
             WireItem::Ping
             | WireItem::Balance { .. }
             | WireItem::Unsubscribe
             | WireItem::Ack { .. }
             | WireItem::Shutdown => return false,
         };
-        self.migrating.contains(target)
+        self.moving.contains_key(target)
     }
 
     /// Kick off the snapshot → install → close migration chain for
-    /// `session` (continued by [`Core::on_migration`]), stalling every
-    /// other item that targets the session until the move lands. The
-    /// snapshot runs even when the session already lives on `to`: it is
-    /// the existence check, so the reply stays uniform.
-    fn start_migration(&mut self, asker: Option<u64>, session: &SessionId, to: usize) {
-        self.migrating.insert(session.to_string());
-        let from = self.route(session);
-        self.submit(
-            from,
-            ShardOp::Snapshot {
+    /// `session`, or with no target its close alone (continued by
+    /// [`Core::on_migration`]), stalling every other item that targets
+    /// the session until the chain lands. The snapshot runs even when
+    /// the session already lives on `to`: it is the existence check, so
+    /// the reply stays uniform.
+    fn start_migration(&mut self, asker: Option<u64>, session: SessionId, to: Option<usize>) {
+        self.moving.insert(session.to_string(), to);
+        let from = self.route(&session);
+        let op = match to {
+            Some(_) => ShardOp::Snapshot {
                 session: session.clone(),
             },
-            Waiter::Migration(Migration {
-                asker,
+            None => ShardOp::Close {
                 session: session.clone(),
-                from,
-                to,
-            }),
-        );
+            },
+        };
+        let m = Migration {
+            asker,
+            session,
+            from,
+            to,
+        };
+        self.submit(from, op, Waiter::Migration(m));
     }
 
     /// One shard's report for the balancer's snapshot gather; the last
@@ -441,26 +428,23 @@ impl LoopState {
     /// Piggy-back the checkpoint cadence on a completed balance gather:
     /// request a non-destructive [`ShardOp::Snapshot`] for every session
     /// whose attempted-request counter moved since its last durable
-    /// checkpoint. Sessions mid-migration are skipped (their shard
-    /// fan-out location is in flux; the next gather catches them), as
-    /// are sessions with a snapshot already in flight.
+    /// checkpoint. Sessions mid-migration or mid-close are skipped (their
+    /// shard is in flux; the next gather catches them). A snapshot never
+    /// outlives its gather's successor: each shard serves first in, first
+    /// out, so it lands before that shard's next report does.
     fn checkpoint_dirty_sessions(&mut self, reports: &[ShardReport]) {
-        let Some(cp) = self.checkpoints.as_mut() else {
+        let Some(cp) = self.checkpoints.as_ref() else {
             return;
         };
         let mut dirty = Vec::new();
         for report in reports {
             for s in &report.sessions {
-                if cp.pending.contains(&s.name)
-                    || cp.clean.get(&s.name) == Some(&s.requests)
-                    || self.migrating.contains(&s.name)
-                {
+                if cp.clean.get(&s.name) == Some(&s.requests) || self.moving.contains_key(&s.name) {
                     continue;
                 }
                 let Ok(session) = SessionId::new(s.name.clone()) else {
                     continue;
                 };
-                cp.pending.insert(s.name.clone());
                 dirty.push((report.shard, session));
             }
         }
@@ -475,27 +459,21 @@ impl LoopState {
     /// A checkpoint snapshot came back: persist the image and advance
     /// the clean baseline. No image (session closed, crashed, or moved
     /// away since the report) leaves the last durable checkpoint
-    /// standing — only an explicit close deletes one. A snapshot whose
-    /// `pending` marker is gone was disowned by [`Self::drop_checkpoint`]
-    /// in flight: saving it would bring a closed session back at the
-    /// next boot, or write it under a namesake created since. (Only a
-    /// later gather can set the marker again, and this snapshot's shard
-    /// answers that gather's report after the snapshot.)
+    /// standing — only a session's end ([`Core::end_session`]) deletes
+    /// one. That end comes with a reply from the session's shard, which
+    /// serves first in, first out: a snapshot queued before the close is
+    /// saved before the close's reply deletes it, and none is queued
+    /// while the close is in flight.
     fn on_checkpoint(&mut self, session: SessionId, reply: ShardReply) {
-        let Some(cp) = self.checkpoints.as_mut() else {
+        let (Some(cp), ShardReply::Image(Some(image))) = (self.checkpoints.as_mut(), reply) else {
             return;
         };
-        if !cp.pending.remove(session.as_str()) {
-            return;
-        }
-        if let ShardReply::Image(Some(image)) = reply {
-            match cp.store.save(&session, &image) {
-                Ok(()) => {
-                    cp.clean
-                        .insert(session.as_str().to_string(), image.requests);
-                }
-                Err(e) => eprintln!("fv-net: checkpoint of session {session} failed: {e}"),
+        match cp.store.save(&session, &image) {
+            Ok(()) => {
+                cp.clean
+                    .insert(session.as_str().to_string(), image.requests);
             }
+            Err(e) => eprintln!("fv-net: checkpoint of session {session} failed: {e}"),
         }
     }
 
@@ -523,7 +501,7 @@ impl LoopState {
                         session: s.name.clone(),
                         requests_total: s.requests,
                         dataset_bytes: s.dataset_bytes,
-                        in_flight: self.migrating.contains(&s.name),
+                        in_flight: self.moving.contains_key(&s.name),
                     })
                     .collect(),
             })
@@ -535,7 +513,7 @@ impl LoopState {
                 continue;
             };
             let from = self.route(&session);
-            if self.migrating.contains(&plan.session)
+            if self.moving.contains_key(&plan.session)
                 || from != plan.from
                 || plan.to == from
                 || plan.to >= self.shards.n_shards()
@@ -543,7 +521,7 @@ impl LoopState {
                 self.balancer.record_outcome(&plan.session, false);
                 continue;
             }
-            self.start_migration(None, &session, plan.to);
+            self.start_migration(None, session, Some(plan.to));
         }
     }
 }
@@ -586,7 +564,7 @@ impl Core {
                 scene: config.scene,
                 metrics: LoopMetrics::default(),
                 routes: BTreeMap::new(),
-                migrating: BTreeSet::new(),
+                moving: BTreeMap::new(),
                 balancer: Balancer::new(config.balance, config.balance_cfg),
                 balance_gather: None,
                 streams: StreamPlane::default(),
@@ -713,15 +691,15 @@ impl Core {
     /// One balance interval elapsed: snapshot every shard (the reports
     /// come back one by one to [`LoopState::on_balance_report`]), then
     /// plan once the last lands. `false` (and nothing started) while a
-    /// gather is already in flight or any migration is mid-air — a
-    /// session in transit may be on two shards at once, so the snapshot
+    /// gather is already in flight or any migration or close is mid-air —
+    /// a session in transit may be on two shards at once, so the snapshot
     /// would be wrong (and the planner could double-move); the shell
     /// asks again. Ticks run in Off mode too (the balancer plans
     /// nothing then): keeping the delta baselines fresh means a runtime
     /// flip to auto reacts to *current* load, not to hours of
     /// accumulated counters.
     pub fn tick(&mut self) -> bool {
-        if self.st.balance_gather.is_some() || !self.st.migrating.is_empty() {
+        if self.st.balance_gather.is_some() || !self.st.moving.is_empty() {
             return false;
         }
         let n = self.st.shards.n_shards();
@@ -741,10 +719,15 @@ impl Core {
         // the reply settles the requesting connection: the fan-out
         // targets *every* subscriber of the session, not the connection
         // that happened to trigger the run.
-        let frame = match &mut reply {
-            ShardReply::Run(run) => run.frame.take(),
-            _ => None,
+        let (frame, dropped) = match &mut reply {
+            ShardReply::Run(run) => (run.frame.take(), run.dropped.take()),
+            _ => (None, None),
         };
+        // A worker that drops a session (a request panicked) ends it,
+        // whether or not whoever asked is still connected.
+        if let Some(session) = dropped {
+            self.end_session(&session);
+        }
         match to {
             Waiter::Conn(id) => {
                 let n_conns = self.conns.len();
@@ -769,17 +752,17 @@ impl Core {
     /// before the close leaves the session serving on `from`.
     fn on_migration(&mut self, m: Migration, reply: ShardReply) {
         let session = m.session.clone();
-        let (shard, next) = match reply {
+        let (shard, next) = match (reply, m.to) {
             // The snapshot proved the session exists; if it already
             // lives on the target there is nothing to move.
-            ShardReply::Image(Some(_)) if m.from == m.to => {
+            (ShardReply::Image(Some(_)), Some(to)) if to == m.from => {
                 return self.finish_migration(m, Ok(()));
             }
-            ShardReply::Image(Some(image)) => (m.to, ShardOp::Install { session, image }),
-            ShardReply::Installed(Ok(())) => (m.from, ShardOp::Close { session }),
+            (ShardReply::Image(Some(image)), Some(to)) => (to, ShardOp::Install { session, image }),
+            (ShardReply::Installed(Ok(())), _) => (m.from, ShardOp::Close { session }),
             // The target refused (dead shard / occupied name / failed
             // replay), which costs the session nothing.
-            ShardReply::Installed(Err(why)) => {
+            (ShardReply::Installed(Err(why)), _) => {
                 let refused = ApiError::new(
                     fv_api::ErrorCode::Internal,
                     format!(
@@ -791,10 +774,12 @@ impl Core {
             // The target has the session now, whatever the source's
             // close answered (only a shard that died since the install
             // answers anything but `true`, and its copy died with it).
-            ShardReply::Closed(_) => return self.finish_migration(m, Ok(())),
+            // A close's chain ends here too, whether the session existed
+            // or not.
+            (ShardReply::Closed(_), _) => return self.finish_migration(m, Ok(())),
             // The snapshot found nothing. (A chain submits no other op,
             // so no other reply kind can come back.)
-            ShardReply::Image(None) | ShardReply::Run(_) | ShardReply::Report(_) => {
+            (ShardReply::Image(_) | ShardReply::Run(_) | ShardReply::Report(_), _) => {
                 let missing = ApiError::not_found(format!("session {session} does not exist"));
                 return self.finish_migration(m, Err(missing));
             }
@@ -802,36 +787,38 @@ impl Core {
         self.st.submit(shard, next, Waiter::Migration(m));
     }
 
-    /// A migration chain ended. This is a loop event, not a connection
-    /// event: the routing table and stall set must update even if the
-    /// asking connection hung up mid-migration.
+    /// A migration or close chain ended. This is a loop event, not a
+    /// connection event: the routing table, the stall set and the
+    /// session's end must update even if the asking connection hung up
+    /// in the meantime.
     fn finish_migration(&mut self, m: Migration, result: Result<(), ApiError>) {
         let Migration {
             asker, session, to, ..
         } = m;
-        if result.is_ok() {
-            if to == shard_of(&session, self.st.shards.n_shards()) {
-                self.st.routes.remove(&session);
-            } else {
-                self.st.routes.insert(session.clone(), to);
+        let answer = match (result, to) {
+            (Ok(()), None) => {
+                self.end_session(&session);
+                Ok(format!("closed {session}"))
             }
-            // Subscriptions survive the move: force a keyframe re-sync
-            // for every subscriber (their encoders keep counting, so the
-            // keyframe lands at the next seq — no gap) and ask the
-            // session's *new* shard for a fresh frame via an empty
-            // publish run.
-            if self.st.streams.has_subscribers(&session) {
-                for cid in self.st.streams.subscribers_of(&session) {
-                    if let Some(sub) = self.conns.get_mut(&cid).and_then(|c| c.sub.as_mut()) {
-                        sub.need_keyframe = true;
-                        sub.pending.clear();
-                    }
+            (Ok(()), Some(to)) => {
+                if to == shard_of(&session, self.st.shards.n_shards()) {
+                    self.st.routes.remove(&session);
+                } else {
+                    self.st.routes.insert(session.clone(), to);
                 }
-                self.st
-                    .submit_run(session.clone(), Vec::new(), true, Waiter::StreamResync);
+                // Subscriptions survive the move: re-sync every viewer
+                // from a frame the session's *new* shard renders in an
+                // empty publish run.
+                if self.st.streams.has_subscribers(&session) {
+                    self.resync_viewers(&session);
+                    self.st
+                        .submit_run(session.clone(), Vec::new(), true, Waiter::StreamResync);
+                }
+                Ok(format!("migrated {session} shard={to}"))
             }
-        }
-        self.st.migrating.remove(session.as_str());
+            (Err(e), _) => Err(e),
+        };
+        self.st.moving.remove(session.as_str());
         match asker {
             // A policy-initiated move resolved; its session's cooldown
             // started at plan time, so a refused move is not retried
@@ -839,16 +826,13 @@ impl Core {
             None => self
                 .st
                 .balancer
-                .record_outcome(session.as_str(), result.is_ok()),
+                .record_outcome(session.as_str(), answer.is_ok()),
             Some(id) => {
                 if let Some(conn) = self.conns.get_mut(&id) {
                     if matches!(conn.inflight, Some(Inflight::Migrate)) {
                         conn.inflight = None;
-                        match result {
-                            Ok(()) => conn.push_ok(
-                                &format!("migrated {session} shard={to}"),
-                                &mut self.st.metrics,
-                            ),
+                        match answer {
+                            Ok(body) => conn.push_ok(&body, &mut self.st.metrics),
                             Err(e) => conn.push_err(&e, &mut self.st.metrics),
                         }
                     }
@@ -856,10 +840,42 @@ impl Core {
             }
         }
         // Every connection may hold items that stalled behind this
-        // migration, so give each a pump (idle ones no-op cheaply).
+        // chain, so give each a pump (idle ones no-op cheaply).
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         for id in ids {
             self.progress(id);
+        }
+    }
+
+    /// A session ended — its close landed, or its worker dropped it after
+    /// a panicking request. Its routing override goes (a namesake routes
+    /// by hash), its checkpoint goes (a restart must not bring it back),
+    /// and so does the stream plane's retained frame: its viewers wait
+    /// for a keyframe of whatever next holds the name, and a viewer that
+    /// subscribes now gets no pixel of the ended session.
+    fn end_session(&mut self, session: &SessionId) {
+        self.st.routes.remove(session);
+        if let Some(cp) = self.st.checkpoints.as_mut() {
+            cp.clean.remove(session.as_str());
+            if let Err(e) = cp.store.remove(session) {
+                eprintln!("fv-net: removing checkpoint of session {session} failed: {e}");
+            }
+        }
+        if let Some(entry) = self.st.streams.session_mut(session) {
+            entry.last = None;
+            self.resync_viewers(session);
+        }
+    }
+
+    /// Owe every viewer of `session` a keyframe instead of its pending
+    /// deltas. Their encoders keep counting, so it lands at the next seq:
+    /// no gap.
+    fn resync_viewers(&mut self, session: &SessionId) {
+        for cid in self.st.streams.subscribers_of(session) {
+            if let Some(sub) = self.conns.get_mut(&cid).and_then(|c| c.sub.as_mut()) {
+                sub.need_keyframe = true;
+                sub.pending.clear();
+            }
         }
     }
 
@@ -996,11 +1012,11 @@ fn dispatch(conn: &mut Conn, id: u64, st: &mut LoopState, item: WireItem) -> Res
         WireItem::Script(ScriptItem::Use(name)) => {
             let session = SessionId::new(name)?;
             // Materialize eagerly (the `use` semantics) on the owning
-            // shard; the ack frame waits for the empty run so later
-            // requests cannot outrun the materialization.
+            // shard, publishing to its viewers like any other run.
             conn.inflight_requests = 0;
-            conn.inflight = Some(Inflight::Ack(format!("using {session}")));
-            st.submit_run(session.clone(), Vec::new(), false, Waiter::Conn(id));
+            conn.inflight = Some(Inflight::Use);
+            let publish = st.streams.has_subscribers(&session);
+            st.submit_run(session.clone(), Vec::new(), publish, Waiter::Conn(id));
             conn.session = session;
         }
         WireItem::Ping => conn.push_ok("pong", &mut st.metrics),
@@ -1075,18 +1091,8 @@ fn dispatch(conn: &mut Conn, id: u64, st: &mut LoopState, item: WireItem) -> Res
                 WireItem::Script(ScriptItem::Close(name)) => SessionId::new(name)?,
                 _ => std::mem::replace(&mut conn.session, EngineHub::default_session()),
             };
-            conn.inflight = Some(Inflight::Ack(format!("closed {closed}")));
-            let shard = st.route(&closed);
-            // The closed session's routing override dies with it: a
-            // re-created session of the same name must fall back to
-            // hash routing, and the override table must not grow
-            // without bound.
-            st.routes.remove(&closed);
-            // An explicit close is what deletes durable state: the
-            // client said the session is over, so a restart must
-            // not bring it back.
-            st.drop_checkpoint(&closed);
-            st.submit(shard, ShardOp::Close { session: closed }, Waiter::Conn(id));
+            conn.inflight = Some(Inflight::Migrate);
+            st.start_migration(Some(id), closed, None);
         }
         WireItem::Migrate { session, shard } => {
             let n = st.shards.n_shards();
@@ -1097,7 +1103,7 @@ fn dispatch(conn: &mut Conn, id: u64, st: &mut LoopState, item: WireItem) -> Res
             }
             let session = SessionId::new(session)?;
             conn.inflight = Some(Inflight::Migrate);
-            st.start_migration(Some(id), &session, shard);
+            st.start_migration(Some(id), session, Some(shard));
         }
         WireItem::Stats | WireItem::ListSessions => {
             conn.inflight = Some(Inflight::Gather {
@@ -1124,20 +1130,11 @@ fn dispatch(conn: &mut Conn, id: u64, st: &mut LoopState, item: WireItem) -> Res
 /// writing whatever frames it resolves.
 fn settle_completion(conn: &mut Conn, reply: ShardReply, n_conns: usize, st: &mut LoopState) {
     match (conn.inflight.take(), reply) {
-        (Some(Inflight::Ack(body)), ShardReply::Run(_) | ShardReply::Closed(_)) => {
+        (Some(Inflight::Use), ShardReply::Run(_)) => {
+            let body = format!("using {}", conn.session);
             conn.push_ok(&body, &mut st.metrics);
         }
         (Some(Inflight::Run), ShardReply::Run(done)) => {
-            if done.session_dropped {
-                // The worker dropped the session (a request panicked);
-                // its routing override dies with it, exactly as on a
-                // `close`. The run targeted conn.session — a connection
-                // has one dispatch in flight and `use` items only pump
-                // while idle, so the pointer still names the run's
-                // session.
-                st.routes.remove(&conn.session);
-                st.drop_checkpoint(&conn.session);
-            }
             let outcome = done.outcome;
             let n = conn.inflight_requests;
             for response in &outcome.responses {
@@ -1320,7 +1317,7 @@ mod tests {
     use crate::metrics::parse_stats;
     use crate::shard::Parked;
     use fv_api::{ErrorCode, Mutation};
-    use fv_wall::stream::{decode, FrameKind, TileFrame};
+    use fv_wall::stream::{decode, FrameKind, TileAssembler, TileFrame};
 
     const SCENE: (usize, usize) = (800, 600);
 
@@ -1798,6 +1795,46 @@ mod tests {
     }
 
     #[test]
+    fn a_closed_sessions_pixels_never_reach_a_namesakes_viewers() {
+        let scene = (160, 120);
+        let mut rig = Rig::new(ServerConfig { scene, ..config(2) });
+        let (mutator, first, late) = (rig.core.open(), rig.core.open(), rig.core.open());
+        let grid = TileGrid::new(2, 2, scene.0 / 2, scene.1 / 2);
+        let (mut wall, mut late_wall) = (TileAssembler::new(grid), TileAssembler::new(grid));
+        let watch = |rig: &mut Rig, id: u64, wall: &mut TileAssembler, text_lines: usize| {
+            let (_, frames) = tile_frames(&rig.drain(id), text_lines);
+            for frame in &frames {
+                wall.apply(frame).expect("the frame applies");
+            }
+            frames.len()
+        };
+        let mut hub = EngineHub::with_scene(scene.0, scene.1);
+        let empty = hub.engine(&SessionId::new("s").unwrap()).session();
+        let empty = forestview::renderer::render_desktop(empty, scene.0, scene.1);
+        // A viewer watches `s`, which is closed and used again: the new,
+        // empty `s` is what its wall shows.
+        rig.ask(mutator, "use s\nscenario 60 1\n");
+        rig.core.ingest(first, b"subscribe s 2x2\n");
+        rig.settle();
+        watch(&mut rig, first, &mut wall, 2);
+        assert_ne!(wall.framebuffer().bytes(), empty.bytes());
+        assert_eq!(rig.ok(mutator, "close s"), "closed s");
+        assert_eq!(rig.ok(mutator, "use s"), "using s");
+        watch(&mut rig, first, &mut wall, 0);
+        assert_eq!(wall.framebuffer().bytes(), empty.bytes());
+        // A viewer that subscribes after a close gets one keyframe, and
+        // it is of the session its own subscribe created.
+        rig.ask(mutator, "scenario 60 2\n");
+        assert_eq!(rig.ok(mutator, "close s"), "closed s");
+        rig.core.ingest(late, b"subscribe s 2x2\n");
+        rig.settle();
+        assert_eq!(watch(&mut rig, late, &mut late_wall, 2), 4);
+        assert_eq!(late_wall.framebuffer().bytes(), empty.bytes());
+        watch(&mut rig, first, &mut wall, 0);
+        assert_eq!(wall.framebuffer().bytes(), empty.bytes());
+    }
+
+    #[test]
     fn only_sessions_whose_request_counter_moved_are_checkpointed() {
         let (dir, store, config) = durable("cadence");
         let mut rig = Rig::new(config);
@@ -1868,7 +1905,8 @@ mod tests {
         assert!(rig.core.tick());
         rig.gather_reports();
         // …and the close is dispatched before that snapshot is served:
-        // its image arrives after `drop_checkpoint` disowned it.
+        // the shard serves the snapshot first, so its image is saved
+        // before the close's reply deletes it.
         assert_eq!(rig.ok(c, "close a"), "closed a");
         assert!(rig.sessions(c).is_empty());
         assert!(!store.checkpoint_path(&a).exists(), "the user closed `a`");
@@ -1882,26 +1920,80 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_session_ends_even_when_its_asker_hung_up() {
+        let (dir, store, config) = durable("dropped");
+        let a = SessionId::new("a").unwrap();
+        let (home, away) = (shard_of(&a, 2), 1 - shard_of(&a, 2));
+        let mut rig = Rig::new(config);
+        let (asker, other) = (rig.core.open(), rig.core.open());
+        rig.ask(asker, &format!("use a\nscenario 60 1\nmigrate a {away}\n"));
+        rig.tick();
+        assert!(store.checkpoint_path(&a).exists());
+        // A run on `a` is served, its asker hangs up, and the worker drops
+        // the session as it does after a panicking request.
+        rig.core.ingest(asker, b"scroll 1\n");
+        rig.parked.serve(away, |_| ()).expect("the run");
+        rig.core.close(asker);
+        let close = ShardOp::Close { session: a.clone() };
+        rig.parked.call(&rig.core.st.shards, away, close);
+        let mut done = rig.done.try_recv().expect("the run's reply");
+        if let ShardReply::Run(run) = &mut done.reply {
+            run.dropped = Some(a.clone());
+        }
+        rig.core.on_completion(done);
+        // The session ended all the same: no checkpoint brings it back,
+        // and a namesake routes by hash.
+        assert!(!store.checkpoint_path(&a).exists());
+        rig.ask(other, "use a\n");
+        let placed: Vec<_> = rig
+            .sessions(other)
+            .into_iter()
+            .map(|s| (s.name, s.shard))
+            .collect();
+        assert_eq!(placed, [("a".to_string(), home)]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn a_reused_name_is_never_checkpointed_from_its_predecessors_snapshot() {
         let (dir, store, config) = durable("reuse");
         let a = SessionId::new("a").unwrap();
-        let home = shard_of(&a, 2);
+        let (home, away) = (shard_of(&a, 2), 1 - shard_of(&a, 2));
         let mut rig = Rig::new(config.clone());
-        let (closer, creator) = (rig.core.open(), rig.core.open());
+        let (closer, creator, lister) = (rig.core.open(), rig.core.open(), rig.core.open());
         // `a` lives away from its hash shard, with its checkpoint
         // snapshot queued there…
         rig.ask(closer, "use a\nscenario 60 1\n");
-        rig.ask(closer, &format!("migrate a {}\n", 1 - home));
+        rig.ask(closer, &format!("migrate a {away}\n"));
         assert!(rig.core.tick());
         rig.gather_reports();
-        // …when it is closed, and a namesake with other content is
-        // created on the hash shard before the away shard serves a thing.
+        // …when it is closed. Until the away shard's `Closed` is
+        // delivered, a namesake may not be created on the hash shard and
+        // nothing may list the sessions: both get no byte.
         rig.core.ingest(closer, b"close a\n");
         rig.core.ingest(creator, b"use a\nscenario 60 2\n");
+        rig.core.ingest(lister, b"list-sessions\n");
         rig.run_shard(home);
-        // The old snapshot lands now. It is not the new session's state.
+        let silent =
+            |rig: &Rig| [creator, lister].map(|c| rig.core.conns()[&c].outbox().is_empty());
+        for step in ["snapshot", "close"] {
+            assert_eq!(silent(&rig), [true; 2], "before the {step} is served");
+            rig.parked
+                .serve(away, |_| ())
+                .expect("the away shard's next op");
+            assert_eq!(silent(&rig), [true; 2], "before the {step} is delivered");
+            rig.complete(away);
+        }
+        // The old snapshot was saved, and the close deleted it.
         rig.settle();
         assert!(!store.checkpoint_path(&a).exists(), "pre-close image saved");
+        let replies = rig.ask(lister, "");
+        let [Ok(listing)] = &replies[..] else {
+            panic!("one listing: {replies:?}");
+        };
+        let listed = fv_api::parse_sessions_reply(listing).expect("listing parses");
+        assert_eq!(listed.len(), 1, "{listed:?}");
+        assert_eq!((listed[0].name.as_str(), listed[0].shard), ("a", home));
         // The next tick checkpoints the session that is there, and that
         // is what a restart brings back.
         rig.tick();

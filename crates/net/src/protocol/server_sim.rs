@@ -17,6 +17,7 @@ use crate::balance::BalanceConfig;
 use crate::frame::{Reply, ReplyAssembler};
 use fv_api::{Engine, ErrorCode};
 use fv_wall::stream::{decode, TileAssembler};
+use std::collections::BTreeSet;
 use std::fmt::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -94,19 +95,11 @@ enum Kind {
     Request,
 }
 
-/// A line the core has and has not answered.
-struct Asked {
-    kind: Kind,
-    /// The session it closes, if it is a `close`.
-    closes: Option<String>,
-}
-
 /// What the grammar owes `line` — `None` for a blank, a comment or an
 /// `ack`, which are not answered. `session` follows the connection's
 /// session pointer the way the core will.
-fn owed(line: Result<String, LineFault>, session: &mut String) -> Option<Asked> {
+fn owed(line: Result<String, LineFault>, session: &mut String) -> Option<Kind> {
     use ScriptItem::{Close, Request, Use};
-    let mut closes = None;
     let kind = match line.map(|text| fv_api::parse_wire_line(&text)) {
         Ok(Ok(item)) => match item? {
             WireItem::Ping => Kind::Exact("pong".into()),
@@ -114,12 +107,9 @@ fn owed(line: Result<String, LineFault>, session: &mut String) -> Option<Asked> 
                 *session = name;
                 Kind::Exact(format!("using {session}"))
             }
-            item @ (WireItem::Close | WireItem::Script(Close(_))) => {
-                let closed = match item {
-                    WireItem::Script(Close(name)) => name,
-                    _ => std::mem::replace(session, "main".into()),
-                };
-                closes = Some(closed.clone());
+            WireItem::Script(Close(name)) => Kind::Exact(format!("closed {name}")),
+            WireItem::Close => {
+                let closed = std::mem::replace(session, "main".into());
                 Kind::Exact(format!("closed {closed}"))
             }
             WireItem::Stats => Kind::Starts("stats ", false),
@@ -134,7 +124,7 @@ fn owed(line: Result<String, LineFault>, session: &mut String) -> Option<Asked> 
         // A framing fault, or a line the grammar does not know.
         _ => Kind::Reject,
     };
-    Some(Asked { kind, closes })
+    Some(kind)
 }
 
 // ── the client side of one connection ───────────────────────────────────
@@ -148,8 +138,9 @@ struct Client {
     fed: usize,
     framer: FrameBuf,
     session: String,
-    /// Lines the core has and has not answered, oldest first.
-    asked: VecDeque<Asked>,
+    /// What each line the core has but has not answered is owed, oldest
+    /// first.
+    asked: VecDeque<Kind>,
     /// What the shards answered this connection's runs, oldest first.
     produced: VecDeque<Reply>,
     /// Per request line the step it arrived at and, once answered,
@@ -173,13 +164,9 @@ struct Client {
 // ── the oracle ──────────────────────────────────────────────────────────
 
 /// One fresh hub per shard, replaying the ops that shard served.
-#[derive(Default)]
 struct Oracle {
     scene: (usize, usize),
     hubs: Vec<EngineHub>,
-    /// Sessions that have ended — closed by a client, or down with their
-    /// shard.
-    ended: BTreeSet<String>,
 }
 
 /// The head of a debug-formatted op: an install's image is long.
@@ -205,7 +192,7 @@ fn told(outcome: &fv_api::RunOutcome) -> String {
 fn essence(reply: &ShardReply) -> String {
     match reply {
         ShardReply::Run(done) => {
-            assert!(!done.session_dropped, "a request panicked");
+            assert!(done.dropped.is_none(), "a request panicked");
             told(&done.outcome)
         }
         ShardReply::Closed(closed) => closed.to_string(),
@@ -274,12 +261,6 @@ struct World {
     moved: bool,
     /// The sessions that lived on the shard that went down.
     lost: BTreeSet<String>,
-    /// Client `close`s not yet through, per session: framed by a client
-    /// and neither answered nor dropped unsent with its connection.
-    closing: BTreeMap<String, usize>,
-    /// The `close` a connection had at its shard when it was retired, by
-    /// connection: through once that shard's answer is delivered.
-    orphans: BTreeMap<u64, String>,
     /// The sessions some hub held at the last check.
     held: Vec<String>,
     /// Framing faults the clients' own framers saw.
@@ -354,7 +335,6 @@ impl World {
             oracle: Oracle {
                 scene: config.scene,
                 hubs: hubs.collect(),
-                ..Oracle::default()
             },
             config,
             clients: Vec::new(),
@@ -364,8 +344,6 @@ impl World {
             store: store.map(|store| store.expect("open the store")),
             moved: false,
             lost: BTreeSet::new(),
-            closing: BTreeMap::new(),
-            orphans: BTreeMap::new(),
             held: Vec::new(),
             garbage: 0,
             dirty: 0,
@@ -415,52 +393,36 @@ impl World {
         client.framer.feed(&client.script[chunk.clone()]);
         while let Some(line) = client.framer.next_line() {
             self.garbage += line.is_err() as u64;
-            let Some(asked) = owed(line, &mut client.session) else {
+            let Some(kind) = owed(line, &mut client.session) else {
                 continue;
             };
-            if let Some(session) = &asked.closes {
-                *self.closing.entry(session.clone()).or_default() += 1;
-            }
-            if let Kind::Request = asked.kind {
+            if let Kind::Request = kind {
                 client.marks.push((step, None));
             }
-            client.asked.push_back(asked);
+            client.asked.push_back(kind);
         }
         let id = client.id;
         self.rig.core.ingest(id, &client.script[chunk.clone()]);
         self.note(format!("feed c{id} {chunk:?}"));
     }
 
-    /// The core drops connection `c` where it stands. The `close`s it
-    /// never dispatched will close nothing; the one at a shard still will.
+    /// The core drops connection `c` where it stands. A `close` it
+    /// dispatched is the core's to finish.
     fn retire(&mut self, c: usize) {
         let client = &mut self.clients[c];
         // `seen` is what the transport heard and has not taken.
         let owes = !client.asked.is_empty() || client.seen > 0 || client.materializing;
         self.dirty += owes as u64;
-        let conn = self.rig.core.conns().get(&client.id);
-        let busy = conn.is_some_and(|conn| conn.inflight.is_some());
-        for (i, asked) in std::mem::take(&mut client.asked).into_iter().enumerate() {
-            match asked.closes {
-                Some(session) if i == 0 && busy => {
-                    self.orphans.insert(client.id, session);
-                }
-                Some(session) => *self.closing.get_mut(&session).expect("a close was sent") -= 1,
-                None => {}
-            }
-        }
+        client.asked.clear();
         client.gone = true;
         self.rig.core.close(client.id);
     }
 
     fn serve(&mut self, k: usize) -> bool {
         let (oracle, live) = (&mut self.oracle, self.down != Some(k));
-        let (mut what, mut closed) = (Brief(String::new()), None);
+        let mut what = Brief(String::new());
         let peek = |op: &ShardOp| {
             let _ = write!(what, "{op:?}");
-            if let ShardOp::Close { session } = op {
-                closed = Some(session.to_string());
-            }
             live.then(|| oracle.replay(k, op))
         };
         let Some((want, reply)) = self.rig.parked.serve(k, peek) else {
@@ -469,11 +431,6 @@ impl World {
         if let Some(want) = want {
             assert_eq!(essence(reply), want, "shard {k} on {}", what.0);
         }
-        // A client's close, not a migration's: the session has ended.
-        let closed = closed.filter(|s| self.closing.get(s).is_some_and(|&n| n > 0));
-        self.oracle
-            .ended
-            .extend(closed.filter(|_| *reply == ShardReply::Closed(true)));
         self.moved = true;
         // The scratch names differ from world to world of one seed.
         let what = what.0.split("fv-sim-").next().unwrap_or_default();
@@ -502,11 +459,6 @@ impl World {
                     client.produced.push_back(Err(e.clone()));
                     client.produced.extend((at + 1..n).map(|_| skipped.clone()));
                 }
-            }
-        }
-        if let Waiter::Conn(id) = &done.to {
-            if let Some(session) = self.orphans.remove(id) {
-                *self.closing.get_mut(&session).expect("a close was sent") -= 1;
             }
         }
         self.rig.core.on_completion(done);
@@ -559,7 +511,6 @@ impl World {
                 let hub = std::mem::replace(&mut self.oracle.hubs[k], EngineHub::with_scene(w, h));
                 let lost = hub.list_sessions().into_iter();
                 self.lost.extend(lost.map(|(id, _)| id.to_string()));
-                self.oracle.ended.extend(self.lost.iter().cloned());
                 (self.down, self.moved) = (Some(k), true);
                 return self.note(format!("down k{k}"));
             }
@@ -654,7 +605,7 @@ impl World {
                 continue;
             };
             let asked = client.asked.pop_front().expect("a frame no line asked for");
-            let fits = match (&asked.kind, &reply) {
+            let fits = match (&asked, &reply) {
                 (Kind::Exact(want), Ok(body)) => body == want,
                 (Kind::Starts(want, _), Ok(body)) => body.starts_with(want),
                 (Kind::Starts(_, may_fail), Err(_)) => *may_fail,
@@ -673,15 +624,13 @@ impl World {
                 }
                 _ => false,
             };
-            assert!(fits, "c{}: {:?} answered {reply:?}", client.id, asked.kind);
-            if let Kind::Request = asked.kind {
+            assert!(fits, "c{}: {asked:?} answered {reply:?}", client.id);
+            if let Kind::Request = asked {
                 let busy = matches!(&reply, Err(e) if e.code == ErrorCode::Busy);
                 let mark = client.marks.iter_mut().find(|m| m.1.is_none());
                 mark.expect("a request line arrived").1 = Some((step, busy));
             } else if let Ok(body) = &reply {
-                if let Some(session) = &asked.closes {
-                    *self.closing.get_mut(session).expect("a close was sent") -= 1;
-                } else if body.starts_with("sessions n=") {
+                if body.starts_with("sessions n=") {
                     let listed = fv_api::parse_sessions_reply(body).expect("the listing parses");
                     let twice = listed.windows(2).find(|w| w[0].name >= w[1].name);
                     assert!(twice.is_none(), "a session listed on two shards: {body}");
@@ -746,20 +695,21 @@ impl World {
                 holders.entry(session.to_string()).or_default().push(k);
             }
         }
+        // A close is a move to nowhere: it is in `moving` until its reply
+        // lands, like a migration. A migration copies, confirms, then
+        // deletes, so it never leaves a session in zero hubs.
+        let moving = &self.rig.core.st.moving;
+        let closing = |session: &str| moving.get(session) == Some(&None);
         for (session, at) in &holders {
-            // One copy, one more while it migrates, one more while a
-            // `close` of it is unanswered.
-            let migrating = self.rig.core.st.migrating.contains(session);
-            let closing = self.closing.get(session).is_some_and(|&n| n > 0);
-            let placed = at.len() <= 1 + migrating as usize + closing as usize;
+            // One copy, one more while it moves.
+            let placed = at.len() <= 1 + moving.contains_key(session) as usize;
             assert!(placed, "session {session} is on shards {at:?}");
         }
         for session in self.held.iter().filter(|s| !holders.contains_key(*s)) {
-            let closed = self.closing.get(session).is_some_and(|&n| n > 0);
-            let closed = closed || self.lost.contains(session);
+            let closed = closing(session) || self.lost.contains(session);
             assert!(
                 closed,
-                "session {session} is in zero hubs, and no client closed it"
+                "session {session} is in zero hubs, and no close is in flight"
             );
         }
         self.held = holders.keys().cloned().collect();
@@ -767,7 +717,7 @@ impl World {
             let saved = |store: &SessionStore| store.checkpoint_path(&sid(session)).exists();
             let saved = self.store.as_ref().is_some_and(saved);
             assert!(
-                !saved,
+                !saved || closing(session),
                 "checkpoint files != live sessions: {session} is closed"
             );
         }
@@ -820,7 +770,7 @@ impl World {
         self.quiesce();
         let core = &self.rig.core;
         assert_eq!(core.st.in_flight, 0);
-        assert!(core.st.migrating.is_empty() && core.st.balance_gather.is_none());
+        assert!(core.st.moving.is_empty() && core.st.balance_gather.is_none());
         for client in self.clients.iter().filter(|c| !c.gone) {
             let conn = &core.conns()[&client.id];
             let idle = conn.inbox.is_empty() && conn.inflight.is_none();
@@ -887,12 +837,6 @@ impl World {
             };
             let engine = self.oracle.hubs[k].get(&sid(session));
             let engine = engine.expect("its holder holds it");
-            // One known way to a stale wall (`ROADMAP.md`): a session that
-            // ended tells the stream plane nothing, and its retained frame
-            // serves a namesake's viewers the old pixels.
-            if self.oracle.ended.contains(session) {
-                continue;
-            }
             let synced = wall.framebuffer().bytes() == &self.oracle.render(engine)[..];
             assert!(synced, "c{}'s wall is not session {session}", client.id);
         }

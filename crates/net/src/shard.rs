@@ -118,14 +118,14 @@ pub(crate) struct PubFrame {
     pub damage: Vec<Viewport>,
 }
 
-/// A run's answer: the outcome plus whether the worker had to drop the
-/// session (a panicking request poisons its session). Transports use the
-/// flag to clean up per-session routing state. `frame` carries the
-/// publish rasterization when the run asked for one.
+/// A run's answer: the outcome plus the session, if the worker had to
+/// drop it (a panicking request poisons its session). The core ends that
+/// session whoever asked. `frame` carries the publish rasterization when
+/// the run asked for one.
 #[derive(Debug, PartialEq)]
 pub(crate) struct RunDone {
     pub outcome: RunOutcome,
-    pub session_dropped: bool,
+    pub dropped: Option<SessionId>,
     pub frame: Option<PubFrame>,
 }
 
@@ -185,7 +185,7 @@ impl ShardOp {
                     error: Some((0, err)),
                     latencies: Vec::new(),
                 },
-                session_dropped: false,
+                dropped: None,
                 frame: None,
             }),
             ShardOp::Close { .. } => ShardReply::Closed(false),
@@ -563,14 +563,14 @@ impl WorkerCore {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             self.hub.execute_run_on(session, requests)
         }));
-        let mut session_dropped = false;
+        let mut dropped = None;
         let out = outcome.unwrap_or_else(|_| {
             // An engine panic means the session's state is suspect; drop
             // the session so the shard (and its other sessions) stays
-            // healthy, and report a typed internal error. The flag lets
-            // the transport drop per-session routing state with it.
+            // healthy, and report a typed internal error. The core ends
+            // the session with it.
             self.hub.close(session);
-            session_dropped = true;
+            dropped = Some(session.clone());
             RunOutcome {
                 responses: Vec::new(),
                 error: Some((
@@ -594,7 +594,7 @@ impl WorkerCore {
         // The streaming rasterize hook: render the session's scene once
         // per published run. Subscribers share this one render no matter
         // how many are watching.
-        let frame = if publish && !session_dropped {
+        let frame = if publish && dropped.is_none() {
             self.hub.get(session).map(|engine| PubFrame {
                 session: session.clone(),
                 damage: run_damage(&out, self.scene),
@@ -609,7 +609,7 @@ impl WorkerCore {
         };
         RunDone {
             outcome: out,
-            session_dropped,
+            dropped,
             frame,
         }
     }
@@ -1008,7 +1008,7 @@ mod tests {
                     error: Some((0, gone.clone())),
                     latencies: Vec::new(),
                 },
-                session_dropped: false,
+                dropped: None,
                 frame: None,
             }),
             ShardReply::Closed(false),

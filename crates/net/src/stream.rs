@@ -68,7 +68,7 @@ pub(crate) struct SubState {
     /// a contiguous `seq` stream proves the viewer missed nothing.
     pub encoder: TileStreamEncoder,
     /// Next drain sends a full keyframe (set on subscribe, after a
-    /// drop-to-keyframe, and on session migration re-sync).
+    /// drop-to-keyframe, and when the session migrates or ends).
     pub need_keyframe: bool,
     /// Damage accumulated since the last drain, coalesced per tile.
     pub pending: BTreeMap<usize, Viewport>,

@@ -132,8 +132,8 @@ fn transport_controls_replay_on_the_private_server() {
     ];
     let events = record_on_fresh_server(ServerConfig::default(), &lines);
     assert_eq!(
-        events.last().and_then(TraceEvent::ok_body),
-        Some("pong"),
+        events.last(),
+        Some(&TraceEvent::recv_ok("pong")),
         "{events:?}"
     );
     assert_replays(&replay_local(&events).expect("replay ran"));

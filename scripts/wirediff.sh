@@ -9,8 +9,10 @@
 # shard and back beside a twin session over the same content, so an
 # install served a shared clustering is compared too; to the shard the
 # session already lives on, an unknown session, an out-of-range shard,
-# and a session whose PCL was rewritten on disk), keeps the boot banner
-# and every reply byte, masks what legitimately differs between two runs
+# and a session whose PCL was rewritten on disk; a `close` of a session
+# living away from its hash shard, and its name used again at once),
+# keeps the boot banner and every reply byte, masks what legitimately
+# differs between two runs
 # (pids, latency buckets, balancer ticks, the address, the temp dir,
 # mtimes) and ends in `diff -r`: no output and exit 0 mean the two builds
 # are wire-identical on this set.
@@ -45,7 +47,7 @@ shard_of() { sed -n "s/^  session $2 shard=\([0-9]*\).*/\1/p" <<<"$1"; }
 
 # play <fvtool> <out-dir> <serve flag>
 play() {
-  local fv=$1 out=$2 flag=$3 data=$WORK/data addr listed home fhome
+  local fv=$1 out=$2 flag=$3 data=$WORK/data addr listed home fhome w2home
   local probes=("use wd2" "session_info" "render 320 240" "use wd" "session_info" "render 320 240")
   rm -rf "$data" && mkdir -p "$out"
   "$fv" demo "$data" >/dev/null
@@ -66,6 +68,7 @@ play() {
     printf '%s\n' "$listed"
     home=$(shard_of "$listed" wd)
     fhome=$(shard_of "$listed" wdfile)
+    w2home=$(shard_of "$listed" wd2)
     ask "stats" "balance" \
       "migrate wd $home" "migrate wd $((1 - home))" "list-sessions" \
       "${probes[@]}" "list_datasets" \
@@ -77,6 +80,7 @@ play() {
     ask "migrate wdfile $((1 - fhome))" "list-sessions" \
       "use wdfile" "session_info" "list_datasets" \
       "balance auto" "balance off" "balance" "close" "close wd" "list-sessions" "stats"
+    ask "migrate wd2 $((1 - w2home))" "close wd2" "use wd2" "session_info" "list-sessions"
     ask "shutdown"
   } >"$out/wire"
   exec 3<&-
