@@ -181,12 +181,6 @@ impl ExprMatrix {
         self.mask[i / 64] &= !(1u64 << (i % 64));
     }
 
-    /// Raw value slice for one row (missing cells read 0.0).
-    #[inline]
-    pub fn row_raw(&self, r: usize) -> &[f32] {
-        &self.data[r * self.n_cols..(r + 1) * self.n_cols]
-    }
-
     /// Iterator over `(col, value)` for the present cells of a row.
     pub fn present_in_row_iter(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
         let base = r * self.n_cols;
@@ -198,16 +192,6 @@ impl ExprMatrix {
                 None
             }
         })
-    }
-
-    /// Row as a vector of `Option<f32>`.
-    pub fn row_options(&self, r: usize) -> Vec<Option<f32>> {
-        (0..self.n_cols).map(|c| self.get(r, c)).collect()
-    }
-
-    /// Column as a vector of `Option<f32>`.
-    pub fn col_options(&self, c: usize) -> Vec<Option<f32>> {
-        (0..self.n_rows).map(|r| self.get(r, c)).collect()
     }
 
     /// Number of present cells in a row.

@@ -44,15 +44,6 @@ impl Welford {
         self.mean
     }
 
-    /// Population variance (divide by n); 0 when fewer than 1 observation.
-    pub fn variance_population(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Sample variance (divide by n−1); 0 when fewer than 2 observations.
     pub fn variance_sample(&self) -> f64 {
         if self.n < 2 {

@@ -31,8 +31,9 @@
 //! lines into completed [`Reply`] frames and is the **only** decoder of
 //! the `ok`/`err` grammar above: [`read_reply`] drives it from a
 //! `LineReader`, the recording tap (`crate::tap`) from the bytes it
-//! proxies, and the stream `Watcher` (`crate::stream`) from the private
-//! buffer that keeps it from over-reading into binary tile frames.
+//! proxies, the stream `Watcher` (`crate::stream`) from the private
+//! buffer that keeps it from over-reading into binary tile frames, and
+//! [`decode_replies`] from the frames a process shard answers a run with.
 
 use fv_api::{ApiError, ErrorCode};
 use std::io::Read;
@@ -279,6 +280,26 @@ pub fn read_reply<R: Read>(reader: &mut LineReader<R>) -> Result<Option<Reply>, 
             None => return Ok(None),
         }
     }
+}
+
+/// Decode a buffer that must hold whole reply frames and nothing else —
+/// the frames a shard answers a run with. Bytes that are not UTF-8, a
+/// malformed frame, and a buffer cut off mid-line or mid-frame are typed
+/// `E_PARSE` errors.
+pub(crate) fn decode_replies(bytes: &[u8]) -> Result<Vec<Reply>, ApiError> {
+    let text =
+        std::str::from_utf8(bytes).map_err(|_| ApiError::parse("reply frames are not UTF-8"))?;
+    let (mut frames, mut replies) = (ReplyAssembler::new(), Vec::new());
+    for line in text.split_inclusive('\n') {
+        let line = line
+            .strip_suffix('\n')
+            .ok_or_else(|| ApiError::parse("reply frames end mid-line"))?;
+        replies.extend(frames.push_line(line)?);
+    }
+    if frames.mid_frame() {
+        return Err(ApiError::parse("reply frames end mid-frame"));
+    }
+    Ok(replies)
 }
 
 #[cfg(test)]

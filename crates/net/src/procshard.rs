@@ -2,9 +2,10 @@
 //! speaking a length-framed control protocol over a loopback TCP socket.
 //!
 //! Everything that crosses the parent↔child seam is serializable text or
-//! raw pixel bytes — requests and responses as their canonical wire
-//! grammar (`fv_api::codec` / `fv_api::decode`), sessions as
-//! [`SessionImage`] text, reports as the counter grammar below. The
+//! raw pixel bytes — requests as their canonical wire grammar
+//! (`fv_api::codec`), a run's answer as the finished `ok`/`err` reply
+//! frames the asker gets (`crate::frame`), sessions as [`SessionImage`]
+//! text, reports as the counter grammar below. The
 //! child never sees an `Engine` value from the parent and vice versa,
 //! which is the whole point: a shard that segfaults takes its sessions
 //! with it, answers [`ErrorCode::ShardDown`] (`E_SHARD_DOWN`) from then
@@ -23,7 +24,7 @@
 //! the payload. A payload starts with one `\n`-terminated UTF-8 header
 //! line; depending on the verb it continues with more lines and/or
 //! *blobs* (a decimal `<len>\n` line followed by exactly `len` raw
-//! bytes). Requests and reports fit in lines; response text, session
+//! bytes). Requests and reports fit in lines; reply frames, session
 //! images, error messages, and framebuffer pixels travel as blobs.
 //!
 //! ## Protocol grammar
@@ -38,10 +39,9 @@
 //! drain thread serializes), and the reply each must produce:
 //!
 //! ```text
-//! run <publish 0|1> <n> <session>      → run-done dropped=<0|1> nresp=<k>
-//!   <n request lines>                      err=<-|idx:CODE> lat=<-|us,us,…>
-//!                                          frame=<0|1>
-//!                                        <k response blobs> [err-msg blob]
+//! run <publish 0|1> <n> <session>      → run-done dropped=<0|1> frames=<k>
+//!   <n request lines>                      frame=<0|1>
+//!                                        <reply blob: k ok/err frames>
 //!                                        [frame <w> <h> <nrects>
 //!                                         <nrects "x y w h" lines>
 //!                                         <rgb blob>]
@@ -69,11 +69,16 @@
 //! Each paired socket becomes a [`ChildLink`] owned by that shard's
 //! drain thread (`crate::shard`), which calls it strictly in queue
 //! order: encode, write, read, decode — or the typed `E_SHARD_DOWN`
-//! refusal if the child is gone. The child runs [`worker_main`]: a
-//! single-threaded loop around a [`WorkerCore`] with its own
-//! per-process [`DatasetCache`] (the cache seam is per child; the
-//! parent aggregates the gauges from report replies).
+//! refusal if the child is gone. A run's reply blob is written to the
+//! asker unchanged, so the parent decodes it through the one reply
+//! decoder first: it must hold exactly the `k` frames its header
+//! counts, or the reply is as corrupt as any other malformed one. The
+//! child runs [`worker_main`]: a single-threaded loop around a
+//! [`WorkerCore`] with its own per-process [`DatasetCache`] (the cache
+//! seam is per child; `stats` sums the gauges each child's report
+//! carries).
 
+use crate::frame::decode_replies;
 use crate::metrics::LatencyHistogram;
 use crate::shard::{
     Backend, Link, PubFrame, RunDone, SessionReport, ShardOp, ShardReply, ShardReport, Shards,
@@ -82,8 +87,8 @@ use crate::shard::{
 use fv_api::decode::{field, num};
 use fv_api::record::Token;
 use fv_api::{
-    format_request, format_response, format_session_image, parse_request, parse_response,
-    parse_session_image, ApiError, CacheStats, DatasetCache, ErrorCode, RunOutcome, SessionId,
+    format_request, format_session_image, parse_request, parse_session_image, ApiError, CacheStats,
+    DatasetCache, ErrorCode, SessionId,
 };
 use fv_render::Framebuffer;
 use fv_wall::tile::Viewport;
@@ -91,7 +96,6 @@ use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Upper bound on one protocol frame. Must fit a keyframe-sized
@@ -199,11 +203,7 @@ impl<'a> Cursor<'a> {
     /// cannot hold (every counted item is at least a one-byte line) — so
     /// a corrupt count is a typed error, never a huge reservation.
     fn count(&self, token: &str, what: &str) -> Result<usize, ApiError> {
-        self.fits(num(token, what)?, what)
-    }
-
-    /// [`Cursor::count`] for a count that is already a number.
-    fn fits(&self, n: usize, what: &str) -> Result<usize, ApiError> {
+        let n = num(token, what)?;
         if n > self.buf.len() {
             return Err(ApiError::parse(format!(
                 "frame truncated: {what} {n} exceeds the {} bytes that remain",
@@ -357,14 +357,12 @@ fn decode_reply(payload: &[u8], op: &ShardOp) -> Result<ShardReply, ApiError> {
 }
 
 fv_api::wire_record! {
-    /// The `run-done` header: which blobs follow it, and how many.
+    /// The `run-done` header; the reply blob and, with `frame`, the
+    /// publish rasterization follow it.
     struct RunDoneHead {
         dropped: bool => "dropped",
-        nresp: usize => "nresp",
-        /// `-`, or `<failing request index>:<CODE>` (the message is a blob).
-        err: String => "err",
-        /// `-`, or one latency in µs per attempted request, comma-separated.
-        lat: String => "lat",
+        /// Frames the reply blob holds.
+        frames: usize => "frames",
         frame: bool => "frame",
     }
 }
@@ -372,33 +370,14 @@ fv_api::wire_record! {
 fn encode_run_done(done: &RunDone) -> Vec<u8> {
     let head = RunDoneHead {
         dropped: done.dropped.is_some(),
-        nresp: done.outcome.responses.len(),
-        err: match &done.outcome.error {
-            None => "-".to_string(),
-            Some((idx, e)) => format!("{idx}:{}", e.code.as_str()),
-        },
-        lat: if done.outcome.latencies.is_empty() {
-            "-".to_string()
-        } else {
-            done.outcome
-                .latencies
-                .iter()
-                .map(|l| l.as_micros().min(u64::MAX as u128).to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        },
+        frames: done.frames,
         frame: done.frame.is_some(),
     };
     let mut out = String::from("run-done");
     head.put_fields(&mut out);
     out.push('\n');
     let mut out = out.into_bytes();
-    for response in &done.outcome.responses {
-        push_blob(&mut out, format_response(response).as_bytes());
-    }
-    if let Some((_, e)) = &done.outcome.error {
-        push_blob(&mut out, e.message.as_bytes());
-    }
+    push_blob(&mut out, &done.reply);
     if let Some(frame) = &done.frame {
         out.extend_from_slice(
             format!(
@@ -417,36 +396,18 @@ fn encode_run_done(done: &RunDone) -> Vec<u8> {
     out
 }
 
+/// Decode a `run-done`. The reply blob goes to the asker as it is, so it
+/// must decode into exactly the frames the header counts.
 fn decode_run_done(header: &str, c: &mut Cursor, session: &SessionId) -> Result<RunDone, ApiError> {
     let head = RunDoneHead::get_fields(header)?;
-    let nresp = c.fits(head.nresp, "response count")?;
-    let mut responses = Vec::with_capacity(nresp);
-    for _ in 0..nresp {
-        responses.push(parse_response(c.text_blob()?)?);
+    let reply = c.blob()?.to_vec();
+    let frames = decode_replies(&reply)?.len();
+    if frames != head.frames {
+        return Err(ApiError::parse(format!(
+            "run-done counts {} frames, its reply holds {frames}",
+            head.frames
+        )));
     }
-    let error = if head.err == "-" {
-        None
-    } else {
-        let (idx, code) = head
-            .err
-            .split_once(':')
-            .ok_or_else(|| ApiError::parse(format!("bad err spec {:?}", head.err)))?;
-        let code = ErrorCode::from_wire(code)
-            .ok_or_else(|| ApiError::parse(format!("unknown error code {code:?}")))?;
-        let message = c.text_blob()?.to_string();
-        Some((
-            num(idx, "failing request index")?,
-            ApiError::new(code, message),
-        ))
-    };
-    let latencies = if head.lat == "-" {
-        Vec::new()
-    } else {
-        head.lat
-            .split(',')
-            .map(|us| num(us, "latency").map(Duration::from_micros))
-            .collect::<Result<_, _>>()?
-    };
     let frame = if head.frame {
         let fl = c.line()?;
         let mut parts = fl.split(' ');
@@ -496,11 +457,8 @@ fn decode_run_done(header: &str, c: &mut Cursor, session: &SessionId) -> Result<
         None
     };
     Ok(RunDone {
-        outcome: RunOutcome {
-            responses,
-            error,
-            latencies,
-        },
+        reply,
+        frames,
         dropped: head.dropped.then(|| session.clone()),
         frame,
     })
@@ -627,7 +585,6 @@ pub(crate) fn spawn(worker_cmd: &[String], n: usize, scene: (usize, usize)) -> i
         }
     };
     drop(listener);
-    let caches = Arc::new(Mutex::new(vec![CacheStats::default(); n]));
     let links = children
         .into_iter()
         .zip(streams)
@@ -638,11 +595,10 @@ pub(crate) fn spawn(worker_cmd: &[String], n: usize, scene: (usize, usize)) -> i
                 stream,
                 child,
                 dead: false,
-                caches: Arc::clone(&caches),
             })
         })
         .collect();
-    Shards::start(links, Backend::Procs(caches))
+    Shards::start(links, Backend::Procs)
 }
 
 /// Accept loop of `spawn`: wait for all `n` children to connect and
@@ -723,9 +679,6 @@ pub(crate) struct ChildLink {
     stream: TcpStream,
     child: Child,
     dead: bool,
-    /// Last-known per-child dataset-cache gauges; this link refreshes
-    /// its own slot from every report reply.
-    caches: Arc<Mutex<Vec<CacheStats>>>,
 }
 
 impl ChildLink {
@@ -749,15 +702,7 @@ impl ChildLink {
     fn exchange(&mut self, op: &ShardOp) -> Option<ShardReply> {
         write_frame(&mut self.stream, &encode_op(op)).ok()?;
         let payload = read_frame(&mut self.stream, MAX_FRAME).ok()?;
-        let reply = decode_reply(&payload, op).ok()?;
-        if let ShardReply::Report(report) = &reply {
-            if let Ok(mut caches) = self.caches.lock() {
-                if let Some(slot) = caches.get_mut(self.shard) {
-                    *slot = report.cache;
-                }
-            }
-        }
-        Some(reply)
+        decode_reply(&payload, op).ok()
     }
 }
 
@@ -875,25 +820,6 @@ mod tests {
         decode_reply(&encode_reply(&served), op).expect("decode reply")
     }
 
-    /// Blank out what legitimately differs between two cores doing the
-    /// same work: measured latencies keep their count, lose their value.
-    fn timeless(mut reply: ShardReply) -> ShardReply {
-        match &mut reply {
-            ShardReply::Run(done) => {
-                for l in &mut done.outcome.latencies {
-                    *l = Duration::ZERO;
-                }
-            }
-            ShardReply::Report(report) => {
-                let total = report.latency.total();
-                report.latency = LatencyHistogram::new();
-                report.latency.counts[0] = total;
-            }
-            _ => {}
-        }
-        reply
-    }
-
     fn run(session: &SessionId, requests: Vec<Request>, publish: bool) -> ShardOp {
         ShardOp::Run {
             session: session.clone(),
@@ -920,37 +846,61 @@ mod tests {
         // `make` builds the op once per core: an op owns its image and
         // request list, so it is moved into whoever serves it.
         let mut step = |make: &dyn Fn() -> ShardOp| -> ShardReply {
-            let by_value = timeless(direct.serve(make()));
-            let by_wire = timeless(over_the_wire(&mut wired, &make()));
-            assert_eq!(by_value, by_wire);
+            let by_value = direct.serve(make());
+            let by_wire = over_the_wire(&mut wired, &make());
+            match (&by_value, &by_wire) {
+                // Twin cores measure different latencies, never a
+                // different number of them.
+                (ShardReply::Report(value), ShardReply::Report(wire)) => {
+                    assert_eq!(value.latency.total(), wire.latency.total());
+                    let latency = wire.latency.clone();
+                    assert_eq!(
+                        &ShardReport {
+                            latency,
+                            ..value.clone()
+                        },
+                        wire
+                    );
+                }
+                _ => assert_eq!(by_value, by_wire),
+            }
             by_wire
         };
 
-        // A failing run: the completed prefix, the failing index and
-        // typed code, one latency per ATTEMPTED request, no frame.
+        // A failing run: the completed prefix, the typed error, a
+        // `skipped` for the request behind it, no frame.
         let failing = || {
             let requests = vec![
                 load_scenario(2),
                 Request::Query(Query::SessionInfo),
                 Request::Mutate(Mutation::Impute { dataset: 9, k: 3 }),
+                Request::Query(Query::SessionInfo),
             ];
             run(&s, requests, false)
         };
         let ShardReply::Run(done) = step(&failing) else {
             panic!("a run answers with a run reply");
         };
-        assert_eq!(done.outcome.responses.len(), 2);
-        let (idx, err) = done.outcome.error.expect("bad impute fails");
-        assert_eq!((idx, err.code), (2, ErrorCode::NotFound));
-        assert_eq!(done.outcome.latencies.len(), 3, "one per attempted request");
+        let replies = decode_replies(&done.reply).expect("whole frames");
+        assert_eq!((replies.len(), done.frames), (4, 4));
+        assert!(replies[..2].iter().all(Result::is_ok));
+        let errors: Vec<_> = replies[2..]
+            .iter()
+            .map(|r| r.clone().unwrap_err())
+            .collect();
+        assert_eq!(errors[0].code, ErrorCode::NotFound);
+        assert!(
+            errors[1].message.starts_with("skipped: request 3 "),
+            "{}",
+            errors[1]
+        );
         assert!(done.dropped.is_none());
         assert!(done.frame.is_none(), "publish was off");
         // An empty run only materializes.
         let ShardReply::Run(done) = step(&|| run(&s, Vec::new(), false)) else {
             panic!("a run answers with a run reply");
         };
-        assert!(done.outcome.error.is_none());
-        assert!(done.outcome.responses.is_empty());
+        assert_eq!((done.reply.len(), done.frames), (0, 0));
 
         // A published run ships the framebuffer and its damage.
         let ShardReply::Run(done) = step(&|| run(&viewer, vec![load_scenario(1)], true)) else {
@@ -971,7 +921,7 @@ mod tests {
             panic!("a report answers with a report reply");
         };
         assert_eq!(report.shard, 0);
-        assert_eq!((report.runs, report.requests, report.max_run), (2, 4, 3));
+        assert_eq!((report.runs, report.requests, report.max_run), (2, 4, 4));
         assert_eq!(report.latency.total(), 4);
         assert_eq!(report.sessions.len(), 2);
         assert_eq!(report.sessions[0].name, "mover");
@@ -1068,11 +1018,25 @@ mod tests {
         let [run, close, report, snapshot, install] = &ops[..] else {
             panic!("five ops");
         };
+        let whole = b"run-done dropped=0 frames=1 frame=0\n10\nok 1\npong\n";
+        let Ok(ShardReply::Run(done)) = decode_reply(whole, run) else {
+            panic!("a well-formed run-done decodes");
+        };
+        assert_eq!((&done.reply[..], done.frames), (&whole[39..], 1));
         for (op, garbage) in [
             (run, &b"nope\n"[..]),
-            (run, b"run-done dropped=0 nresp=18446744073709551615 err=- lat=- frame=0\n"),
-            (run, b"run-done dropped=0 nresp=0 err=- lat=- frame=1\nframe 1 1 18446744073709551615\n"),
-            (run, b"run-done dropped=0 nresp=0 err=- lat=- frame=1\nframe 4294967296 4294967296 0\n0\n"),
+            (run, b"run-done dropped=0 frames=18446744073709551615 frame=0\n0\n"),
+            (run, b"run-done dropped=0 frames=0 frame=1\n0\nframe 1 1 18446744073709551615\n"),
+            (run, b"run-done dropped=0 frames=0 frame=1\n0\nframe 4294967296 4294967296 0\n0\n"),
+            (run, b"run-done dropped=0 frames=0 frame=0\n"), // missing reply blob
+            (run, b"run-done dropped=0 nresp=0 err=- lat=- frame=0\n"), // the old grammar
+            // `frames=` disagreeing with the blob, either way
+            (run, b"run-done dropped=0 frames=2 frame=0\n10\nok 1\npong\n"),
+            (run, b"run-done dropped=0 frames=0 frame=0\n10\nok 1\npong\n"),
+            // a blob cut off mid-frame, mid-line, or not frames at all
+            (run, b"run-done dropped=0 frames=1 frame=0\n10\nok 2\npong\n"),
+            (run, b"run-done dropped=0 frames=1 frame=0\n9\nok 1\npong"),
+            (run, b"run-done dropped=0 frames=1 frame=0\n6\nhello\n"),
             (run, b"closed 1\n"), // well-formed, but not a run's answer
             (close, b"closed 7\n"),
             (snapshot, b"image 1\n"), // missing blob
@@ -1125,6 +1089,11 @@ mod tests {
             }
             for bytes in [noise, mangle(valid_reply, &flips)] {
                 if let Ok(reply) = decode_reply(&bytes, &op) {
+                    // A run's reply is only ever the frames it counts.
+                    if let ShardReply::Run(done) = &reply {
+                        let frames = decode_replies(&done.reply).map(|r| r.len());
+                        prop_assert_eq!(frames.ok(), Some(done.frames));
+                    }
                     encode_reply(&reply);
                 }
             }

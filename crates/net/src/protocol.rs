@@ -85,8 +85,7 @@ pub(crate) struct Conn {
     /// Requests currently in `inbox`.
     queued_requests: usize,
     inflight: Option<Inflight>,
-    /// Requests in the dispatched run (for `skipped` frame counts and the
-    /// pending-queue bound).
+    /// Requests in the dispatched run (for the pending-queue bound).
     inflight_requests: usize,
     /// The connection's fv-stream subscription, if it sent `subscribe`.
     sub: Option<SubState>,
@@ -1135,25 +1134,8 @@ fn settle_completion(conn: &mut Conn, reply: ShardReply, n_conns: usize, st: &mu
             conn.push_ok(&body, &mut st.metrics);
         }
         (Some(Inflight::Run), ShardReply::Run(done)) => {
-            let outcome = done.outcome;
-            let n = conn.inflight_requests;
-            for response in &outcome.responses {
-                conn.push_ok(&fv_api::format_response(response), &mut st.metrics);
-            }
-            // Only a request line is answered: the empty run of a
-            // `subscribe` (acked at dispatch) that a dead shard refuses
-            // has no line to write its error for.
-            if let Some((idx, e)) = outcome.error.filter(|(idx, _)| *idx < n) {
-                conn.push_err(&e, &mut st.metrics);
-                let skipped = ApiError::invalid(format!(
-                    "skipped: request {} earlier in this pipelined run failed ({})",
-                    idx + 1,
-                    e.code.as_str()
-                ));
-                for _ in idx + 1..n {
-                    conn.push_err(&skipped, &mut st.metrics);
-                }
-            }
+            conn.out.extend_from_slice(&done.reply);
+            st.metrics.frames_out += done.frames as u64;
             conn.inflight_requests = 0;
         }
         (Some(Inflight::Gather { stats, mut reports }), ShardReply::Report(report)) => {
@@ -1193,11 +1175,11 @@ fn sessions_reply(reports: &[ShardReport]) -> String {
     fv_api::format_sessions_reply(&entries)
 }
 
-/// Merge per-shard reports with the core's own counters and the shared
-/// cache's gauges into the `stats` reply.
+/// Merge per-shard reports with the core's own counters and the dataset
+/// cache gauges into the `stats` reply.
 fn stats_reply(reports: &[ShardReport], n_conns: usize, st: &LoopState) -> String {
     let depths = st.shards.queue_depths();
-    let cache = st.shards.cache_stats();
+    let cache = st.shards.cache_stats(reports);
     let pids = st.shards.pids();
     let shards: Vec<ShardStats> = reports
         .iter()

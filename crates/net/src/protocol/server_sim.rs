@@ -14,7 +14,8 @@
 use super::tests::Rig;
 use super::*;
 use crate::balance::BalanceConfig;
-use crate::frame::{Reply, ReplyAssembler};
+use crate::frame::{decode_replies, Reply, ReplyAssembler};
+use crate::shard::answer_run;
 use fv_api::{Engine, ErrorCode};
 use fv_wall::stream::{decode, TileAssembler};
 use std::collections::BTreeSet;
@@ -183,17 +184,12 @@ fn sid(name: &str) -> SessionId {
     SessionId::new(name).expect("a valid session name")
 }
 
-/// What a run answered, less how long it took.
-fn told(outcome: &fv_api::RunOutcome) -> String {
-    format!("{:?} {:?}", outcome.responses, outcome.error)
-}
-
 /// The part of a reply the oracle answers for.
 fn essence(reply: &ShardReply) -> String {
     match reply {
         ShardReply::Run(done) => {
             assert!(done.dropped.is_none(), "a request panicked");
-            told(&done.outcome)
+            String::from_utf8_lossy(&done.reply).into_owned()
         }
         ShardReply::Closed(closed) => closed.to_string(),
         ShardReply::Installed(outcome) => outcome.is_ok().to_string(),
@@ -225,7 +221,10 @@ impl Oracle {
         match op {
             ShardOp::Run {
                 session, requests, ..
-            } => told(&hub.execute_run_on(session, requests)),
+            } => {
+                let outcome = hub.execute_run_on(session, requests);
+                String::from_utf8_lossy(&answer_run(&outcome, requests.len()).0).into_owned()
+            }
             ShardOp::Close { session } => hub.close(session).to_string(),
             ShardOp::Install { session, image } => {
                 let engine = Engine::restore(image, hub.cache());
@@ -446,19 +445,13 @@ impl World {
         if let (Waiter::Conn(id), ShardReply::Run(run)) = (&done.to, &done.reply) {
             let client = self.clients.iter_mut().find(|c| c.id == *id && !c.gone);
             let conn = self.rig.core.conns().get(id);
-            if let (Some(client), Some(conn)) = (client, conn) {
-                // What the core is about to write: the responses, the
-                // error, one `skipped` per request behind it.
-                let (n, error) = (conn.inflight_requests, &run.outcome.error);
+            if let (Some(client), Some(_)) = (client, conn) {
+                // What the core is about to write: the frames the shard
+                // answered the run with.
                 client.materializing = false;
-                let responses = run.outcome.responses.iter().take(n);
-                let responses = responses.map(|r| Ok(fv_api::format_response(r)));
-                client.produced.extend(responses);
-                if let Some((at, e)) = error.as_ref().filter(|(at, _)| *at < n) {
-                    let skipped = Err(ApiError::invalid("skipped"));
-                    client.produced.push_back(Err(e.clone()));
-                    client.produced.extend((at + 1..n).map(|_| skipped.clone()));
-                }
+                let replies = decode_replies(&run.reply).expect("a run answers whole frames");
+                assert_eq!(replies.len(), run.frames, "a run's frame count");
+                client.produced.extend(replies);
             }
         }
         self.rig.core.on_completion(done);
@@ -615,12 +608,7 @@ impl World {
                 (Kind::Request, Err(e)) if e.code == ErrorCode::Busy => true,
                 (Kind::Request, reply) => {
                     let produced = client.produced.pop_front();
-                    match (produced.expect("a response no shard produced"), reply) {
-                        (Err(want), Err(e)) if want.message == "skipped" => {
-                            e.message.starts_with("skipped: request ")
-                        }
-                        (produced, reply) => *reply == produced,
-                    }
+                    *reply == produced.expect("a response no shard produced")
                 }
                 _ => false,
             };

@@ -43,6 +43,7 @@
 //!   overrides live in the protocol core (`crate::protocol`), which is
 //!   why `submit` takes an explicit shard index.
 
+use crate::frame::{push_err_frame, push_ok_frame};
 use crate::metrics::LatencyHistogram;
 use crate::procshard::{self, ChildLink};
 use fv_api::engine::fnv1a;
@@ -54,7 +55,7 @@ use fv_render::Framebuffer;
 use fv_wall::tile::Viewport;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 fv_api::wire_record! {
@@ -118,15 +119,44 @@ pub(crate) struct PubFrame {
     pub damage: Vec<Viewport>,
 }
 
-/// A run's answer: the outcome plus the session, if the worker had to
-/// drop it (a panicking request poisons its session). The core ends that
-/// session whoever asked. `frame` carries the publish rasterization when
-/// the run asked for one.
+/// A run's answer: the asker's reply frames, finished on the shard by
+/// [`answer_run`], plus the session, if the worker had to drop it (a
+/// panicking request poisons its session). The core appends `reply` to
+/// the asker's outbox as it is and ends a dropped session whoever asked.
+/// `frame` carries the publish rasterization when the run asked for one.
 #[derive(Debug, PartialEq)]
 pub(crate) struct RunDone {
-    pub outcome: RunOutcome,
+    pub reply: Vec<u8>,
+    /// How many frames `reply` holds.
+    pub frames: usize,
     pub dropped: Option<SessionId>,
     pub frame: Option<PubFrame>,
+}
+
+/// The one rule that turns a run of `n` requests into its asker's reply
+/// frames: an `ok` per response, then the first error, then one
+/// `skipped` per request behind it. An empty run answers nothing, even
+/// when it failed — a `use` or `subscribe` has its own reply. Returns the
+/// bytes and how many frames they hold.
+pub(crate) fn answer_run(out: &RunOutcome, n: usize) -> (Vec<u8>, usize) {
+    let mut reply = Vec::new();
+    for response in &out.responses {
+        push_ok_frame(&mut reply, &fv_api::format_response(response));
+    }
+    let mut frames = out.responses.len();
+    if let Some((idx, e)) = out.error.as_ref().filter(|(idx, _)| *idx < n) {
+        push_err_frame(&mut reply, e);
+        let skipped = ApiError::invalid(format!(
+            "skipped: request {} earlier in this pipelined run failed ({})",
+            idx + 1,
+            e.code.as_str()
+        ));
+        for _ in idx + 1..n {
+            push_err_frame(&mut reply, &skipped);
+        }
+        frames += n - idx;
+    }
+    (reply, frames)
 }
 
 /// Everything a shard can be asked to do. Serializable by design:
@@ -179,20 +209,29 @@ impl ShardOp {
     /// still complete). The one fallback every dead-shard path shares.
     pub fn refused(self, shard: usize, err: ApiError) -> ShardReply {
         match self {
-            ShardOp::Run { .. } => ShardReply::Run(RunDone {
-                outcome: RunOutcome {
-                    responses: Vec::new(),
-                    error: Some((0, err)),
-                    latencies: Vec::new(),
-                },
-                dropped: None,
-                frame: None,
-            }),
+            ShardOp::Run { requests, .. } => {
+                let (reply, frames) = answer_run(&failed(err), requests.len());
+                ShardReply::Run(RunDone {
+                    reply,
+                    frames,
+                    dropped: None,
+                    frame: None,
+                })
+            }
             ShardOp::Close { .. } => ShardReply::Closed(false),
             ShardOp::Report => ShardReply::Report(ShardReport::empty(shard)),
             ShardOp::Snapshot { .. } => ShardReply::Image(None),
             ShardOp::Install { .. } => ShardReply::Installed(Err(err)),
         }
+    }
+}
+
+/// A run that failed before its first request.
+fn failed(err: ApiError) -> RunOutcome {
+    RunOutcome {
+        responses: Vec::new(),
+        error: Some((0, err)),
+        latencies: Vec::new(),
     }
 }
 
@@ -242,10 +281,9 @@ impl Link {
 pub(crate) enum Backend {
     /// Worker threads; every hub shares this cache.
     Threads(DatasetCache),
-    /// Child processes, each with a private cache: the gauges each child
-    /// sent with its last report, refreshed by its [`ChildLink`]. The sum
-    /// (not any one cache's view) is the truth.
-    Procs(Arc<Mutex<Vec<CacheStats>>>),
+    /// Child processes, each with a private cache whose gauges ride on
+    /// its [`ShardReport`].
+    Procs,
 }
 
 /// The shards: one queue and one drain thread per shard, each draining
@@ -312,7 +350,7 @@ impl Shards {
     pub fn kind(&self) -> &'static str {
         match self.backend {
             Backend::Threads(_) => "threads",
-            Backend::Procs(_) => "procs",
+            Backend::Procs => "procs",
         }
     }
 
@@ -335,24 +373,22 @@ impl Shards {
             .collect()
     }
 
-    /// Dataset-cache gauges, aggregated across whatever caches the
-    /// shards actually hold (one shared cache for threads, one per child
-    /// for processes).
-    pub fn cache_stats(&self) -> CacheStats {
+    /// Dataset-cache gauges: the one cache every thread shard shares, or
+    /// the sum of what each child sent with its report in `reports` (a
+    /// dead child's empty report adds nothing).
+    pub fn cache_stats(&self, reports: &[ShardReport]) -> CacheStats {
         match &self.backend {
             Backend::Threads(cache) => cache.stats(),
-            Backend::Procs(per_child) => {
+            Backend::Procs => {
                 let mut sum = CacheStats::default();
-                if let Ok(per_child) = per_child.lock() {
-                    for c in per_child.iter() {
-                        sum.entries += c.entries;
-                        sum.hits += c.hits;
-                        sum.misses += c.misses;
-                        sum.evictions += c.evictions;
-                        sum.derived_entries += c.derived_entries;
-                        sum.derived_hits += c.derived_hits;
-                        sum.derived_misses += c.derived_misses;
-                    }
+                for c in reports.iter().map(|r| &r.cache) {
+                    sum.entries += c.entries;
+                    sum.hits += c.hits;
+                    sum.misses += c.misses;
+                    sum.evictions += c.evictions;
+                    sum.derived_entries += c.derived_entries;
+                    sum.derived_hits += c.derived_hits;
+                    sum.derived_misses += c.derived_misses;
                 }
                 sum
             }
@@ -375,7 +411,7 @@ impl Shards {
                     Backend::Threads(_) => {
                         ApiError::new(fv_api::ErrorCode::Internal, "shard worker is gone")
                     }
-                    Backend::Procs(_) => procshard::down(shard, self.pids[shard]),
+                    Backend::Procs => procshard::down(shard, self.pids[shard]),
                 },
             );
         }
@@ -571,17 +607,10 @@ impl WorkerCore {
             // the session with it.
             self.hub.close(session);
             dropped = Some(session.clone());
-            RunOutcome {
-                responses: Vec::new(),
-                error: Some((
-                    0,
-                    ApiError::new(
-                        fv_api::ErrorCode::Internal,
-                        format!("request panicked; session {session} was dropped"),
-                    ),
-                )),
-                latencies: Vec::new(),
-            }
+            failed(ApiError::new(
+                fv_api::ErrorCode::Internal,
+                format!("request panicked; session {session} was dropped"),
+            ))
         });
         // One latency observation per ATTEMPTED request (the failing one
         // included, never the skipped tail), and the `requests` counter
@@ -607,8 +636,10 @@ impl WorkerCore {
         } else {
             None
         };
+        let (reply, frames) = answer_run(&out, requests.len());
         RunDone {
-            outcome: out,
+            reply,
+            frames,
             dropped,
             frame,
         }
@@ -745,7 +776,9 @@ impl Parked {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{decode_replies, Reply};
     use fv_api::{Mutation, Query};
+    use std::sync::Mutex;
 
     fn shards(n: usize) -> Shards {
         Shards::threads(n, (640, 480)).expect("spawn shard workers")
@@ -755,16 +788,30 @@ mod tests {
         shards.call(shard, op).expect("a live shard answers")
     }
 
+    /// The frames a run's asker gets, decoded.
+    fn replies(reply: ShardReply) -> Vec<Reply> {
+        let ShardReply::Run(done) = reply else {
+            panic!("a run answers with a run reply");
+        };
+        let replies = decode_replies(&done.reply).expect("whole frames");
+        assert_eq!(replies.len(), done.frames);
+        replies
+    }
+
     /// Run `requests` on the session's hash shard.
-    fn execute(shards: &Shards, session: &SessionId, requests: Vec<Request>) -> RunOutcome {
+    fn execute(shards: &Shards, session: &SessionId, requests: Vec<Request>) -> Vec<Reply> {
         let op = ShardOp::Run {
             session: session.clone(),
             requests,
             publish: false,
         };
-        match call(shards, shard_of(session, shards.n_shards()), op) {
-            ShardReply::Run(done) => done.outcome,
-            other => panic!("wrong reply: {other:?}"),
+        replies(call(shards, shard_of(session, shards.n_shards()), op))
+    }
+
+    fn n_datasets(reply: &Reply) -> usize {
+        match fv_api::parse_response(reply.as_ref().expect("an ok frame")) {
+            Ok(fv_api::Response::SessionInfo(info)) => info.n_datasets,
+            other => panic!("wrong response: {other:?}"),
         }
     }
 
@@ -792,13 +839,9 @@ mod tests {
         let a = SessionId::new("a").unwrap();
         let b = SessionId::new("b").unwrap();
         let reply = execute(&shards, &a, vec![load_scenario()]);
-        assert!(reply.error.is_none());
+        assert!(reply[0].is_ok());
         let reply = execute(&shards, &b, vec![Request::Query(Query::SessionInfo)]);
-        assert!(reply.error.is_none());
-        match &reply.responses[0] {
-            fv_api::Response::SessionInfo(info) => assert_eq!(info.n_datasets, 0),
-            other => panic!("wrong response: {other:?}"),
-        }
+        assert_eq!(n_datasets(&reply[0]), 0);
         let close = || ShardOp::Close { session: a.clone() };
         let home = shard_of(&a, 4);
         assert_eq!(call(&shards, home, close()), ShardReply::Closed(true));
@@ -807,21 +850,35 @@ mod tests {
     }
 
     #[test]
-    fn failed_run_reports_index_and_prefix() {
+    fn a_failed_run_answers_its_prefix_the_error_and_a_skipped_tail() {
         let shards = shards(2);
         let s = SessionId::new("s").unwrap();
+        let info = Request::Query(Query::SessionInfo);
+        let impute = Request::Mutate(Mutation::Impute { dataset: 9, k: 3 });
         let reply = execute(
             &shards,
             &s,
-            vec![
-                load_scenario(),
-                Request::Mutate(Mutation::Impute { dataset: 9, k: 3 }),
-            ],
+            vec![load_scenario(), impute, info.clone(), info],
         );
-        assert_eq!(reply.responses.len(), 1);
-        let (idx, err) = reply.error.unwrap();
-        assert_eq!(idx, 1);
-        assert_eq!(err.code, fv_api::ErrorCode::NotFound);
+        assert_eq!(reply.len(), 4, "one frame per request");
+        assert!(reply[0].is_ok());
+        let errors: Vec<ApiError> = reply[1..].iter().map(|r| r.clone().unwrap_err()).collect();
+        assert_eq!(errors[0].code, fv_api::ErrorCode::NotFound);
+        for skipped in &errors[1..] {
+            assert_eq!(skipped.code, fv_api::ErrorCode::InvalidRequest);
+            assert_eq!(
+                skipped.message,
+                "skipped: request 2 earlier in this pipelined run failed (E_NOT_FOUND)"
+            );
+        }
+        // A failed empty run (a `use` on a dead shard) has no line to
+        // answer.
+        let refused = ShardOp::Run {
+            session: s,
+            requests: Vec::new(),
+            publish: false,
+        };
+        assert!(replies(refused.refused(0, procshard::down(0, 1))).is_empty());
         shards.shutdown();
     }
 
@@ -884,7 +941,7 @@ mod tests {
         let again = snapshot(&s).expect("still here after a snapshot");
         assert_eq!(again, image, "snapshots are repeatable");
         let out = execute(&shards, &s, vec![Request::Query(Query::SessionInfo)]);
-        assert!(out.error.is_none(), "session still serves after snapshots");
+        assert!(out[0].is_ok(), "session still serves after snapshots");
         // a session that does not live here answers None
         assert!(snapshot(&SessionId::new("nobody").unwrap()).is_none());
         shards.shutdown();
@@ -917,14 +974,7 @@ mod tests {
                 requests: vec![Request::Query(Query::SessionInfo)],
                 publish: false,
             };
-            let ShardReply::Run(done) = call(&shards, shard, probe) else {
-                panic!("a run answers with a run reply");
-            };
-            assert!(done.outcome.error.is_none());
-            match &done.outcome.responses[0] {
-                fv_api::Response::SessionInfo(info) => info.n_datasets,
-                other => panic!("wrong response: {other:?}"),
-            }
+            n_datasets(&replies(call(&shards, shard, probe))[0])
         };
         // copy from the hash owner: a serializable image, not an engine —
         // the scenario load is its whole (compacted) log.
@@ -967,9 +1017,9 @@ mod tests {
         // session names chosen to spread across shards
         for name in ["s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"] {
             let out = execute(&shards, &SessionId::new(name).unwrap(), vec![load.clone()]);
-            assert!(out.error.is_none(), "{name}: {:?}", out.error);
+            assert!(out[0].is_ok(), "{name}: {:?}", out[0]);
         }
-        let stats = shards.cache_stats();
+        let stats = shards.cache_stats(&[]);
         assert_eq!(stats.misses, 1, "one parse across all shards");
         assert_eq!(stats.hits, 7);
         assert_eq!(stats.entries, 1);
@@ -1001,13 +1051,12 @@ mod tests {
             },
         ];
         let gone = ApiError::shard_down("shard 3 is gone");
+        let mut reply = Vec::new();
+        push_err_frame(&mut reply, &gone);
         let expected = vec![
             ShardReply::Run(RunDone {
-                outcome: RunOutcome {
-                    responses: Vec::new(),
-                    error: Some((0, gone.clone())),
-                    latencies: Vec::new(),
-                },
+                reply,
+                frames: 1,
                 dropped: None,
                 frame: None,
             }),

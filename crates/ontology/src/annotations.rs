@@ -59,11 +59,6 @@ impl AnnotationSet {
         &self.genes
     }
 
-    /// Whether the population contains `gene`.
-    pub fn contains_gene(&self, gene: &str) -> bool {
-        self.gene_index.contains_key(gene)
-    }
-
     /// Direct annotations of a gene.
     pub fn direct_terms(&self, gene: &str) -> &[TermId] {
         match self.gene_index.get(gene) {

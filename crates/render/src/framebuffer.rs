@@ -45,11 +45,6 @@ impl Framebuffer {
         self.height
     }
 
-    /// Total pixel count.
-    pub fn n_pixels(&self) -> usize {
-        self.width * self.height
-    }
-
     /// Raw packed-RGB bytes.
     pub fn bytes(&self) -> &[u8] {
         &self.data

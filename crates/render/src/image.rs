@@ -1,5 +1,5 @@
-//! Image encoding: binary PPM (P6) and uncompressed 24-bit BMP writers,
-//! plus a PPM decoder used by tests and examples to verify artifacts.
+//! Image encoding: a binary PPM (P6) writer, plus a PPM decoder used by
+//! tests and examples to verify artifacts.
 
 use crate::color::Rgb;
 use crate::framebuffer::Framebuffer;
@@ -121,53 +121,6 @@ pub fn read_ppm(path: impl AsRef<Path>) -> Result<Framebuffer, ImageError> {
     decode_ppm(&bytes)
 }
 
-/// Encode as an uncompressed 24-bit bottom-up BMP.
-pub fn encode_bmp(fb: &Framebuffer) -> Vec<u8> {
-    let w = fb.width();
-    let h = fb.height();
-    let row_bytes = w * 3;
-    let pad = (4 - row_bytes % 4) % 4;
-    let pixel_bytes = (row_bytes + pad) * h;
-    let file_size = 54 + pixel_bytes;
-
-    let mut out = Vec::with_capacity(file_size);
-    // BITMAPFILEHEADER
-    out.extend_from_slice(b"BM");
-    out.extend_from_slice(&(file_size as u32).to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes()); // reserved
-    out.extend_from_slice(&54u32.to_le_bytes()); // pixel offset
-                                                 // BITMAPINFOHEADER
-    out.extend_from_slice(&40u32.to_le_bytes());
-    out.extend_from_slice(&(w as i32).to_le_bytes());
-    out.extend_from_slice(&(h as i32).to_le_bytes());
-    out.extend_from_slice(&1u16.to_le_bytes()); // planes
-    out.extend_from_slice(&24u16.to_le_bytes()); // bpp
-    out.extend_from_slice(&0u32.to_le_bytes()); // BI_RGB
-    out.extend_from_slice(&(pixel_bytes as u32).to_le_bytes());
-    out.extend_from_slice(&2835u32.to_le_bytes()); // 72 dpi
-    out.extend_from_slice(&2835u32.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
-    // Pixel rows, bottom-up, BGR, padded to 4 bytes.
-    let data = fb.bytes();
-    for y in (0..h).rev() {
-        for x in 0..w {
-            let i = (y * w + x) * 3;
-            out.push(data[i + 2]); // B
-            out.push(data[i + 1]); // G
-            out.push(data[i]); // R
-        }
-        out.extend(std::iter::repeat_n(0u8, pad));
-    }
-    out
-}
-
-/// Write a BMP file.
-pub fn write_bmp(fb: &Framebuffer, path: impl AsRef<Path>) -> io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(&encode_bmp(fb))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,33 +184,5 @@ mod tests {
         let back = read_ppm(&path).unwrap();
         assert_eq!(back, fb);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn bmp_header_and_size() {
-        let fb = Framebuffer::new(3, 2); // row 9 bytes → pad 3
-        let bytes = encode_bmp(&fb);
-        assert_eq!(&bytes[0..2], b"BM");
-        let expect = 54 + (9 + 3) * 2;
-        assert_eq!(bytes.len(), expect);
-        let size = u32::from_le_bytes([bytes[2], bytes[3], bytes[4], bytes[5]]);
-        assert_eq!(size as usize, expect);
-    }
-
-    #[test]
-    fn bmp_pixel_order_bottom_up_bgr() {
-        let mut fb = Framebuffer::new(1, 2);
-        fb.put(0, 0, Rgb::new(10, 20, 30)); // top row
-        fb.put(0, 1, Rgb::new(40, 50, 60)); // bottom row
-        let bytes = encode_bmp(&fb);
-        // first stored row is the bottom image row, BGR order
-        assert_eq!(&bytes[54..57], &[60, 50, 40]);
-    }
-
-    #[test]
-    fn bmp_no_padding_when_aligned() {
-        let fb = Framebuffer::new(4, 1); // 12 bytes, already aligned
-        let bytes = encode_bmp(&fb);
-        assert_eq!(bytes.len(), 54 + 12);
     }
 }

@@ -17,7 +17,7 @@
 //! - [`heatmap`] — the expression-matrix painters: exact **zoom view** and
 //!   downsampled, averaging **global view**,
 //! - [`dendro`] — dendrogram (gene/array tree) painter,
-//! - [`image`] — PPM and BMP encoders plus a PPM decoder for tests.
+//! - [`image`] — a PPM encoder plus a PPM decoder for tests.
 
 #![forbid(unsafe_code)]
 

@@ -6,7 +6,7 @@ use fv_render::color::Rgb;
 use fv_render::colormap::{ColorScheme, ExpressionColorMap};
 use fv_render::draw;
 use fv_render::heatmap::{paint_global_at, paint_zoom_at, Region};
-use fv_render::image::{decode_ppm, encode_bmp, encode_ppm};
+use fv_render::image::{decode_ppm, encode_ppm};
 use fv_render::Framebuffer;
 use proptest::prelude::*;
 
@@ -84,15 +84,6 @@ proptest! {
     fn ppm_roundtrip(img in arb_image()) {
         let bytes = encode_ppm(&img);
         prop_assert_eq!(decode_ppm(&bytes).unwrap(), img);
-    }
-
-    #[test]
-    fn bmp_size_formula(img in arb_image()) {
-        let bytes = encode_bmp(&img);
-        let row = img.width() * 3;
-        let padded = row + (4 - row % 4) % 4;
-        prop_assert_eq!(bytes.len(), 54 + padded * img.height());
-        prop_assert_eq!(&bytes[0..2], b"BM");
     }
 
     #[test]

@@ -28,14 +28,6 @@ impl NetworkModel {
         }
     }
 
-    /// 100 Mb/s Fast Ethernet (the original 2000-era wall).
-    pub fn fast_ethernet() -> Self {
-        NetworkModel {
-            latency: Duration::from_micros(200),
-            bandwidth_bps: 12_500_000.0,
-        }
-    }
-
     /// Time to ship one message of `bytes` payload.
     pub fn message_time(&self, bytes: usize) -> Duration {
         let transfer = Duration::from_secs_f64(bytes as f64 / self.bandwidth_bps);

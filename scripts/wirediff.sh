@@ -11,7 +11,8 @@
 # session already lives on, an unknown session, an out-of-range shard,
 # and a session whose PCL was rewritten on disk; a `close` of a session
 # living away from its hash shard, and its name used again at once),
-# keeps the boot banner and every reply byte, masks what legitimately
+# plus one pipelined burst whose failing request answers the ones behind
+# it `skipped`, keeps the boot banner and every reply byte, masks what legitimately
 # differs between two runs
 # (pids, latency buckets, balancer ticks, the address, the temp dir,
 # mtimes) and ends in `diff -r`: no output and exit 0 mean the two builds
@@ -24,22 +25,37 @@ WORK=$(mktemp -d)
 SERVER_PID=
 trap '[ -z "$SERVER_PID" ] || kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
-# Send each line on the open connection and print its reply frame (`ok
-# <n>` + n body lines, or one `err` line) before sending the next: in
-# lockstep every request is a run of its own, so the run counters in
-# `stats` do not depend on how the lines happened to be batched.
+# Print the next reply frame on the open connection: `ok <n>` + n body
+# lines, or one `err` line.
+reply() {
+  local head line n
+  IFS= read -r head <&3 || { echo "wirediff: the server hung up" >&2; return 1; }
+  printf '%s\n' "$head"
+  [[ $head == ok\ * ]] || return 0
+  for ((n = ${head#ok }; n > 0; n--)); do
+    IFS= read -r line <&3
+    printf '%s\n' "$line"
+  done
+}
+
+# Send each line and print its reply before sending the next: in lockstep
+# every request is a run of its own, so the run counters in `stats` do
+# not depend on how the lines happened to be batched.
 ask() {
-  local line head n
+  local line
   for line in "$@"; do
     printf '%s\n' "$line" >&3
-    IFS= read -r head <&3 || { echo "wirediff: the server hung up on '$line'" >&2; return 1; }
-    printf '%s\n' "$head"
-    [[ $head == ok\ * ]] || continue
-    for ((n = ${head#ok }; n > 0; n--)); do
-      IFS= read -r line <&3
-      printf '%s\n' "$line"
-    done
+    reply
   done
+}
+
+# Send the lines in one write, then print one reply per line: the server
+# runs the requests as one pipelined run.
+burst() {
+  local lines n
+  printf -v lines '%s\n' "$@"
+  printf '%s' "$lines" >&3
+  for ((n = $#; n > 0; n--)); do reply; done
 }
 
 # The shard `list-sessions` (in $1) places session $2 on.
@@ -74,6 +90,7 @@ play() {
       "${probes[@]}" "list_datasets" \
       "migrate wd $home" "list-sessions" "${probes[@]}" \
       "migrate nobody 0" "migrate wd 9" "migrate wd" "impute 9 3" "warble"
+    burst "session_info" "impute 99 3" "session_info" "session_info"
     # The same path, different bytes: no other shard may rebuild the
     # session from it any more.
     printf 'TAMPERED\t0\t0\t1.0\n' >>"$data/gasch_stress.pcl"

@@ -2,7 +2,7 @@
 //! shards are child `fvtool shard-worker` processes — the very worker
 //! `fvtool serve --shard-procs` re-execs — must be byte-identical to the
 //! thread backend (golden conformance), answer an unbuildable synthetic
-//! load as the thread backend does, migrate sessions across process
+//! load and a pipelined failure as the thread backend does, migrate sessions across process
 //! boundaries with diff-identical probe transcripts (and leave a
 //! session the target refuses where it was), rebalance automatically
 //! under skewed load, answer `E_SHARD_DOWN` for a killed worker while
@@ -11,9 +11,12 @@
 
 use fv_api::{EngineHub, SessionId};
 use fv_net::balance::BalanceConfig;
+use fv_net::frame::{read_reply, LineReader};
 use fv_net::{
     run_script_remote, shard_of, BalanceMode, Client, Server, ServerConfig, ShardBackendConfig,
 };
+use std::io::Write;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// The golden script of `fv-api` (the protocol's reference workload).
@@ -159,6 +162,49 @@ fn undersized_synthetic_loads_answer_invalid_and_keep_the_session() {
                 info,
                 "{line} under {backend:?} must leave the session as it was"
             );
+        }
+        server.shutdown();
+        server.join();
+    }
+}
+
+/// Lines written in one burst are one run: behind its failing request
+/// every request is answered `skipped`, by a worker process as by a
+/// worker thread.
+#[test]
+fn a_pipelined_failure_answers_the_run_behind_it_skipped() {
+    for backend in [
+        ShardBackendConfig::Threads,
+        ShardBackendConfig::Procs {
+            worker_cmd: worker_cmd(),
+        },
+    ] {
+        let config = ServerConfig {
+            shards: 2,
+            backend: backend.clone(),
+            scene: SCENE,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral port");
+        let mut wire = TcpStream::connect(server.local_addr()).unwrap();
+        // A frame that never comes fails the test instead of hanging it.
+        wire.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let burst = b"session_info\nimpute 99 3\nsession_info\nsession_info\n";
+        wire.write_all(burst).unwrap();
+        let mut reader = LineReader::new(wire);
+        let mut reply = || read_reply(&mut reader).unwrap().expect("a frame per line");
+        assert!(reply().is_ok(), "under {backend:?}");
+        let failed = reply().expect_err("impute of a missing dataset fails");
+        assert_eq!(
+            failed.code,
+            fv_api::ErrorCode::NotFound,
+            "under {backend:?}"
+        );
+        for _ in 0..2 {
+            let skipped = reply().expect_err("the run behind a failure is skipped");
+            let why = "skipped: request 2 earlier in this pipelined run failed (E_NOT_FOUND)";
+            assert_eq!(skipped.message, why, "under {backend:?}");
         }
         server.shutdown();
         server.join();
