@@ -9,12 +9,15 @@
 //! `put_fields` / `get_fields` — inverse by construction, so adding a
 //! counter to a row is one table line. The key is spelled beside the
 //! field because several differ from it (`busy`, `trigger`, `bytes`, …).
+//! A record inside a row (the latency histogram's two keys in a `shard`
+//! row) is a table of its own, put and got beside the row's.
 //!
 //! What is not a single [`Token`] stays hand-written around the kit
 //! call, on purpose: leading positional tokens (`shard <i>`,
-//! `session <name>`), a trailing free-text `path=`, the two-key latency
-//! histogram, and row counts checked against their header.
+//! `session <name>`), a trailing free-text `path=`, and row counts
+//! checked against their header.
 
+use crate::cache::CacheStats;
 use crate::codec::{BalanceMode, NONE};
 use crate::decode::field;
 use crate::error::ApiError;
@@ -85,6 +88,55 @@ impl Token for (usize, usize) {
     }
 }
 
+/// A fixed-length count list, `<c0>,<c1>,…`: exactly `N` counts.
+impl<const N: usize> Token for [u64; N] {
+    fn put(&self, out: &mut String) {
+        for (i, count) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            count.put(out);
+        }
+    }
+    fn get(token: &str) -> Option<Self> {
+        let mut counts = [0; N];
+        let mut parts = token.split(',');
+        for count in &mut counts {
+            *count = parts.next()?.parse().ok()?;
+        }
+        parts.next().is_none().then_some(counts)
+    }
+}
+
+/// Dataset-cache gauges as one seven-count list, in field order.
+impl Token for CacheStats {
+    fn put(&self, out: &mut String) {
+        [
+            self.entries as u64,
+            self.hits,
+            self.misses,
+            self.evictions,
+            self.derived_entries as u64,
+            self.derived_hits,
+            self.derived_misses,
+        ]
+        .put(out);
+    }
+    fn get(token: &str) -> Option<Self> {
+        let [entries, hits, misses, evictions, derived_entries, derived_hits, derived_misses] =
+            <[u64; 7]>::get(token)?;
+        Some(CacheStats {
+            entries: entries.try_into().ok()?,
+            hits,
+            misses,
+            evictions,
+            derived_entries: derived_entries.try_into().ok()?,
+            derived_hits,
+            derived_misses,
+        })
+    }
+}
+
 /// Append ` key=value`.
 pub fn put<T: Token>(out: &mut String, key: &str, value: &T) {
     out.push(' ');
@@ -149,6 +201,7 @@ mod tests {
             seen: Option<u64> => "seen",
             dims: (usize, usize) => "dims",
             mode: BalanceMode => "mode",
+            counts: [u64; 3] => "counts",
             ..
             name: String,
         }
@@ -162,17 +215,24 @@ mod tests {
             seen: None,
             dims: (800, 600),
             mode: BalanceMode::Auto,
+            counts: [0, 2, 812],
             name: String::new(),
         };
         let mut text = String::from("row");
         row.put_fields(&mut text);
-        assert_eq!(text, "row n=7 ratio=1.15 seen=- dims=800x600 mode=auto");
+        assert_eq!(
+            text,
+            "row n=7 ratio=1.15 seen=- dims=800x600 mode=auto counts=0,2,812"
+        );
         assert_eq!(Row::get_fields(&text).unwrap(), row);
-        // a missing key and a bad value are both typed parse errors
+        // a missing key and a bad value are both typed parse errors — a
+        // count list of the wrong length too
         for bad in [
-            "row n=7 ratio=1.15 seen=- dims=800x600",
-            "row n=7 ratio=1.15 seen=- dims=800 mode=auto",
-            "row n=-1 ratio=1.15 seen=- dims=800x600 mode=auto",
+            "row n=7 ratio=1.15 seen=- dims=800x600 counts=0,2,812",
+            "row n=7 ratio=1.15 seen=- dims=800 mode=auto counts=0,2,812",
+            "row n=-1 ratio=1.15 seen=- dims=800x600 mode=auto counts=0,2,812",
+            "row n=7 ratio=1.15 seen=- dims=800x600 mode=auto counts=0,2",
+            "row n=7 ratio=1.15 seen=- dims=800x600 mode=auto counts=0,2,812,1",
         ] {
             let err = Row::get_fields(bad).unwrap_err();
             assert_eq!(err.code, crate::error::ErrorCode::Parse, "{bad:?}");

@@ -1,4 +1,5 @@
 //! Total parsers for the text fv-api reads back from disk or the wire:
+//! the record kit's count-list token (latency histograms, cache gauges),
 //! `parse_session_image` (checkpoints, migrating sessions),
 //! `parse_sessions_reply` (`list-sessions`), `parse_trace` (`fvtrace`
 //! files), `parse_wire_line` (every line a server is sent) and
@@ -9,10 +10,11 @@
 //! none reserves from a header count.
 
 use fv_api::codec::ScriptItem;
+use fv_api::record::Token;
 use fv_api::{
     format_request, format_response, format_session_image, format_sessions_reply, format_trace,
     parse_request, parse_response, parse_session_image, parse_sessions_reply, parse_trace,
-    parse_wire_line, EngineHub, WireItem,
+    parse_wire_line, CacheStats, EngineHub, WireItem,
 };
 use proptest::prelude::*;
 use std::sync::LazyLock;
@@ -24,6 +26,9 @@ const IMAGE: &str = "session-image v2 scene=800x600 requests=12 datasets=2 log=3
     load data/gasch stress.pcl\n  \
     set_metric euclidean\n  \
     normalize all zscore";
+/// A latency histogram's buckets, and a cache's seven gauges.
+const COUNTS: &str = "0,2,3,1,0,0,0,0,0,18446744073709551615";
+const GAUGES: &str = "1,63,1,0,3,6,3";
 const SESSIONS: &str =
     "sessions n=2\n  session alpha shard=1 datasets=3\n  session beta shard=0 datasets=0";
 const TRACE: &str = "fvtrace 1\n\
@@ -72,11 +77,34 @@ fn mangle(text: &str, flips: &[(usize, u8)]) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
+/// A token's canonical text.
+fn token<T: Token>(value: &T) -> String {
+    let mut text = String::new();
+    value.put(&mut text);
+    text
+}
+
 /// The texts above are the wire bytes, pinned: each parses, re-formats
 /// to itself, and so is a fair seed for the property below (which would
 /// be vacuous over seeds that do not parse). The empty forms ride along.
 #[test]
 fn the_pinned_texts_roundtrip() {
+    let counts = <[u64; 10]>::get(COUNTS).unwrap();
+    assert_eq!((counts[1], counts[9]), (2, u64::MAX));
+    assert_eq!(token(&counts), COUNTS);
+    let gauges = CacheStats::get(GAUGES).unwrap();
+    assert_eq!((gauges.hits, gauges.derived_entries), (63, 3));
+    assert_eq!(token(&gauges), GAUGES);
+    // one count short, one over, or a word among them is no list
+    for bad in [
+        "",
+        "0,2,3,1,0,0,0,0,0",
+        "0,2,3,1,0,0,0,0,0,0,0",
+        "0,2,x,1,0,0,0,0,0,0",
+    ] {
+        assert_eq!(<[u64; 10]>::get(bad), None, "{bad:?}");
+    }
+    assert_eq!(CacheStats::get("1,63,1,0,3,6"), None);
     for text in [
         IMAGE,
         "session-image v2 scene=1280x960 requests=0 datasets=0 log=0",
@@ -116,6 +144,16 @@ proptest! {
         pick in any::<usize>(),
     ) {
         let noise = String::from_utf8_lossy(&noise).into_owned();
+        for text in [noise.clone(), mangle(COUNTS, &flips)] {
+            if let Some(counts) = <[u64; 10]>::get(&text) {
+                prop_assert_eq!(<[u64; 10]>::get(&token(&counts)), Some(counts));
+            }
+        }
+        for text in [noise.clone(), mangle(GAUGES, &flips)] {
+            if let Some(gauges) = CacheStats::get(&text) {
+                prop_assert_eq!(CacheStats::get(&token(&gauges)), Some(gauges));
+            }
+        }
         for text in [noise.clone(), mangle(IMAGE, &flips)] {
             if let Ok(image) = parse_session_image(&text) {
                 prop_assert_eq!(parse_session_image(&format_session_image(&image)).unwrap(), image);

@@ -4,33 +4,34 @@
 //! a live session across shards as a `SessionImage` the target replays —
 //! but placement stayed operator-driven, so a hot shard stays hot under
 //! skewed traffic.
-//! This module adds the *policy*: the server periodically snapshots the
-//! per-shard signals it already collects (queue depth, cumulative
+//! This module adds the *policy*: the server periodically gathers the
+//! [`ShardReport`] every shard already answers `stats` with (cumulative
 //! request counters, latency histograms, per-session cost estimates from
-//! the hubs) and plans migrations that even the load out.
+//! the hubs), adds each shard's queue depth, and plans migrations that
+//! even the load out.
 //!
 //! The design splits three ways, strictest at the core:
 //!
 //! - [`plan_moves`] — the **pure policy**: a clock-free, socket-free
-//!   function of a [`ShardSnapshot`] and a [`BalanceConfig`] to a
-//!   `Vec<MovePlan>`. Every invariant the simulation and property tests
-//!   rely on lives here: moves never target their source shard, never
-//!   exceed the per-tick budget, never pick a pinned (cooling-down or
-//!   in-flight) session, never move one session twice in a plan, and
+//!   function of one interval's [`ShardLoad`]s and a [`BalanceConfig`]
+//!   to a `Vec<MovePlan>`. Every invariant the simulation and property
+//!   tests rely on lives here: moves never target their source shard,
+//!   never exceed the per-tick budget, never pick a pinned (cooling-down
+//!   or in-flight) session, never move one session twice in a plan, and
 //!   always strictly narrow the donor–receiver pair's maximum (a
 //!   receiver never ends up at or above its donor's pre-move load).
 //! - [`Balancer`] — deterministic **tick state**, still clock-free: it
-//!   turns cumulative observations ([`ShardObservation`]) into the
-//!   per-interval load deltas the policy consumes, tracks per-session
-//!   cooldowns by tick number, and keeps the counters and recent-move
-//!   ring the `balance` wire line reports. A simulation drives it with
-//!   scripted observations; the server drives it from a wall-clock
-//!   timer. A session enters cooldown when its move is *planned* — a
-//!   failed move cools down too, so the balancer never hammers a
-//!   refusing target.
+//!   reads the shard reports where they land, folding their cumulative
+//!   counters into the per-interval load deltas the policy consumes,
+//!   tracks per-session cooldowns by tick number, and keeps the counters
+//!   and recent-move ring the `balance` wire line reports. A simulation
+//!   drives it with scripted reports; the server drives it from a
+//!   wall-clock timer. A session enters cooldown when its move is
+//!   *planned* — a failed move cools down too, so the balancer never
+//!   hammers a refusing target.
 //! - The server — `crate::server` is the only layer that owns clocks
 //!   and sockets, and hands the protocol core (`crate::protocol`) one
-//!   `tick()` per interval; the core gathers the snapshots, executes
+//!   `tick()` per interval; the core gathers the reports, executes
 //!   plans through the same snapshot → install → close chain operator
 //!   migrations use, and reports outcomes back.
 //!
@@ -58,6 +59,7 @@
 //! sitting anywhere between the two watermarks is left alone.
 
 use crate::metrics::{LatencyHistogram, LATENCY_BUCKET_COUNT};
+use crate::shard::ShardReport;
 use fv_api::decode::num;
 use fv_api::record::Token;
 use fv_api::ApiError;
@@ -125,7 +127,8 @@ pub struct SessionLoad {
     pub pinned: bool,
 }
 
-/// One shard's slice of a [`ShardSnapshot`].
+/// One shard's load over one interval: everything the pure policy sees of
+/// it. No clocks, no sockets, no hidden state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardLoad {
     /// Shard index.
@@ -149,14 +152,6 @@ impl ShardLoad {
     }
 }
 
-/// Everything the pure policy sees: one interval's load, per shard and
-/// per session. No clocks, no sockets, no hidden state.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ShardSnapshot {
-    /// Per-shard load, any order (shard indices need not be contiguous).
-    pub shards: Vec<ShardLoad>,
-}
-
 /// One planned migration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MovePlan {
@@ -171,18 +166,19 @@ pub struct MovePlan {
 }
 
 /// The pure policy: plan up to `cfg.budget` migrations that reduce the
-/// snapshot's load imbalance. See the module docs for the invariants;
+/// load imbalance across `shards` (any order; shard indices need not be
+/// contiguous). See the module docs for the invariants;
 /// notably every greedy pick keeps the moved load strictly under the
 /// donor–receiver gap, so every move strictly lowers the pair's maximum
 /// — applying a plan monotonically narrows the spread, and a "whale"
 /// session that *is* the imbalance is left alone (moving it would only
 /// relocate the hotspot).
-pub fn plan_moves(snapshot: &ShardSnapshot, cfg: &BalanceConfig) -> Vec<MovePlan> {
-    let n = snapshot.shards.len();
+pub fn plan_moves(shards: &[ShardLoad], cfg: &BalanceConfig) -> Vec<MovePlan> {
+    let n = shards.len();
     if n < 2 || cfg.budget == 0 {
         return Vec::new();
     }
-    let mut loads: Vec<u64> = snapshot.shards.iter().map(ShardLoad::total).collect();
+    let mut loads: Vec<u64> = shards.iter().map(ShardLoad::total).collect();
     let total = loads.iter().fold(0u64, |a, &b| a.saturating_add(b));
     if total < cfg.min_total_load.max(1) {
         return Vec::new();
@@ -229,7 +225,7 @@ pub fn plan_moves(snapshot: &ShardSnapshot, cfg: &BalanceConfig) -> Vec<MovePlan
         let largest = |a: &&SessionLoad, b: &&SessionLoad| {
             a.load.cmp(&b.load).then_with(|| b.session.cmp(&a.session))
         };
-        let candidates = &snapshot.shards[donor].sessions;
+        let candidates = &shards[donor].sessions;
         let pick = candidates
             .iter()
             .filter(eligible)
@@ -252,8 +248,8 @@ pub fn plan_moves(snapshot: &ShardSnapshot, cfg: &BalanceConfig) -> Vec<MovePlan
         loads[receiver] += pick.load;
         moves.push(MovePlan {
             session: pick.session.clone(),
-            from: snapshot.shards[donor].shard,
-            to: snapshot.shards[receiver].shard,
+            from: shards[donor].shard,
+            to: shards[receiver].shard,
             load: pick.load,
         });
     }
@@ -283,38 +279,6 @@ fn argmin(loads: &[u64]) -> usize {
 }
 
 // ── tick state ──────────────────────────────────────────────────────────
-
-/// One session inside a [`ShardObservation`]: *cumulative* counters as
-/// the hubs report them; the [`Balancer`] turns them into deltas.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionObservation {
-    /// Session name.
-    pub session: String,
-    /// Attempted requests since the session was created (travels with
-    /// the engine across migrations).
-    pub requests_total: u64,
-    /// Approximate resident dataset bytes.
-    pub dataset_bytes: u64,
-    /// A migration for this session is currently in flight.
-    pub in_flight: bool,
-}
-
-/// One shard's cumulative counters at an instant — exactly what a
-/// `stats`-style shard report carries, no clocks attached.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardObservation {
-    /// Shard index.
-    pub shard: usize,
-    /// Jobs queued on the shard channel right now.
-    pub queued: usize,
-    /// Attempted requests since startup (stays with the shard; does NOT
-    /// follow migrating sessions).
-    pub requests_total: u64,
-    /// Cumulative request-latency histogram (stays with the shard).
-    pub latency: LatencyHistogram,
-    /// Cumulative per-session costs of the sessions living here now.
-    pub sessions: Vec<SessionObservation>,
-}
 
 /// Lifecycle of one recorded move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -371,14 +335,14 @@ fv_api::wire_record! {
 /// How many recent decisions the status reply retains.
 const RECENT_MOVES: usize = 16;
 
-/// Deterministic, clock-free balancer state: cumulative observations in,
+/// Deterministic, clock-free balancer state: cumulative shard reports in,
 /// migration plans out, with per-session cooldowns tracked by tick
 /// number. The server advances it on a wall-clock interval; tests and
 /// the simulation harness advance it explicitly.
 #[derive(Debug)]
 pub struct Balancer {
-    /// Current mode; [`Balancer::tick`] plans nothing when `Off` (the
-    /// server also skips snapshot gathering entirely then).
+    /// Current mode; [`Balancer::tick`] plans nothing when `Off` (but
+    /// still folds the reports, so a flip to `Auto` sees fresh deltas).
     pub mode: BalanceMode,
     cfg: BalanceConfig,
     tick: u64,
@@ -421,50 +385,62 @@ impl Balancer {
         (self.planned, self.completed, self.failed)
     }
 
-    /// Advance one tick: fold the cumulative observations into interval
-    /// deltas, refresh cooldowns, and (in `Auto` mode) plan migrations.
-    /// Every planned session enters cooldown immediately — whatever the
-    /// move's eventual outcome.
-    pub fn tick(&mut self, observations: &[ShardObservation]) -> Vec<MovePlan> {
+    /// Advance one tick: fold the shards' cumulative reports (with each
+    /// shard's queue depth, by index, in `queued`) into interval deltas,
+    /// refresh cooldowns, and (in `Auto` mode) plan migrations.
+    /// `in_flight` names sessions a move is already under way for. Every
+    /// planned session enters cooldown immediately — whatever the move's
+    /// eventual outcome.
+    pub fn tick(
+        &mut self,
+        reports: &[ShardReport],
+        queued: &[usize],
+        in_flight: impl Fn(&str) -> bool,
+    ) -> Vec<MovePlan> {
         self.tick += 1;
         let tick = self.tick;
         let cooldown = self.cfg.cooldown_ticks;
         self.last_move
             .retain(|_, planned_at| tick.saturating_sub(*planned_at) < cooldown);
 
-        let mut shards = Vec::with_capacity(observations.len());
+        let mut shards = Vec::with_capacity(reports.len());
         let mut next_session_requests: BTreeMap<String, u64> = BTreeMap::new();
-        for obs in observations {
-            let busy_total = approx_busy_us(&obs.latency);
-            let (last_req, last_busy) = self.last_shard.get(&obs.shard).copied().unwrap_or((0, 0));
-            let d_req = obs.requests_total.saturating_sub(last_req);
+        for report in reports {
+            let busy_total = approx_busy_us(&report.latency);
+            let (last_req, last_busy) = self
+                .last_shard
+                .get(&report.shard)
+                .copied()
+                .unwrap_or((0, 0));
+            let d_req = report.requests.saturating_sub(last_req);
             let d_busy = busy_total.saturating_sub(last_busy);
             self.last_shard
-                .insert(obs.shard, (obs.requests_total, busy_total));
+                .insert(report.shard, (report.requests, busy_total));
             // The shard's per-request cost this interval, in µs. Clamped
             // ≥ 1 so request counts still register when the histogram is
             // empty (simulations) or the interval saw no completions.
             let cost_us = (d_busy / d_req.max(1)).max(1);
-            let mut sessions = Vec::with_capacity(obs.sessions.len());
-            for s in &obs.sessions {
+            let mut sessions = Vec::with_capacity(report.sessions.len());
+            for s in &report.sessions {
                 let last = self
                     .last_session_requests
-                    .get(&s.session)
+                    .get(&s.name)
                     .copied()
                     .unwrap_or(0);
-                let d = s.requests_total.saturating_sub(last);
-                next_session_requests.insert(s.session.clone(), s.requests_total);
+                let d = s.requests.saturating_sub(last);
+                next_session_requests.insert(s.name.clone(), s.requests);
                 let load = d.saturating_mul(cost_us) + (s.dataset_bytes >> 20);
-                let pinned = s.in_flight || self.last_move.contains_key(&s.session);
+                let pinned = in_flight(&s.name) || self.last_move.contains_key(&s.name);
                 sessions.push(SessionLoad {
-                    session: s.session.clone(),
+                    session: s.name.clone(),
                     load,
                     pinned,
                 });
             }
+            let queued = queued.get(report.shard).copied().unwrap_or(0);
             shards.push(ShardLoad {
-                shard: obs.shard,
-                queued_load: (obs.queued as u64).saturating_mul(cost_us),
+                shard: report.shard,
+                queued_load: (queued as u64).saturating_mul(cost_us),
                 sessions,
             });
         }
@@ -472,12 +448,12 @@ impl Balancer {
         // recreated namesake starts over.
         self.last_session_requests = next_session_requests;
         self.last_shard
-            .retain(|shard, _| observations.iter().any(|o| o.shard == *shard));
+            .retain(|shard, _| reports.iter().any(|r| r.shard == *shard));
 
         if self.mode != BalanceMode::Auto {
             return Vec::new();
         }
-        let plans = plan_moves(&ShardSnapshot { shards }, &self.cfg);
+        let plans = plan_moves(&shards, &self.cfg);
         for plan in &plans {
             self.last_move.insert(plan.session.clone(), tick);
             self.planned += 1;
@@ -620,6 +596,7 @@ pub fn parse_balance(text: &str) -> Result<BalanceStatus, ApiError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::SessionReport;
 
     fn shard(idx: usize, sessions: &[(&str, u64)]) -> ShardLoad {
         ShardLoad {
@@ -636,6 +613,34 @@ mod tests {
         }
     }
 
+    /// A shard's cumulative report: each session's attempted-request
+    /// total, the shard's the sum of them.
+    fn report(idx: usize, latency: LatencyHistogram, sessions: &[(&str, u64)]) -> ShardReport {
+        ShardReport {
+            shard: idx,
+            requests: sessions.iter().map(|&(_, n)| n).sum(),
+            latency,
+            sessions: sessions
+                .iter()
+                .map(|&(name, requests)| SessionReport {
+                    n_datasets: 0,
+                    requests,
+                    dataset_bytes: 0,
+                    name: name.to_string(),
+                })
+                .collect(),
+            ..ShardReport::default()
+        }
+    }
+
+    fn idle(idx: usize, sessions: &[(&str, u64)]) -> ShardReport {
+        report(idx, LatencyHistogram::new(), sessions)
+    }
+
+    fn tick(bal: &mut Balancer, reports: &[ShardReport]) -> Vec<MovePlan> {
+        bal.tick(reports, &[], |_| false)
+    }
+
     fn cfg() -> BalanceConfig {
         BalanceConfig {
             budget: 4,
@@ -648,13 +653,11 @@ mod tests {
 
     #[test]
     fn skew_is_planned_toward_the_idle_shard() {
-        let snap = ShardSnapshot {
-            shards: vec![
-                shard(0, &[("a", 100), ("b", 100), ("c", 100), ("d", 100)]),
-                shard(1, &[]),
-            ],
-        };
-        let moves = plan_moves(&snap, &cfg());
+        let shards = [
+            shard(0, &[("a", 100), ("b", 100), ("c", 100), ("d", 100)]),
+            shard(1, &[]),
+        ];
+        let moves = plan_moves(&shards, &cfg());
         assert!(!moves.is_empty());
         for m in &moves {
             assert_eq!(m.from, 0);
@@ -667,11 +670,9 @@ mod tests {
     }
 
     #[test]
-    fn balanced_and_empty_snapshots_are_fixpoints() {
-        assert_eq!(plan_moves(&ShardSnapshot::default(), &cfg()), []);
-        let even = ShardSnapshot {
-            shards: vec![shard(0, &[("a", 50)]), shard(1, &[("b", 50)])],
-        };
+    fn balanced_and_empty_loads_are_fixpoints() {
+        assert_eq!(plan_moves(&[], &cfg()), []);
+        let even = [shard(0, &[("a", 50)]), shard(1, &[("b", 50)])];
         assert_eq!(plan_moves(&even, &cfg()), []);
     }
 
@@ -679,27 +680,21 @@ mod tests {
     fn hysteresis_window_holds_fire() {
         // max = 120, mean = 100: above settle (1.1) but below trigger
         // (1.5) — the in-between band must be left alone.
-        let snap = ShardSnapshot {
-            shards: vec![shard(0, &[("a", 60), ("b", 60)]), shard(1, &[("c", 80)])],
-        };
-        assert_eq!(plan_moves(&snap, &cfg()), []);
+        let shards = [shard(0, &[("a", 60), ("b", 60)]), shard(1, &[("c", 80)])];
+        assert_eq!(plan_moves(&shards, &cfg()), []);
     }
 
     #[test]
     fn whale_alone_is_never_moved() {
         // Moving the only loaded session just relocates the hotspot.
-        let snap = ShardSnapshot {
-            shards: vec![shard(0, &[("whale", 1000)]), shard(1, &[])],
-        };
-        assert_eq!(plan_moves(&snap, &cfg()), []);
+        let shards = [shard(0, &[("whale", 1000)]), shard(1, &[])];
+        assert_eq!(plan_moves(&shards, &cfg()), []);
         // …but its shard-mates are shed around it.
-        let snap = ShardSnapshot {
-            shards: vec![
-                shard(0, &[("whale", 1000), ("m1", 60), ("m2", 60)]),
-                shard(1, &[]),
-            ],
-        };
-        let moves = plan_moves(&snap, &cfg());
+        let shards = [
+            shard(0, &[("whale", 1000), ("m1", 60), ("m2", 60)]),
+            shard(1, &[]),
+        ];
+        let moves = plan_moves(&shards, &cfg());
         assert!(!moves.is_empty());
         assert!(moves.iter().all(|m| m.session != "whale"));
     }
@@ -708,32 +703,19 @@ mod tests {
     fn pinned_sessions_and_budget_are_respected() {
         let mut donor = shard(0, &[("a", 100), ("b", 100), ("c", 100), ("d", 100)]);
         donor.sessions[0].pinned = true; // "a" cooling down
-        let snap = ShardSnapshot {
-            shards: vec![donor, shard(1, &[])],
-        };
         let tight = BalanceConfig { budget: 1, ..cfg() };
-        let moves = plan_moves(&snap, &tight);
+        let moves = plan_moves(&[donor, shard(1, &[])], &tight);
         assert_eq!(moves.len(), 1);
         assert_ne!(moves[0].session, "a");
     }
 
     #[test]
     fn queued_load_counts_but_never_moves() {
-        let snap = ShardSnapshot {
-            shards: vec![
-                ShardLoad {
-                    shard: 0,
-                    queued_load: 400,
-                    sessions: vec![SessionLoad {
-                        session: "s".into(),
-                        load: 50,
-                        pinned: false,
-                    }],
-                },
-                shard(1, &[]),
-            ],
+        let hot = ShardLoad {
+            queued_load: 400,
+            ..shard(0, &[("s", 50)])
         };
-        let moves = plan_moves(&snap, &cfg());
+        let moves = plan_moves(&[hot, shard(1, &[])], &cfg());
         // the queue pressure makes shard 0 hot; the only relief valve is
         // its one (small) session
         assert_eq!(moves.len(), 1);
@@ -742,107 +724,61 @@ mod tests {
 
     #[test]
     fn min_total_load_gates_idle_churn() {
-        let snap = ShardSnapshot {
-            shards: vec![shard(0, &[("a", 3), ("b", 3)]), shard(1, &[])],
-        };
+        let shards = [shard(0, &[("a", 3), ("b", 3)]), shard(1, &[])];
         let gated = BalanceConfig {
             min_total_load: 100,
             ..cfg()
         };
-        assert_eq!(plan_moves(&snap, &gated), []);
+        assert_eq!(plan_moves(&shards, &gated), []);
     }
 
     #[test]
     fn balancer_uses_request_deltas_not_totals() {
         let mut bal = Balancer::new(BalanceMode::Auto, cfg());
-        let obs = |totals: [(u64, u64); 2]| -> Vec<ShardObservation> {
-            vec![
-                ShardObservation {
-                    shard: 0,
-                    queued: 0,
-                    requests_total: totals[0].0 + totals[0].1,
-                    latency: LatencyHistogram::new(),
-                    sessions: vec![
-                        SessionObservation {
-                            session: "hot".into(),
-                            requests_total: totals[0].0,
-                            dataset_bytes: 0,
-                            in_flight: false,
-                        },
-                        SessionObservation {
-                            session: "warm".into(),
-                            requests_total: totals[0].1,
-                            dataset_bytes: 0,
-                            in_flight: false,
-                        },
-                    ],
-                },
-                ShardObservation {
-                    shard: 1,
-                    queued: 0,
-                    requests_total: totals[1].0,
-                    latency: LatencyHistogram::new(),
-                    sessions: vec![SessionObservation {
-                        session: "calm".into(),
-                        requests_total: totals[1].0,
-                        dataset_bytes: 0,
-                        in_flight: false,
-                    }],
-                },
-            ]
-        };
+        let reports = [
+            idle(0, &[("hot", 500), ("warm", 400)]),
+            idle(1, &[("calm", 10)]),
+        ];
         // Tick 1: first sight — everything counts as recent. Skewed.
-        let plans = bal.tick(&obs([(500, 400), (10, 0)]));
+        let plans = tick(&mut bal, &reports);
         assert!(!plans.is_empty());
         assert!(plans.iter().all(|p| p.from == 0 && p.to == 1));
         // The planned sessions are cooling: identical totals (zero
         // delta) ⇒ balanced ⇒ nothing planned, and even renewed skew
         // within the cooldown cannot re-move them.
-        let plans2 = bal.tick(&obs([(500, 400), (10, 0)]));
-        assert_eq!(plans2, []);
+        assert_eq!(tick(&mut bal, &reports), []);
         let (planned, _, _) = bal.counters();
         assert_eq!(planned as usize, plans.len());
         assert!(bal.status().cooling >= plans.len());
     }
 
     #[test]
+    fn queue_depth_and_in_flight_moves_are_read_beside_the_reports() {
+        let reports = [
+            idle(0, &[("a", 10), ("b", 10)]),
+            idle(1, &[("s", 10), ("t", 10)]),
+        ];
+        let fresh = || Balancer::new(BalanceMode::Auto, cfg());
+        // Even by requests; shard 1's queue (by shard index) makes it
+        // the hot one, and of its sessions only the one not already
+        // moving may go.
+        assert_eq!(fresh().tick(&reports, &[], |_| false), []);
+        let plans = fresh().tick(&reports, &[0, 50], |name| name == "s");
+        assert_eq!(plans.len(), 1, "{plans:?}");
+        assert_eq!((plans[0].session.as_str(), plans[0].from), ("t", 1));
+        assert_eq!(fresh().tick(&reports, &[0, 50], |_| true), []);
+    }
+
+    #[test]
     fn off_mode_observes_but_never_plans() {
         let mut bal = Balancer::new(BalanceMode::Off, cfg());
-        let obs = vec![
-            ShardObservation {
-                shard: 0,
-                queued: 0,
-                requests_total: 900,
-                latency: LatencyHistogram::new(),
-                sessions: vec![
-                    SessionObservation {
-                        session: "a".into(),
-                        requests_total: 450,
-                        dataset_bytes: 0,
-                        in_flight: false,
-                    },
-                    SessionObservation {
-                        session: "b".into(),
-                        requests_total: 450,
-                        dataset_bytes: 0,
-                        in_flight: false,
-                    },
-                ],
-            },
-            ShardObservation {
-                shard: 1,
-                queued: 0,
-                requests_total: 0,
-                latency: LatencyHistogram::new(),
-                sessions: vec![],
-            },
-        ];
-        assert_eq!(bal.tick(&obs), []);
+        let reports = [idle(0, &[("a", 450), ("b", 450)]), idle(1, &[])];
+        assert_eq!(tick(&mut bal, &reports), []);
         assert_eq!(bal.ticks(), 1);
         // flipping to auto, the next tick sees only the delta (zero) —
         // no stale burst from the Off period
         bal.mode = BalanceMode::Auto;
-        assert_eq!(bal.tick(&obs), []);
+        assert_eq!(tick(&mut bal, &reports), []);
     }
 
     #[test]
@@ -854,41 +790,11 @@ mod tests {
         let mut fast = LatencyHistogram::new();
         fast.counts[0] = 100; // ≈25µs each
         let mut bal = Balancer::new(BalanceMode::Auto, cfg());
-        let obs = vec![
-            ShardObservation {
-                shard: 0,
-                queued: 0,
-                requests_total: 100,
-                latency: slow,
-                sessions: vec![
-                    SessionObservation {
-                        session: "s0".into(),
-                        requests_total: 60,
-                        dataset_bytes: 0,
-                        in_flight: false,
-                    },
-                    SessionObservation {
-                        session: "s1".into(),
-                        requests_total: 40,
-                        dataset_bytes: 0,
-                        in_flight: false,
-                    },
-                ],
-            },
-            ShardObservation {
-                shard: 1,
-                queued: 0,
-                requests_total: 100,
-                latency: fast,
-                sessions: vec![SessionObservation {
-                    session: "f0".into(),
-                    requests_total: 100,
-                    dataset_bytes: 0,
-                    in_flight: false,
-                }],
-            },
+        let reports = [
+            report(0, slow, &[("s0", 60), ("s1", 40)]),
+            report(1, fast, &[("f0", 100)]),
         ];
-        let plans = bal.tick(&obs);
+        let plans = tick(&mut bal, &reports);
         assert!(!plans.is_empty(), "busy-time imbalance must trigger");
         assert!(plans.iter().all(|p| p.from == 0 && p.to == 1));
     }
@@ -896,36 +802,8 @@ mod tests {
     #[test]
     fn failed_moves_count_and_keep_their_cooldown() {
         let mut bal = Balancer::new(BalanceMode::Auto, cfg());
-        let skew = vec![
-            ShardObservation {
-                shard: 0,
-                queued: 0,
-                requests_total: 800,
-                latency: LatencyHistogram::new(),
-                sessions: vec![
-                    SessionObservation {
-                        session: "a".into(),
-                        requests_total: 400,
-                        dataset_bytes: 0,
-                        in_flight: false,
-                    },
-                    SessionObservation {
-                        session: "b".into(),
-                        requests_total: 400,
-                        dataset_bytes: 0,
-                        in_flight: false,
-                    },
-                ],
-            },
-            ShardObservation {
-                shard: 1,
-                queued: 0,
-                requests_total: 0,
-                latency: LatencyHistogram::new(),
-                sessions: vec![],
-            },
-        ];
-        let plans = bal.tick(&skew);
+        let skew = [idle(0, &[("a", 400), ("b", 400)]), idle(1, &[])];
+        let plans = tick(&mut bal, &skew);
         assert_eq!(plans.len(), 1, "one move settles 800/0 into 400/400");
         bal.record_outcome(&plans[0].session, false);
         let status = bal.status();

@@ -83,9 +83,7 @@ pub mod shard;
 pub mod stream;
 pub mod tap;
 
-pub use balance::{
-    plan_moves, BalanceConfig, BalanceMode, BalanceStatus, Balancer, MovePlan, ShardSnapshot,
-};
+pub use balance::{plan_moves, BalanceConfig, BalanceMode, BalanceStatus, Balancer, MovePlan};
 pub use client::{run_script_remote, Client};
 pub use frame::ReplyAssembler;
 pub use metrics::{ServerStats, ShardStats};

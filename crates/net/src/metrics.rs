@@ -45,15 +45,17 @@ pub const LATENCY_BUCKETS_US: [u64; 9] =
 /// overflow bucket.
 pub const LATENCY_BUCKET_COUNT: usize = LATENCY_BUCKETS_US.len() + 1;
 
-/// Fixed-bucket per-request latency histogram (see
-/// [`LATENCY_BUCKETS_US`]). Cheap to record into, mergeable, and
-/// losslessly wire-representable as a count list.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LatencyHistogram {
-    /// One count per bucket, overflow last.
-    pub counts: [u64; LATENCY_BUCKET_COUNT],
-    /// Largest single observation, in microseconds.
-    pub max_us: u64,
+fv_api::wire_record! {
+    /// Fixed-bucket per-request latency histogram (see
+    /// [`LATENCY_BUCKETS_US`]). Cheap to record into, mergeable, and
+    /// losslessly wire-representable as a count list.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct LatencyHistogram {
+        /// One count per bucket, overflow last.
+        pub counts: [u64; LATENCY_BUCKET_COUNT] => "lat_us",
+        /// Largest single observation, in microseconds.
+        pub max_us: u64 => "lat_max_us",
+    }
 }
 
 impl LatencyHistogram {
@@ -76,31 +78,6 @@ impl LatencyHistogram {
     /// Total observations across all buckets.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    pub(crate) fn format(&self) -> String {
-        self.counts
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-
-    pub(crate) fn parse(counts: &str, max_us: &str) -> Result<LatencyHistogram, ApiError> {
-        let parsed: Vec<u64> = counts
-            .split(',')
-            .map(|c| num(c, "latency bucket count"))
-            .collect::<Result<_, _>>()?;
-        let counts: [u64; LATENCY_BUCKET_COUNT] = parsed.try_into().map_err(|v: Vec<u64>| {
-            ApiError::parse(format!(
-                "latency histogram needs {LATENCY_BUCKET_COUNT} buckets, got {}",
-                v.len()
-            ))
-        })?;
-        Ok(LatencyHistogram {
-            counts,
-            max_us: num(max_us, "lat_max_us")?,
-        })
     }
 }
 
@@ -129,7 +106,7 @@ fv_api::wire_record! {
         /// Shard index; leads the row.
         pub shard: usize,
         /// Per-request latency histogram of every request this shard
-        /// attempted; closes the row as `lat_us=` + `lat_max_us=`.
+        /// attempted; its own record closes the row.
         pub latency: LatencyHistogram,
     }
 }
@@ -189,9 +166,9 @@ fv_api::wire_record! {
         pub garbage_frames: u64 => "garbage",
         /// Connections that disconnected with work still pending: lines
         /// queued, shard work in flight, or buffered responses unflushed.
-        /// A `subscribe`'s keyframe run counts while it is at the shard,
-        /// though its ack went out at dispatch: the viewer left before
-        /// the work it asked for was done. Clean closes at a request
+        /// A `use`'s or `subscribe`'s empty run counts while it is at the
+        /// shard, though its answer went out at dispatch: the client left
+        /// before the work it asked for was done. Clean closes at a request
         /// boundary are not counted.
         pub dirty_disconnects: u64 => "disconnects",
         /// Sum of per-shard executed runs.
@@ -248,12 +225,7 @@ pub fn format_stats(stats: &ServerStats) -> String {
     for s in &stats.shards {
         let _ = write!(out, "\n  shard {}", s.shard);
         s.put_fields(&mut out);
-        let _ = write!(
-            out,
-            " lat_us={} lat_max_us={}",
-            s.latency.format(),
-            s.latency.max_us
-        );
+        s.latency.put_fields(&mut out);
     }
     out
 }
@@ -286,7 +258,7 @@ pub fn parse_stats(text: &str) -> Result<ServerStats, ApiError> {
             .ok_or_else(|| ApiError::parse("shard row needs fields"))?;
         shards.push(ShardStats {
             shard: num(idx, "shard")?,
-            latency: LatencyHistogram::parse(field(rest, "lat_us")?, field(rest, "lat_max_us")?)?,
+            latency: LatencyHistogram::get_fields(rest)?,
             ..ShardStats::get_fields(rest)?
         });
     }
@@ -348,7 +320,22 @@ mod tests {
             // pre-process-shards header (no backend= kind, no shard pid=)
             "stats shards=1 connections=1 sessions=0 frames_in=0 frames_out=0 busy=0 garbage=0 disconnects=0 runs=0 requests=0 max_run=0 cache_entries=0 cache_hits=0 cache_misses=0 cache_evictions=0 balancer_ticks=0 balancer_moves=0 balancer_failed=0\n  stream subscribers=0 frames=0 bytes=0 pixels=0 coalesced=0 dropped=0 link_us=0\n  shard 0 sessions=0 queued=0 runs=0 requests=0 max_run=0 lat_us=0,0,0,0,0,0,0,0,0,0 lat_max_us=0",
         ] {
-            assert!(parse_stats(bad).is_err(), "{bad:?} must not parse");
+            let code = parse_stats(bad).map(|_| ()).unwrap_err().code;
+            assert_eq!(code, fv_api::ErrorCode::Parse, "{bad:?} must not parse");
+        }
+        // The histogram is read through its own record: exactly ten
+        // numeric buckets, and its max beside them.
+        let row = "stats shards=1 backend=threads connections=1 sessions=0 frames_in=0 frames_out=0 busy=0 garbage=0 disconnects=0 runs=0 requests=0 max_run=0 cache_entries=0 cache_hits=0 cache_misses=0 cache_evictions=0 derived_entries=0 derived_hits=0 derived_misses=0 balancer_ticks=0 balancer_moves=0 balancer_failed=0 recovered=0\n  stream subscribers=0 frames=0 bytes=0 pixels=0 coalesced=0 dropped=0 link_us=0\n  shard 0 pid=1 sessions=0 queued=0 runs=0 requests=0 max_run=0";
+        let lat = |tail: &str| parse_stats(&format!("{row} {tail}"));
+        assert!(lat("lat_us=0,0,0,0,0,0,0,0,0,1 lat_max_us=9").is_ok());
+        for tail in [
+            "lat_us=0,0,0,0,0,0,0,0,1 lat_max_us=9",
+            "lat_us=0,0,0,0,0,0,0,0,0,0,1 lat_max_us=9",
+            "lat_us=0,0,0,0,x,0,0,0,0,1 lat_max_us=9",
+            "lat_us=0,0,0,0,0,0,0,0,0,1",
+        ] {
+            let code = lat(tail).map(|_| ()).unwrap_err().code;
+            assert_eq!(code, fv_api::ErrorCode::Parse, "{tail:?} must not parse");
         }
         // a shard count no reply could hold is a typed error, not a
         // reservation

@@ -5,7 +5,7 @@
 //! raw pixel bytes — requests as their canonical wire grammar
 //! (`fv_api::codec`), a run's answer as the finished `ok`/`err` reply
 //! frames the asker gets (`crate::frame`), sessions as [`SessionImage`]
-//! text, reports as the counter grammar below. The
+//! text, reports as [`ShardReport`]'s own records below. The
 //! child never sees an `Engine` value from the parent and vice versa,
 //! which is the whole point: a shard that segfaults takes its sessions
 //! with it, answers [`ErrorCode::ShardDown`] (`E_SHARD_DOWN`) from then
@@ -48,7 +48,7 @@
 //! close <session>                      → closed <0|1>
 //! report                               → report shard=<i> runs=<r>
 //!                                          requests=<q> max_run=<m>
-//!                                          lat=<counts> lat_max_us=<u>
+//!                                          lat_us=<counts> lat_max_us=<u>
 //!                                          cache=<e>,<h>,<m>,<ev>,<de>,<dh>,<dm>
 //!                                          sessions=<k>
 //!                                        <k "session datasets=<n>
@@ -85,14 +85,13 @@ use crate::shard::{
     WorkerCore,
 };
 use fv_api::decode::{field, num};
-use fv_api::record::Token;
+use fv_api::record::{self, Token};
 use fv_api::{
-    format_request, format_session_image, parse_request, parse_session_image, ApiError, CacheStats,
+    format_request, format_session_image, parse_request, parse_session_image, ApiError,
     DatasetCache, ErrorCode, SessionId,
 };
 use fv_render::Framebuffer;
 use fv_wall::tile::Viewport;
-use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -467,20 +466,10 @@ fn decode_run_done(header: &str, c: &mut Cursor, session: &SessionId) -> Result<
 fn encode_report(report: &ShardReport) -> Vec<u8> {
     let mut out = String::from("report");
     report.put_fields(&mut out);
-    let _ = writeln!(
-        out,
-        " lat={} lat_max_us={} cache={},{},{},{},{},{},{} sessions={}",
-        report.latency.format(),
-        report.latency.max_us,
-        report.cache.entries,
-        report.cache.hits,
-        report.cache.misses,
-        report.cache.evictions,
-        report.cache.derived_entries,
-        report.cache.derived_hits,
-        report.cache.derived_misses,
-        report.sessions.len(),
-    );
+    report.latency.put_fields(&mut out);
+    record::put(&mut out, "cache", &report.cache);
+    record::put(&mut out, "sessions", &report.sessions.len());
+    out.push('\n');
     for s in &report.sessions {
         out.push_str("session");
         s.put_fields(&mut out);
@@ -491,25 +480,6 @@ fn encode_report(report: &ShardReport) -> Vec<u8> {
 
 fn decode_report(header: &str, c: &mut Cursor) -> Result<ShardReport, ApiError> {
     let n_sessions = c.count(field(header, "sessions")?, "session count")?;
-    let cache_spec = field(header, "cache")?;
-    let gauges: Result<Vec<u64>, ApiError> = cache_spec
-        .split(',')
-        .map(|v| num(v, "cache gauge"))
-        .collect();
-    let cache = match gauges?[..] {
-        [entries, hits, misses, evictions, derived_entries, derived_hits, derived_misses] => {
-            CacheStats {
-                entries: entries as usize,
-                hits,
-                misses,
-                evictions,
-                derived_entries: derived_entries as usize,
-                derived_hits,
-                derived_misses,
-            }
-        }
-        _ => return Err(ApiError::parse(format!("bad cache gauges {cache_spec:?}"))),
-    };
     let mut sessions = Vec::with_capacity(n_sessions);
     for _ in 0..n_sessions {
         let row = c.line()?;
@@ -519,8 +489,8 @@ fn decode_report(header: &str, c: &mut Cursor) -> Result<ShardReport, ApiError> 
         sessions.push(SessionReport::get_fields(row)?);
     }
     Ok(ShardReport {
-        latency: LatencyHistogram::parse(field(header, "lat")?, field(header, "lat_max_us")?)?,
-        cache,
+        latency: LatencyHistogram::get_fields(header)?,
+        cache: record::get(header, "cache")?,
         sessions,
         ..ShardReport::get_fields(header)?
     })
@@ -1045,16 +1015,36 @@ mod tests {
             (install, b"installed err E_INTERNAL\n"), // missing message blob
             (install, b"installed err E_INTERNAL\n3\nwhy5\nimage"), // trailing bytes
             (report, b"report shard=0\n"),
-            (report, b"report shard=0 runs=0 requests=0 max_run=0 lat=0 lat_max_us=0 cache=0,0,0,0,0,0,0 sessions=18446744073709551615\n"),
-            // the pre-derived-map gauge quad, and one gauge too many
-            (report, b"report shard=0 runs=0 requests=0 max_run=0 lat=0 lat_max_us=0 cache=0,0,0,0 sessions=0\n"),
-            (report, b"report shard=0 runs=0 requests=0 max_run=0 lat=0 lat_max_us=0 cache=0,0,0,0,0,0,0,0 sessions=0\n"),
+            (report, b"report shard=0 runs=0 requests=0 max_run=0 lat_us=0,0,0,0,0,0,0,0,0,0 lat_max_us=0 cache=0,0,0,0,0,0,0 sessions=18446744073709551615\n"),
+            // the old single-key histogram
+            (report, b"report shard=0 runs=0 requests=0 max_run=0 lat=0,0,0,0,0,0,0,0,0,0 lat_max_us=0 cache=0,0,0,0,0,0,0 sessions=0\n"),
         ] {
             assert!(
                 decode_reply(garbage, op).is_err(),
                 "{:?} must be rejected",
                 String::from_utf8_lossy(garbage)
             );
+        }
+        // The report's histogram and cache gauges are records of fixed
+        // shape: a bucket or a gauge too few or too many, a word for a
+        // count, or a missing key is a typed `E_PARSE`.
+        let header = |lat: &str, cache: &str| {
+            format!("report shard=0 runs=0 requests=0 max_run=0 {lat} cache={cache} sessions=0\n")
+        };
+        let (lat, cache) = ("lat_us=0,0,0,0,0,0,0,0,0,1 lat_max_us=9", "0,0,0,0,0,0,0");
+        assert!(decode_reply(header(lat, cache).as_bytes(), report).is_ok());
+        for garbage in [
+            header("lat_us=0,0,0,0,0,0,0,0,1 lat_max_us=9", cache),
+            header("lat_us=0,0,0,0,0,0,0,0,0,0,1 lat_max_us=9", cache),
+            header("lat_us=0,0,0,0,x,0,0,0,0,1 lat_max_us=9", cache),
+            header("lat_us=0,0,0,0,0,0,0,0,0,1", cache),
+            header(lat, "0,0,0,0,0,0"),
+            // the pre-derived-map gauge quad, and one gauge too many
+            header(lat, "0,0,0,0"),
+            header(lat, "0,0,0,0,0,0,0,0"),
+        ] {
+            let err = decode_reply(garbage.as_bytes(), report).map(|_| ());
+            assert_eq!(err.unwrap_err().code, ErrorCode::Parse, "{garbage:?}");
         }
     }
 

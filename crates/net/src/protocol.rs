@@ -24,7 +24,7 @@
 //! seeded loop over whole worlds in `protocol/server_sim.rs` (steps,
 //! invariants, re-running a seed: `crates/net/README.md`).
 
-use crate::balance::{format_balance, Balancer, SessionObservation, ShardObservation};
+use crate::balance::{format_balance, Balancer};
 use crate::frame::{push_err_frame, push_ok_frame, FrameBuf, LineFault, MAX_LINE};
 use crate::metrics::{ServerStats, ShardStats, StreamStats};
 use crate::server::{ServerConfig, Waker};
@@ -54,12 +54,11 @@ const INBOX_HIGH_WATER: usize = 1024;
 /// that is what keeps per-connection response order equal to request
 /// order).
 enum Inflight {
-    /// A dispatched request run, answered with its responses.
+    /// A dispatched request run, answered with its responses — or the
+    /// empty run a `use` or `subscribe` materializes its session with,
+    /// answered at dispatch: holding the connection on it keeps later
+    /// requests from outrunning the materialization.
     Run,
-    /// The empty run a `use` materializes its session with, answered
-    /// `using <name>` once the shard has done it, so later requests
-    /// cannot outrun the materialization.
-    Use,
     /// A dispatched migration or close (see [`Migration`]); answered
     /// `migrated <name> shard=<to>` or `closed <name>`.
     Migrate,
@@ -476,8 +475,8 @@ impl LoopState {
         }
     }
 
-    /// A completed balancer snapshot gather: fold the shard reports into
-    /// observations, tick the policy, and start every still-valid plan
+    /// A completed balancer snapshot gather: tick the policy on the shard
+    /// reports as they are, and start every still-valid plan
     /// down the same snapshot → install → close chain operator
     /// migrations use. Plans that went stale between snapshot
     /// and execution (session migrated, closed, or already moving) are
@@ -485,27 +484,11 @@ impl LoopState {
     /// session around on outdated data.
     fn run_balance_tick(&mut self, mut reports: Vec<ShardReport>) {
         reports.sort_by_key(|r| r.shard);
-        let depths = self.shards.queue_depths();
-        let observations: Vec<ShardObservation> = reports
-            .iter()
-            .map(|r| ShardObservation {
-                shard: r.shard,
-                queued: depths.get(r.shard).copied().unwrap_or(0),
-                requests_total: r.requests,
-                latency: r.latency.clone(),
-                sessions: r
-                    .sessions
-                    .iter()
-                    .map(|s| SessionObservation {
-                        session: s.name.clone(),
-                        requests_total: s.requests,
-                        dataset_bytes: s.dataset_bytes,
-                        in_flight: self.moving.contains_key(&s.name),
-                    })
-                    .collect(),
-            })
-            .collect();
-        let plans = self.balancer.tick(&observations);
+        let queued = self.shards.queue_depths();
+        let moving = &self.moving;
+        let plans = self
+            .balancer
+            .tick(&reports, &queued, |name| moving.contains_key(name));
         for plan in plans {
             let Ok(session) = SessionId::new(plan.session.clone()) else {
                 self.balancer.record_outcome(&plan.session, false);
@@ -1010,10 +993,14 @@ fn dispatch(conn: &mut Conn, id: u64, st: &mut LoopState, item: WireItem) -> Res
         }
         WireItem::Script(ScriptItem::Use(name)) => {
             let session = SessionId::new(name)?;
-            // Materialize eagerly (the `use` semantics) on the owning
+            // Answer now, as `subscribe` is answered: the connection
+            // pumps nothing until the run lands, so no reply can pass
+            // this one, and a refused empty run answers nothing. Then
+            // materialize eagerly (the `use` semantics) on the owning
             // shard, publishing to its viewers like any other run.
+            conn.push_ok(&format!("using {session}"), &mut st.metrics);
             conn.inflight_requests = 0;
-            conn.inflight = Some(Inflight::Use);
+            conn.inflight = Some(Inflight::Run);
             let publish = st.streams.has_subscribers(&session);
             st.submit_run(session.clone(), Vec::new(), publish, Waiter::Conn(id));
             conn.session = session;
@@ -1129,10 +1116,6 @@ fn dispatch(conn: &mut Conn, id: u64, st: &mut LoopState, item: WireItem) -> Res
 /// writing whatever frames it resolves.
 fn settle_completion(conn: &mut Conn, reply: ShardReply, n_conns: usize, st: &mut LoopState) {
     match (conn.inflight.take(), reply) {
-        (Some(Inflight::Use), ShardReply::Run(_)) => {
-            let body = format!("using {}", conn.session);
-            conn.push_ok(&body, &mut st.metrics);
-        }
         (Some(Inflight::Run), ShardReply::Run(done)) => {
             conn.out.extend_from_slice(&done.reply);
             st.metrics.frames_out += done.frames as u64;

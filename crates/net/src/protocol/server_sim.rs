@@ -152,8 +152,8 @@ struct Client {
     tail: Vec<u8>,
     text: ReplyAssembler,
     heard: Vec<Reply>,
-    /// A `subscribe` was acked and its keyframe run is not back from
-    /// its shard: no line waits on it, yet the connection owes it.
+    /// A `use` or `subscribe` was answered and its empty run is not back
+    /// from its shard: no line waits on it, yet the connection owes it.
     materializing: bool,
     /// Between `subscribed` and `unsubscribed`: the session watched and
     /// the wall its tile frames assemble into.
@@ -265,7 +265,8 @@ struct World {
     /// Framing faults the clients' own framers saw.
     garbage: u64,
     /// Connections retired while they still owed something: a line
-    /// unanswered, a byte not taken, or a `subscribe` materializing.
+    /// unanswered, a byte not taken, or a `use` or `subscribe`
+    /// materializing.
     dirty: u64,
 }
 
@@ -633,6 +634,8 @@ impl World {
                     client.materializing = true;
                 } else if body.starts_with("unsubscribed") {
                     client.viewer = None;
+                } else if body.starts_with("using ") {
+                    client.materializing = true;
                 }
             }
             client.heard.push(reply);

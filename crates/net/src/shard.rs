@@ -63,27 +63,33 @@ fv_api::wire_record! {
     /// `list-sessions`, cumulative cost estimates for the rebalancer. On a
     /// process shard it crosses the seam as a `session` row.
     #[derive(Debug, Clone, PartialEq)]
-    pub(crate) struct SessionReport {
+    pub struct SessionReport {
+        /// Datasets the session holds.
         pub n_datasets: usize => "datasets",
         /// Attempted requests since the session was created (travels with
         /// the engine across migrations).
         pub requests: u64 => "requests",
         /// Approximate resident dataset bytes.
         pub dataset_bytes: u64 => "bytes",
+        /// Session name.
         pub name: String => "name",
     }
 }
 
 fv_api::wire_record! {
     /// One shard's contribution to a `stats`, `list-sessions`, or balancer
-    /// snapshot: sessions it owns (with cost estimates) plus its execution
-    /// counters. The keyed fields open a process shard's `report` header.
+    /// snapshot: sessions it owns (with cost estimates) plus its
+    /// cumulative execution counters — read where it lands, never copied
+    /// into another shape. The keyed fields open a process shard's
+    /// `report` header.
     #[derive(Debug, Clone, PartialEq, Default)]
-    pub(crate) struct ShardReport {
+    pub struct ShardReport {
+        /// Shard index.
         pub shard: usize => "shard",
         /// Non-empty runs executed.
         pub runs: u64 => "runs",
-        /// Requests executed across those runs.
+        /// Requests attempted across those runs (stays with the shard; does
+        /// not follow migrating sessions).
         pub requests: u64 => "requests",
         /// Largest single run.
         pub max_run: usize => "max_run",

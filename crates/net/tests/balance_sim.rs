@@ -4,8 +4,8 @@
 //! clock-free, so thousands of synthetic ticks replay here in
 //! milliseconds with **no server, no sockets, no wall clock**: the
 //! simulator owns a session→shard placement map, feeds the balancer
-//! scripted per-tick demand as cumulative observations (exactly the
-//! shape the server builds from shard reports), applies the plans it
+//! scripted per-tick demand as cumulative [`ShardReport`]s (the very
+//! reports the server gathers from its shards), applies the plans it
 //! gets back, and checks the safety invariants on *every* tick:
 //!
 //! - a plan never exceeds the per-tick budget;
@@ -22,14 +22,13 @@
 //! histories.
 //!
 //! The property tests at the bottom hit `plan_moves` directly with
-//! random snapshots: source≠target, budget respect, pinned exclusion,
+//! random shard loads: source≠target, budget respect, pinned exclusion,
 //! the balanced/empty fixpoint, and spread monotonicity.
 
 use fv_net::balance::{
-    plan_moves, BalanceConfig, BalanceMode, Balancer, MovePlan, SessionLoad, SessionObservation,
-    ShardLoad, ShardObservation, ShardSnapshot,
+    plan_moves, BalanceConfig, BalanceMode, Balancer, MovePlan, SessionLoad, ShardLoad,
 };
-use fv_net::metrics::LatencyHistogram;
+use fv_net::shard::{SessionReport, ShardReport};
 use std::collections::BTreeMap;
 
 /// Deterministic xorshift64* — the simulator's only randomness source.
@@ -103,35 +102,34 @@ impl Sim {
                 .get_mut(session)
                 .unwrap_or_else(|| panic!("demand for unknown session {session}")) += d;
         }
-        let observations = self.observe();
-        let plans = self.bal.tick(&observations);
+        let reports = self.reports();
+        let plans = self.bal.tick(&reports, &[], |_| false);
         self.verify_and_apply(&plans);
         plans
     }
 
-    /// Build cumulative observations from the current placement — the
-    /// same shape the server assembles from shard reports. Histograms
-    /// stay empty, so session loads degrade to pure request deltas.
-    fn observe(&self) -> Vec<ShardObservation> {
+    /// The shards' cumulative reports under the current placement.
+    /// Histograms stay empty, so session loads degrade to pure request
+    /// deltas.
+    fn reports(&self) -> Vec<ShardReport> {
         (0..self.n_shards)
             .map(|shard| {
-                let sessions: Vec<SessionObservation> = self
+                let sessions: Vec<SessionReport> = self
                     .placement
                     .iter()
                     .filter(|&(_, &s)| s == shard)
-                    .map(|(name, _)| SessionObservation {
-                        session: name.clone(),
-                        requests_total: self.totals[name],
+                    .map(|(name, _)| SessionReport {
+                        n_datasets: 0,
+                        requests: self.totals[name],
                         dataset_bytes: 0,
-                        in_flight: false,
+                        name: name.clone(),
                     })
                     .collect();
-                ShardObservation {
+                ShardReport {
                     shard,
-                    queued: 0,
-                    requests_total: sessions.iter().map(|s| s.requests_total).sum(),
-                    latency: LatencyHistogram::new(),
+                    requests: sessions.iter().map(|s| s.requests).sum(),
                     sessions,
+                    ..ShardReport::default()
                 }
             })
             .collect()
@@ -411,7 +409,7 @@ fn draining_shard_is_refilled() {
     assert_converged(&sim.shard_loads(&drained), 1.5, "draining shard");
 }
 
-// ── property tests over random snapshots ────────────────────────────────
+// ── property tests over random shard loads ──────────────────────────────
 
 use proptest::prelude::*;
 use proptest::strategy::FnStrategy;
@@ -419,7 +417,7 @@ use proptest::test_runner::TestRng;
 
 #[derive(Debug, Clone)]
 struct Case {
-    snapshot: ShardSnapshot,
+    shards: Vec<ShardLoad>,
     cfg: BalanceConfig,
 }
 
@@ -447,7 +445,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
             })
             .collect();
         Case {
-            snapshot: ShardSnapshot { shards },
+            shards,
             cfg: BalanceConfig {
                 budget: rng.below(5) as usize,
                 trigger_ratio: 1.0 + rng.unit_f64(),
@@ -461,20 +459,20 @@ fn arb_case() -> impl Strategy<Value = Case> {
 
 proptest! {
     #[test]
-    fn policy_invariants_hold_for_random_snapshots(case in arb_case()) {
-        let Case { snapshot, cfg } = case;
-        let plans = plan_moves(&snapshot, &cfg);
+    fn policy_invariants_hold_for_random_loads(case in arb_case()) {
+        let Case { shards, cfg } = case;
+        let plans = plan_moves(&shards, &cfg);
         prop_assert!(plans.len() <= cfg.budget, "budget exceeded");
         let mut seen = std::collections::BTreeSet::new();
-        let mut loads: Vec<u64> = snapshot.shards.iter().map(ShardLoad::total).collect();
+        let mut loads: Vec<u64> = shards.iter().map(ShardLoad::total).collect();
         let spread_before =
             loads.iter().max().copied().unwrap_or(0) - loads.iter().min().copied().unwrap_or(0);
         for plan in &plans {
             prop_assert!(plan.from != plan.to, "move targets its source shard");
-            let from = snapshot.shards.iter().position(|s| s.shard == plan.from);
-            let to = snapshot.shards.iter().position(|s| s.shard == plan.to);
+            let from = shards.iter().position(|s| s.shard == plan.from);
+            let to = shards.iter().position(|s| s.shard == plan.to);
             prop_assert!(from.is_some() && to.is_some(), "move names unknown shards");
-            let source = snapshot.shards[from.unwrap()]
+            let source = shards[from.unwrap()]
                 .sessions
                 .iter()
                 .find(|s| s.session == plan.session);
@@ -496,29 +494,23 @@ proptest! {
     }
 
     #[test]
-    fn balanced_snapshots_are_fixpoints(case in arb_case()) {
-        let Case { snapshot, cfg } = case;
-        // Flatten the random snapshot into a perfectly balanced one: one
+    fn balanced_loads_are_fixpoints(case in arb_case()) {
+        let Case { shards, cfg } = case;
+        // Flatten the random loads into perfectly balanced ones: one
         // session of identical load per shard, no queue pressure.
-        let balanced = ShardSnapshot {
-            shards: snapshot
-                .shards
-                .iter()
-                .map(|s| ShardLoad {
-                    shard: s.shard,
-                    queued_load: 0,
-                    sessions: vec![SessionLoad {
-                        session: format!("b{}", s.shard),
-                        load: 500,
-                        pinned: false,
-                    }],
-                })
-                .collect(),
-        };
-        prop_assert!(plan_moves(&balanced, &cfg).is_empty(), "balanced snapshot must be a fixpoint");
-        prop_assert!(
-            plan_moves(&ShardSnapshot::default(), &cfg).is_empty(),
-            "empty snapshot must be a fixpoint"
-        );
+        let balanced: Vec<ShardLoad> = shards
+            .iter()
+            .map(|s| ShardLoad {
+                shard: s.shard,
+                queued_load: 0,
+                sessions: vec![SessionLoad {
+                    session: format!("b{}", s.shard),
+                    load: 500,
+                    pinned: false,
+                }],
+            })
+            .collect();
+        prop_assert!(plan_moves(&balanced, &cfg).is_empty(), "balanced loads must be a fixpoint");
+        prop_assert!(plan_moves(&[], &cfg).is_empty(), "no shards must be a fixpoint");
     }
 }

@@ -4,13 +4,13 @@
 //! thread backend (golden conformance), answer an unbuildable synthetic
 //! load and a pipelined failure as the thread backend does, migrate sessions across process
 //! boundaries with diff-identical probe transcripts (and leave a
-//! session the target refuses where it was), rebalance automatically
-//! under skewed load, answer `E_SHARD_DOWN` for a killed worker while
+//! session the target refuses where it was, whether an operator or the
+//! balancer asked), rebalance automatically under skewed load, answer `E_SHARD_DOWN` for a killed worker while
 //! other shards keep serving, and leave zero orphaned children behind
 //! after shutdown.
 
 use fv_api::{EngineHub, SessionId};
-use fv_net::balance::BalanceConfig;
+use fv_net::balance::{BalanceConfig, MoveOutcome};
 use fv_net::frame::{read_reply, LineReader};
 use fv_net::{
     run_script_remote, shard_of, BalanceMode, Client, Server, ServerConfig, ShardBackendConfig,
@@ -56,6 +56,60 @@ fn remote_transcript(addr: &str, script: &str) -> String {
     let mut out = String::new();
     run_script_remote(addr, script, |block| out.push_str(block)).expect("remote replay succeeds");
     out
+}
+
+/// Play one script per session at once, one client thread each, so the
+/// balancer's interval reports see overlapping load — a strictly
+/// sequential driver makes whichever session is running the interval's
+/// whale, which the policy rightly refuses to move. Returns the
+/// transcripts in script order.
+fn play_at_once(addr: &str, scripts: &[String]) -> Vec<String> {
+    let handles: Vec<_> = scripts
+        .iter()
+        .map(|script| {
+            let (addr, script) = (addr.to_string(), script.clone());
+            std::thread::spawn(move || remote_transcript(&addr, &script))
+        })
+        .collect();
+    let joined = handles
+        .into_iter()
+        .map(|h| h.join().expect("client thread"));
+    joined.collect()
+}
+
+/// Process shards, balancing `mode` on a 50 ms interval with knobs that
+/// move a small skew.
+fn balanced_proc_server(mode: BalanceMode) -> Server {
+    Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            shards: 2,
+            backend: ShardBackendConfig::Procs {
+                worker_cmd: worker_cmd(),
+            },
+            scene: SCENE,
+            balance: mode,
+            balance_interval: Duration::from_millis(50),
+            balance_cfg: BalanceConfig {
+                budget: 2,
+                trigger_ratio: 1.3,
+                settle_ratio: 1.1,
+                min_total_load: 1,
+                cooldown_ticks: 3,
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind")
+}
+
+/// `count` session names that all hash-route to shard 0.
+fn names_on_shard_0(prefix: &str, count: usize) -> Vec<String> {
+    (0..)
+        .map(|i| format!("{prefix}{i}"))
+        .filter(|name| shard_of(&SessionId::new(name.clone()).unwrap(), 2) == 0)
+        .take(count)
+        .collect()
 }
 
 /// `kill -0` probe: whether `pid` is still alive (or an unreaped
@@ -369,38 +423,89 @@ fn a_stale_image_is_refused_and_the_session_stays_in_its_process() {
     std::fs::remove_file(&pcl).ok();
 }
 
+/// The balancer's own move, refused by its target: the sessions' PCL
+/// changed on disk after they loaded it, so no other worker can rebuild
+/// them (`E_STALE_IMAGE`). Planned from the reports the workers send
+/// over the process seam, the move is counted and listed failed, and
+/// the sessions keep answering from their source worker.
+#[test]
+fn a_balancer_move_the_target_refuses_leaves_the_session_in_its_process() {
+    // Off while the sessions load: no move may take before the rewrite.
+    let server = balanced_proc_server(BalanceMode::Off);
+    let addr = server.local_addr().to_string();
+    let pcl = std::env::temp_dir().join(format!("fv-procshard-refused-{}.pcl", std::process::id()));
+    let export = format!("scenario 80 9\nexport_pcl 0 {}\n", pcl.display());
+    EngineHub::new().run_script(&export).expect("export a PCL");
+    let names = names_on_shard_0("stuck", 3);
+    let mut local = EngineHub::with_scene(SCENE.0, SCENE.1);
+    for name in &names {
+        let setup = format!(
+            "use {name}\nload {}\ncluster_all\nscroll 2\n",
+            pcl.display()
+        );
+        let replayed = local.run_script(&setup).expect("local setup succeeds");
+        assert_eq!(remote_transcript(&addr, &setup), replayed.transcript());
+    }
+    let mut text = std::fs::read_to_string(&pcl).expect("the exported PCL");
+    text.push_str("TAMPERED\t0\t0\t1.0\n");
+    std::fs::write(&pcl, text).expect("rewrite the PCL");
+
+    // Read-only load on shard 0 alone until the balancer has tried to
+    // spread it.
+    let mut client = Client::connect(&addr).unwrap();
+    client.set_balance(BalanceMode::Auto).unwrap();
+    let probes: Vec<String> = names
+        .iter()
+        .map(|name| format!("use {name}\nsession_info\nlist_datasets\nrender 320 240\n"))
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let stats = client.stats().expect("stats");
+        assert_eq!(stats.balancer_moves, 0, "no install can take");
+        if stats.balancer_failed >= 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no balancer move was tried; ticks={}",
+            stats.balancer_ticks
+        );
+        play_at_once(&addr, &probes);
+    }
+    client.set_balance(BalanceMode::Off).unwrap();
+
+    // The refusal is on the record…
+    let status = client.balance_status().expect("balance");
+    let refused = status
+        .recent
+        .iter()
+        .find(|m| m.outcome == MoveOutcome::Failed);
+    let refused = refused.unwrap_or_else(|| panic!("no failed move listed: {status:?}"));
+    assert!(names.contains(&refused.session), "{refused:?}");
+    assert_eq!((refused.from, refused.to), (0, 1));
+    // …and cost nothing: every session still lives in the shard-0
+    // process and answers exactly what a local replay answers.
+    let listed = client.list_sessions().unwrap();
+    assert_eq!(listed.len(), names.len(), "{listed:?}");
+    assert!(listed.iter().all(|s| s.shard == 0), "{listed:?}");
+    for probe in &probes {
+        let replayed = local.run_script(probe).expect("local probe succeeds");
+        assert_eq!(remote_transcript(&addr, probe), replayed.transcript());
+    }
+
+    server.shutdown();
+    server.join();
+    std::fs::remove_file(&pcl).ok();
+}
+
 #[test]
 fn skewed_load_triggers_automatic_cross_process_migration() {
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            shards: 2,
-            backend: ShardBackendConfig::Procs {
-                worker_cmd: worker_cmd(),
-            },
-            scene: SCENE,
-            balance: BalanceMode::Auto,
-            balance_interval: Duration::from_millis(50),
-            balance_cfg: BalanceConfig {
-                budget: 2,
-                trigger_ratio: 1.3,
-                settle_ratio: 1.1,
-                min_total_load: 1,
-                cooldown_ticks: 3,
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
+    let server = balanced_proc_server(BalanceMode::Auto);
     let addr = server.local_addr().to_string();
 
     // Sessions that all hash-route to shard 0: only an automatic
     // migration can ever populate the shard-1 process.
-    let names: Vec<String> = (0..)
-        .map(|i| format!("skew{i}"))
-        .filter(|name| shard_of(&SessionId::new(name.clone()).unwrap(), 2) == 0)
-        .take(4)
-        .collect();
+    let names = names_on_shard_0("skew", 4);
     fn round_script(session: &str, round: usize) -> String {
         if round == 0 {
             format!(
@@ -412,30 +517,15 @@ fn skewed_load_triggers_automatic_cross_process_migration() {
             )
         }
     }
-    // Drive all sessions *concurrently* each round (one client thread
-    // per session), so the balancer's interval snapshots observe
-    // overlapping load — a strictly sequential driver makes whichever
-    // session is running the interval's whale, which the policy rightly
-    // refuses to move.
+    // Drive all sessions concurrently each round.
     let mut local = EngineHub::with_scene(SCENE.0, SCENE.1);
     let mut drive_round = |round: usize| {
-        let handles: Vec<_> = names
-            .iter()
-            .cloned()
-            .map(|name| {
-                let addr = addr.clone();
-                std::thread::spawn(move || {
-                    let script = round_script(&name, round);
-                    let remote = remote_transcript(&addr, &script);
-                    (name, script, remote)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (name, script, remote) = handle.join().expect("client thread");
+        let scripts: Vec<String> = names.iter().map(|n| round_script(n, round)).collect();
+        let remotes = play_at_once(&addr, &scripts);
+        for ((name, script), remote) in names.iter().zip(&scripts).zip(remotes) {
             let mut expected = String::new();
             local
-                .run_script_streaming(&script, |e| expected.push_str(&e.render()))
+                .run_script_streaming(script, |e| expected.push_str(&e.render()))
                 .expect("local replay succeeds");
             assert_eq!(
                 remote, expected,
