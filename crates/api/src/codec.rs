@@ -17,17 +17,15 @@
 //! named session (a later `use` recreates it empty); everything else
 //! flows to the current session's engine.
 
-use crate::decode::num;
 use crate::error::ApiError;
+use crate::record::{field, get, lead, num, put, Token, NONE};
 use crate::request::{
     linkage_from_str, linkage_str, metric_from_str, metric_str, Mutation, NormalizeMethod, Query,
     Request, SelectionExport,
 };
-use crate::response::Response;
+use crate::response::{DatasetRow, EnrichmentRow, Response, SpellDatasetRow, SpellGeneRow};
 use forestview::command::Command;
-
-/// Sentinel for empty lists and absent optionals on the wire.
-pub(crate) const NONE: &str = "-";
+use std::fmt::Write;
 
 /// One parsed script line.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,15 +212,7 @@ pub fn parse_wire_line(raw: &str) -> Result<Option<WireItem>, ApiError> {
             seq: num(seq, "seq")?,
         }));
     }
-    if let Some(name) = parse_session_directive(line, "use ")? {
-        return Ok(Some(WireItem::Script(ScriptItem::Use(name))));
-    }
-    if let Some(name) = parse_session_directive(line, "close ")? {
-        return Ok(Some(WireItem::Script(ScriptItem::Close(name))));
-    }
-    Ok(Some(WireItem::Script(ScriptItem::Request(parse_request(
-        line,
-    )?))))
+    parse_script_item(line).map(|item| Some(WireItem::Script(item)))
 }
 
 /// `<tiles_x>x<tiles_y>` → the two non-zero tile counts of a subscriber
@@ -274,16 +264,33 @@ pub fn parse_script(text: &str) -> Result<Vec<ScriptLine>, ApiError> {
         }
         let line_no = i + 1;
         let with_line = |e: ApiError| ApiError::parse(format!("line {line_no}: {}", e.message));
-        let item = if let Some(name) = parse_session_directive(line, "use ").map_err(with_line)? {
-            ScriptItem::Use(name)
-        } else if let Some(name) = parse_session_directive(line, "close ").map_err(with_line)? {
-            ScriptItem::Close(name)
-        } else {
-            ScriptItem::Request(parse_request(line).map_err(with_line)?)
-        };
+        let item = parse_script_item(line).map_err(with_line)?;
         out.push(ScriptLine { line_no, item });
     }
     Ok(out)
+}
+
+/// Parse one script line: a `use <name>` / `close <name>` directive or a
+/// request. The inverse of [`format_script_item`].
+pub fn parse_script_item(line: &str) -> Result<ScriptItem, ApiError> {
+    let line = line.trim();
+    if let Some(name) = parse_session_directive(line, "use ")? {
+        return Ok(ScriptItem::Use(name));
+    }
+    if let Some(name) = parse_session_directive(line, "close ")? {
+        return Ok(ScriptItem::Close(name));
+    }
+    parse_request(line).map(ScriptItem::Request)
+}
+
+/// Canonical text form of a script item; the exact inverse of
+/// [`parse_script_item`].
+pub fn format_script_item(item: &ScriptItem) -> String {
+    match item {
+        ScriptItem::Use(name) => format!("use {name}"),
+        ScriptItem::Close(name) => format!("close {name}"),
+        ScriptItem::Request(request) => format_request(request),
+    }
 }
 
 /// Parse one request line.
@@ -584,158 +591,231 @@ pub fn format_request(request: &Request) -> String {
     }
 }
 
-/// Canonical, deterministic text form of a response. Multi-line responses
-/// indent continuation lines by two spaces so transcripts stay parseable
-/// line-by-line. The text is structured enough for
-/// [`crate::decode::parse_response`] to recover the typed response —
-/// network clients rely on this — with one documented loss: floating-point
-/// statistics print with fixed display precision (`{:.3}` / `{:.3e}`), so
-/// the decoder recovers the displayed value, not the original bits.
+/// Canonical, deterministic text form of a response: its keyword, what
+/// leads the keyed fields (a frame's `<w>x<h>`, row counts), the keyed
+/// fields [`Response`] declares, then rows and bodies. Continuation lines
+/// are indented by two spaces so transcripts stay parseable
+/// line-by-line. [`parse_response`] recovers the typed response —
+/// network clients rely on this — with one documented loss:
+/// floating-point statistics print with fixed display precision
+/// (`{:.3}` / `{:.3e}`), so the parser recovers the displayed value, not
+/// the original bits.
 pub fn format_response(response: &Response) -> String {
+    let mut out = String::with_capacity(64);
+    out.push_str(response.keyword());
     match response {
-        Response::Applied {
-            selection_len,
-            damage,
-        } => {
-            format!(
-                "applied selection={} damage={}",
-                opt_num(*selection_len),
-                format_rects(damage)
-            )
-        }
-        Response::Loaded {
-            dataset,
-            name,
-            genes,
-            conditions,
-        } => format!("loaded dataset={dataset} name={name} genes={genes} conditions={conditions}"),
-        Response::ScenarioLoaded { names, n_genes } => {
-            format!("scenario datasets={} genes={n_genes}", format_list(names))
-        }
-        Response::OntologyReady { terms } => format!("ontology terms={terms}"),
-        Response::Imputed {
-            filled,
-            missing_before,
-        } => format!("imputed filled={filled} missing={missing_before}"),
-        Response::Normalized { datasets } => format!("normalized datasets={datasets}"),
-        Response::ArraysClustered { dataset } => format!("arrays_clustered dataset={dataset}"),
-        Response::SearchHits { genes } => {
-            format!("search hits={} genes={}", genes.len(), format_list(genes))
-        }
+        Response::SearchHits { genes } => put(&mut out, "hits", &genes.len()),
         Response::SpellRanking {
-            datasets,
-            genes,
-            query_missing,
+            datasets, genes, ..
         } => {
-            let mut out = format!(
-                "spell datasets={} genes={} missing={}",
-                datasets.len(),
-                genes.len(),
-                format_list(query_missing)
-            );
+            put(&mut out, "datasets", &datasets.len());
+            put(&mut out, "genes", &genes.len());
+        }
+        Response::Enrichment { rows } => put(&mut out, "terms", &rows.len()),
+        Response::Frame { width, height, .. } => {
+            out.push(' ');
+            (*width, *height).put(&mut out);
+        }
+        Response::Text { text } => put(&mut out, "bytes", &text.len()),
+        Response::Datasets { rows } => put(&mut out, "n", &rows.len()),
+        _ => {}
+    }
+    response.put_fields(&mut out);
+    match response {
+        Response::SpellRanking {
+            datasets, genes, ..
+        } => {
             for d in datasets {
-                out.push_str(&format!(
-                    "\n  dataset {} weight={:.3} present={}",
-                    d.name, d.weight, d.query_genes_present
-                ));
+                out.push_str("\n  dataset ");
+                out.push_str(&d.name);
+                d.put_fields(&mut out);
             }
             for g in genes {
-                out.push_str(&format!(
-                    "\n  gene {} score={:.3} datasets={}",
-                    g.gene, g.score, g.n_datasets
-                ));
+                out.push_str("\n  gene ");
+                out.push_str(&g.gene);
+                g.put_fields(&mut out);
             }
-            out
         }
         Response::Enrichment { rows } => {
-            let mut out = format!("enrich terms={}", rows.len());
             for r in rows {
-                out.push_str(&format!(
-                    "\n  term {} p={:.3e} q={:.3e} overlap={}/{} name={}",
-                    r.accession, r.p_value, r.q_value, r.overlap, r.annotated, r.name
-                ));
+                out.push_str("\n  term ");
+                out.push_str(&r.accession);
+                r.put_fields(&mut out);
+                let _ = write!(
+                    out,
+                    " overlap={}/{} name={}",
+                    r.overlap, r.annotated, r.name
+                );
             }
-            out
         }
-        Response::Frame {
-            width,
-            height,
-            panes,
-            checksum,
-            path,
-        } => format!(
-            "frame {width}x{height} panes={panes} checksum={checksum:016x} path={}",
-            path.as_deref().unwrap_or(NONE)
-        ),
-        Response::CdtExported {
-            dataset,
-            files,
-            cdt_bytes,
-            has_gtr,
-            has_atr,
-        } => format!(
-            "cdt dataset={dataset} bytes={cdt_bytes} gtr={} atr={} files={}",
-            yes_no(*has_gtr),
-            yes_no(*has_atr),
-            format_list(files)
-        ),
-        Response::PclExported {
-            dataset,
-            path,
-            genes,
-            conditions,
-        } => format!("pcl dataset={dataset} path={path} genes={genes} conditions={conditions}"),
-        Response::Text { text } => {
-            let mut out = format!("text bytes={}", text.len());
-            for line in text.lines() {
-                out.push_str("\n  ");
-                out.push_str(line);
-            }
-            out
-        }
+        Response::Text { text } => push_body(&mut out, text),
         Response::SessionInfo(info) => {
-            let mut out = format!(
-                "session datasets={} universe={} measurements={} selection={} sync={} scroll={} order={} summary_bytes={}",
-                info.n_datasets,
-                info.universe_genes,
-                info.total_measurements,
-                opt_num(info.selection_len),
-                if info.sync_enabled { "on" } else { "off" },
-                info.scroll,
-                format_list(
-                    &info
-                        .dataset_order
-                        .iter()
-                        .map(|d| d.to_string())
-                        .collect::<Vec<_>>()
-                ),
-                info.summary.len()
-            );
-            for line in info.summary.lines() {
-                out.push_str("\n  ");
-                out.push_str(line);
-            }
-            out
+            put(&mut out, "summary_bytes", &info.summary.len());
+            push_body(&mut out, &info.summary);
         }
         Response::Datasets { rows } => {
-            let mut out = format!("datasets n={}", rows.len());
             for r in rows {
-                out.push_str(&format!(
-                    "\n  dataset {} name={} genes={} conditions={} clustered={}",
-                    r.dataset,
-                    r.name,
-                    r.genes,
-                    r.conditions,
-                    match (r.gene_clustered, r.array_clustered) {
-                        (true, true) => "gene+array",
-                        (true, false) => "gene",
-                        (false, true) => "array",
-                        (false, false) => "none",
-                    }
-                ));
+                let _ = write!(out, "\n  dataset {}", r.dataset);
+                r.put_fields(&mut out);
+                out.push_str(" clustered=");
+                out.push_str(clustered_word((r.gene_clustered, r.array_clustered)));
             }
-            out
         }
+        _ => {}
+    }
+    out
+}
+
+/// Parse canonical response text (as produced by [`format_response`])
+/// back into a typed [`Response`]; `format_response(parse_response(s)?)
+/// == s` for every `s` the formatter produces (property-tested).
+pub fn parse_response(text: &str) -> Result<Response, ApiError> {
+    let mut lines = text.lines();
+    let head = lines
+        .next()
+        .ok_or_else(|| ApiError::parse("empty response text"))?;
+    let body = lines
+        .map(|l| {
+            l.strip_prefix("  ")
+                .ok_or_else(|| ApiError::parse(format!("continuation line not indented: {l:?}")))
+        })
+        .collect::<Result<Vec<&str>, _>>()?;
+    let (keyword, tail) = head.split_once(' ').unwrap_or((head, ""));
+    let mut response = Response::get_fields(keyword, tail)?;
+    // The header counts only check the rows found; they are wire input
+    // and never size a reservation.
+    let count = |key: &str, found: usize| -> Result<(), ApiError> {
+        if get::<usize>(tail, key)? == found {
+            Ok(())
+        } else {
+            Err(ApiError::parse(format!(
+                "{keyword} {key}= disagrees with the {found} row(s) found"
+            )))
+        }
+    };
+    match &mut response {
+        Response::SearchHits { genes } => count("hits", genes.len())?,
+        Response::SpellRanking {
+            datasets, genes, ..
+        } => {
+            for line in &body {
+                if let Some(row) = line.strip_prefix("dataset ") {
+                    let (name, rest) = lead(row, "weight")?;
+                    datasets.push(SpellDatasetRow {
+                        name: name.to_string(),
+                        ..SpellDatasetRow::get_fields(rest)?
+                    });
+                } else if let Some(row) = line.strip_prefix("gene ") {
+                    let (gene, rest) = lead(row, "score")?;
+                    genes.push(SpellGeneRow {
+                        gene: gene.to_string(),
+                        ..SpellGeneRow::get_fields(rest)?
+                    });
+                } else {
+                    return Err(ApiError::parse(format!("unexpected spell row {line:?}")));
+                }
+            }
+            count("datasets", datasets.len())?;
+            count("genes", genes.len())?;
+        }
+        Response::Enrichment { rows } => {
+            for line in &body {
+                let (accession, rest) = line
+                    .strip_prefix("term ")
+                    .and_then(|row| row.split_once(' '))
+                    .ok_or_else(|| ApiError::parse(format!("unexpected enrich row {line:?}")))?;
+                let (keyed, name) = rest
+                    .split_once(" name=")
+                    .ok_or_else(|| ApiError::parse("enrich term row needs name="))?;
+                let (overlap, annotated) = field(keyed, "overlap")?
+                    .split_once('/')
+                    .ok_or_else(|| ApiError::parse("enrich overlap is <overlap>/<annotated>"))?;
+                rows.push(EnrichmentRow {
+                    accession: accession.to_string(),
+                    name: name.to_string(),
+                    overlap: num(overlap, "overlap")?,
+                    annotated: num(annotated, "annotated")?,
+                    ..EnrichmentRow::get_fields(keyed)?
+                });
+            }
+            count("terms", rows.len())?;
+        }
+        Response::Frame { width, height, .. } => {
+            let dims = tail.split(' ').next().unwrap_or_default();
+            (*width, *height) = <(usize, usize)>::get(dims)
+                .ok_or_else(|| ApiError::parse(format!("frame needs <w>x<h>, got {dims:?}")))?;
+        }
+        Response::Text { text } => *text = rebuild_text(&body, get(tail, "bytes")?)?,
+        Response::SessionInfo(info) => {
+            info.summary = rebuild_text(&body, get(tail, "summary_bytes")?)?;
+        }
+        Response::Datasets { rows } => {
+            for line in &body {
+                let (dataset, rest) = line
+                    .strip_prefix("dataset ")
+                    .and_then(|row| row.split_once(' '))
+                    .ok_or_else(|| ApiError::parse(format!("unexpected dataset row {line:?}")))?;
+                let (keyed, clustered) = rest
+                    .rsplit_once(" clustered=")
+                    .ok_or_else(|| ApiError::parse("dataset row needs clustered="))?;
+                let (gene_clustered, array_clustered) =
+                    [(true, true), (true, false), (false, true), (false, false)]
+                        .into_iter()
+                        .find(|&state| clustered_word(state) == clustered)
+                        .ok_or_else(|| {
+                            ApiError::parse(format!("unknown cluster state {clustered:?}"))
+                        })?;
+                rows.push(DatasetRow {
+                    dataset: num(dataset, "dataset")?,
+                    gene_clustered,
+                    array_clustered,
+                    ..DatasetRow::get_fields(keyed)?
+                });
+            }
+            count("n", rows.len())?;
+        }
+        _ if !body.is_empty() => {
+            return Err(ApiError::parse(format!(
+                "{keyword} responses are single-line, got {} continuation line(s)",
+                body.len()
+            )))
+        }
+        _ => {}
+    }
+    Ok(response)
+}
+
+/// A dataset row's `clustered=` word for its (gene, array) cluster state.
+fn clustered_word(state: (bool, bool)) -> &'static str {
+    match state {
+        (true, true) => "gene+array",
+        (true, false) => "gene",
+        (false, true) => "array",
+        (false, false) => "none",
+    }
+}
+
+/// Append a multi-line body, each line indented two spaces.
+fn push_body(out: &mut String, text: &str) {
+    for line in text.lines() {
+        out.push_str("\n  ");
+        out.push_str(line);
+    }
+}
+
+/// Rebuild a multi-line body from its de-indented lines plus the
+/// advertised byte length (which disambiguates a trailing newline).
+fn rebuild_text(lines: &[&str], bytes: usize) -> Result<String, ApiError> {
+    let joined = lines.join("\n");
+    if joined.len() == bytes {
+        Ok(joined)
+    } else if joined.len() + 1 == bytes {
+        Ok(joined + "\n")
+    } else {
+        Err(ApiError::parse(format!(
+            "text length {} disagrees with advertised {bytes} bytes",
+            joined.len()
+        )))
     }
 }
 
@@ -756,8 +836,7 @@ crate::wire_record! {
 
 /// Canonical reply text for a `list-sessions` control line. Entries are
 /// emitted in the order given — servers merge shard listings and sort by
-/// name before formatting. The inverse is
-/// [`crate::decode::parse_sessions_reply`].
+/// name before formatting. The inverse is [`parse_sessions_reply`].
 pub fn format_sessions_reply(entries: &[SessionEntry]) -> String {
     let mut out = format!("sessions n={}", entries.len());
     for e in entries {
@@ -766,6 +845,37 @@ pub fn format_sessions_reply(entries: &[SessionEntry]) -> String {
         e.put_fields(&mut out);
     }
     out
+}
+
+/// Parse a `list-sessions` reply back into its entries; inverse of
+/// [`format_sessions_reply`].
+pub fn parse_sessions_reply(text: &str) -> Result<Vec<SessionEntry>, ApiError> {
+    let mut lines = text.lines();
+    let head = lines
+        .next()
+        .ok_or_else(|| ApiError::parse("empty sessions reply"))?;
+    let tail = head
+        .strip_prefix("sessions ")
+        .ok_or_else(|| ApiError::parse(format!("not a sessions reply: {head:?}")))?;
+    let n: usize = get(tail, "n")?;
+    // The count only checks the rows found; it never sizes a reservation.
+    let mut entries = Vec::new();
+    for line in lines {
+        let (name, rest) = line
+            .strip_prefix("  session ")
+            .and_then(|row| row.split_once(' '))
+            .ok_or_else(|| ApiError::parse(format!("unexpected session row {line:?}")))?;
+        entries.push(SessionEntry {
+            name: name.to_string(),
+            ..SessionEntry::get_fields(rest)?
+        });
+    }
+    if entries.len() != n {
+        return Err(ApiError::parse(
+            "session row count disagrees with the header",
+        ));
+    }
+    Ok(entries)
 }
 
 // ── token helpers ───────────────────────────────────────────────────────
@@ -808,35 +918,19 @@ fn format_target(target: Option<usize>) -> String {
 }
 
 /// Comma-separated list; `-` is the empty list.
-pub(crate) fn parse_list(token: &str) -> Result<Vec<String>, ApiError> {
-    if token.is_empty() {
-        return Err(ApiError::parse("expected a comma-separated list (or `-`)"));
-    }
-    if token == NONE {
-        return Ok(Vec::new());
-    }
-    token
-        .split(',')
-        .map(|s| {
-            let s = s.trim();
-            if s.is_empty() {
-                Err(ApiError::parse("empty list item"))
-            } else {
-                Ok(s.to_string())
-            }
-        })
-        .collect()
+fn parse_list(token: &str) -> Result<Vec<String>, ApiError> {
+    Token::get(token).ok_or_else(|| {
+        ApiError::parse(format!(
+            "expected a comma-separated list without empty items (or `-`), got {token:?}"
+        ))
+    })
 }
 
-fn format_list<S: AsRef<str>>(items: &[S]) -> String {
+fn format_list(items: &[String]) -> String {
     if items.is_empty() {
         NONE.to_string()
     } else {
-        items
-            .iter()
-            .map(|s| s.as_ref())
-            .collect::<Vec<_>>()
-            .join(",")
+        items.join(",")
     }
 }
 
@@ -846,35 +940,6 @@ fn format_trailing(keyword: &str, text: &str) -> String {
         keyword.to_string()
     } else {
         format!("{keyword} {text}")
-    }
-}
-
-/// Damage rectangles as `x:y:w:h` items; `-` for no damage. Keeping the
-/// full rectangles on the wire (rather than a count/area digest) is what
-/// lets a remote client recover the exact [`Response::Applied`].
-fn format_rects(rects: &[crate::response::DamageRect]) -> String {
-    if rects.is_empty() {
-        return NONE.to_string();
-    }
-    rects
-        .iter()
-        .map(|r| format!("{}:{}:{}:{}", r.x, r.y, r.w, r.h))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn opt_num(v: Option<usize>) -> String {
-    match v {
-        Some(n) => n.to_string(),
-        None => NONE.into(),
-    }
-}
-
-fn yes_no(b: bool) -> &'static str {
-    if b {
-        "yes"
-    } else {
-        "no"
     }
 }
 
@@ -1011,6 +1076,261 @@ mod tests {
             text: "G1\nG2\n".into(),
         };
         assert_eq!(format_response(&text), "text bytes=6\n  G1\n  G2");
+    }
+
+    /// One canonical text per response kind, pinned byte for byte and
+    /// read both ways: formatting gives the literal, parsing gives the
+    /// value back. The floats are ones the display precision (`{:.3}`,
+    /// `{:.3e}`) carries exactly, so every row is compared whole. A name
+    /// may hold spaces, even the text of the key after it.
+    #[test]
+    fn every_response_kind_has_one_pinned_text() {
+        use crate::response::{
+            DatasetRow, EnrichmentRow, SessionInfoData, SpellDatasetRow, SpellGeneRow,
+        };
+        let row = |dataset, name: &str, genes, gene_clustered, array_clustered| DatasetRow {
+            dataset,
+            name: name.into(),
+            genes,
+            conditions: 6,
+            gene_clustered,
+            array_clustered,
+        };
+        let table = [
+            (
+                Response::Applied {
+                    selection_len: Some(4),
+                    damage: vec![
+                        DamageRect {
+                            x: 0,
+                            y: 0,
+                            w: 10,
+                            h: 5,
+                        },
+                        DamageRect {
+                            x: 10,
+                            y: 0,
+                            w: 2,
+                            h: 3,
+                        },
+                    ],
+                },
+                "applied selection=4 damage=0:0:10:5,10:0:2:3",
+            ),
+            (
+                Response::Loaded {
+                    dataset: 2,
+                    name: "gasch_stress".into(),
+                    genes: 100,
+                    conditions: 12,
+                },
+                "loaded dataset=2 name=gasch_stress genes=100 conditions=12",
+            ),
+            (
+                Response::Loaded {
+                    dataset: 0,
+                    name: "heat shock genes=5".into(),
+                    genes: 80,
+                    conditions: 6,
+                },
+                "loaded dataset=0 name=heat shock genes=5 genes=80 conditions=6",
+            ),
+            (
+                Response::ScenarioLoaded {
+                    names: vec!["gasch_stress".into(), "hughes_knockout".into()],
+                    n_genes: 150,
+                },
+                "scenario datasets=gasch_stress,hughes_knockout genes=150",
+            ),
+            (Response::OntologyReady { terms: 42 }, "ontology terms=42"),
+            (
+                Response::Imputed {
+                    filled: 7,
+                    missing_before: 9,
+                },
+                "imputed filled=7 missing=9",
+            ),
+            (
+                Response::Normalized { datasets: 3 },
+                "normalized datasets=3",
+            ),
+            (
+                Response::ArraysClustered { dataset: 1 },
+                "arrays_clustered dataset=1",
+            ),
+            (
+                Response::SearchHits {
+                    genes: vec!["YAL001C".into(), "YBR002W".into()],
+                },
+                "search hits=2 genes=YAL001C,YBR002W",
+            ),
+            (
+                Response::SpellRanking {
+                    datasets: vec![SpellDatasetRow {
+                        name: "heat shock response".into(),
+                        weight: 1.25,
+                        query_genes_present: 3,
+                    }],
+                    genes: vec![SpellGeneRow {
+                        gene: "YAL001C".into(),
+                        score: 0.875,
+                        n_datasets: 2,
+                    }],
+                    query_missing: vec!["YZZ999X".into()],
+                },
+                "spell datasets=1 genes=1 missing=YZZ999X\n  \
+                 dataset heat shock response weight=1.250 present=3\n  \
+                 gene YAL001C score=0.875 datasets=2",
+            ),
+            (
+                Response::Enrichment {
+                    rows: vec![EnrichmentRow {
+                        accession: "GO:0000042".into(),
+                        name: "protein folding chaperone".into(),
+                        p_value: 1.25e-7,
+                        q_value: 2.5e-6,
+                        overlap: 5,
+                        annotated: 20,
+                    }],
+                },
+                "enrich terms=1\n  \
+                 term GO:0000042 p=1.250e-7 q=2.500e-6 overlap=5/20 name=protein folding chaperone",
+            ),
+            (
+                Response::Frame {
+                    width: 400,
+                    height: 300,
+                    panes: 3,
+                    checksum: 0x0123_4567_89ab_cdef,
+                    path: None,
+                },
+                "frame 400x300 panes=3 checksum=0123456789abcdef path=-",
+            ),
+            (
+                Response::CdtExported {
+                    dataset: 0,
+                    files: vec!["out.cdt".into(), "out.gtr".into()],
+                    cdt_bytes: 1234,
+                    has_gtr: true,
+                    has_atr: false,
+                },
+                "cdt dataset=0 bytes=1234 gtr=yes atr=no files=out.cdt,out.gtr",
+            ),
+            (
+                Response::PclExported {
+                    dataset: 0,
+                    path: "out.pcl".into(),
+                    genes: 100,
+                    conditions: 8,
+                },
+                "pcl dataset=0 path=out.pcl genes=100 conditions=8",
+            ),
+            (
+                Response::Text {
+                    text: "G1\nG2\n".into(),
+                },
+                "text bytes=6\n  G1\n  G2",
+            ),
+            (
+                Response::SessionInfo(SessionInfoData {
+                    n_datasets: 2,
+                    universe_genes: 100,
+                    total_measurements: 800,
+                    selection_len: None,
+                    sync_enabled: true,
+                    scroll: 3,
+                    dataset_order: vec![1, 0],
+                    summary: "ForestView session: 2 dataset(s)\n  pane  0: alpha\n".into(),
+                }),
+                "session datasets=2 universe=100 measurements=800 selection=- sync=on \
+                 scroll=3 order=1,0 summary_bytes=50\n  \
+                 ForestView session: 2 dataset(s)\n    pane  0: alpha",
+            ),
+            (
+                Response::Datasets {
+                    rows: vec![row(0, "osmotic_shock", 100, true, false)],
+                },
+                "datasets n=1\n  \
+                 dataset 0 name=osmotic_shock genes=100 conditions=6 clustered=gene",
+            ),
+            (
+                Response::Datasets {
+                    rows: vec![
+                        row(0, "heat shock genes=5", 80, true, true),
+                        row(1, "x", 9, false, false),
+                    ],
+                },
+                "datasets n=2\n  \
+                 dataset 0 name=heat shock genes=5 genes=80 conditions=6 clustered=gene+array\n  \
+                 dataset 1 name=x genes=9 conditions=6 clustered=none",
+            ),
+        ];
+        for (response, text) in &table {
+            assert_eq!(&format_response(response), text);
+            assert_eq!(&parse_response(text).unwrap(), response, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn malformed_sessions_replies_are_parse_errors() {
+        // (the text itself is pinned by `tests/record_props.rs`)
+        assert!(parse_sessions_reply("sessions n=2\n  session a shard=0 datasets=0").is_err());
+        assert!(parse_sessions_reply("wat n=0").is_err());
+        let huge = "sessions n=18446744073709551615\n  session a shard=0 datasets=0";
+        assert_eq!(
+            parse_sessions_reply(huge).unwrap_err().code,
+            crate::error::ErrorCode::Parse
+        );
+    }
+
+    #[test]
+    fn garbage_responses_are_parse_errors() {
+        for bad in [
+            "",
+            "wat 7",
+            "applied selection=x damage=-",
+            "applied selection=4",
+            "applied selection=4 damage=-\n  extra",
+            "search hits=2 genes=YAL001C",
+            "frame 400 panes=3 checksum=00 path=-",
+            "loaded dataset=0 name=a b conditions=6",
+            "text bytes=5\n  G1",
+            "text bytes=2\nG1",
+            "session datasets=1 universe=1 measurements=1 selection=- sync=maybe scroll=0 order=0 summary_bytes=0",
+            "enrich terms=1\n  term GO:1 p=1.000e0 q=1.000e0 overlap=1 name=x",
+            "datasets n=1\n  dataset 0 name=d genes=1 conditions=1 clustered=both",
+            // header counts no reply could hold
+            "spell datasets=18446744073709551615 genes=0 missing=-",
+            "spell datasets=0 genes=1099511627776 missing=-\n  gene G1 score=0.5 datasets=1",
+            "enrich terms=18446744073709551615",
+            "datasets n=1099511627776\n  dataset 0 name=d genes=1 conditions=1 clustered=none",
+        ] {
+            let err = parse_response(bad).unwrap_err();
+            assert_eq!(
+                err.code,
+                crate::error::ErrorCode::Parse,
+                "{bad:?} must be E_PARSE, got {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn script_items_roundtrip_through_one_parser() {
+        for line in [
+            "use alpha",
+            "close alpha",
+            "cluster_all",
+            "render 320 240 a b.ppm",
+        ] {
+            let item = parse_script_item(line).unwrap();
+            assert_eq!(format_script_item(&item), line);
+            assert_eq!(parse_wire_line(line).unwrap(), Some(WireItem::Script(item)));
+        }
+        assert!(parse_script_item("use two words").is_err());
+        assert!(
+            parse_script_item("ping").is_err(),
+            "controls are not script items"
+        );
     }
 
     #[test]

@@ -57,10 +57,9 @@ crate::wire_record! {
         /// `touch`ed), identical bytes — proven by this hash — still
         /// restore.
         pub hash: u64 => "hash",
-        ..
         /// The path as the `load` request spelled it. Last on the row, so
         /// it may contain spaces.
-        pub path: String,
+        pub path: String => "path" as Spaced,
     }
 }
 
@@ -135,8 +134,6 @@ pub fn format_session_image(image: &SessionImage) -> String {
     for d in &image.datasets {
         out.push_str("\n  dataset");
         d.put_fields(&mut out);
-        out.push_str(" path=");
-        out.push_str(&d.path);
     }
     for m in &image.log {
         out.push_str("\n  ");
@@ -196,18 +193,14 @@ fn parse_dataset_row(line: &str) -> Result<DatasetStamp, ApiError> {
     let row = line
         .strip_prefix("  dataset ")
         .ok_or_else(|| ApiError::parse(format!("expected a dataset row, got {line:?}")))?;
-    // The path is the trailing field and may contain spaces.
-    let path = row
-        .split_once("path=")
-        .map(|(_, p)| p)
-        .ok_or_else(|| ApiError::parse("dataset row needs path="))?;
-    if path.is_empty() || path.contains('\n') || path.trim() != path {
-        return Err(ApiError::parse(format!("bad dataset path {path:?}")));
+    let stamp = DatasetStamp::get_fields(row)?;
+    if stamp.path.is_empty() || stamp.path.trim() != stamp.path {
+        return Err(ApiError::parse(format!(
+            "bad dataset path {:?}",
+            stamp.path
+        )));
     }
-    Ok(DatasetStamp {
-        path: path.to_string(),
-        ..DatasetStamp::get_fields(row)?
-    })
+    Ok(stamp)
 }
 
 #[cfg(test)]

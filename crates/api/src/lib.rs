@@ -24,9 +24,12 @@
 //! ```
 //!
 //! The wire codec ([`codec`]) converts between the typed surface and
-//! line-oriented text: `parse_script` / `parse_request` inbound,
-//! `format_request` / `format_response` outbound. `parse(format(r)) == r`
-//! holds for every request — the protocol is replayable by construction.
+//! line-oriented text: `parse_script` / `parse_script_item` /
+//! `parse_request` / `parse_response` inbound, their `format_*` inverses
+//! outbound. `parse(format(r)) == r` holds for every request — the
+//! protocol is replayable by construction. Responses and transport rows
+//! are declared once, as [`record`] tables, and [`workload`] generates
+//! typed traffic that the same formatter writes.
 //!
 //! ## Example
 //!
@@ -56,7 +59,6 @@
 
 pub mod cache;
 pub mod codec;
-pub mod decode;
 pub mod engine;
 pub mod error;
 pub mod hub;
@@ -66,13 +68,14 @@ pub mod request;
 pub mod response;
 pub mod store;
 pub mod trace;
+pub mod workload;
 
 pub use cache::{CacheStats, DatasetCache};
 pub use codec::{
-    format_request, format_response, format_sessions_reply, parse_request, parse_script,
-    parse_wire_line, BalanceMode, SessionEntry, WireItem,
+    format_request, format_response, format_script_item, format_sessions_reply, parse_request,
+    parse_response, parse_script, parse_script_item, parse_sessions_reply, parse_wire_line,
+    BalanceMode, SessionEntry, WireItem,
 };
-pub use decode::{parse_response, parse_sessions_reply};
 pub use engine::{Engine, EngineCost, RunOutcome};
 pub use error::{ApiError, ErrorCode};
 pub use hub::{transcript_block, EngineHub, ScriptOutcome, SessionId};

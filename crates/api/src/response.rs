@@ -28,26 +28,33 @@ impl From<Viewport> for DamageRect {
     }
 }
 
-/// One dataset's relevance in a SPELL ranking.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpellDatasetRow {
-    /// Dataset name.
-    pub name: String,
-    /// SPELL weight (higher = more informative for the query).
-    pub weight: f32,
-    /// Query genes measured in the dataset.
-    pub query_genes_present: usize,
+crate::wire_record! {
+    /// One dataset's relevance in a SPELL ranking; its row is led by the
+    /// name.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SpellDatasetRow {
+        /// SPELL weight (higher = more informative for the query).
+        pub weight: f32 => "weight" as Fixed3,
+        /// Query genes measured in the dataset.
+        pub query_genes_present: usize => "present",
+        ..
+        /// Dataset name.
+        pub name: String,
+    }
 }
 
-/// One gene in a SPELL ranking.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpellGeneRow {
-    /// Systematic gene name.
-    pub gene: String,
-    /// Weighted mean correlation score.
-    pub score: f32,
-    /// Datasets contributing to the score.
-    pub n_datasets: usize,
+crate::wire_record! {
+    /// One gene in a SPELL ranking; its row is led by the gene.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SpellGeneRow {
+        /// Weighted mean correlation score.
+        pub score: f32 => "score" as Fixed3,
+        /// Datasets contributing to the score.
+        pub n_datasets: usize => "datasets",
+        ..
+        /// Systematic gene name.
+        pub gene: String,
+    }
 }
 
 /// Rebuild the engine-native [`fv_spell::SpellResult`] from protocol rows
@@ -89,179 +96,201 @@ pub fn spell_result_from_rows(
     }
 }
 
-/// One enriched term.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnrichmentRow {
-    /// Term accession (e.g. `GO:0000042`).
-    pub accession: String,
-    /// Human-readable term name.
-    pub name: String,
-    /// Raw hypergeometric p-value.
-    pub p_value: f64,
-    /// Benjamini–Hochberg q-value.
-    pub q_value: f64,
-    /// Query genes annotated to the term.
-    pub overlap: usize,
-    /// Population genes annotated to the term.
-    pub annotated: usize,
+crate::wire_record! {
+    /// One enriched term; its row is led by the accession and ends in
+    /// `overlap=<overlap>/<annotated> name=<name>`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct EnrichmentRow {
+        /// Raw hypergeometric p-value.
+        pub p_value: f64 => "p" as Sci3,
+        /// Benjamini–Hochberg q-value.
+        pub q_value: f64 => "q" as Sci3,
+        ..
+        /// Term accession (e.g. `GO:0000042`).
+        pub accession: String,
+        /// Human-readable term name.
+        pub name: String,
+        /// Query genes annotated to the term.
+        pub overlap: usize,
+        /// Population genes annotated to the term.
+        pub annotated: usize,
+    }
 }
 
-/// One dataset row in a session listing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DatasetRow {
-    /// Dataset index (stable across reordering).
-    pub dataset: usize,
-    /// Dataset name.
-    pub name: String,
-    /// Gene (row) count.
-    pub genes: usize,
-    /// Condition (column) count.
-    pub conditions: usize,
-    /// Whether the gene axis has been clustered.
-    pub gene_clustered: bool,
-    /// Whether the condition axis has been clustered.
-    pub array_clustered: bool,
-}
-
-/// Session-level summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionInfoData {
-    /// Loaded dataset count.
-    pub n_datasets: usize,
-    /// Distinct genes across all datasets.
-    pub universe_genes: usize,
-    /// Present (non-missing) measurements across all datasets.
-    pub total_measurements: usize,
-    /// Current selection size, if any.
-    pub selection_len: Option<usize>,
-    /// Synchronized-viewing flag.
-    pub sync_enabled: bool,
-    /// Shared zoom scroll offset.
-    pub scroll: usize,
-    /// Pane order as dataset indices.
-    pub dataset_order: Vec<usize>,
-    /// Human-readable multi-line summary (the classic
-    /// `session_summary` text, kept verbatim for CLI parity).
-    pub summary: String,
-}
-
-/// The result of a successfully executed request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// A mutation command was applied.
-    Applied {
-        /// Selection size after the mutation, if a selection exists.
-        selection_len: Option<usize>,
-        /// Scene rectangles invalidated.
-        damage: Vec<DamageRect>,
-    },
-    /// A dataset was loaded.
-    Loaded {
-        /// Index assigned to the dataset.
-        dataset: usize,
+crate::wire_record! {
+    /// One dataset row in a session listing; its row is led by the index
+    /// and ends in `clustered=<gene+array|gene|array|none>`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct DatasetRow {
         /// Dataset name.
-        name: String,
-        /// Gene count.
-        genes: usize,
-        /// Condition count.
-        conditions: usize,
-    },
-    /// A synthetic scenario was loaded.
-    ScenarioLoaded {
-        /// Names of the loaded datasets, in index order.
-        names: Vec<String>,
-        /// Genes per dataset.
-        n_genes: usize,
-    },
-    /// An ontology is attached; `enrich` is now available.
-    OntologyReady {
-        /// Term count in the DAG.
-        terms: usize,
-    },
-    /// Imputation finished.
-    Imputed {
-        /// Cells filled.
-        filled: usize,
-        /// Missing cells before imputation.
-        missing_before: usize,
-    },
-    /// Normalization finished.
-    Normalized {
-        /// Datasets transformed.
-        datasets: usize,
-    },
-    /// Condition clustering finished.
-    ArraysClustered {
-        /// The dataset whose array tree was built.
-        dataset: usize,
-    },
-    /// Search hits (no selection change).
-    SearchHits {
-        /// Matching gene names, in universe order.
-        genes: Vec<String>,
-    },
-    /// SPELL ranking.
-    SpellRanking {
-        /// Datasets by descending relevance.
-        datasets: Vec<SpellDatasetRow>,
-        /// Top non-query genes by descending score.
-        genes: Vec<SpellGeneRow>,
-        /// Query genes not found in the compendium.
-        query_missing: Vec<String>,
-    },
-    /// Enrichment table.
-    Enrichment {
-        /// Terms by ascending p-value.
-        rows: Vec<EnrichmentRow>,
-    },
-    /// A frame was rendered.
-    Frame {
-        /// Frame width.
-        width: usize,
-        /// Frame height.
-        height: usize,
-        /// Pane count in the scene.
-        panes: usize,
-        /// FNV-1a checksum of the raw RGB bytes — lets scripts assert
-        /// pixel-exact determinism without storing images.
-        checksum: u64,
-        /// Where the PPM was written, if requested.
-        path: Option<String>,
-    },
-    /// CDT bundle export.
-    CdtExported {
-        /// Source dataset.
-        dataset: usize,
-        /// Files written (empty when exporting in-memory).
-        files: Vec<String>,
-        /// CDT text size in bytes.
-        cdt_bytes: usize,
-        /// Whether a gene-tree file exists.
-        has_gtr: bool,
-        /// Whether an array-tree file exists.
-        has_atr: bool,
-    },
-    /// PCL export.
-    PclExported {
-        /// Source dataset.
-        dataset: usize,
-        /// File written.
-        path: String,
-        /// Gene count.
-        genes: usize,
-        /// Condition count.
-        conditions: usize,
-    },
-    /// A textual selection export.
-    Text {
-        /// The exported text (possibly empty when nothing is selected).
-        text: String,
-    },
-    /// Session summary.
-    SessionInfo(SessionInfoData),
-    /// Dataset listing.
-    Datasets {
-        /// One row per dataset, in index order.
-        rows: Vec<DatasetRow>,
-    },
+        pub name: String => "name" as Spaced,
+        /// Gene (row) count.
+        pub genes: usize => "genes",
+        /// Condition (column) count.
+        pub conditions: usize => "conditions",
+        ..
+        /// Dataset index (stable across reordering).
+        pub dataset: usize,
+        /// Whether the gene axis has been clustered.
+        pub gene_clustered: bool,
+        /// Whether the condition axis has been clustered.
+        pub array_clustered: bool,
+    }
+}
+
+crate::wire_record! {
+    /// Session-level summary.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SessionInfoData {
+        /// Loaded dataset count.
+        pub n_datasets: usize => "datasets",
+        /// Distinct genes across all datasets.
+        pub universe_genes: usize => "universe",
+        /// Present (non-missing) measurements across all datasets.
+        pub total_measurements: usize => "measurements",
+        /// Current selection size, if any.
+        pub selection_len: Option<usize> => "selection",
+        /// Synchronized-viewing flag.
+        pub sync_enabled: bool => "sync" as OnOff,
+        /// Shared zoom scroll offset.
+        pub scroll: usize => "scroll",
+        /// Pane order as dataset indices.
+        pub dataset_order: Vec<usize> => "order",
+        ..
+        /// Human-readable multi-line summary (the classic
+        /// `session_summary` text, kept verbatim for CLI parity).
+        pub summary: String,
+    }
+}
+
+crate::wire_record! {
+    /// The result of a successfully executed request. Each kind is one
+    /// canonical text row led by its keyword (see
+    /// [`crate::codec::format_response`]); the keyed fields are declared
+    /// here, once, with their wire keys.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response {
+        /// A mutation command was applied.
+        Applied = "applied" {
+            /// Selection size after the mutation, if a selection exists.
+            selection_len: Option<usize> => "selection",
+            /// Scene rectangles invalidated.
+            damage: Vec<DamageRect> => "damage",
+        },
+        /// A dataset was loaded.
+        Loaded = "loaded" {
+            /// Index assigned to the dataset.
+            dataset: usize => "dataset",
+            /// Dataset name.
+            name: String => "name" as Spaced,
+            /// Gene count.
+            genes: usize => "genes",
+            /// Condition count.
+            conditions: usize => "conditions",
+        },
+        /// A synthetic scenario was loaded.
+        ScenarioLoaded = "scenario" {
+            /// Names of the loaded datasets, in index order.
+            names: Vec<String> => "datasets",
+            /// Genes per dataset.
+            n_genes: usize => "genes",
+        },
+        /// An ontology is attached; `enrich` is now available.
+        OntologyReady = "ontology" {
+            /// Term count in the DAG.
+            terms: usize => "terms",
+        },
+        /// Imputation finished.
+        Imputed = "imputed" {
+            /// Cells filled.
+            filled: usize => "filled",
+            /// Missing cells before imputation.
+            missing_before: usize => "missing",
+        },
+        /// Normalization finished.
+        Normalized = "normalized" {
+            /// Datasets transformed.
+            datasets: usize => "datasets",
+        },
+        /// Condition clustering finished.
+        ArraysClustered = "arrays_clustered" {
+            /// The dataset whose array tree was built.
+            dataset: usize => "dataset",
+        },
+        /// Search hits (no selection change), after a `hits=` count.
+        SearchHits = "search" {
+            /// Matching gene names, in universe order.
+            genes: Vec<String> => "genes",
+        },
+        /// SPELL ranking, after `datasets=` and `genes=` row counts.
+        SpellRanking = "spell" {
+            /// Query genes not found in the compendium.
+            query_missing: Vec<String> => "missing",
+            ..
+            /// Datasets by descending relevance.
+            datasets: Vec<SpellDatasetRow>,
+            /// Top non-query genes by descending score.
+            genes: Vec<SpellGeneRow>,
+        },
+        /// Enrichment table, after a `terms=` row count.
+        Enrichment = "enrich" {
+            ..
+            /// Terms by ascending p-value.
+            rows: Vec<EnrichmentRow>,
+        },
+        /// A frame was rendered; its `<w>x<h>` leads the row.
+        Frame = "frame" {
+            /// Pane count in the scene.
+            panes: usize => "panes",
+            /// FNV-1a checksum of the raw RGB bytes — lets scripts assert
+            /// pixel-exact determinism without storing images.
+            checksum: u64 => "checksum" as Hex16,
+            /// Where the PPM was written, if requested.
+            path: Option<String> => "path" as Spaced,
+            ..
+            /// Frame width.
+            width: usize,
+            /// Frame height.
+            height: usize,
+        },
+        /// CDT bundle export.
+        CdtExported = "cdt" {
+            /// Source dataset.
+            dataset: usize => "dataset",
+            /// CDT text size in bytes.
+            cdt_bytes: usize => "bytes",
+            /// Whether a gene-tree file exists.
+            has_gtr: bool => "gtr" as YesNo,
+            /// Whether an array-tree file exists.
+            has_atr: bool => "atr" as YesNo,
+            /// Files written (empty when exporting in-memory).
+            files: Vec<String> => "files" as Spaced,
+        },
+        /// PCL export.
+        PclExported = "pcl" {
+            /// Source dataset.
+            dataset: usize => "dataset",
+            /// File written.
+            path: String => "path" as Spaced,
+            /// Gene count.
+            genes: usize => "genes",
+            /// Condition count.
+            conditions: usize => "conditions",
+        },
+        /// A textual selection export, after a `bytes=` length.
+        Text = "text" {
+            ..
+            /// The exported text (possibly empty when nothing is selected).
+            text: String,
+        },
+        /// Dataset listing, after an `n=` row count.
+        Datasets = "datasets" {
+            ..
+            /// One row per dataset, in index order.
+            rows: Vec<DatasetRow>,
+        },
+        ..
+        /// Session summary; `summary_bytes=` and the summary follow.
+        SessionInfo = "session" (SessionInfoData),
+    }
 }

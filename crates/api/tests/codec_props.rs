@@ -3,9 +3,10 @@
 //! the script parser — and the response side's
 //! `format_response(parse_response(t)) == t` for every `t` that
 //! `format_response` can produce (multi-line bodies, empty damage-rect
-//! lists, and free-text fields included). The generators cover the
-//! documented lexical domain (tokens without whitespace/commas, free
-//! text without leading/trailing whitespace) — the codec's losslessness
+//! lists, and free-text fields included), with names and paths that hold
+//! inner spaces read back whole. The generators cover the documented
+//! lexical domain (tokens without whitespace/commas, free text and paths
+//! without leading/trailing whitespace) — the codec's losslessness
 //! contract.
 
 use forestview::command::Command;
@@ -47,6 +48,18 @@ fn arb_path() -> impl Strategy<Value = String> {
         let s: String = (0..len).map(|_| rng_char(rng, CHARS)).collect();
         // keep it a clean token: no leading '-' (sentinel confusion)
         format!("p{s}")
+    })
+}
+
+/// A path that may hold inner spaces (never outer ones), as `render`,
+/// `export_cdt` and `export_pcl` accept it and answer with it.
+fn arb_spaced_path() -> impl Strategy<Value = String> {
+    FnStrategy::new(|rng: &mut TestRng| {
+        let words = 1 + rng.below(3) as usize;
+        (0..words)
+            .map(|_| arb_path().generate(rng))
+            .collect::<Vec<_>>()
+            .join(" ")
     })
 }
 
@@ -349,7 +362,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
         })),
         Box::new(FnStrategy::new(|rng: &mut TestRng| Response::Loaded {
             dataset: rng.below(16) as usize,
-            name: arb_token().generate(rng),
+            name: arb_text().generate(rng),
             genes: rng.below(10_000) as usize,
             conditions: rng.below(500) as usize,
         })),
@@ -423,13 +436,13 @@ fn arb_response() -> impl Strategy<Value = Response> {
             path: if rng.below(2) == 0 {
                 None
             } else {
-                Some(arb_path().generate(rng))
+                Some(arb_spaced_path().generate(rng))
             },
         })),
         Box::new(FnStrategy::new(|rng: &mut TestRng| Response::CdtExported {
             dataset: rng.below(16) as usize,
             files: (0..rng.below(4) as usize)
-                .map(|_| arb_path().generate(rng))
+                .map(|_| arb_spaced_path().generate(rng))
                 .collect(),
             cdt_bytes: rng.below(1 << 20) as usize,
             has_gtr: rng.below(2) == 0,
@@ -437,7 +450,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
         })),
         Box::new(FnStrategy::new(|rng: &mut TestRng| Response::PclExported {
             dataset: rng.below(16) as usize,
-            path: arb_path().generate(rng),
+            path: arb_spaced_path().generate(rng),
             genes: rng.below(10_000) as usize,
             conditions: rng.below(500) as usize,
         })),
@@ -463,7 +476,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
                 rows: (0..n)
                     .map(|d| DatasetRow {
                         dataset: d,
-                        name: arb_token().generate(rng),
+                        name: arb_text().generate(rng),
                         genes: rng.below(10_000) as usize,
                         conditions: rng.below(500) as usize,
                         gene_clustered: rng.below(2) == 0,

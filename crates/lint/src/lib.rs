@@ -95,11 +95,9 @@ const SPAWN_SANCTIONED: &[&str] = &["shard.rs", "procshard.rs", "tap.rs"];
 
 /// The module set for `format-parse-inverse`: the wire codec and its
 /// satellite text formats. A `parse_x` anywhere in the set satisfies a
-/// `format_x` anywhere else in it (e.g. `codec.rs` formats what
-/// `decode.rs` parses).
+/// `format_x` anywhere else in it.
 const CODEC_PATHS: &[&str] = &[
     "crates/api/src/codec.rs",
-    "crates/api/src/decode.rs",
     "crates/api/src/trace.rs",
     "crates/api/src/image.rs",
     "crates/net/src/metrics.rs",
@@ -129,7 +127,7 @@ fn wall_clock_scope(path: &str) -> bool {
     name == "balance.rs"
         || in_path_set(
             path,
-            &["crates/net/src/protocol.rs", "crates/synth/src/workload.rs"],
+            &["crates/net/src/protocol.rs", "crates/api/src/workload.rs"],
         )
         || name.trim_end_matches(".rs").ends_with("_sim")
 }

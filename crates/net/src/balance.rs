@@ -60,8 +60,7 @@
 
 use crate::metrics::{LatencyHistogram, LATENCY_BUCKET_COUNT};
 use crate::shard::ShardReport;
-use fv_api::decode::num;
-use fv_api::record::Token;
+use fv_api::record::{num, Token};
 use fv_api::ApiError;
 pub use fv_api::BalanceMode;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};

@@ -30,7 +30,7 @@
 //! them, mirroring how responses flow through `format_response` /
 //! `parse_response`.
 
-use fv_api::decode::{field, num};
+use fv_api::record::{field, num};
 use fv_api::ApiError;
 use std::fmt::Write;
 use std::time::Duration;

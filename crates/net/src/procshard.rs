@@ -84,8 +84,7 @@ use crate::shard::{
     Backend, Link, PubFrame, RunDone, SessionReport, ShardOp, ShardReply, ShardReport, Shards,
     WorkerCore,
 };
-use fv_api::decode::{field, num};
-use fv_api::record::{self, Token};
+use fv_api::record::{self, field, num, Token};
 use fv_api::{
     format_request, format_session_image, parse_request, parse_session_image, ApiError,
     DatasetCache, ErrorCode, SessionId,

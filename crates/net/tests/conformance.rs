@@ -157,6 +157,37 @@ fn typed_client_execute_roundtrips_responses() {
 }
 
 #[test]
+fn typed_client_execute_reads_a_spaced_export_path_back_whole() {
+    // The request grammar takes a path with inner spaces; the typed reply
+    // must carry all of it, not the path up to its first space.
+    use fv_api::{Mutation, Query, Request, Response};
+    let dir = std::env::temp_dir().join(format!("fv-conf-spaced-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("a b.pcl").to_string_lossy().into_owned();
+    let server = server(2);
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    client.use_session("spaced").unwrap();
+    client
+        .execute(&Request::Mutate(Mutation::LoadScenario {
+            n_genes: 60,
+            seed: 3,
+        }))
+        .unwrap();
+    let export = Request::Query(Query::ExportPcl {
+        dataset: 0,
+        path: path.clone(),
+    });
+    match client.execute(&export).unwrap() {
+        Response::PclExported { path: answered, .. } => assert_eq!(answered, path),
+        other => panic!("unexpected response {other:?}"),
+    }
+    assert!(std::path::Path::new(&path).exists());
+    server.shutdown();
+    server.join();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn list_sessions_merges_across_shards_sorted_by_name() {
     use fv_api::{Mutation, Request, SessionEntry};
     let server = server(2);

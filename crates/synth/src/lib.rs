@@ -21,8 +21,9 @@
 //! - [`ontogen`] — a GO-like ontology whose terms align with the planted
 //!   modules, so GOLEM enrichment has a discoverable signal,
 //! - [`scenario`] — paper-scale presets used by examples, tests, benches,
-//! - [`workload`] — seeded *traffic* (taxonomy-derived query mixes), the
-//!   request-stream counterpart of the data generators.
+//! - [`workload`] — [`workload::WorkloadRng`], the seeded random source of
+//!   generated *traffic*; the traffic generator itself (taxonomy-derived
+//!   query mixes, written as typed requests) is `fv_api::workload`.
 
 #![forbid(unsafe_code)]
 
@@ -37,7 +38,3 @@ pub mod workload;
 pub use compendium::{generate_compendium, CompendiumSpec};
 pub use modules::{GroundTruth, ModuleKind, ModuleSpec};
 pub use scenario::Scenario;
-pub use workload::{
-    generate as generate_workload, ClientScript, WorkloadKind, WorkloadOp, WorkloadRng,
-    WorkloadSpec, WORKLOAD_KINDS,
-};

@@ -4,8 +4,9 @@
 #   scripts/wirediff.sh <fvtool-a> <fvtool-b>
 #
 # Boots each binary under `--shards 2` and under `--shard-procs 2`, plays
-# the same lines at it in lockstep over one raw TCP connection (requests,
-# every control verb, `migrate` with its ok and err answers — to another
+# the same lines at it in lockstep over one raw TCP connection (requests
+# answered with every response kind, exports to paths with spaces among
+# them; every control verb, `migrate` with its ok and err answers — to another
 # shard and back beside a twin session over the same content, so an
 # install served a shared clustering is compared too; to the shard the
 # session already lives on, an unknown session, an out-of-range shard,
@@ -80,6 +81,13 @@ play() {
     ask "use wd" "scenario 60 7" "cluster_all" "search_select stress" "scroll 2" \
       "session_info" "use wd2" "scenario 60 7" "cluster_all" \
       "use wdfile" "load $data/gasch_stress.pcl" "list_datasets"
+    # Every response kind, names and paths with spaces included.
+    ask "use wdkinds" "scenario 60 7" "ontology 40 7" \
+      "search stress" "search_select stress" "enrich 5 selection" \
+      "spell 5 YFL021W,YGR028C,YNL054C" "impute 0 2" "normalize all zscore" \
+      "cluster_arrays 0" "cluster_all" "export_selection gene_list" \
+      "export_cdt 0 $data/a b" "export_pcl 0 $data/a b.pcl" "load $data/a b.pcl" \
+      "render 320 240 $data/a b.ppm" "list_datasets" "session_info"
     listed=$(ask "list-sessions")
     printf '%s\n' "$listed"
     home=$(shard_of "$listed" wd)

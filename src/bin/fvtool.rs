@@ -528,7 +528,7 @@ fn cmd_watch(remote: Option<&str>, args: &[String]) -> Result<(), ApiError> {
 /// replayable `fvtool script` text.
 fn cmd_workload(args: &[String]) -> Result<(), ApiError> {
     let [kind, opts @ ..] = args else {
-        let names: Vec<&str> = fv_synth::workload::WORKLOAD_KINDS
+        let names: Vec<&str> = fv_api::workload::WORKLOAD_KINDS
             .iter()
             .map(|k| k.name())
             .collect();
@@ -537,8 +537,8 @@ fn cmd_workload(args: &[String]) -> Result<(), ApiError> {
             names.join(", ")
         )));
     };
-    let kind = fv_synth::workload::WorkloadKind::from_name(kind).ok_or_else(|| {
-        let names: Vec<&str> = fv_synth::workload::WORKLOAD_KINDS
+    let kind = fv_api::workload::WorkloadKind::from_name(kind).ok_or_else(|| {
+        let names: Vec<&str> = fv_api::workload::WORKLOAD_KINDS
             .iter()
             .map(|k| k.name())
             .collect();
@@ -547,7 +547,7 @@ fn cmd_workload(args: &[String]) -> Result<(), ApiError> {
             names.join(", ")
         ))
     })?;
-    let mut spec = fv_synth::workload::WorkloadSpec::small(kind, 2, 1);
+    let mut spec = fv_api::workload::WorkloadSpec::small(kind, 2, 1);
     let mut it = opts.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -562,7 +562,7 @@ fn cmd_workload(args: &[String]) -> Result<(), ApiError> {
             }
         }
     }
-    for script in fv_synth::workload::generate(&spec) {
+    for script in fv_api::workload::generate(&spec) {
         println!(
             "# client session={} kind={} bursts={}",
             script.session,
