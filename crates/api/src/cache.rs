@@ -399,6 +399,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods, reason = "eight loads race on threads")]
     fn racing_loads_of_one_file_share_one_parse() {
         let dir = temp_dir("race");
         let path = write_pcl(&dir, "r.pcl", &[("G1", &[1.0, 2.0])], 2);

@@ -45,6 +45,21 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
+    /// Every code, in declaration order.
+    pub const ALL: [ErrorCode; 11] = [
+        ErrorCode::Parse,
+        ErrorCode::InvalidRequest,
+        ErrorCode::NotFound,
+        ErrorCode::AlreadyExists,
+        ErrorCode::Io,
+        ErrorCode::Format,
+        ErrorCode::MissingContext,
+        ErrorCode::Busy,
+        ErrorCode::Internal,
+        ErrorCode::ShardDown,
+        ErrorCode::StaleImage,
+    ];
+
     /// Frozen wire name of the code.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -66,20 +81,7 @@ impl ErrorCode {
     /// [`ErrorCode::as_str`], used by network clients decoding `err`
     /// frames.
     pub fn from_wire(s: &str) -> Option<ErrorCode> {
-        Some(match s {
-            "E_PARSE" => ErrorCode::Parse,
-            "E_INVALID" => ErrorCode::InvalidRequest,
-            "E_NOT_FOUND" => ErrorCode::NotFound,
-            "E_EXISTS" => ErrorCode::AlreadyExists,
-            "E_IO" => ErrorCode::Io,
-            "E_FORMAT" => ErrorCode::Format,
-            "E_MISSING_CONTEXT" => ErrorCode::MissingContext,
-            "E_BUSY" => ErrorCode::Busy,
-            "E_INTERNAL" => ErrorCode::Internal,
-            "E_SHARD_DOWN" => ErrorCode::ShardDown,
-            "E_STALE_IMAGE" => ErrorCode::StaleImage,
-            _ => return None,
-        })
+        ErrorCode::ALL.into_iter().find(|code| code.as_str() == s)
     }
 
     /// Process exit code a CLI should use for this error class. Usage
@@ -206,19 +208,25 @@ mod tests {
 
     #[test]
     fn wire_names_roundtrip() {
-        for code in [
-            ErrorCode::Parse,
-            ErrorCode::InvalidRequest,
-            ErrorCode::NotFound,
-            ErrorCode::AlreadyExists,
-            ErrorCode::Io,
-            ErrorCode::Format,
-            ErrorCode::MissingContext,
-            ErrorCode::Busy,
-            ErrorCode::Internal,
-            ErrorCode::ShardDown,
-            ErrorCode::StaleImage,
-        ] {
+        for (i, code) in ErrorCode::ALL.into_iter().enumerate() {
+            // Exhaustive: each code in `ALL` sits at its declaration
+            // place, once. A code left out of `ALL` fails the root
+            // `tests/invariants.rs`, which holds every `"E_…"` literal in
+            // the source (`as_str`'s among them) to `ALL`.
+            let place = match code {
+                ErrorCode::Parse => 0,
+                ErrorCode::InvalidRequest => 1,
+                ErrorCode::NotFound => 2,
+                ErrorCode::AlreadyExists => 3,
+                ErrorCode::Io => 4,
+                ErrorCode::Format => 5,
+                ErrorCode::MissingContext => 6,
+                ErrorCode::Busy => 7,
+                ErrorCode::Internal => 8,
+                ErrorCode::ShardDown => 9,
+                ErrorCode::StaleImage => 10,
+            };
+            assert_eq!(place, i, "{code:?}");
             assert_eq!(ErrorCode::from_wire(code.as_str()), Some(code));
         }
         assert_eq!(ErrorCode::from_wire("E_NOPE"), None);

@@ -449,7 +449,7 @@ macro_rules! wire_record {
             /// Inverse of `put_fields`: every keyed field looked up in
             /// `text`, the un-keyed ones at their `Default`.
             pub(crate) fn get_fields(text: &str) -> Result<Self, $crate::ApiError> {
-                #[allow(unused_variables)]
+                #[allow(unused_variables, reason = "a record with no keyed fields never reads its row")]
                 let row = $crate::record::Row::new(text, &[$( ($key,
                     <$crate::__spelling!($($spelling)?) as $crate::record::Spelling<$fty>>::SPACED),
                 )*])?;
@@ -507,7 +507,7 @@ macro_rules! wire_record {
             pub(crate) fn get_fields(keyword: &str, text: &str) -> Result<Self, $crate::ApiError> {
                 match keyword {
                     $( $keyword => {
-                        #[allow(unused_variables)]
+                        #[allow(unused_variables, reason = "a record with no keyed fields never reads its row")]
                         let row = $crate::record::Row::new(text, &[$( ($key,
                             <$crate::__spelling!($($spelling)?)
                                 as $crate::record::Spelling<$fty>>::SPACED),

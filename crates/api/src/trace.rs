@@ -24,9 +24,10 @@
 //! Blank lines and column-0 `#` comments between events are ignored on
 //! parse (and never emitted by the formatter), so traces can be annotated
 //! by hand. [`format_trace_line`] and [`parse_trace_line`] are exact
-//! inverses over the representable domain (no `\n` inside a send payload
-//! or an error message; body lines carry no trailing `\r`) — property
-//! tested, like the request codec.
+//! inverses over the representable domain (no `\n` or `\r` inside a send
+//! payload or an error message; body lines carry no trailing `\r`) —
+//! property tested, like the request codec. The parser refuses text
+//! outside that domain, so whatever it accepts re-formats losslessly.
 
 use crate::error::{ApiError, ErrorCode};
 
@@ -140,10 +141,20 @@ pub fn parse_trace_line(text: &str) -> Result<TraceEvent, ApiError> {
                 "continuation lines start with two spaces, got {cont:?}"
             )));
         };
+        if stripped.ends_with('\r') {
+            return Err(stray_cr(cont));
+        }
         body.push('\n');
         body.push_str(stripped);
     }
     Ok(TraceEvent::Recv(Ok(body)))
+}
+
+/// A `\r` the formatter would flatten to a space (in a send payload or
+/// an error message) or a line reader would strip (ending a body line):
+/// such a line has no text of its own to re-format to.
+fn stray_cr(line: &str) -> ApiError {
+    ApiError::parse(format!("carriage return in trace line {line:?}"))
 }
 
 /// The head (first physical) line of an event, classified.
@@ -158,15 +169,24 @@ fn parse_event_head(head: &str) -> Result<HeadEvent, ApiError> {
         if rest.trim().is_empty() {
             return Err(ApiError::parse("send event has an empty payload"));
         }
+        if rest.contains('\r') {
+            return Err(stray_cr(head));
+        }
         return Ok(HeadEvent::Send(rest.to_string()));
     }
     if head == "recv ok" {
         return Ok(HeadEvent::RecvOk(String::new()));
     }
     if let Some(rest) = head.strip_prefix("recv ok ") {
+        if rest.ends_with('\r') {
+            return Err(stray_cr(head));
+        }
         return Ok(HeadEvent::RecvOk(rest.to_string()));
     }
     if let Some(rest) = head.strip_prefix("recv err ") {
+        if rest.contains('\r') {
+            return Err(stray_cr(head));
+        }
         let (code, message) = match rest.split_once(' ') {
             Some((c, m)) => (c, m.to_string()),
             None => (rest, String::new()),

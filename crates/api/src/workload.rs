@@ -21,6 +21,8 @@
 //! harness uses — no wall clock, no global state. Equal specs produce
 //! equal scripts.
 
+#![deny(clippy::disallowed_types, reason = "seeded: no wall clock")]
+
 use crate::codec::{format_script_item, ScriptItem};
 use crate::request::{Mutation, NormalizeMethod, Query, Request, SelectionExport};
 use forestview::command::Command;

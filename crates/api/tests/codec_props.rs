@@ -10,7 +10,10 @@
 //! contract.
 
 use forestview::command::Command;
-use fv_api::codec::{format_request, format_response, parse_request, parse_script, ScriptItem};
+use fv_api::codec::{
+    format_request, format_response, format_script_item, parse_request, parse_script,
+    parse_script_item, ScriptItem,
+};
 use fv_api::response::{
     DamageRect, DatasetRow, EnrichmentRow, SessionInfoData, SpellDatasetRow, SpellGeneRow,
 };
@@ -502,7 +505,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn format_then_parse_is_identity(req in arb_request()) {
+    fn format_then_parse_is_identity(req in arb_request(), name in arb_token()) {
         let line = format_request(&req);
         let parsed = parse_request(&line);
         prop_assert!(parsed.is_ok(), "format produced unparseable {line:?}: {parsed:?}");
@@ -510,6 +513,12 @@ proptest! {
         // canonical form is a fixed point
         let parsed_again = parse_request(&line).unwrap();
         prop_assert_eq!(format_request(&parsed_again), line);
+        // a script item is a request or a session directive
+        let directives = [ScriptItem::Use(name.clone()), ScriptItem::Close(name)];
+        for item in directives.into_iter().chain([ScriptItem::Request(req)]) {
+            let line = format_script_item(&item);
+            prop_assert_eq!(parse_script_item(&line).unwrap(), item, "line was {}", line);
+        }
     }
 
     #[test]

@@ -118,6 +118,17 @@ fn the_pinned_texts_roundtrip() {
     }
     let trace = parse_trace(TRACE).unwrap();
     assert_eq!(format_trace(&trace), TRACE);
+    // A `\r` inside a send payload or an error message (the formatter
+    // flattens it) or ending a body line (the line reader strips it) has
+    // no text to re-format to: the trace is refused, not read lossily.
+    for bad in [
+        "send session_\rinfo",
+        "recv err E_NOT_FOUND data\rset 9",
+        "recv ok using α\r\r",
+        "recv ok session\n  Forest\rView\r\r",
+    ] {
+        assert!(parse_trace(&format!("{TRACE}{bad}\n")).is_err(), "{bad:?}");
+    }
     // keyed and un-keyed fields land where they should
     let image = parse_session_image(IMAGE).unwrap();
     assert_eq!((image.scene, image.requests), ((800, 600), 12));

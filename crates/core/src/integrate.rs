@@ -413,8 +413,10 @@ mod tests {
         assert!(suite.spell_from_selection(&mut session, 5).is_none());
     }
 
-    // keep the unused-import lint quiet for the helper types used above
-    #[allow(unused)]
+    #[allow(
+        unused,
+        reason = "keeps the unused-import lint quiet for the helper types used above"
+    )]
     fn _use(p: GenConfig, t: fv_synth::modules::GroundTruth) {
         let _ = (p, t);
         let _ = plant_modules(30, 0, 0, 1);

@@ -58,6 +58,8 @@
 //! budget) until the maximum falls under `settle_ratio × mean`; a system
 //! sitting anywhere between the two watermarks is left alone.
 
+#![deny(clippy::disallowed_types, reason = "seeded: no wall clock")]
+
 use crate::metrics::{LatencyHistogram, LATENCY_BUCKET_COUNT};
 use crate::shard::ShardReport;
 use fv_api::record::{num, Token};

@@ -213,7 +213,10 @@ pub(crate) fn pipelined<T>(
         .map_err(|e| ApiError::io(format!("clone stream: {e}")))?;
     let mut reader = LineReader::new(stream);
     let (tx, rx) = std::sync::mpsc::channel::<String>();
-    // fv-lint: allow(no-spawn-outside-sanctioned-modules) -- client-side writer thread so a pipelined burst cannot deadlock against a flushing server; joined below
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "client-side writer thread so a pipelined burst cannot deadlock against a flushing server; joined below"
+    )]
     let writer = std::thread::spawn(move || {
         while let Ok(chunk) = rx.recv() {
             if write_half.write_all(chunk.as_bytes()).is_err() {

@@ -70,6 +70,17 @@
 //!
 //! See `crates/net/README.md` for the framing grammar and a quickstart.
 
+#![deny(unsafe_code, reason = "`unsafe` lives in poll.rs alone")]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "fv-net answers a typed error, never a panic"
+)]
+
 pub mod balance;
 pub mod client;
 pub mod frame;

@@ -10,6 +10,8 @@
 //! until its bytes are consumed, so a loop that caps per-iteration reads
 //! for fairness never loses data.
 
+#![allow(unsafe_code, reason = "poll(2) through a direct FFI declaration")]
+
 use std::io;
 use std::os::fd::RawFd;
 

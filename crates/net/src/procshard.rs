@@ -78,6 +78,11 @@
 //! seam is per child; `stats` sums the gauges each child's report
 //! carries).
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the process shard backend starts its worker processes here"
+)]
+
 use crate::frame::decode_replies;
 use crate::metrics::LatencyHistogram;
 use crate::shard::{

@@ -24,6 +24,8 @@
 //! seeded loop over whole worlds in `protocol/server_sim.rs` (steps,
 //! invariants, re-running a seed: `crates/net/README.md`).
 
+#![deny(clippy::disallowed_types, reason = "seeded: no wall clock")]
+
 use crate::balance::{format_balance, Balancer};
 use crate::frame::{push_err_frame, push_ok_frame, FrameBuf, LineFault, MAX_LINE};
 use crate::metrics::{ServerStats, ShardStats, StreamStats};
@@ -1829,6 +1831,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "counts the sweep's threads in a process of its own"
+    )]
     fn the_sweep_spawns_no_thread() {
         // Threads are counted process-wide (`/proc/self/task`, as
         // `tests/idle_threads.rs` does) and this binary's other tests

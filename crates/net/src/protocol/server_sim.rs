@@ -1,8 +1,9 @@
 //! Whole-server simulation: the real [`Core`] over parked shards, driven
 //! by **one seeded loop** — no thread, no socket, no clock, no sleep
-//! (fv-lint's `no-wall-clock` and `no-spawn` rules cover this file by
-//! its name). A [`World`] is N scripted connections, 2–4 parked shards
-//! and one core; [`World::step`] is the step alphabet, [`World::check`]
+//! (`protocol.rs` denies `clippy::disallowed_types` for this child
+//! module too, and `clippy::disallowed_methods` is denied workspace-wide:
+//! see `clippy.toml`). A [`World`] is N scripted connections, 2–4 parked
+//! shards and one core; [`World::step`] is the step alphabet, [`World::check`]
 //! what the service must answer for after every step, [`World::finish`]
 //! what it must answer for once everything has come to rest. The three
 //! lists are spelled out in `crates/net/README.md` ("Shell and core").

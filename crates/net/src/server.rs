@@ -178,7 +178,10 @@ impl Server {
             .transpose()
             .map_err(|e| std::io::Error::other(e.to_string()))?;
         let recovered = checkpoints.as_ref().map_or(0, |plane| plane.recovered);
-        // fv-lint: allow(no-spawn-outside-sanctioned-modules) -- the one event-loop thread; every other server thread is a shard drain (shard.rs)
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the one event-loop thread; every other server thread is a shard drain (shard.rs)"
+        )]
         let event_loop = std::thread::Builder::new()
             .name("fv-net-loop".into())
             .spawn(move || {

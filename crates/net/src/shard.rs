@@ -43,6 +43,11 @@
 //!   overrides live in the protocol core (`crate::protocol`), which is
 //!   why `submit` takes an explicit shard index.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a thread shard's drain thread starts here"
+)]
+
 use crate::frame::{push_err_frame, push_ok_frame};
 use crate::metrics::LatencyHistogram;
 use crate::procshard::{self, ChildLink};

@@ -18,6 +18,11 @@
 //! tap reports a typed error instead of writing a trace that could not
 //! replay.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the trace tap starts its relay threads here"
+)]
+
 use crate::frame::{FrameBuf, LineFault, ReplyAssembler};
 use fv_api::{ApiError, ErrorCode, TraceEvent};
 use std::io::{Read, Write};

@@ -8,6 +8,11 @@
 //! chunks by `crates/net/src/protocol/server_sim.rs`; framing alone by
 //! the chunking proptest in `crates/net/src/frame.rs`.)
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests run a fake peer on a thread of their own"
+)]
+
 use fv_api::{
     format_session_image, format_sessions_reply, parse_session_image, parse_sessions_reply,
     ApiError, ErrorCode,

@@ -25,6 +25,8 @@
 //! random shard loads: source≠target, budget respect, pinned exclusion,
 //! the balanced/empty fixpoint, and spread monotonicity.
 
+#![deny(clippy::disallowed_types, reason = "seeded: no wall clock")]
+
 use fv_net::balance::{
     plan_moves, BalanceConfig, BalanceMode, Balancer, MovePlan, SessionLoad, ShardLoad,
 };

@@ -7,6 +7,11 @@
 //! Each test runs a tiny scripted fake server on a thread: accept one
 //! connection, emit some exact bytes, hang up.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests run a fake peer on a thread of their own"
+)]
+
 use fv_api::ErrorCode;
 use fv_net::{Client, Watcher};
 use std::io::{Read, Write};

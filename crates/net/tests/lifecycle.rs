@@ -6,6 +6,11 @@
 //! shell's own clock drives the protocol core's `tick()` (what a tick
 //! decides is the core's, tested on parked shards).
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a watchdog thread bounds each test"
+)]
+
 use fv_net::{BalanceMode, Client, Server, ServerConfig};
 use std::time::{Duration, Instant};
 

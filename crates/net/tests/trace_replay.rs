@@ -10,6 +10,11 @@
 //! i.e. replay preserves the pipelining that produced those replies,
 //! and the server's reply order is deterministic under it.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the recorder runs on a thread beside the client"
+)]
+
 use fv_api::{ErrorCode, TraceEvent};
 use fv_net::frame::{read_reply, LineReader};
 use fv_net::{replay_local, replay_remote, ReplayOutcome, Server, ServerConfig};

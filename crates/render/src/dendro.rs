@@ -73,7 +73,6 @@ pub fn paint_dendrogram(
 
 /// [`paint_dendrogram`] with a signed origin (clipped by the line
 /// primitives) — used by the tiled wall renderer.
-#[allow(clippy::too_many_arguments)]
 pub fn paint_dendrogram_at(
     fb: &mut Framebuffer,
     rx: i64,

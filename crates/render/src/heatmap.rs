@@ -89,7 +89,6 @@ pub fn paint_zoom<F>(
 /// [`paint_zoom`] with a signed origin: the region may extend beyond the
 /// framebuffer in any direction and is clipped. This is the primitive the
 /// tiled wall renderer uses (tiles see a translated scene).
-#[allow(clippy::too_many_arguments)]
 pub fn paint_zoom_at<F>(
     fb: &mut Framebuffer,
     x: i64,
@@ -170,7 +169,6 @@ fn covered(p: usize, n: usize, len: usize) -> (usize, usize) {
 /// fraction of a pane pays only for that fraction — the property that makes
 /// tile-parallel wall rendering scale. Each covered data block is averaged
 /// once (see the module doc for runs, row reuse and the summation order).
-#[allow(clippy::too_many_arguments)]
 pub fn paint_global_at<F>(
     fb: &mut Framebuffer,
     x: i64,
@@ -240,7 +238,6 @@ pub fn paint_global_at<F>(
 /// The per-pixel loop [`paint_global_at`] replaced, kept as the reference
 /// its output must equal byte for byte.
 #[cfg(test)]
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn paint_global_reference<F>(
     fb: &mut Framebuffer,
     x: i64,

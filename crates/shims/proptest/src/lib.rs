@@ -205,7 +205,7 @@ macro_rules! tuple_strategy {
     ($($name:ident),+) => {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
-            #[allow(non_snake_case)]
+            #[allow(non_snake_case, reason = "the type parameters double as binding names")]
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.generate(rng),)+)
@@ -463,10 +463,10 @@ macro_rules! __proptest_impl {
                 $(let $pat = $crate::strategy::Strategy::generate(&($strat), &mut __rng);)*
                 // Bodies run inside a Result-returning closure so that
                 // proptest-style `return Ok(())` early exits type-check.
-                #[allow(clippy::redundant_closure_call)]
+                #[allow(clippy::redundant_closure_call, reason = "the closure is what gives `return` a place to go")]
                 let __outcome: ::std::result::Result<(), $crate::TestCaseError> = (|| {
                     $body
-                    #[allow(unreachable_code)]
+                    #[allow(unreachable_code, reason = "a body that always returns early never reaches this")]
                     Ok(())
                 })();
                 if let ::std::result::Result::Err(e) = __outcome {

@@ -8,6 +8,8 @@
 //! Gram matrix (cheap: conditions² entries) via power iteration, falling
 //! back to a full Jacobi SVD for small matrices when exactness is wanted.
 
+#![deny(clippy::disallowed_types, reason = "seeded: no wall clock")]
+
 use crate::prep::PreparedDataset;
 use fv_linalg::dense::Matrix;
 use fv_linalg::power::dominant_eigenpair;

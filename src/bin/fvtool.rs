@@ -62,8 +62,7 @@ fn usage() -> ExitCode {
          fvtool shutdown --remote <host:port>\n  \
          fvtool workload <kind> [--clients <n>] [--bursts <n>] [--genes <n>] [--seed <n>]\n  \
          fvtool trace record <out.trace> --listen <host:port> --upstream <host:port>\n  \
-         fvtool trace replay <file.trace> [--remote <host:port>]\n  \
-         fvtool lint    [--json]\n\
+         fvtool trace replay <file.trace> [--remote <host:port>]\n\
          options:\n  --remote <host:port>   run the subcommand against a live fvtool server"
     );
     ExitCode::from(2)
@@ -670,14 +669,11 @@ fn cmd_trace_replay(remote: Option<&str>, args: &[String]) -> Result<(), ApiErro
     Ok(())
 }
 
-/// Why an invocation failed: an unrecognized command line (print usage),
-/// a protocol error from executing a recognized one, or a command that
-/// already reported its findings and only needs a nonzero exit
-/// (`lint` with violations).
+/// Why an invocation failed: an unrecognized command line (print usage)
+/// or a protocol error from executing a recognized one.
 enum Failure {
     Usage,
     Api(ApiError),
-    Exit(u8),
 }
 
 impl From<ApiError> for Failure {
@@ -770,7 +766,6 @@ fn run(cmd: &str, rest: &[String], remote: Option<&str>) -> Result<(), Failure> 
             return fv_net::worker_main(rest)
                 .map_err(|msg| ApiError::io(format!("shard-worker: {msg}")).into());
         }
-        "lint" => return cmd_lint(rest),
         "workload" => return Ok(cmd_workload(rest)?),
         "trace" => return Ok(cmd_trace(remote, rest)?),
         "render" | "cluster" | "impute" | "search" | "spell" | "demo" => {}
@@ -805,39 +800,6 @@ fn run(cmd: &str, rest: &[String], remote: Option<&str>) -> Result<(), Failure> 
     Ok(result?)
 }
 
-/// `fvtool lint [--json]`: run the fv-lint invariant rules over the
-/// enclosing workspace and print `file:line: rule: message` diagnostics
-/// (or the stable `{"version":1,...}` JSON form). Exits 0 when clean,
-/// 1 on any violation.
-fn cmd_lint(rest: &[String]) -> Result<(), Failure> {
-    let mut json = false;
-    for arg in rest {
-        match arg.as_str() {
-            "--json" => json = true,
-            _ => return Err(Failure::Usage),
-        }
-    }
-    let cwd = std::env::current_dir()
-        .map_err(|e| ApiError::io(format!("cannot determine current directory: {e}")))?;
-    let root = fv_lint::find_workspace_root(&cwd).ok_or_else(|| {
-        ApiError::io(format!(
-            "no enclosing Cargo workspace from {}",
-            cwd.display()
-        ))
-    })?;
-    let violations = fv_lint::lint_workspace(&root).map_err(|e| ApiError::io(e.to_string()))?;
-    if json {
-        println!("{}", fv_lint::render_json(&violations));
-    } else {
-        print!("{}", fv_lint::render_text(&violations));
-    }
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(Failure::Exit(1))
-    }
-}
-
 /// A session name unique enough for concurrent CLI invocations against
 /// one server.
 fn scratch_session_name() -> String {
@@ -869,6 +831,5 @@ fn main() -> ExitCode {
             eprintln!("fvtool: {e}");
             ExitCode::from(e.exit_code())
         }
-        Err(Failure::Exit(code)) => ExitCode::from(code),
     }
 }

@@ -1,6 +1,11 @@
 //! End-to-end tests of the `fvtool` command-line front end: the binary a
 //! downstream user would actually script against.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests run the fvtool binary as a child process"
+)]
+
 mod common;
 
 use common::Served;

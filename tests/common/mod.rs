@@ -1,7 +1,11 @@
 //! What the root tests share: a live `fvtool serve` child, and a wait on
 //! the checkpoint cadence of a server's state directory. Each test binary
 //! uses the part it needs.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each test binary uses the part it needs")]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests start the fvtool server child"
+)]
 
 use fv_api::{parse_session_image, SessionId, SessionStore};
 use std::io::{BufRead, BufReader};

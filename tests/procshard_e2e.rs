@@ -9,6 +9,11 @@
 //! other shards keep serving, and leave zero orphaned children behind
 //! after shutdown.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests run clients on threads and kill worker processes"
+)]
+
 use fv_api::{EngineHub, SessionId};
 use fv_net::balance::{BalanceConfig, MoveOutcome};
 use fv_net::frame::{read_reply, LineReader};
