@@ -12,9 +12,10 @@
 //! 1. [`prep`] — condition each dataset: z-score gene rows, zero-fill
 //!    missing cells, unit-normalize rows, so Pearson correlation becomes a
 //!    dot product of prepared vectors,
-//! 2. [`balance`] — optional SVD signal balancing: rescale each dataset by
-//!    its dominant singular value so one huge experiment cannot dominate
-//!    the compendium,
+//! 2. [`balance`] — optional SVD signal balancing: a per-dataset factor,
+//!    inverse to its dominant singular value, weights each dataset's
+//!    contribution to the ranking (rows are not rescaled) so one huge
+//!    experiment cannot dominate the compendium,
 //! 3. [`weight`] — score each dataset by the **query coherence**: the mean
 //!    pairwise correlation of the query genes within that dataset,
 //! 4. [`rank`] — score every gene by its weighted mean correlation to the

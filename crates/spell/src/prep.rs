@@ -23,9 +23,6 @@ pub struct PreparedDataset {
     /// Rows that had ≥ `MIN_PRESENT` present cells; others are zero vectors
     /// and excluded from scoring.
     valid: Vec<bool>,
-    /// Scale factor applied by signal balancing (1.0 = none). Kept for
-    /// diagnostics.
-    pub balance_scale: f32,
 }
 
 impl PreparedDataset {
@@ -71,7 +68,6 @@ impl PreparedDataset {
             data,
             n_cols,
             valid,
-            balance_scale: 1.0,
         }
     }
 
@@ -106,14 +102,6 @@ impl PreparedDataset {
             acc += ra[i] * rb[i];
         }
         acc
-    }
-
-    /// Apply a uniform scale to all rows (signal balancing hook).
-    pub fn scale_all(&mut self, s: f32) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-        self.balance_scale *= s;
     }
 
     /// Row index of a gene id (linear scan; engines keep their own maps).
@@ -202,16 +190,6 @@ mod tests {
         let m = ExprMatrix::from_rows(2, 4, &[1.0, 2.0, 3.0, 4.0, 4.0, 3.0, 2.0, 1.0]).unwrap();
         let p = PreparedDataset::from_matrix("d", &m, ids(2));
         assert!(p.corr(0, 1) < -0.99);
-    }
-
-    #[test]
-    fn scale_all_applies() {
-        let m = ExprMatrix::from_rows(1, 4, &[1.0, 2.0, 3.0, 4.0]).unwrap();
-        let mut p = PreparedDataset::from_matrix("d", &m, ids(1));
-        p.scale_all(0.5);
-        let n2: f32 = p.row(0).iter().map(|v| v * v).sum();
-        assert!((n2 - 0.25).abs() < 1e-5);
-        assert_eq!(p.balance_scale, 0.5);
     }
 
     #[test]

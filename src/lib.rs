@@ -29,7 +29,7 @@
 //!   rendering.
 //! - The remaining crates are the paper's subsystems: data substrate
 //!   (`fv-expr`, `fv-formats`), analysis (`fv-cluster`, `fv-spell`,
-//!   `fv-golem`, `fv-linalg`, `fv-ontology`), visualization (`fv-render`,
+//!   `fv-golem`, `fv-ontology`), visualization (`fv-render`,
 //!   `fv-wall`), transport (`fv-net`, re-exported as [`net`]), and
 //!   synthetic data/workloads (`fv-synth`).
 
@@ -41,7 +41,6 @@ pub use fv_cluster as cluster;
 pub use fv_expr as expr;
 pub use fv_formats as formats;
 pub use fv_golem as golem;
-pub use fv_linalg as linalg;
 pub use fv_net as net;
 pub use fv_ontology as ontology;
 pub use fv_render as render;
