@@ -3,6 +3,10 @@
 //! crate needed in this offline workspace), with a portable fallback that
 //! degrades to a short-sleep scan elsewhere.
 //!
+//! It also bounds a process shard's wait for its worker's `hello` on the
+//! worker's stdout pipe (`crate::procshard`). The fallback reports every
+//! descriptor ready at once, so that bound holds on Linux only.
+//!
 //! The interface is deliberately tiny: the caller rebuilds the interest
 //! set every iteration (hundreds of descriptors at most — rebuilding is
 //! cheaper than maintaining registration state) and reads per-entry

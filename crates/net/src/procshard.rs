@@ -1,5 +1,6 @@
 //! Process shards: the [`Link`] that runs a shard in a child OS process,
-//! speaking a length-framed control protocol over a loopback TCP socket.
+//! speaking a length-framed control protocol over the child's stdin and
+//! stdout.
 //!
 //! Everything that crosses the parent↔child seam is serializable text or
 //! raw pixel bytes — requests as their canonical wire grammar
@@ -29,7 +30,7 @@
 //!
 //! ## Protocol grammar
 //!
-//! Child → parent, once, immediately after connecting:
+//! Child → parent, once, as its first stdout frame:
 //!
 //! ```text
 //! hello <shard>
@@ -58,15 +59,17 @@
 //! install <session>                    → installed ok
 //!   <image blob>                       | installed err <CODE>
 //!                                        <msg blob>
-//! shutdown                             → bye            (then child exits)
 //! ```
+//!
+//! The end of the child's stdin is its shutdown: the worker exits on EOF.
 //!
 //! ## Topology
 //!
-//! [`spawn`] binds an ephemeral loopback listener, launches `worker_cmd`
-//! once per shard (`fvtool shard-worker`, in production and in the
-//! tests alike), and pairs each child to its shard index via `hello`.
-//! Each paired socket becomes a [`ChildLink`] owned by that shard's
+//! [`spawn`] launches `worker_cmd` once per shard (`fvtool shard-worker`,
+//! in production and in the tests alike) with piped stdin and stdout,
+//! and reads each child's `hello` off its own pipe. The pipes belong to
+//! the parent alone — nothing else can dial them — so there is nothing
+//! to pair. Each child becomes a [`ChildLink`] owned by that shard's
 //! drain thread (`crate::shard`), which calls it strictly in queue
 //! order: encode, write, read, decode — or the typed `E_SHARD_DOWN`
 //! refusal if the child is gone. A run's reply blob is written to the
@@ -85,6 +88,7 @@
 
 use crate::frame::decode_replies;
 use crate::metrics::LatencyHistogram;
+use crate::poll::{self, PollEntry};
 use crate::shard::{
     Backend, Link, PubFrame, RunDone, SessionReport, ShardOp, ShardReply, ShardReport, Shards,
     WorkerCore,
@@ -97,7 +101,7 @@ use fv_api::{
 use fv_render::Framebuffer;
 use fv_wall::tile::Viewport;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -106,19 +110,15 @@ use std::time::{Duration, Instant};
 /// corrupt length prefix, not a legitimate message.
 const MAX_FRAME: usize = 64 * 1024 * 1024;
 
-/// Upper bound on the two fixed-shape frames, `hello <shard>` and `bye`.
+/// Upper bound on the one fixed-shape frame, `hello <shard>`.
 const MAX_GREETING: usize = 64;
 
-/// How long `spawn` waits for every child to connect and say `hello`.
-const CONNECT_DEADLINE: Duration = Duration::from_secs(10);
+/// How long `spawn` waits for every child to say `hello`.
+const HELLO_DEADLINE: Duration = Duration::from_secs(10);
 
 /// How long a dropped [`ChildLink`] waits for its child to exit after
-/// `bye` before killing it — the zero-orphans guarantee.
+/// closing its pipes before killing it — the zero-orphans guarantee.
 const REAP_DEADLINE: Duration = Duration::from_secs(5);
-
-/// The parent's last frame to a child; not a [`ShardOp`] (nothing waits
-/// on a reply value), so both sides match it before the op codec runs.
-const SHUTDOWN: &[u8] = b"shutdown\n";
 
 // ---------------------------------------------------------------------
 // Frame layer
@@ -518,31 +518,26 @@ fn kill_all(children: &mut [Child]) {
     }
 }
 
-/// Launch `n` worker processes, pair each to a shard, and start the
-/// shards over the paired sockets. `worker_cmd` is the argv prefix to
-/// exec (`["/path/to/fvtool", "shard-worker"]`);
-/// `--connect/--shard/--scene` are appended per child. Fails — with
-/// every already-spawned child killed — if any child dies or fails to
-/// say `hello` within the deadline.
+/// Launch `n` worker processes with piped stdin and stdout and start
+/// the shards over them. `worker_cmd` is the argv prefix to exec
+/// (`["/path/to/fvtool", "shard-worker"]`); `--shard/--scene` are
+/// appended per child. Fails — with every already-spawned child killed —
+/// if any child dies or fails to say `hello` within the deadline.
 pub(crate) fn spawn(worker_cmd: &[String], n: usize, scene: (usize, usize)) -> io::Result<Shards> {
     let n = n.max(1);
     let (program, prefix) = worker_cmd
         .split_first()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "empty shard worker command"))?;
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let mut children: Vec<Child> = Vec::with_capacity(n);
     for shard in 0..n {
         let mut cmd = Command::new(program);
         cmd.args(prefix)
-            .arg("--connect")
-            .arg(addr.to_string())
             .arg("--shard")
             .arg(shard.to_string())
             .arg("--scene")
             .arg(format!("{}x{}", scene.0, scene.1))
-            .stdin(Stdio::null());
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped());
         match cmd.spawn() {
             Ok(child) => children.push(child),
             Err(e) => {
@@ -551,22 +546,21 @@ pub(crate) fn spawn(worker_cmd: &[String], n: usize, scene: (usize, usize)) -> i
             }
         }
     }
-    let streams = match pair(&listener, &mut children, n) {
-        Ok(streams) => streams,
-        Err(e) => {
-            kill_all(&mut children);
-            return Err(e);
-        }
-    };
-    drop(listener);
+    let deadline = Instant::now() + HELLO_DEADLINE;
+    let greeted = children
+        .iter_mut()
+        .enumerate()
+        .try_for_each(|(shard, child)| hello(child, shard, deadline));
+    if let Err(e) = greeted {
+        kill_all(&mut children);
+        return Err(e);
+    }
     let links = children
         .into_iter()
-        .zip(streams)
         .enumerate()
-        .map(|(shard, (child, stream))| {
+        .map(|(shard, child)| {
             Link::Child(ChildLink {
                 shard,
-                stream,
                 child,
                 dead: false,
             })
@@ -575,82 +569,46 @@ pub(crate) fn spawn(worker_cmd: &[String], n: usize, scene: (usize, usize)) -> i
     Shards::start(links, Backend::Procs)
 }
 
-/// Accept loop of `spawn`: wait for all `n` children to connect and
-/// identify themselves, watching for early child exits so a broken
-/// worker command fails fast instead of timing out.
-fn pair(listener: &TcpListener, children: &mut [Child], n: usize) -> io::Result<Vec<TcpStream>> {
-    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let deadline = Instant::now() + CONNECT_DEADLINE;
-    let mut slots: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-    let mut connected = 0;
-    while connected < n {
-        if Instant::now() >= deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("{connected}/{n} shard workers connected before the deadline"),
-            ));
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Any local process can dial the ephemeral port. A
-                // connection that does not open with a well-formed
-                // `hello` is not one of ours: drop it and keep waiting.
-                let Some((shard, stream)) = read_hello(stream) else {
-                    continue;
-                };
-                if shard >= n {
-                    return Err(bad(format!("hello from out-of-range shard {shard}")));
-                }
-                if slots[shard].is_some() {
-                    return Err(bad(format!("two workers claimed shard {shard}")));
-                }
-                slots[shard] = Some(stream);
-                connected += 1;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                for (shard, child) in children.iter_mut().enumerate() {
-                    if let Ok(Some(status)) = child.try_wait() {
-                        return Err(bad(format!(
-                            "shard {shard} worker exited at startup ({status})"
-                        )));
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(e),
-        }
+/// Wait until `deadline` for `child`'s first stdout frame, which must be
+/// `hello <shard>`. Every failure names the shard: a worker that exits
+/// at startup closes its stdout, one that hangs never makes it readable.
+fn hello(child: &mut Child, shard: usize, deadline: Instant) -> io::Result<()> {
+    let named = |kind, what: String| io::Error::new(kind, format!("shard {shard} worker {what}"));
+    let stdout = child
+        .stdout
+        .as_mut()
+        .ok_or_else(|| named(io::ErrorKind::BrokenPipe, "has no stdout pipe".into()))?;
+    let left = deadline.saturating_duration_since(Instant::now());
+    let mut ready = [PollEntry::new(stdout.as_raw_fd(), true, false)];
+    poll::wait(&mut ready, left.as_millis() as i32)?;
+    if !(ready[0].readable || ready[0].hangup) {
+        let what = format!("did not say hello within {HELLO_DEADLINE:?}");
+        return Err(named(io::ErrorKind::TimedOut, what));
     }
-    // All slots are Some once `connected == n`; flatten without
-    // panicking anyway.
-    Ok(slots.into_iter().flatten().collect())
+    let greeting = read_frame(stdout, MAX_GREETING).map_err(|e| {
+        let status = child.try_wait().ok().flatten();
+        let status = status.map_or_else(String::new, |status| format!(" ({status})"));
+        named(e.kind(), format!("sent no hello{status}: {e}"))
+    })?;
+    if greeting != format!("hello {shard}\n").as_bytes() {
+        let what = format!("greeted with {:?}", String::from_utf8_lossy(&greeting));
+        return Err(named(io::ErrorKind::InvalidData, what));
+    }
+    Ok(())
 }
 
-/// Read a freshly accepted connection's `hello <shard>` greeting;
-/// `None` if it does not arrive intact within the read timeout.
-fn read_hello(mut stream: TcpStream) -> Option<(usize, TcpStream)> {
-    stream.set_nonblocking(false).ok()?;
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
-    let hello = read_frame(&mut stream, MAX_GREETING).ok()?;
-    let mut c = Cursor::new(&hello);
-    let shard = num(c.line().ok()?.strip_prefix("hello ")?, "hello shard index").ok()?;
-    c.done().ok()?;
-    stream.set_read_timeout(None).ok()?;
-    Some((shard, stream))
-}
-
-/// The parent's end of one process shard: the control socket plus the
-/// child it leads to. A transport or decode failure marks the shard
-/// dead; that op and every later one then gets the typed `E_SHARD_DOWN`
-/// refusal.
+/// The parent's end of one process shard: the child, whose stdin and
+/// stdout pipes carry the protocol. A transport or decode failure marks
+/// the shard dead; that op and every later one then gets the typed
+/// `E_SHARD_DOWN` refusal.
 ///
-/// Dropping the link is the child's orderly end: `shutdown`, wait for
-/// `bye`, reap (kill after [`REAP_DEADLINE`]). The link lives on its
-/// shard's drain thread, so [`Shards::shutdown`] stops all children in
-/// parallel and no path that loses a link can leak its process.
+/// Dropping the link is the child's orderly end: close its pipes (EOF on
+/// stdin is its shutdown), reap (kill after [`REAP_DEADLINE`]). The link
+/// lives on its shard's drain thread, so [`Shards::shutdown`] stops all
+/// children in parallel and no path that loses a link can leak its
+/// process.
 pub(crate) struct ChildLink {
     shard: usize,
-    stream: TcpStream,
     child: Child,
     dead: bool,
 }
@@ -674,22 +632,19 @@ impl ChildLink {
     /// malformed reply — the protocol is corrupt and nothing the child
     /// says afterwards can be trusted.
     fn exchange(&mut self, op: &ShardOp) -> Option<ShardReply> {
-        write_frame(&mut self.stream, &encode_op(op)).ok()?;
-        let payload = read_frame(&mut self.stream, MAX_FRAME).ok()?;
+        write_frame(self.child.stdin.as_mut()?, &encode_op(op)).ok()?;
+        let payload = read_frame(self.child.stdout.as_mut()?, MAX_FRAME).ok()?;
         decode_reply(&payload, op).ok()
     }
 }
 
 impl Drop for ChildLink {
     fn drop(&mut self) {
-        if !self.dead {
-            let _ = write_frame(&mut self.stream, SHUTDOWN);
-            // Wait for `bye` so the child has drained before it is
-            // reaped.
-            let _ = read_frame(&mut self.stream, MAX_GREETING);
-        }
-        // The worker answered `bye` (or its socket is gone); give it a
-        // moment to exit on its own, then make sure — no orphans.
+        // EOF on stdin ends the worker's loop; a closed stdout fails any
+        // reply it is still writing. Give it a moment to exit on its
+        // own, then make sure — no orphans.
+        drop(self.child.stdin.take());
+        drop(self.child.stdout.take());
         let deadline = Instant::now() + REAP_DEADLINE;
         loop {
             match self.child.try_wait() {
@@ -712,13 +667,13 @@ impl Drop for ChildLink {
 // ---------------------------------------------------------------------
 
 /// Entry point of a shard worker process (`fvtool shard-worker`).
-/// Connects back to the parent, announces its shard index, then serves
-/// protocol frames one at a time against a [`WorkerCore`] with its own
-/// [`DatasetCache`] until `shutdown` (clean exit) or EOF (parent died —
-/// exit quietly; there is nobody left to serve). Errors are returned as
-/// text for the caller to print and map to a nonzero exit.
+/// Announces its shard index on stdout, then serves protocol frames from
+/// stdin one at a time against a [`WorkerCore`] with its own
+/// [`DatasetCache`], answering on stdout, until EOF on stdin (the parent
+/// closed it or died — exit quietly; there is nobody left to serve).
+/// Errors are returned as text for the caller to print and map to a
+/// nonzero exit.
 pub fn worker_main(args: &[String]) -> Result<(), String> {
-    let mut connect = None;
     let mut shard = None;
     let mut scene = None;
     let mut it = args.iter();
@@ -729,7 +684,6 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
                 .cloned()
         };
         match arg.as_str() {
-            "--connect" => connect = Some(value("--connect")?),
             "--shard" => {
                 shard = Some(
                     value("--shard")?
@@ -748,32 +702,25 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown shard-worker flag {other:?}")),
         }
     }
-    let addr = connect.ok_or("shard-worker needs --connect <addr>")?;
     let shard = shard.ok_or("shard-worker needs --shard <index>")?;
     let scene = scene.ok_or("shard-worker needs --scene <WxH>")?;
-    let mut stream =
-        TcpStream::connect(&addr).map_err(|e| format!("connect to parent at {addr}: {e}"))?;
-    stream.set_nodelay(true).ok();
-    write_frame(&mut stream, format!("hello {shard}\n").as_bytes())
+    let (mut input, mut output) = (io::stdin().lock(), io::stdout().lock());
+    write_frame(&mut output, format!("hello {shard}\n").as_bytes())
         .map_err(|e| format!("hello: {e}"))?;
     let mut core = WorkerCore::new(shard, scene, DatasetCache::new());
     loop {
-        let payload = match read_frame(&mut stream, MAX_FRAME) {
+        let payload = match read_frame(&mut input, MAX_FRAME) {
             Ok(payload) => payload,
-            // Parent is gone; nothing left to serve and nobody to tell.
+            // Stdin is closed; nothing left to serve and nobody to tell.
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
             Err(e) => return Err(format!("shard {shard}: read: {e}")),
         };
-        if payload == SHUTDOWN {
-            let _ = write_frame(&mut stream, b"bye\n");
-            return Ok(());
-        }
         // A corrupt frame from the parent: the channel cannot be
         // trusted, so die loudly and let the parent's link declare the
         // shard down.
         let op = decode_op(&payload).map_err(|e| format!("shard {shard}: protocol: {e}"))?;
         let reply = encode_reply(&core.serve(op));
-        write_frame(&mut stream, &reply).map_err(|e| format!("shard {shard}: write: {e}"))?;
+        write_frame(&mut output, &reply).map_err(|e| format!("shard {shard}: write: {e}"))?;
     }
 }
 
@@ -975,7 +922,7 @@ mod tests {
         for garbage in [
             &b""[..],
             b"warble\n",
-            b"shutdown\n", // not an op: both sides match it before the codec
+            b"shutdown\n", // not an op: a closed stdin ends a worker
             b"run\n",
             b"run 1 one s\n",
             b"run 0 1 s\n",                    // missing request line
@@ -1112,30 +1059,5 @@ mod tests {
             read_frame(&mut &wire[..], MAX_GREETING).unwrap(),
             b"hello 0\n"
         );
-    }
-
-    #[test]
-    fn pair_drops_a_stray_connection_and_keeps_waiting() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let addr = listener.local_addr().unwrap();
-        // Both connections sit in the accept backlog before `pair` runs:
-        // first a stranger speaking something else, then a real worker.
-        let mut stray = TcpStream::connect(addr).unwrap();
-        stray.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
-        let mut worker = TcpStream::connect(addr).unwrap();
-        write_frame(&mut worker, b"hello 0\n").unwrap();
-        let streams = pair(&listener, &mut [], 1).expect("the stray must not fail the boot");
-        assert_eq!(streams.len(), 1);
-        assert_eq!(
-            streams[0].peer_addr().unwrap(),
-            worker.local_addr().unwrap(),
-            "the paired socket is the worker's"
-        );
-        // A well-formed hello for a shard that does not exist stays a
-        // hard error.
-        let mut liar = TcpStream::connect(addr).unwrap();
-        write_frame(&mut liar, b"hello 9\n").unwrap();
-        assert!(pair(&listener, &mut [], 1).is_err());
     }
 }

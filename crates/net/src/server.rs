@@ -46,9 +46,9 @@ pub enum ShardBackendConfig {
     #[default]
     Threads,
     /// One child worker process per shard, each with its own dataset
-    /// cache, speaking the shard control protocol
-    /// (`crate::procshard`). `worker_cmd` is the argv prefix to exec
-    /// per shard: `["/path/to/fvtool", "shard-worker"]`.
+    /// cache, speaking the shard control protocol (`crate::procshard`)
+    /// over its stdin and stdout. `worker_cmd` is the argv prefix to
+    /// exec per shard: `["/path/to/fvtool", "shard-worker"]`.
     Procs { worker_cmd: Vec<String> },
 }
 

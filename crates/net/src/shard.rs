@@ -21,9 +21,10 @@
 //! The only per-backend part is the [`Link`] each shard's drain thread
 //! calls: a [`WorkerCore`] served by value (thread shards — nothing is
 //! encoded, a published framebuffer moves through the channel as it is),
-//! or a socket to a child process that runs the same `serve` behind the
-//! control-protocol codec (`crate::procshard`). The two backends agree
-//! by construction, not through parallel dispatch code.
+//! or the stdin/stdout pipes of a child process that runs the same
+//! `serve` behind the control-protocol codec (`crate::procshard`). The
+//! two backends agree by construction, not through parallel dispatch
+//! code.
 //!
 //! Two things *are* shared across thread shards:
 //!
@@ -264,7 +265,7 @@ impl Job {
 pub(crate) enum Link {
     /// A thread shard: the core is served in place, by value.
     Core(WorkerCore),
-    /// A process shard: the op crosses a socket to a child that serves
+    /// A process shard: the op crosses the pipes to a child that serves
     /// it on its own core.
     Child(ChildLink),
 }

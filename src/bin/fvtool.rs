@@ -757,9 +757,10 @@ fn run(cmd: &str, rest: &[String], remote: Option<&str>) -> Result<(), Failure> 
             return Ok(());
         }
         "shard-worker" => {
-            // Internal: the child half of `serve --shard-procs`. Dials the
-            // parent server and speaks the shard control protocol; not for
-            // interactive use, so it is absent from usage().
+            // Internal: the child half of `serve --shard-procs`. Speaks
+            // the shard control protocol with the parent server over its
+            // stdin and stdout; not for interactive use, so it is absent
+            // from usage().
             if remote.is_some() {
                 return Err(ApiError::invalid("shard-worker is internal; drop --remote").into());
             }

@@ -9,7 +9,7 @@
 mod common;
 
 use common::Served;
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
@@ -509,4 +509,42 @@ fn trace_record_then_replay_through_the_binary() {
         "{stderr}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `fvtool shard-worker` writes protocol frames, and nothing else, on
+/// its stdout: its `hello`, then one reply per op. The end of its stdin
+/// is its shutdown.
+#[test]
+fn a_shard_worker_answers_frames_on_stdout_and_exits_at_eof() {
+    let mut child = fvtool()
+        .args(["shard-worker", "--shard", "0", "--scene", "64x48"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn fvtool shard-worker");
+    let mut stdin = child.stdin.take().expect("a piped stdin");
+    let mut stdout = child.stdout.take().expect("a piped stdout");
+    // A 4-byte big-endian payload length, then the payload.
+    let mut read_frame = || {
+        let mut len = [0u8; 4];
+        stdout.read_exact(&mut len).expect("a length prefix");
+        let mut payload = vec![0; u32::from_be_bytes(len) as usize];
+        stdout.read_exact(&mut payload).expect("a whole payload");
+        String::from_utf8(payload).expect("a UTF-8 payload")
+    };
+    assert_eq!(read_frame(), "hello 0\n");
+    let op = b"report\n";
+    stdin.write_all(&(op.len() as u32).to_be_bytes()).unwrap();
+    stdin.write_all(op).unwrap();
+    let report = read_frame();
+    assert!(report.starts_with("report shard=0 "), "{report:?}");
+
+    drop(stdin);
+    let mut rest = Vec::new();
+    stdout.read_to_end(&mut rest).expect("read to EOF");
+    assert!(rest.is_empty(), "bytes after the last reply: {rest:?}");
+    let out = child.wait_with_output().expect("reap the worker");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{}: {stderr}", out.status);
 }

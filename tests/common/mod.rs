@@ -1,6 +1,6 @@
-//! What the root tests share: a live `fvtool serve` child, and a wait on
-//! the checkpoint cadence of a server's state directory. Each test binary
-//! uses the part it needs.
+//! What the root tests share: a live `fvtool serve` child, a wait on
+//! the checkpoint cadence of a server's state directory, and a wait for
+//! processes to stop. Each test binary uses the part it needs.
 #![allow(dead_code, reason = "each test binary uses the part it needs")]
 #![allow(
     clippy::disallowed_methods,
@@ -94,5 +94,30 @@ pub fn wait_for_checkpoints<'a>(
             );
             std::thread::sleep(Duration::from_millis(20));
         }
+    }
+}
+
+/// Whether `pid` is still running: `/proc/<pid>/stat` exists and its
+/// state is not a zombie's. A zombie counts as gone — whoever adopts an
+/// orphan reaps it, not the test that killed its parent.
+pub fn running(pid: u32) -> bool {
+    let Ok(stat) = std::fs::read_to_string(format!("/proc/{pid}/stat")) else {
+        return false;
+    };
+    // `<pid> (<comm>) <state> …`: the name may hold spaces and
+    // parentheses, so the state is the first field after the last `)`.
+    let state = stat.rsplit_once(')').map(|(_, rest)| rest.trim_start());
+    state.is_some_and(|rest| !rest.starts_with('Z'))
+}
+
+/// Block until none of `pids` is [`running`], failing after `within`.
+pub fn wait_until_stopped(pids: &[u32], within: Duration) {
+    let deadline = Instant::now() + within;
+    while let Some(pid) = pids.iter().find(|&&pid| running(pid)) {
+        assert!(
+            Instant::now() < deadline,
+            "pid {pid} of {pids:?} still runs after {within:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
     }
 }

@@ -6,8 +6,9 @@
 //! boundaries with diff-identical probe transcripts (and leave a
 //! session the target refuses where it was, whether an operator or the
 //! balancer asked), rebalance automatically under skewed load, answer `E_SHARD_DOWN` for a killed worker while
-//! other shards keep serving, and leave zero orphaned children behind
-//! after shutdown.
+//! other shards keep serving, leave zero orphaned children behind
+//! after shutdown, and fail the boot by name when a worker exits
+//! before its `hello` on its stdout pipe.
 
 #![allow(
     clippy::disallowed_methods,
@@ -662,4 +663,25 @@ fn killed_worker_answers_shard_down_and_other_shards_survive() {
     server.shutdown();
     server.join();
     assert!(!pid_alive(surviving_pid), "survivor not reaped");
+}
+
+#[test]
+fn a_worker_that_exits_at_startup_fails_the_boot_quickly_by_name() {
+    let mut worker_cmd = worker_cmd();
+    worker_cmd.push("--no-such-flag".into());
+    let config = ServerConfig {
+        shards: 2,
+        backend: ShardBackendConfig::Procs { worker_cmd },
+        ..ServerConfig::default()
+    };
+    let started = Instant::now();
+    let Err(err) = Server::bind("127.0.0.1:0", config) else {
+        panic!("a worker that rejects its flags must fail the boot");
+    };
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "the boot took {:?} to fail: {err}",
+        started.elapsed()
+    );
+    assert!(err.to_string().contains("shard 0"), "{err}");
 }

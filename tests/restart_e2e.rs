@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{wait_for_checkpoints, Served};
+use common::{wait_for_checkpoints, wait_until_stopped, Served};
 use fv_api::{SessionId, SessionStore};
 use fv_net::{Client, Server, ServerConfig};
 use std::fmt::Write;
@@ -105,7 +105,12 @@ fn kill_and_reboot(shards: &str, sessions: usize, kills: usize) {
         let sent = attempted.iter().copied();
         wait_for_checkpoints(&store, names.iter().map(String::as_str).zip(sent));
 
+        // The server's own pid under thread shards, each worker's under
+        // process shards: none may outlive the crash.
+        let stats = Client::connect(&server.addr).and_then(|mut c| c.stats());
+        let pids: Vec<u32> = stats.expect("stats").shards.iter().map(|s| s.pid).collect();
         drop(server); // the crash under test: no flush, no goodbye
+        wait_until_stopped(&pids, Duration::from_secs(5));
         server = Served::boot(&args);
         recovered += server.recovered;
         assert_eq!(server.recovered, sessions as u64, "cycle {cycle}: banner");
