@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! stats shards=2 backend=threads connections=1 sessions=3 frames_in=12 frames_out=11 busy=0 garbage=0 disconnects=0 runs=5 requests=9 max_run=4 cache_entries=1 cache_hits=63 cache_misses=1 cache_evictions=0 derived_entries=3 derived_hits=6 derived_misses=3 balancer_ticks=0 balancer_moves=0 balancer_failed=0 recovered=0
-//!   stream subscribers=2 frames=48 bytes=1843298 pixels=614400 coalesced=3 dropped=1 link_us=19546
+//!   stream subscribers=2 frames=48 bytes=1843298 pixels=614400 coalesced=3 dropped=1
 //!   shard 0 pid=4242 sessions=2 queued=0 runs=3 requests=6 max_run=4 lat_us=0,2,3,1,0,0,0,0,0,0 lat_max_us=812
 //!   shard 1 pid=4242 sessions=1 queued=0 runs=2 requests=3 max_run=2 lat_us=0,1,2,0,0,0,0,0,0,0 lat_max_us=401
 //! ```
@@ -113,10 +113,7 @@ fv_api::wire_record! {
 
 fv_api::wire_record! {
     /// The streaming plane's slice of a [`ServerStats`] snapshot: the
-    /// `stream` row. Counters cover every subscriber since startup;
-    /// `link_us` prices the bytes actually shipped on the paper's gigabit
-    /// wall interconnect model (`fv_wall::net::NetworkModel::gigabit`), so
-    /// `stats` reports shipping cost next to painting cost.
+    /// `stream` row. Counters cover every subscriber since startup.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct StreamStats {
         /// Live subscriptions right now (a connection holds at most one).
@@ -133,9 +130,6 @@ fv_api::wire_record! {
         /// Publishes discarded for a backlogged subscriber, repaid with a
         /// fresh keyframe once its outbox drained.
         pub dropped: u64 => "dropped",
-        /// Modeled time to ship `frames`/`bytes` over one gigabit wall link,
-        /// in microseconds.
-        pub link_us: u64 => "link_us",
     }
 }
 
@@ -325,7 +319,7 @@ mod tests {
         }
         // The histogram is read through its own record: exactly ten
         // numeric buckets, and its max beside them.
-        let row = "stats shards=1 backend=threads connections=1 sessions=0 frames_in=0 frames_out=0 busy=0 garbage=0 disconnects=0 runs=0 requests=0 max_run=0 cache_entries=0 cache_hits=0 cache_misses=0 cache_evictions=0 derived_entries=0 derived_hits=0 derived_misses=0 balancer_ticks=0 balancer_moves=0 balancer_failed=0 recovered=0\n  stream subscribers=0 frames=0 bytes=0 pixels=0 coalesced=0 dropped=0 link_us=0\n  shard 0 pid=1 sessions=0 queued=0 runs=0 requests=0 max_run=0";
+        let row = "stats shards=1 backend=threads connections=1 sessions=0 frames_in=0 frames_out=0 busy=0 garbage=0 disconnects=0 runs=0 requests=0 max_run=0 cache_entries=0 cache_hits=0 cache_misses=0 cache_evictions=0 derived_entries=0 derived_hits=0 derived_misses=0 balancer_ticks=0 balancer_moves=0 balancer_failed=0 recovered=0\n  stream subscribers=0 frames=0 bytes=0 pixels=0 coalesced=0 dropped=0\n  shard 0 pid=1 sessions=0 queued=0 runs=0 requests=0 max_run=0";
         let lat = |tail: &str| parse_stats(&format!("{row} {tail}"));
         assert!(lat("lat_us=0,0,0,0,0,0,0,0,0,1 lat_max_us=9").is_ok());
         for tail in [
@@ -339,7 +333,7 @@ mod tests {
         }
         // a shard count no reply could hold is a typed error, not a
         // reservation
-        let huge = "stats shards=18446744073709551615 backend=threads connections=1 sessions=0 frames_in=0 frames_out=0 busy=0 garbage=0 disconnects=0 runs=0 requests=0 max_run=0 cache_entries=0 cache_hits=0 cache_misses=0 cache_evictions=0 derived_entries=0 derived_hits=0 derived_misses=0 balancer_ticks=0 balancer_moves=0 balancer_failed=0 recovered=0\n  stream subscribers=0 frames=0 bytes=0 pixels=0 coalesced=0 dropped=0 link_us=0";
+        let huge = "stats shards=18446744073709551615 backend=threads connections=1 sessions=0 frames_in=0 frames_out=0 busy=0 garbage=0 disconnects=0 runs=0 requests=0 max_run=0 cache_entries=0 cache_hits=0 cache_misses=0 cache_evictions=0 derived_entries=0 derived_hits=0 derived_misses=0 balancer_ticks=0 balancer_moves=0 balancer_failed=0 recovered=0\n  stream subscribers=0 frames=0 bytes=0 pixels=0 coalesced=0 dropped=0";
         assert_eq!(
             parse_stats(huge).unwrap_err().code,
             fv_api::ErrorCode::Parse

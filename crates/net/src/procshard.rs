@@ -17,7 +17,11 @@
 //! [`worker_main`] is `decode_op → WorkerCore::serve → encode_reply`.
 //! Neither side dispatches on op kinds beyond that — `serve` is the same
 //! function thread shards call by value, which is what keeps the two
-//! backends identical.
+//! backends identical. The server simulation checks that they are: its
+//! process worlds serve every op through all four functions in memory
+//! (`in_memory`, no child) and hold the answers to the same oracle as
+//! its thread worlds. What needs a real child — spawn, `hello`, a
+//! SIGKILL, EOF, reaping — is root `tests/procshard_e2e.rs`.
 //!
 //! ## Frame layer
 //!
@@ -500,6 +504,15 @@ fn decode_report(header: &str, c: &mut Cursor) -> Result<ShardReport, ApiError> 
     })
 }
 
+/// One exchange with the process taken out: `op` and its reply cross the
+/// codec both ways in memory. Parked process shards (`crate::shard`)
+/// serve every op so, which is what puts this codec under the server
+/// simulation's sweep.
+#[cfg(test)]
+pub(crate) fn in_memory(core: &mut WorkerCore, op: &ShardOp) -> Result<ShardReply, ApiError> {
+    decode_reply(&encode_reply(&core.serve(decode_op(&encode_op(op))?)), op)
+}
+
 // ---------------------------------------------------------------------
 // Parent side: spawn + ChildLink
 // ---------------------------------------------------------------------
@@ -727,165 +740,11 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fv_api::{Mutation, Query, Request, SessionImage};
+    use fv_api::{Mutation, Request, SessionImage};
     use proptest::prelude::*;
 
     fn core(scene: (usize, usize)) -> WorkerCore {
         WorkerCore::new(0, scene, DatasetCache::new())
-    }
-
-    /// What the child does with a parent frame and the parent with the
-    /// answer — the full codec round trip with no process or socket.
-    fn over_the_wire(core: &mut WorkerCore, op: &ShardOp) -> ShardReply {
-        let served = core.serve(decode_op(&encode_op(op)).expect("decode op"));
-        decode_reply(&encode_reply(&served), op).expect("decode reply")
-    }
-
-    fn run(session: &SessionId, requests: Vec<Request>, publish: bool) -> ShardOp {
-        ShardOp::Run {
-            session: session.clone(),
-            requests,
-            publish,
-        }
-    }
-
-    fn load_scenario(seed: u64) -> Request {
-        Request::Mutate(Mutation::LoadScenario { n_genes: 60, seed })
-    }
-
-    /// Parity by construction, checked once: every op, served by value
-    /// (what a thread shard does) and through the codec (what a process
-    /// shard does) on twin cores, must produce equal replies. The script
-    /// is stateful — each step's expectation names the behaviour it pins.
-    #[test]
-    fn every_op_answers_the_same_by_value_and_over_the_wire() {
-        let s = SessionId::new("mover").unwrap();
-        let ghost = SessionId::new("ghost").unwrap();
-        let viewer = SessionId::new("viewer").unwrap();
-        let scene = (640, 480);
-        let (mut direct, mut wired) = (core(scene), core(scene));
-        // `make` builds the op once per core: an op owns its image and
-        // request list, so it is moved into whoever serves it.
-        let mut step = |make: &dyn Fn() -> ShardOp| -> ShardReply {
-            let by_value = direct.serve(make());
-            let by_wire = over_the_wire(&mut wired, &make());
-            match (&by_value, &by_wire) {
-                // Twin cores measure different latencies, never a
-                // different number of them.
-                (ShardReply::Report(value), ShardReply::Report(wire)) => {
-                    assert_eq!(value.latency.total(), wire.latency.total());
-                    let latency = wire.latency.clone();
-                    assert_eq!(
-                        &ShardReport {
-                            latency,
-                            ..value.clone()
-                        },
-                        wire
-                    );
-                }
-                _ => assert_eq!(by_value, by_wire),
-            }
-            by_wire
-        };
-
-        // A failing run: the completed prefix, the typed error, a
-        // `skipped` for the request behind it, no frame.
-        let failing = || {
-            let requests = vec![
-                load_scenario(2),
-                Request::Query(Query::SessionInfo),
-                Request::Mutate(Mutation::Impute { dataset: 9, k: 3 }),
-                Request::Query(Query::SessionInfo),
-            ];
-            run(&s, requests, false)
-        };
-        let ShardReply::Run(done) = step(&failing) else {
-            panic!("a run answers with a run reply");
-        };
-        let replies = decode_replies(&done.reply).expect("whole frames");
-        assert_eq!((replies.len(), done.frames), (4, 4));
-        assert!(replies[..2].iter().all(Result::is_ok));
-        let errors: Vec<_> = replies[2..]
-            .iter()
-            .map(|r| r.clone().unwrap_err())
-            .collect();
-        assert_eq!(errors[0].code, ErrorCode::NotFound);
-        assert!(
-            errors[1].message.starts_with("skipped: request 3 "),
-            "{}",
-            errors[1]
-        );
-        assert!(done.dropped.is_none());
-        assert!(done.frame.is_none(), "publish was off");
-        // An empty run only materializes.
-        let ShardReply::Run(done) = step(&|| run(&s, Vec::new(), false)) else {
-            panic!("a run answers with a run reply");
-        };
-        assert_eq!((done.reply.len(), done.frames), (0, 0));
-
-        // A published run ships the framebuffer and its damage.
-        let ShardReply::Run(done) = step(&|| run(&viewer, vec![load_scenario(1)], true)) else {
-            panic!("a run answers with a run reply");
-        };
-        let frame = done.frame.expect("published run carries a frame");
-        assert_eq!(frame.session, viewer);
-        assert_eq!((frame.wall.width(), frame.wall.height()), scene);
-        assert_eq!(frame.damage.len(), 1, "a load damages the full scene");
-        assert_eq!(frame.wall.bytes().len(), 640 * 480 * 3);
-        assert!(
-            frame.wall.bytes().iter().any(|&b| b != 0),
-            "the shipped render is not blank"
-        );
-
-        // Report: counters, cache gauges and per-session rows.
-        let ShardReply::Report(report) = step(&|| ShardOp::Report) else {
-            panic!("a report answers with a report reply");
-        };
-        assert_eq!(report.shard, 0);
-        assert_eq!((report.runs, report.requests, report.max_run), (2, 4, 4));
-        assert_eq!(report.latency.total(), 4);
-        assert_eq!(report.sessions.len(), 2);
-        assert_eq!(report.sessions[0].name, "mover");
-        assert_eq!(report.sessions[0].n_datasets, 3);
-        assert_eq!(report.sessions[0].requests, 3);
-        assert!(report.sessions[0].dataset_bytes > 0);
-        assert_eq!(
-            report.cache.misses, 0,
-            "scenario loads bypass the file cache"
-        );
-
-        // Snapshot: a checkpoint copy, the session keeps serving; an
-        // unknown session snapshots to nothing.
-        let snapshot = |session: &SessionId| {
-            let session = session.clone();
-            move || ShardOp::Snapshot {
-                session: session.clone(),
-            }
-        };
-        let ShardReply::Image(Some(copy)) = step(&snapshot(&s)) else {
-            panic!("a live session snapshots to an image");
-        };
-        assert_eq!(copy.log.len(), 1);
-        assert_eq!(step(&snapshot(&ghost)), ShardReply::Image(None));
-        // Install is refused while the name is taken — the typed reason
-        // and its message cross the wire, nothing else does — and takes
-        // once a close has made room, as the same image.
-        let install = || ShardOp::Install {
-            session: s.clone(),
-            image: copy.clone(),
-        };
-        let ShardReply::Installed(Err(why)) = step(&install) else {
-            panic!("an occupied name must refuse");
-        };
-        assert_eq!(why.code, ErrorCode::InvalidRequest);
-        assert!(why.message.contains("mover"), "{why}");
-        // Close reports existence faithfully.
-        let close = || ShardOp::Close { session: s.clone() };
-        assert_eq!(step(&close), ShardReply::Closed(true));
-        assert_eq!(step(&close), ShardReply::Closed(false));
-        assert_eq!(step(&snapshot(&s)), ShardReply::Image(None));
-        assert_eq!(step(&install), ShardReply::Installed(Ok(())));
-        assert_eq!(step(&snapshot(&s)), ShardReply::Image(Some(copy.clone())));
     }
 
     #[test]
@@ -897,8 +756,16 @@ mod tests {
 
     fn ops() -> Vec<ShardOp> {
         let s = SessionId::new("s").unwrap();
+        let scenario = Mutation::LoadScenario {
+            n_genes: 60,
+            seed: 1,
+        };
         vec![
-            run(&s, vec![load_scenario(1)], true),
+            ShardOp::Run {
+                session: s.clone(),
+                requests: vec![Request::Mutate(scenario.clone())],
+                publish: true,
+            },
             ShardOp::Close { session: s.clone() },
             ShardOp::Report,
             ShardOp::Snapshot { session: s.clone() },
@@ -908,10 +775,7 @@ mod tests {
                     scene: (640, 480),
                     requests: 1,
                     datasets: Vec::new(),
-                    log: vec![Mutation::LoadScenario {
-                        n_genes: 60,
-                        seed: 1,
-                    }],
+                    log: vec![scenario],
                 },
             },
         ]

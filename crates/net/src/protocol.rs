@@ -1179,7 +1179,6 @@ fn stats_reply(reports: &[ShardReport], n_conns: usize, st: &LoopState) -> Strin
             latency: r.latency.clone(),
         })
         .collect();
-    let m = st.streams.metrics;
     let stats = ServerStats {
         backend: st.shards.kind().to_string(),
         connections: n_conns,
@@ -1207,13 +1206,7 @@ fn stats_reply(reports: &[ShardReport], n_conns: usize, st: &LoopState) -> Strin
         recovered: st.checkpoints.as_ref().map_or(0, |cp| cp.recovered),
         stream: StreamStats {
             subscribers: st.streams.n_subscribers(),
-            // What shipping those frames would cost on the wall's
-            // gigabit interconnect — bytes-shipped priced against
-            // pixels-painted, the paper's distribution-cost axis.
-            link_us: fv_wall::net::NetworkModel::gigabit()
-                .frame_time(m.frames as usize, m.bytes as usize, 1)
-                .as_micros() as u64,
-            ..m
+            ..st.streams.metrics
         },
         shards,
     };
@@ -1300,7 +1293,7 @@ mod tests {
 
     impl Rig {
         pub fn new(config: ServerConfig) -> Rig {
-            let (shards, mut parked) = Shards::parked(config.shards, config.scene);
+            let (shards, mut parked) = Shards::parked(&config);
             let checkpoints = config.state_dir.as_ref().map(|dir| {
                 recover_sessions(dir, config.shards, |k, op| parked.call(&shards, k, op))
                     .expect("open the state directory")
@@ -1409,6 +1402,16 @@ mod tests {
         }
     }
 
+    /// Parked process shards: no child, every op through the shard codec.
+    fn procs(shards: usize) -> ServerConfig {
+        ServerConfig {
+            backend: crate::ShardBackendConfig::Procs {
+                worker_cmd: Vec::new(),
+            },
+            ..config(shards)
+        }
+    }
+
     /// Session names that all hash-route to shard 0 of `shards` — the
     /// worst-case skew a static partitioner can produce.
     fn skewed_names(n: usize, shards: usize) -> Vec<String> {
@@ -1475,7 +1478,8 @@ mod tests {
                 // lapse, so each session is attempted at most once.
                 cooldown_ticks: 1_000_000,
             },
-            ..config(2)
+            // Only a process shard dies alone.
+            ..procs(2)
         });
         // Two sessions, both hash-routed to shard 0 — everything the
         // balancer plans targets shard 1.
@@ -1656,7 +1660,7 @@ mod tests {
 
     #[test]
     fn a_subscribe_on_a_dead_shard_is_answered_by_its_ack_alone() {
-        let mut rig = Rig::new(config(1));
+        let mut rig = Rig::new(procs(1));
         rig.parked.kill(0);
         let c = rig.core.open();
         // The refused keyframe run owes no frame: the ack answered the

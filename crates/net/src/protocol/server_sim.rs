@@ -1,9 +1,11 @@
 //! Whole-server simulation: the real [`Core`] over parked shards, driven
-//! by **one seeded loop** — no thread, no socket, no clock, no sleep
-//! (`protocol.rs` denies `clippy::disallowed_types` for this child
-//! module too, and `clippy::disallowed_methods` is denied workspace-wide:
-//! see `clippy.toml`). A [`World`] is N scripted connections, 2–4 parked
-//! shards and one core; [`World::step`] is the step alphabet, [`World::check`]
+//! by **one seeded loop** — no thread, no process, no socket, no clock,
+//! no sleep (`protocol.rs` denies `clippy::disallowed_types` for this
+//! child module too, and `clippy::disallowed_methods` is denied
+//! workspace-wide: see `clippy.toml`). A [`World`] is N scripted
+//! connections, 2–4 parked shards of one backend and one core — process
+//! shards in about half the worlds, every op of theirs through the shard
+//! codec; [`World::step`] is the step alphabet, [`World::check`]
 //! what the service must answer for after every step, [`World::finish`]
 //! what it must answer for once everything has come to rest. The three
 //! lists are spelled out in `crates/net/README.md` ("Shell and core").
@@ -16,8 +18,10 @@ use super::tests::Rig;
 use super::*;
 use crate::balance::BalanceConfig;
 use crate::frame::{decode_replies, Reply, ReplyAssembler};
-use crate::shard::answer_run;
-use fv_api::{Engine, ErrorCode};
+use crate::metrics::{parse_stats, LatencyHistogram};
+use crate::shard::{answer_run, session_reports};
+use crate::ShardBackendConfig;
+use fv_api::{CacheStats, Engine, ErrorCode};
 use fv_wall::stream::{decode, TileAssembler};
 use std::collections::BTreeSet;
 use std::fmt::Write;
@@ -165,10 +169,13 @@ struct Client {
 
 // ── the oracle ──────────────────────────────────────────────────────────
 
-/// One fresh hub per shard, replaying the ops that shard served.
+/// One fresh hub per shard, replaying the ops that shard served, and
+/// the counters its report owes: non-empty runs, attempted requests and
+/// the largest run.
 struct Oracle {
     scene: (usize, usize),
     hubs: Vec<EngineHub>,
+    counters: Vec<(u64, u64, usize)>,
 }
 
 /// The head of a debug-formatted op: an install's image is long.
@@ -193,9 +200,30 @@ fn essence(reply: &ShardReply) -> String {
             String::from_utf8_lossy(&done.reply).into_owned()
         }
         ShardReply::Closed(closed) => closed.to_string(),
-        ShardReply::Installed(outcome) => outcome.is_ok().to_string(),
+        ShardReply::Installed(outcome) => format!("{outcome:?}"),
         ShardReply::Image(image) => format!("{image:?}"),
-        ShardReply::Report(_) => String::new(),
+        // What its cache gauges owe is judged at the end, against the
+        // shards' own caches.
+        ShardReply::Report(r) => {
+            let counters = (r.shard, r.runs, r.requests, r.max_run);
+            format!("{:?}", (counters, &r.latency, &r.sessions))
+        }
+    }
+}
+
+/// Whether dead shard `k` answered with the process backend's refusal:
+/// `E_SHARD_DOWN` where the reply carries an error, nothing elsewhere.
+fn refused(reply: &ShardReply, k: usize) -> bool {
+    let down = |e: &ApiError| e.code == ErrorCode::ShardDown;
+    match reply {
+        ShardReply::Run(done) => {
+            let replies = decode_replies(&done.reply).expect("a run answers whole frames");
+            replies.first().is_none_or(|r| r.as_ref().is_err_and(down))
+        }
+        ShardReply::Installed(outcome) => outcome.as_ref().is_err_and(down),
+        ShardReply::Closed(existed) => !existed,
+        ShardReply::Image(image) => image.is_none(),
+        ShardReply::Report(r) => *r == ShardReport::empty(k),
     }
 }
 
@@ -218,25 +246,39 @@ impl Oracle {
 
     /// Replay `op` on shard `k`'s hub; the [`essence`] of its answer.
     fn replay(&mut self, k: usize, op: &ShardOp) -> String {
-        let hub = &mut self.hubs[k];
+        let (hub, counters) = (&mut self.hubs[k], &mut self.counters[k]);
         match op {
             ShardOp::Run {
                 session, requests, ..
             } => {
                 let outcome = hub.execute_run_on(session, requests);
+                if !requests.is_empty() {
+                    counters.0 += 1;
+                    counters.1 += outcome.latencies.len() as u64;
+                    counters.2 = counters.2.max(requests.len());
+                }
                 String::from_utf8_lossy(&answer_run(&outcome, requests.len()).0).into_owned()
             }
             ShardOp::Close { session } => hub.close(session).to_string(),
             ShardOp::Install { session, image } => {
-                let engine = Engine::restore(image, hub.cache());
-                let engine = engine.ok().filter(|_| hub.get(session).is_none());
-                let installed = engine.map(|engine| hub.install_session(session, engine));
-                installed.is_some().to_string()
+                // Routing never installs a session where it lives.
+                assert!(hub.get(session).is_none(), "{session} installed twice");
+                let installed = Engine::restore(image, hub.cache()).map(|engine| {
+                    hub.install_session(session, engine);
+                });
+                format!("{installed:?}")
             }
             ShardOp::Snapshot { session } => {
                 format!("{:?}", hub.get(session).map(Engine::snapshot))
             }
-            ShardOp::Report => String::new(),
+            ShardOp::Report => {
+                let (runs, requests, max_run) = *counters;
+                // A parked shard observes every request at 0 µs.
+                let mut latency = LatencyHistogram::new();
+                latency.counts[0] = requests;
+                let counters = (k, runs, requests, max_run);
+                format!("{:?}", (counters, &latency, &session_reports(hub)))
+            }
         }
     }
 }
@@ -322,6 +364,13 @@ impl World {
                 ..BalanceConfig::default()
             },
             state_dir: (rng.below(2) == 0).then_some(scratch),
+            // Parked either way: process shards spawn no child here.
+            backend: match rng.below(2) {
+                0 => ShardBackendConfig::Threads,
+                _ => ShardBackendConfig::Procs {
+                    worker_cmd: Vec::new(),
+                },
+            },
             ..ServerConfig::default()
         };
         let (w, h) = config.scene;
@@ -336,6 +385,7 @@ impl World {
             oracle: Oracle {
                 scene: config.scene,
                 hubs: hubs.collect(),
+                counters: vec![(0, 0, 0); config.shards],
             },
             config,
             clients: Vec::new(),
@@ -353,6 +403,10 @@ impl World {
             world.connect();
         }
         world
+    }
+
+    fn procs(&self) -> bool {
+        matches!(self.config.backend, ShardBackendConfig::Procs { .. })
     }
 
     fn note(&mut self, what: String) {
@@ -429,8 +483,9 @@ impl World {
         let Some((want, reply)) = self.rig.parked.serve(k, peek) else {
             return false;
         };
-        if let Some(want) = want {
-            assert_eq!(essence(reply), want, "shard {k} on {}", what.0);
+        match want {
+            Some(want) => assert_eq!(essence(reply), want, "shard {k} on {}", what.0),
+            None => assert!(refused(reply, k), "dead shard {k} on {}: {reply:?}", what.0),
         }
         self.moved = true;
         // The scratch names differ from world to world of one seed.
@@ -497,9 +552,10 @@ impl World {
                 self.retire(c);
                 return self.note(format!("close c{id}"));
             }
-            // Only without a state directory: a dead shard's sessions
-            // keep their checkpoints, by design.
-            5 if self.config.state_dir.is_none() && self.down.is_none() => {
+            // Only a process shard dies alone, and only without a state
+            // directory: a dead shard's sessions keep their checkpoints,
+            // by design.
+            5 if self.procs() && self.config.state_dir.is_none() && self.down.is_none() => {
                 let k = self.rng.below(n);
                 self.rig.parked.kill(k);
                 let (w, h) = self.config.scene;
@@ -745,9 +801,7 @@ impl World {
     }
 
     /// Bring the world to rest and hold it to the end-state guarantees.
-    /// Its step log comes back, and how often a viewer was dropped to a
-    /// keyframe.
-    fn finish(mut self) -> (Vec<String>, u64) {
+    fn finish(mut self) -> Ending {
         self.quiesce();
         // A viewer that paces itself catches up, so its wall can be judged.
         for client in self.clients.iter().filter(|c| !c.gone && !c.eof) {
@@ -787,9 +841,14 @@ impl World {
         }
         self.judge_checkpoints();
         self.judge_walls();
-        self.probe();
-        let dropped = self.rig.core.st.streams.metrics.dropped;
-        (std::mem::take(&mut self.log), dropped)
+        let stats = self.probe();
+        self.judge_caches(&stats);
+        Ending {
+            log: std::mem::take(&mut self.log),
+            procs: self.procs(),
+            dropped: stats.stream.dropped,
+            moves: stats.balancer_moves,
+        }
     }
 
     fn judge_checkpoints(&self) {
@@ -834,12 +893,49 @@ impl World {
         }
     }
 
-    /// Fresh connections probe each session and list them all. The oracle
-    /// judges every answer as the shards give it; here they must be `ok`.
-    fn probe(&mut self) {
+    /// `stats`' cache gauges are the parked shards' own: the sum of each
+    /// live process shard's cache, or the one cache thread shards share.
+    fn judge_caches(&self, stats: &ServerStats) {
+        let backend = if self.procs() { "procs" } else { "threads" };
+        assert_eq!(stats.backend, backend);
+        let caches = if self.procs() { self.config.shards } else { 1 };
+        let caches = (0..caches).filter_map(|k| self.rig.parked.hub(k));
+        let gauges = |c: CacheStats| {
+            let [e, de] = [c.entries, c.derived_entries].map(|n| n as u64);
+            [
+                e,
+                c.hits,
+                c.misses,
+                c.evictions,
+                de,
+                c.derived_hits,
+                c.derived_misses,
+            ]
+        };
+        let mut want = [0; 7];
+        for cache in caches.map(EngineHub::cache_stats) {
+            let sum = want.iter_mut().zip(gauges(cache));
+            sum.for_each(|(w, g)| *w += g);
+        }
+        let got = CacheStats {
+            entries: stats.cache_entries,
+            hits: stats.cache_hits,
+            misses: stats.cache_misses,
+            evictions: stats.cache_evictions,
+            derived_entries: stats.derived_entries,
+            derived_hits: stats.derived_hits,
+            derived_misses: stats.derived_misses,
+        };
+        assert_eq!(gauges(got), want, "stats' cache gauges");
+    }
+
+    /// Fresh connections probe each session, list them all and ask for
+    /// `stats`, which comes back. The oracle judges every answer as the
+    /// shards give it; here they must be `ok`.
+    fn probe(&mut self) -> ServerStats {
         let sessions = self.oracle.sessions();
         let rendered = self.rng.below(sessions.len().max(1));
-        let mut scripts = vec!["list-sessions\n".to_string()];
+        let mut scripts = vec!["list-sessions\nstats\n".to_string()];
         for (i, session) in sessions.iter().enumerate() {
             // Every fourth seed: the render is most of a probe's cost.
             let render = i == rendered && self.seed.is_multiple_of(4);
@@ -865,11 +961,24 @@ impl World {
         let held: BTreeSet<_> = held.collect();
         let listed = listed.map(|s| (s.name, s.shard, s.n_datasets));
         assert!(listed.eq(held), "list-sessions is not the hubs' union");
+        let stats = self.clients.last().and_then(|c| c.heard[1].as_ref().ok());
+        parse_stats(stats.expect("an ok stats")).expect("stats parse")
     }
 }
 
-/// One seed, start to finish; what [`World::finish`] returns.
-fn run_seed(seed: u64, each_step: impl Fn()) -> (Vec<String>, u64) {
+/// What a world came to: its step log, its backend, and what the sweep
+/// needs some world to have done — drop a viewer to a keyframe, move a
+/// session on the balancer's own plan.
+#[derive(PartialEq)]
+struct Ending {
+    log: Vec<String>,
+    procs: bool,
+    dropped: u64,
+    moves: u64,
+}
+
+/// One seed, start to finish.
+fn run_seed(seed: u64, each_step: impl Fn()) -> Ending {
     let mut world = World::new(seed);
     while world.steps < 150 {
         world.step();
@@ -881,7 +990,23 @@ fn run_seed(seed: u64, each_step: impl Fn()) -> (Vec<String>, u64) {
 
 #[test]
 fn five_hundred_seeds_hold_every_invariant() {
-    let dropped: u64 = (0..500).map(|seed| run_seed(seed, || ()).1).sum();
+    let (mut procs, mut dropped, mut moves) = (0, 0, [0, 0]);
+    for seed in 0..500 {
+        let end = run_seed(seed, || ());
+        procs += end.procs as usize;
+        dropped += end.dropped;
+        moves[end.procs as usize] += end.moves;
+    }
+    // Both backends run, and under each the balancer moves sessions on
+    // the reports it gathered.
+    assert!(
+        0 < procs && procs < 500,
+        "{procs} of 500 worlds ran process shards"
+    );
+    assert!(
+        moves.iter().all(|&m| m > 0),
+        "balancer moves by backend: {moves:?}"
+    );
     // Else no seed crosses the watermark, and `judge_walls` never sees
     // a viewer that was re-synced from a keyframe.
     assert!(dropped > 0, "no viewer was dropped to a keyframe");
@@ -902,9 +1027,9 @@ fn the_same_seed_takes_the_same_steps() {
 fn a_sweep_alone_in_its_process() {
     let threads = || std::fs::read_dir("/proc/self/task").map_or(0, Iterator::count);
     let before = threads();
-    for seed in 0..20 {
-        run_seed(seed, || assert_eq!(threads(), before, "a step spawned one"));
-    }
+    let each_step = || assert_eq!(threads(), before, "a step spawned one");
+    let procs = (0..20).filter(|&seed| run_seed(seed, each_step).procs);
+    assert!(procs.count() > 0, "no process world among the 20");
     assert_eq!(threads(), before);
 }
 

@@ -24,7 +24,8 @@
 //! or the stdin/stdout pipes of a child process that runs the same
 //! `serve` behind the control-protocol codec (`crate::procshard`). The
 //! two backends agree by construction, not through parallel dispatch
-//! code.
+//! code — and the server simulation checks it seed by seed, over
+//! parked shards (`Parked`) of either backend.
 //!
 //! Two things *are* shared across thread shards:
 //!
@@ -447,8 +448,8 @@ impl Shards {
 
     /// Stop every shard after it drains everything queued so far, and
     /// reclaim it: joins the drain threads, whose links go with them (a
-    /// child process is told `shutdown` and reaped — see
-    /// [`ChildLink`]).
+    /// child process has its stdin closed, which is its shutdown, and is
+    /// reaped — see [`ChildLink`]).
     pub fn shutdown(self) {
         for tx in &self.senders {
             let _ = tx.send(None);
@@ -513,6 +514,20 @@ fn run_damage(out: &RunOutcome, scene: (usize, usize)) -> Vec<Viewport> {
 /// loop overlays its migration routing overrides on top of this default.
 pub fn shard_of(id: &SessionId, n_shards: usize) -> usize {
     (fnv1a(id.as_str().as_bytes()) % n_shards.max(1) as u64) as usize
+}
+
+/// A [`ShardReport`]'s per-session rows for `hub`, in hub order.
+pub(crate) fn session_reports(hub: &EngineHub) -> Vec<SessionReport> {
+    let row = |(id, n_datasets): (SessionId, usize)| {
+        let cost = hub.get(&id).map(Engine::cost).unwrap_or_default();
+        SessionReport {
+            name: id.to_string(),
+            n_datasets,
+            requests: cost.requests,
+            dataset_bytes: cost.dataset_bytes,
+        }
+    };
+    hub.list_sessions().into_iter().map(row).collect()
 }
 
 /// One shard's execution logic, backend-agnostic: the hub plus the
@@ -581,20 +596,7 @@ impl WorkerCore {
     fn report(&self) -> ShardReport {
         ShardReport {
             shard: self.shard,
-            sessions: self
-                .hub
-                .list_sessions()
-                .into_iter()
-                .map(|(id, n)| {
-                    let cost = self.hub.get(&id).map(Engine::cost).unwrap_or_default();
-                    SessionReport {
-                        name: id.to_string(),
-                        n_datasets: n,
-                        requests: cost.requests,
-                        dataset_bytes: cost.dataset_bytes,
-                    }
-                })
-                .collect(),
+            sessions: session_reports(&self.hub),
             runs: self.runs,
             requests: self.requests_executed,
             max_run: self.max_run,
@@ -666,9 +668,16 @@ impl WorkerCore {
 /// through the same [`WorkerCore::serve`]) and when each served reply
 /// reaches its responder ([`Parked::deliver`]). Order is kept per shard
 /// and free across shards, which is all the real backends promise.
+///
+/// Parked shards are of the backend their config names. Thread shards
+/// share one cache and are served by value. Process shards have a cache
+/// each, as `procshard::worker_main` makes, and every op they serve
+/// crosses the shard codec both ways in memory — the process taken out,
+/// the bytes kept.
 pub(crate) struct Parked {
     depth: Arc<Vec<AtomicUsize>>,
     shards: Vec<ParkedShard>,
+    procs: bool,
 }
 
 #[cfg(test)]
@@ -685,18 +694,24 @@ struct ParkedShard {
 
 #[cfg(test)]
 impl Shards {
-    /// `n` parked shards over one shared cache, and the handle that
-    /// drives them.
-    pub fn parked(n: usize, scene: (usize, usize)) -> (Shards, Parked) {
-        let cache = DatasetCache::new();
+    /// `config`'s shards, parked, and the handle that drives them.
+    pub fn parked(config: &crate::ServerConfig) -> (Shards, Parked) {
+        let (n, scene) = (config.shards, config.scene);
+        let procs = matches!(config.backend, crate::ShardBackendConfig::Procs { .. });
+        let shared = DatasetCache::new();
         let depth: Arc<Vec<AtomicUsize>> = Arc::new((0..n).map(|_| AtomicUsize::new(0)).collect());
         let mut senders = Vec::with_capacity(n);
         let park = |shard| {
             let (tx, queue) = mpsc::channel();
             senders.push(tx);
+            let cache = if procs {
+                DatasetCache::new()
+            } else {
+                shared.clone()
+            };
             ParkedShard {
                 queue,
-                core: Some(WorkerCore::new(shard, scene, cache.clone())),
+                core: Some(WorkerCore::new(shard, scene, cache)),
                 served: Default::default(),
             }
         };
@@ -704,12 +719,17 @@ impl Shards {
         let parked = Parked {
             depth: Arc::clone(&depth),
             shards,
+            procs,
         };
         let shards = Shards {
             senders,
             depth,
             pids: vec![std::process::id(); n],
-            backend: Backend::Threads(cache),
+            backend: if procs {
+                Backend::Procs
+            } else {
+                Backend::Threads(shared)
+            },
             drains: Vec::new(),
         };
         (shards, parked)
@@ -728,17 +748,20 @@ impl Parked {
         self.shards[shard].core.as_ref().map(|core| &core.hub)
     }
 
-    /// `shard` goes down, its sessions with it: every job it serves from
-    /// now on is refused the way a dead worker process is. Replies it
-    /// had already served still deliver — they were on the wire.
+    /// A process shard goes down, its sessions with it: every job it
+    /// serves from now on is refused as [`ChildLink`] refuses once its
+    /// child is gone. Replies it had already served still deliver — they
+    /// were on the wire. A thread shard dies only with the server.
     pub fn kill(&mut self, shard: usize) {
+        assert!(self.procs, "a thread shard cannot die alone");
         self.shards[shard].core = None;
     }
 
     /// Serve `shard`'s head job, if it has one; `peek` sees the op first.
     /// The reply parks until [`Parked::deliver`]. A parked shard reports
-    /// no latency: a measured duration is the one input a seeded run
-    /// could not reproduce.
+    /// every latency it observed as 0 µs: a measured duration is the one
+    /// input a seeded run could not reproduce. A process shard's op or reply that does not
+    /// survive the codec is a panic, naming the op.
     pub fn serve<R>(
         &mut self,
         shard: usize,
@@ -752,8 +775,15 @@ impl Parked {
         let seen = peek(&op);
         let reply = match parked.core.as_mut() {
             Some(core) => {
-                let reply = core.serve(op);
+                let reply = if self.procs {
+                    let reply = procshard::in_memory(core, &op);
+                    reply.unwrap_or_else(|e| panic!("shard {shard}: {op:?} broke the codec: {e}"))
+                } else {
+                    core.serve(op)
+                };
+                let observed = core.latency.total();
                 core.latency = LatencyHistogram::new();
+                core.latency.counts[0] = observed;
                 reply
             }
             None => op.refused(shard, procshard::down(shard, std::process::id())),
@@ -922,6 +952,10 @@ mod tests {
             "one request, one latency observation"
         );
         assert!(reports[owner].latency.max_us > 0);
+        assert_eq!(
+            reports[owner].cache.misses, 0,
+            "scenario loads bypass the file cache"
+        );
         assert!(reports[1 - owner].sessions.is_empty());
         assert_eq!(reports[1 - owner].latency.total(), 0);
         assert_eq!(shards.queue_depths(), [0, 0], "queues drained");

@@ -112,8 +112,8 @@ pub(crate) struct SessionStream {
 #[derive(Default)]
 pub(crate) struct StreamPlane {
     sessions: BTreeMap<SessionId, SessionStream>,
-    /// The `stream` row of `stats`, counted in place; the two derived
-    /// fields (`subscribers`, `link_us`) are filled in when reported.
+    /// The `stream` row of `stats`, counted in place; `subscribers` is
+    /// filled in when reported.
     pub metrics: StreamStats,
 }
 

@@ -143,8 +143,7 @@ const STATS: &str = "stats shards=2 backend=procs connections=3 sessions=5 frame
     cache_entries=1 cache_hits=63 cache_misses=1 cache_evictions=0 derived_entries=3 \
     derived_hits=6 derived_misses=3 balancer_ticks=7 balancer_moves=2 balancer_failed=1 \
     recovered=4\n  \
-    stream subscribers=2 frames=48 bytes=1843298 pixels=614400 coalesced=3 dropped=1 \
-    link_us=19546\n  \
+    stream subscribers=2 frames=48 bytes=1843298 pixels=614400 coalesced=3 dropped=1\n  \
     shard 0 pid=4242 sessions=3 queued=0 runs=25 requests=60 max_run=12 \
     lat_us=50,0,9,0,0,1,0,0,0,0 lat_max_us=3120\n  \
     shard 1 pid=4301 sessions=2 queued=1 runs=15 requests=30 max_run=7 \
@@ -154,7 +153,7 @@ const STATS_NO_SHARDS: &str = "stats shards=0 backend=threads connections=1 sess
     cache_entries=0 cache_hits=0 cache_misses=0 cache_evictions=0 derived_entries=0 \
     derived_hits=0 derived_misses=0 balancer_ticks=0 balancer_moves=0 balancer_failed=0 \
     recovered=0\n  \
-    stream subscribers=0 frames=0 bytes=0 pixels=0 coalesced=0 dropped=0 link_us=0";
+    stream subscribers=0 frames=0 bytes=0 pixels=0 coalesced=0 dropped=0";
 const BALANCE: &str = "balance mode=auto ticks=42 planned=5 completed=4 failed=1 cooling=2 \
     budget=2 trigger=1.5 settle=1.15 cooldown=8 min_load=1000\n  \
     move alpha 0 3 tick=40 load=512 outcome=done\n  \

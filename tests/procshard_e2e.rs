@@ -1,28 +1,26 @@
-//! End-to-end tests of the process shard backend: a real server whose
-//! shards are child `fvtool shard-worker` processes — the very worker
-//! `fvtool serve --shard-procs` re-execs — must be byte-identical to the
-//! thread backend (golden conformance), answer an unbuildable synthetic
-//! load and a pipelined failure as the thread backend does, migrate sessions across process
-//! boundaries with diff-identical probe transcripts (and leave a
-//! session the target refuses where it was, whether an operator or the
-//! balancer asked), rebalance automatically under skewed load, answer `E_SHARD_DOWN` for a killed worker while
-//! other shards keep serving, leave zero orphaned children behind
-//! after shutdown, and fail the boot by name when a worker exits
+//! End-to-end tests of what only a real child process can show: a
+//! server whose shards are child `fvtool shard-worker` processes — the
+//! very worker `fvtool serve --shard-procs` re-execs — plays the golden
+//! script byte-identically with one pid per shard and leaves zero
+//! orphaned children behind after shutdown; answers an unbuildable
+//! synthetic load as the thread backend does; keeps derived results per
+//! child, so a move onto a sibling's worker is a hit and a lone move a
+//! miss; answers `E_SHARD_DOWN` for a SIGKILLed worker while other
+//! shards keep serving; and fails the boot by name when a worker exits
 //! before its `hello` on its stdout pipe.
+//!
+//! What the shard codec carries — pipelined failures, migrations,
+//! refused installs, the reports the balancer plans from — is swept in
+//! memory by the server simulation, whose process worlds serve every op
+//! through it (`crates/net/src/protocol/server_sim.rs`).
 
 #![allow(
     clippy::disallowed_methods,
-    reason = "tests run clients on threads and kill worker processes"
+    reason = "tests kill worker processes and probe their pids"
 )]
 
 use fv_api::{EngineHub, SessionId};
-use fv_net::balance::{BalanceConfig, MoveOutcome};
-use fv_net::frame::{read_reply, LineReader};
-use fv_net::{
-    run_script_remote, shard_of, BalanceMode, Client, Server, ServerConfig, ShardBackendConfig,
-};
-use std::io::Write;
-use std::net::TcpStream;
+use fv_net::{run_script_remote, shard_of, Client, Server, ServerConfig, ShardBackendConfig};
 use std::time::{Duration, Instant};
 
 /// The golden script of `fv-api` (the protocol's reference workload).
@@ -62,60 +60,6 @@ fn remote_transcript(addr: &str, script: &str) -> String {
     let mut out = String::new();
     run_script_remote(addr, script, |block| out.push_str(block)).expect("remote replay succeeds");
     out
-}
-
-/// Play one script per session at once, one client thread each, so the
-/// balancer's interval reports see overlapping load — a strictly
-/// sequential driver makes whichever session is running the interval's
-/// whale, which the policy rightly refuses to move. Returns the
-/// transcripts in script order.
-fn play_at_once(addr: &str, scripts: &[String]) -> Vec<String> {
-    let handles: Vec<_> = scripts
-        .iter()
-        .map(|script| {
-            let (addr, script) = (addr.to_string(), script.clone());
-            std::thread::spawn(move || remote_transcript(&addr, &script))
-        })
-        .collect();
-    let joined = handles
-        .into_iter()
-        .map(|h| h.join().expect("client thread"));
-    joined.collect()
-}
-
-/// Process shards, balancing `mode` on a 50 ms interval with knobs that
-/// move a small skew.
-fn balanced_proc_server(mode: BalanceMode) -> Server {
-    Server::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            shards: 2,
-            backend: ShardBackendConfig::Procs {
-                worker_cmd: worker_cmd(),
-            },
-            scene: SCENE,
-            balance: mode,
-            balance_interval: Duration::from_millis(50),
-            balance_cfg: BalanceConfig {
-                budget: 2,
-                trigger_ratio: 1.3,
-                settle_ratio: 1.1,
-                min_total_load: 1,
-                cooldown_ticks: 3,
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind")
-}
-
-/// `count` session names that all hash-route to shard 0.
-fn names_on_shard_0(prefix: &str, count: usize) -> Vec<String> {
-    (0..)
-        .map(|i| format!("{prefix}{i}"))
-        .filter(|name| shard_of(&SessionId::new(name.clone()).unwrap(), 2) == 0)
-        .take(count)
-        .collect()
 }
 
 /// `kill -0` probe: whether `pid` is still alive (or an unreaped
@@ -228,104 +172,6 @@ fn undersized_synthetic_loads_answer_invalid_and_keep_the_session() {
     }
 }
 
-/// Lines written in one burst are one run: behind its failing request
-/// every request is answered `skipped`, by a worker process as by a
-/// worker thread.
-#[test]
-fn a_pipelined_failure_answers_the_run_behind_it_skipped() {
-    for backend in [
-        ShardBackendConfig::Threads,
-        ShardBackendConfig::Procs {
-            worker_cmd: worker_cmd(),
-        },
-    ] {
-        let config = ServerConfig {
-            shards: 2,
-            backend: backend.clone(),
-            scene: SCENE,
-            ..ServerConfig::default()
-        };
-        let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral port");
-        let mut wire = TcpStream::connect(server.local_addr()).unwrap();
-        // A frame that never comes fails the test instead of hanging it.
-        wire.set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let burst = b"session_info\nimpute 99 3\nsession_info\nsession_info\n";
-        wire.write_all(burst).unwrap();
-        let mut reader = LineReader::new(wire);
-        let mut reply = || read_reply(&mut reader).unwrap().expect("a frame per line");
-        assert!(reply().is_ok(), "under {backend:?}");
-        let failed = reply().expect_err("impute of a missing dataset fails");
-        assert_eq!(
-            failed.code,
-            fv_api::ErrorCode::NotFound,
-            "under {backend:?}"
-        );
-        for _ in 0..2 {
-            let skipped = reply().expect_err("the run behind a failure is skipped");
-            let why = "skipped: request 2 earlier in this pipelined run failed (E_NOT_FOUND)";
-            assert_eq!(skipped.message, why, "under {backend:?}");
-        }
-        server.shutdown();
-        server.join();
-    }
-}
-
-#[test]
-fn migration_between_process_shards_preserves_probe_transcripts() {
-    let server = proc_server(2);
-    let addr = server.local_addr().to_string();
-
-    // Build real state in one child process: datasets, clustering, a
-    // selection, scroll position.
-    let setup = "use mover\nscenario 80 9\ncluster_all\nsearch_select stress\nscroll 2\n";
-    assert_eq!(remote_transcript(&addr, setup), local_transcript(setup));
-
-    // The probe transcript exercises summary text AND a frame checksum,
-    // so any state lost in the image round trip shows up as a diff.
-    let probe = "use mover\nsession_info\nlist_datasets\nrender 320 240\n";
-    let before = remote_transcript(&addr, probe);
-
-    let home = shard_of(&SessionId::new("mover").unwrap(), 2);
-    let away = 1 - home;
-    let mut client = Client::connect(&addr).unwrap();
-    let pid_of = |client: &mut Client, shard: usize| client.stats().unwrap().shards[shard].pid;
-    assert_ne!(
-        pid_of(&mut client, home),
-        pid_of(&mut client, away),
-        "the two shards must be distinct processes"
-    );
-
-    // Across the process boundary and back: the probe transcript must
-    // be diff-identical at every stop.
-    client.migrate("mover", away).unwrap();
-    let listed = client.list_sessions().unwrap();
-    assert_eq!(listed.len(), 1);
-    assert_eq!(listed[0].shard, away, "listing reflects the new process");
-    assert_eq!(
-        remote_transcript(&addr, probe),
-        before,
-        "probe transcript diff after migrating into another process"
-    );
-    client.migrate("mover", home).unwrap();
-    assert_eq!(
-        remote_transcript(&addr, probe),
-        before,
-        "probe transcript diff after migrating back"
-    );
-
-    // Still byte-identical to a local replay of the same history.
-    let mut hub = EngineHub::with_scene(SCENE.0, SCENE.1);
-    hub.run_script(setup).expect("local setup succeeds");
-    let mut expected = String::new();
-    hub.run_script_streaming(probe, |e| expected.push_str(&e.render()))
-        .expect("local probe succeeds");
-    assert_eq!(before, expected, "probe transcript drifted from local");
-
-    server.shutdown();
-    server.join();
-}
-
 #[test]
 fn a_move_onto_a_siblings_worker_is_a_derived_hit_and_a_lone_move_a_miss() {
     let server = proc_server(2);
@@ -386,203 +232,6 @@ fn a_move_onto_a_siblings_worker_is_a_derived_hit_and_a_lone_move_a_miss() {
     server.shutdown();
     server.join();
     std::fs::remove_file(&pcl).ok();
-}
-
-#[test]
-fn a_stale_image_is_refused_and_the_session_stays_in_its_process() {
-    let server = proc_server(2);
-    let addr = server.local_addr().to_string();
-
-    // A session over a real file, which then changes on disk: the
-    // source process still holds what it parsed, but no other process
-    // may rebuild the session from that path any more.
-    let pcl = std::env::temp_dir().join(format!("fv-procshard-stale-{}.pcl", std::process::id()));
-    let export = format!("scenario 80 9\nexport_pcl 0 {}\n", pcl.display());
-    EngineHub::new().run_script(&export).expect("export a PCL");
-    let setup = format!("use stale\nload {}\ncluster_all\nscroll 2\n", pcl.display());
-    let mut local = EngineHub::with_scene(SCENE.0, SCENE.1);
-    let replayed = local.run_script(&setup).expect("local setup succeeds");
-    assert_eq!(remote_transcript(&addr, &setup), replayed.transcript());
-    let mut text = std::fs::read_to_string(&pcl).expect("the exported PCL");
-    text.push_str("TAMPERED\t0\t0\t1.0\n");
-    std::fs::write(&pcl, text).expect("rewrite the PCL");
-
-    // The move is refused with the target's typed reason…
-    let home = shard_of(&SessionId::new("stale").unwrap(), 2);
-    let mut client = Client::connect(&addr).unwrap();
-    let err = client
-        .migrate("stale", 1 - home)
-        .expect_err("a stale image must be refused");
-    assert_eq!(err.code, fv_api::ErrorCode::Internal);
-    assert!(err.message.contains("E_STALE_IMAGE"), "{err}");
-    // …and cost the session nothing: still listed where it was, still
-    // answering exactly what a local replay of its history answers.
-    let listed = client.list_sessions().unwrap();
-    assert_eq!(listed.len(), 1, "{listed:?}");
-    assert_eq!((listed[0].name.as_str(), listed[0].shard), ("stale", home));
-    let probe = "use stale\nsession_info\nlist_datasets\nrender 320 240\n";
-    let replayed = local.run_script(probe).expect("local probe succeeds");
-    assert_eq!(remote_transcript(&addr, probe), replayed.transcript());
-
-    server.shutdown();
-    server.join();
-    std::fs::remove_file(&pcl).ok();
-}
-
-/// The balancer's own move, refused by its target: the sessions' PCL
-/// changed on disk after they loaded it, so no other worker can rebuild
-/// them (`E_STALE_IMAGE`). Planned from the reports the workers send
-/// over the process seam, the move is counted and listed failed, and
-/// the sessions keep answering from their source worker.
-#[test]
-fn a_balancer_move_the_target_refuses_leaves_the_session_in_its_process() {
-    // Off while the sessions load: no move may take before the rewrite.
-    let server = balanced_proc_server(BalanceMode::Off);
-    let addr = server.local_addr().to_string();
-    let pcl = std::env::temp_dir().join(format!("fv-procshard-refused-{}.pcl", std::process::id()));
-    let export = format!("scenario 80 9\nexport_pcl 0 {}\n", pcl.display());
-    EngineHub::new().run_script(&export).expect("export a PCL");
-    let names = names_on_shard_0("stuck", 3);
-    let mut local = EngineHub::with_scene(SCENE.0, SCENE.1);
-    for name in &names {
-        let setup = format!(
-            "use {name}\nload {}\ncluster_all\nscroll 2\n",
-            pcl.display()
-        );
-        let replayed = local.run_script(&setup).expect("local setup succeeds");
-        assert_eq!(remote_transcript(&addr, &setup), replayed.transcript());
-    }
-    let mut text = std::fs::read_to_string(&pcl).expect("the exported PCL");
-    text.push_str("TAMPERED\t0\t0\t1.0\n");
-    std::fs::write(&pcl, text).expect("rewrite the PCL");
-
-    // Read-only load on shard 0 alone until the balancer has tried to
-    // spread it.
-    let mut client = Client::connect(&addr).unwrap();
-    client.set_balance(BalanceMode::Auto).unwrap();
-    let probes: Vec<String> = names
-        .iter()
-        .map(|name| format!("use {name}\nsession_info\nlist_datasets\nrender 320 240\n"))
-        .collect();
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let stats = client.stats().expect("stats");
-        assert_eq!(stats.balancer_moves, 0, "no install can take");
-        if stats.balancer_failed >= 1 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "no balancer move was tried; ticks={}",
-            stats.balancer_ticks
-        );
-        play_at_once(&addr, &probes);
-    }
-    client.set_balance(BalanceMode::Off).unwrap();
-
-    // The refusal is on the record…
-    let status = client.balance_status().expect("balance");
-    let refused = status
-        .recent
-        .iter()
-        .find(|m| m.outcome == MoveOutcome::Failed);
-    let refused = refused.unwrap_or_else(|| panic!("no failed move listed: {status:?}"));
-    assert!(names.contains(&refused.session), "{refused:?}");
-    assert_eq!((refused.from, refused.to), (0, 1));
-    // …and cost nothing: every session still lives in the shard-0
-    // process and answers exactly what a local replay answers.
-    let listed = client.list_sessions().unwrap();
-    assert_eq!(listed.len(), names.len(), "{listed:?}");
-    assert!(listed.iter().all(|s| s.shard == 0), "{listed:?}");
-    for probe in &probes {
-        let replayed = local.run_script(probe).expect("local probe succeeds");
-        assert_eq!(remote_transcript(&addr, probe), replayed.transcript());
-    }
-
-    server.shutdown();
-    server.join();
-    std::fs::remove_file(&pcl).ok();
-}
-
-#[test]
-fn skewed_load_triggers_automatic_cross_process_migration() {
-    let server = balanced_proc_server(BalanceMode::Auto);
-    let addr = server.local_addr().to_string();
-
-    // Sessions that all hash-route to shard 0: only an automatic
-    // migration can ever populate the shard-1 process.
-    let names = names_on_shard_0("skew", 4);
-    fn round_script(session: &str, round: usize) -> String {
-        if round == 0 {
-            format!(
-                "use {session}\nscenario 80 1\ncluster_all\nsearch_select stress\nsession_info\n"
-            )
-        } else {
-            format!(
-                "use {session}\ncluster_all\nsearch_select stress\nscroll {round}\nsession_info\n"
-            )
-        }
-    }
-    // Drive all sessions concurrently each round.
-    let mut local = EngineHub::with_scene(SCENE.0, SCENE.1);
-    let mut drive_round = |round: usize| {
-        let scripts: Vec<String> = names.iter().map(|n| round_script(n, round)).collect();
-        let remotes = play_at_once(&addr, &scripts);
-        for ((name, script), remote) in names.iter().zip(&scripts).zip(remotes) {
-            let mut expected = String::new();
-            local
-                .run_script_streaming(script, |e| expected.push_str(&e.render()))
-                .expect("local replay succeeds");
-            assert_eq!(
-                remote, expected,
-                "round {round}, session {name}: transcript drifted"
-            );
-        }
-    };
-    drive_round(0);
-
-    let mut client = Client::connect(&addr).expect("connect");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let mut round = 1;
-    loop {
-        let stats = client.stats().expect("stats");
-        if stats.balancer_moves >= 1 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "no automatic cross-process migration; ticks={} moves={} failed={}",
-            stats.balancer_ticks,
-            stats.balancer_moves,
-            stats.balancer_failed
-        );
-        drive_round(round);
-        round += 1;
-        std::thread::sleep(Duration::from_millis(60));
-    }
-
-    // A session genuinely moved between processes, none were lost, and
-    // its state survived the image round trip.
-    std::thread::sleep(Duration::from_millis(300));
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.balancer_failed, 0, "no move may fail in this test");
-    let sessions = client.list_sessions().expect("list-sessions");
-    assert_eq!(sessions.len(), names.len(), "no session may be lost");
-    assert!(
-        sessions.iter().any(|s| s.shard == 1),
-        "at least one session must live in the shard-1 process: {sessions:?}"
-    );
-    for name in &names {
-        let probe = format!("use {name}\nsession_info\nlist_datasets\n");
-        let remote = remote_transcript(&addr, &probe);
-        let mut expected = String::new();
-        local
-            .run_script_streaming(&probe, |e| expected.push_str(&e.render()))
-            .expect("local probe succeeds");
-        assert_eq!(remote, expected, "post-balance probe drifted for {name}");
-    }
-    server.shutdown();
-    server.join();
 }
 
 #[test]
