@@ -103,7 +103,8 @@ impl SessionStore {
     }
 
     /// Drop `session`'s checkpoint. Removing a checkpoint that does not
-    /// exist is not an error — close paths race with checkpoint cadence.
+    /// exist is not an error: a run that leaves no session removes its
+    /// name's file whether or not one was ever written.
     pub fn remove(&self, session: &SessionId) -> Result<(), ApiError> {
         let path = self.checkpoint_path(session);
         match std::fs::remove_file(&path) {
@@ -202,29 +203,30 @@ pub fn encode_name(name: &str) -> String {
     out
 }
 
-/// Inverse of [`encode_name`]. Strict: rejects stray `%`, non-hex
-/// digits, and byte sequences that are not valid UTF-8.
+/// Inverse of [`encode_name`], and only of it: a name is accepted
+/// exactly when [`encode_name`] writes it back byte for byte. So a stray
+/// `%`, a non-hex digit or bytes that are not UTF-8 are refused, and so
+/// is every other spelling of a name (`%41` for `A`, `%2f` for `%2F`):
+/// one session has one file name, and a planted second spelling is not
+/// a second checkpoint of it.
 pub fn decode_name(encoded: &str) -> Result<String, ApiError> {
-    let mut bytes = Vec::with_capacity(encoded.len());
-    let mut it = encoded.bytes();
-    while let Some(b) = it.next() {
-        if b == b'%' {
-            let hex = [
-                it.next()
-                    .ok_or_else(|| ApiError::format(format!("{encoded}: truncated %-escape")))?,
-                it.next()
-                    .ok_or_else(|| ApiError::format(format!("{encoded}: truncated %-escape")))?,
-            ];
-            let hex = std::str::from_utf8(&hex)
-                .ok()
-                .and_then(|h| u8::from_str_radix(h, 16).ok())
-                .ok_or_else(|| ApiError::format(format!("{encoded}: bad %-escape")))?;
-            bytes.push(hex);
-        } else {
-            bytes.push(b);
-        }
+    let bad = || ApiError::format(format!("{encoded}: not the file name of a session"));
+    let mut parts = encoded.split('%');
+    let mut bytes = parts.next().unwrap_or_default().as_bytes().to_vec();
+    for part in parts {
+        let byte = part
+            .get(..2)
+            .and_then(|hex| u8::from_str_radix(hex, 16).ok());
+        let (Some(byte), Some(tail)) = (byte, part.get(2..)) else {
+            return Err(bad());
+        };
+        bytes.push(byte);
+        bytes.extend_from_slice(tail.as_bytes());
     }
-    String::from_utf8(bytes).map_err(|_| ApiError::format(format!("{encoded}: not UTF-8")))
+    let name = String::from_utf8(bytes)
+        .ok()
+        .filter(|name| encode_name(name) == encoded);
+    name.ok_or_else(bad)
 }
 
 #[cfg(test)]
@@ -366,6 +368,44 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    #[test]
+    fn a_second_spelling_of_a_name_is_corrupt_not_a_second_checkpoint() {
+        let (dir, store) = temp_store("spelling");
+        let a = SessionId::new("A").unwrap();
+        store.save(&a, &sample_image(1)).unwrap();
+        let percent = store.checkpoint_path(&a).with_file_name("%41.img");
+        std::fs::write(
+            &percent,
+            format!("{}\n", format_session_image(&sample_image(2))),
+        )
+        .unwrap();
+        // `%2f` and `%2F` both spell `/`; only the upper case is written.
+        let slash = SessionId::new("a/b").unwrap();
+        store.save(&slash, &sample_image(3)).unwrap();
+        let lower = store.checkpoint_path(&slash).with_file_name("a%2fb.img");
+        std::fs::write(
+            &lower,
+            format!("{}\n", format_session_image(&sample_image(4))),
+        )
+        .unwrap();
+        let scan = store.scan().unwrap();
+        let recovered: Vec<_> = scan
+            .sessions
+            .iter()
+            .map(|(s, i)| (s.as_str(), i.requests))
+            .collect();
+        assert_eq!(recovered, [("A", 1), ("a/b", 3)]);
+        let mut corrupt: Vec<_> = scan
+            .corrupt
+            .iter()
+            .map(|(p, e)| (p.clone(), e.code))
+            .collect();
+        corrupt.sort_by(|a, b| a.0.cmp(&b.0));
+        let format = crate::error::ErrorCode::Format;
+        assert_eq!(corrupt, [(percent, format), (lower, format)]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     fn arb_name() -> impl Strategy<Value = String> {
         use proptest::strategy::FnStrategy;
         use proptest::test_runner::TestRng;
@@ -391,7 +431,12 @@ mod tests {
                 )),
                 "encoded {encoded:?} has a raw special byte"
             );
-            prop_assert_eq!(decode_name(&encoded).unwrap(), name);
+            prop_assert_eq!(decode_name(&encoded).unwrap(), name.clone());
+            // Read as a file name, the raw name decodes only if it is
+            // the canonical spelling of what it decodes to.
+            if let Ok(decoded) = decode_name(&name) {
+                prop_assert_eq!(encode_name(&decoded), name);
+            }
         }
 
         /// Totality of the open: whatever bytes sit where the manifest

@@ -18,13 +18,15 @@
 //!        ▼
 //!   Core (sans-IO)     bytes → inbox → contiguous same-session runs,
 //!        │  bounded pending queues (E_BUSY), migrations, balancing,
-//!        │  checkpoints, stream fan-out, stats → outbox bytes
+//!        │  stream fan-out, stats → outbox bytes; no disk I/O
 //!        │  Completion{to: Waiter, reply} ◂ / ▸ ShardOp     (`protocol`)
 //!        ▼
 //!   Shards             hash(SessionId) → shard; each shard is one
-//!        │  WorkerCore (an EngineHub) behind a queue; one `serve` both
-//!        │  backends drive — by value on a thread, or through the
-//!        │  control-protocol codec to a child process.       [`shard`]
+//!        │  WorkerCore (an EngineHub, and on a durable server the
+//!        │  SessionStore it saves every run's session to) behind a
+//!        │  queue; one `serve` both backends drive — by value on a
+//!        │  thread, or through the control-protocol codec to a child
+//!        │  process.                                         [`shard`]
 //!        ▼
 //!   fv-api             EngineHub::execute_run_on (one shard hop per run)
 //! ```
@@ -44,6 +46,10 @@
 //!   of connection count; per-connection memory is bounded by the
 //!   pending-request limit (`E_BUSY` beyond it) plus inbox/outbox
 //!   watermarks that pause reads until the peer drains.
+//! - **Durability (opt-in)**: with a state directory, the shard serving
+//!   a session saves it after every run, before the reply leaves the
+//!   shard — an `ok` is on disk, and a rebooted server recovers every
+//!   answered request.
 //! - **Failure containment**: malformed, oversized, or non-UTF-8 lines
 //!   produce typed error frames and the connection survives; a panicking
 //!   request costs its session, never the shard.

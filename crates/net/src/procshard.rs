@@ -51,6 +51,7 @@
 //!                                         <nrects "x y w h" lines>
 //!                                         <rgb blob>]
 //! close <session>                      → closed <0|1>
+//! end <session>                        → closed <0|1>
 //! report                               → report shard=<i> runs=<r>
 //!                                          requests=<q> max_run=<m>
 //!                                          lat_us=<counts> lat_max_us=<u>
@@ -93,6 +94,7 @@
 use crate::frame::decode_replies;
 use crate::metrics::LatencyHistogram;
 use crate::poll::{self, PollEntry};
+use crate::server::ServerConfig;
 use crate::shard::{
     Backend, Link, PubFrame, RunDone, SessionReport, ShardOp, ShardReply, ShardReport, Shards,
     WorkerCore,
@@ -100,12 +102,13 @@ use crate::shard::{
 use fv_api::record::{self, field, num, Token};
 use fv_api::{
     format_request, format_session_image, parse_request, parse_session_image, ApiError,
-    DatasetCache, ErrorCode, SessionId,
+    DatasetCache, ErrorCode, SessionId, SessionStore,
 };
 use fv_render::Framebuffer;
 use fv_wall::tile::Viewport;
 use std::io::{self, Read, Write};
 use std::os::fd::AsRawFd;
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -256,7 +259,9 @@ fn encode_op(op: &ShardOp) -> Vec<u8> {
             }
             out
         }
-        ShardOp::Close { session } => format!("close {session}\n").into_bytes(),
+        ShardOp::Close { session, end } => {
+            format!("{} {session}\n", if *end { "end" } else { "close" }).into_bytes()
+        }
         ShardOp::Report => b"report\n".to_vec(),
         ShardOp::Snapshot { session } => format!("snapshot {session}\n").into_bytes(),
         ShardOp::Install { session, image } => {
@@ -290,8 +295,9 @@ fn decode_op(payload: &[u8]) -> Result<ShardOp, ApiError> {
                 publish: flag(publish)?,
             }
         }
-        "close" => ShardOp::Close {
+        "close" | "end" => ShardOp::Close {
             session: SessionId::new(rest)?,
+            end: verb == "end",
         },
         "report" if rest.is_empty() => ShardOp::Report,
         "snapshot" => ShardOp::Snapshot {
@@ -531,13 +537,14 @@ fn kill_all(children: &mut [Child]) {
     }
 }
 
-/// Launch `n` worker processes with piped stdin and stdout and start
-/// the shards over them. `worker_cmd` is the argv prefix to exec
-/// (`["/path/to/fvtool", "shard-worker"]`); `--shard/--scene` are
+/// Launch `config`'s worker processes with piped stdin and stdout and
+/// start the shards over them. `worker_cmd` is the argv prefix to exec
+/// (`["/path/to/fvtool", "shard-worker"]`); `--shard/--scene`, and a
+/// durable server's `--state-dir` (the child saves what it serves), are
 /// appended per child. Fails — with every already-spawned child killed —
 /// if any child dies or fails to say `hello` within the deadline.
-pub(crate) fn spawn(worker_cmd: &[String], n: usize, scene: (usize, usize)) -> io::Result<Shards> {
-    let n = n.max(1);
+pub(crate) fn spawn(worker_cmd: &[String], config: &ServerConfig) -> io::Result<Shards> {
+    let (n, scene) = (config.shards.max(1), config.scene);
     let (program, prefix) = worker_cmd
         .split_first()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "empty shard worker command"))?;
@@ -551,6 +558,9 @@ pub(crate) fn spawn(worker_cmd: &[String], n: usize, scene: (usize, usize)) -> i
             .arg(format!("{}x{}", scene.0, scene.1))
             .stdin(Stdio::piped())
             .stdout(Stdio::piped());
+        if let Some(dir) = &config.state_dir {
+            cmd.arg("--state-dir").arg(dir);
+        }
         match cmd.spawn() {
             Ok(child) => children.push(child),
             Err(e) => {
@@ -682,13 +692,15 @@ impl Drop for ChildLink {
 /// Entry point of a shard worker process (`fvtool shard-worker`).
 /// Announces its shard index on stdout, then serves protocol frames from
 /// stdin one at a time against a [`WorkerCore`] with its own
-/// [`DatasetCache`], answering on stdout, until EOF on stdin (the parent
-/// closed it or died — exit quietly; there is nobody left to serve).
+/// [`DatasetCache`] (and `--state-dir`'s [`SessionStore`]), answering on
+/// stdout, until EOF on stdin (the parent closed it or died — exit
+/// quietly; there is nobody left to serve).
 /// Errors are returned as text for the caller to print and map to a
 /// nonzero exit.
 pub fn worker_main(args: &[String]) -> Result<(), String> {
     let mut shard = None;
     let mut scene = None;
+    let mut store = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| {
@@ -712,6 +724,11 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
                     .ok_or_else(|| format!("--scene needs WxH, got {spec:?}"))?;
                 scene = Some((w, h));
             }
+            "--state-dir" => {
+                let dir = value("--state-dir")?;
+                let opened = SessionStore::open(Path::new(&dir));
+                store = Some(opened.map_err(|e| format!("--state-dir: {e}"))?);
+            }
             other => return Err(format!("unknown shard-worker flag {other:?}")),
         }
     }
@@ -720,7 +737,7 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
     let (mut input, mut output) = (io::stdin().lock(), io::stdout().lock());
     write_frame(&mut output, format!("hello {shard}\n").as_bytes())
         .map_err(|e| format!("hello: {e}"))?;
-    let mut core = WorkerCore::new(shard, scene, DatasetCache::new());
+    let mut core = WorkerCore::new(shard, scene, DatasetCache::new(), store);
     loop {
         let payload = match read_frame(&mut input, MAX_FRAME) {
             Ok(payload) => payload,
@@ -744,7 +761,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn core(scene: (usize, usize)) -> WorkerCore {
-        WorkerCore::new(0, scene, DatasetCache::new())
+        WorkerCore::new(0, scene, DatasetCache::new(), None)
     }
 
     #[test]
@@ -766,7 +783,10 @@ mod tests {
                 requests: vec![Request::Mutate(scenario.clone())],
                 publish: true,
             },
-            ShardOp::Close { session: s.clone() },
+            ShardOp::Close {
+                session: s.clone(),
+                end: true,
+            },
             ShardOp::Report,
             ShardOp::Snapshot { session: s.clone() },
             ShardOp::Install {
@@ -793,6 +813,7 @@ mod tests {
             b"run 0 18446744073709551615 s\n", // count no payload could hold
             b"install s\n5\nnot an image",     // bad blob / bad image
             b"close not a session\n",          // whitespace in name
+            b"end\n",                          // no session
             b"report trailing\nextra",         // trailing bytes
         ] {
             assert!(decode_op(garbage).is_err(), "{garbage:?} must be rejected");

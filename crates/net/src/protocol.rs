@@ -17,9 +17,10 @@
 //! - **drain reports** — [`Core::wrote`], "the transport took `n` bytes".
 //!
 //! It produces only outbox bytes ([`Conn::outbox`]) and shard
-//! submissions. The IO shell (`crate::server`) turns readiness into
-//! those inputs and runs its write pass over [`Core::take_touched`]
-//! after each. The tests do the same over *parked* shards, whose every
+//! submissions, and touches no disk (on a durable server the shards
+//! save what they serve). The IO shell (`crate::server`) turns
+//! readiness into those inputs and runs its write pass over
+//! [`Core::take_touched`] after each. The tests do the same over *parked* shards, whose every
 //! `serve` and `deliver` is the test's to order: by hand below, by one
 //! seeded loop over whole worlds in `protocol/server_sim.rs` (steps,
 //! invariants, re-running a seed: `crates/net/README.md`).
@@ -160,35 +161,18 @@ struct LoopMetrics {
     dirty_disconnects: u64,
 }
 
-/// The durability plane: the open checkpoint store plus the cadence
-/// state deciding which sessions are dirty. Lives entirely on the
-/// event-loop thread — every operation is a small sequential file write
-/// under the state directory.
-pub(crate) struct CheckpointPlane {
-    store: SessionStore,
-    /// Sessions re-installed from checkpoints at boot (`stats` reports
-    /// it as `recovered=`).
-    pub recovered: u64,
-    /// Attempted-request counter at each session's last durable
-    /// checkpoint — the dirtiness baseline. A session whose reported
-    /// counter equals its entry is clean and costs zero checkpoint I/O.
-    clean: BTreeMap<String, u64>,
-}
-
-/// Boot-time crash recovery: open the store, sweep and scan it, and
-/// re-install every readable checkpoint on its hash shard through `call`
-/// (the blocking [`Shards::call`]: no loop exists yet). Install
-/// refusals (occupied name, failed replay, `E_STALE_IMAGE` from a
-/// dataset that changed on disk) and corrupt checkpoint files are
-/// warnings — recovery recovers what it can and reports the rest.
-/// Returns the plane, seeded clean at each image's request counter so
-/// an idle recovered session is not immediately re-checkpointed.
+/// Boot-time crash recovery: sweep and scan the store, and re-install
+/// every readable checkpoint on its hash shard through `call` (the
+/// blocking [`Shards::call`]: no loop exists yet). Install refusals
+/// (occupied name, failed replay, `E_STALE_IMAGE` from a dataset that
+/// changed on disk) and corrupt checkpoint files are warnings — recovery
+/// recovers what it can and reports the rest. Returns how many sessions
+/// came back (`stats`' `recovered=`).
 pub(crate) fn recover_sessions(
-    state_dir: &std::path::Path,
+    store: &SessionStore,
     n_shards: usize,
     mut call: impl FnMut(usize, ShardOp) -> Option<ShardReply>,
-) -> Result<CheckpointPlane, ApiError> {
-    let store = SessionStore::open(state_dir)?;
+) -> Result<u64, ApiError> {
     let scan = store.scan()?;
     for (path, why) in &scan.corrupt {
         eprintln!(
@@ -196,29 +180,22 @@ pub(crate) fn recover_sessions(
             path.display()
         );
     }
-    let mut clean = BTreeMap::new();
+    let mut recovered = 0;
     for (session, image) in scan.sessions {
-        let requests = image.requests;
         let shard = shard_of(&session, n_shards);
         let install = ShardOp::Install {
             session: session.clone(),
             image,
         };
         match call(shard, install) {
-            Some(ShardReply::Installed(Ok(()))) => {
-                clean.insert(session.as_str().to_string(), requests);
-            }
+            Some(ShardReply::Installed(Ok(()))) => recovered += 1,
             Some(ShardReply::Installed(Err(why))) => {
                 eprintln!("fv-net: not recovering session {session}: {why}")
             }
             _ => eprintln!("fv-net: shard {shard} went away while recovering session {session}"),
         }
     }
-    Ok(CheckpointPlane {
-        store,
-        recovered: clean.len() as u64,
-        clean,
-    })
+    Ok(recovered)
 }
 
 /// A shard's answer on its way back to the core, addressed to whoever
@@ -236,16 +213,13 @@ enum Waiter {
     /// The connection's one dispatched item (see [`Inflight`]).
     Conn(u64),
     /// One shard's report toward the balancer's snapshot gather; the
-    /// last one in triggers the checkpoint cadence and the policy tick.
+    /// last one in triggers the policy tick.
     BalanceGather,
     /// The empty publish run submitted after a watched session migrates:
     /// its only purpose is the fresh framebuffer that re-syncs every
     /// subscriber with a keyframe on the new shard, so no connection
     /// settles it.
     StreamResync,
-    /// A checkpoint snapshot of this session: the durability plane
-    /// asked, not a connection, so the reply only updates the store.
-    Checkpoint(SessionId),
     /// The current step of a migration chain.
     Migration(Migration),
 }
@@ -302,9 +276,8 @@ struct LoopState {
     /// the latest published framebuffer per watched session, and the
     /// stream counters `stats` reports.
     streams: StreamPlane,
-    /// The durability plane, when the server runs with a state
-    /// directory.
-    checkpoints: Option<CheckpointPlane>,
+    /// Sessions re-installed from the state directory at boot.
+    recovered: u64,
     /// Set by a wire `shutdown`.
     stop: bool,
 }
@@ -392,6 +365,7 @@ impl LoopState {
             },
             None => ShardOp::Close {
                 session: session.clone(),
+                end: true,
             },
         };
         let m = Migration {
@@ -417,64 +391,7 @@ impl LoopState {
             self.balance_gather = Some(reports);
             return;
         }
-        // The gather the balancer needed is also the checkpoint cadence:
-        // the reports carry every session's attempted-request counter,
-        // so dirtiness detection costs no extra fan-out and idle
-        // sessions cost zero I/O.
-        self.checkpoint_dirty_sessions(&reports);
         self.run_balance_tick(reports);
-    }
-
-    /// Piggy-back the checkpoint cadence on a completed balance gather:
-    /// request a non-destructive [`ShardOp::Snapshot`] for every session
-    /// whose attempted-request counter moved since its last durable
-    /// checkpoint. Sessions mid-migration or mid-close are skipped (their
-    /// shard is in flux; the next gather catches them). A snapshot never
-    /// outlives its gather's successor: each shard serves first in, first
-    /// out, so it lands before that shard's next report does.
-    fn checkpoint_dirty_sessions(&mut self, reports: &[ShardReport]) {
-        let Some(cp) = self.checkpoints.as_ref() else {
-            return;
-        };
-        let mut dirty = Vec::new();
-        for report in reports {
-            for s in &report.sessions {
-                if cp.clean.get(&s.name) == Some(&s.requests) || self.moving.contains_key(&s.name) {
-                    continue;
-                }
-                let Ok(session) = SessionId::new(s.name.clone()) else {
-                    continue;
-                };
-                dirty.push((report.shard, session));
-            }
-        }
-        for (shard, session) in dirty {
-            let snapshot = ShardOp::Snapshot {
-                session: session.clone(),
-            };
-            self.submit(shard, snapshot, Waiter::Checkpoint(session));
-        }
-    }
-
-    /// A checkpoint snapshot came back: persist the image and advance
-    /// the clean baseline. No image (session closed, crashed, or moved
-    /// away since the report) leaves the last durable checkpoint
-    /// standing — only a session's end ([`Core::end_session`]) deletes
-    /// one. That end comes with a reply from the session's shard, which
-    /// serves first in, first out: a snapshot queued before the close is
-    /// saved before the close's reply deletes it, and none is queued
-    /// while the close is in flight.
-    fn on_checkpoint(&mut self, session: SessionId, reply: ShardReply) {
-        let (Some(cp), ShardReply::Image(Some(image))) = (self.checkpoints.as_mut(), reply) else {
-            return;
-        };
-        match cp.store.save(&session, &image) {
-            Ok(()) => {
-                cp.clean
-                    .insert(session.as_str().to_string(), image.requests);
-            }
-            Err(e) => eprintln!("fv-net: checkpoint of session {session} failed: {e}"),
-        }
     }
 
     /// A completed balancer snapshot gather: tick the policy on the shard
@@ -533,7 +450,7 @@ impl Core {
         config: &ServerConfig,
         shards: Shards,
         waker: Waker,
-        checkpoints: Option<CheckpointPlane>,
+        recovered: u64,
     ) -> (Core, mpsc::Receiver<Completion>) {
         let (done_tx, done_rx) = mpsc::channel();
         let core = Core {
@@ -552,7 +469,7 @@ impl Core {
                 balancer: Balancer::new(config.balance, config.balance_cfg),
                 balance_gather: None,
                 streams: StreamPlane::default(),
-                checkpoints,
+                recovered,
                 stop: false,
             },
             touched: Vec::new(),
@@ -721,7 +638,6 @@ impl Core {
                 }
             }
             Waiter::BalanceGather => self.st.on_balance_report(reply),
-            Waiter::Checkpoint(session) => self.st.on_checkpoint(session, reply),
             Waiter::Migration(m) => self.on_migration(m, reply),
             // There is no connection waiting — the frame is the whole
             // point.
@@ -743,7 +659,15 @@ impl Core {
                 return self.finish_migration(m, Ok(()));
             }
             (ShardReply::Image(Some(image)), Some(to)) => (to, ShardOp::Install { session, image }),
-            (ShardReply::Installed(Ok(())), _) => (m.from, ShardOp::Close { session }),
+            // The source's close keeps the session's file: the target's
+            // copy is the same session.
+            (ShardReply::Installed(Ok(())), _) => {
+                let close = ShardOp::Close {
+                    session,
+                    end: false,
+                };
+                (m.from, close)
+            }
             // The target refused (dead shard / occupied name / failed
             // replay), which costs the session nothing.
             (ShardReply::Installed(Err(why)), _) => {
@@ -832,19 +756,14 @@ impl Core {
     }
 
     /// A session ended — its close landed, or its worker dropped it after
-    /// a panicking request. Its routing override goes (a namesake routes
-    /// by hash), its checkpoint goes (a restart must not bring it back),
-    /// and so does the stream plane's retained frame: its viewers wait
-    /// for a keyframe of whatever next holds the name, and a viewer that
-    /// subscribes now gets no pixel of the ended session.
+    /// a panicking request. Its file is already gone (the shard removed
+    /// it in the same serve). Its routing override goes (a namesake
+    /// routes by hash), and so does the stream plane's retained frame:
+    /// its viewers wait for a keyframe of whatever next holds the name,
+    /// and a viewer that subscribes now gets no pixel of the ended
+    /// session.
     fn end_session(&mut self, session: &SessionId) {
         self.st.routes.remove(session);
-        if let Some(cp) = self.st.checkpoints.as_mut() {
-            cp.clean.remove(session.as_str());
-            if let Err(e) = cp.store.remove(session) {
-                eprintln!("fv-net: removing checkpoint of session {session} failed: {e}");
-            }
-        }
         if let Some(entry) = self.st.streams.session_mut(session) {
             entry.last = None;
             self.resync_viewers(session);
@@ -1203,7 +1122,7 @@ fn stats_reply(reports: &[ShardReport], n_conns: usize, st: &LoopState) -> Strin
         balancer_ticks: st.balancer.ticks(),
         balancer_moves: st.balancer.counters().1,
         balancer_failed: st.balancer.counters().2,
-        recovered: st.checkpoints.as_ref().map_or(0, |cp| cp.recovered),
+        recovered: st.recovered,
         stream: StreamStats {
             subscribers: st.streams.n_subscribers(),
             ..st.streams.metrics
@@ -1294,12 +1213,13 @@ mod tests {
     impl Rig {
         pub fn new(config: ServerConfig) -> Rig {
             let (shards, mut parked) = Shards::parked(&config);
-            let checkpoints = config.state_dir.as_ref().map(|dir| {
-                recover_sessions(dir, config.shards, |k, op| parked.call(&shards, k, op))
-                    .expect("open the state directory")
+            let recovered = config.state_dir.as_deref().map_or(0, |dir| {
+                let store = SessionStore::open(dir).expect("open the state directory");
+                recover_sessions(&store, config.shards, |k, op| parked.call(&shards, k, op))
+                    .expect("scan the state directory")
             });
             let (waker_rx, waker_tx) = std::io::pipe().expect("pipe");
-            let (core, done) = Core::new(&config, shards, Waker::new(waker_tx), checkpoints);
+            let (core, done) = Core::new(&config, shards, Waker::new(waker_tx), recovered);
             Rig {
                 core,
                 done,
@@ -1326,15 +1246,6 @@ mod tests {
         fn complete(&mut self, k: usize) {
             let done = self.next_completion(k).expect("a served reply");
             self.core.on_completion(done);
-        }
-
-        /// After a tick: every shard serves its report and nothing else,
-        /// so what the completed gather set off is queued, unserved.
-        fn gather_reports(&mut self) {
-            for k in 0..self.core.st.shards.n_shards() {
-                self.parked.serve(k, |_| ()).expect("the shard's report");
-                self.complete(k);
-            }
         }
 
         /// Serve and deliver until no submitted op is outstanding.
@@ -1368,7 +1279,7 @@ mod tests {
         }
 
         /// One balance interval: the tick, then everything it set off
-        /// (the gather, the checkpoint cadence, planned migrations).
+        /// (the gather and the migrations it planned).
         fn tick(&mut self) {
             assert!(self.core.tick(), "nothing is in flight between rounds");
             self.settle();
@@ -1806,31 +1717,39 @@ mod tests {
     }
 
     #[test]
-    fn only_sessions_whose_request_counter_moved_are_checkpointed() {
-        let (dir, store, config) = durable("cadence");
+    fn a_run_is_saved_by_its_shard_before_its_reply_and_nothing_else_writes() {
+        let (dir, store, config) = durable("save");
         let mut rig = Rig::new(config);
-        let path = |name: &str| store.checkpoint_path(&SessionId::new(name).unwrap());
+        let saved = || {
+            let scan = store.scan().expect("scan").sessions.into_iter();
+            scan.map(|(s, image)| (s.to_string(), image.requests))
+                .collect::<Vec<_>>()
+        };
+        let remove = |name: &str| {
+            let path = store.checkpoint_path(&SessionId::new(name).unwrap());
+            std::fs::remove_file(path).expect("the file was there");
+        };
         let c = rig.core.open();
-        rig.ask(c, "use a\nscenario 60 1\nuse b\nscenario 60 2\n");
-        // The first gather finds both sessions dirty.
+        rig.ask(c, "use a\nscenario 60 1\nuse b\nscenario 60 2\nuse a\n");
+        // No tick has run: every answered run is on disk.
+        let one = |name: &str| (name.to_string(), 1);
+        assert_eq!(saved(), [one("a"), one("b")]);
+        // Delete both files behind the shards' back: a file that
+        // reappears was written again. `a`'s run is saved by the shard
+        // serving it, before its reply reaches the loop…
+        remove("a");
+        remove("b");
+        rig.core.ingest(c, b"scroll 1\n");
+        let k = shard_of(&SessionId::new("a").unwrap(), 2);
+        rig.parked.serve(k, |_| ()).expect("the run");
+        assert_eq!(saved(), [("a".to_string(), 2)], "scenario + scroll");
+        assert!(rig.core.conns()[&c].outbox().is_empty(), "not answered yet");
+        rig.complete(k);
+        assert!(rig.drain(c).starts_with(b"ok 1\napplied "));
+        // …and nothing else writes: not the idle `b`, and not a tick.
+        remove("a");
         rig.tick();
-        assert!(path("a").exists() && path("b").exists());
-        // Delete both files behind the plane's back: a checkpoint that
-        // reappears was written again. Only `a` sees a request…
-        std::fs::remove_file(path("a")).unwrap();
-        std::fs::remove_file(path("b")).unwrap();
-        rig.ask(c, "use a\nscroll 1\n");
-        rig.tick();
-        // …so only `a` is written: an idle session costs zero I/O.
-        assert!(path("a").exists(), "a's counter moved");
-        assert!(!path("b").exists(), "b was clean; nothing may rewrite it");
-        let saved = store.scan().expect("scan").sessions;
-        assert_eq!(saved.len(), 1);
-        assert_eq!(saved[0].1.requests, 2, "scenario + scroll");
-        // A tick with no traffic at all writes nothing either.
-        std::fs::remove_file(path("a")).unwrap();
-        rig.tick();
-        assert!(!path("a").exists());
+        assert_eq!(saved(), []);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1869,22 +1788,29 @@ mod tests {
     }
 
     #[test]
-    fn a_close_racing_a_checkpoint_does_not_bring_the_session_back() {
-        let (dir, store, config) = durable("close-race");
+    fn a_close_removes_the_file_before_closed_is_answered_and_a_move_keeps_it() {
+        let (dir, store, config) = durable("close");
         let a = SessionId::new("a").unwrap();
+        let away = 1 - shard_of(&a, 2);
         let mut rig = Rig::new(config.clone());
         let c = rig.core.open();
         rig.ask(c, "use a\nscenario 60 1\n");
-        // The gather completes, so the checkpoint snapshot of `a` is
-        // queued on its shard…
-        assert!(rig.core.tick());
-        rig.gather_reports();
-        // …and the close is dispatched before that snapshot is served:
-        // the shard serves the snapshot first, so its image is saved
-        // before the close's reply deletes it.
-        assert_eq!(rig.ok(c, "close a"), "closed a");
-        assert!(rig.sessions(c).is_empty());
-        assert!(!store.checkpoint_path(&a).exists(), "the user closed `a`");
+        let before = store.scan().expect("scan").sessions;
+        // A migration's close leaves the file: the copy on `away` is the
+        // same session.
+        assert_eq!(
+            rig.ok(c, &format!("migrate a {away}")),
+            format!("migrated a shard={away}")
+        );
+        assert_eq!(store.scan().expect("scan").sessions, before);
+        // The shard serving a close that ends the session removes its
+        // file in that serve — before `closed a` can be written.
+        rig.core.ingest(c, b"close a\n");
+        rig.parked.serve(away, |_| ()).expect("the close");
+        assert!(!store.checkpoint_path(&a).exists(), "the close was served");
+        assert!(rig.core.conns()[&c].outbox().is_empty(), "not answered yet");
+        rig.complete(away);
+        assert_eq!(rig.ask(c, ""), [Ok("closed a".to_string())]);
         // A restart must not resurrect it.
         drop(rig);
         let mut rebooted = Rig::new(config);
@@ -1896,29 +1822,27 @@ mod tests {
 
     #[test]
     fn a_dropped_session_ends_even_when_its_asker_hung_up() {
-        let (dir, store, config) = durable("dropped");
         let a = SessionId::new("a").unwrap();
         let (home, away) = (shard_of(&a, 2), 1 - shard_of(&a, 2));
-        let mut rig = Rig::new(config);
+        let mut rig = Rig::new(config(2));
         let (asker, other) = (rig.core.open(), rig.core.open());
         rig.ask(asker, &format!("use a\nscenario 60 1\nmigrate a {away}\n"));
-        rig.tick();
-        assert!(store.checkpoint_path(&a).exists());
         // A run on `a` is served, its asker hangs up, and the worker drops
         // the session as it does after a panicking request.
         rig.core.ingest(asker, b"scroll 1\n");
         rig.parked.serve(away, |_| ()).expect("the run");
         rig.core.close(asker);
-        let close = ShardOp::Close { session: a.clone() };
+        let close = ShardOp::Close {
+            session: a.clone(),
+            end: true,
+        };
         rig.parked.call(&rig.core.st.shards, away, close);
         let mut done = rig.done.try_recv().expect("the run's reply");
         if let ShardReply::Run(run) = &mut done.reply {
             run.dropped = Some(a.clone());
         }
         rig.core.on_completion(done);
-        // The session ended all the same: no checkpoint brings it back,
-        // and a namesake routes by hash.
-        assert!(!store.checkpoint_path(&a).exists());
+        // The session ended all the same: a namesake routes by hash.
         rig.ask(other, "use a\n");
         let placed: Vec<_> = rig
             .sessions(other)
@@ -1926,42 +1850,34 @@ mod tests {
             .map(|s| (s.name, s.shard))
             .collect();
         assert_eq!(placed, [("a".to_string(), home)]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn a_reused_name_is_never_checkpointed_from_its_predecessors_snapshot() {
+    fn a_reused_names_file_is_its_new_session_never_its_predecessor() {
         let (dir, store, config) = durable("reuse");
         let a = SessionId::new("a").unwrap();
         let (home, away) = (shard_of(&a, 2), 1 - shard_of(&a, 2));
         let mut rig = Rig::new(config.clone());
         let (closer, creator, lister) = (rig.core.open(), rig.core.open(), rig.core.open());
-        // `a` lives away from its hash shard, with its checkpoint
-        // snapshot queued there…
+        // `a` lives away from its hash shard when it is closed…
         rig.ask(closer, "use a\nscenario 60 1\n");
         rig.ask(closer, &format!("migrate a {away}\n"));
-        assert!(rig.core.tick());
-        rig.gather_reports();
-        // …when it is closed. Until the away shard's `Closed` is
-        // delivered, a namesake may not be created on the hash shard and
-        // nothing may list the sessions: both get no byte.
         rig.core.ingest(closer, b"close a\n");
         rig.core.ingest(creator, b"use a\nscenario 60 2\n");
         rig.core.ingest(lister, b"list-sessions\n");
+        // …and until the away shard's `Closed` is delivered, a namesake
+        // may not be created on the hash shard and nothing may list the
+        // sessions: both get no byte, and the close's serve is what
+        // removes the old session's file.
         rig.run_shard(home);
         let silent =
             |rig: &Rig| [creator, lister].map(|c| rig.core.conns()[&c].outbox().is_empty());
-        for step in ["snapshot", "close"] {
-            assert_eq!(silent(&rig), [true; 2], "before the {step} is served");
-            rig.parked
-                .serve(away, |_| ())
-                .expect("the away shard's next op");
-            assert_eq!(silent(&rig), [true; 2], "before the {step} is delivered");
-            rig.complete(away);
-        }
-        // The old snapshot was saved, and the close deleted it.
+        assert_eq!(silent(&rig), [true; 2], "before the close is served");
+        rig.parked.serve(away, |_| ()).expect("the close");
+        assert!(!store.checkpoint_path(&a).exists(), "the close removed it");
+        assert_eq!(silent(&rig), [true; 2], "before the close is delivered");
+        rig.complete(away);
         rig.settle();
-        assert!(!store.checkpoint_path(&a).exists(), "pre-close image saved");
         let replies = rig.ask(lister, "");
         let [Ok(listing)] = &replies[..] else {
             panic!("one listing: {replies:?}");
@@ -1969,9 +1885,8 @@ mod tests {
         let listed = fv_api::parse_sessions_reply(listing).expect("listing parses");
         assert_eq!(listed.len(), 1, "{listed:?}");
         assert_eq!((listed[0].name.as_str(), listed[0].shard), ("a", home));
-        // The next tick checkpoints the session that is there, and that
-        // is what a restart brings back.
-        rig.tick();
+        // The file is the namesake's, and that is what a restart brings
+        // back.
         drop(rig);
         let mut rebooted = Rig::new(config);
         let c = rebooted.core.open();

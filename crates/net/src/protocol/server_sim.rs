@@ -21,7 +21,7 @@ use crate::frame::{decode_replies, Reply, ReplyAssembler};
 use crate::metrics::{parse_stats, LatencyHistogram};
 use crate::shard::{answer_run, session_reports};
 use crate::ShardBackendConfig;
-use fv_api::{CacheStats, Engine, ErrorCode};
+use fv_api::{parse_session_image, CacheStats, Engine, ErrorCode};
 use fv_wall::stream::{decode, TileAssembler};
 use std::collections::BTreeSet;
 use std::fmt::Write;
@@ -259,7 +259,7 @@ impl Oracle {
                 }
                 String::from_utf8_lossy(&answer_run(&outcome, requests.len()).0).into_owned()
             }
-            ShardOp::Close { session } => hub.close(session).to_string(),
+            ShardOp::Close { session, .. } => hub.close(session).to_string(),
             ShardOp::Install { session, image } => {
                 // Routing never installs a session where it lives.
                 assert!(hub.get(session).is_none(), "{session} installed twice");
@@ -299,6 +299,9 @@ struct World {
     down: Option<usize>,
     /// A second handle on the state directory, if there is one.
     store: Option<SessionStore>,
+    /// Per shard, oldest first: the session of each reply it served and
+    /// has not delivered, if the op was a run.
+    runs: Vec<VecDeque<Option<String>>>,
     /// A shard served or a completion landed since the last check.
     moved: bool,
     /// The sessions that lived on the shard that went down.
@@ -336,8 +339,9 @@ const PCL: &str = "ID\tNAME\tGWEIGHT\tc0\tc1\tc2\tc3\n\
 impl World {
     fn new(seed: u64) -> World {
         let mut rng = Rng(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
-        // On tmpfs where the box has one: a checkpoint is an fsync, and
-        // the sweep's few thousand cost a disk seconds.
+        // On tmpfs where the box has one: every run of a durable world
+        // saves its session with an fsync, and the sweep's tens of
+        // thousands cost a disk tens of seconds.
         let root = std::path::Path::new("/dev/shm");
         let root = root.is_dir().then(|| root.to_path_buf());
         let root = root.unwrap_or_else(std::env::temp_dir);
@@ -375,6 +379,7 @@ impl World {
         };
         let (w, h) = config.scene;
         let hubs = (0..config.shards).map(|_| EngineHub::with_scene(w, h));
+        let runs = vec![VecDeque::new(); config.shards];
         let store = config.state_dir.as_deref().map(SessionStore::open);
         let mut world = World {
             seed,
@@ -393,6 +398,7 @@ impl World {
             tampered: false,
             down: None,
             store: store.map(|store| store.expect("open the store")),
+            runs,
             moved: false,
             lost: BTreeSet::new(),
             held: Vec::new(),
@@ -476,13 +482,18 @@ impl World {
     fn serve(&mut self, k: usize) -> bool {
         let (oracle, live) = (&mut self.oracle, self.down != Some(k));
         let mut what = Brief(String::new());
+        let mut ran = None;
         let peek = |op: &ShardOp| {
             let _ = write!(what, "{op:?}");
+            if let ShardOp::Run { session, .. } = op {
+                ran = Some(session.to_string());
+            }
             live.then(|| oracle.replay(k, op))
         };
         let Some((want, reply)) = self.rig.parked.serve(k, peek) else {
             return false;
         };
+        self.runs[k].push_back(ran);
         match want {
             Some(want) => assert_eq!(essence(reply), want, "shard {k} on {}", what.0),
             None => assert!(refused(reply, k), "dead shard {k} on {}: {reply:?}", what.0),
@@ -498,6 +509,10 @@ impl World {
         let Some(done) = self.rig.next_completion(k) else {
             return false;
         };
+        let ran = self.runs[k].pop_front().expect("a served op");
+        if let Some(session) = ran {
+            self.judge_file(&session);
+        }
         let to = format!("{:?}", done.to);
         if let (Waiter::Conn(id), ShardReply::Run(run)) = (&done.to, &done.reply) {
             let client = self.clients.iter_mut().find(|c| c.id == *id && !c.gone);
@@ -728,8 +743,8 @@ impl World {
         {
             assert!(owed <= most, "an outbox of {owed} bytes");
         }
-        // Hubs change when a shard serves, checkpoint files when a
-        // completion lands.
+        // Hubs and checkpoint files change when a shard serves; the
+        // stall set when a completion lands.
         if !std::mem::take(&mut self.moved) {
             return;
         }
@@ -765,10 +780,28 @@ impl World {
             let saved = |store: &SessionStore| store.checkpoint_path(&sid(session)).exists();
             let saved = self.store.as_ref().is_some_and(saved);
             assert!(
-                !saved || closing(session),
+                !saved,
                 "checkpoint files != live sessions: {session} is closed"
             );
         }
+    }
+
+    /// Durable at every ack: as a run's answer is delivered, its
+    /// session's file parses and equals the oracle's snapshot of the
+    /// session as it now stands, or there is no file if no shard holds
+    /// the session (its run dropped it, or a close came after it).
+    fn judge_file(&self, session: &str) {
+        let Some(store) = &self.store else {
+            return;
+        };
+        let text = std::fs::read_to_string(store.checkpoint_path(&sid(session))).ok();
+        let parse = |text: String| parse_session_image(text.trim_end_matches('\n'));
+        let saved = text.map(|text| parse(text).expect("the file parses"));
+        // Mid-migration the session is on two shards, as one image.
+        let holder = self.oracle.holders(session).first().copied();
+        let live = holder.and_then(|k| self.oracle.hubs[k].get(&sid(session)));
+        let live = live.map(Engine::snapshot);
+        assert_eq!(saved, live, "the file of session {session} at its ack");
     }
 
     // ── quiescence ──────────────────────────────────────────────────────
@@ -811,8 +844,6 @@ impl World {
                 self.rig.core.ingest(client.id, ack.as_bytes());
             }
         }
-        self.quiesce();
-        assert!(self.rig.core.tick(), "nothing is in flight");
         self.quiesce();
         let core = &self.rig.core;
         assert_eq!(core.st.in_flight, 0);

@@ -14,8 +14,9 @@
 use crate::balance::{BalanceConfig, BalanceMode};
 use crate::poll::{self, PollEntry};
 use crate::procshard;
-use crate::protocol::{recover_sessions, CheckpointPlane, Conn, Core};
+use crate::protocol::{recover_sessions, Conn, Core};
 use crate::shard::Shards;
+use fv_api::SessionStore;
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, PipeReader, PipeWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -71,12 +72,12 @@ pub struct ServerConfig {
     pub balance_cfg: BalanceConfig,
     /// How often the rebalancer snapshots the shards and plans.
     pub balance_interval: Duration,
-    /// Durable session state directory. When set, every checkpointed
-    /// session is re-installed at boot ([`Server::bind`] recovers before
-    /// accepting a single connection), and dirty sessions are
-    /// checkpointed on each completed balance gather — so a SIGKILL'd
-    /// server comes back with its sessions instead of losing them all.
-    /// `None` (the default) keeps sessions purely in memory.
+    /// Durable session state directory. When set, the shard serving a
+    /// session saves it after every run, before the reply leaves (a save
+    /// that fails is warned about on stderr, and the reply goes out), a
+    /// `close` removes its file before `closed` is answered, and
+    /// [`Server::bind`] re-installs every saved session before accepting
+    /// a connection. `None` (the default) keeps sessions in memory.
     pub state_dir: Option<PathBuf>,
 }
 
@@ -154,14 +155,20 @@ impl Server {
             waker: Waker::new(waker_tx),
         });
         let loop_shared = Arc::clone(&shared);
+        // Opened (its manifest written) before a shard starts: thread
+        // shards save through this handle, process shards open their own.
+        let store = config
+            .state_dir
+            .as_deref()
+            .map(SessionStore::open)
+            .transpose();
+        let store = store.map_err(|e| std::io::Error::other(e.to_string()))?;
         // Start the shards here so a failure (a worker thread or child
         // process that cannot start) surfaces as the bind error instead
         // of a panic inside the event-loop thread.
         let shards = match &config.backend {
-            ShardBackendConfig::Threads => Shards::threads(config.shards, config.scene)?,
-            ShardBackendConfig::Procs { worker_cmd } => {
-                procshard::spawn(worker_cmd, config.shards, config.scene)?
-            }
+            ShardBackendConfig::Threads => Shards::threads(&config, store.clone())?,
+            ShardBackendConfig::Procs { worker_cmd } => procshard::spawn(worker_cmd, &config)?,
         };
         let n_shards = shards.n_shards();
         // Crash recovery happens HERE, synchronously, before the loop
@@ -171,13 +178,11 @@ impl Server {
         // recovered sessions. Stale images (dataset changed on disk,
         // `E_STALE_IMAGE`) and corrupt files are warned about and
         // skipped, never panicked on.
-        let checkpoints = config
-            .state_dir
-            .as_deref()
-            .map(|dir| recover_sessions(dir, n_shards, |shard, op| shards.call(shard, op)))
+        let recovered = store
+            .map(|store| recover_sessions(&store, n_shards, |shard, op| shards.call(shard, op)))
             .transpose()
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        let recovered = checkpoints.as_ref().map_or(0, |plane| plane.recovered);
+            .map_err(|e| std::io::Error::other(e.to_string()))?
+            .unwrap_or(0);
         #[allow(
             clippy::disallowed_methods,
             reason = "the one event-loop thread; every other server thread is a shard drain (shard.rs)"
@@ -185,7 +190,7 @@ impl Server {
         let event_loop = std::thread::Builder::new()
             .name("fv-net-loop".into())
             .spawn(move || {
-                event_loop(listener, config, shards, loop_shared, waker_rx, checkpoints)
+                event_loop(listener, config, shards, loop_shared, waker_rx, recovered)
             })?;
         Ok(Server {
             addr: local,
@@ -248,9 +253,9 @@ fn event_loop(
     shards: Shards,
     shared: Arc<Shared>,
     waker_rx: PipeReader,
-    checkpoints: Option<CheckpointPlane>,
+    recovered: u64,
 ) {
-    let (core, done_rx) = Core::new(&config, shards, shared.waker.clone(), checkpoints);
+    let (core, done_rx) = Core::new(&config, shards, shared.waker.clone(), recovered);
     let mut sh = Shell {
         core,
         socks: BTreeMap::new(),

@@ -36,14 +36,18 @@
 //! - **Sessions, by image**: [`ShardOp::Snapshot`] reads a session as a
 //!   serializable [`SessionImage`] and [`ShardOp::Install`] writes one
 //!   into a shard by replaying its compacted mutation log — the two
-//!   verbs migration, checkpointing and boot recovery all share. No
-//!   engine value ever crosses the seam, which is exactly what lets a
-//!   shard be a child process. A migration is copy, confirm, delete:
-//!   `Snapshot` on the source, `Install` on the target, and only then
-//!   [`ShardOp::Close`] on the source — until the close the session is
-//!   untouched where it was, so no failure can lose it. Routing
-//!   overrides live in the protocol core (`crate::protocol`), which is
-//!   why `submit` takes an explicit shard index.
+//!   verbs migration and boot recovery share. No engine value ever
+//!   crosses the seam, which is exactly what lets a shard be a child
+//!   process. A migration is copy, confirm, delete: `Snapshot` on the
+//!   source, `Install` on the target, and only then [`ShardOp::Close`]
+//!   on the source — until the close the session is untouched where it
+//!   was, so no failure can lose it. Routing overrides live in the
+//!   protocol core (`crate::protocol`), which is why `submit` takes an
+//!   explicit shard index.
+//!
+//! On a durable server the shard serving a session saves it: every run
+//! leaves the session's file equal to the session before the reply
+//! leaves ([`WorkerCore::serve`]), and the event loop touches no disk.
 
 #![allow(
     clippy::disallowed_methods,
@@ -53,10 +57,11 @@
 use crate::frame::{push_err_frame, push_ok_frame};
 use crate::metrics::LatencyHistogram;
 use crate::procshard::{self, ChildLink};
+use crate::ServerConfig;
 use fv_api::engine::fnv1a;
 use fv_api::{
     ApiError, CacheStats, DatasetCache, Engine, EngineHub, Request, Response, RunOutcome,
-    SessionId, SessionImage,
+    SessionId, SessionImage, SessionStore,
 };
 use fv_render::Framebuffer;
 use fv_wall::tile::Viewport;
@@ -186,20 +191,22 @@ pub(crate) enum ShardOp {
         requests: Vec<Request>,
         publish: bool,
     },
-    /// Drop the session; replies whether it existed.
-    Close { session: SessionId },
+    /// Drop the session; replies whether it existed. `end` (a user's
+    /// `close`) removes its file too; a migration's close keeps it.
+    Close { session: SessionId, end: bool },
     /// Snapshot the shard's sessions and counters.
     Report,
     /// Read the session as a [`SessionImage`]; the engine stays in place
-    /// and keeps serving while its image goes to the durable store (a
-    /// checkpoint) or to another shard (a migration's first step).
-    /// Replies `None` if the session does not live here.
+    /// and keeps serving while its image goes to another shard (a
+    /// migration's first step). Replies `None` if the session does not
+    /// live here.
     Snapshot { session: SessionId },
-    /// Rebuild a session from its image: a migration's second step, and
-    /// boot recovery's only one. A refusal (name already taken here,
-    /// which routing prevents; a fingerprint mismatch on replay; a dead
-    /// shard) is just its typed reason — whoever sent the image still
-    /// has the session or its checkpoint.
+    /// Rebuild a session from its image (not saved: its file already
+    /// holds it): a migration's second step, and boot recovery's only
+    /// one. A refusal (name already taken here, which routing prevents;
+    /// a fingerprint mismatch on replay; a dead shard) is just its typed
+    /// reason — whoever sent the image still has the session or its
+    /// file.
     Install {
         session: SessionId,
         image: SessionImage,
@@ -317,13 +324,14 @@ pub(crate) struct Shards {
 }
 
 impl Shards {
-    /// Thread shards: `n` cores resolving damage against `scene`, all
-    /// hubs over one [`DatasetCache`] so a file loaded by sessions on
-    /// different shards is parsed once.
-    pub fn threads(n: usize, scene: (usize, usize)) -> std::io::Result<Shards> {
+    /// `config`'s thread shards, all hubs over one [`DatasetCache`] so a
+    /// file loaded by sessions on different shards is parsed once, and
+    /// all saving through `store` on a durable server.
+    pub fn threads(config: &ServerConfig, store: Option<SessionStore>) -> std::io::Result<Shards> {
         let cache = DatasetCache::new();
-        let links = (0..n.max(1))
-            .map(|i| Link::Core(WorkerCore::new(i, scene, cache.clone())))
+        let core = |i| WorkerCore::new(i, config.scene, cache.clone(), store.clone());
+        let links = (0..config.shards.max(1))
+            .map(|i| Link::Core(core(i)))
             .collect();
         Shards::start(links, Backend::Threads(cache))
     }
@@ -530,15 +538,17 @@ pub(crate) fn session_reports(hub: &EngineHub) -> Vec<SessionReport> {
     hub.list_sessions().into_iter().map(row).collect()
 }
 
-/// One shard's execution logic, backend-agnostic: the hub plus the
-/// counters a [`ShardReport`] snapshots. A thread shard's drain thread
-/// serves it directly; a child process (`crate::procshard`) serves it
-/// from decoded protocol frames. [`WorkerCore::serve`] being the only
-/// way in is what makes the two backends behave identically.
+/// One shard's execution logic, backend-agnostic: the hub, the store
+/// its sessions are saved to on a durable server, and the counters a
+/// [`ShardReport`] snapshots. A thread shard's drain thread serves it
+/// directly; a child process (`crate::procshard`) serves it from
+/// decoded protocol frames. [`WorkerCore::serve`] being the only way in
+/// is what makes the two backends behave identically.
 pub(crate) struct WorkerCore {
     shard: usize,
     scene: (usize, usize),
     hub: EngineHub,
+    store: Option<SessionStore>,
     runs: u64,
     requests_executed: u64,
     max_run: usize,
@@ -546,11 +556,17 @@ pub(crate) struct WorkerCore {
 }
 
 impl WorkerCore {
-    pub fn new(shard: usize, scene: (usize, usize), cache: DatasetCache) -> WorkerCore {
+    pub fn new(
+        shard: usize,
+        scene: (usize, usize),
+        cache: DatasetCache,
+        store: Option<SessionStore>,
+    ) -> WorkerCore {
         WorkerCore {
             shard,
             scene,
             hub: EngineHub::with_cache(scene.0, scene.1, cache),
+            store,
             runs: 0,
             requests_executed: 0,
             max_run: 0,
@@ -566,7 +582,13 @@ impl WorkerCore {
                 requests,
                 publish,
             } => ShardReply::Run(self.run(&session, &requests, publish)),
-            ShardOp::Close { session } => ShardReply::Closed(self.hub.close(&session)),
+            ShardOp::Close { session, end } => {
+                let existed = self.hub.close(&session);
+                if end {
+                    self.persist(&session);
+                }
+                ShardReply::Closed(existed)
+            }
             ShardOp::Report => ShardReply::Report(self.report()),
             // The engine stays in place and keeps serving.
             ShardOp::Snapshot { session } => {
@@ -575,6 +597,23 @@ impl WorkerCore {
             ShardOp::Install { session, image } => {
                 ShardReply::Installed(self.install(&session, &image))
             }
+        }
+    }
+
+    /// On a durable server, make `session`'s file its image while it
+    /// lives here, and remove the file once it does not (closed for
+    /// good, dropped by a panic, or rolled back after a fresh session's
+    /// first request failed). A failure is warned about on stderr only.
+    fn persist(&self, session: &SessionId) {
+        let Some(store) = &self.store else {
+            return;
+        };
+        let written = match self.hub.get(session) {
+            Some(engine) => store.save(session, &engine.snapshot()),
+            None => store.remove(session),
+        };
+        if let Err(e) = written {
+            eprintln!("fv-net: checkpoint of session {session} failed: {e}");
         }
     }
 
@@ -617,8 +656,8 @@ impl WorkerCore {
         let out = outcome.unwrap_or_else(|_| {
             // An engine panic means the session's state is suspect; drop
             // the session so the shard (and its other sessions) stays
-            // healthy, and report a typed internal error. The core ends
-            // the session with it.
+            // healthy, and report a typed internal error. Its file goes
+            // below, in this call; the core ends the session with it.
             self.hub.close(session);
             dropped = Some(session.clone());
             failed(ApiError::new(
@@ -634,6 +673,8 @@ impl WorkerCore {
         for &l in &out.latencies {
             self.latency.record(l);
         }
+        // Saved before the reply leaves the shard: every `ok` is on disk.
+        self.persist(session);
         // The streaming rasterize hook: render the session's scene once
         // per published run. Subscribers share this one render no matter
         // how many are watching.
@@ -670,10 +711,11 @@ impl WorkerCore {
 /// and free across shards, which is all the real backends promise.
 ///
 /// Parked shards are of the backend their config names. Thread shards
-/// share one cache and are served by value. Process shards have a cache
-/// each, as `procshard::worker_main` makes, and every op they serve
-/// crosses the shard codec both ways in memory — the process taken out,
-/// the bytes kept.
+/// share one cache and one store handle and are served by value.
+/// Process shards open a cache and a store each, as
+/// `procshard::worker_main` does, and every op they serve crosses the
+/// shard codec both ways in memory — the process taken out, the bytes
+/// kept.
 pub(crate) struct Parked {
     depth: Arc<Vec<AtomicUsize>>,
     shards: Vec<ParkedShard>,
@@ -695,23 +737,27 @@ struct ParkedShard {
 #[cfg(test)]
 impl Shards {
     /// `config`'s shards, parked, and the handle that drives them.
-    pub fn parked(config: &crate::ServerConfig) -> (Shards, Parked) {
+    pub fn parked(config: &ServerConfig) -> (Shards, Parked) {
         let (n, scene) = (config.shards, config.scene);
         let procs = matches!(config.backend, crate::ShardBackendConfig::Procs { .. });
-        let shared = DatasetCache::new();
+        let open = || {
+            let dir = config.state_dir.as_deref();
+            dir.map(|dir| SessionStore::open(dir).expect("open the state directory"))
+        };
+        let (shared, store) = (DatasetCache::new(), open());
         let depth: Arc<Vec<AtomicUsize>> = Arc::new((0..n).map(|_| AtomicUsize::new(0)).collect());
         let mut senders = Vec::with_capacity(n);
         let park = |shard| {
             let (tx, queue) = mpsc::channel();
             senders.push(tx);
-            let cache = if procs {
-                DatasetCache::new()
+            let (cache, store) = if procs {
+                (DatasetCache::new(), open())
             } else {
-                shared.clone()
+                (shared.clone(), store.clone())
             };
             ParkedShard {
                 queue,
-                core: Some(WorkerCore::new(shard, scene, cache)),
+                core: Some(WorkerCore::new(shard, scene, cache, store)),
                 served: Default::default(),
             }
         };
@@ -823,7 +869,12 @@ mod tests {
     use std::sync::Mutex;
 
     fn shards(n: usize) -> Shards {
-        Shards::threads(n, (640, 480)).expect("spawn shard workers")
+        let config = ServerConfig {
+            shards: n,
+            scene: (640, 480),
+            ..ServerConfig::default()
+        };
+        Shards::threads(&config, None).expect("spawn shard workers")
     }
 
     fn call(shards: &Shards, shard: usize, op: ShardOp) -> ShardReply {
@@ -884,7 +935,10 @@ mod tests {
         assert!(reply[0].is_ok());
         let reply = execute(&shards, &b, vec![Request::Query(Query::SessionInfo)]);
         assert_eq!(n_datasets(&reply[0]), 0);
-        let close = || ShardOp::Close { session: a.clone() };
+        let close = || ShardOp::Close {
+            session: a.clone(),
+            end: true,
+        };
         let home = shard_of(&a, 4);
         assert_eq!(call(&shards, home, close()), ShardReply::Closed(true));
         assert_eq!(call(&shards, home, close()), ShardReply::Closed(false));
@@ -1039,11 +1093,49 @@ mod tests {
         assert_eq!(why.code, fv_api::ErrorCode::InvalidRequest);
         assert_eq!(n_datasets(from), 3);
         // The delete is the last step, and only of the source.
-        let close = ShardOp::Close { session: s.clone() };
+        let close = ShardOp::Close {
+            session: s.clone(),
+            end: false,
+        };
         assert_eq!(call(&shards, from, close), ShardReply::Closed(true));
         assert!(snapshot(from).is_none());
         assert_eq!(n_datasets(to), 3);
         shards.shutdown();
+    }
+
+    #[test]
+    fn a_run_leaves_its_sessions_file_equal_to_the_session() {
+        let dir = std::env::temp_dir().join(format!("fv-shard-save-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = SessionStore::open(&dir).expect("open the store");
+        let mut core = WorkerCore::new(0, (640, 480), DatasetCache::new(), Some(store.clone()));
+        let mut run = |session: &SessionId, requests: Vec<Request>| {
+            let op = ShardOp::Run {
+                session: session.clone(),
+                requests,
+                publish: false,
+            };
+            replies(core.serve(op))
+        };
+        let saved = |session: &SessionId| {
+            let text = std::fs::read_to_string(store.checkpoint_path(session)).ok()?;
+            Some(fv_api::parse_session_image(text.trim_end()).expect("the file parses"))
+        };
+        // A run that keeps its session saves the session's image.
+        let kept = SessionId::new("kept").unwrap();
+        assert!(run(&kept, vec![load_scenario()])[0].is_ok());
+        assert_eq!(saved(&kept).map(|image| image.requests), Some(1));
+        // A run that leaves no session leaves no file, one planted under
+        // its name included — here a fresh session whose first request
+        // failed and was rolled back; a panicking request's dropped
+        // session takes the same path.
+        let gone = SessionId::new("gone").unwrap();
+        store.save(&gone, &saved(&kept).unwrap()).unwrap();
+        let impute = Request::Mutate(Mutation::Impute { dataset: 9, k: 3 });
+        assert!(run(&gone, vec![impute])[0].is_err());
+        assert_eq!(saved(&gone), None);
+        assert_eq!(saved(&kept).map(|image| image.requests), Some(1));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1088,7 +1180,10 @@ mod tests {
                 requests: vec![Request::Query(Query::SessionInfo)],
                 publish: true,
             },
-            ShardOp::Close { session: s.clone() },
+            ShardOp::Close {
+                session: s.clone(),
+                end: true,
+            },
             ShardOp::Report,
             ShardOp::Snapshot { session: s.clone() },
             ShardOp::Install {

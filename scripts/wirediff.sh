@@ -18,6 +18,9 @@
 # (pids, latency buckets, balancer ticks, the address, the temp dir,
 # mtimes) and ends in `diff -r`: no output and exit 0 mean the two builds
 # are wire-identical on this set.
+# Each backend plays a second time with `--state-dir` on a fresh
+# directory, and that wire must equal the in-memory play's byte for byte
+# (the banner's `recovered` line masked): durability changes no reply.
 # A refactor that promises "no wire change" runs it parent against change.
 set -euo pipefail
 
@@ -62,13 +65,13 @@ burst() {
 # The shard `list-sessions` (in $1) places session $2 on.
 shard_of() { sed -n "s/^  session $2 shard=\([0-9]*\).*/\1/p" <<<"$1"; }
 
-# play <fvtool> <out-dir> <serve flag>
+# play <fvtool> <out-dir> <serve flag> [serve option…]
 play() {
   local fv=$1 out=$2 flag=$3 data=$WORK/data addr listed home fhome w2home
   local probes=("use wd2" "session_info" "render 320 240" "use wd" "session_info" "render 320 240")
   rm -rf "$data" && mkdir -p "$out"
   "$fv" demo "$data" >/dev/null
-  "$fv" serve --addr 127.0.0.1:0 "$flag" 2 >"$out/banner" 2>&1 &
+  "$fv" serve --addr 127.0.0.1:0 "$flag" 2 "${@:4}" >"$out/banner" 2>&1 &
   SERVER_PID=$!
   for _ in $(seq 1 100); do
     addr=$(sed -n 's/.*serving on \([0-9.]*:[0-9]*\).*/\1/p' "$out/banner")
@@ -119,13 +122,18 @@ play() {
     -e 's/lat_max_us=[0-9]+/lat_max_us=<N>/g' \
     -e 's/ticks=[0-9]+/ticks=<N>/g' \
     -e 's/mtime=[^ ]*/mtime=<T>/g' \
+    -e '/^fvtool: recovered [0-9]+ session/d' \
     "$out/banner" "$out/wire"
 }
 
 side=a
 for fv in "$1" "$2"; do
-  play "$fv" "$WORK/$side/threads" --shards
-  play "$fv" "$WORK/$side/procs" --shard-procs
+  for backend in threads:--shards procs:--shard-procs; do
+    play "$fv" "$WORK/$side/${backend%:*}" "${backend#*:}"
+    rm -rf "$WORK/state"
+    play "$fv" "$WORK/$side/${backend%:*}-durable" "${backend#*:}" --state-dir "$WORK/state"
+    diff -r "$WORK/$side/${backend%:*}" "$WORK/$side/${backend%:*}-durable"
+  done
   side=b
 done
 (cd "$WORK" && diff -r a b)

@@ -1,13 +1,11 @@
-//! What the root tests share: a live `fvtool serve` child, a wait on
-//! the checkpoint cadence of a server's state directory, and a wait for
-//! processes to stop. Each test binary uses the part it needs.
+//! What the root tests share: a live `fvtool serve` child and a wait
+//! for processes to stop. Each test binary uses the part it needs.
 #![allow(dead_code, reason = "each test binary uses the part it needs")]
 #![allow(
     clippy::disallowed_methods,
     reason = "tests start the fvtool server child"
 )]
 
-use fv_api::{parse_session_image, SessionId, SessionStore};
 use std::io::{BufRead, BufReader};
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -66,34 +64,6 @@ impl Drop for Served {
     fn drop(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
-    }
-}
-
-/// Block until each named session's checkpoint carries its expected
-/// attempted-request counter. The counter travels inside the image and
-/// is what the cadence judges dirtiness by, so once every file matches,
-/// no later write can change it: the server may be killed at any
-/// instant afterwards.
-pub fn wait_for_checkpoints<'a>(
-    store: &SessionStore,
-    expect: impl IntoIterator<Item = (&'a str, u64)>,
-) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    for (session, want) in expect {
-        let path = store.checkpoint_path(&SessionId::new(session).expect("a session name"));
-        loop {
-            let text = std::fs::read_to_string(&path).ok();
-            let got = text.and_then(|text| parse_session_image(&text).ok());
-            let got = got.map(|image| image.requests);
-            if got == Some(want) {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "checkpoint of {session} stuck at {got:?}, want {want}"
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
     }
 }
 
