@@ -1,28 +1,31 @@
-//! Line-oriented wire codec: replayable request scripts and canonical
-//! response text.
+//! Line-oriented wire codec: replayable request scripts, control lines
+//! and canonical response text.
 //!
-//! One request per line, whitespace-separated tokens, `#` comments, blank
-//! lines ignored. The full grammar is documented in `crates/api/README.md`.
-//! [`format_request`] and [`parse_request`] are exact inverses for every
-//! representable request (`parse(format(r)) == r` — property-tested), with
-//! the documented lexical limits: free-text fields (search queries, paths)
-//! must not contain newlines or leading/trailing whitespace, and list
-//! items (gene names, paths in lists) must not contain commas or
-//! whitespace. Floats are printed in Rust's shortest round-trip form, so
-//! no precision is lost.
+//! One line per request, whitespace-separated tokens, `#` comments, blank
+//! lines ignored. Every line a client sends is declared once, in one of
+//! three `line_table!` tables below (the macro is in `record.rs`) —
+//! requests, the script directives `use`/`close <name>`, and the
+//! transport's control lines — each row giving a verb's keyword, its
+//! arguments and their spellings (from the record kit), and the value it
+//! builds. [`parse_request`]/[`format_request`],
+//! [`parse_script_item`]/[`format_script_item`] and
+//! [`parse_wire_item`]/[`format_wire_item`] are derived from them, exact
+//! inverses for every representable value (`parse(format(x)) == x`,
+//! property-tested), with the documented lexical limits: free text
+//! (search queries, paths) holds no newline and no leading or trailing
+//! whitespace, and list items (gene names) hold no comma or whitespace.
+//! Floats are written in Rust's shortest round-trip `{:?}` form, so no
+//! precision is lost. The verb tables of `crates/api/README.md` list
+//! exactly these keywords (checked by `tests/invariants.rs`).
 //!
-//! Scripts may also carry a `use <session>` directive, which the
-//! [`crate::hub::EngineHub`] interprets as "switch to (or create) this
-//! named session", and a `close <session>` directive, which drops the
-//! named session (a later `use` recreates it empty); everything else
-//! flows to the current session's engine.
+//! `use <session>` switches the [`crate::hub::EngineHub`] to (or
+//! creates) a named session and `close <session>` drops one (a later
+//! `use` recreates it empty); everything else flows to the current
+//! session's engine.
 
 use crate::error::ApiError;
-use crate::record::{field, get, lead, num, put, Token, NONE};
-use crate::request::{
-    linkage_from_str, linkage_str, metric_from_str, metric_str, Mutation, NormalizeMethod, Query,
-    Request, SelectionExport,
-};
+use crate::record::{field, get, lead, line_table, num, put, Token};
+use crate::request::{Mutation, Query, Request};
 use crate::response::{DatasetRow, EnrichmentRow, Response, SpellDatasetRow, SpellGeneRow};
 use forestview::command::Command;
 use std::fmt::Write;
@@ -96,10 +99,9 @@ pub enum WireItem {
     Subscribe {
         /// Session to view.
         session: String,
-        /// Horizontal tile count of the viewer's grid.
-        tiles_x: usize,
-        /// Vertical tile count of the viewer's grid.
-        tiles_y: usize,
+        /// The viewer's grid: horizontal and vertical tile counts, both
+        /// non-zero.
+        tiles: (usize, usize),
     },
     /// Bare `unsubscribe` — stop streaming to this connection.
     /// Acknowledged `unsubscribed` (idempotent).
@@ -114,8 +116,9 @@ pub enum WireItem {
 }
 
 /// Mode of a transport's automatic shard rebalancer, as it appears in the
-/// `balance` wire grammar. The policy itself lives transport-side
-/// (`fv-net`); the codec only names the two states.
+/// `balance` wire grammar (its words are in `request.rs`'s keyword
+/// table). The policy itself lives transport-side (`fv-net`); the codec
+/// only names the two states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BalanceMode {
     /// The server periodically plans and executes session migrations.
@@ -124,13 +127,10 @@ pub enum BalanceMode {
     Off,
 }
 
-/// Canonical wire token (`auto` / `off`).
+/// The wire token (`auto` / `off`).
 impl std::fmt::Display for BalanceMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            BalanceMode::Auto => "auto",
-            BalanceMode::Off => "off",
-        })
+        f.write_str(&written(self, Token::put))
     }
 }
 
@@ -139,14 +139,92 @@ impl std::str::FromStr for BalanceMode {
     type Err = ApiError;
 
     fn from_str(token: &str) -> Result<BalanceMode, ApiError> {
-        match token {
-            "auto" => Ok(BalanceMode::Auto),
-            "off" => Ok(BalanceMode::Off),
-            other => Err(ApiError::parse(format!(
-                "balance mode is auto|off, got {other:?}"
-            ))),
-        }
+        BalanceMode::get(token).ok_or_else(|| BalanceMode::refuse(token, "balance mode"))
     }
+}
+
+line_table! {
+    fn read_control / write_wire_item for WireItem, exact: true;
+    in [] {
+        "ping" => (WireItem::Ping);
+        "shutdown" => (WireItem::Shutdown);
+        "close" => (WireItem::Close);
+        "stats" => (WireItem::Stats);
+        "list-sessions" => (WireItem::ListSessions);
+        "migrate" session, shard => (WireItem::Migrate { session, shard });
+        "balance" => (WireItem::Balance { set: None });
+        "balance" mode => (WireItem::Balance { set: Some(mode) });
+        "subscribe" session, tiles as Grid => (WireItem::Subscribe { session, tiles });
+        "unsubscribe" => (WireItem::Unsubscribe);
+        "ack" seq => (WireItem::Ack { seq });
+    }
+    else WireItem::Script(item) => write_script_item;
+}
+
+line_table! {
+    fn read_directive / write_script_item for ScriptItem, exact: true;
+    in [] {
+        "use" ..name as Name => (ScriptItem::Use(name));
+        "close" ..name as Name => (ScriptItem::Close(name));
+    }
+    else ScriptItem::Request(request) => write_request;
+}
+
+line_table! {
+    fn read_request / write_request for Request, exact: false;
+    // ── mutations: interaction commands ─────────────────────────────────
+    in [Request::Mutate, Mutation::Command] {
+        "select_region" dataset, start_frac "start fraction", end_frac "end fraction"
+            => (Command::SelectRegion { dataset, start_frac, end_frac });
+        "select_genes" ..genes => (Command::SelectGenes(genes));
+        "search_select" ..query => (Command::Search(query));
+        "clear_selection" => (Command::ClearSelection);
+        "toggle_sync" => (Command::ToggleSync);
+        "scroll" delta "scroll delta" => (Command::Scroll(delta));
+        "order_by_name" => (Command::OrderByName);
+        "order_by_relevance" ..scores "relevance score" => (Command::OrderByRelevance(scores));
+        "cluster_all" => (Command::ClusterAll);
+        "set_contrast" dataset as OrAll, contrast
+            => (Command::SetContrast { dataset, contrast });
+        "set_linkage" linkage => (Command::SetLinkage(linkage));
+        "set_metric" metric => (Command::SetMetric(metric));
+    }
+    // ── mutations: data management ──────────────────────────────────────
+    in [Request::Mutate] {
+        "load" ..path as Path, needs "a path" => (Mutation::LoadDataset { path });
+        "scenario" n_genes "gene count", seed => (Mutation::LoadScenario { n_genes, seed });
+        "compendium" n_genes "gene count", n_datasets "dataset count", seed
+            => (Mutation::LoadCompendium { n_genes, n_datasets, seed });
+        "ontology" n_filler "filler term count", seed
+            => (Mutation::BuildOntology { n_filler, seed });
+        "impute" dataset, k => (Mutation::Impute { dataset, k });
+        "normalize" dataset as OrAll, method => (Mutation::Normalize { dataset, method });
+        "cluster_arrays" dataset => (Mutation::ClusterArrays { dataset });
+    }
+    // ── queries ─────────────────────────────────────────────────────────
+    in [Request::Query] {
+        "search" ..query => (Query::Search { query });
+        "spell" top_n, ..genes, needs "<top_n> <gene,gene,...>"
+            => (Query::Spell { genes, top_n });
+        "enrich" max_terms, ..genes as OrSelection, needs "<max_terms> selection|<genes>"
+            => (Query::Enrich { genes, max_terms });
+        "render" width, height, ..path as Optional, needs "<width> <height> [path]"
+            => (Query::Render { width, height, path });
+        "export_cdt" dataset, ..prefix as Optional, needs "<dataset> [prefix]"
+            => (Query::ExportCdt { dataset, prefix });
+        "export_pcl" dataset, ..path as Path, needs "<dataset> <path>"
+            => (Query::ExportPcl { dataset, path });
+        "export_selection" what "selection export" => (Query::ExportSelection { what });
+        "session_info" => (Query::SessionInfo);
+        "list_datasets" => (Query::ListDatasets);
+    }
+}
+
+/// `value`'s text, as `write` spells it.
+fn written<T>(value: &T, write: fn(&T, &mut String)) -> String {
+    let mut out = String::with_capacity(32);
+    write(value, &mut out);
+    out
 }
 
 /// Parse one line as a network transport sees it: `Ok(None)` for blank
@@ -157,91 +235,24 @@ pub fn parse_wire_line(raw: &str) -> Result<Option<WireItem>, ApiError> {
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
     }
-    if line == "ping" {
-        return Ok(Some(WireItem::Ping));
-    }
-    if line == "shutdown" {
-        return Ok(Some(WireItem::Shutdown));
-    }
-    if line == "close" {
-        return Ok(Some(WireItem::Close));
-    }
-    if line == "stats" {
-        return Ok(Some(WireItem::Stats));
-    }
-    if line == "list-sessions" {
-        return Ok(Some(WireItem::ListSessions));
-    }
-    if let Some(rest) = line.strip_prefix("migrate ") {
-        let [session, shard] = fixed_args("migrate", rest.trim())?;
-        if session.is_empty() || session.contains(char::is_whitespace) {
-            return Err(ApiError::parse("session names are single tokens"));
-        }
-        return Ok(Some(WireItem::Migrate {
-            session: session.to_string(),
-            shard: num(shard, "shard")?,
-        }));
-    }
-    if line == "balance" {
-        return Ok(Some(WireItem::Balance { set: None }));
-    }
-    if let Some(rest) = line.strip_prefix("balance ") {
-        let [mode] = fixed_args("balance", rest.trim())?;
-        return Ok(Some(WireItem::Balance {
-            set: Some(mode.parse()?),
-        }));
-    }
-    if let Some(rest) = line.strip_prefix("subscribe ") {
-        let [session, grid] = fixed_args("subscribe", rest.trim())?;
-        if session.is_empty() || session.contains(char::is_whitespace) {
-            return Err(ApiError::parse("session names are single tokens"));
-        }
-        let (tiles_x, tiles_y) = parse_grid_token(grid)?;
-        return Ok(Some(WireItem::Subscribe {
-            session: session.to_string(),
-            tiles_x,
-            tiles_y,
-        }));
-    }
-    if line == "unsubscribe" {
-        return Ok(Some(WireItem::Unsubscribe));
-    }
-    if let Some(rest) = line.strip_prefix("ack ") {
-        let [seq] = fixed_args("ack", rest.trim())?;
-        return Ok(Some(WireItem::Ack {
-            seq: num(seq, "seq")?,
-        }));
-    }
-    parse_script_item(line).map(|item| Some(WireItem::Script(item)))
+    parse_wire_item(line).map(Some)
 }
 
-/// `<tiles_x>x<tiles_y>` → the two non-zero tile counts of a subscriber
-/// grid.
-fn parse_grid_token(token: &str) -> Result<(usize, usize), ApiError> {
-    let Some((tx, ty)) = token.split_once('x') else {
-        return Err(ApiError::parse(format!(
-            "tile grid is <tiles_x>x<tiles_y>, got {token:?}"
-        )));
-    };
-    let tiles_x: usize = num(tx, "tiles_x")?;
-    let tiles_y: usize = num(ty, "tiles_y")?;
-    if tiles_x == 0 || tiles_y == 0 {
-        return Err(ApiError::parse("tile counts must be non-zero"));
+/// Parse one wire line that is neither blank nor a comment: a control
+/// line, else a script item. The inverse of [`format_wire_item`].
+pub fn parse_wire_item(line: &str) -> Result<WireItem, ApiError> {
+    let line = line.trim();
+    let word = first_word(line);
+    match read_control(line, word)? {
+        Some(item) => Ok(item),
+        None => script_item(line, word).map(WireItem::Script),
     }
-    Ok((tiles_x, tiles_y))
 }
 
-/// `<keyword><name>` → `Some(name)` for the session directives (`use `,
-/// `close `); anything else → `None`.
-fn parse_session_directive(line: &str, keyword: &str) -> Result<Option<String>, ApiError> {
-    let Some(rest) = line.strip_prefix(keyword) else {
-        return Ok(None);
-    };
-    let name = rest.trim();
-    if name.is_empty() || name.contains(char::is_whitespace) {
-        return Err(ApiError::parse("session names are single tokens"));
-    }
-    Ok(Some(name.to_string()))
+/// Canonical text of a wire line; the exact inverse of
+/// [`parse_wire_item`] (and so of [`parse_wire_line`]).
+pub fn format_wire_item(item: &WireItem) -> String {
+    written(item, write_wire_item)
 }
 
 /// A script line with its 1-based source line number (for error context).
@@ -274,321 +285,44 @@ pub fn parse_script(text: &str) -> Result<Vec<ScriptLine>, ApiError> {
 /// request. The inverse of [`format_script_item`].
 pub fn parse_script_item(line: &str) -> Result<ScriptItem, ApiError> {
     let line = line.trim();
-    if let Some(name) = parse_session_directive(line, "use ")? {
-        return Ok(ScriptItem::Use(name));
+    script_item(line, first_word(line))
+}
+
+/// [`parse_script_item`] of a trimmed line whose first word is `word`.
+fn script_item(line: &str, word: &str) -> Result<ScriptItem, ApiError> {
+    match read_directive(line, word)? {
+        Some(item) => Ok(item),
+        None => request(line, word).map(ScriptItem::Request),
     }
-    if let Some(name) = parse_session_directive(line, "close ")? {
-        return Ok(ScriptItem::Close(name));
-    }
-    parse_request(line).map(ScriptItem::Request)
 }
 
 /// Canonical text form of a script item; the exact inverse of
 /// [`parse_script_item`].
 pub fn format_script_item(item: &ScriptItem) -> String {
-    match item {
-        ScriptItem::Use(name) => format!("use {name}"),
-        ScriptItem::Close(name) => format!("close {name}"),
-        ScriptItem::Request(request) => format_request(request),
-    }
+    written(item, write_script_item)
 }
 
 /// Parse one request line.
 pub fn parse_request(line: &str) -> Result<Request, ApiError> {
     let line = line.trim();
-    let (keyword, rest) = match line.split_once(char::is_whitespace) {
-        Some((k, r)) => (k, r.trim()),
-        None => (line, ""),
-    };
-    match keyword {
-        // ── mutations: interaction commands ─────────────────────────────
-        "select_region" => {
-            let [d, a, b] = fixed_args(keyword, rest)?;
-            Ok(Command::SelectRegion {
-                dataset: num(d, "dataset")?,
-                start_frac: num(a, "start fraction")?,
-                end_frac: num(b, "end fraction")?,
-            }
-            .into())
-        }
-        "select_genes" => Ok(Command::SelectGenes(parse_list(rest)?).into()),
-        "search_select" => Ok(Command::Search(rest.to_string()).into()),
-        "clear_selection" => {
-            no_args(keyword, rest)?;
-            Ok(Command::ClearSelection.into())
-        }
-        "toggle_sync" => {
-            no_args(keyword, rest)?;
-            Ok(Command::ToggleSync.into())
-        }
-        "scroll" => {
-            let [delta] = fixed_args(keyword, rest)?;
-            Ok(Command::Scroll(num(delta, "scroll delta")?).into())
-        }
-        "order_by_name" => {
-            no_args(keyword, rest)?;
-            Ok(Command::OrderByName.into())
-        }
-        "order_by_relevance" => {
-            let scores = parse_list(rest)?
-                .iter()
-                .map(|s| num::<f32>(s, "relevance score"))
-                .collect::<Result<Vec<f32>, _>>()?;
-            Ok(Command::OrderByRelevance(scores).into())
-        }
-        "cluster_all" => {
-            no_args(keyword, rest)?;
-            Ok(Command::ClusterAll.into())
-        }
-        "set_contrast" => {
-            let [target, value] = fixed_args(keyword, rest)?;
-            Ok(Command::SetContrast {
-                dataset: parse_target(target)?,
-                contrast: num(value, "contrast")?,
-            }
-            .into())
-        }
-        "set_linkage" => {
-            let [kw] = fixed_args(keyword, rest)?;
-            let linkage = linkage_from_str(kw)
-                .ok_or_else(|| ApiError::parse(format!("unknown linkage {kw:?}")))?;
-            Ok(Command::SetLinkage(linkage).into())
-        }
-        "set_metric" => {
-            let [kw] = fixed_args(keyword, rest)?;
-            let metric = metric_from_str(kw)
-                .ok_or_else(|| ApiError::parse(format!("unknown metric {kw:?}")))?;
-            Ok(Command::SetMetric(metric).into())
-        }
+    request(line, first_word(line))
+}
 
-        // ── mutations: data management ──────────────────────────────────
-        "load" => {
-            if rest.is_empty() {
-                return Err(ApiError::parse("load needs a path"));
-            }
-            Ok(Mutation::LoadDataset {
-                path: rest.to_string(),
-            }
-            .into())
-        }
-        "scenario" => {
-            let [n, seed] = fixed_args(keyword, rest)?;
-            Ok(Mutation::LoadScenario {
-                n_genes: num(n, "gene count")?,
-                seed: num(seed, "seed")?,
-            }
-            .into())
-        }
-        "compendium" => {
-            let [n, d, seed] = fixed_args(keyword, rest)?;
-            Ok(Mutation::LoadCompendium {
-                n_genes: num(n, "gene count")?,
-                n_datasets: num(d, "dataset count")?,
-                seed: num(seed, "seed")?,
-            }
-            .into())
-        }
-        "ontology" => {
-            let [n, seed] = fixed_args(keyword, rest)?;
-            Ok(Mutation::BuildOntology {
-                n_filler: num(n, "filler term count")?,
-                seed: num(seed, "seed")?,
-            }
-            .into())
-        }
-        "impute" => {
-            let [d, k] = fixed_args(keyword, rest)?;
-            Ok(Mutation::Impute {
-                dataset: num(d, "dataset")?,
-                k: num(k, "k")?,
-            }
-            .into())
-        }
-        "normalize" => {
-            let [target, method] = fixed_args(keyword, rest)?;
-            let method = NormalizeMethod::from_keyword(method)
-                .ok_or_else(|| ApiError::parse(format!("unknown normalize method {method:?}")))?;
-            Ok(Mutation::Normalize {
-                dataset: parse_target(target)?,
-                method,
-            }
-            .into())
-        }
-        "cluster_arrays" => {
-            let [d] = fixed_args(keyword, rest)?;
-            Ok(Mutation::ClusterArrays {
-                dataset: num(d, "dataset")?,
-            }
-            .into())
-        }
+/// [`parse_request`] of a trimmed line whose first word is `word`.
+fn request(line: &str, word: &str) -> Result<Request, ApiError> {
+    read_request(line, word)?.ok_or_else(|| ApiError::parse(format!("unknown request {word:?}")))
+}
 
-        // ── queries ─────────────────────────────────────────────────────
-        "search" => Ok(Query::Search {
-            query: rest.to_string(),
-        }
-        .into()),
-        "spell" => {
-            let (top_n, genes) = rest
-                .split_once(char::is_whitespace)
-                .ok_or_else(|| ApiError::parse("spell needs <top_n> <gene,gene,...>"))?;
-            Ok(Query::Spell {
-                genes: parse_list(genes.trim())?,
-                top_n: num(top_n, "top_n")?,
-            }
-            .into())
-        }
-        "enrich" => {
-            let (max_terms, genes) = rest
-                .split_once(char::is_whitespace)
-                .ok_or_else(|| ApiError::parse("enrich needs <max_terms> selection|<genes>"))?;
-            let genes = match genes.trim() {
-                "selection" => None,
-                list => Some(parse_list(list)?),
-            };
-            Ok(Query::Enrich {
-                genes,
-                max_terms: num(max_terms, "max_terms")?,
-            }
-            .into())
-        }
-        "render" => {
-            let mut parts = rest.splitn(3, char::is_whitespace);
-            let (w, h) = match (parts.next(), parts.next()) {
-                (Some(w), Some(h)) => (w, h),
-                _ => return Err(ApiError::parse("render needs <width> <height> [path]")),
-            };
-            let path = parts
-                .next()
-                .map(|p| p.trim().to_string())
-                .filter(|p| !p.is_empty());
-            Ok(Query::Render {
-                width: num(w, "width")?,
-                height: num(h, "height")?,
-                path,
-            }
-            .into())
-        }
-        "export_cdt" => {
-            let mut parts = rest.splitn(2, char::is_whitespace);
-            let d = parts
-                .next()
-                .filter(|s| !s.is_empty())
-                .ok_or_else(|| ApiError::parse("export_cdt needs <dataset> [prefix]"))?;
-            let prefix = parts
-                .next()
-                .map(|p| p.trim().to_string())
-                .filter(|p| !p.is_empty());
-            Ok(Query::ExportCdt {
-                dataset: num(d, "dataset")?,
-                prefix,
-            }
-            .into())
-        }
-        "export_pcl" => {
-            let (d, path) = rest
-                .split_once(char::is_whitespace)
-                .ok_or_else(|| ApiError::parse("export_pcl needs <dataset> <path>"))?;
-            Ok(Query::ExportPcl {
-                dataset: num(d, "dataset")?,
-                path: path.trim().to_string(),
-            }
-            .into())
-        }
-        "export_selection" => {
-            let [what] = fixed_args(keyword, rest)?;
-            let what = SelectionExport::from_keyword(what)
-                .ok_or_else(|| ApiError::parse(format!("unknown selection export {what:?}")))?;
-            Ok(Query::ExportSelection { what }.into())
-        }
-        "session_info" => {
-            no_args(keyword, rest)?;
-            Ok(Query::SessionInfo.into())
-        }
-        "list_datasets" => {
-            no_args(keyword, rest)?;
-            Ok(Query::ListDatasets.into())
-        }
-        other => Err(ApiError::parse(format!("unknown request {other:?}"))),
-    }
+/// A line's first word, the keyword a table row is found by: up to the
+/// first whitespace.
+fn first_word(line: &str) -> &str {
+    line.split(char::is_whitespace).next().unwrap_or_default()
 }
 
 /// Canonical text form of a request; the exact inverse of
 /// [`parse_request`].
 pub fn format_request(request: &Request) -> String {
-    match request {
-        Request::Mutate(Mutation::Command(cmd)) => match cmd {
-            Command::SelectRegion {
-                dataset,
-                start_frac,
-                end_frac,
-            } => format!("select_region {dataset} {start_frac:?} {end_frac:?}"),
-            Command::SelectGenes(genes) => {
-                format!("select_genes {}", format_list(genes))
-            }
-            Command::Search(q) => format_trailing("search_select", q),
-            Command::ClearSelection => "clear_selection".into(),
-            Command::ToggleSync => "toggle_sync".into(),
-            Command::Scroll(delta) => format!("scroll {delta}"),
-            Command::OrderByName => "order_by_name".into(),
-            Command::OrderByRelevance(scores) => {
-                let items: Vec<String> = scores.iter().map(|s| format!("{s:?}")).collect();
-                format!("order_by_relevance {}", format_list(&items))
-            }
-            Command::ClusterAll => "cluster_all".into(),
-            Command::SetContrast { dataset, contrast } => {
-                format!("set_contrast {} {contrast:?}", format_target(*dataset))
-            }
-            Command::SetLinkage(l) => format!("set_linkage {}", linkage_str(*l)),
-            Command::SetMetric(m) => format!("set_metric {}", metric_str(*m)),
-        },
-        Request::Mutate(Mutation::LoadDataset { path }) => format!("load {path}"),
-        Request::Mutate(Mutation::LoadScenario { n_genes, seed }) => {
-            format!("scenario {n_genes} {seed}")
-        }
-        Request::Mutate(Mutation::LoadCompendium {
-            n_genes,
-            n_datasets,
-            seed,
-        }) => format!("compendium {n_genes} {n_datasets} {seed}"),
-        Request::Mutate(Mutation::BuildOntology { n_filler, seed }) => {
-            format!("ontology {n_filler} {seed}")
-        }
-        Request::Mutate(Mutation::Impute { dataset, k }) => format!("impute {dataset} {k}"),
-        Request::Mutate(Mutation::Normalize { dataset, method }) => {
-            format!("normalize {} {}", format_target(*dataset), method.as_str())
-        }
-        Request::Mutate(Mutation::ClusterArrays { dataset }) => {
-            format!("cluster_arrays {dataset}")
-        }
-        Request::Query(Query::Search { query }) => format_trailing("search", query),
-        Request::Query(Query::Spell { genes, top_n }) => {
-            format!("spell {top_n} {}", format_list(genes))
-        }
-        Request::Query(Query::Enrich { genes, max_terms }) => match genes {
-            Some(genes) => format!("enrich {max_terms} {}", format_list(genes)),
-            None => format!("enrich {max_terms} selection"),
-        },
-        Request::Query(Query::Render {
-            width,
-            height,
-            path,
-        }) => match path {
-            Some(p) => format!("render {width} {height} {p}"),
-            None => format!("render {width} {height}"),
-        },
-        Request::Query(Query::ExportCdt { dataset, prefix }) => match prefix {
-            Some(p) => format!("export_cdt {dataset} {p}"),
-            None => format!("export_cdt {dataset}"),
-        },
-        Request::Query(Query::ExportPcl { dataset, path }) => {
-            format!("export_pcl {dataset} {path}")
-        }
-        Request::Query(Query::ExportSelection { what }) => {
-            format!("export_selection {}", what.as_str())
-        }
-        Request::Query(Query::SessionInfo) => "session_info".into(),
-        Request::Query(Query::ListDatasets) => "list_datasets".into(),
-    }
+    written(request, write_request)
 }
 
 /// Canonical, deterministic text form of a response: its keyword, what
@@ -876,71 +610,6 @@ pub fn parse_sessions_reply(text: &str) -> Result<Vec<SessionEntry>, ApiError> {
         ));
     }
     Ok(entries)
-}
-
-// ── token helpers ───────────────────────────────────────────────────────
-
-fn no_args(keyword: &str, rest: &str) -> Result<(), ApiError> {
-    if rest.is_empty() {
-        Ok(())
-    } else {
-        Err(ApiError::parse(format!("{keyword} takes no arguments")))
-    }
-}
-
-fn fixed_args<'a, const N: usize>(keyword: &str, rest: &'a str) -> Result<[&'a str; N], ApiError> {
-    let parts: Vec<&str> = rest.split_whitespace().collect();
-    if parts.len() != N {
-        return Err(ApiError::parse(format!(
-            "{keyword} needs {N} argument(s), got {}",
-            parts.len()
-        )));
-    }
-    parts
-        .try_into()
-        .map_err(|_| ApiError::parse("argument count mismatch"))
-}
-
-/// `all` → None, `<index>` → Some(index).
-fn parse_target(token: &str) -> Result<Option<usize>, ApiError> {
-    if token == "all" {
-        Ok(None)
-    } else {
-        num(token, "dataset").map(Some)
-    }
-}
-
-fn format_target(target: Option<usize>) -> String {
-    match target {
-        Some(d) => d.to_string(),
-        None => "all".into(),
-    }
-}
-
-/// Comma-separated list; `-` is the empty list.
-fn parse_list(token: &str) -> Result<Vec<String>, ApiError> {
-    Token::get(token).ok_or_else(|| {
-        ApiError::parse(format!(
-            "expected a comma-separated list without empty items (or `-`), got {token:?}"
-        ))
-    })
-}
-
-fn format_list(items: &[String]) -> String {
-    if items.is_empty() {
-        NONE.to_string()
-    } else {
-        items.join(",")
-    }
-}
-
-/// Keyword plus free trailing text (empty text → bare keyword).
-fn format_trailing(keyword: &str, text: &str) -> String {
-    if text.is_empty() {
-        keyword.to_string()
-    } else {
-        format!("{keyword} {text}")
-    }
 }
 
 #[cfg(test)]
@@ -1396,8 +1065,7 @@ mod tests {
             parse_wire_line("subscribe alpha 4x2").unwrap(),
             Some(WireItem::Subscribe {
                 session: "alpha".into(),
-                tiles_x: 4,
-                tiles_y: 2,
+                tiles: (4, 2),
             })
         );
         assert!(parse_wire_line("subscribe alpha").is_err());

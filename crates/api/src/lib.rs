@@ -72,9 +72,9 @@ pub mod workload;
 
 pub use cache::{CacheStats, DatasetCache};
 pub use codec::{
-    format_request, format_response, format_script_item, format_sessions_reply, parse_request,
-    parse_response, parse_script, parse_script_item, parse_sessions_reply, parse_wire_line,
-    BalanceMode, SessionEntry, WireItem,
+    format_request, format_response, format_script_item, format_sessions_reply, format_wire_item,
+    parse_request, parse_response, parse_script, parse_script_item, parse_sessions_reply,
+    parse_wire_item, parse_wire_line, BalanceMode, SessionEntry, WireItem,
 };
 pub use engine::{Engine, EngineCost, RunOutcome};
 pub use error::{ApiError, ErrorCode};

@@ -39,9 +39,17 @@
 //! on purpose: leading positional tokens (`shard <i>`, `session <name>`,
 //! a frame's `<w>x<h>`), row counts checked against their header, and
 //! multi-line bodies.
+//!
+//! The kit also declares the lines clients send: `line_table!` derives a
+//! family's parser and formatter from rows of a keyword, positional
+//! arguments and the value they build (see `codec.rs`). An argument is
+//! written as its [`Token`] — a request's `f32` in `{:?}` form — or
+//! through a line spelling: [`OrAll`] (`all|<d>`), [`OrSelection`],
+//! [`Optional`] (an absent last argument), [`Path`], [`Name`] (a session
+//! name) or [`Grid`] (`<TX>x<TY>`). A token or spelling that refuses a
+//! text says why ([`Token::refuse`], [`Spelling::refuse`]).
 
 use crate::cache::CacheStats;
-use crate::codec::BalanceMode;
 use crate::error::ApiError;
 use crate::response::DamageRect;
 use std::fmt::{Display, LowerExp, Write};
@@ -56,6 +64,11 @@ pub trait Token: Sized {
     fn put(&self, out: &mut String);
     /// Parse the token text; `None` if it is not one of ours.
     fn get(token: &str) -> Option<Self>;
+    /// The error a line argument gets when `get` refuses `token`;
+    /// `what` names the argument.
+    fn refuse(token: &str, what: &str) -> ApiError {
+        ApiError::parse(format!("bad {what}: {token:?}"))
+    }
 }
 
 macro_rules! display_tokens {
@@ -71,7 +84,18 @@ macro_rules! display_tokens {
     )*};
 }
 // Floats keep Rust's shortest round-trip `Display` form.
-display_tokens!(u32, u64, usize, f64, String, BalanceMode);
+display_tokens!(u32, u64, usize, i64, f64, String);
+
+/// A request's float, in Rust's shortest round-trip `{:?}` form (`2.0`,
+/// `1e-7`), so no precision is lost.
+impl Token for f32 {
+    fn put(&self, out: &mut String) {
+        let _ = write!(out, "{self:?}");
+    }
+    fn get(token: &str) -> Option<Self> {
+        token.parse().ok()
+    }
+}
 
 /// An optional value; absent is `-`.
 impl<T: Token> Token for Option<T> {
@@ -110,6 +134,18 @@ impl<T: Token> Token for Vec<T> {
         }
         let item = |text: &str| Some(text.trim()).filter(|t| !t.is_empty()).and_then(T::get);
         token.split(',').map(item).collect()
+    }
+    /// An empty item refuses the list; otherwise the first item its
+    /// token refuses is named.
+    fn refuse(token: &str, what: &str) -> ApiError {
+        let bad_item = <Vec<String>>::get(token)
+            .and_then(|items| items.into_iter().find(|item| T::get(item).is_none()));
+        match bad_item {
+            Some(item) => T::refuse(&item, what),
+            None => ApiError::parse(format!(
+                "expected a comma-separated list without empty items (or `-`), got {token:?}"
+            )),
+        }
     }
 }
 
@@ -214,6 +250,11 @@ pub trait Spelling<T> {
     fn put(value: &T, out: &mut String);
     /// Parse the value's text; `None` if it is not one of ours.
     fn get(text: &str) -> Option<T>;
+    /// The error a line argument gets when `get` refuses `text`; `what`
+    /// names the argument.
+    fn refuse(text: &str, what: &str) -> ApiError {
+        ApiError::parse(format!("bad {what}: {text:?}"))
+    }
 }
 
 /// The value's own [`Token`]; `Plain<true>` is [`Spaced`].
@@ -226,6 +267,9 @@ impl<T: Token, const SPACED: bool> Spelling<T> for Plain<SPACED> {
     }
     fn get(text: &str) -> Option<T> {
         T::get(text)
+    }
+    fn refuse(text: &str, what: &str) -> ApiError {
+        T::refuse(text, what)
     }
 }
 
@@ -295,6 +339,90 @@ impl Spelling<u64> for Hex16 {
     }
 }
 
+/// Spellings of line arguments that stand for `None` with a word.
+macro_rules! word_or_value {
+    ($($(#[$meta:meta])* $name:ident = $word:literal;)*) => {$(
+        $(#[$meta])*
+        pub struct $name;
+
+        impl<T: Token> Spelling<Option<T>> for $name {
+            fn put(value: &Option<T>, out: &mut String) {
+                match value {
+                    Some(value) => value.put(out),
+                    None => out.push_str($word),
+                }
+            }
+            fn get(text: &str) -> Option<Option<T>> {
+                if text == $word {
+                    Some(None)
+                } else {
+                    T::get(text).map(Some)
+                }
+            }
+            fn refuse(text: &str, what: &str) -> ApiError {
+                T::refuse(text, what)
+            }
+        }
+    )*};
+}
+word_or_value! {
+    /// `all` or a value: every dataset, or the one named.
+    OrAll = "all";
+    /// `selection` or a value: the current selection, or the genes named.
+    OrSelection = "selection";
+    /// Nothing or a value: an optional last argument (`render … [path]`).
+    Optional = "";
+}
+
+/// Free text that is not empty: a path.
+pub struct Path;
+
+impl Spelling<String> for Path {
+    fn put(value: &String, out: &mut String) {
+        out.push_str(value);
+    }
+    fn get(text: &str) -> Option<String> {
+        (!text.is_empty()).then(|| text.to_string())
+    }
+}
+
+/// A session name: one whitespace-free token.
+pub struct Name;
+
+impl Spelling<String> for Name {
+    fn put(value: &String, out: &mut String) {
+        out.push_str(value);
+    }
+    fn get(text: &str) -> Option<String> {
+        let token = !text.is_empty() && !text.contains(char::is_whitespace);
+        token.then(|| text.to_string())
+    }
+    fn refuse(_: &str, _: &str) -> ApiError {
+        ApiError::parse("session names are single tokens")
+    }
+}
+
+/// A subscriber's tile grid, `<tiles_x>x<tiles_y>`, both non-zero.
+pub struct Grid;
+
+impl Spelling<(usize, usize)> for Grid {
+    fn put(value: &(usize, usize), out: &mut String) {
+        value.put(out);
+    }
+    fn get(text: &str) -> Option<(usize, usize)> {
+        <(usize, usize)>::get(text).filter(|&(x, y)| x > 0 && y > 0)
+    }
+    fn refuse(text: &str, _: &str) -> ApiError {
+        let Some((x, y)) = text.split_once('x') else {
+            return ApiError::parse(format!("tile grid is <tiles_x>x<tiles_y>, got {text:?}"));
+        };
+        match (num::<usize>(x, "tiles_x"), num::<usize>(y, "tiles_y")) {
+            (Err(e), _) | (_, Err(e)) => e,
+            _ => ApiError::parse("tile counts must be non-zero"),
+        }
+    }
+}
+
 /// Append ` key=value`, the value spelled `S`.
 pub fn put_as<S: Spelling<T>, T>(out: &mut String, key: &str, value: &T) {
     out.push(' ');
@@ -314,8 +442,10 @@ pub fn get<T: Token>(text: &str, key: &str) -> Result<T, ApiError> {
     parse_as::<Plain, T>(field(text, key)?, key)
 }
 
-fn parse_as<S: Spelling<T>, T>(text: &str, key: &str) -> Result<T, ApiError> {
-    S::get(text).ok_or_else(|| ApiError::parse(format!("bad {key}: {text:?}")))
+/// `text` read through its spelling; a text it refuses is the typed
+/// `E_PARSE` its spelling gives, naming `what` (a key, an argument).
+pub(crate) fn parse_as<S: Spelling<T>, T>(text: &str, what: &str) -> Result<T, ApiError> {
+    S::get(text).ok_or_else(|| S::refuse(text, what))
 }
 
 /// The value of the whitespace-separated `key=value` token in `text`;
@@ -528,9 +658,175 @@ macro_rules! wire_record {
     };
 }
 
+// ── line tables ─────────────────────────────────────────────────────────
+
+/// A row's arguments, trimmed, when the line is the row's; `after` is
+/// what follows the line's first word, the row's keyword. Any request
+/// line with that word is its row's (`exact: false`); a control line or
+/// a directive (`exact: true`) is the bare word when it takes no
+/// arguments, else the word, one space and its arguments.
+pub(crate) fn claim(after: &str, takes_args: bool, exact: bool) -> Option<&str> {
+    let claimed = match (exact, takes_args) {
+        (false, _) => true,
+        (true, false) => after.is_empty(),
+        (true, true) => after.starts_with(' '),
+    };
+    claimed.then(|| after.trim())
+}
+
+/// A row's `N` argument texts from the `rest` of its line. Without a
+/// tail: exactly `N` whitespace-separated tokens. With one: the `N - 1`
+/// arguments before it each run to the next whitespace character, and
+/// the tail is the trimmed rest of the line.
+pub(crate) fn cut<'a, const N: usize>(
+    keyword: &str,
+    rest: &'a str,
+    tail: bool,
+    usage: Option<&str>,
+) -> Result<[&'a str; N], ApiError> {
+    let mut texts = [""; N];
+    if tail {
+        let mut left = rest;
+        for text in texts.iter_mut().take(N.saturating_sub(1)) {
+            if left.is_empty() {
+                return Err(needs(keyword, usage));
+            }
+            (*text, left) = left.split_once(char::is_whitespace).unwrap_or((left, ""));
+        }
+        if let Some(last) = texts.last_mut() {
+            *last = left.trim();
+        }
+        return Ok(texts);
+    }
+    let found = rest.split_whitespace().count();
+    if found != N {
+        return Err(ApiError::parse(match N {
+            0 => format!("{keyword} takes no arguments"),
+            _ => format!("{keyword} needs {N} argument(s), got {found}"),
+        }));
+    }
+    for (text, token) in texts.iter_mut().zip(rest.split_whitespace()) {
+        *text = token;
+    }
+    Ok(texts)
+}
+
+fn needs(keyword: &str, usage: Option<&str>) -> ApiError {
+    let usage = usage.unwrap_or("more arguments");
+    ApiError::parse(format!("{keyword} needs {usage}"))
+}
+
+/// The tail argument, read as [`parse_as`] reads one — except that an empty
+/// tail its spelling refuses is missing, refused with the row's usage
+/// when it has one.
+pub(crate) fn tail<S: Spelling<T>, T>(
+    text: &str,
+    what: &str,
+    keyword: &str,
+    usage: Option<&str>,
+) -> Result<T, ApiError> {
+    parse_as::<S, T>(text, what).map_err(|e| match usage {
+        Some(_) if text.is_empty() => needs(keyword, usage),
+        _ => e,
+    })
+}
+
+/// Append ` <value>`, spelled `S`; a value spelled as nothing (an absent
+/// optional, empty free text) appends nothing.
+pub(crate) fn put_arg<S: Spelling<T>, T>(out: &mut String, value: &T) {
+    out.push(' ');
+    let at = out.len();
+    S::put(value, out);
+    if out.len() == at {
+        out.pop();
+    }
+}
+
+/// Declare one family of wire lines as a table of rows and derive both
+/// directions from it: `fn $read(line, word) -> Result<Option<$ty>,
+/// ApiError>` of a trimmed line and its first word (`Ok(None)` when no
+/// row claims the line; see [`claim`] for `exact`) and `fn $write(&$ty,
+/// &mut String)`.
+///
+/// A row is `"keyword" arguments => (Constructor);`. Arguments are
+/// `name [as Spelling] ["what"]`, in wire order; the last may be a
+/// *tail*, `..name`, which runs to the end of the line (free text,
+/// paths, lists), and a row with a tail may say what it `needs` when an
+/// argument is missing. The tail is read first, then the others in
+/// order; the first one refused is the line's error. The constructor
+/// names the arguments: it is the
+/// expression a parsed line builds and the pattern a value is written
+/// from. `in [Outer::Variant, …] { rows }` wraps a group's constructors
+/// in those variants where a value is written; `else Ty::Variant(x) =>
+/// write_x;` hands the one variant the table leaves out to another
+/// table's writer.
+macro_rules! line_table {
+    (@nest [] $($inner:tt)+) => { $($inner)+ };
+    (@nest [$outer:path $(, $wrap:path)*] $($inner:tt)+) => {
+        $outer($crate::record::line_table!(@nest [$($wrap),*] $($inner)+))
+    };
+    (@what $arg:ident) => { stringify!($arg) };
+    (@what $arg:ident $what:literal) => { $what };
+    (@some) => { false };
+    (@some $($name:ident)+) => { true };
+    (@usage) => { None };
+    (@usage $usage:literal) => { Some($usage) };
+    (
+        fn $read:ident / $write:ident for $ty:ty, exact: $exact:literal;
+        $( in $wrap:tt {
+            $( $keyword:literal
+                $( $arg:ident $(as $spelling:ident)? $($what:literal)? ),* $(,)?
+                $( .. $tail:ident $(as $tail_spelling:ident)? $($tail_what:literal)?
+                    $(, needs $usage:literal)? )?
+                => ( $($ctor:tt)+ );
+            )*
+        } )*
+        $( else $($other:ident)::+ ($inner:ident) => $delegate:ident; )?
+    ) => {
+        #[allow(clippy::useless_conversion, reason = "a row may build the table's own type")]
+        fn $read(line: &str, word: &str) -> Result<Option<$ty>, $crate::ApiError> {
+            use $crate::record::line_table;
+            let after = &line[word.len()..];
+            $( $(
+                let takes_args = line_table!(@some $($arg)* $($tail)?);
+                let claimed = if word == $keyword {
+                    $crate::record::claim(after, takes_args, $exact)
+                } else {
+                    None
+                };
+                if let Some(rest) = claimed {
+                    let usage: Option<&str> = line_table!(@usage $($($usage)?)?);
+                    let [$($arg,)* $($tail)?] =
+                        $crate::record::cut($keyword, rest, line_table!(@some $($tail)?), usage)?;
+                    $( let $tail = $crate::record::tail::<$crate::__spelling!($($tail_spelling)?), _>(
+                        $tail, line_table!(@what $tail $($tail_what)?), $keyword, usage)?; )?
+                    $( let $arg = $crate::record::parse_as::<$crate::__spelling!($($spelling)?), _>(
+                        $arg, line_table!(@what $arg $($what)?))?; )*
+                    return Ok(Some(<$ty>::from($($ctor)+)));
+                }
+            )* )*
+            Ok(None)
+        }
+
+        fn $write(value: &$ty, out: &mut String) {
+            use $crate::record::{line_table, put_arg};
+            match value {
+                $( $( line_table!(@nest $wrap $($ctor)+) => {
+                    out.push_str($keyword);
+                    $( put_arg::<$crate::__spelling!($($spelling)?), _>(out, $arg); )*
+                    $( put_arg::<$crate::__spelling!($($tail_spelling)?), _>(out, $tail); )?
+                } )* )*
+                $( $($other)::+ ($inner) => $delegate($inner, out), )?
+            }
+        }
+    };
+}
+pub(crate) use line_table;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::BalanceMode;
 
     wire_record! {
         #[derive(Debug, PartialEq)]

@@ -7,6 +7,9 @@
 //! introspection). Only mutations enter a session's replay log and can
 //! damage the scene; queries declare they touch nothing.
 
+use crate::codec::BalanceMode;
+use crate::error::ApiError;
+use crate::record::Token;
 use forestview::command::Command;
 use fv_cluster::distance::Metric;
 use fv_cluster::linkage::Linkage;
@@ -120,28 +123,6 @@ pub enum NormalizeMethod {
     ZscoreRows,
 }
 
-impl NormalizeMethod {
-    /// Wire keyword.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            NormalizeMethod::Log2 => "log2",
-            NormalizeMethod::CenterRows => "center",
-            NormalizeMethod::MedianCenterRows => "median",
-            NormalizeMethod::ZscoreRows => "zscore",
-        }
-    }
-
-    pub fn from_keyword(s: &str) -> Option<Self> {
-        Some(match s {
-            "log2" => NormalizeMethod::Log2,
-            "center" => NormalizeMethod::CenterRows,
-            "median" => NormalizeMethod::MedianCenterRows,
-            "zscore" => NormalizeMethod::ZscoreRows,
-            _ => return None,
-        })
-    }
-}
-
 /// Read-only requests.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Query {
@@ -214,66 +195,57 @@ pub enum SelectionExport {
     Coverage,
 }
 
-impl SelectionExport {
-    /// Wire keyword.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SelectionExport::GeneList => "gene_list",
-            SelectionExport::Merged => "merged",
-            SelectionExport::Coverage => "coverage",
+/// The keyword tokens of the wire grammar: each enum's variants beside
+/// their words, and the refusal a word outside them gets. Both
+/// directions of each [`Token`] come from this one table.
+macro_rules! keyword_tokens {
+    ($( $ty:ident, $refusal:literal { $( $variant:ident = $word:literal, )+ } )*) => {$(
+        impl Token for $ty {
+            fn put(&self, out: &mut String) {
+                out.push_str(match self {
+                    $( $ty::$variant => $word, )+
+                });
+            }
+            fn get(token: &str) -> Option<Self> {
+                match token {
+                    $( $word => Some($ty::$variant), )+
+                    _ => None,
+                }
+            }
+            fn refuse(token: &str, _: &str) -> ApiError {
+                ApiError::parse(format!($refusal, token))
+            }
         }
-    }
-
-    pub fn from_keyword(s: &str) -> Option<Self> {
-        Some(match s {
-            "gene_list" => SelectionExport::GeneList,
-            "merged" => SelectionExport::Merged,
-            "coverage" => SelectionExport::Coverage,
-            _ => return None,
-        })
-    }
+    )*};
 }
 
-/// Wire keyword for a linkage criterion.
-pub fn linkage_str(l: Linkage) -> &'static str {
-    match l {
-        Linkage::Single => "single",
-        Linkage::Complete => "complete",
-        Linkage::Average => "average",
-        Linkage::Ward => "ward",
+keyword_tokens! {
+    Linkage, "unknown linkage {:?}" {
+        Single = "single",
+        Complete = "complete",
+        Average = "average",
+        Ward = "ward",
     }
-}
-
-/// Parse a linkage keyword.
-pub fn linkage_from_str(s: &str) -> Option<Linkage> {
-    Some(match s {
-        "single" => Linkage::Single,
-        "complete" => Linkage::Complete,
-        "average" => Linkage::Average,
-        "ward" => Linkage::Ward,
-        _ => return None,
-    })
-}
-
-/// Wire keyword for a distance metric.
-pub fn metric_str(m: Metric) -> &'static str {
-    match m {
-        Metric::Pearson => "pearson",
-        Metric::AbsPearson => "abspearson",
-        Metric::Uncentered => "uncentered",
-        Metric::Spearman => "spearman",
-        Metric::Euclidean => "euclidean",
+    Metric, "unknown metric {:?}" {
+        Pearson = "pearson",
+        AbsPearson = "abspearson",
+        Uncentered = "uncentered",
+        Spearman = "spearman",
+        Euclidean = "euclidean",
     }
-}
-
-/// Parse a metric keyword.
-pub fn metric_from_str(s: &str) -> Option<Metric> {
-    Some(match s {
-        "pearson" => Metric::Pearson,
-        "abspearson" => Metric::AbsPearson,
-        "uncentered" => Metric::Uncentered,
-        "spearman" => Metric::Spearman,
-        "euclidean" => Metric::Euclidean,
-        _ => return None,
-    })
+    NormalizeMethod, "unknown normalize method {:?}" {
+        Log2 = "log2",
+        CenterRows = "center",
+        MedianCenterRows = "median",
+        ZscoreRows = "zscore",
+    }
+    SelectionExport, "unknown selection export {:?}" {
+        GeneList = "gene_list",
+        Merged = "merged",
+        Coverage = "coverage",
+    }
+    BalanceMode, "balance mode is auto|off, got {:?}" {
+        Auto = "auto",
+        Off = "off",
+    }
 }

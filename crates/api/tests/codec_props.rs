@@ -1,6 +1,8 @@
 //! Wire-codec round-trip property tests: `parse(format(req)) == req` for
 //! every [`Request`] variant, through both the single-request parser and
-//! the script parser — and the response side's
+//! the script parser; `parse_wire_line(format_wire_item(x)) == Some(x)`
+//! for every [`WireItem`] variant, control lines included — and the
+//! response side's
 //! `format_response(parse_response(t)) == t` for every `t` that
 //! `format_response` can produce (multi-line bodies, empty damage-rect
 //! lists, and free-text fields included), with names and paths that hold
@@ -11,8 +13,9 @@
 
 use forestview::command::Command;
 use fv_api::codec::{
-    format_request, format_response, format_script_item, parse_request, parse_script,
-    parse_script_item, ScriptItem,
+    format_request, format_response, format_script_item, format_wire_item, parse_request,
+    parse_script, parse_script_item, parse_wire_item, parse_wire_line, BalanceMode, ScriptItem,
+    WireItem,
 };
 use fv_api::response::{
     DamageRect, DatasetRow, EnrichmentRow, SessionInfoData, SpellDatasetRow, SpellGeneRow,
@@ -305,6 +308,42 @@ fn arb_request() -> impl Strategy<Value = Request> {
     proptest::strategy::OneOf::new(all)
 }
 
+/// Every [`WireItem`] variant: each control line, and every script item
+/// (directives and requests) as the wire carries it.
+fn arb_wire_item() -> impl Strategy<Value = WireItem> {
+    FnStrategy::new(|rng: &mut TestRng| {
+        let session = arb_token().generate(rng);
+        let mode = [BalanceMode::Auto, BalanceMode::Off][rng.below(2) as usize];
+        match rng.below(13) {
+            0 => WireItem::Ping,
+            1 => WireItem::Shutdown,
+            2 => WireItem::Close,
+            3 => WireItem::Stats,
+            4 => WireItem::ListSessions,
+            5 => WireItem::Migrate {
+                session,
+                shard: rng.below(64) as usize,
+            },
+            6 => WireItem::Balance { set: None },
+            7 => WireItem::Balance { set: Some(mode) },
+            8 => WireItem::Subscribe {
+                session,
+                tiles: (1 + rng.below(16) as usize, 1 + rng.below(16) as usize),
+            },
+            9 => WireItem::Unsubscribe,
+            10 => WireItem::Ack {
+                seq: rng.next_u64(),
+            },
+            11 => WireItem::Script(if rng.below(2) == 0 {
+                ScriptItem::Use(session)
+            } else {
+                ScriptItem::Close(session)
+            }),
+            _ => WireItem::Script(ScriptItem::Request(arb_request().generate(rng))),
+        }
+    })
+}
+
 /// Multi-line free text for `Response::Text` bodies and session
 /// summaries: word lines, blank lines, and adversarial lines that mimic
 /// frame headers (`err …`, `ok …`) — all of which the continuation
@@ -519,6 +558,13 @@ proptest! {
             let line = format_script_item(&item);
             prop_assert_eq!(parse_script_item(&line).unwrap(), item, "line was {}", line);
         }
+    }
+
+    #[test]
+    fn every_wire_item_roundtrips(item in arb_wire_item()) {
+        let line = format_wire_item(&item);
+        prop_assert_eq!(parse_wire_item(&line).unwrap(), item.clone(), "line was {}", line);
+        prop_assert_eq!(parse_wire_line(&line).unwrap(), Some(item));
     }
 
     #[test]

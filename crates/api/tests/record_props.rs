@@ -9,12 +9,11 @@
 //! value (one that re-formats and re-parses to itself). None panics, and
 //! none reserves from a header count.
 
-use fv_api::codec::ScriptItem;
 use fv_api::record::Token;
 use fv_api::{
-    format_request, format_response, format_session_image, format_sessions_reply, format_trace,
-    parse_request, parse_response, parse_session_image, parse_sessions_reply, parse_trace,
-    parse_wire_line, CacheStats, EngineHub, WireItem,
+    format_response, format_session_image, format_sessions_reply, format_trace, format_wire_item,
+    parse_response, parse_session_image, parse_sessions_reply, parse_trace, parse_wire_line,
+    CacheStats, EngineHub,
 };
 use proptest::prelude::*;
 use std::sync::LazyLock;
@@ -139,7 +138,10 @@ fn the_pinned_texts_roundtrip() {
     assert_eq!(sessions[0].name, "alpha");
     assert_eq!((sessions[0].shard, sessions[0].n_datasets), (1, 3));
     for line in WIRE_LINES.iter() {
-        parse_wire_line(line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+        let item = parse_wire_line(line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+        if let Some(item) = item {
+            assert_eq!(format_wire_item(&item), *line);
+        }
     }
     for body in RESPONSES.iter() {
         let response = parse_response(body).unwrap_or_else(|e| panic!("{body:?}: {e}"));
@@ -183,12 +185,9 @@ proptest! {
                 prop_assert_eq!(parse_trace(&format_trace(&events)).unwrap(), events);
             }
         }
-        // Control lines have no formatter; a line that parses to a request
-        // has one.
         for text in [noise.clone(), mangle(WIRE_LINES[pick % WIRE_LINES.len()], &flips)] {
-            if let Ok(Some(WireItem::Script(ScriptItem::Request(request)))) = parse_wire_line(&text)
-            {
-                prop_assert_eq!(parse_request(&format_request(&request)).unwrap(), request);
+            if let Ok(Some(item)) = parse_wire_line(&text) {
+                prop_assert_eq!(parse_wire_line(&format_wire_item(&item)).unwrap(), Some(item));
             }
         }
         for text in [noise, mangle(&RESPONSES[pick % RESPONSES.len()], &flips)] {

@@ -342,12 +342,12 @@ const RECENT_MOVES: usize = 16;
 /// the simulation harness advance it explicitly.
 #[derive(Debug)]
 pub struct Balancer {
-    /// Current mode; [`Balancer::tick`] plans nothing when `Off` (but
-    /// still folds the reports, so a flip to `Auto` sees fresh deltas).
-    pub mode: BalanceMode,
+    /// Current mode; [`Balancer::tick`] plans nothing when `Off`.
+    mode: BalanceMode,
     cfg: BalanceConfig,
     tick: u64,
-    /// Cumulative per-session request totals at the previous tick.
+    /// Cumulative per-session request totals at the previous tick: the
+    /// baseline of each session seen before.
     last_session_requests: BTreeMap<String, u64>,
     /// Cumulative per-shard (requests, busy-µs) at the previous tick.
     last_shard: BTreeMap<usize, (u64, u64)>,
@@ -376,6 +376,21 @@ impl Balancer {
         }
     }
 
+    /// The current mode.
+    pub fn mode(&self) -> BalanceMode {
+        self.mode
+    }
+
+    /// Set the mode. Nothing is observed while `Off`, so a flip to `Auto`
+    /// forgets the baselines: its first tick only takes new ones.
+    pub fn set_mode(&mut self, mode: BalanceMode) {
+        if mode == BalanceMode::Auto && self.mode != BalanceMode::Auto {
+            self.last_session_requests.clear();
+            self.last_shard.clear();
+        }
+        self.mode = mode;
+    }
+
     /// Ticks elapsed.
     pub fn ticks(&self) -> u64 {
         self.tick
@@ -388,7 +403,10 @@ impl Balancer {
 
     /// Advance one tick: fold the shards' cumulative reports (with each
     /// shard's queue depth, by index, in `queued`) into interval deltas,
-    /// refresh cooldowns, and (in `Auto` mode) plan migrations.
+    /// refresh cooldowns, and (in `Auto` mode) plan migrations. A session
+    /// or shard seen for the first time — new, recovered with its
+    /// lifetime counters after a reboot, or present at a flip to `Auto` —
+    /// only sets its baseline: its delta is 0.
     /// `in_flight` names sessions a move is already under way for. Every
     /// planned session enters cooldown immediately — whatever the move's
     /// eventual outcome.
@@ -412,7 +430,7 @@ impl Balancer {
                 .last_shard
                 .get(&report.shard)
                 .copied()
-                .unwrap_or((0, 0));
+                .unwrap_or((report.requests, busy_total));
             let d_req = report.requests.saturating_sub(last_req);
             let d_busy = busy_total.saturating_sub(last_busy);
             self.last_shard
@@ -427,7 +445,7 @@ impl Balancer {
                     .last_session_requests
                     .get(&s.name)
                     .copied()
-                    .unwrap_or(0);
+                    .unwrap_or(s.requests);
                 let d = s.requests.saturating_sub(last);
                 next_session_requests.insert(s.name.clone(), s.requests);
                 let load = d.saturating_mul(cost_us) + (s.dataset_bytes >> 20);
@@ -446,7 +464,7 @@ impl Balancer {
             });
         }
         // Sessions that vanished (closed) drop their baselines; a
-        // recreated namesake starts over.
+        // recreated namesake is seen anew.
         self.last_session_requests = next_session_requests;
         self.last_shard
             .retain(|shard, _| reports.iter().any(|r| r.shard == *shard));
@@ -642,6 +660,26 @@ mod tests {
         bal.tick(reports, &[], |_| false)
     }
 
+    /// An auto balancer that has seen `reports`' shards and sessions once,
+    /// idle, so its next tick counts their whole totals.
+    fn baselined(reports: &[ShardReport]) -> Balancer {
+        let mut bal = Balancer::new(BalanceMode::Auto, cfg());
+        let idle_once: Vec<ShardReport> = reports
+            .iter()
+            .map(|r| {
+                let names: Vec<(&str, u64)> =
+                    r.sessions.iter().map(|s| (s.name.as_str(), 0)).collect();
+                idle(r.shard, &names)
+            })
+            .collect();
+        assert_eq!(
+            tick(&mut bal, &idle_once),
+            [],
+            "a first sight plans nothing"
+        );
+        bal
+    }
+
     fn cfg() -> BalanceConfig {
         BalanceConfig {
             budget: 4,
@@ -736,11 +774,18 @@ mod tests {
     #[test]
     fn balancer_uses_request_deltas_not_totals() {
         let mut bal = Balancer::new(BalanceMode::Auto, cfg());
-        let reports = [
-            idle(0, &[("hot", 500), ("warm", 400)]),
-            idle(1, &[("calm", 10)]),
+        // Tick 1: first sight only takes baselines, however skewed the
+        // totals.
+        let history = [
+            idle(0, &[("hot", 5000), ("warm", 4000)]),
+            idle(1, &[("calm", 100)]),
         ];
-        // Tick 1: first sight — everything counts as recent. Skewed.
+        assert_eq!(tick(&mut bal, &history), []);
+        // Tick 2: this interval's deltas are skewed.
+        let reports = [
+            idle(0, &[("hot", 5500), ("warm", 4400)]),
+            idle(1, &[("calm", 110)]),
+        ];
         let plans = tick(&mut bal, &reports);
         assert!(!plans.is_empty());
         assert!(plans.iter().all(|p| p.from == 0 && p.to == 1));
@@ -759,7 +804,7 @@ mod tests {
             idle(0, &[("a", 10), ("b", 10)]),
             idle(1, &[("s", 10), ("t", 10)]),
         ];
-        let fresh = || Balancer::new(BalanceMode::Auto, cfg());
+        let fresh = || baselined(&reports);
         // Even by requests; shard 1's queue (by shard index) makes it
         // the hot one, and of its sessions only the one not already
         // moving may go.
@@ -773,13 +818,16 @@ mod tests {
     #[test]
     fn off_mode_observes_but_never_plans() {
         let mut bal = Balancer::new(BalanceMode::Off, cfg());
-        let reports = [idle(0, &[("a", 450), ("b", 450)]), idle(1, &[])];
-        assert_eq!(tick(&mut bal, &reports), []);
-        assert_eq!(bal.ticks(), 1);
-        // flipping to auto, the next tick sees only the delta (zero) —
-        // no stale burst from the Off period
-        bal.mode = BalanceMode::Auto;
-        assert_eq!(tick(&mut bal, &reports), []);
+        let skew = |n| [idle(0, &[("a", n), ("b", n)]), idle(1, &[])];
+        assert_eq!(tick(&mut bal, &skew(450)), []);
+        assert_eq!(tick(&mut bal, &skew(900)), [], "skewed deltas, but off");
+        assert_eq!(bal.ticks(), 2);
+        // Flipping to auto forgets the baselines: the next tick only takes
+        // fresh ones — no stale burst from the Off period — and the tick
+        // after plans on that interval's skew.
+        bal.set_mode(BalanceMode::Auto);
+        assert_eq!(tick(&mut bal, &skew(1800)), []);
+        assert!(!tick(&mut bal, &skew(2700)).is_empty());
     }
 
     #[test]
@@ -790,20 +838,19 @@ mod tests {
         slow.counts[5] = 100; // ≈3000µs each
         let mut fast = LatencyHistogram::new();
         fast.counts[0] = 100; // ≈25µs each
-        let mut bal = Balancer::new(BalanceMode::Auto, cfg());
         let reports = [
             report(0, slow, &[("s0", 60), ("s1", 40)]),
             report(1, fast, &[("f0", 100)]),
         ];
-        let plans = tick(&mut bal, &reports);
+        let plans = tick(&mut baselined(&reports), &reports);
         assert!(!plans.is_empty(), "busy-time imbalance must trigger");
         assert!(plans.iter().all(|p| p.from == 0 && p.to == 1));
     }
 
     #[test]
     fn failed_moves_count_and_keep_their_cooldown() {
-        let mut bal = Balancer::new(BalanceMode::Auto, cfg());
         let skew = [idle(0, &[("a", 400), ("b", 400)]), idle(1, &[])];
+        let mut bal = baselined(&skew);
         let plans = tick(&mut bal, &skew);
         assert_eq!(plans.len(), 1, "one move settles 800/0 into 400/400");
         bal.record_outcome(&plans[0].session, false);

@@ -4,7 +4,8 @@
 use crate::frame::{read_reply, LineReader};
 use fv_api::codec::{ScriptItem, ScriptLine};
 use fv_api::{
-    format_request, parse_response, parse_script, transcript_block, ApiError, Request, Response,
+    format_request, format_script_item, format_wire_item, parse_response, parse_script,
+    transcript_block, ApiError, Request, Response, WireItem,
 };
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
@@ -12,7 +13,7 @@ use std::sync::mpsc::Sender;
 
 /// A connected client. One request at a time: [`Client::execute`] writes
 /// a line and blocks for its frame. (The script runner below pipelines
-/// instead.)
+/// instead.) Every line it sends is written by [`format_wire_item`].
 pub struct Client {
     reader: LineReader<TcpStream>,
     writer: TcpStream,
@@ -43,6 +44,25 @@ impl Client {
         }
     }
 
+    /// Send `item` and read the body of its `ok` reply; a server error is
+    /// returned as it was answered.
+    fn send(&mut self, item: WireItem) -> Result<String, ApiError> {
+        self.roundtrip(&format_wire_item(&item))?
+    }
+
+    /// Send `item`, whose only acceptable reply is `expected`.
+    fn expect(&mut self, item: WireItem, expected: &str) -> Result<(), ApiError> {
+        let line = format_wire_item(&item);
+        let reply = self.roundtrip(&line)??;
+        if reply == expected {
+            Ok(())
+        } else {
+            Err(ApiError::io(format!(
+                "unexpected reply {reply:?} to {line:?}"
+            )))
+        }
+    }
+
     /// Execute a typed request remotely: format → send → decode.
     pub fn execute(&mut self, request: &Request) -> Result<Response, ApiError> {
         let text = self.roundtrip(&format_request(request))??;
@@ -51,19 +71,15 @@ impl Client {
 
     /// Switch (and materialize) the connection's current session.
     pub fn use_session(&mut self, name: &str) -> Result<(), ApiError> {
-        let reply = self.roundtrip(&format!("use {name}"))??;
-        if reply == format!("using {name}") {
-            Ok(())
-        } else {
-            Err(ApiError::io(format!("unexpected use reply {reply:?}")))
-        }
+        let item = WireItem::Script(ScriptItem::Use(name.to_string()));
+        self.expect(item, &format!("using {name}"))
     }
 
     /// Drop the connection's current session server-side (the connection
     /// falls back to the default session). How one-shot clients avoid
     /// leaking scratch sessions.
     pub fn close_session(&mut self) -> Result<(), ApiError> {
-        let reply = self.roundtrip("close")??;
+        let reply = self.send(WireItem::Close)?;
         if reply.starts_with("closed ") {
             Ok(())
         } else {
@@ -87,65 +103,45 @@ impl Client {
     /// naming the target's reason) — and a failed move leaves the session
     /// untouched on its source shard.
     pub fn migrate(&mut self, session: &str, shard: usize) -> Result<(), ApiError> {
-        let reply = self.roundtrip(&format!("migrate {session} {shard}"))??;
-        if reply == format!("migrated {session} shard={shard}") {
-            Ok(())
-        } else {
-            Err(ApiError::io(format!("unexpected migrate reply {reply:?}")))
-        }
+        let expected = format!("migrated {session} shard={shard}");
+        let session = session.to_string();
+        self.expect(WireItem::Migrate { session, shard }, &expected)
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ApiError> {
-        let reply = self.roundtrip("ping")??;
-        if reply == "pong" {
-            Ok(())
-        } else {
-            Err(ApiError::io(format!("unexpected ping reply {reply:?}")))
-        }
+        self.expect(WireItem::Ping, "pong")
     }
 
     /// Ask the server to stop (acknowledged with `bye` before it does).
     pub fn shutdown_server(&mut self) -> Result<(), ApiError> {
-        let reply = self.roundtrip("shutdown")??;
-        if reply == "bye" {
-            Ok(())
-        } else {
-            Err(ApiError::io(format!("unexpected shutdown reply {reply:?}")))
-        }
+        self.expect(WireItem::Shutdown, "bye")
     }
 
     /// Snapshot the server's metrics (`stats` control line), decoded into
     /// the typed [`crate::metrics::ServerStats`].
     pub fn stats(&mut self) -> Result<crate::metrics::ServerStats, ApiError> {
-        let text = self.roundtrip("stats")??;
-        crate::metrics::parse_stats(&text)
+        crate::metrics::parse_stats(&self.send(WireItem::Stats)?)
     }
 
     /// Snapshot the automatic rebalancer (`balance` control line),
     /// decoded into the typed [`crate::balance::BalanceStatus`]: mode,
     /// decision counters, policy knobs, and the recent-move ring.
     pub fn balance_status(&mut self) -> Result<crate::balance::BalanceStatus, ApiError> {
-        let text = self.roundtrip("balance")??;
-        crate::balance::parse_balance(&text)
+        crate::balance::parse_balance(&self.send(WireItem::Balance { set: None })?)
     }
 
     /// Flip the rebalancer mode at runtime (`balance auto|off`). The
     /// policy's counters and cooldowns survive the flip.
     pub fn set_balance(&mut self, mode: crate::balance::BalanceMode) -> Result<(), ApiError> {
-        let reply = self.roundtrip(&format!("balance {mode}"))??;
-        if reply == format!("balance mode={mode}") {
-            Ok(())
-        } else {
-            Err(ApiError::io(format!("unexpected balance reply {reply:?}")))
-        }
+        let expected = format!("balance mode={mode}");
+        self.expect(WireItem::Balance { set: Some(mode) }, &expected)
     }
 
     /// List every live session across all shards (`list-sessions`
     /// control line), merged and sorted by name server-side.
     pub fn list_sessions(&mut self) -> Result<Vec<fv_api::SessionEntry>, ApiError> {
-        let text = self.roundtrip("list-sessions")??;
-        fv_api::parse_sessions_reply(&text)
+        fv_api::parse_sessions_reply(&self.send(WireItem::ListSessions)?)
     }
 }
 
@@ -172,17 +168,7 @@ pub fn run_script_remote(
     // contiguous same-session runs.
     let mut wire = String::new();
     for line in &lines {
-        match &line.item {
-            ScriptItem::Use(name) => {
-                wire.push_str("use ");
-                wire.push_str(name);
-            }
-            ScriptItem::Close(name) => {
-                wire.push_str("close ");
-                wire.push_str(name);
-            }
-            ScriptItem::Request(request) => wire.push_str(&format_request(request)),
-        }
+        wire.push_str(&format_script_item(&line.item));
         wire.push('\n');
     }
     pipelined(addr, |reader, tx| {

@@ -186,9 +186,8 @@ fv_api::wire_record! {
         pub derived_hits: u64 => "derived_hits",
         /// Clusterings computed.
         pub derived_misses: u64 => "derived_misses",
-        /// Rebalancer planning intervals observed. Ticks run in `off` mode
-        /// too (keeping load-delta baselines fresh for a runtime flip to
-        /// auto); only `auto` mode plans moves.
+        /// Rebalancer planning intervals observed. Only `auto` mode
+        /// gathers reports, so `off` mode counts none.
         pub balancer_ticks: u64 => "balancer_ticks",
         /// Automatic migrations completed by the rebalancer. Operator
         /// `migrate` lines are not counted here.

@@ -493,7 +493,7 @@ impl Core {
     }
 
     pub fn balance_mode(&self) -> BalanceMode {
-        self.st.balancer.mode
+        self.st.balancer.mode()
     }
 
     /// Stop every shard and reclaim it — joins worker threads, and with
@@ -589,18 +589,20 @@ impl Core {
         }
     }
 
-    /// One balance interval elapsed: snapshot every shard (the reports
-    /// come back one by one to [`LoopState::on_balance_report`]), then
-    /// plan once the last lands. `false` (and nothing started) while a
-    /// gather is already in flight or any migration or close is mid-air —
-    /// a session in transit may be on two shards at once, so the snapshot
+    /// One balance interval elapsed: in auto mode, snapshot every shard
+    /// (the reports come back one by one to
+    /// [`LoopState::on_balance_report`]), then plan once the last lands.
+    /// `false` (and nothing started) in off mode, which observes nothing
+    /// (a flip to auto starts from fresh baselines), and while a gather
+    /// is already in flight or any migration or close is mid-air — a
+    /// session in transit may be on two shards at once, so the snapshot
     /// would be wrong (and the planner could double-move); the shell
-    /// asks again. Ticks run in Off mode too (the balancer plans
-    /// nothing then): keeping the delta baselines fresh means a runtime
-    /// flip to auto reacts to *current* load, not to hours of
-    /// accumulated counters.
+    /// asks again.
     pub fn tick(&mut self) -> bool {
-        if self.st.balance_gather.is_some() || !self.st.moving.is_empty() {
+        if self.st.balancer.mode() != BalanceMode::Auto
+            || self.st.balance_gather.is_some()
+            || !self.st.moving.is_empty()
+        {
             return false;
         }
         let n = self.st.shards.n_shards();
@@ -933,7 +935,7 @@ fn dispatch(conn: &mut Conn, id: u64, st: &mut LoopState, item: WireItem) -> Res
             let reply = match set {
                 None => format_balance(&st.balancer.status()),
                 Some(mode) => {
-                    st.balancer.mode = mode;
+                    st.balancer.set_mode(mode);
                     format!("balance mode={mode}")
                 }
             };
@@ -941,8 +943,7 @@ fn dispatch(conn: &mut Conn, id: u64, st: &mut LoopState, item: WireItem) -> Res
         }
         WireItem::Subscribe {
             session,
-            tiles_x,
-            tiles_y,
+            tiles: (tiles_x, tiles_y),
         } => {
             let session = SessionId::new(session)?;
             let (sw, sh) = st.scene;
@@ -1467,20 +1468,13 @@ mod tests {
 
     #[test]
     fn flipping_to_auto_reacts_to_fresh_load_only_no_stale_burst() {
-        // Regression for the Off→Auto flip: ticks run while the balancer
-        // is Off (it plans nothing, but load-delta baselines stay fresh),
-        // so flipping to auto after a long skewed history must NOT replay
-        // that history as one giant delta and start migrating idle
-        // sessions.
+        // Regression for the Off→Auto flip: off mode gathers nothing, and
+        // the flip forgets the baselines, so flipping to auto after a long
+        // skewed history must NOT replay that history as one giant delta
+        // and start migrating idle sessions.
         let mut rig = Rig::new(ServerConfig {
             balance: BalanceMode::Off,
-            balance_cfg: BalanceConfig {
-                budget: 2,
-                trigger_ratio: 1.3,
-                settle_ratio: 1.1,
-                min_total_load: 1,
-                cooldown_ticks: 3,
-            },
+            balance_cfg: idle_history_cfg(),
             ..config(2)
         });
         // Heavy skewed history while Off: all sessions on shard 0.
@@ -1489,27 +1483,72 @@ mod tests {
             let replies = rig.ask(c, &format!("use {name}\n{WORK}"));
             assert!(replies.iter().all(Result::is_ok), "{replies:?}");
         }
-        // Several Off-mode ticks absorb that history into the baselines.
+        // Off-mode intervals start nothing.
         for _ in 0..3 {
-            rig.tick();
+            assert!(!rig.core.tick(), "off mode gathers nothing");
             assert_eq!(rig.stats(c).balancer_moves, 0, "off mode must never move");
         }
-        assert_eq!(rig.stats(c).balancer_ticks, 3);
+        assert_eq!(rig.stats(c).balancer_ticks, 0);
         // Flip to auto with the system idle: across many intervals, zero
-        // moves — the stale history is already baselined away.
+        // moves — the first auto tick only takes baselines.
         assert_eq!(rig.ok(c, "balance auto"), "balance mode=auto");
+        assert_idle_ticks_move_nothing(&mut rig, c);
+    }
+
+    /// Knobs under which the idle sessions of [`WORK`] would move if
+    /// their history counted.
+    fn idle_history_cfg() -> BalanceConfig {
+        BalanceConfig {
+            budget: 2,
+            trigger_ratio: 1.3,
+            settle_ratio: 1.1,
+            min_total_load: 1,
+            cooldown_ticks: 3,
+        }
+    }
+
+    /// Ten idle auto intervals plan and move nothing.
+    fn assert_idle_ticks_move_nothing(rig: &mut Rig, c: u64) {
         for _ in 0..10 {
             rig.tick();
         }
         let stats = rig.stats(c);
+        assert_eq!(stats.balancer_ticks, 10);
         assert_eq!(
             stats.balancer_moves, 0,
-            "idle flip must not migrate on stale load"
+            "idle sessions must not migrate on stale load"
         );
         assert_eq!(stats.balancer_failed, 0);
         let status = rig.balance(c);
         assert_eq!(status.mode, BalanceMode::Auto);
         assert_eq!(status.planned, 0);
+    }
+
+    #[test]
+    fn a_reboot_under_auto_plans_nothing_from_recovered_lifetime_counters() {
+        // A recovered session carries its lifetime request count in its
+        // image, and recovery puts every session back on its hash shard:
+        // a skewed, idle history must not read as this interval's load.
+        let (dir, _store, durable) = durable("reboot-auto");
+        let config = ServerConfig {
+            balance_cfg: idle_history_cfg(),
+            ..durable
+        };
+        let mut rig = Rig::new(config.clone());
+        let c = rig.core.open();
+        for name in skewed_names(4, 2) {
+            let replies = rig.ask(c, &format!("use {name}\n{WORK}"));
+            assert!(replies.iter().all(Result::is_ok), "{replies:?}");
+        }
+        drop(rig);
+        let mut rebooted = Rig::new(ServerConfig {
+            balance: BalanceMode::Auto,
+            ..config
+        });
+        let c = rebooted.core.open();
+        assert_eq!(rebooted.stats(c).recovered, 4);
+        assert_idle_ticks_move_nothing(&mut rebooted, c);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1719,7 +1758,11 @@ mod tests {
     #[test]
     fn a_run_is_saved_by_its_shard_before_its_reply_and_nothing_else_writes() {
         let (dir, store, config) = durable("save");
-        let mut rig = Rig::new(config);
+        // Auto, so that a tick gathers every shard's report.
+        let mut rig = Rig::new(ServerConfig {
+            balance: BalanceMode::Auto,
+            ..config
+        });
         let saved = || {
             let scan = store.scan().expect("scan").sessions.into_iter();
             scan.map(|(s, image)| (s.to_string(), image.requests))

@@ -39,7 +39,7 @@
 use crate::frame::ReplyAssembler;
 use crate::metrics::StreamStats;
 use fv_api::record::Token;
-use fv_api::{ApiError, SessionId};
+use fv_api::{format_wire_item, ApiError, SessionId, WireItem};
 use fv_render::Framebuffer;
 use fv_wall::stream::{decode, TileAssembler, TileFrame, TileStreamEncoder};
 use fv_wall::tile::{TileGrid, Viewport};
@@ -205,9 +205,9 @@ impl Watcher {
         tiles_y: usize,
     ) -> Result<Watcher, ApiError> {
         let mut stream = TcpStream::connect(addr).map_err(|e| ApiError::io(e.to_string()))?;
-        stream
-            .write_all(format!("subscribe {session} {tiles_x}x{tiles_y}\n").as_bytes())
-            .map_err(|e| ApiError::io(e.to_string()))?;
+        let session = session.to_string();
+        let tiles = (tiles_x, tiles_y);
+        send(&mut stream, WireItem::Subscribe { session, tiles })?;
         let mut buf = Vec::new();
         let mut start = 0usize;
         // The ack is an ordinary reply frame. A server dying mid-reply
@@ -299,7 +299,7 @@ impl Watcher {
     /// server answers nothing (acks are flow control, not requests), but
     /// uses the lag to drop-to-keyframe a subscriber that falls behind.
     pub fn ack(&mut self, seq: u64) {
-        let _ = self.stream.write_all(format!("ack {seq}\n").as_bytes());
+        let _ = send(&mut self.stream, WireItem::Ack { seq });
     }
 
     /// Stop streaming: sends `unsubscribe`, then drains (and applies) any
@@ -307,9 +307,7 @@ impl Watcher {
     /// arrives. The connection stays usable as a watcher object (frames,
     /// framebuffer, …) but receives no further frames.
     pub fn unsubscribe(&mut self) -> Result<(), ApiError> {
-        self.stream
-            .write_all(b"unsubscribe\n")
-            .map_err(|e| ApiError::io(e.to_string()))?;
+        send(&mut self.stream, WireItem::Unsubscribe)?;
         let mut reply = ReplyAssembler::new();
         loop {
             // What is next in the byte stream: a binary tile frame
@@ -380,6 +378,14 @@ impl Watcher {
     pub fn keyframes(&self) -> u64 {
         self.assembler.keyframes()
     }
+}
+
+/// Write `item`'s line, as [`format_wire_item`] spells it, in one write.
+fn send(stream: &mut TcpStream, item: WireItem) -> Result<(), ApiError> {
+    let line = format_wire_item(&item) + "\n";
+    stream
+        .write_all(line.as_bytes())
+        .map_err(|e| ApiError::io(e.to_string()))
 }
 
 /// Read one `\n`-terminated text line from `stream` through the watcher's

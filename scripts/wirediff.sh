@@ -13,7 +13,10 @@
 # and a session whose PCL was rewritten on disk; a `close` of a session
 # living away from its hash shard, and its name used again at once),
 # plus one pipelined burst whose failing request answers the ones behind
-# it `skipped`, keeps the boot banner and every reply byte, masks what legitimately
+# it `skipped` and one burst of lines the grammar refuses (wrong arity,
+# unknown verbs, bad numbers, lists, targets and keywords, missing
+# paths, bad session names, grids, acks and modes), keeps the boot
+# banner and every reply byte, masks what legitimately
 # differs between two runs
 # (pids, latency buckets, balancer ticks, the address, the temp dir,
 # mtimes) and ends in `diff -r`: no output and exit 0 mean the two builds
@@ -109,6 +112,15 @@ play() {
       "use wdfile" "session_info" "list_datasets" \
       "balance auto" "balance off" "balance" "close" "close wd" "list-sessions" "stats"
     ask "migrate wd2 $((1 - w2home))" "close wd2" "use wd2" "session_info" "list-sessions"
+    # Refused lines, one burst: every parse-error reply byte.
+    burst "select_region 0 0.5" "cluster_all now" "scenario 60" "ack 1 2" "balance auto now" \
+      "warble 7" "ping x" "unsubscribe now" "use" "select_region 0 x 0.5" \
+      "set_contrast all bright" "select_genes" "select_genes a,,b" "order_by_relevance 1,x" \
+      "spell 5 a,,b" "spell x a,b" "spell 5" "enrich 5" "normalize seven zscore" \
+      "set_contrast none 2.0" "load" "render 320" "render 320  240" "export_cdt" "export_pcl 0" \
+      "set_linkage weird" "set_metric weird" "normalize 0 sideways" "export_selection weird" \
+      "scroll 1.5" "impute -1 3" "use a b" "close a b" "subscribe wd" "subscribe wd 0x2" \
+      "subscribe wd 4by2" "subscribe wd ax2" "ack x" "balance sideways" "migrate wd" "migrate wd x"
     ask "shutdown"
   } >"$out/wire"
   exec 3<&-

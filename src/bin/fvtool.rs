@@ -35,11 +35,46 @@
 //! filesystem.
 //!
 //! Exit codes: 0 success, 2 usage/parse errors, otherwise the stable
-//! per-class codes of [`fv_api::ErrorCode::exit_code`].
+//! per-class codes of [`fv_api::ErrorCode::exit_code`] — and 141 (what a
+//! shell reports for a process SIGPIPE ended) when stdout was closed
+//! under the command (`fvtool script f.fvs | head -3`), which then ends
+//! quietly: nothing more is printed, nothing goes to stderr.
 
 use forestview::command::Command;
 use fv_api::{ApiError, Engine, EngineHub, Mutation, Query, Request, Response, SelectionExport};
+use std::io::Write as _;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Set by the first failed write to stdout (a closed pipe); from then on
+/// nothing more is printed, and the command exits [`CLOSED_STDOUT`].
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// The exit code of a command whose stdout was closed under it.
+const CLOSED_STDOUT: u8 = 141;
+
+/// The one writer of everything fvtool prints to stdout.
+fn emit(text: std::fmt::Arguments<'_>) {
+    if !STDOUT_CLOSED.load(Ordering::Relaxed) && std::io::stdout().write_fmt(text).is_err() {
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+    }
+}
+
+fn flush_stdout() {
+    if !STDOUT_CLOSED.load(Ordering::Relaxed) && std::io::stdout().flush().is_err() {
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -151,9 +186,9 @@ fn cmd_render(backend: &mut Backend, args: &[String]) -> Result<(), ApiError> {
     let Response::Frame { panes, .. } = frame else {
         return unexpected("frame", &frame);
     };
-    println!("wrote {out} ({w}x{h}, {panes} panes)");
+    outln!("wrote {out} ({w}x{h}, {panes} panes)");
     match backend.execute(&Request::Query(Query::SessionInfo))? {
-        Response::SessionInfo(info) => print!("{}", info.summary),
+        Response::SessionInfo(info) => out!("{}", info.summary),
         other => return unexpected("session-info", &other),
     }
     Ok(())
@@ -170,7 +205,7 @@ fn cmd_cluster(backend: &mut Backend, args: &[String]) -> Result<(), ApiError> {
         dataset: 0,
         prefix: Some(backend.path(prefix)),
     }))?;
-    println!("wrote {prefix}.cdt / .gtr / .atr");
+    outln!("wrote {prefix}.cdt / .gtr / .atr");
     Ok(())
 }
 
@@ -193,7 +228,7 @@ fn cmd_impute(backend: &mut Backend, args: &[String]) -> Result<(), ApiError> {
         dataset: 0,
         path: backend.path(output),
     }))?;
-    println!("filled {filled}/{missing_before} missing cells with k={k}; wrote {output}");
+    outln!("filled {filled}/{missing_before} missing cells with k={k}; wrote {output}");
     Ok(())
 }
 
@@ -212,12 +247,12 @@ fn cmd_search(backend: &mut Backend, args: &[String]) -> Result<(), ApiError> {
         return unexpected("applied", &applied);
     };
     let n = selection_len.unwrap_or(0);
-    println!(
+    outln!(
         "{n} gene(s) match {query:?} across {} dataset(s):",
         files.len()
     );
-    print!("{}", text_of(backend, SelectionExport::GeneList)?);
-    print!("{}", text_of(backend, SelectionExport::Coverage)?);
+    out!("{}", text_of(backend, SelectionExport::GeneList)?);
+    out!("{}", text_of(backend, SelectionExport::Coverage)?);
     Ok(())
 }
 
@@ -245,15 +280,17 @@ fn cmd_spell(backend: &mut Backend, args: &[String]) -> Result<(), ApiError> {
     if !query_missing.is_empty() {
         eprintln!("warning: not found: {query_missing:?}");
     }
-    println!("datasets by relevance:");
+    outln!("datasets by relevance:");
     for d in &datasets {
-        println!("  {:<28} weight {:.3}", d.name, d.weight);
+        outln!("  {:<28} weight {:.3}", d.name, d.weight);
     }
-    println!("top genes:");
+    outln!("top genes:");
     for g in &genes {
-        println!(
+        outln!(
             "  {:<12} score {:.3} ({} datasets)",
-            g.gene, g.score, g.n_datasets
+            g.gene,
+            g.score,
+            g.n_datasets
         );
     }
     Ok(())
@@ -283,9 +320,9 @@ fn cmd_demo(backend: &mut Backend, args: &[String]) -> Result<(), ApiError> {
         else {
             return unexpected("pcl export", &exported);
         };
-        println!("wrote {path} ({genes} genes x {conditions} conditions)");
+        outln!("wrote {path} ({genes} genes x {conditions} conditions)");
     }
-    println!("try: fvtool render {dir}/session.ppm 1600 1200 {dir}/*.pcl");
+    outln!("try: fvtool render {dir}/session.ppm 1600 1200 {dir}/*.pcl");
     Ok(())
 }
 
@@ -300,11 +337,11 @@ fn cmd_script(remote: Option<&str>, args: &[String]) -> Result<(), ApiError> {
             // Stream entries as they execute so the transcript of the
             // completed prefix survives a mid-script error (mutations are
             // not rolled back).
-            hub.run_script_streaming(&text, |entry| print!("{}", entry.render()))?;
+            hub.run_script_streaming(&text, |entry| out!("{}", entry.render()))?;
         }
         Some(addr) => {
             // Same streaming contract, same transcript bytes — over TCP.
-            fv_net::run_script_remote(addr, &text, |block| print!("{block}"))?;
+            fv_net::run_script_remote(addr, &text, |block| out!("{block}"))?;
         }
     }
     Ok(())
@@ -364,23 +401,22 @@ fn cmd_serve(args: &[String]) -> Result<(), ApiError> {
     let durable = config.state_dir.is_some();
     let server = fv_net::Server::bind(&addr, config)
         .map_err(|e| ApiError::io(format!("bind {addr}: {e}")))?;
-    println!(
+    outln!(
         "fvtool: serving on {} with {} shard(s)",
         server.local_addr(),
         server.n_shards()
     );
     if durable {
-        println!(
+        outln!(
             "fvtool: recovered {} session(s) from the state directory",
             server.recovered()
         );
     }
     // Make the address visible immediately even when stdout is a pipe
     // (CI waits for it / parses the ephemeral port).
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    flush_stdout();
     server.join();
-    println!("fvtool: server stopped");
+    outln!("fvtool: server stopped");
     Ok(())
 }
 
@@ -431,7 +467,7 @@ fn cmd_watch(remote: Option<&str>, args: &[String]) -> Result<(), ApiError> {
     let mut burst: Option<(u64, &'static str, usize, u64)> = None;
     let flush_burst = |burst: &mut Option<(u64, &'static str, usize, u64)>| {
         if let Some((seq, kind, tiles, bytes)) = burst.take() {
-            println!("frame seq={seq} kind={kind} tiles={tiles} bytes={bytes}");
+            outln!("frame seq={seq} kind={kind} tiles={tiles} bytes={bytes}");
         }
     };
     while let Some(frame) = watcher.next_frame()? {
@@ -490,7 +526,7 @@ fn cmd_watch(remote: Option<&str>, args: &[String]) -> Result<(), ApiError> {
         watcher.ack(last);
     }
     let (wall_w, wall_h) = (watcher.grid().wall_width(), watcher.grid().wall_height());
-    println!(
+    outln!(
         "watched session={session} seqs={seqs} frames={} keyframes={} bytes={total_bytes} wall={wall_w}x{wall_h}",
         watcher.frames(),
         watcher.keyframes(),
@@ -509,7 +545,7 @@ fn cmd_watch(remote: Option<&str>, args: &[String]) -> Result<(), ApiError> {
         })?;
         let expected = forestview::renderer::render_desktop(engine.session(), wall_w, wall_h);
         if expected.bytes() == watcher.framebuffer().bytes() {
-            println!(
+            outln!(
                 "verify ok: wall matches local render ({wall_w}x{wall_h}, {} bytes)",
                 expected.bytes().len()
             );
@@ -562,13 +598,13 @@ fn cmd_workload(args: &[String]) -> Result<(), ApiError> {
         }
     }
     for script in fv_api::workload::generate(&spec) {
-        println!(
+        outln!(
             "# client session={} kind={} bursts={}",
             script.session,
             script.kind.name(),
             script.bursts.len()
         );
-        print!("{}", script.script_text());
+        out!("{}", script.script_text());
     }
     Ok(())
 }
@@ -619,11 +655,10 @@ fn cmd_trace_record(remote: Option<&str>, args: &[String]) -> Result<(), ApiErro
     let bound = listener
         .local_addr()
         .map_err(|e| ApiError::io(e.to_string()))?;
-    println!("fvtool: tapping on {bound} -> {upstream}");
+    outln!("fvtool: tapping on {bound} -> {upstream}");
     // tests/cli.rs parses the ephemeral port from that line; make it
     // visible even through a pipe before we block in accept().
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    flush_stdout();
     let events = fv_net::record_session(listener, &upstream)?;
     let (sends, recvs) = (
         events.iter().filter(|e| e.is_send()).count(),
@@ -631,7 +666,7 @@ fn cmd_trace_record(remote: Option<&str>, args: &[String]) -> Result<(), ApiErro
     );
     std::fs::write(out, fv_api::format_trace(&events))
         .map_err(|e| ApiError::io(format!("{out}: {e}")))?;
-    println!("wrote {out} ({sends} sends, {recvs} replies)");
+    outln!("wrote {out} ({sends} sends, {recvs} replies)");
     Ok(())
 }
 
@@ -652,7 +687,7 @@ fn cmd_trace_replay(remote: Option<&str>, args: &[String]) -> Result<(), ApiErro
         Some(addr) => fv_net::replay_remote(addr, &events)?,
         None => fv_net::replay_local(&events)?,
     };
-    print!("{}", outcome.received);
+    out!("{}", outcome.received);
     if let Some((line, expected, got)) = outcome.first_divergence() {
         eprintln!(
             "fvtool: replay diverged at transcript line {line}:\n  recorded: {expected}\n  replayed: {got}"
@@ -696,14 +731,14 @@ fn run(cmd: &str, rest: &[String], remote: Option<&str>) -> Result<(), Failure> 
         "ping" => {
             let addr = remote.ok_or_else(|| ApiError::invalid("ping needs --remote <addr>"))?;
             fv_net::Client::connect(addr)?.ping()?;
-            println!("pong");
+            outln!("pong");
             return Ok(());
         }
         "watch" => return Ok(cmd_watch(remote, rest)?),
         "shutdown" => {
             let addr = remote.ok_or_else(|| ApiError::invalid("shutdown needs --remote <addr>"))?;
             fv_net::Client::connect(addr)?.shutdown_server()?;
-            println!("server shutting down");
+            outln!("server shutting down");
             return Ok(());
         }
         "stats" => {
@@ -711,7 +746,7 @@ fn run(cmd: &str, rest: &[String], remote: Option<&str>) -> Result<(), Failure> 
             // Round-trip through the typed snapshot (decode → re-format)
             // so the printed text is the validated canonical form.
             let stats = fv_net::Client::connect(addr)?.stats()?;
-            println!("{}", fv_net::metrics::format_stats(&stats));
+            outln!("{}", fv_net::metrics::format_stats(&stats));
             return Ok(());
         }
         "sessions" => {
@@ -720,7 +755,7 @@ fn run(cmd: &str, rest: &[String], remote: Option<&str>) -> Result<(), Failure> 
                 return Err(ApiError::invalid("sessions takes no arguments").into());
             }
             let sessions = fv_net::Client::connect(addr)?.list_sessions()?;
-            println!("{}", fv_api::format_sessions_reply(&sessions));
+            outln!("{}", fv_api::format_sessions_reply(&sessions));
             return Ok(());
         }
         "migrate" => {
@@ -732,7 +767,7 @@ fn run(cmd: &str, rest: &[String], remote: Option<&str>) -> Result<(), Failure> 
                 .parse()
                 .map_err(|_| ApiError::parse("bad shard index"))?;
             fv_net::Client::connect(addr)?.migrate(session, shard)?;
-            println!("migrated {session} shard={shard}");
+            outln!("migrated {session} shard={shard}");
             return Ok(());
         }
         "balance" => {
@@ -743,12 +778,12 @@ fn run(cmd: &str, rest: &[String], remote: Option<&str>) -> Result<(), Failure> 
                     // re-format) so the printed text is the validated
                     // canonical form, exactly like `stats`.
                     let status = fv_net::Client::connect(addr)?.balance_status()?;
-                    println!("{}", fv_net::balance::format_balance(&status));
+                    outln!("{}", fv_net::balance::format_balance(&status));
                 }
                 [mode] => {
                     let mode: fv_api::BalanceMode = mode.parse()?;
                     fv_net::Client::connect(addr)?.set_balance(mode)?;
-                    println!("balance mode={mode}");
+                    outln!("balance mode={mode}");
                 }
                 _ => {
                     return Err(ApiError::invalid("balance takes at most one arg: auto|off").into())
@@ -825,7 +860,12 @@ fn main() -> ExitCode {
     let Some((cmd, rest)) = args.split_first() else {
         return usage();
     };
-    match run(cmd, rest, remote.as_deref()) {
+    let result = run(cmd, rest, remote.as_deref());
+    flush_stdout();
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return ExitCode::from(CLOSED_STDOUT);
+    }
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(Failure::Usage) => usage(),
         Err(Failure::Api(e)) => {

@@ -260,6 +260,43 @@ session_info
 }
 
 #[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    // Far more transcript than a pipe buffers, so fvtool is still
+    // writing when its reader goes away.
+    let dir = tmpdir("closed_stdout");
+    let path = dir.join("long.fvs");
+    let script = format!("scenario 60 1\n{}", "session_info\n".repeat(2000));
+    std::fs::write(&path, script).unwrap();
+    let mut child = fvtool()
+        .args(["script", path.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn fvtool script");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut first = String::new();
+    stdout.read_line(&mut first).unwrap();
+    assert_eq!(first, "main:1> scenario 60 1\n");
+    drop(stdout);
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    let status = child.wait().unwrap();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(stderr, "", "a closed stdout is not an error to report");
+    assert_eq!(
+        status.code(),
+        Some(141),
+        "the documented closed-stdout exit"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn script_errors_carry_exit_codes_and_lines() {
     let dir = tmpdir("script_err");
     // line 2 refers to a dataset that does not exist → E_NOT_FOUND (66)

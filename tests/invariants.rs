@@ -1,13 +1,15 @@
 //! The workspace invariants no clippy lint can state, read from the
 //! source text: the error-code registry in `crates/net/README.md` agrees
 //! with `fv_api::ErrorCode` and with every `"E_…"` literal in the source,
-//! every public `format_x` of the codec set has a `parse_x` inverse and a
-//! test that names both, and the `unsafe` declarations clippy does not
-//! see carry a `// SAFETY:` comment. (The others — no wall clock, no
+//! the verb tables of `crates/api/README.md` list exactly the keywords of
+//! the codec's line tables, every public `format_x` of the codec set has
+//! a `parse_x` inverse and a test that names both, and the `unsafe`
+//! declarations clippy does not see carry a `// SAFETY:` comment. (The others — no wall clock, no
 //! panic in fv-net, threads only in the shard modules, `// SAFETY:` on
 //! every `unsafe` block and impl — are clippy lints; see `clippy.toml`.)
 
 use fv_api::ErrorCode;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// The wire codec and its satellite text formats. A `parse_x` anywhere in
@@ -122,6 +124,62 @@ fn every_error_code_has_one_registry_row_with_its_exit_code() {
             path.display()
         );
     }
+}
+
+/// The keywords of the `line_table!` in `crates/api/src/codec.rs` that
+/// declares the lines of type `ty`: each row opens with its quoted
+/// keyword.
+fn line_table_keywords(ty: &str) -> BTreeSet<String> {
+    let codec = read(&root().join("crates/api/src/codec.rs"));
+    let header = format!(" for {ty}, exact:");
+    let table = codec
+        .split("\nline_table! {\n")
+        .skip(1)
+        .find(|table| table.lines().next().is_some_and(|l| l.contains(&header)))
+        .unwrap_or_else(|| panic!("no line_table! for {ty} in codec.rs"));
+    let rows = table.split("\n}\n").next().unwrap_or_default().lines();
+    let keyword = |row: &str| Some(row.trim().strip_prefix('"')?.split('"').next()?.to_string());
+    rows.filter_map(keyword).collect()
+}
+
+/// The verbs of the table under `heading` in `readme`: the first word
+/// of every backticked span in each row's first cell that starts with a
+/// letter (`` `order_by_name` / `order_by_relevance <f1,f2,…>` `` names
+/// two).
+fn readme_verbs(readme: &str, heading: &str) -> BTreeSet<String> {
+    let (_, section) = readme
+        .split_once(&format!("\n### {heading}"))
+        .unwrap_or_else(|| panic!("crates/api/README.md has no {heading} section"));
+    let section = section.split("\n#").next().unwrap_or_default();
+    let mut verbs = BTreeSet::new();
+    for row in section.lines().filter(|l| l.starts_with('|')) {
+        let row = row.replace("\\|", "");
+        let cell = row.split('|').nth(1).unwrap_or_default();
+        for span in cell.split('`').skip(1).step_by(2) {
+            let verb = span.split_whitespace().next().unwrap_or_default();
+            if verb.starts_with(|c: char| c.is_ascii_lowercase()) {
+                verbs.insert(verb.to_string());
+            }
+        }
+    }
+    verbs
+}
+
+#[test]
+fn the_readme_verb_tables_are_the_line_tables() {
+    let readme = read(&root().join("crates/api/README.md"));
+    let mut requests = readme_verbs(&readme, "Mutations");
+    requests.extend(readme_verbs(&readme, "Queries"));
+    assert_eq!(
+        requests,
+        line_table_keywords("Request"),
+        "crates/api/README.md's Mutations and Queries tables against the request table"
+    );
+    assert_eq!(
+        readme_verbs(&readme, "Control lines"),
+        line_table_keywords("WireItem"),
+        "crates/api/README.md's Control lines table against the control-line table"
+    );
 }
 
 /// Clippy's `undocumented_unsafe_blocks` sees `unsafe` blocks and impls;
