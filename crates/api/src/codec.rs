@@ -24,11 +24,10 @@
 //! session's engine.
 
 use crate::error::ApiError;
-use crate::record::{field, get, lead, line_table, num, put, Token};
+use crate::record::{line_table, read_text, write_text, Record, Rows, Token};
 use crate::request::{Mutation, Query, Request};
-use crate::response::{DatasetRow, EnrichmentRow, Response, SpellDatasetRow, SpellGeneRow};
+use crate::response::Response;
 use forestview::command::Command;
-use std::fmt::Write;
 
 /// One parsed script line.
 #[derive(Debug, Clone, PartialEq)]
@@ -222,7 +221,7 @@ line_table! {
 
 /// `value`'s text, as `write` spells it.
 fn written<T>(value: &T, write: fn(&T, &mut String)) -> String {
-    let mut out = String::with_capacity(32);
+    let mut out = String::with_capacity(64);
     write(value, &mut out);
     out
 }
@@ -325,246 +324,65 @@ pub fn format_request(request: &Request) -> String {
     written(request, write_request)
 }
 
-/// Canonical, deterministic text form of a response: its keyword, what
-/// leads the keyed fields (a frame's `<w>x<h>`, row counts), the keyed
-/// fields [`Response`] declares, then rows and bodies. Continuation lines
-/// are indented by two spaces so transcripts stay parseable
-/// line-by-line. [`parse_response`] recovers the typed response —
-/// network clients rely on this — with one documented loss:
+/// Canonical, deterministic text form of a response: its keyword, then
+/// the header row and the rows and body [`Response`] declares.
+/// Continuation lines are indented by two spaces so transcripts stay
+/// parseable line-by-line. [`parse_response`] recovers the typed
+/// response — network clients rely on this — with one documented loss:
 /// floating-point statistics print with fixed display precision
 /// (`{:.3}` / `{:.3e}`), so the parser recovers the displayed value, not
 /// the original bits.
 pub fn format_response(response: &Response) -> String {
-    let mut out = String::with_capacity(64);
-    out.push_str(response.keyword());
-    match response {
-        Response::SearchHits { genes } => put(&mut out, "hits", &genes.len()),
-        Response::SpellRanking {
-            datasets, genes, ..
-        } => {
-            put(&mut out, "datasets", &datasets.len());
-            put(&mut out, "genes", &genes.len());
-        }
-        Response::Enrichment { rows } => put(&mut out, "terms", &rows.len()),
-        Response::Frame { width, height, .. } => {
-            out.push(' ');
-            (*width, *height).put(&mut out);
-        }
-        Response::Text { text } => put(&mut out, "bytes", &text.len()),
-        Response::Datasets { rows } => put(&mut out, "n", &rows.len()),
-        _ => {}
-    }
-    response.put_fields(&mut out);
-    match response {
-        Response::SpellRanking {
-            datasets, genes, ..
-        } => {
-            for d in datasets {
-                out.push_str("\n  dataset ");
-                out.push_str(&d.name);
-                d.put_fields(&mut out);
-            }
-            for g in genes {
-                out.push_str("\n  gene ");
-                out.push_str(&g.gene);
-                g.put_fields(&mut out);
-            }
-        }
-        Response::Enrichment { rows } => {
-            for r in rows {
-                out.push_str("\n  term ");
-                out.push_str(&r.accession);
-                r.put_fields(&mut out);
-                let _ = write!(
-                    out,
-                    " overlap={}/{} name={}",
-                    r.overlap, r.annotated, r.name
-                );
-            }
-        }
-        Response::Text { text } => push_body(&mut out, text),
-        Response::SessionInfo(info) => {
-            put(&mut out, "summary_bytes", &info.summary.len());
-            push_body(&mut out, &info.summary);
-        }
-        Response::Datasets { rows } => {
-            for r in rows {
-                let _ = write!(out, "\n  dataset {}", r.dataset);
-                r.put_fields(&mut out);
-                out.push_str(" clustered=");
-                out.push_str(clustered_word((r.gene_clustered, r.array_clustered)));
-            }
-        }
-        _ => {}
-    }
-    out
+    written(response, Response::put_text)
 }
 
 /// Parse canonical response text (as produced by [`format_response`])
 /// back into a typed [`Response`]; `format_response(parse_response(s)?)
 /// == s` for every `s` the formatter produces (property-tested).
 pub fn parse_response(text: &str) -> Result<Response, ApiError> {
-    let mut lines = text.lines();
-    let head = lines
-        .next()
-        .ok_or_else(|| ApiError::parse("empty response text"))?;
-    let body = lines
-        .map(|l| {
-            l.strip_prefix("  ")
-                .ok_or_else(|| ApiError::parse(format!("continuation line not indented: {l:?}")))
-        })
-        .collect::<Result<Vec<&str>, _>>()?;
+    let (head, mut rows) =
+        Rows::split(text).ok_or_else(|| ApiError::parse("empty response text"))?;
     let (keyword, tail) = head.split_once(' ').unwrap_or((head, ""));
-    let mut response = Response::get_fields(keyword, tail)?;
-    // The header counts only check the rows found; they are wire input
-    // and never size a reservation.
-    let count = |key: &str, found: usize| -> Result<(), ApiError> {
-        if get::<usize>(tail, key)? == found {
-            Ok(())
-        } else {
-            Err(ApiError::parse(format!(
-                "{keyword} {key}= disagrees with the {found} row(s) found"
-            )))
-        }
-    };
-    match &mut response {
-        Response::SearchHits { genes } => count("hits", genes.len())?,
-        Response::SpellRanking {
-            datasets, genes, ..
-        } => {
-            for line in &body {
-                if let Some(row) = line.strip_prefix("dataset ") {
-                    let (name, rest) = lead(row, "weight")?;
-                    datasets.push(SpellDatasetRow {
-                        name: name.to_string(),
-                        ..SpellDatasetRow::get_fields(rest)?
-                    });
-                } else if let Some(row) = line.strip_prefix("gene ") {
-                    let (gene, rest) = lead(row, "score")?;
-                    genes.push(SpellGeneRow {
-                        gene: gene.to_string(),
-                        ..SpellGeneRow::get_fields(rest)?
-                    });
-                } else {
-                    return Err(ApiError::parse(format!("unexpected spell row {line:?}")));
-                }
-            }
-            count("datasets", datasets.len())?;
-            count("genes", genes.len())?;
-        }
-        Response::Enrichment { rows } => {
-            for line in &body {
-                let (accession, rest) = line
-                    .strip_prefix("term ")
-                    .and_then(|row| row.split_once(' '))
-                    .ok_or_else(|| ApiError::parse(format!("unexpected enrich row {line:?}")))?;
-                let (keyed, name) = rest
-                    .split_once(" name=")
-                    .ok_or_else(|| ApiError::parse("enrich term row needs name="))?;
-                let (overlap, annotated) = field(keyed, "overlap")?
-                    .split_once('/')
-                    .ok_or_else(|| ApiError::parse("enrich overlap is <overlap>/<annotated>"))?;
-                rows.push(EnrichmentRow {
-                    accession: accession.to_string(),
-                    name: name.to_string(),
-                    overlap: num(overlap, "overlap")?,
-                    annotated: num(annotated, "annotated")?,
-                    ..EnrichmentRow::get_fields(keyed)?
-                });
-            }
-            count("terms", rows.len())?;
-        }
-        Response::Frame { width, height, .. } => {
-            let dims = tail.split(' ').next().unwrap_or_default();
-            (*width, *height) = <(usize, usize)>::get(dims)
-                .ok_or_else(|| ApiError::parse(format!("frame needs <w>x<h>, got {dims:?}")))?;
-        }
-        Response::Text { text } => *text = rebuild_text(&body, get(tail, "bytes")?)?,
-        Response::SessionInfo(info) => {
-            info.summary = rebuild_text(&body, get(tail, "summary_bytes")?)?;
-        }
-        Response::Datasets { rows } => {
-            for line in &body {
-                let (dataset, rest) = line
-                    .strip_prefix("dataset ")
-                    .and_then(|row| row.split_once(' '))
-                    .ok_or_else(|| ApiError::parse(format!("unexpected dataset row {line:?}")))?;
-                let (keyed, clustered) = rest
-                    .rsplit_once(" clustered=")
-                    .ok_or_else(|| ApiError::parse("dataset row needs clustered="))?;
-                let (gene_clustered, array_clustered) =
-                    [(true, true), (true, false), (false, true), (false, false)]
-                        .into_iter()
-                        .find(|&state| clustered_word(state) == clustered)
-                        .ok_or_else(|| {
-                            ApiError::parse(format!("unknown cluster state {clustered:?}"))
-                        })?;
-                rows.push(DatasetRow {
-                    dataset: num(dataset, "dataset")?,
-                    gene_clustered,
-                    array_clustered,
-                    ..DatasetRow::get_fields(keyed)?
-                });
-            }
-            count("n", rows.len())?;
-        }
-        _ if !body.is_empty() => {
-            return Err(ApiError::parse(format!(
-                "{keyword} responses are single-line, got {} continuation line(s)",
-                body.len()
-            )))
-        }
-        _ => {}
-    }
+    let response = Response::get_record(keyword, tail, &mut rows)?;
+    rows.end()?;
     Ok(response)
 }
 
-/// A dataset row's `clustered=` word for its (gene, array) cluster state.
-fn clustered_word(state: (bool, bool)) -> &'static str {
-    match state {
-        (true, true) => "gene+array",
-        (true, false) => "gene",
-        (false, true) => "array",
-        (false, false) => "none",
+/// A session image's log row: the mutation's request line.
+impl Record for Mutation {
+    fn put_record(&self, out: &mut String) {
+        write_request(&Request::Mutate(self.clone()), out);
     }
-}
 
-/// Append a multi-line body, each line indented two spaces.
-fn push_body(out: &mut String, text: &str) {
-    for line in text.lines() {
-        out.push_str("\n  ");
-        out.push_str(line);
-    }
-}
-
-/// Rebuild a multi-line body from its de-indented lines plus the
-/// advertised byte length (which disambiguates a trailing newline).
-fn rebuild_text(lines: &[&str], bytes: usize) -> Result<String, ApiError> {
-    let joined = lines.join("\n");
-    if joined.len() == bytes {
-        Ok(joined)
-    } else if joined.len() + 1 == bytes {
-        Ok(joined + "\n")
-    } else {
-        Err(ApiError::parse(format!(
-            "text length {} disagrees with advertised {bytes} bytes",
-            joined.len()
-        )))
+    fn get_record(text: &str, _: &mut Rows<'_>) -> Result<Mutation, ApiError> {
+        match parse_request(text)? {
+            Request::Mutate(m) => Ok(m),
+            Request::Query(_) => Err(ApiError::parse(format!(
+                "session image log rows are mutations, got query {text:?}"
+            ))),
+        }
     }
 }
 
 crate::wire_record! {
-    /// One session in a cross-shard `list-sessions` reply.
+    /// One session in a cross-shard `list-sessions` reply: a `session`
+    /// row.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct SessionEntry {
+        /// Session name (a single whitespace-free token, per
+        /// [`crate::SessionId`]); leads the row.
+        pub name: String => _,
         /// Shard the session lives on.
         pub shard: usize => "shard",
         /// Datasets loaded into the session.
         pub n_datasets: usize => "datasets",
-        ..
-        /// Session name (a single whitespace-free token, per
-        /// [`crate::SessionId`]); leads its row.
-        pub name: String,
+    }
+}
+
+crate::wire_record! {
+    /// A `list-sessions` reply: an `n=` count, then one row per session.
+    struct SessionsReply {
+        entries: Vec<SessionEntry> => ["n" rows "session"],
     }
 }
 
@@ -572,44 +390,14 @@ crate::wire_record! {
 /// emitted in the order given — servers merge shard listings and sort by
 /// name before formatting. The inverse is [`parse_sessions_reply`].
 pub fn format_sessions_reply(entries: &[SessionEntry]) -> String {
-    let mut out = format!("sessions n={}", entries.len());
-    for e in entries {
-        out.push_str("\n  session ");
-        out.push_str(&e.name);
-        e.put_fields(&mut out);
-    }
-    out
+    let entries = entries.to_vec();
+    write_text("sessions", &SessionsReply { entries })
 }
 
 /// Parse a `list-sessions` reply back into its entries; inverse of
 /// [`format_sessions_reply`].
 pub fn parse_sessions_reply(text: &str) -> Result<Vec<SessionEntry>, ApiError> {
-    let mut lines = text.lines();
-    let head = lines
-        .next()
-        .ok_or_else(|| ApiError::parse("empty sessions reply"))?;
-    let tail = head
-        .strip_prefix("sessions ")
-        .ok_or_else(|| ApiError::parse(format!("not a sessions reply: {head:?}")))?;
-    let n: usize = get(tail, "n")?;
-    // The count only checks the rows found; it never sizes a reservation.
-    let mut entries = Vec::new();
-    for line in lines {
-        let (name, rest) = line
-            .strip_prefix("  session ")
-            .and_then(|row| row.split_once(' '))
-            .ok_or_else(|| ApiError::parse(format!("unexpected session row {line:?}")))?;
-        entries.push(SessionEntry {
-            name: name.to_string(),
-            ..SessionEntry::get_fields(rest)?
-        });
-    }
-    if entries.len() != n {
-        return Err(ApiError::parse(
-            "session row count disagrees with the header",
-        ));
-    }
-    Ok(entries)
+    read_text("sessions", text).map(|reply: SessionsReply| reply.entries)
 }
 
 #[cfg(test)]
@@ -968,6 +756,9 @@ mod tests {
             "session datasets=1 universe=1 measurements=1 selection=- sync=maybe scroll=0 order=0 summary_bytes=0",
             "enrich terms=1\n  term GO:1 p=1.000e0 q=1.000e0 overlap=1 name=x",
             "datasets n=1\n  dataset 0 name=d genes=1 conditions=1 clustered=both",
+            // rows out of declared order, or under another kind's word
+            "spell datasets=1 genes=1 missing=-\n  gene G1 score=0.500 datasets=1\n  dataset d weight=1.000 present=1",
+            "datasets n=1\n  term 0 name=d genes=1 conditions=1 clustered=none",
             // header counts no reply could hold
             "spell datasets=18446744073709551615 genes=0 missing=-",
             "spell datasets=0 genes=1099511627776 missing=-\n  gene G1 score=0.5 datasets=1",

@@ -715,7 +715,7 @@ pub(crate) fn parse_dataset_text(path: &str, text: &str) -> Result<fv_expr::Data
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| path.to_string());
-    match fv_formats::detect_format(text) {
+    let dataset = match fv_formats::detect_format(text) {
         fv_formats::FileFormat::Pcl => fv_formats::pcl::parse_pcl(&name, text)
             .map_err(|e| ApiError::format(format!("{path}: {e}"))),
         fv_formats::FileFormat::Cdt => fv_formats::cdt::parse_cdt(&name, text)
@@ -724,6 +724,16 @@ pub(crate) fn parse_dataset_text(path: &str, text: &str) -> Result<fv_expr::Data
         other => Err(ApiError::format(format!(
             "{path}: unsupported format {other:?}"
         ))),
+    }?;
+    // A gene id travels as a list item (`select_genes a,b`, `genes=`): a
+    // token without a comma.
+    let unlisted = |id: &str| id.is_empty() || id.contains(|c: char| c == ',' || c.is_whitespace());
+    match dataset.genes.iter().find(|gene| unlisted(&gene.id)) {
+        Some(gene) => Err(ApiError::parse(format!(
+            "{path}: gene id {:?} is empty or holds a comma or whitespace",
+            gene.id
+        ))),
+        None => Ok(dataset),
     }
 }
 
@@ -741,6 +751,19 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
     use forestview::command::Command;
+
+    #[test]
+    fn a_gene_id_no_list_can_carry_is_refused_by_name() {
+        let pcl = |id: &str| {
+            format!("ID\tNAME\tGWEIGHT\tc0\nEWEIGHT\t\t\t1\nYAL001C\tA\t1\t0.5\n{id}\tB\t1\t0.1\n")
+        };
+        assert!(parse_dataset_text("g.pcl", &pcl("YAL002W")).is_ok());
+        for id in ["YAL,002W", "YAL 002W"] {
+            let err = parse_dataset_text("g.pcl", &pcl(id)).unwrap_err();
+            assert_eq!(err.code, crate::error::ErrorCode::Parse, "{id:?}");
+            assert!(err.message.contains(&format!("{id:?}")), "{}", err.message);
+        }
+    }
 
     fn loaded_engine() -> Engine {
         let mut e = Engine::with_scene(800, 600);

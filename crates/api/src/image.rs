@@ -33,12 +33,13 @@
 //! ever travel between processes of one build, or through the versioned
 //! on-disk [`SessionStore`](crate::store::SessionStore) layout.
 
-use crate::codec::{format_request, parse_request};
 use crate::engine::fnv1a;
 use crate::error::ApiError;
-use crate::record::get;
-use crate::request::{Mutation, Request};
-use std::fmt::Write;
+use crate::record::{read_text, write_text};
+use crate::request::Mutation;
+
+/// What an image's header row starts with: its format and version.
+const HEADER: &str = "session-image v2";
 
 crate::wire_record! {
     /// Fingerprint of one file-backed dataset a session loaded: enough for a
@@ -58,8 +59,8 @@ crate::wire_record! {
         /// restore.
         pub hash: u64 => "hash",
         /// The path as the `load` request spelled it. Last on the row, so
-        /// it may contain spaces.
-        pub path: String => "path" as Spaced,
+        /// it may contain spaces (but not start or end with one).
+        pub path: String => "path" as Path,
     }
 }
 
@@ -108,38 +109,21 @@ crate::wire_record! {
         /// requests count here but never appear in the log, so the counter
         /// must travel explicitly for `Engine::cost` to survive a restore.
         pub requests: u64 => "requests",
-        ..
         /// Fingerprints of every file-loaded dataset, sorted by path. One
         /// stamp per path (the latest observation) — an image is exact
         /// provided each file is unchanged since the session loaded it.
-        pub datasets: Vec<DatasetStamp>,
+        pub datasets: Vec<DatasetStamp> => ["datasets" rows "dataset"],
         /// The compacted log of successful mutations, in application order.
         /// Replaying it through the normal execute path rebuilds the session
-        /// state exactly.
-        pub log: Vec<Mutation>,
+        /// state exactly; each is a bare request line.
+        pub log: Vec<Mutation> => ["log" rows ""],
     }
 }
 
 /// Canonical text form of a session image; inverse of
 /// [`parse_session_image`].
 pub fn format_session_image(image: &SessionImage) -> String {
-    let mut out = String::from("session-image v2");
-    image.put_fields(&mut out);
-    let _ = write!(
-        out,
-        " datasets={} log={}",
-        image.datasets.len(),
-        image.log.len()
-    );
-    for d in &image.datasets {
-        out.push_str("\n  dataset");
-        d.put_fields(&mut out);
-    }
-    for m in &image.log {
-        out.push_str("\n  ");
-        out.push_str(&format_request(&Request::Mutate(m.clone())));
-    }
-    out
+    write_text(HEADER, image)
 }
 
 /// Parse a session image back from its canonical text; inverse of
@@ -147,60 +131,7 @@ pub fn format_session_image(image: &SessionImage) -> String {
 /// the rows present, dataset rows must precede log rows, and every log
 /// row must be a mutation (queries never enter a session log).
 pub fn parse_session_image(text: &str) -> Result<SessionImage, ApiError> {
-    let mut lines = text.lines();
-    let head = lines
-        .next()
-        .ok_or_else(|| ApiError::parse("empty session image"))?;
-    let tail = head
-        .strip_prefix("session-image v2 ")
-        .ok_or_else(|| ApiError::parse(format!("not a v2 session image: {head:?}")))?;
-    let mut image = SessionImage::get_fields(tail)?;
-    let n_datasets: usize = get(tail, "datasets")?;
-    let n_log: usize = get(tail, "log")?;
-    // The counts are on-disk bytes: rows are pushed as they are found,
-    // never reserved for, so a lying header costs one "missing rows" error.
-    for _ in 0..n_datasets {
-        let line = lines
-            .next()
-            .ok_or_else(|| ApiError::parse("session image is missing dataset rows"))?;
-        image.datasets.push(parse_dataset_row(line)?);
-    }
-    for _ in 0..n_log {
-        let line = lines
-            .next()
-            .ok_or_else(|| ApiError::parse("session image is missing log rows"))?;
-        let row = line
-            .strip_prefix("  ")
-            .ok_or_else(|| ApiError::parse(format!("log rows are indented, got {line:?}")))?;
-        match parse_request(row)? {
-            Request::Mutate(m) => image.log.push(m),
-            Request::Query(_) => {
-                return Err(ApiError::parse(format!(
-                    "session image log rows are mutations, got query {row:?}"
-                )))
-            }
-        }
-    }
-    if let Some(extra) = lines.next() {
-        return Err(ApiError::parse(format!(
-            "session image has rows past its declared counts: {extra:?}"
-        )));
-    }
-    Ok(image)
-}
-
-fn parse_dataset_row(line: &str) -> Result<DatasetStamp, ApiError> {
-    let row = line
-        .strip_prefix("  dataset ")
-        .ok_or_else(|| ApiError::parse(format!("expected a dataset row, got {line:?}")))?;
-    let stamp = DatasetStamp::get_fields(row)?;
-    if stamp.path.is_empty() || stamp.path.trim() != stamp.path {
-        return Err(ApiError::parse(format!(
-            "bad dataset path {:?}",
-            stamp.path
-        )));
-    }
-    Ok(stamp)
+    read_text(HEADER, text)
 }
 
 #[cfg(test)]

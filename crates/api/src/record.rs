@@ -1,44 +1,57 @@
-//! The record kit: one ordered `field => "wire key"` table per
-//! `key=value` record, from which both directions of its text mapping
-//! are derived.
+//! The record kit: one ordered table per wire record, from which both
+//! directions of its text mapping are derived.
 //!
 //! Responses and transport records (`stats`, `balance`,
-//! `list-sessions`, the session image, process-shard reports) are rows
-//! of whitespace-separated `key=value` tokens.
+//! `list-sessions`, the session image, process-shard reports) are a
+//! header row of whitespace-separated `key=value` tokens, and the
+//! multi-row ones indented continuation lines after it.
 //! [`wire_record!`](crate::wire_record) declares such a record's type
-//! and its wire keys in one listing and emits `put_fields` /
-//! `get_fields` — inverse by construction, so adding a counter to a row
-//! is one table line. The key is spelled beside the field because
-//! several differ from it (`busy`, `trigger`, `missing`, …). A record
-//! inside a row (the latency histogram's two keys in a `shard` row) is
-//! a table of its own, put and got beside the row's.
+//! and its text in one listing and emits `put_fields` / `get_fields`
+//! and a [`Record`] impl — inverse by construction, so adding a counter
+//! to a row is one table line. Two forms:
 //!
-//! Two forms:
+//! - **struct**: `field: Type => <place> [as Spelling],` lines in wire
+//!   order, then optionally `..` and fields that carry no text;
+//! - **enum**: one `Variant = "keyword" { <lines> },` per row kind, then
+//!   optionally `..` and wrapped variants, `Variant = "keyword"
+//!   (Record),` whose record is a struct-form table of its own. The enum
+//!   is written whole by `put_text` and read by `get_record(keyword,
+//!   head, rows)`.
 //!
-//! - **struct**: `field: Type => "key" [as Spelling],` lines in wire
-//!   order, then optionally `..` and fields that carry no key;
-//! - **enum**: one `Variant = "keyword" { <struct body> },` per row kind,
-//!   then optionally `..` and wrapped variants,
-//!   `Variant = "keyword" (Record),` whose record is a struct-form table
-//!   of its own. The enum also gets `keyword()`, and its `get_fields`
-//!   takes the keyword that picks the variant.
+//! A line's `<place>` is where its value goes:
 //!
-//! A value is written as its [`Token`] unless the field names a
+//! - `"key"`: a ` key=value` token (several keys differ from their field:
+//!   `busy`, `trigger`, `missing`, …);
+//! - `_`: a **leading value**, ` value`, before every key (`shard <i>`,
+//!   `move <session> <from> <to>`, a frame's `<w>x<h>`);
+//! - `..`: an **embedded record**, its own table's tokens (a shard row's
+//!   latency histogram);
+//! - `["count" rows "word"]`: a **counted row section**, ` count=<n>` here
+//!   and one `\n  word <row>` line per element of the `Vec`, written by
+//!   the element's [`Record`] impl. Sections follow the header in
+//!   declared order. An empty word holds bare lines (a session image's
+//!   request lines); `[rows "word"]`, uncounted, comes last; `[row
+//!   "word"]` is exactly one row;
+//! - `["count" body]`: a **byte-counted body**, ` count=<bytes>` here and
+//!   the text's lines, indented, after every row;
+//! - `["count" counts "key"]`: ` count=<n> key=<list>`.
+//!
+//! `Copy` fields may share a line, `a: A, b: B => <place> as Spelling,`,
+//! written as one value (`<w>x<h>`, `overlap=<a>/<b>`, `clustered=gene`).
+//!
+//! A value is written as its [`Token`] unless the line names a
 //! [`Spelling`]: [`YesNo`], [`OnOff`], [`Fixed3`] (`{:.3}`), [`Sci3`]
-//! (`{:.3e}`), [`Hex16`] (sixteen hex digits) or [`Spaced`]. Display
-//! floats read back as the value displayed, not the original bits.
+//! (`{:.3e}`), [`Hex16`] (sixteen hex digits), [`Fraction`],
+//! [`Clustered`], [`Spaced`] or [`Path`]. Display floats read back as the
+//! value displayed, not the original bits. A [`Spaced`] value (a name or
+//! a path, or a SPELL row's leading name) may hold spaces: it runs to the
+//! last ` <next key>=` of its table, or to the end of the line when no
+//! key follows, and the other keys are looked up outside it — so a name
+//! may even hold the text of the key after it. A table has at most one.
 //!
-//! A [`Spaced`] value (a name or a path) may hold spaces: it runs to the
-//! last ` <next key>=` of its table, or to the end of the line when it is
-//! the table's last key, and the table's other keys are looked up
-//! outside it — so a name may even hold the text of the key after it. A
-//! table has at most one spaced field. [`lead`] applies the same rule to
-//! a name that leads its row.
-//!
-//! What is not a single token stays hand-written around the kit call,
-//! on purpose: leading positional tokens (`shard <i>`, `session <name>`,
-//! a frame's `<w>x<h>`), row counts checked against their header, and
-//! multi-line bodies.
+//! Reading never trusts a count: a count checks the rows found and
+//! reserves nothing; rows past a count, missing rows, rows out of
+//! declared order and rows under an unknown word are refused.
 //!
 //! The kit also declares the lines clients send: `line_table!` derives a
 //! family's parser and formatter from rows of a keyword, positional
@@ -52,8 +65,10 @@
 use crate::cache::CacheStats;
 use crate::error::ApiError;
 use crate::response::DamageRect;
+use std::cell::Cell;
 use std::fmt::{Display, LowerExp, Write};
-use std::str::FromStr;
+use std::iter::Peekable;
+use std::str::{FromStr, Lines};
 
 /// Sentinel for empty lists and absent optionals on the wire.
 pub(crate) const NONE: &str = "-";
@@ -374,15 +389,46 @@ word_or_value! {
     Optional = "";
 }
 
-/// Free text that is not empty: a path.
+/// Free text that is neither empty nor padded with whitespace: a path.
+/// In a table it is [`Spaced`].
 pub struct Path;
 
 impl Spelling<String> for Path {
+    const SPACED: bool = true;
     fn put(value: &String, out: &mut String) {
         out.push_str(value);
     }
     fn get(text: &str) -> Option<String> {
-        (!text.is_empty()).then(|| text.to_string())
+        (!text.is_empty() && text.trim() == text).then(|| text.to_string())
+    }
+}
+
+/// A part of a whole, `<part>/<whole>` (an enriched term's overlap).
+pub struct Fraction;
+
+impl Spelling<(usize, usize)> for Fraction {
+    fn put(&(part, whole): &(usize, usize), out: &mut String) {
+        let _ = write!(out, "{part}/{whole}");
+    }
+    fn get(text: &str) -> Option<(usize, usize)> {
+        let (part, whole) = text.split_once('/')?;
+        Some((part.parse().ok()?, whole.parse().ok()?))
+    }
+}
+
+/// A dataset's cluster state, (gene axis, array axis), as one word:
+/// `gene+array`, `gene`, `array` or `none`.
+pub struct Clustered;
+
+const CLUSTERED: [&str; 4] = ["none", "array", "gene", "gene+array"];
+
+impl Spelling<(bool, bool)> for Clustered {
+    fn put(&(gene, array): &(bool, bool), out: &mut String) {
+        out.push_str(CLUSTERED[usize::from(gene) * 2 + usize::from(array)]);
+    }
+    fn get(text: &str) -> Option<(bool, bool)> {
+        let at = CLUSTERED.iter().position(|&word| word == text)?;
+        Some((at >= 2, at % 2 == 1))
     }
 }
 
@@ -444,7 +490,7 @@ pub fn get<T: Token>(text: &str, key: &str) -> Result<T, ApiError> {
 
 /// `text` read through its spelling; a text it refuses is the typed
 /// `E_PARSE` its spelling gives, naming `what` (a key, an argument).
-pub(crate) fn parse_as<S: Spelling<T>, T>(text: &str, what: &str) -> Result<T, ApiError> {
+pub fn parse_as<S: Spelling<T>, T>(text: &str, what: &str) -> Result<T, ApiError> {
     S::get(text).ok_or_else(|| S::refuse(text, what))
 }
 
@@ -479,49 +525,108 @@ fn last_key(text: &str, key: &str) -> Option<usize> {
         .map(|at| at + key.len())
 }
 
-/// Split a row led by a name at the last ` <key>=`: the name, and the
-/// rest of the row from `key` on. The name may hold spaces, and even the
-/// text of `key`.
-pub fn lead<'a>(row: &'a str, key: &str) -> Result<(&'a str, &'a str), ApiError> {
-    let at = last_key(row, key).ok_or_else(|| missing(key))? - key.len();
-    Ok((&row[..at - 1], &row[at..]))
+/// What a table line puts in its row, as [`Row::new`] cuts it: a leading
+/// value, a ` key=`, or nothing it looks for.
+#[doc(hidden)]
+#[derive(Clone, Copy)]
+pub enum Slot {
+    Lead { spaced: bool },
+    Key { key: &'static str, spaced: bool },
+    Other,
 }
 
-/// One row's text as a table reads it: its spaced value (if the table
-/// has one) cut out, every other key looked up before or after it.
+/// The first key among `slots`.
+fn first_key(slots: &[Slot]) -> Option<&'static str> {
+    slots.iter().find_map(|slot| match *slot {
+        Slot::Key { key, .. } => Some(key),
+        _ => None,
+    })
+}
+
+/// One row's text as a table reads it: its leading values, then its
+/// spaced value (if the table has one) cut out, every other key looked
+/// up before or after it.
 pub struct Row<'a> {
+    /// The leading values not read yet.
+    leads: Cell<&'a str>,
+    /// The text after the leading values: where an embedded record is.
+    keyed: &'a str,
     before: &'a str,
     spaced: Option<(&'static str, &'a str)>,
     after: &'a str,
 }
 
 impl<'a> Row<'a> {
-    /// `keys` is the table in wire order, each key beside whether its
-    /// value is [`Spaced`].
-    pub fn new(text: &'a str, keys: &[(&'static str, bool)]) -> Result<Row<'a>, ApiError> {
-        let Some(i) = keys.iter().position(|&(_, spaced)| spaced) else {
-            return Ok(Row {
-                before: text,
-                spaced: None,
-                after: "",
-            });
-        };
-        let key = keys[i].0;
-        let mut at = text.match_indices(key).map(|(at, _)| at).filter(|&at| {
-            (at == 0 || text[..at].ends_with(char::is_whitespace))
-                && text[at + key.len()..].starts_with('=')
+    /// `slots` is the table in wire order, its leading values first. A
+    /// leading value runs to the next space; a spaced one to the last
+    /// ` <key>=` of the first key after it.
+    pub fn new(text: &'a str, slots: &[Slot]) -> Result<Row<'a>, ApiError> {
+        let mut keyed = text;
+        for (i, slot) in slots.iter().enumerate() {
+            let Slot::Lead { spaced } = *slot else { break };
+            keyed = match (spaced, first_key(&slots[i + 1..])) {
+                (true, Some(key)) => {
+                    &keyed[last_key(keyed, key).ok_or_else(|| missing(key))? - key.len()..]
+                }
+                (true, None) => "",
+                (false, _) => keyed.split_once(' ').map_or("", |(_, rest)| rest),
+            };
+        }
+        // the space between the leading values and the keys is neither's
+        let leads = &text[..text.len() - keyed.len()];
+        let leads = leads.strip_suffix(' ').unwrap_or(leads);
+        let spaced = slots.iter().enumerate().find_map(|(i, slot)| match *slot {
+            Slot::Key { key, spaced: true } => Some((i, key)),
+            _ => None,
         });
-        let start = at.next().ok_or_else(|| missing(key))? + key.len() + 1;
-        let rest = &text[start..];
-        let end = match keys.get(i + 1) {
-            Some(&(next, _)) => last_key(rest, next).ok_or_else(|| missing(next))? - next.len() - 1,
-            None => rest.len(),
+        let (before, spaced, after) = match spaced {
+            None => (keyed, None, ""),
+            Some((i, key)) => {
+                let mut at = keyed.match_indices(key).map(|(at, _)| at).filter(|&at| {
+                    (at == 0 || keyed[..at].ends_with(char::is_whitespace))
+                        && keyed[at + key.len()..].starts_with('=')
+                });
+                let start = at.next().ok_or_else(|| missing(key))? + key.len() + 1;
+                let rest = &keyed[start..];
+                let end = match first_key(&slots[i + 1..]) {
+                    Some(next) => {
+                        last_key(rest, next).ok_or_else(|| missing(next))? - next.len() - 1
+                    }
+                    None => rest.len(),
+                };
+                let before = &keyed[..start - key.len() - 1];
+                (before, Some((key, &rest[..end])), &rest[end..])
+            }
         };
+        let leads = Cell::new(leads);
         Ok(Row {
-            before: &text[..start - key.len() - 1],
-            spaced: Some((key, &rest[..end])),
-            after: &rest[end..],
+            leads,
+            keyed,
+            before,
+            spaced,
+            after,
         })
+    }
+
+    /// The next leading value, spelled `S`; `what` names it in an error.
+    pub fn lead<S: Spelling<T>, T>(&self, what: &str) -> Result<T, ApiError> {
+        let leads = self.leads.get();
+        let (text, rest) = match S::SPACED {
+            true => (leads, ""),
+            false => leads.split_once(' ').unwrap_or((leads, "")),
+        };
+        self.leads.set(rest);
+        parse_as::<S, T>(text, what)
+    }
+
+    /// The embedded record.
+    pub fn embedded<R: Record>(&self) -> Result<R, ApiError> {
+        R::get_record(self.keyed, &mut Rows::none())
+    }
+
+    /// The count under `key`.
+    pub fn count(&self, key: &str) -> Result<usize, ApiError> {
+        self.get::<Plain, usize>(key)
     }
 
     /// The value of `key`, spelled `S`.
@@ -536,55 +641,295 @@ impl<'a> Row<'a> {
     }
 }
 
-/// The spelling a table line names, [`Plain`] when it names none.
+/// The continuation lines of a multi-row text, each indented two spaces,
+/// taken section by section in declared order.
+pub struct Rows<'a>(Peekable<Lines<'a>>);
+
+impl<'a> Rows<'a> {
+    /// A text's first line and the rows after it; `None` for no text.
+    pub(crate) fn split(text: &'a str) -> Option<(&'a str, Rows<'a>)> {
+        let mut lines = text.lines();
+        Some((lines.next()?, Rows(lines.peekable())))
+    }
+
+    /// No rows: what a one-line record is read with.
+    pub fn none() -> Rows<'a> {
+        Rows("".lines().peekable())
+    }
+
+    /// The next line's text after its indent, `word` and a space, if it
+    /// is a row under `word` — any indented line when `word` is empty.
+    fn take(&mut self, word: &str) -> Option<&'a str> {
+        let line: &'a str = self.0.peek()?;
+        let row = line.strip_prefix("  ")?;
+        let row = match word {
+            "" => row,
+            _ => row.strip_prefix(word)?.strip_prefix(' ')?,
+        };
+        self.0.next();
+        Some(row)
+    }
+
+    /// Refuse a line that no section took.
+    pub(crate) fn end(mut self) -> Result<(), ApiError> {
+        match self.0.next() {
+            None => Ok(()),
+            Some(line) => Err(ApiError::parse(format!("unexpected row {line:?}"))),
+        }
+    }
+}
+
+/// A record as text: a header row's tokens after its keyword, then
+/// continuation lines. Struct-form tables implement it, and so does
+/// whatever else is a section's row (a session image's log mutation).
+pub trait Record: Sized {
+    /// Append the header's text after the keyword, then the continuation
+    /// lines.
+    fn put_record(&self, out: &mut String);
+    /// Read it back from its header after the keyword and the rows after
+    /// it, taking only its own.
+    fn get_record(head: &str, rows: &mut Rows<'_>) -> Result<Self, ApiError>;
+}
+
+/// A multi-row text: `keyword`, then `record`'s header and rows.
+pub fn write_text<R: Record>(keyword: &str, record: &R) -> String {
+    let mut out = String::with_capacity(64);
+    out.push_str(keyword);
+    record.put_record(&mut out);
+    out
+}
+
+/// Inverse of [`write_text`]: the record under `keyword`, every row its
+/// own.
+pub fn read_text<R: Record>(keyword: &str, text: &str) -> Result<R, ApiError> {
+    let (head, mut rows) =
+        Rows::split(text).ok_or_else(|| ApiError::parse(format!("empty {keyword} text")))?;
+    let head = head
+        .strip_prefix(keyword)
+        .and_then(|rest| rest.strip_prefix(' '))
+        .ok_or_else(|| ApiError::parse(format!("not a {keyword} text: {head:?}")))?;
+    let record = R::get_record(head, &mut rows)?;
+    rows.end()?;
+    Ok(record)
+}
+
+/// Append one `\n  <word>` line per row, the row's header after it.
+#[doc(hidden)]
+pub fn write_rows<R: Record>(out: &mut String, word: &str, rows: &[R]) {
+    for row in rows {
+        out.push_str("\n  ");
+        out.push_str(word);
+        row.put_record(out);
+    }
+}
+
+/// The rows under `word`, as many as follow; a `(key, count)` must
+/// count them.
+#[doc(hidden)]
+pub fn read_rows<R: Record>(
+    rows: &mut Rows<'_>,
+    word: &str,
+    count: Option<(&str, usize)>,
+) -> Result<Vec<R>, ApiError> {
+    // a count is wire input: it checks the rows found and sizes nothing
+    let mut found = Vec::new();
+    while let Some(text) = rows.take(word) {
+        found.push(R::get_record(text, &mut Rows::none())?);
+    }
+    if let Some((key, count)) = count {
+        check_count(key, count, found.len())?;
+    }
+    Ok(found)
+}
+
+/// The one row under `word`.
+#[doc(hidden)]
+pub fn read_row<R: Record>(rows: &mut Rows<'_>, word: &str) -> Result<R, ApiError> {
+    let text = rows
+        .take(word)
+        .ok_or_else(|| ApiError::parse(format!("missing {word} row")))?;
+    R::get_record(text, &mut Rows::none())
+}
+
+/// `key=<count>` against the `found` items it counts.
+#[doc(hidden)]
+pub fn check_count(key: &str, count: usize, found: usize) -> Result<(), ApiError> {
+    let disagree = || ApiError::parse(format!("{key}={count}, but the text holds {found}"));
+    (count == found).then_some(()).ok_or_else(disagree)
+}
+
+/// Append a multi-line body, each line indented two spaces.
+#[doc(hidden)]
+pub fn write_body(out: &mut String, text: &str) {
+    for line in text.lines() {
+        out.push_str("\n  ");
+        out.push_str(line);
+    }
+}
+
+/// The body: every line left, de-indented. `key=<bytes>` tells a final
+/// newline apart.
+#[doc(hidden)]
+pub fn read_body(rows: &mut Rows<'_>, key: &str, bytes: usize) -> Result<String, ApiError> {
+    let mut text = String::new();
+    for (i, line) in rows.0.by_ref().enumerate() {
+        let line = line
+            .strip_prefix("  ")
+            .ok_or_else(|| ApiError::parse(format!("continuation line not indented: {line:?}")))?;
+        if i > 0 {
+            text.push('\n');
+        }
+        text.push_str(line);
+    }
+    if text.len() + 1 == bytes {
+        text.push('\n');
+    }
+    check_count(key, bytes, text.len()).map(|()| text)
+}
+
+/// One table line, by what is asked of it: the spelling it names
+/// ([`Plain`] when none), its [`Slot`], what it puts in the header row,
+/// its continuation lines, and its value read back.
 #[doc(hidden)]
 #[macro_export]
-macro_rules! __spelling {
-    () => {
+macro_rules! __line {
+    (spelling) => {
         $crate::record::Plain
     };
-    ($spelling:ident) => {
+    (spelling $spelling:ident) => {
         $crate::record::$spelling
+    };
+    (slot _, $spelling:ty, $ty:ty) => {
+        $crate::record::Slot::Lead {
+            spaced: <$spelling as $crate::record::Spelling<$ty>>::SPACED,
+        }
+    };
+    (slot $key:literal, $spelling:ty, $ty:ty) => {
+        $crate::record::Slot::Key {
+            key: $key,
+            spaced: <$spelling as $crate::record::Spelling<$ty>>::SPACED,
+        }
+    };
+    (slot [$count:literal $($section:tt)+], $spelling:ty, $ty:ty) => {
+        $crate::record::Slot::Key {
+            key: $count,
+            spaced: false,
+        }
+    };
+    (slot $($other:tt)+) => {
+        $crate::record::Slot::Other
+    };
+    (put $out:ident, _, $spelling:ty, $ty:ty, $value:expr) => {{
+        $out.push(' ');
+        <$spelling as $crate::record::Spelling<$ty>>::put($value, $out);
+    }};
+    (put $out:ident, .., $spelling:ty, $ty:ty, $value:expr) => {
+        $crate::record::Record::put_record($value, $out)
+    };
+    (put $out:ident, [$count:literal counts $key:literal], $spelling:ty, $ty:ty, $value:expr) => {{
+        $crate::record::put($out, $count, &$value.len());
+        $crate::record::put($out, $key, $value);
+    }};
+    (put $out:ident, [$count:literal $($section:tt)+], $spelling:ty, $ty:ty, $value:expr) => {
+        $crate::record::put($out, $count, &$value.len())
+    };
+    (put $out:ident, [$($section:tt)+], $spelling:ty, $ty:ty, $value:expr) => {};
+    (put $out:ident, $key:literal, $spelling:ty, $ty:ty, $value:expr) => {
+        $crate::record::put_as::<$spelling, $ty>($out, $key, $value)
+    };
+    (rows $out:ident, [$($count:literal)? rows $word:literal], $value:expr) => {
+        $crate::record::write_rows($out, $word, $value)
+    };
+    (rows $out:ident, [row $word:literal], $value:expr) => {
+        $crate::record::write_rows($out, $word, ::std::slice::from_ref($value))
+    };
+    (rows $out:ident, [$count:literal body], $value:expr) => {
+        $crate::record::write_body($out, $value)
+    };
+    (rows $out:ident, $($other:tt)+) => {};
+    (get $row:ident, $rows:ident, _, $spelling:ty, $ty:ty, $what:expr) => {
+        $row.lead::<$spelling, $ty>($what)?
+    };
+    (get $row:ident, $rows:ident, .., $spelling:ty, $ty:ty, $what:expr) => {
+        $row.embedded::<$ty>()?
+    };
+    (get $row:ident, $rows:ident, [$count:literal counts $key:literal], $spelling:ty, $ty:ty, $what:expr) => {{
+        let list: $ty = $row.get::<$crate::record::Plain, $ty>($key)?;
+        $crate::record::check_count($count, $row.count($count)?, list.len())?;
+        list
+    }};
+    (get $row:ident, $rows:ident, [$count:literal rows $word:literal], $spelling:ty, $ty:ty, $what:expr) => {
+        $crate::record::read_rows($rows, $word, Some(($count, $row.count($count)?)))?
+    };
+    (get $row:ident, $rows:ident, [rows $word:literal], $spelling:ty, $ty:ty, $what:expr) => {
+        $crate::record::read_rows($rows, $word, None)?
+    };
+    (get $row:ident, $rows:ident, [row $word:literal], $spelling:ty, $ty:ty, $what:expr) => {
+        $crate::record::read_row($rows, $word)?
+    };
+    (get $row:ident, $rows:ident, [$count:literal body], $spelling:ty, $ty:ty, $what:expr) => {
+        $crate::record::read_body($rows, $count, $row.count($count)?)?
+    };
+    (get $row:ident, $rows:ident, $key:literal, $spelling:ty, $ty:ty, $what:expr) => {
+        $row.get::<$spelling, $ty>($key)?
     };
 }
 
-/// Declare a `key=value` record — a struct, or an enum of row kinds —
-/// and, per keyed field, its wire key and spelling: `field: Type =>
-/// "key" [as Spelling],` in wire order. Fields after a `..` line carry
-/// no key; the caller writes and reads them around the kit call. See
-/// the [module docs](crate::record).
+/// Declare a record — a struct, or an enum of row kinds — and where each
+/// field sits in its wire text, `field: Type => <place> [as Spelling],`
+/// in wire order; see the [module docs](crate::record).
 #[macro_export]
 macro_rules! wire_record {
     (
         $(#[$meta:meta])*
         $vis:vis struct $name:ident {
-            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $fty:ty => $key:literal
+            $( $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $fty:ty ),+ => $place:tt
                 $(as $spelling:ident)?, )*
             $( .. $( $(#[$emeta:meta])* $evis:vis $extra:ident : $ety:ty, )* )?
         }
     ) => {
         $(#[$meta])*
         $vis struct $name {
-            $( $(#[$fmeta])* $fvis $field: $fty, )*
+            $( $( $(#[$fmeta])* $fvis $field: $fty, )+ )*
             $( $( $(#[$emeta])* $evis $extra: $ety, )* )?
         }
 
+        #[allow(dead_code, unused_parens, reason = "generated: a record read only as a whole \
+            text reads no one row, and a line's fields are a tuple of one or more")]
         impl $name {
-            /// Append ` key=value` for every keyed field, in table order.
+            /// Append the header row's text in table order, then the
+            /// continuation lines.
             pub(crate) fn put_fields(&self, out: &mut String) {
-                $( $crate::record::put_as::<$crate::__spelling!($($spelling)?), $fty>(
-                    out, $key, &self.$field); )*
+                $( $crate::__line!(put out, $place, $crate::__line!(spelling $($spelling)?), ($($fty),+),
+                    &($(self.$field),+)); )*
+                $( $crate::__line!(rows out, $place, &($(self.$field),+)); )*
             }
 
-            /// Inverse of `put_fields`: every keyed field looked up in
-            /// `text`, the un-keyed ones at their `Default`.
+            /// Inverse of `put_fields` for a one-row text; the fields
+            /// that carry no text at their `Default`.
             pub(crate) fn get_fields(text: &str) -> Result<Self, $crate::ApiError> {
-                #[allow(unused_variables, reason = "a record with no keyed fields never reads its row")]
-                let row = $crate::record::Row::new(text, &[$( ($key,
-                    <$crate::__spelling!($($spelling)?) as $crate::record::Spelling<$fty>>::SPACED),
+                <Self as $crate::record::Record>::get_record(text, &mut $crate::record::Rows::none())
+            }
+        }
+
+        #[allow(unused_parens, unused_variables, reason = "generated: a line's fields are a \
+            tuple of one or more, and a record without sections reads no rows")]
+        impl $crate::record::Record for $name {
+            fn put_record(&self, out: &mut String) {
+                self.put_fields(out);
+            }
+
+            fn get_record(
+                head: &str,
+                rows: &mut $crate::record::Rows<'_>,
+            ) -> Result<Self, $crate::ApiError> {
+                let row = $crate::record::Row::new(head, &[$(
+                    $crate::__line!(slot $place, $crate::__line!(spelling $($spelling)?), ($($fty),+)),
                 )*])?;
+                $( let ($($field),+) = $crate::__line!(get row, rows, $place,
+                    $crate::__line!(spelling $($spelling)?), ($($fty),+), stringify!($($field),+)); )*
                 Ok($name {
-                    $( $field: row.get::<$crate::__spelling!($($spelling)?), $fty>($key)?, )*
+                    $( $( $field, )+ )*
                     $( $( $extra: Default::default(), )* )?
                 })
             }
@@ -594,9 +939,8 @@ macro_rules! wire_record {
         $(#[$meta:meta])*
         $vis:vis enum $name:ident {
             $( $(#[$vmeta:meta])* $variant:ident = $keyword:literal {
-                $( $(#[$fmeta:meta])* $field:ident : $fty:ty => $key:literal
+                $( $( $(#[$fmeta:meta])* $field:ident : $fty:ty ),+ => $place:tt
                     $(as $spelling:ident)?, )*
-                $( .. $( $(#[$emeta:meta])* $extra:ident : $ety:ty, )* )?
             }, )*
             $( .. $( $(#[$wmeta:meta])* $wrapped:ident = $wkeyword:literal ($record:ty), )* )?
         }
@@ -604,50 +948,51 @@ macro_rules! wire_record {
         $(#[$meta])*
         $vis enum $name {
             $( $(#[$vmeta])* $variant {
-                $( $(#[$fmeta])* $field: $fty, )*
-                $( $( $(#[$emeta])* $extra: $ety, )* )?
+                $( $( $(#[$fmeta])* $field: $fty, )+ )*
             }, )*
             $( $( $(#[$wmeta])* $wrapped($record), )* )?
         }
 
+        #[allow(unused_parens, unused_variables, reason = "generated: a line's fields are a \
+            tuple of one or more, and a kind without sections reads no rows")]
         impl $name {
-            /// The keyword that leads this kind's row.
-            pub(crate) fn keyword(&self) -> &'static str {
+            /// Append this kind's text: its keyword, its header row in
+            /// table order, then its continuation lines.
+            pub(crate) fn put_text(&self, out: &mut String) {
                 match self {
-                    $( Self::$variant { .. } => $keyword, )*
-                    $( $( Self::$wrapped(_) => $wkeyword, )* )?
-                }
-            }
-
-            /// Append ` key=value` for every keyed field of this kind, in
-            /// table order.
-            pub(crate) fn put_fields(&self, out: &mut String) {
-                match self {
-                    $( Self::$variant { $( $field, )* .. } => {
-                        $( $crate::record::put_as::<$crate::__spelling!($($spelling)?), $fty>(
-                            out, $key, $field); )*
+                    $( Self::$variant { $( $( $field, )+ )* } => {
+                        out.push_str($keyword);
+                        $( $crate::__line!(put out, $place, $crate::__line!(spelling $($spelling)?),
+                            ($($fty),+), &($(*$field),+)); )*
+                        $( $crate::__line!(rows out, $place, &($(*$field),+)); )*
                     } )*
-                    $( $( Self::$wrapped(record) => record.put_fields(out), )* )?
+                    $( $( Self::$wrapped(record) => {
+                        out.push_str($wkeyword);
+                        record.put_fields(out);
+                    } )* )?
                 }
             }
 
-            /// Inverse of `put_fields` for the kind `keyword` names: every
-            /// keyed field looked up in `text`, the un-keyed ones at their
-            /// `Default`.
-            pub(crate) fn get_fields(keyword: &str, text: &str) -> Result<Self, $crate::ApiError> {
+            /// Inverse of `put_text` for the kind
+            /// `keyword` names: `head` is its header row after the
+            /// keyword, `rows` the lines after it.
+            pub(crate) fn get_record(
+                keyword: &str,
+                head: &str,
+                rows: &mut $crate::record::Rows<'_>,
+            ) -> Result<Self, $crate::ApiError> {
                 match keyword {
                     $( $keyword => {
-                        #[allow(unused_variables, reason = "a record with no keyed fields never reads its row")]
-                        let row = $crate::record::Row::new(text, &[$( ($key,
-                            <$crate::__spelling!($($spelling)?)
-                                as $crate::record::Spelling<$fty>>::SPACED),
+                        let row = $crate::record::Row::new(head, &[$(
+                            $crate::__line!(slot $place, $crate::__line!(spelling $($spelling)?), ($($fty),+)),
                         )*])?;
-                        Ok(Self::$variant {
-                            $( $field: row.get::<$crate::__spelling!($($spelling)?), $fty>($key)?, )*
-                            $( $( $extra: Default::default(), )* )?
-                        })
+                        $( let ($($field),+) = $crate::__line!(get row, rows, $place,
+                            $crate::__line!(spelling $($spelling)?), ($($fty),+),
+                            stringify!($($field),+)); )*
+                        Ok(Self::$variant { $( $( $field, )+ )* })
                     } )*
-                    $( $( $wkeyword => Ok(Self::$wrapped(<$record>::get_fields(text)?)), )* )?
+                    $( $( $wkeyword => Ok(Self::$wrapped(
+                        <$record as $crate::record::Record>::get_record(head, rows)?)), )* )?
                     other => Err($crate::ApiError::parse(format!(
                         "unknown {} {other:?}",
                         stringify!($name)
@@ -798,9 +1143,9 @@ macro_rules! line_table {
                     let usage: Option<&str> = line_table!(@usage $($($usage)?)?);
                     let [$($arg,)* $($tail)?] =
                         $crate::record::cut($keyword, rest, line_table!(@some $($tail)?), usage)?;
-                    $( let $tail = $crate::record::tail::<$crate::__spelling!($($tail_spelling)?), _>(
+                    $( let $tail = $crate::record::tail::<$crate::__line!(spelling $($tail_spelling)?), _>(
                         $tail, line_table!(@what $tail $($tail_what)?), $keyword, usage)?; )?
-                    $( let $arg = $crate::record::parse_as::<$crate::__spelling!($($spelling)?), _>(
+                    $( let $arg = $crate::record::parse_as::<$crate::__line!(spelling $($spelling)?), _>(
                         $arg, line_table!(@what $arg $($what)?))?; )*
                     return Ok(Some(<$ty>::from($($ctor)+)));
                 }
@@ -813,8 +1158,8 @@ macro_rules! line_table {
             match value {
                 $( $( line_table!(@nest $wrap $($ctor)+) => {
                     out.push_str($keyword);
-                    $( put_arg::<$crate::__spelling!($($spelling)?), _>(out, $arg); )*
-                    $( put_arg::<$crate::__spelling!($($tail_spelling)?), _>(out, $tail); )?
+                    $( put_arg::<$crate::__line!(spelling $($spelling)?), _>(out, $arg); )*
+                    $( put_arg::<$crate::__line!(spelling $($tail_spelling)?), _>(out, $tail); )?
                 } )* )*
                 $( $($other)::+ ($inner) => $delegate($inner, out), )?
             }
@@ -857,8 +1202,6 @@ mod tests {
                 id: usize => "id",
                 name: String => "name" as Spaced,
                 genes: usize => "genes",
-                ..
-                note: String,
             },
             Tail = "tail" {
                 files: Vec<String> => "files" as Spaced,
@@ -926,7 +1269,6 @@ mod tests {
                     id: 1,
                     name: "a genes=5 id=3".into(),
                     genes: 80,
-                    note: String::new(),
                 },
                 "named id=1 name=a genes=5 id=3 genes=80",
             ),
@@ -950,11 +1292,14 @@ mod tests {
                 "wrapped n=1 ratio=0.5 seen=2 dims=1x1 mode=off counts=0,0,0",
             ),
         ] {
-            let mut out = String::from(kind.keyword());
-            kind.put_fields(&mut out);
+            let mut out = String::new();
+            kind.put_text(&mut out);
             assert_eq!(out, text);
             let (keyword, rest) = text.split_once(' ').unwrap();
-            assert_eq!(Kind::get_fields(keyword, rest).unwrap(), kind);
+            assert_eq!(
+                Kind::get_record(keyword, rest, &mut Rows::none()).unwrap(),
+                kind
+            );
         }
         for (keyword, bad) in [
             (
@@ -971,18 +1316,150 @@ mod tests {
             ("tail", "files=a,,b"),
             ("wat", ""),
         ] {
-            let err = Kind::get_fields(keyword, bad).unwrap_err();
+            let err = Kind::get_record(keyword, bad, &mut Rows::none()).unwrap_err();
             assert_eq!(err.code, crate::error::ErrorCode::Parse, "{bad:?}");
         }
     }
 
+    wire_record! {
+        #[derive(Debug, PartialEq)]
+        struct Gauge {
+            n: u64 => "n",
+            max: u64 => "max",
+        }
+    }
+
+    wire_record! {
+        #[derive(Debug, PartialEq)]
+        struct Item {
+            name: String => _ as Spaced,
+            weight: u64 => "weight",
+        }
+    }
+
+    wire_record! {
+        #[derive(Debug, PartialEq)]
+        struct Pair {
+            id: usize => _,
+            part: usize,
+            whole: usize => "of" as Fraction,
+            gauge: Gauge => ..,
+        }
+    }
+
+    wire_record! {
+        #[derive(Debug, PartialEq)]
+        struct Listing {
+            gauge: Gauge => [row "gauge"],
+            items: Vec<Item> => ["items" rows "item"],
+            mode: BalanceMode => "mode",
+            pairs: Vec<Pair> => ["pairs" rows "pair"],
+            note: String => ["bytes" body],
+        }
+    }
+
+    const LISTING: &str = "listing items=2 mode=auto pairs=1 bytes=6\n  \
+        gauge n=1 max=2\n  \
+        item heat weight=1 weight=2\n  \
+        item cold weight=3\n  \
+        pair 7 of=1/2 n=4 max=9\n  \
+        G1\n  \
+        G2";
+
     #[test]
     fn a_leading_name_runs_to_the_last_key() {
-        assert_eq!(
-            lead("heat weight=1 weight=2.000 present=3", "weight").unwrap(),
-            ("heat weight=1", "weight=2.000 present=3")
-        );
-        assert!(lead("heat present=3", "weight").is_err());
-        assert!(lead("weight=2", "weight").is_err(), "a name comes first");
+        let item = |name: &str, weight| Item {
+            name: name.into(),
+            weight,
+        };
+        for (text, value) in [
+            ("heat weight=1 weight=2", item("heat weight=1", 2)),
+            ("heat shock weight=3", item("heat shock", 3)),
+            (" weight=4", item("", 4)),
+        ] {
+            assert_eq!(Item::get_fields(text).unwrap(), value);
+            let mut out = String::new();
+            value.put_fields(&mut out);
+            assert_eq!(out, format!(" {text}"));
+        }
+        assert!(Item::get_fields("heat present=3").is_err());
+        assert!(Item::get_fields("weight=2").is_err(), "a name comes first");
+    }
+
+    #[test]
+    fn rows_sections_and_bodies_come_from_the_one_table() {
+        let listing = Listing {
+            gauge: Gauge { n: 1, max: 2 },
+            items: vec![
+                Item {
+                    name: "heat weight=1".into(),
+                    weight: 2,
+                },
+                Item {
+                    name: "cold".into(),
+                    weight: 3,
+                },
+            ],
+            mode: BalanceMode::Auto,
+            pairs: vec![Pair {
+                id: 7,
+                part: 1,
+                whole: 2,
+                gauge: Gauge { n: 4, max: 9 },
+            }],
+            note: "G1\nG2\n".into(),
+        };
+        assert_eq!(write_text("listing", &listing), LISTING);
+        assert_eq!(read_text::<Listing>("listing", LISTING).unwrap(), listing);
+        let empty = Listing {
+            items: vec![],
+            pairs: vec![],
+            note: String::new(),
+            ..listing
+        };
+        let text = "listing items=0 mode=auto pairs=0 bytes=0\n  gauge n=1 max=2";
+        assert_eq!(write_text("listing", &empty), text);
+        assert_eq!(read_text::<Listing>("listing", text).unwrap(), empty);
+    }
+
+    #[test]
+    fn rows_the_header_does_not_declare_are_refused() {
+        let swap = |from: &str, to: &str| LISTING.replacen(from, to, 1);
+        for bad in [
+            // a count that disagrees with its rows: too many, too few
+            swap("items=2", "items=3"),
+            swap("items=2", "items=1"),
+            swap("pairs=1", "pairs=0"),
+            // a count no text could hold: refused, and nothing reserved
+            swap("items=2", "items=18446744073709551615"),
+            // rows out of declared order
+            swap(
+                "  item cold weight=3\n  pair 7 of=1/2 n=4 max=9",
+                "  pair 7 of=1/2 n=4 max=9\n  item cold weight=3",
+            ),
+            swap(
+                "  gauge n=1 max=2\n  item heat weight=1 weight=2",
+                "  item heat weight=1 weight=2\n  gauge n=1 max=2",
+            ),
+            // a row under an unknown word, a missing single row
+            swap("  item cold", "  wat cold"),
+            swap("  gauge n=1 max=2\n", ""),
+            // a body whose length disagrees, an unindented body line
+            swap("bytes=6", "bytes=4"),
+            swap("  G2", "G2"),
+            // a bad leading value, a bad pair, an embedded record short a key
+            swap("pair 7", "pair x"),
+            swap("of=1/2", "of=1-2"),
+            swap(" max=9", ""),
+            // another text's keyword
+            swap("listing", "listings"),
+        ] {
+            let err = read_text::<Listing>("listing", &bad).unwrap_err();
+            assert_eq!(err.code, crate::error::ErrorCode::Parse, "{bad:?}");
+        }
+        // rows past a count are refused by the count, not read as the
+        // next section's
+        let extra = format!("{LISTING}\n  item more weight=1");
+        assert!(read_text::<Listing>("listing", &extra).is_err());
     }
 }

@@ -29,31 +29,28 @@ impl From<Viewport> for DamageRect {
 }
 
 crate::wire_record! {
-    /// One dataset's relevance in a SPELL ranking; its row is led by the
-    /// name.
+    /// One dataset's relevance in a SPELL ranking: a `dataset` row.
     #[derive(Debug, Clone, PartialEq)]
     pub struct SpellDatasetRow {
+        /// Dataset name; leads the row.
+        pub name: String => _ as Spaced,
         /// SPELL weight (higher = more informative for the query).
         pub weight: f32 => "weight" as Fixed3,
         /// Query genes measured in the dataset.
         pub query_genes_present: usize => "present",
-        ..
-        /// Dataset name.
-        pub name: String,
     }
 }
 
 crate::wire_record! {
-    /// One gene in a SPELL ranking; its row is led by the gene.
+    /// One gene in a SPELL ranking: a `gene` row.
     #[derive(Debug, Clone, PartialEq)]
     pub struct SpellGeneRow {
+        /// Systematic gene name; leads the row.
+        pub gene: String => _ as Spaced,
         /// Weighted mean correlation score.
         pub score: f32 => "score" as Fixed3,
         /// Datasets contributing to the score.
         pub n_datasets: usize => "datasets",
-        ..
-        /// Systematic gene name.
-        pub gene: String,
     }
 }
 
@@ -97,44 +94,40 @@ pub fn spell_result_from_rows(
 }
 
 crate::wire_record! {
-    /// One enriched term; its row is led by the accession and ends in
-    /// `overlap=<overlap>/<annotated> name=<name>`.
+    /// One enriched term: a `term` row.
     #[derive(Debug, Clone, PartialEq)]
     pub struct EnrichmentRow {
+        /// Term accession (e.g. `GO:0000042`); leads the row.
+        pub accession: String => _,
         /// Raw hypergeometric p-value.
         pub p_value: f64 => "p" as Sci3,
         /// Benjamini–Hochberg q-value.
         pub q_value: f64 => "q" as Sci3,
-        ..
-        /// Term accession (e.g. `GO:0000042`).
-        pub accession: String,
-        /// Human-readable term name.
-        pub name: String,
         /// Query genes annotated to the term.
         pub overlap: usize,
         /// Population genes annotated to the term.
-        pub annotated: usize,
+        pub annotated: usize => "overlap" as Fraction,
+        /// Human-readable term name.
+        pub name: String => "name" as Spaced,
     }
 }
 
 crate::wire_record! {
-    /// One dataset row in a session listing; its row is led by the index
-    /// and ends in `clustered=<gene+array|gene|array|none>`.
+    /// One dataset in a session listing: a `dataset` row.
     #[derive(Debug, Clone, PartialEq)]
     pub struct DatasetRow {
+        /// Dataset index (stable across reordering); leads the row.
+        pub dataset: usize => _,
         /// Dataset name.
         pub name: String => "name" as Spaced,
         /// Gene (row) count.
         pub genes: usize => "genes",
         /// Condition (column) count.
         pub conditions: usize => "conditions",
-        ..
-        /// Dataset index (stable across reordering).
-        pub dataset: usize,
         /// Whether the gene axis has been clustered.
         pub gene_clustered: bool,
         /// Whether the condition axis has been clustered.
-        pub array_clustered: bool,
+        pub array_clustered: bool => "clustered" as Clustered,
     }
 }
 
@@ -156,18 +149,17 @@ crate::wire_record! {
         pub scroll: usize => "scroll",
         /// Pane order as dataset indices.
         pub dataset_order: Vec<usize> => "order",
-        ..
         /// Human-readable multi-line summary (the classic
         /// `session_summary` text, kept verbatim for CLI parity).
-        pub summary: String,
+        pub summary: String => ["summary_bytes" body],
     }
 }
 
 crate::wire_record! {
     /// The result of a successfully executed request. Each kind is one
-    /// canonical text row led by its keyword (see
-    /// [`crate::codec::format_response`]); the keyed fields are declared
-    /// here, once, with their wire keys.
+    /// canonical text led by its keyword (see
+    /// [`crate::codec::format_response`]), declared here, once: its
+    /// header's keys, leading values, row sections and body.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Response {
         /// A mutation command was applied.
@@ -217,29 +209,31 @@ crate::wire_record! {
             /// The dataset whose array tree was built.
             dataset: usize => "dataset",
         },
-        /// Search hits (no selection change), after a `hits=` count.
+        /// Search hits (no selection change).
         SearchHits = "search" {
-            /// Matching gene names, in universe order.
-            genes: Vec<String> => "genes",
+            /// Matching gene names, in universe order, after their count.
+            genes: Vec<String> => ["hits" counts "genes"],
         },
-        /// SPELL ranking, after `datasets=` and `genes=` row counts.
+        /// SPELL ranking.
         SpellRanking = "spell" {
+            /// Datasets by descending relevance.
+            datasets: Vec<SpellDatasetRow> => ["datasets" rows "dataset"],
+            /// Top non-query genes by descending score.
+            genes: Vec<SpellGeneRow> => ["genes" rows "gene"],
             /// Query genes not found in the compendium.
             query_missing: Vec<String> => "missing",
-            ..
-            /// Datasets by descending relevance.
-            datasets: Vec<SpellDatasetRow>,
-            /// Top non-query genes by descending score.
-            genes: Vec<SpellGeneRow>,
         },
-        /// Enrichment table, after a `terms=` row count.
+        /// Enrichment table.
         Enrichment = "enrich" {
-            ..
             /// Terms by ascending p-value.
-            rows: Vec<EnrichmentRow>,
+            rows: Vec<EnrichmentRow> => ["terms" rows "term"],
         },
-        /// A frame was rendered; its `<w>x<h>` leads the row.
+        /// A frame was rendered.
         Frame = "frame" {
+            /// Frame width.
+            width: usize,
+            /// Frame height; `<w>x<h>` leads the row.
+            height: usize => _,
             /// Pane count in the scene.
             panes: usize => "panes",
             /// FNV-1a checksum of the raw RGB bytes — lets scripts assert
@@ -247,11 +241,6 @@ crate::wire_record! {
             checksum: u64 => "checksum" as Hex16,
             /// Where the PPM was written, if requested.
             path: Option<String> => "path" as Spaced,
-            ..
-            /// Frame width.
-            width: usize,
-            /// Frame height.
-            height: usize,
         },
         /// CDT bundle export.
         CdtExported = "cdt" {
@@ -277,20 +266,18 @@ crate::wire_record! {
             /// Condition count.
             conditions: usize => "conditions",
         },
-        /// A textual selection export, after a `bytes=` length.
+        /// A textual selection export.
         Text = "text" {
-            ..
             /// The exported text (possibly empty when nothing is selected).
-            text: String,
+            text: String => ["bytes" body],
         },
-        /// Dataset listing, after an `n=` row count.
+        /// Dataset listing.
         Datasets = "datasets" {
-            ..
             /// One row per dataset, in index order.
-            rows: Vec<DatasetRow>,
+            rows: Vec<DatasetRow> => ["n" rows "dataset"],
         },
         ..
-        /// Session summary; `summary_bytes=` and the summary follow.
+        /// Session summary.
         SessionInfo = "session" (SessionInfoData),
     }
 }

@@ -147,6 +147,15 @@ fn the_pinned_texts_roundtrip() {
         let response = parse_response(body).unwrap_or_else(|e| panic!("{body:?}: {e}"));
         assert_eq!(&format_response(&response), body);
     }
+    // Rows in an order no writer produces are refused: a spell ranking's
+    // `gene` rows before its `dataset` rows, an image's log before its
+    // dataset rows.
+    let spell = "spell datasets=1 genes=1 missing=-\n  gene G1 score=0.500 datasets=1\n  \
+        dataset d weight=1.000 present=1";
+    assert!(parse_response(spell).is_err());
+    let image = "session-image v2 scene=1x1 requests=0 datasets=1 log=1\n  cluster_all\n  \
+        dataset len=1 mtime=- hash=2 path=a.pcl";
+    assert!(parse_session_image(image).is_err());
 }
 
 proptest! {

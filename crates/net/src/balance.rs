@@ -62,11 +62,10 @@
 
 use crate::metrics::{LatencyHistogram, LATENCY_BUCKET_COUNT};
 use crate::shard::ShardReport;
-use fv_api::record::{num, Token};
+use fv_api::record::{self, Token};
 use fv_api::ApiError;
 pub use fv_api::BalanceMode;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt::Write;
 
 /// Representative per-request cost (µs) of each latency bucket —
 /// midpoints of the [`crate::metrics::LATENCY_BUCKETS_US`] bounds, used
@@ -317,19 +316,18 @@ fv_api::wire_record! {
     /// `move <session> <from> <to>` row.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct MoveRecord {
+        /// Session moved.
+        pub session: String => _,
+        /// Source shard.
+        pub from: usize => _,
+        /// Destination shard.
+        pub to: usize => _,
         /// Tick the move was planned on.
         pub tick: u64 => "tick",
         /// Session load the decision was based on.
         pub load: u64 => "load",
         /// What became of it.
         pub outcome: MoveOutcome => "outcome",
-        ..
-        /// Session moved.
-        pub session: String,
-        /// Source shard.
-        pub from: usize,
-        /// Destination shard.
-        pub to: usize,
     }
 }
 
@@ -562,54 +560,21 @@ fv_api::wire_record! {
         pub cooldown_ticks: u64 => "cooldown",
         /// Minimum interval load worth balancing.
         pub min_total_load: u64 => "min_load",
-        ..
-        /// Most recent decisions, oldest first (bounded ring).
-        pub recent: Vec<MoveRecord>,
+        /// Most recent decisions, oldest first (bounded ring): one `move`
+        /// row each.
+        pub recent: Vec<MoveRecord> => [rows "move"],
     }
 }
 
 /// Canonical reply text for the `balance` control line; inverse of
 /// [`parse_balance`].
 pub fn format_balance(status: &BalanceStatus) -> String {
-    let mut out = String::from("balance");
-    status.put_fields(&mut out);
-    for m in &status.recent {
-        let _ = write!(out, "\n  move {} {} {}", m.session, m.from, m.to);
-        m.put_fields(&mut out);
-    }
-    out
+    record::write_text("balance", status)
 }
 
 /// Parse a `balance` reply back into the typed status.
 pub fn parse_balance(text: &str) -> Result<BalanceStatus, ApiError> {
-    let mut lines = text.lines();
-    let head = lines
-        .next()
-        .ok_or_else(|| ApiError::parse("empty balance reply"))?;
-    let tail = head
-        .strip_prefix("balance ")
-        .ok_or_else(|| ApiError::parse(format!("not a balance reply: {head:?}")))?;
-    let mut status = BalanceStatus::get_fields(tail)?;
-    for line in lines {
-        let row = line
-            .strip_prefix("  move ")
-            .ok_or_else(|| ApiError::parse(format!("unexpected balance row {line:?}")))?;
-        let mut parts = row.splitn(4, ' ');
-        let (Some(session), Some(from), Some(to), Some(rest)) =
-            (parts.next(), parts.next(), parts.next(), parts.next())
-        else {
-            return Err(ApiError::parse(
-                "move row needs <session> <from> <to> and fields",
-            ));
-        };
-        status.recent.push(MoveRecord {
-            session: session.to_string(),
-            from: num(from, "from")?,
-            to: num(to, "to")?,
-            ..MoveRecord::get_fields(rest)?
-        });
-    }
-    Ok(status)
+    record::read_text("balance", text)
 }
 
 #[cfg(test)]

@@ -30,9 +30,8 @@
 //! them, mirroring how responses flow through `format_response` /
 //! `parse_response`.
 
-use fv_api::record::{field, num};
+use fv_api::record;
 use fv_api::ApiError;
-use std::fmt::Write;
 use std::time::Duration;
 
 /// Upper bounds (inclusive, in microseconds) of the per-request latency
@@ -86,6 +85,8 @@ fv_api::wire_record! {
     /// row.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct ShardStats {
+        /// Shard index; leads the row.
+        pub shard: usize => _,
         /// OS process serving this shard: the server's own pid for a thread
         /// shard, the child worker's pid for a process shard.
         pub pid: u32 => "pid",
@@ -102,12 +103,9 @@ fv_api::wire_record! {
         pub requests: u64 => "requests",
         /// Largest single run (requests the loop batched into one job).
         pub max_run: usize => "max_run",
-        ..
-        /// Shard index; leads the row.
-        pub shard: usize,
         /// Per-request latency histogram of every request this shard
         /// attempted; its own record closes the row.
-        pub latency: LatencyHistogram,
+        pub latency: LatencyHistogram => ..,
     }
 }
 
@@ -134,10 +132,14 @@ fv_api::wire_record! {
 }
 
 fv_api::wire_record! {
-    /// Snapshot answered to the `stats` control line; the keyed fields are
-    /// its header row, after the `shards=` row count.
+    /// Snapshot answered to the `stats` control line.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct ServerStats {
+        /// The streaming plane's counters: the first row.
+        pub stream: StreamStats => [row "stream"],
+        /// Per-shard breakdown, in shard order: its count leads the
+        /// header, its rows follow the `stream` row.
+        pub shards: Vec<ShardStats> => ["shards" rows "shard"],
         /// Shard backend kind: `threads` (in-process workers) or `procs`
         /// (child worker processes).
         pub backend: String => "backend",
@@ -200,69 +202,18 @@ fv_api::wire_record! {
         /// against an empty store; stale or corrupt checkpoints are skipped
         /// (and warned about), not counted.
         pub recovered: u64 => "recovered",
-        ..
-        /// The streaming plane's counters (the `stream` row).
-        pub stream: StreamStats,
-        /// Per-shard breakdown, in shard order.
-        pub shards: Vec<ShardStats>,
     }
 }
 
 /// Canonical reply text for a `stats` control line; inverse of
 /// [`parse_stats`].
 pub fn format_stats(stats: &ServerStats) -> String {
-    let mut out = format!("stats shards={}", stats.shards.len());
-    stats.put_fields(&mut out);
-    out.push_str("\n  stream");
-    stats.stream.put_fields(&mut out);
-    for s in &stats.shards {
-        let _ = write!(out, "\n  shard {}", s.shard);
-        s.put_fields(&mut out);
-        s.latency.put_fields(&mut out);
-    }
-    out
+    record::write_text("stats", stats)
 }
 
 /// Parse a `stats` reply back into the typed snapshot.
 pub fn parse_stats(text: &str) -> Result<ServerStats, ApiError> {
-    let mut lines = text.lines();
-    let head = lines
-        .next()
-        .ok_or_else(|| ApiError::parse("empty stats reply"))?;
-    let tail = head
-        .strip_prefix("stats ")
-        .ok_or_else(|| ApiError::parse(format!("not a stats reply: {head:?}")))?;
-    let n_shards: usize = num(field(tail, "shards")?, "shards")?;
-    let stream_line = lines
-        .next()
-        .ok_or_else(|| ApiError::parse("stats reply is missing its stream row"))?;
-    let stream_tail = stream_line
-        .strip_prefix("  stream ")
-        .ok_or_else(|| ApiError::parse(format!("expected stream row, got {stream_line:?}")))?;
-    let stream = StreamStats::get_fields(stream_tail)?;
-    // `n_shards` is wire input: it checks the rows, it reserves nothing.
-    let mut shards = Vec::new();
-    for line in lines {
-        let row = line
-            .strip_prefix("  shard ")
-            .ok_or_else(|| ApiError::parse(format!("unexpected stats row {line:?}")))?;
-        let (idx, rest) = row
-            .split_once(' ')
-            .ok_or_else(|| ApiError::parse("shard row needs fields"))?;
-        shards.push(ShardStats {
-            shard: num(idx, "shard")?,
-            latency: LatencyHistogram::get_fields(rest)?,
-            ..ShardStats::get_fields(rest)?
-        });
-    }
-    if shards.len() != n_shards {
-        return Err(ApiError::parse("shard row count disagrees with header"));
-    }
-    Ok(ServerStats {
-        stream,
-        shards,
-        ..ServerStats::get_fields(tail)?
-    })
+    record::read_text("stats", text)
 }
 
 #[cfg(test)]

@@ -208,6 +208,30 @@ fn every_converted_record_roundtrips_through_its_one_table() {
     assert_eq!((balance.trigger_ratio, balance.settle_ratio), (1.5, 1.15));
     assert_eq!((balance.cooldown_ticks, balance.min_total_load), (8, 1000));
     assert_eq!((balance.recent[0].from, balance.recent[0].to), (0, 3));
+    // Each row is its section's, in declared order, as many as counted.
+    let stream =
+        "\n  stream subscribers=2 frames=48 bytes=1843298 pixels=614400 coalesced=3 dropped=1";
+    let (stats_head, stats_rows) = STATS.split_once(stream).unwrap();
+    for bad in [
+        // the stream row after the shard rows, or missing
+        format!("{stats_head}{stats_rows}{stream}"),
+        format!("{stats_head}{stats_rows}"),
+        // a shard row past the count, one short, a count no reply holds
+        format!("{STATS}\n  shard 2 pid=1 sessions=0 queued=0 runs=0 requests=0 max_run=0 lat_us=0,0,0,0,0,0,0,0,0,0 lat_max_us=0"),
+        STATS.replacen("shards=2", "shards=3", 1),
+        STATS.replacen("shards=2", "shards=18446744073709551615", 1),
+        // a row under an unknown word
+        format!("{STATS}\n  shards 2"),
+    ] {
+        assert!(parse_stats(&bad).is_err(), "{bad:?}");
+    }
+    for bad in [
+        format!("{BALANCE}\n  moved delta 0 1 tick=1 load=1 outcome=done"),
+        format!("{BALANCE}\n  move delta 0 tick=1 load=1 outcome=done"),
+        format!("{BALANCE}\nmove delta 0 1 tick=1 load=1 outcome=done"),
+    ] {
+        assert!(parse_balance(&bad).is_err(), "{bad:?}");
+    }
 }
 
 /// `text` with `flips` bytes overwritten and, one time in four, its tail

@@ -41,7 +41,9 @@
 //! quietly: nothing more is printed, nothing goes to stderr.
 
 use forestview::command::Command;
-use fv_api::{ApiError, Engine, EngineHub, Mutation, Query, Request, Response, SelectionExport};
+use fv_api::{
+    record, ApiError, Engine, EngineHub, Mutation, Query, Request, Response, SelectionExport,
+};
 use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -435,11 +437,8 @@ fn cmd_watch(remote: Option<&str>, args: &[String]) -> Result<(), ApiError> {
              [--dally-ms <n>] [--verify-script <file.fvs>]",
         ));
     };
-    let (tiles_x, tiles_y) = grid
-        .split_once('x')
-        .and_then(|(a, b)| Some((a.parse::<usize>().ok()?, b.parse::<usize>().ok()?)))
-        .filter(|&(a, b)| a > 0 && b > 0)
-        .ok_or_else(|| ApiError::parse(format!("tile grid is <TX>x<TY>, got {grid:?}")))?;
+    // the `subscribe` line's spelling: both refuse a grid in the same words
+    let (tiles_x, tiles_y) = record::parse_as::<record::Grid, _>(grid, "tile grid")?;
     let mut max_seqs: Option<u64> = None;
     let mut idle_ms: u64 = 2000;
     let mut dally_ms: u64 = 0;

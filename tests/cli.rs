@@ -209,6 +209,28 @@ fn bad_usage_exits_nonzero() {
     assert!(!out.status.success());
 }
 
+/// `watch` reads its grid as the `subscribe` line does, before it
+/// connects: a grid the line refuses is refused in the same words.
+#[test]
+fn watch_refuses_a_grid_as_the_subscribe_line_does() {
+    for (grid, message) in [
+        ("0x2", "tile counts must be non-zero"),
+        ("4by2", "tile grid is <tiles_x>x<tiles_y>"),
+        ("4xq", "bad tiles_y"),
+    ] {
+        let out = fvtool()
+            .args(["watch", "--remote", "127.0.0.1:1", "s", grid])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{grid}: E_PARSE's exit code");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("E_PARSE") && err.contains(message),
+            "{grid}: {err}"
+        );
+    }
+}
+
 #[test]
 fn script_replays_mixed_requests_deterministically() {
     let dir = tmpdir("script");
