@@ -3,9 +3,9 @@
 //!
 //! One line per request, whitespace-separated tokens, `#` comments, blank
 //! lines ignored. Every line a client sends is declared once, in one of
-//! three `line_table!` tables below (the macro is in `record.rs`) —
-//! requests, the script directives `use`/`close <name>`, and the
-//! transport's control lines — each row giving a verb's keyword, its
+//! four `line_table!` tables below (the macro is in `record.rs`) —
+//! mutations, queries, the script directives `use`/`close <name>`, and
+//! the transport's control lines — each row giving a verb's keyword, its
 //! arguments and their spellings (from the record kit), and the value it
 //! builds. [`parse_request`]/[`format_request`],
 //! [`parse_script_item`]/[`format_script_item`] and
@@ -170,9 +170,9 @@ line_table! {
 }
 
 line_table! {
-    fn read_request / write_request for Request, exact: false;
+    fn read_mutation / write_mutation for Mutation, exact: false;
     // ── mutations: interaction commands ─────────────────────────────────
-    in [Request::Mutate, Mutation::Command] {
+    in [Mutation::Command] {
         "select_region" dataset, start_frac "start fraction", end_frac "end fraction"
             => (Command::SelectRegion { dataset, start_frac, end_frac });
         "select_genes" ..genes => (Command::SelectGenes(genes));
@@ -189,7 +189,7 @@ line_table! {
         "set_metric" metric => (Command::SetMetric(metric));
     }
     // ── mutations: data management ──────────────────────────────────────
-    in [Request::Mutate] {
+    in [] {
         "load" ..path as Path, needs "a path" => (Mutation::LoadDataset { path });
         "scenario" n_genes "gene count", seed => (Mutation::LoadScenario { n_genes, seed });
         "compendium" n_genes "gene count", n_datasets "dataset count", seed
@@ -200,6 +200,10 @@ line_table! {
         "normalize" dataset as OrAll, method => (Mutation::Normalize { dataset, method });
         "cluster_arrays" dataset => (Mutation::ClusterArrays { dataset });
     }
+}
+
+line_table! {
+    fn read_query / write_request for Request, exact: false;
     // ── queries ─────────────────────────────────────────────────────────
     in [Request::Query] {
         "search" ..query => (Query::Search { query });
@@ -217,6 +221,7 @@ line_table! {
         "session_info" => (Query::SessionInfo);
         "list_datasets" => (Query::ListDatasets);
     }
+    else Request::Mutate(mutation) => write_mutation;
 }
 
 /// `value`'s text, as `write` spells it.
@@ -309,7 +314,10 @@ pub fn parse_request(line: &str) -> Result<Request, ApiError> {
 
 /// [`parse_request`] of a trimmed line whose first word is `word`.
 fn request(line: &str, word: &str) -> Result<Request, ApiError> {
-    read_request(line, word)?.ok_or_else(|| ApiError::parse(format!("unknown request {word:?}")))
+    if let Some(mutation) = read_mutation(line, word)? {
+        return Ok(Request::Mutate(mutation));
+    }
+    read_query(line, word)?.ok_or_else(|| ApiError::parse(format!("unknown request {word:?}")))
 }
 
 /// A line's first word, the keyword a table row is found by: up to the
@@ -351,16 +359,21 @@ pub fn parse_response(text: &str) -> Result<Response, ApiError> {
 /// A session image's log row: the mutation's request line.
 impl Record for Mutation {
     fn put_record(&self, out: &mut String) {
-        write_request(&Request::Mutate(self.clone()), out);
+        write_mutation(self, out);
     }
 
     fn get_record(text: &str, _: &mut Rows<'_>) -> Result<Mutation, ApiError> {
-        match parse_request(text)? {
-            Request::Mutate(m) => Ok(m),
-            Request::Query(_) => Err(ApiError::parse(format!(
-                "session image log rows are mutations, got query {text:?}"
-            ))),
+        let line = text.trim();
+        let word = first_word(line);
+        if let Some(mutation) = read_mutation(line, word)? {
+            return Ok(mutation);
         }
+        // Anything else is refused as a request line is, and a query
+        // that parses is refused as a query.
+        request(line, word)?;
+        Err(ApiError::parse(format!(
+            "session image log rows are mutations, got query {text:?}"
+        )))
     }
 }
 
@@ -449,6 +462,23 @@ mod tests {
             "list_datasets",
         ] {
             assert_eq!(roundtrip(line), line, "canonical form must be stable");
+        }
+    }
+
+    #[test]
+    fn an_image_log_row_is_a_mutation_line() {
+        for line in ["load data/my file.pcl", "scroll -2", "set_contrast all 1.5"] {
+            let mutation = Mutation::get_record(line, &mut Rows::none()).unwrap();
+            let mut out = String::new();
+            mutation.put_record(&mut out);
+            assert_eq!(out, line);
+            assert_eq!(out, format_request(&Request::Mutate(mutation)));
+        }
+        let query = Mutation::get_record("session_info", &mut Rows::none()).unwrap_err();
+        assert!(query.message.contains("got query"), "{query:?}");
+        for bad in ["wat 7", "scroll", "session_info now"] {
+            let refused = Mutation::get_record(bad, &mut Rows::none()).unwrap_err();
+            assert_eq!(Some(refused), parse_request(bad).err(), "{bad:?}");
         }
     }
 

@@ -44,7 +44,13 @@ impl From<Query> for Request {
 
 impl From<Command> for Request {
     fn from(c: Command) -> Self {
-        Request::Mutate(Mutation::Command(c))
+        Request::Mutate(c.into())
+    }
+}
+
+impl From<Command> for Mutation {
+    fn from(c: Command) -> Self {
+        Mutation::Command(c)
     }
 }
 

@@ -582,6 +582,45 @@ mod tests {
         assert_eq!(wall.composite(), direct, "4x2 wall vs desktop");
     }
 
+    /// The paper's wall: the three-dataset desktop on Princeton's 6×4
+    /// projectors (18.9 Mpix) packs into one keyframe burst that unpacks
+    /// to the same bytes, and the burst is a fraction of the raw RGB.
+    /// Release only: `cargo test -p forestview --release -- --ignored`.
+    #[test]
+    #[ignore = "paper size; run in release"]
+    fn princeton_wall_keyframe_unpacks_byte_identically() {
+        use fv_wall::stream::{decode, TileAssembler, TileStreamEncoder};
+        let grid = TileGrid::princeton_wall();
+        let (w, h) = (grid.wall_width(), grid.wall_height());
+        let mut s = Session::new();
+        for ds in fv_synth::scenario::Scenario::three_datasets(1000, 1).datasets {
+            s.load_dataset(ds).unwrap();
+        }
+        s.cluster_all();
+        s.select_region(1, 200, 420);
+        let direct = render_desktop(&s, w, h);
+        let frames = TileStreamEncoder::new(grid).keyframe(&direct);
+        let mut viewer = TileAssembler::new(grid);
+        let mut wire = 0;
+        for frame in &frames {
+            let bytes = frame.encode();
+            let (back, used) = decode(&bytes).unwrap().expect("a whole frame");
+            assert_eq!(used, bytes.len());
+            viewer.apply(&back).unwrap();
+            wire += used;
+        }
+        assert!(
+            viewer.framebuffer() == &direct,
+            "the viewer's wall is the render"
+        );
+        let raw = w * h * 3;
+        println!(
+            "princeton wall {w}x{h}: keyframe {wire} B of {raw} B raw RGB ({:.1}x smaller)",
+            raw as f64 / wire as f64
+        );
+        assert!(wire * 4 < raw, "{wire} B packed of {raw} B raw");
+    }
+
     #[test]
     fn golem_map_renders() {
         use fv_golem::layout::layout_map;

@@ -1164,10 +1164,11 @@ fn drain_stream(conn: &mut Conn, fb: &Framebuffer, streams: &mut StreamPlane) {
         }
     };
     for f in &frames {
-        streams.metrics.frames += 1;
-        streams.metrics.bytes += f.encoded_len() as u64;
-        streams.metrics.pixels += f.rect.area() as u64;
+        let before = conn.out.len();
         f.encode_into(&mut conn.out);
+        streams.metrics.frames += 1;
+        streams.metrics.bytes += (conn.out.len() - before) as u64;
+        streams.metrics.pixels += f.rect.area() as u64;
     }
 }
 
@@ -1676,21 +1677,36 @@ mod tests {
         let mut rig = Rig::new(config(1));
         let viewer = rig.core.open();
         let mutator = rig.core.open();
-        // The subscribe ack and the first keyframe (800x600 RGB, far past
-        // the outbox watermark) sit in an outbox nobody drains.
+        // The subscribe ack, the first keyframe and a delta burst per
+        // published run sit in an outbox nobody drains, until they pass
+        // the outbox watermark.
         rig.core.ingest(viewer, b"subscribe s 2x2\n");
         rig.settle();
+        rig.ask(mutator, "use s\nscenario 60 1\n");
+        let contrasts = ["set_contrast 0 2.5\n", "set_contrast 0 1.5\n"];
+        for contrast in contrasts.iter().cycle().take(400) {
+            if rig.core.conns()[&viewer].outbox().len() >= OUTBOX_HIGH_WATER {
+                break;
+            }
+            rig.ask(mutator, contrast);
+        }
         let backlog = rig.core.conns()[&viewer].outbox().len();
         assert!(backlog >= OUTBOX_HIGH_WATER);
         // Two published runs later the viewer has been dropped to a
         // keyframe once, and not a byte was queued behind its backlog.
-        rig.ask(mutator, "use s\nscenario 60 1\n");
+        rig.ask(mutator, "scroll 1\n");
         rig.ask(mutator, "scroll 1\n");
         assert_eq!(rig.core.conns()[&viewer].outbox().len(), backlog);
-        let (ack, first) = tile_frames(&rig.drain(viewer), 2);
+        let (ack, queued) = tile_frames(&rig.drain(viewer), 2);
         assert_eq!(ack, "ok 1\nsubscribed s 2x2 800x600\n");
-        assert_eq!(first.len(), 4);
+        let (first, deltas) = queued.split_at(4);
         assert!(first.iter().all(|f| f.kind == FrameKind::Key && f.seq == 0));
+        // Each run before the watermark is one delta burst, gapless.
+        assert!(deltas.iter().all(|f| f.kind == FrameKind::Delta));
+        let mut seqs: Vec<u64> = deltas.iter().map(|f| f.seq).collect();
+        seqs.dedup();
+        let last = *seqs.last().expect("deltas before the watermark");
+        assert_eq!(seqs, (1..=last).collect::<Vec<u64>>());
         // The outbox drained and the shell reports progress: the re-sync
         // is a keyframe at the very next seq — the dropped deltas burned
         // no sequence number, so the viewer sees no gap.
@@ -1699,20 +1715,21 @@ mod tests {
         assert_eq!(resync.len(), 4);
         assert!(resync
             .iter()
-            .all(|f| f.kind == FrameKind::Key && f.seq == 1));
+            .all(|f| f.kind == FrameKind::Key && f.seq == last + 1));
         // Caught up, it is back on deltas.
         rig.ask(mutator, "scroll 1\n");
         let (_, deltas) = tile_frames(&rig.drain(viewer), 0);
         assert!(!deltas.is_empty());
         assert!(deltas
             .iter()
-            .all(|f| f.kind == FrameKind::Delta && f.seq == 2));
+            .all(|f| f.kind == FrameKind::Delta && f.seq == last + 2));
         let stats = rig.stats(mutator);
         assert_eq!(
             stats.stream.dropped, 1,
             "one drop, however many runs it spanned"
         );
-        assert_eq!(stats.stream.frames, 8 + deltas.len() as u64);
+        let frames = queued.len() + resync.len() + deltas.len();
+        assert_eq!(stats.stream.frames, frames as u64);
     }
 
     #[test]

@@ -22,7 +22,8 @@ use crate::metrics::{parse_stats, LatencyHistogram};
 use crate::shard::{answer_run, session_reports};
 use crate::ShardBackendConfig;
 use fv_api::{parse_session_image, CacheStats, Engine, ErrorCode};
-use fv_wall::stream::{decode, TileAssembler};
+use fv_wall::stream::{decode, max_payload_len, FrameKind, TileAssembler, TileFrame};
+use fv_wall::tile::Viewport;
 use std::collections::BTreeSet;
 use std::fmt::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,6 +49,12 @@ impl Rng {
 // ── scripts, and what the grammar owes their lines ──────────────────────
 
 const NAMES: [&str; 4] = ["a", "b", "c", "main"];
+/// The grids viewers subscribe through. The last divides no scene. The
+/// one before cuts only the wall-sized scene, into 3×3-pixel tiles: its
+/// keyframe's 12 288 frame headers alone cross `OUTBOX_HIGH_WATER`,
+/// whatever the wall shows, so a viewer whose transport stops taking
+/// bytes is dropped to a keyframe.
+const GRIDS: [(usize, usize); 5] = [(2, 2), (1, 1), (4, 2), (128, 96), (7, 3)];
 const REQUESTS: &str = "scroll 1|scroll 3|scroll 0|select_region 0 0.1 0.8|search_select strëss\
     |set_contrast 0 1.5|toggle_sync|session_info|list_datasets|impute 9 3|cluster_all|cluster_all\
     |set_metric spearman|set_linkage average|normalize all zscore|cluster_arrays 0\
@@ -69,8 +76,10 @@ fn script(rng: &mut Rng, pcl: &str, n_shards: usize) -> Vec<u8> {
             // One past the last shard is `E_INVALID`.
             7..=9 => format!("migrate {s} {}", rng.below(n_shards + 1)),
             10..=11 => format!("close {s}"),
-            // The last grid divides neither scene.
-            12..=14 => format!("subscribe {s} {}", any(rng, "2x2|1x1|4x2|7x3")),
+            12..=14 => {
+                let (tx, ty) = rng.pick(&GRIDS);
+                format!("subscribe {s} {tx}x{ty}")
+            }
             15 => format!("ack {}", rng.below(40)),
             // Too long: reported before its newline arrives.
             16 if rng.below(2) == 0 => "x".repeat(MAX_LINE + 1 + rng.below(64)),
@@ -314,6 +323,8 @@ struct World {
     /// unanswered, a byte not taken, or a `use` or `subscribe`
     /// materializing.
     dirty: u64,
+    /// See [`most_owed`].
+    most_owed: usize,
 }
 
 impl Drop for World {
@@ -329,6 +340,25 @@ impl Drop for World {
             std::fs::remove_dir_all(dir).ok();
         }
     }
+}
+
+/// The most bytes an outbox may owe in a `scene`-sized world. Below the
+/// watermark nothing stops a drain, and past it nothing more is packed,
+/// so at most one burst rides over it — a frame per tile of the finest
+/// grid, each as long as a frame of that tile can be — with replies
+/// beside.
+fn most_owed((w, h): (usize, usize)) -> usize {
+    let grids = GRIDS.iter().filter(|&&(tx, ty)| w % tx == 0 && h % ty == 0);
+    let tiles = grids.map(|(tx, ty)| tx * ty).max().unwrap_or(1);
+    let payload = max_payload_len(w * h / tiles).expect("a tile's payload fits");
+    let longest = TileFrame {
+        seq: u64::MAX,
+        kind: FrameKind::Delta,
+        tile: tiles,
+        rect: Viewport { x: w, y: h, w, h },
+        payload: vec![0; payload],
+    };
+    OUTBOX_HIGH_WATER + tiles * longest.encoded_len() + 16 * 1024
 }
 
 const PCL: &str = "ID\tNAME\tGWEIGHT\tc0\tc1\tc2\tc3\n\
@@ -355,9 +385,7 @@ impl World {
         let _ = std::fs::remove_dir_all(&scratch);
         let config = ServerConfig {
             shards: 2 + rng.below(3),
-            // One scene in five is wall-sized: its keyframe (331 776 B)
-            // crosses `OUTBOX_HIGH_WATER`, so a viewer whose transport
-            // stops taking bytes is dropped to a keyframe.
+            // One scene in five is wall-sized (see `GRIDS`).
             scene: rng.pick(&[(64, 48), (64, 48), (64, 48), (160, 120), (384, 288)]),
             queue_limit: 3 + rng.below(6),
             balance: rng.pick(&[BalanceMode::Off, BalanceMode::Auto]),
@@ -386,6 +414,7 @@ impl World {
             rng,
             steps: 0,
             log: Vec::new(),
+            most_owed: most_owed(config.scene),
             rig: Rig::new(config.clone()),
             oracle: Oracle {
                 scene: config.scene,
@@ -732,8 +761,7 @@ impl World {
                 client.gone = true;
             }
         }
-        let (w, h) = self.config.scene;
-        let most = OUTBOX_HIGH_WATER + w * h * 3 + 16 * 1024;
+        let most = self.most_owed;
         for owed in self
             .rig
             .core

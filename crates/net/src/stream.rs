@@ -178,7 +178,7 @@ impl StreamPlane {
 /// # use fv_net::stream::Watcher;
 /// let mut w = Watcher::connect("127.0.0.1:7171", "main", 4, 2).unwrap();
 /// while let Some(frame) = w.next_frame().unwrap() {
-///     println!("seq={} tile={} {} bytes", frame.seq, frame.tile, frame.pixels.len());
+///     println!("seq={} tile={} {} bytes", frame.seq, frame.tile, frame.encoded_len());
 ///     w.ack(frame.seq);
 /// }
 /// let fb = w.framebuffer(); // the reassembled wall

@@ -101,9 +101,9 @@ fn stalled_subscriber_never_blocks_peers_and_recovers_via_keyframe() {
     run_remote(&mut client, "walls", &setup);
 
     // The stalled viewer subscribes, acks once, and then never reads:
-    // either its outbox fills past the watermark (the initial keyframe
-    // is 800×600×3 ≈ 1.4 MB) or its ack lag crosses the threshold —
-    // both mark it for a fresh keyframe instead of a backlog.
+    // either its outbox fills past the watermark or its ack lag crosses
+    // the threshold — both mark it for a fresh keyframe instead of a
+    // backlog.
     let mut stalled = Watcher::connect(&addr, "walls", 2, 2).unwrap();
     stalled.ack(0);
     // A healthy viewer rides along.
@@ -164,6 +164,35 @@ fn stalled_subscriber_never_blocks_peers_and_recovers_via_keyframe() {
         expected.bytes(),
         "recovered viewer must land on the current state"
     );
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn stats_counts_the_packed_bytes_the_watcher_decoded() {
+    let server = server(2);
+    let addr = server.local_addr().to_string();
+    let setup = ["scenario 80 3", "cluster_all"];
+    let mutations = ["scroll 3", "set_contrast 0 2.5", "select_region 0 0.2 0.6"];
+    let mut client = Client::connect(&addr).unwrap();
+    run_remote(&mut client, "walls", &setup);
+    let mut watcher = Watcher::connect(&addr, "walls", 4, 2).unwrap();
+    let idle = Some(Duration::from_millis(400));
+    watcher.set_read_timeout(idle).unwrap();
+    let (mut decoded, mut pixels) = (0, 0);
+    for line in mutations {
+        client.roundtrip(line).unwrap().unwrap();
+        while let Some(frame) = watcher.next_frame().expect("stream stays well-formed") {
+            decoded += frame.encoded_len() as u64;
+            pixels += frame.rect.area() as u64;
+        }
+    }
+    let stats = client.stats().unwrap().stream;
+    assert_eq!((stats.bytes, stats.pixels), (decoded, pixels), "{stats:?}");
+    // Colour runs pack: the wire carries a fraction of the raw RGB.
+    assert!(decoded * 4 < pixels * 3, "{decoded} B for {pixels} pixels");
+    let expected = local_render("walls", &[&setup[..], &mutations[..]].concat());
+    assert_eq!(watcher.framebuffer().bytes(), expected.bytes());
     server.shutdown();
     server.join();
 }

@@ -50,6 +50,12 @@ impl Framebuffer {
         &self.data
     }
 
+    /// Raw packed-RGB bytes, writable in place (how the tile-stream
+    /// assembler unpacks a frame straight into its wall).
+    pub fn bytes_mut(&mut self) -> &mut [u8] {
+        &mut self.data
+    }
+
     /// Fill with a color.
     pub fn clear(&mut self, color: Rgb) {
         for px in self.data.chunks_exact_mut(3) {
@@ -163,25 +169,9 @@ impl Framebuffer {
         out
     }
 
-    /// Append the packed-RGB bytes of the rectangle `[x, x+w) × [y, y+h)`
-    /// to `out`, row by row. The rectangle must lie fully inside the
-    /// surface. This is the tile-streaming encoder's extraction primitive:
-    /// unlike [`Framebuffer::crop`] it allocates nothing per call.
-    pub fn copy_rect_into(&self, x: usize, y: usize, w: usize, h: usize, out: &mut Vec<u8>) {
-        assert!(
-            x + w <= self.width && y + h <= self.height,
-            "copy_rect out of bounds"
-        );
-        out.reserve(w * h * 3);
-        for yy in y..y + h {
-            let i = (yy * self.width + x) * 3;
-            out.extend_from_slice(&self.data[i..i + w * 3]);
-        }
-    }
-
     /// Overwrite the rectangle `[x, x+w) × [y, y+h)` from packed-RGB bytes
     /// laid out row-major (`w * h * 3` bytes) — the inverse of
-    /// [`Framebuffer::copy_rect_into`], used by stream reassembly.
+    /// [`Framebuffer::crop`]'s bytes.
     pub fn write_rect(&mut self, x: usize, y: usize, w: usize, h: usize, bytes: &[u8]) {
         assert!(
             x + w <= self.width && y + h <= self.height,
@@ -315,32 +305,12 @@ mod tests {
     }
 
     #[test]
-    fn copy_rect_write_rect_roundtrip() {
+    fn write_rect_inverts_crop() {
         let mut fb = Framebuffer::new(6, 5);
         fb.fill_rect(1, 2, 3, 2, Rgb::RED);
-        let mut bytes = Vec::new();
-        fb.copy_rect_into(1, 2, 3, 2, &mut bytes);
-        assert_eq!(bytes.len(), 3 * 2 * 3);
         let mut other = Framebuffer::new(6, 5);
-        other.write_rect(1, 2, 3, 2, &bytes);
+        other.write_rect(1, 2, 3, 2, fb.crop(1, 2, 3, 2).bytes());
         assert_eq!(other, fb);
-    }
-
-    #[test]
-    fn copy_rect_matches_crop() {
-        let mut fb = Framebuffer::new(7, 7);
-        fb.fill_rect(0, 0, 7, 7, Rgb::new(3, 1, 4));
-        fb.fill_rect(2, 2, 2, 2, Rgb::new(1, 5, 9));
-        let mut bytes = Vec::new();
-        fb.copy_rect_into(1, 1, 4, 3, &mut bytes);
-        assert_eq!(bytes, fb.crop(1, 1, 4, 3).bytes());
-    }
-
-    #[test]
-    #[should_panic(expected = "copy_rect out of bounds")]
-    fn copy_rect_oob_panics() {
-        let fb = Framebuffer::new(3, 3);
-        fb.copy_rect_into(2, 2, 2, 2, &mut Vec::new());
     }
 
     #[test]

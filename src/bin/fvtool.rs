@@ -424,7 +424,8 @@ fn cmd_serve(args: &[String]) -> Result<(), ApiError> {
 
 /// Subscribe to a session's tile stream and reassemble the wall
 /// locally, printing one summary line per frame burst (all tiles that
-/// share a seq). Stops after `--frames` distinct seqs or once the
+/// share a seq; `bytes=` counts the packed frames as they crossed the
+/// wire). Stops after `--frames` distinct seqs or once the
 /// stream goes idle for `--idle-ms`; `--dally-ms` sleeps between reads
 /// to simulate a slow viewer (exercising the server's drop-to-keyframe
 /// path); `--verify-script` replays a script locally and byte-compares
