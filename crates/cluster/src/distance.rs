@@ -7,9 +7,18 @@
 //! repel.
 //!
 //! [`Metric::distance`] is the single-pair definition. [`condensed_distances`]
-//! computes all Pearson / absolute-Pearson pairs with one column-streaming
+//! computes all Pearson / absolute-Pearson pairs with one register-blocked
 //! kernel whose `f32` output is bit-identical to it, pair by pair; the
 //! other metrics go through [`CondensedMatrix::from_fn`].
+//!
+//! The kernel copies the matrix once into zero-padded column planes and
+//! computes row `i` against eight `j`s at a time, each pair's sums in its
+//! own lane of `[f64; 8]` accumulators that stay in registers across the
+//! columns. Its row body is compiled twice: for the target's baseline, and
+//! with AVX2 enabled, where each accumulator is two 256-bit registers. The
+//! CPU is asked once per call which one runs. Both do the same arithmetic
+//! in the same order, unfused, so the choice moves no bit; neither FMA nor
+//! AVX-512 is enabled.
 //!
 //! Both fill rows `0..n−1` in contiguous **bands** of equal pair counts
 //! (row `i` owns `n − i − 1`), each its own slice of the one `Vec<f32>`.
@@ -27,14 +36,14 @@ use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::Mutex;
 
-/// The fewest pairs worth a worker thread. On a 2-core x86-64 box the
-/// Pearson kernel runs 16.9 M pairs/s at 60 columns, so this is ~3.9 ms
-/// of work, against ~30 µs to spawn and join a scoped thread.
+/// The fewest pairs worth a worker thread. On one core of a 2-core AVX2
+/// Xeon the Pearson kernel runs 13–14 M pairs/s at 60 columns, so this
+/// is ~4.7 ms of work, against ~30 µs to spawn and join a scoped thread.
 const MIN_WORKER_PAIRS: usize = 1 << 16;
 
 /// Bands per worker: at 1000 rows on two cores a band is 7.8 K pairs,
-/// ~0.5 ms of Pearson, the longest a worker finishing last keeps the
-/// call waiting.
+/// ~0.55 ms of Pearson at 60 columns on that Xeon, the longest a worker
+/// finishing last keeps the call waiting.
 const BANDS_PER_WORKER: usize = 32;
 
 /// Row dissimilarity metric.
@@ -174,8 +183,8 @@ pub fn condensed_distances(m: &ExprMatrix, metric: Metric) -> CondensedMatrix {
 /// [`condensed_distances`] by exactly `workers` threads.
 fn condensed_distances_in(m: &ExprMatrix, metric: Metric, workers: usize) -> CondensedMatrix {
     match metric {
-        Metric::Pearson => pearson_condensed(m, false, workers),
-        Metric::AbsPearson => pearson_condensed(m, true, workers),
+        Metric::Pearson => pearson_condensed(m, false, workers, Kernel::detect()),
+        Metric::AbsPearson => pearson_condensed(m, true, workers, Kernel::detect()),
         Metric::Uncentered | Metric::Spearman | Metric::Euclidean => {
             pairwise(m.n_rows(), workers, |i, j| metric.distance(m, i, j))
         }
@@ -260,88 +269,197 @@ fn fill_bands<S: Send>(
     CondensedMatrix { n, data }
 }
 
-/// All `1 − r` (or `1 − |r|` when `fold_sign`) Pearson distances of `m`.
-///
-/// [`stats::pearson_rows`] walks one pair at a time and tests two mask bits
-/// per cell. Here the matrix is copied once into column-major planes — the
-/// value (0.0 where missing) and the presence as 0.0 / 1.0 — and row `i`
-/// streams each column it has over per-`j` accumulators for `j > i`, so the
-/// inner loops are contiguous in `j`, branch-free and need no reduction
-/// across lanes.
-///
-/// The result is bit-identical to the per-pair form because every pair
-/// still adds the same terms in the same column order: a column `j` lacks
-/// contributes `x · 0.0 = ±0.0`, and an accumulator that started at `+0.0`
-/// is never `−0.0`, so adding `±0.0` leaves it unchanged. That holds only
-/// while the sums stay scalar per pair and unfused: no `mul_add`, no
-/// summing across columns in lanes. Each worker has its own accumulators,
-/// so which band, and which thread, computes a pair does not matter.
-fn pearson_condensed(m: &ExprMatrix, fold_sign: bool, workers: usize) -> CondensedMatrix {
-    let (n, k) = (m.n_rows(), m.n_cols());
-    let mut val = vec![0.0f64; n * k];
-    let mut pres = vec![0.0f64; n * k];
-    for r in 0..n {
-        for (c, v) in m.present_in_row_iter(r) {
-            val[c * n + r] = v as f64;
-            pres[c * n + r] = 1.0;
+/// The `j`s a Pearson block computes at once: eight `f64` lanes, two AVX2
+/// registers per accumulator.
+const LANES: usize = 8;
+
+/// Which instantiation of [`pearson_row`] a call runs. Chosen once per
+/// call, before any band is filled; it never changes a bit of the output.
+#[derive(Debug, Clone, Copy)]
+enum Kernel {
+    /// Compiled for the target's baseline (SSE2 on x86-64).
+    Portable,
+    /// Compiled with AVX2 enabled. Made only by [`Kernel::avx2`].
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Kernel {
+    /// The widest kernel this CPU runs.
+    fn detect() -> Kernel {
+        Kernel::avx2().unwrap_or(Kernel::Portable)
+    }
+
+    /// [`Kernel::Avx2`], when the CPU has AVX2.
+    fn avx2() -> Option<Kernel> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Some(Kernel::Avx2);
+        }
+        None
+    }
+}
+
+/// Column-major copies of a matrix: the value (0.0 where missing) and the
+/// presence as 0.0 / 1.0. Each column's plane holds `n` rows and then one
+/// block of zeros, so a block that starts at any row `< n` reads inside it.
+struct Planes {
+    val: Vec<f64>,
+    pres: Vec<f64>,
+    stride: usize,
+    k: usize,
+}
+
+impl Planes {
+    fn of(m: &ExprMatrix) -> Planes {
+        let (n, k) = (m.n_rows(), m.n_cols());
+        let stride = n + LANES;
+        let mut val = vec![0.0f64; stride * k];
+        let mut pres = vec![0.0f64; stride * k];
+        for r in 0..n {
+            for (c, v) in m.present_in_row_iter(r) {
+                val[c * stride + r] = v as f64;
+                pres[c * stride + r] = 1.0;
+            }
+        }
+        Planes {
+            val,
+            pres,
+            stride,
+            k,
         }
     }
+
+    /// The `LANES` entries of `plane` from `at` on.
+    #[inline(always)]
+    fn block(plane: &[f64], at: usize) -> &[f64; LANES] {
+        plane[at..]
+            .first_chunk()
+            .expect("a block starts before the padding")
+    }
+}
+
+/// All `1 − r` (or `1 − |r|` when `fold_sign`) Pearson distances of `m`,
+/// each row by `kernel`.
+///
+/// [`stats::pearson_rows`] walks one pair at a time and tests two mask bits
+/// per cell. Here the matrix is copied once into [`Planes`], and row `i`
+/// is computed against `LANES` `j`s at a time, their accumulators in
+/// registers (see [`pearson_row`]).
+fn pearson_condensed(
+    m: &ExprMatrix,
+    fold_sign: bool,
+    workers: usize,
+    kernel: Kernel,
+) -> CondensedMatrix {
+    let planes = Planes::of(m);
+    // Each worker's scratch: the columns row `i` has.
+    let cols = || Vec::with_capacity(planes.k);
+    fill_bands(m.n_rows(), workers, cols, |i, out, cols| match kernel {
+        Kernel::Portable => pearson_row(&planes, i, fold_sign, cols, out),
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code, reason = "calling an AVX2 function is unsafe")]
+        Kernel::Avx2 => {
+            // SAFETY: `Kernel::Avx2` is made only by `Kernel::avx2`, after
+            // the CPU reported AVX2, all `pearson_row_avx2` requires.
+            unsafe { pearson_row_avx2(&planes, i, fold_sign, cols, out) }
+        }
+    })
+}
+
+/// [`pearson_row`] compiled with AVX2: each `[f64; LANES]` accumulator is
+/// two 256-bit registers. No FMA: a fused multiply-add rounds once where
+/// [`stats::pearson_rows`] rounds twice. Call it only once the CPU has
+/// reported AVX2; elsewhere its instructions are undefined behaviour.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn pearson_row_avx2(
+    planes: &Planes,
+    i: usize,
+    fold_sign: bool,
+    cols: &mut Vec<(f64, usize)>,
+    out: &mut [f32],
+) {
+    pearson_row(planes, i, fold_sign, cols, out)
+}
+
+/// Row `i`'s distances to every `j > i`, written to `out`, `LANES` `j`s a
+/// block: pass 1 sums the count, `Σ a` and `Σ b` over the columns both rows
+/// have, the sums become means, pass 2 sums the centred cross and squares,
+/// and the lanes are finished into distances. The last block runs into
+/// the planes' padding; its lanes past the row's end are never written.
+///
+/// Every lane is bit-identical to [`Metric::distance`] of its pair because
+/// the pair still adds the same terms in the same column order, one scalar
+/// sum per lane: a column `j` lacks contributes `x · 0.0 = ±0.0`, and an
+/// accumulator that started at `+0.0` is never `−0.0`, so adding `±0.0`
+/// leaves it unchanged. That holds only while the sums stay unfused and
+/// within their lane: no `mul_add`, no sum across lanes. A pair with no
+/// shared column divides 0 by 0; the NaN stays in its lane and the final
+/// select discards it.
+#[inline(always)]
+fn pearson_row(
+    planes: &Planes,
+    i: usize,
+    fold_sign: bool,
+    cols: &mut Vec<(f64, usize)>,
+    out: &mut [f32],
+) {
+    let Planes {
+        val,
+        pres,
+        stride,
+        k,
+    } = planes;
+    // Row `i`'s value in each column it has, and that column's plane.
+    cols.clear();
+    cols.extend((0..*k).filter_map(|c| {
+        let at = c * stride + i;
+        (pres[at] != 0.0).then(|| (val[at], c * stride))
+    }));
     let min_overlap = Metric::MIN_OVERLAP.max(2) as f64;
     let neutral = Metric::Pearson.neutral();
 
-    // Per-`j` accumulators, as wide as row 0, the widest a worker may
-    // take; `mean_a` / `mean_b` hold the sums until divided.
-    let accumulators = || -> [Vec<f64>; 6] { std::array::from_fn(|_| vec![0.0; n - 1]) };
-    fill_bands(n, workers, accumulators, |i, out, acc| {
-        let w = n - i - 1;
-        let [cnt, mean_a, mean_b, num, da, db] = acc;
-        let (cnt, mean_a, mean_b) = (&mut cnt[..w], &mut mean_a[..w], &mut mean_b[..w]);
-        let (num, da, db) = (&mut num[..w], &mut da[..w], &mut db[..w]);
-        // Columns row `i` has: its value and the planes' tails over `j > i`.
-        let cols = (0..k).filter(|c| pres[c * n + i] != 0.0).map(|c| {
-            let tail = c * n + i + 1..(c + 1) * n;
-            (val[c * n + i], &val[tail.clone()], &pres[tail])
-        });
+    for (b, out) in out.chunks_mut(LANES).enumerate() {
+        let j = i + 1 + b * LANES;
 
-        cnt.fill(0.0);
-        mean_a.fill(0.0);
-        mean_b.fill(0.0);
-        for (a, v, p) in cols.clone() {
-            for j in 0..w {
-                cnt[j] += p[j];
-                mean_a[j] += a * p[j];
-                mean_b[j] += v[j];
+        let [mut cnt, mut mean_a, mut mean_b] = [[0.0f64; LANES]; 3];
+        for &(a, plane) in cols.iter() {
+            let v = Planes::block(val, plane + j);
+            let p = Planes::block(pres, plane + j);
+            for l in 0..LANES {
+                cnt[l] += p[l];
+                mean_a[l] += a * p[l];
+                mean_b[l] += v[l];
             }
         }
-        // A pair with no shared column divides 0 by 0; the NaN stays in
-        // its own lane and the final select discards it.
-        for j in 0..w {
-            mean_a[j] /= cnt[j];
-            mean_b[j] /= cnt[j];
+        for l in 0..LANES {
+            mean_a[l] /= cnt[l];
+            mean_b[l] /= cnt[l];
         }
 
-        num.fill(0.0);
-        da.fill(0.0);
-        db.fill(0.0);
-        for (a, v, p) in cols {
-            for j in 0..w {
-                let xa = (a - mean_a[j]) * p[j];
-                let xb = (v[j] - mean_b[j]) * p[j];
-                num[j] += xa * xb;
-                da[j] += xa * xa;
-                db[j] += xb * xb;
+        let [mut num, mut da, mut db] = [[0.0f64; LANES]; 3];
+        for &(a, plane) in cols.iter() {
+            let v = Planes::block(val, plane + j);
+            let p = Planes::block(pres, plane + j);
+            for l in 0..LANES {
+                let xa = (a - mean_a[l]) * p[l];
+                let xb = (v[l] - mean_b[l]) * p[l];
+                num[l] += xa * xb;
+                da[l] += xa * xa;
+                db[l] += xb * xb;
             }
         }
 
-        // An indexed store into the row: unlike `extend` over the same
-        // expression, this loop vectorises its square roots and divisions.
-        for j in 0..w {
-            let r = num[j] / (da[j].sqrt() * db[j].sqrt());
+        let mut d = [0.0f32; LANES];
+        for l in 0..LANES {
+            let r = num[l] / (da[l].sqrt() * db[l].sqrt());
             let r = if fold_sign { r.abs() } else { r };
-            let defined = cnt[j] >= min_overlap && da[j] > 0.0 && db[j] > 0.0;
-            out[j] = if defined { (1.0 - r) as f32 } else { neutral };
+            let defined = cnt[l] >= min_overlap && da[l] > 0.0 && db[l] > 0.0;
+            d[l] = if defined { (1.0 - r) as f32 } else { neutral };
         }
-    })
+        out.copy_from_slice(&d[..out.len()]);
+    }
 }
 
 /// [`condensed_distances`], held to its contract on the way out: every
@@ -433,6 +551,80 @@ mod tests {
         // n(n−1)/2 < 2 · MIN_WORKER_PAIRS: a second worker would fall
         // below its floor.
         assert_eq!(worker_count(400), 1);
+    }
+
+    /// Every instantiation of the Pearson row this CPU runs: the portable
+    /// one, and the AVX2 one when the CPU has it.
+    fn kernels() -> Vec<Kernel> {
+        [Some(Kernel::Portable), Kernel::avx2()]
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
+    /// [`holey`], with the rows Pearson leaves undefined mixed in: three
+    /// bits of `shape` per row pick fully missing, constant (zero
+    /// variance) or two columns present (below `MIN_OVERLAP`) for some.
+    fn awkward(rows: usize, cols: usize, missing_pct: u64, seed: u64, shape: u64) -> ExprMatrix {
+        let mut m = holey(rows, cols, missing_pct, seed);
+        for r in 0..rows {
+            for c in 0..cols {
+                match (shape >> (3 * (r % 21))) & 7 {
+                    5 => m.set_missing(r, c),
+                    6 => m.set(r, c, 1.5),
+                    7 if c >= 2 => m.set_missing(r, c),
+                    _ => {}
+                }
+            }
+        }
+        m
+    }
+
+    /// Each kernel by 1, 2 and 5 workers, Pearson and AbsPearson, held to
+    /// [`Metric::distance`] pair by pair.
+    fn assert_kernels_give_the_per_pair_bits(m: &ExprMatrix) {
+        let n = m.n_rows();
+        for (metric, fold_sign) in [(Metric::Pearson, false), (Metric::AbsPearson, true)] {
+            for kernel in kernels() {
+                for workers in [1, 2, 5] {
+                    let got = pearson_condensed(m, fold_sign, workers, kernel);
+                    assert_eq!(got.n(), n);
+                    for i in 0..n {
+                        for j in (i + 1)..n {
+                            assert_eq!(
+                                got.get(i, j).to_bits(),
+                                metric.distance(m, i, j).to_bits(),
+                                "{metric:?}, {kernel:?}, {workers} workers, ({i}, {j})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_block_tail_gives_the_per_pair_bits() {
+        // n = 0..=17 ends a row's last block at every lane, twice.
+        for n in 0..=17 {
+            let m = awkward(n, 7, 20, n as u64 + 1, 0x5f3e_a7c1_9b24_d86e);
+            assert_kernels_give_the_per_pair_bits(&m);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn each_kernel_gives_the_per_pair_bits(
+            n in 0usize..=40,
+            cols in 0usize..12,
+            missing_pct in prop_oneof![Just(0u64), Just(10u64), Just(60u64)],
+            seed in any::<u64>(),
+            shape in any::<u64>(),
+        ) {
+            assert_kernels_give_the_per_pair_bits(&awkward(n, cols, missing_pct, seed, shape));
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! - [`distance`] — the Cluster-3.0 family of row metrics (Pearson,
 //!   absolute/uncentered Pearson, Spearman, Euclidean), with missing-value
 //!   aware pairwise computation and a condensed distance matrix filled in
-//!   pair-balanced row bands across the cores, bit-identical at any count,
+//!   pair-balanced row bands across the cores, bit-identical at any count;
+//!   Pearson runs eight pairs at a time in registers, with AVX2 where the
+//!   CPU has it and the same bits either way,
 //! - [`linkage`] — agglomerative clustering via the nearest-neighbor-chain
 //!   algorithm with Lance–Williams updates (single, complete, average,
 //!   Ward), O(n²) over the active clusters, one condensed matrix of space,
@@ -19,7 +21,10 @@
 //! - [`impute`] — KNN imputation of missing values (Troyanskaya et al.
 //!   2001), the standard preprocessing before clustering sparse arrays.
 
-#![forbid(unsafe_code)]
+#![deny(
+    unsafe_code,
+    reason = "`unsafe` is the one call into the AVX2 Pearson row, in distance.rs"
+)]
 
 pub mod distance;
 pub mod impute;

@@ -102,37 +102,48 @@ pub struct TileFrame {
 
 impl TileFrame {
     /// Total encoded size (header line + payload): the bytes on the wire.
+    /// Counted from the fields' digits; nothing is formatted.
     pub fn encoded_len(&self) -> usize {
-        self.header().len() + self.payload.len()
-    }
-
-    fn header(&self) -> String {
-        format!(
-            "{} {} {} {} {}:{}:{}:{} {}\n",
-            FRAME_KEYWORD,
-            self.seq,
-            self.kind.as_str(),
-            self.tile,
-            self.rect.x,
-            self.rect.y,
-            self.rect.w,
-            self.rect.h,
-            self.payload.len()
-        )
+        let Viewport { x, y, w, h } = self.rect;
+        let numbers = [self.tile, x, y, w, h, self.payload.len()];
+        // Five spaces, the rect's three colons and the newline.
+        let separators = 5 + 3 + 1;
+        FRAME_KEYWORD.len()
+            + digits(self.seq)
+            + self.kind.as_str().len()
+            + numbers.iter().map(|&v| digits(v as u64)).sum::<usize>()
+            + separators
+            + self.payload.len()
     }
 
     /// Append the wire encoding to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self.header().as_bytes());
+        use std::io::Write;
+        let Viewport { x, y, w, h } = self.rect;
+        out.reserve(self.encoded_len());
+        writeln!(
+            out,
+            "{FRAME_KEYWORD} {} {} {} {x}:{y}:{w}:{h} {}",
+            self.seq,
+            self.kind.as_str(),
+            self.tile,
+            self.payload.len()
+        )
+        .expect("writing to a Vec cannot fail");
         out.extend_from_slice(&self.payload);
     }
 
     /// The wire encoding as a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
+        let mut out = Vec::new();
         self.encode_into(&mut out);
         out
     }
+}
+
+/// How many decimal digits `v` is written with.
+fn digits(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 /// A malformed tile frame on the wire.

@@ -195,6 +195,27 @@ proptest! {
         prop_assert_eq!(used + used2, twice.len());
     }
 
+    /// The counted length equals the written one where a field gains a
+    /// digit, and at the largest values each field holds.
+    #[test]
+    fn encoded_len_counts_every_digit(
+        seq in 0usize..8,
+        tile in 0usize..8,
+        (x, y) in (0usize..8, 0usize..8),
+        (w, h) in (0usize..8, 0usize..8),
+        payload in 0usize..7,
+    ) {
+        let at = |i: usize| [0, 9, 10, 99, 100, 999_999, 1_000_000, usize::MAX][i];
+        let frame = TileFrame {
+            seq: [0, 9, 10, 99, 100, 12_345_678_901, u64::MAX - 1, u64::MAX][seq],
+            kind: if tile % 2 == 0 { FrameKind::Key } else { FrameKind::Delta },
+            tile: at(tile),
+            rect: Viewport { x: at(x), y: at(y), w: at(w), h: at(h) },
+            payload: vec![7; at(payload)],
+        };
+        prop_assert_eq!(frame.encoded_len(), frame.encode().len());
+    }
+
     /// Every rect of a wall, cut as a delta from random runs and
     /// unpacked over a keyframe of another wall, lands exactly.
     #[test]
