@@ -109,6 +109,13 @@ pub struct Engine {
     truth: Option<GroundTruth>,
 }
 
+// Shards move engines between threads, and a wall render shares one
+// engine's `&Session` across tile threads.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Engine>();
+};
+
 impl Default for Engine {
     fn default() -> Self {
         Engine::new()

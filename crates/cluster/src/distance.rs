@@ -383,6 +383,70 @@ fn pearson_row_avx2(
     pearson_row(planes, i, fold_sign, cols, out)
 }
 
+/// The body of [`pearson_row`], written once for it and for the tests'
+/// `pearson_row_coefficients`: each finishes a lane's `r`, and whether it
+/// is `defined`, into its own output type.
+macro_rules! pearson_blocks {
+    ($planes:expr, $i:expr, $fold_sign:expr, $cols:expr, $out:expr, $zero:expr,
+     |$r:ident, $defined:ident| $finish:expr) => {{
+        let (planes, i, fold_sign, cols, out) = ($planes, $i, $fold_sign, $cols, $out);
+        let Planes {
+            val,
+            pres,
+            stride,
+            k,
+        } = planes;
+        // Row `i`'s value in each column it has, and that column's plane.
+        cols.clear();
+        cols.extend((0..*k).filter_map(|c| {
+            let at = c * stride + i;
+            (pres[at] != 0.0).then(|| (val[at], c * stride))
+        }));
+        let min_overlap = Metric::MIN_OVERLAP.max(2) as f64;
+
+        for (b, out) in out.chunks_mut(LANES).enumerate() {
+            let j = i + 1 + b * LANES;
+
+            let [mut cnt, mut mean_a, mut mean_b] = [[0.0f64; LANES]; 3];
+            for &(a, plane) in cols.iter() {
+                let v = Planes::block(val, plane + j);
+                let p = Planes::block(pres, plane + j);
+                for l in 0..LANES {
+                    cnt[l] += p[l];
+                    mean_a[l] += a * p[l];
+                    mean_b[l] += v[l];
+                }
+            }
+            for l in 0..LANES {
+                mean_a[l] /= cnt[l];
+                mean_b[l] /= cnt[l];
+            }
+
+            let [mut num, mut da, mut db] = [[0.0f64; LANES]; 3];
+            for &(a, plane) in cols.iter() {
+                let v = Planes::block(val, plane + j);
+                let p = Planes::block(pres, plane + j);
+                for l in 0..LANES {
+                    let xa = (a - mean_a[l]) * p[l];
+                    let xb = (v[l] - mean_b[l]) * p[l];
+                    num[l] += xa * xb;
+                    da[l] += xa * xa;
+                    db[l] += xb * xb;
+                }
+            }
+
+            let mut d = [$zero; LANES];
+            for l in 0..LANES {
+                let $r = num[l] / (da[l].sqrt() * db[l].sqrt());
+                let $r = if fold_sign { $r.abs() } else { $r };
+                let $defined = cnt[l] >= min_overlap && da[l] > 0.0 && db[l] > 0.0;
+                d[l] = $finish;
+            }
+            out.copy_from_slice(&d[..out.len()]);
+        }
+    }};
+}
+
 /// Row `i`'s distances to every `j > i`, written to `out`, `LANES` `j`s a
 /// block: pass 1 sums the count, `Σ a` and `Σ b` over the columns both rows
 /// have, the sums become means, pass 2 sums the centred cross and squares,
@@ -405,61 +469,34 @@ fn pearson_row(
     cols: &mut Vec<(f64, usize)>,
     out: &mut [f32],
 ) {
-    let Planes {
-        val,
-        pres,
-        stride,
-        k,
-    } = planes;
-    // Row `i`'s value in each column it has, and that column's plane.
-    cols.clear();
-    cols.extend((0..*k).filter_map(|c| {
-        let at = c * stride + i;
-        (pres[at] != 0.0).then(|| (val[at], c * stride))
-    }));
-    let min_overlap = Metric::MIN_OVERLAP.max(2) as f64;
     let neutral = Metric::Pearson.neutral();
-
-    for (b, out) in out.chunks_mut(LANES).enumerate() {
-        let j = i + 1 + b * LANES;
-
-        let [mut cnt, mut mean_a, mut mean_b] = [[0.0f64; LANES]; 3];
-        for &(a, plane) in cols.iter() {
-            let v = Planes::block(val, plane + j);
-            let p = Planes::block(pres, plane + j);
-            for l in 0..LANES {
-                cnt[l] += p[l];
-                mean_a[l] += a * p[l];
-                mean_b[l] += v[l];
-            }
+    pearson_blocks!(planes, i, fold_sign, cols, out, 0.0f32, |r, defined| {
+        if defined {
+            (1.0 - r) as f32
+        } else {
+            neutral
         }
-        for l in 0..LANES {
-            mean_a[l] /= cnt[l];
-            mean_b[l] /= cnt[l];
-        }
+    });
+}
 
-        let [mut num, mut da, mut db] = [[0.0f64; LANES]; 3];
-        for &(a, plane) in cols.iter() {
-            let v = Planes::block(val, plane + j);
-            let p = Planes::block(pres, plane + j);
-            for l in 0..LANES {
-                let xa = (a - mean_a[l]) * p[l];
-                let xb = (v[l] - mean_b[l]) * p[l];
-                num[l] += xa * xb;
-                da[l] += xa * xa;
-                db[l] += xb * xb;
-            }
+/// [`pearson_row`] finished into each pair's `f64` coefficient `r` (NaN
+/// where the distance is the neutral one), before the cast to `f32`: a
+/// one-rounding change in the passes shows in every `r`, not only in the
+/// few `f32`s it moves. The same `pearson_blocks!` body, portable only.
+#[cfg(test)]
+fn pearson_row_coefficients(
+    planes: &Planes,
+    i: usize,
+    cols: &mut Vec<(f64, usize)>,
+    out: &mut [f64],
+) {
+    pearson_blocks!(planes, i, false, cols, out, 0.0f64, |r, defined| {
+        if defined {
+            r
+        } else {
+            f64::NAN
         }
-
-        let mut d = [0.0f32; LANES];
-        for l in 0..LANES {
-            let r = num[l] / (da[l].sqrt() * db[l].sqrt());
-            let r = if fold_sign { r.abs() } else { r };
-            let defined = cnt[l] >= min_overlap && da[l] > 0.0 && db[l] > 0.0;
-            d[l] = if defined { (1.0 - r) as f32 } else { neutral };
-        }
-        out.copy_from_slice(&d[..out.len()]);
-    }
+    });
 }
 
 /// [`condensed_distances`], held to its contract on the way out: every
@@ -580,10 +617,26 @@ mod tests {
         m
     }
 
-    /// Each kernel by 1, 2 and 5 workers, Pearson and AbsPearson, held to
-    /// [`Metric::distance`] pair by pair.
+    /// The `f64` coefficient of every pair against [`stats::pearson_rows`],
+    /// bit for bit; then each kernel by 1, 2 and 5 workers, Pearson and
+    /// AbsPearson, held to [`Metric::distance`] pair by pair.
     fn assert_kernels_give_the_per_pair_bits(m: &ExprMatrix) {
         let n = m.n_rows();
+        let planes = Planes::of(m);
+        let mut cols = Vec::new();
+        for i in 0..n {
+            let mut r = vec![0.0; n - i - 1];
+            pearson_row_coefficients(&planes, i, &mut cols, &mut r);
+            for j in (i + 1)..n {
+                let want = stats::pearson_rows(m, i, m, j, Metric::MIN_OVERLAP);
+                let got = r[j - i - 1];
+                assert_eq!(
+                    (!got.is_nan()).then_some(got.to_bits()),
+                    want.map(f64::to_bits),
+                    "r at ({i}, {j})"
+                );
+            }
+        }
         for (metric, fold_sign) in [(Metric::Pearson, false), (Metric::AbsPearson, true)] {
             for kernel in kernels() {
                 for workers in [1, 2, 5] {

@@ -16,11 +16,12 @@ use fv_render::color::Rgb;
 use fv_render::dendro::{paint_dendrogram_at, Orientation};
 use fv_render::draw;
 use fv_render::font;
-use fv_render::heatmap::{mark_rows_at, paint_global_at, paint_zoom_at};
-use fv_render::Framebuffer;
+use fv_render::heatmap::{mark_rows_at, paint_global_at, paint_zoom_at, ColourGrid};
+use fv_render::{ExpressionColorMap, Framebuffer};
 use fv_spell::SpellResult;
 use fv_wall::stats::FrameStats;
 use fv_wall::WallRenderer;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Highlight color for selection marks and borders.
 const MARK: Rgb = Rgb::new(255, 255, 255);
@@ -53,6 +54,73 @@ pub(crate) fn scene_layouts(session: &Session, scene_w: usize, scene_h: usize) -
     )
 }
 
+/// Each dataset's global-view [`ColourGrid`] at the layout last painted,
+/// kept in its [`Session`]: a frame that changed no cell, order, pane size
+/// or colour map fills the grid it has instead of averaging every cell
+/// again. The session forgets a dataset's grid on every `&mut` path that
+/// changes its matrix or orders; [`ColourGrid::fits`] checks pane size and
+/// colour map. Its `Debug` shows no grid, so a render changes nothing a
+/// session prints.
+#[derive(Default)]
+pub(crate) struct GlobalGrids(Mutex<Vec<Option<Arc<ColourGrid>>>>);
+
+impl std::fmt::Debug for GlobalGrids {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GlobalGrids").finish_non_exhaustive()
+    }
+}
+
+impl GlobalGrids {
+    /// Dataset `d`'s grid for a `w × h` pane under `map`, built on a miss.
+    /// The lock is held while building, so racing tiles build it once.
+    fn get(
+        &self,
+        d: usize,
+        w: usize,
+        h: usize,
+        map: &ExpressionColorMap,
+        build: impl FnOnce() -> ColourGrid,
+    ) -> Arc<ColourGrid> {
+        // A build that panicked poisoned the lock: drop every grid and
+        // carry on as a miss.
+        let mut slots = self.0.lock().unwrap_or_else(|poisoned| {
+            self.0.clear_poison();
+            let mut slots = poisoned.into_inner();
+            slots.clear();
+            slots
+        });
+        if slots.len() <= d {
+            slots.resize(d + 1, None);
+        }
+        match &slots[d] {
+            Some(grid) if grid.fits(w, h, map) => Arc::clone(grid),
+            _ => {
+                let grid = Arc::new(build());
+                slots[d] = Some(Arc::clone(&grid));
+                grid
+            }
+        }
+    }
+
+    /// Drop dataset `d`'s grid: its cells or orders are about to change.
+    pub(crate) fn forget(&mut self, d: usize) {
+        let slots = self.0.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(slot) = slots.get_mut(d) {
+            *slot = None;
+        }
+    }
+}
+
+/// Where a painter takes global-view grids from.
+#[derive(Clone, Copy)]
+enum Grids {
+    /// The session's [`GlobalGrids`], building what is missing.
+    Kept,
+    /// Averaged afresh from the cells ([`paint_global_at`]), touching no
+    /// kept grid: the oracle a kept grid is checked against.
+    Fresh,
+}
+
 /// Paint the whole session scene, laid out for a `scene_w × scene_h`
 /// surface, translated by `(-origin_x, -origin_y)` into `fb`.
 ///
@@ -66,10 +134,38 @@ pub fn paint_scene(
     origin_x: i64,
     origin_y: i64,
 ) {
+    paint_scene_with(
+        fb,
+        session,
+        panes,
+        (scene_w, scene_h),
+        (origin_x, origin_y),
+        Grids::Kept,
+    );
+}
+
+fn paint_scene_with(
+    fb: &mut Framebuffer,
+    session: &Session,
+    panes: &[PaneContent],
+    (scene_w, scene_h): (usize, usize),
+    origin: (i64, i64),
+    grids: Grids,
+) {
     let layouts = scene_layouts(session, scene_w, scene_h);
     for (content, lay) in panes.iter().zip(&layouts) {
-        paint_pane(fb, session, content, lay, origin_x, origin_y);
+        paint_pane(fb, session, content, lay, origin, grids);
     }
+}
+
+/// The session's grid for pane `c`'s global view laid out as `lay`.
+fn kept_grid(session: &Session, c: &PaneContent, lay: &PaneLayout) -> Arc<ColourGrid> {
+    let (w, h, map) = (lay.global.w, lay.global.h, &c.prefs.colormap);
+    let matrix = &session.dataset(c.dataset).matrix;
+    session.global_grids.get(c.dataset, w, h, map, || {
+        let src = |r: usize, col: usize| matrix.get(c.display_order[r], c.col_order[col]);
+        ColourGrid::new(w, h, c.n_rows, c.n_cols, src, map)
+    })
 }
 
 fn paint_pane(
@@ -77,8 +173,8 @@ fn paint_pane(
     session: &Session,
     c: &PaneContent,
     lay: &PaneLayout,
-    ox: i64,
-    oy: i64,
+    (ox, oy): (i64, i64),
+    grids: Grids,
 ) {
     let tx = |x: usize| x as i64 - ox;
     let ty = |y: usize| y as i64 - oy;
@@ -105,19 +201,24 @@ fn paint_pane(
     // Global view: whole dataset in display order, downsampled with
     // averaging.
     if !lay.global.is_empty() && c.n_rows > 0 {
-        let map = c.prefs.colormap;
-        let matrix = &session.dataset(c.dataset).matrix;
-        paint_global_at(
-            fb,
-            tx(lay.global.x),
-            ty(lay.global.y),
-            lay.global.w,
-            lay.global.h,
-            c.n_rows,
-            c.n_cols,
-            |r, col| matrix.get(c.display_order[r], c.col_order[col]),
-            &map,
-        );
+        let (x, y) = (tx(lay.global.x), ty(lay.global.y));
+        match grids {
+            Grids::Kept => kept_grid(session, c, lay).fill_at(fb, x, y),
+            Grids::Fresh => {
+                let matrix = &session.dataset(c.dataset).matrix;
+                paint_global_at(
+                    fb,
+                    x,
+                    y,
+                    lay.global.w,
+                    lay.global.h,
+                    c.n_rows,
+                    c.n_cols,
+                    |r, col| matrix.get(c.display_order[r], c.col_order[col]),
+                    &c.prefs.colormap,
+                );
+            }
+        }
         // Selection highlight lines.
         mark_rows_at(
             fb,
@@ -216,12 +317,41 @@ fn paint_pane(
     }
 }
 
-/// Render the session to a desktop-sized framebuffer.
+/// Render the session to a desktop-sized framebuffer, filling the global
+/// views from the session's kept grids (averaged on the first frame of a
+/// layout).
 pub fn render_desktop(session: &Session, width: usize, height: usize) -> Framebuffer {
+    render_desktop_with(session, width, height, Grids::Kept)
+}
+
+/// [`render_desktop`] with every global view averaged afresh from the
+/// cells and no kept grid read or stored: the same bytes when the kept
+/// grids are right, so tests and the server simulation render their
+/// oracle here.
+pub fn render_desktop_uncached(session: &Session, width: usize, height: usize) -> Framebuffer {
+    render_desktop_with(session, width, height, Grids::Fresh)
+}
+
+fn render_desktop_with(
+    session: &Session,
+    width: usize,
+    height: usize,
+    grids: Grids,
+) -> Framebuffer {
     let mut fb = Framebuffer::new(width, height);
     let panes = build_all(session);
-    paint_scene(&mut fb, session, &panes, width, height, 0, 0);
+    paint_scene_with(&mut fb, session, &panes, (width, height), (0, 0), grids);
     fb
+}
+
+/// Average every missing grid of the scene before a tile thread starts;
+/// each tile then only fills.
+fn keep_grids(session: &Session, panes: &[PaneContent], scene_w: usize, scene_h: usize) {
+    for (c, lay) in panes.iter().zip(&scene_layouts(session, scene_w, scene_h)) {
+        if !lay.global.is_empty() && c.n_rows > 0 {
+            kept_grid(session, c, lay);
+        }
+    }
 }
 
 /// Render the session across a display wall (tiles in parallel). Returns
@@ -230,6 +360,7 @@ pub fn render_wall(session: &Session, wall: &mut WallRenderer) -> FrameStats {
     let w = wall.grid().wall_width();
     let h = wall.grid().wall_height();
     let panes = build_all(session);
+    keep_grids(session, &panes, w, h);
     wall.render_frame(|fb, vp| paint_scene(fb, session, &panes, w, h, vp.x as i64, vp.y as i64))
 }
 
@@ -582,6 +713,50 @@ mod tests {
         assert_eq!(wall.composite(), direct, "4x2 wall vs desktop");
     }
 
+    /// The benchmark's `wallstream` session played through two cycles of
+    /// its seed-1 mutations: every frame filled from kept grids equals one
+    /// averaged afresh, and every damage rect a mutation reports repaints
+    /// to that rect of the frame. Release only: `cargo test -p forestview
+    /// --release -- --ignored`.
+    #[test]
+    #[ignore = "benchmark size; run in release"]
+    fn benchmark_size_wallstream_frames_fill_what_they_average() {
+        use crate::command::{apply, Command};
+        let (w, h) = (1280, 960);
+        let mut s = Session::new();
+        for ds in fv_synth::scenario::Scenario::three_datasets(1000, 1).datasets {
+            s.load_dataset(ds).unwrap();
+        }
+        s.cluster_all();
+        let region = |dataset, start_frac, end_frac| Command::SelectRegion {
+            dataset,
+            start_frac,
+            end_frac,
+        };
+        let cycle = [
+            region(1, 0.427, 0.447),
+            Command::Scroll(2),
+            Command::Scroll(4),
+            Command::Search("index 18".into()),
+            Command::Scroll(7),
+            region(0, 0.837, 0.857),
+            Command::Scroll(-7),
+            Command::ClearSelection,
+        ];
+        assert!(render_desktop(&s, w, h) == render_desktop_uncached(&s, w, h));
+        for (i, cmd) in cycle.iter().chain(&cycle).enumerate() {
+            let damage = apply(&mut s, cmd, w, h).damage;
+            let frame = render_desktop(&s, w, h);
+            assert!(frame == render_desktop_uncached(&s, w, h), "frame {i}");
+            let panes = build_all(&s);
+            for d in &damage {
+                let mut clip = Framebuffer::new(d.w, d.h);
+                paint_scene(&mut clip, &s, &panes, w, h, d.x as i64, d.y as i64);
+                assert!(clip == frame.crop(d.x, d.y, d.w, d.h), "frame {i}, {d:?}");
+            }
+        }
+    }
+
     /// The paper's wall: the three-dataset desktop on Princeton's 6×4
     /// projectors (18.9 Mpix) packs into one keyframe burst that unpacks
     /// to the same bytes, and the burst is a fraction of the raw RGB.
@@ -619,6 +794,212 @@ mod tests {
             raw as f64 / wire as f64
         );
         assert!(wire * 4 < raw, "{wire} B packed of {raw} B raw");
+    }
+
+    /// `n_rows × n_cols` values from an xorshift stream, one cell in
+    /// seven missing, genes named `G0`, `G1`, ….
+    fn random_dataset(name: &str, n_rows: usize, n_cols: usize, seed: u64) -> Dataset {
+        let mut x = seed | 1;
+        let mut m = ExprMatrix::missing(n_rows, n_cols);
+        for r in 0..n_rows {
+            for c in 0..n_cols {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if !x.is_multiple_of(7) {
+                    m.set(r, c, (x >> 40) as f32 / (1u64 << 22) as f32 - 2.0);
+                }
+            }
+        }
+        Dataset::with_default_meta(name, m)
+    }
+
+    /// One random edit of `s`: any [`Command`], or one of the `&mut`
+    /// paths that change cells, orders or colour maps outside them
+    /// (scheme, impute, normalize, load, array and gene clustering, pane
+    /// reorder).
+    fn random_edit(s: &mut Session, rng: &mut impl FnMut() -> u64) {
+        use crate::command::{perform, Command};
+        use fv_cluster::{Linkage, Metric};
+        let metrics = [
+            Metric::Pearson,
+            Metric::AbsPearson,
+            Metric::Uncentered,
+            Metric::Spearman,
+            Metric::Euclidean,
+        ];
+        let linkages = [
+            Linkage::Single,
+            Linkage::Complete,
+            Linkage::Average,
+            Linkage::Ward,
+        ];
+        let n = s.n_datasets();
+        let d = (rng() % n as u64) as usize;
+        let frac = |x: u64| (x % 101) as f32 / 100.0;
+        let command = match rng() % 20 {
+            0 => Command::SelectRegion {
+                dataset: d,
+                start_frac: frac(rng()),
+                end_frac: frac(rng()),
+            },
+            1 => Command::SelectGenes(vec![format!("G{}", rng() % 40), format!("G{}", rng() % 9)]),
+            2 => Command::Search(format!("G{}", rng() % 12)),
+            3 => Command::ClearSelection,
+            4 => Command::ToggleSync,
+            5 => Command::Scroll((rng() % 9) as i64 - 4),
+            6 => Command::OrderByName,
+            7 => Command::OrderByRelevance((0..n).map(|_| frac(rng())).collect()),
+            8 => Command::ClusterAll,
+            9 => Command::SetContrast {
+                dataset: rng().is_multiple_of(2).then_some(d),
+                contrast: 0.25 + 3.0 * frac(rng()),
+            },
+            10 => Command::SetLinkage(linkages[(rng() % 4) as usize]),
+            11 => Command::SetMetric(metrics[(rng() % 5) as usize]),
+            12 => {
+                return s
+                    .prefs
+                    .set_scheme(d, fv_render::ColorScheme::all()[(rng() % 4) as usize])
+            }
+            13 => {
+                let k = 1 + (rng() % 3) as usize;
+                fv_cluster::impute::knn_impute(s.dataset_matrix_mut(d), k, Metric::Euclidean);
+                return;
+            }
+            14 => {
+                let m = s.dataset_matrix_mut(d);
+                match rng() % 3 {
+                    0 => fv_expr::normalize::mean_center_rows(m),
+                    1 => fv_expr::normalize::median_center_rows(m),
+                    _ => fv_expr::normalize::zscore_rows(m),
+                }
+                return;
+            }
+            15 if n < 4 => {
+                let ds = random_dataset(&format!("d{n}"), 10 + (rng() % 30) as usize, 4, rng());
+                s.load_dataset(ds).unwrap();
+                return;
+            }
+            16 => {
+                let (metric, linkage) = (
+                    metrics[(rng() % 5) as usize],
+                    linkages[(rng() % 4) as usize],
+                );
+                return s.cluster_arrays(d, metric, linkage);
+            }
+            17 => {
+                let (metric, linkage) = (
+                    metrics[(rng() % 5) as usize],
+                    linkages[(rng() % 4) as usize],
+                );
+                return s.cluster_dataset(d, metric, linkage);
+            }
+            18 => {
+                let mut order = s.dataset_order().to_vec();
+                order.rotate_left(1);
+                return s.set_dataset_order(order);
+            }
+            _ => Command::Scroll(1),
+        };
+        perform(s, &command);
+    }
+
+    fn random_session(seed: u64) -> Session {
+        let mut s = Session::new();
+        s.load_dataset(random_dataset("alpha", 40, 6, seed))
+            .unwrap();
+        s.load_dataset(random_dataset("beta", 23, 5, seed ^ 0xbeef))
+            .unwrap();
+        s
+    }
+
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// After every edit, the frame painted from the session's kept
+        /// grids equals one averaged afresh from the cells: no edit leaves
+        /// a stale grid behind. The pane size mostly stays (so grids are
+        /// reused) and sometimes changes (so a grid of another layout is
+        /// refused), and a wall render sometimes fills from the grids too.
+        #[test]
+        fn kept_grids_render_what_a_fresh_average_renders(
+            seed in proptest::prelude::any::<u64>(),
+            steps in 1usize..20,
+        ) {
+            let mut rng = xorshift(seed);
+            let mut s = random_session(rng());
+            let sizes = [(400, 300), (300, 200), (257, 191)];
+            for step in 0..steps {
+                random_edit(&mut s, &mut rng);
+                let (w, h) = sizes[(rng() % 8).saturating_sub(5) as usize];
+                let fresh = render_desktop_uncached(&s, w, h);
+                proptest::prop_assert!(render_desktop(&s, w, h) == fresh, "step {}", step);
+                if rng().is_multiple_of(4) {
+                    let mut wall = WallRenderer::new(TileGrid::new(2, 2, w / 2, h / 2));
+                    render_wall(&s, &mut wall);
+                    let fresh = render_desktop_uncached(&s, w / 2 * 2, h / 2 * 2);
+                    proptest::prop_assert!(wall.composite() == fresh, "wall, step {}", step);
+                }
+            }
+        }
+
+        /// Painting the scene into a rect-sized framebuffer at the rect's
+        /// origin gives exactly that rect of the desktop render, for any
+        /// rect — what per-tile and per-damage repaints rely on.
+        #[test]
+        fn a_clipped_paint_is_that_rect_of_the_desktop(
+            seed in proptest::prelude::any::<u64>(),
+            steps in 0usize..8,
+        ) {
+            let mut rng = xorshift(seed);
+            let mut s = random_session(rng());
+            let (w, h) = (400, 300);
+            for _ in 0..steps {
+                random_edit(&mut s, &mut rng);
+            }
+            let desktop = render_desktop(&s, w, h);
+            let panes = build_all(&s);
+            for _ in 0..4 {
+                let (x, y) = ((rng() % w as u64) as usize, (rng() % h as u64) as usize);
+                let rw = 1 + (rng() % (w - x) as u64) as usize;
+                let rh = 1 + (rng() % (h - y) as u64) as usize;
+                let mut clip = Framebuffer::new(rw, rh);
+                paint_scene(&mut clip, &s, &panes, w, h, x as i64, y as i64);
+                proptest::prop_assert!(clip == desktop.crop(x, y, rw, rh), "{:?}", (x, y, rw, rh));
+            }
+        }
+    }
+
+    #[test]
+    fn a_poisoned_grid_lock_is_a_miss() {
+        let s = session();
+        let before = render_desktop(&s, 300, 200);
+        let map = fv_render::ExpressionColorMap::default();
+        let build = || -> ColourGrid { panic!("a build that fails") };
+        let failed = std::panic::catch_unwind(|| s.global_grids.get(0, 8, 8, &map, build));
+        assert!(failed.is_err());
+        assert!(render_desktop(&s, 300, 200) == before);
+        assert!(render_desktop(&s, 300, 200) == render_desktop_uncached(&s, 300, 200));
+    }
+
+    #[test]
+    fn a_render_changes_nothing_a_session_prints() {
+        let s = session();
+        let cold = format!("{s:?}");
+        render_desktop(&s, 300, 200);
+        assert_eq!(format!("{s:?}"), cold);
+        assert!(cold.contains("GlobalGrids { .. }"));
     }
 
     #[test]

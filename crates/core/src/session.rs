@@ -7,6 +7,7 @@
 //! boxes above the dataset layer need.
 
 use crate::prefs::PrefsStore;
+use crate::renderer::GlobalGrids;
 use crate::selection::{Selection, SelectionOrigin};
 use fv_cluster::distance::{condensed_distances, Metric};
 use fv_cluster::linkage::{cluster_condensed, Linkage};
@@ -81,7 +82,19 @@ pub struct Session {
     metric: Metric,
     /// Linkage criterion used by parameterless clustering entry points.
     linkage: Linkage,
+    /// Per dataset: its global view's colour grid, averaged at the last
+    /// layout painted. Every `&mut` path below that changes a matrix,
+    /// `display_order` or `col_order` forgets that dataset's grid; a load
+    /// appends a dataset, which has none yet.
+    pub(crate) global_grids: GlobalGrids,
 }
+
+// `render_wall` shares one `&Session` across its tile threads, so the
+// kept grids sit behind a lock, not a `RefCell`.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Session>();
+};
 
 impl Default for Session {
     fn default() -> Self {
@@ -106,6 +119,7 @@ impl Session {
             scroll: 0,
             metric: Metric::Pearson,
             linkage: Linkage::Average,
+            global_grids: GlobalGrids::default(),
         }
     }
 
@@ -157,6 +171,7 @@ impl Session {
     /// Existing dendrograms are kept; callers that change values should
     /// re-cluster to refresh display orders.
     pub fn dataset_matrix_mut(&mut self, d: usize) -> &mut fv_expr::ExprMatrix {
+        self.global_grids.forget(d);
         self.merged.matrix_mut(d)
     }
 
@@ -209,6 +224,7 @@ impl Session {
     /// the caller vouches — its dendrogram and display order there. The
     /// session's own vectors are overwritten in place: nothing is allocated.
     pub fn install_clustering(&mut self, d: usize, axis: Axis, clustering: Arc<Clustering>) {
+        self.global_grids.forget(d);
         match axis {
             Axis::Genes => {
                 self.display_order[d].clone_from(&clustering.order);

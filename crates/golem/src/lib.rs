@@ -1,13 +1,13 @@
 //! # fv-golem — GOLEM: Gene Ontology Local Exploration Map
 //!
-//! GOLEM (Sealfon et al. 2006, paper reference [10]) combines two things
+//! GOLEM (Sealfon et al. 2006, paper reference \[10\]) combines two things
 //! the paper's Section 3 calls out:
 //!
 //! 1. **Statistical enrichment** — "GOLEM provides a powerful framework for
 //!    quantifying the statistical functional enrichment of lists of genes":
 //!    the hypergeometric tail test over propagated GO annotations, with
 //!    Bonferroni and Benjamini–Hochberg multiple-test correction
-//!    ([`hypergeom`], [`enrich`], [`correct`]).
+//!    ([`hypergeom`], [`enrich`](mod@enrich), [`correct`]).
 //! 2. **Local exploration maps** — "to view how those results relate to
 //!    each other in the larger context of the GO hierarchy": a
 //!    radius-bounded neighbourhood of the hierarchy around a focus term,

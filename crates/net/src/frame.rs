@@ -33,7 +33,7 @@
 //! `LineReader`, the recording tap (`crate::tap`) from the bytes it
 //! proxies, the stream `Watcher` (`crate::stream`) from the private
 //! buffer that keeps it from over-reading into binary tile frames, and
-//! [`decode_replies`] from the frames a process shard answers a run with.
+//! `decode_replies` from the frames a process shard answers a run with.
 
 use fv_api::{ApiError, ErrorCode};
 use std::io::Read;

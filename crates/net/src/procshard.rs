@@ -5,7 +5,7 @@
 //! Everything that crosses the parent↔child seam is serializable text or
 //! raw pixel bytes — requests as their canonical wire grammar
 //! (`fv_api::codec`), a run's answer as the finished `ok`/`err` reply
-//! frames the asker gets (`crate::frame`), sessions as [`SessionImage`]
+//! frames the asker gets (`crate::frame`), sessions as [`SessionImage`](fv_api::SessionImage)
 //! text, reports as [`ShardReport`]'s own records below. The
 //! child never sees an `Engine` value from the parent and vice versa,
 //! which is the whole point: a shard that segfaults takes its sessions
@@ -691,7 +691,7 @@ impl Drop for ChildLink {
 
 /// Entry point of a shard worker process (`fvtool shard-worker`).
 /// Announces its shard index on stdout, then serves protocol frames from
-/// stdin one at a time against a [`WorkerCore`] with its own
+/// stdin one at a time against a `WorkerCore` with its own
 /// [`DatasetCache`] (and `--state-dir`'s [`SessionStore`]), answering on
 /// stdout, until EOF on stdin (the parent closed it or died — exit
 /// quietly; there is nobody left to serve).

@@ -247,9 +247,11 @@ impl Oracle {
         all.map(|(id, _)| id.to_string()).collect()
     }
 
+    /// The scene averaged afresh from the cells, so a stale kept grid on
+    /// a shard cannot hide behind an equally stale one here.
     fn render(&self, engine: &Engine) -> Vec<u8> {
         let (w, h) = self.scene;
-        let wall = forestview::renderer::render_desktop(engine.session(), w, h);
+        let wall = forestview::renderer::render_desktop_uncached(engine.session(), w, h);
         wall.bytes().to_vec()
     }
 

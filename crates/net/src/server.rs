@@ -43,7 +43,7 @@ const SHUTDOWN_FLUSH_GRACE: Duration = Duration::from_millis(500);
 #[derive(Debug, Clone, Default)]
 pub enum ShardBackendConfig {
     /// In-process worker threads sharing one dataset cache (the
-    /// default): [`crate::shard::Shards::threads`].
+    /// default): `crate::shard::Shards::threads`.
     #[default]
     Threads,
     /// One child worker process per shard, each with its own dataset

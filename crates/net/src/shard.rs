@@ -1,5 +1,5 @@
-//! Session sharding: N shards, each one [`WorkerCore`] owning one
-//! [`EngineHub`], behind one concrete [`Shards`] handle.
+//! Session sharding: N shards, each one `WorkerCore` owning one
+//! [`EngineHub`], behind one concrete `Shards` handle.
 //!
 //! The hub is the sharding seam (see `crates/api/README.md`): sessions
 //! are partitioned by a stable hash of their name, so every request for a
@@ -10,16 +10,16 @@
 //! the shard.
 //!
 //! The seam is one request type, one reply type and one dispatch:
-//! callers build a [`ShardOp`] and [`Shards::submit`] it with a boxed
-//! `FnOnce(ShardReply)` responder; [`WorkerCore::serve`] is the single
-//! `match` that turns an op into its [`ShardReply`]; and
-//! [`ShardOp::refused`] is the single answer a dead shard gives. The
+//! callers build a `ShardOp` and `Shards::submit` it with a boxed
+//! `FnOnce(ShardReply)` responder; `WorkerCore::serve` is the single
+//! `match` that turns an op into its `ShardReply`; and
+//! `ShardOp::refused` is the single answer a dead shard gives. The
 //! responder fires exactly once either way, so the same seam serves
-//! blocking callers ([`Shards::call`]: boot recovery, tests) and the
+//! blocking callers (`Shards::call`: boot recovery, tests) and the
 //! event loop's completion channel (which must never block).
 //!
-//! The only per-backend part is the [`Link`] each shard's drain thread
-//! calls: a [`WorkerCore`] served by value (thread shards — nothing is
+//! The only per-backend part is the `Link` each shard's drain thread
+//! calls: a `WorkerCore` served by value (thread shards — nothing is
 //! encoded, a published framebuffer moves through the channel as it is),
 //! or the stdin/stdout pipes of a child process that runs the same
 //! `serve` behind the control-protocol codec (`crate::procshard`). The
@@ -33,13 +33,13 @@
 //!   [`DatasetCache`], so the same PCL loaded into sessions on different
 //!   shards is parsed exactly once and shared as `Arc` handles. (Process
 //!   shards re-create this seam per child — see `crate::procshard`.)
-//! - **Sessions, by image**: [`ShardOp::Snapshot`] reads a session as a
-//!   serializable [`SessionImage`] and [`ShardOp::Install`] writes one
+//! - **Sessions, by image**: `ShardOp::Snapshot` reads a session as a
+//!   serializable [`SessionImage`] and `ShardOp::Install` writes one
 //!   into a shard by replaying its compacted mutation log — the two
 //!   verbs migration and boot recovery share. No engine value ever
 //!   crosses the seam, which is exactly what lets a shard be a child
 //!   process. A migration is copy, confirm, delete: `Snapshot` on the
-//!   source, `Install` on the target, and only then [`ShardOp::Close`]
+//!   source, `Install` on the target, and only then `ShardOp::Close`
 //!   on the source — until the close the session is untouched where it
 //!   was, so no failure can lose it. Routing overrides live in the
 //!   protocol core (`crate::protocol`), which is why `submit` takes an
@@ -47,7 +47,7 @@
 //!
 //! On a durable server the shard serving a session saves it: every run
 //! leaves the session's file equal to the session before the reply
-//! leaves ([`WorkerCore::serve`]), and the event loop touches no disk.
+//! leaves (`WorkerCore::serve`), and the event loop touches no disk.
 
 #![allow(
     clippy::disallowed_methods,

@@ -1,7 +1,7 @@
 //! # fv-ontology — Gene Ontology substrate for GOLEM
 //!
 //! GOLEM (Gene Ontology Local Exploration Map, Sealfon et al. 2006 — paper
-//! reference [10]) visualizes and analyzes the GO hierarchy: "GO organizes
+//! reference \[10\]) visualizes and analyzes the GO hierarchy: "GO organizes
 //! known biological information into a hierarchical graph structure
 //! appropriate for use in evaluating hypotheses, observing functional
 //! relationships, and categorizing results" (paper, Section 3).

@@ -15,19 +15,29 @@
 //!
 //! Pixel `(px, py)` of a `w × h` region covers the data block
 //! `rows(py) × cols(px)`, and its colour depends on nothing else. Two
-//! pixels with the same block get the same colour, so a block is averaged
-//! and colour-mapped **once** and written as a span:
+//! pixels with the same block get the same colour, so painting is two
+//! steps: a [`ColourGrid`] averages and colour-maps each block **once**,
+//! and [`ColourGrid::fill_at`] writes the grid into any clip as spans.
 //!
-//! * **Runs.** After clipping, the visible pixel columns are cut once per
-//!   call into maximal runs of adjacent columns with equal `cols(px)`. With
-//!   at least as many pixels as conditions (`w ≥ n_cols`, every pane the
-//!   renderer lays out) a run is one data column and about `w / n_cols`
-//!   pixels wide; with fewer, every run is one pixel and nothing is lost.
-//!   A clip that cuts a run in the middle only shortens it.
-//! * **Row reuse.** A visible pixel row whose `rows(py)` equals that of the
-//!   visible row above it is a copy of that row's span (`h > n_rows`: few
-//!   genes in a tall pane). Otherwise each run costs one sum, one
-//!   [`ExpressionColorMap::map`] and one span fill.
+//! * **Runs.** The grid cuts the pane's pixel columns into maximal runs of
+//!   adjacent columns with equal `cols(px)`. With at least as many pixels
+//!   as conditions (`w ≥ n_cols`, every pane the renderer lays out) a run
+//!   is one data column and about `w / n_cols` pixels wide; with fewer,
+//!   every run is one pixel and nothing is lost.
+//! * **Colour rows.** Adjacent pixel rows with equal `rows(py)` (`h >
+//!   n_rows`: few genes in a tall pane) share one row of run colours, so a
+//!   grid holds one colour per distinct row range × run: about 80 KB for a
+//!   48-condition pane 521 pixels tall.
+//! * **Fill.** A fill clips the pane to the framebuffer. A visible pixel
+//!   row that shows the same colour row as the visible row above it is a
+//!   copy of that row's span; otherwise each visible run (shortened where
+//!   the clip cuts it) is one span fill. A fill reads no data cell.
+//! * **Reuse.** [`paint_global_at`] averages a grid of only the visible
+//!   window and fills it, so a tile pays for its fraction of a pane. A
+//!   caller that keeps a whole-pane grid ([`ColourGrid::new`]) fills it
+//!   frame after frame while the cells, the pane size and the colour map
+//!   stay the same ([`ColourGrid::fits`] checks the last two); that is how
+//!   `forestview`'s renderer paints each frame after the first.
 //! * **Summation order.** A block is summed in `f64`, data rows outer and
 //!   data columns inner, skipping missing cells, then divided by the count
 //!   and narrowed to `f32` — the order the per-pixel loop this replaces
@@ -167,8 +177,8 @@ fn covered(p: usize, n: usize, len: usize) -> (usize, usize) {
 /// [`paint_global`] with a signed origin, clipped to the framebuffer.
 /// Only the visible pixel rows/columns are computed, so a tile covering a
 /// fraction of a pane pays only for that fraction — the property that makes
-/// tile-parallel wall rendering scale. Each covered data block is averaged
-/// once (see the module doc for runs, row reuse and the summation order).
+/// tile-parallel wall rendering scale. It averages a [`ColourGrid`] of the
+/// visible window and fills it in (see the module doc).
 pub fn paint_global_at<F>(
     fb: &mut Framebuffer,
     x: i64,
@@ -185,52 +195,175 @@ pub fn paint_global_at<F>(
     if n_rows == 0 || n_cols == 0 || w == 0 || h == 0 {
         return;
     }
-    let py0 = (-y).max(0) as usize;
-    let py1 = ((fb.height() as i64 - y).min(h as i64)).max(0) as usize;
-    let px0 = (-x).max(0) as usize;
-    let px1 = ((fb.width() as i64 - x).min(w as i64)).max(0) as usize;
-    if py0 >= py1 || px0 >= px1 {
+    let (px0, px1) = visible(x, 0, w, fb.width());
+    let (py0, py1) = visible(y, 0, h, fb.height());
+    if px0 >= px1 || py0 >= py1 {
         return;
     }
-    // Framebuffer coordinates of the first visible pixel, `(px0, py0)`.
-    let (fx0, fy0) = (x.max(0) as usize, y.max(0) as usize);
+    let grid = ColourGrid::window(w, h, px0..px1, py0..py1, n_rows, n_cols, src, map);
+    grid.fill_at(fb, x, y);
+}
 
-    // (first framebuffer column, pixel count, data columns) of each run.
-    let mut runs: Vec<(usize, usize, (usize, usize))> = Vec::new();
-    for px in px0..px1 {
-        let cols = covered(px, n_cols, w);
-        match runs.last_mut() {
-            Some((_, len, last)) if *last == cols => *len += 1,
-            _ => runs.push((fx0 + px - px0, 1, cols)),
-        }
+/// The pixels `[lo, hi)` of a pane axis placed at `origin` that land
+/// inside a `fb_len`-pixel framebuffer axis (empty when `lo >= hi`).
+fn visible(origin: i64, lo: usize, hi: usize, fb_len: usize) -> (usize, usize) {
+    let a = (-origin).max(lo as i64);
+    let b = (fb_len as i64 - origin).min(hi as i64);
+    (a as usize, b.max(a) as usize)
+}
+
+/// The global view of a `w × h` pane, averaged and colour-mapped once: one
+/// [`Rgb`] per (distinct covered-row range, column run) of the pixels it
+/// covers. A grid depends only on the pane size, the colour map and the
+/// cells it averaged, so a caller that knows those did not change fills the
+/// same grid into frame after frame ([`ColourGrid::fill_at`]) without
+/// reading a cell.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColourGrid {
+    w: usize,
+    h: usize,
+    map: ExpressionColorMap,
+    /// First pane pixel row the grid covers; `rows` says how many.
+    y0: usize,
+    /// `(first pane column, pixel count)` of each run of adjacent pixel
+    /// columns covering the same data columns, left to right.
+    runs: Vec<(usize, usize)>,
+    /// Per covered pixel row: which colour row it shows.
+    rows: Vec<usize>,
+    /// Colour rows, `runs.len()` colours each.
+    colours: Vec<Rgb>,
+}
+
+impl ColourGrid {
+    /// Average the whole `w × h` pane over `n_rows × n_cols` cells.
+    pub fn new<F>(
+        w: usize,
+        h: usize,
+        n_rows: usize,
+        n_cols: usize,
+        src: F,
+        map: &ExpressionColorMap,
+    ) -> Self
+    where
+        F: Fn(usize, usize) -> Option<f32>,
+    {
+        Self::window(w, h, 0..w, 0..h, n_rows, n_cols, src, map)
     }
 
-    let mut above = None;
-    for py in py0..py1 {
-        let fy = fy0 + py - py0;
-        let rows = covered(py, n_rows, h);
-        if above == Some(rows) {
-            fb.copy_span(fx0, fy - 1, fy, px1 - px0);
-            continue;
+    /// Average only the pane pixels `px × py`; a grid of a window fills
+    /// only that window.
+    fn window<F>(
+        w: usize,
+        h: usize,
+        px: std::ops::Range<usize>,
+        py: std::ops::Range<usize>,
+        n_rows: usize,
+        n_cols: usize,
+        src: F,
+        map: &ExpressionColorMap,
+    ) -> Self
+    where
+        F: Fn(usize, usize) -> Option<f32>,
+    {
+        let mut grid = ColourGrid {
+            w,
+            h,
+            map: *map,
+            y0: py.start,
+            runs: Vec::new(),
+            rows: Vec::new(),
+            colours: Vec::new(),
+        };
+        if n_rows == 0 || n_cols == 0 || px.is_empty() || py.is_empty() {
+            return grid;
         }
-        above = Some(rows);
-        for &(fx, len, (c0, c1)) in &runs {
-            let mut sum = 0.0f64;
-            let mut n = 0usize;
-            for r in rows.0..rows.1 {
-                for c in c0..c1 {
-                    if let Some(v) = src(r, c) {
-                        sum += v as f64;
-                        n += 1;
-                    }
+        let mut cols: Vec<(usize, usize)> = Vec::new();
+        for p in px {
+            let c = covered(p, n_cols, w);
+            match (cols.last(), grid.runs.last_mut()) {
+                (Some(&last), Some((_, len))) if last == c => *len += 1,
+                _ => {
+                    cols.push(c);
+                    grid.runs.push((p, 1));
                 }
             }
-            let color = if n == 0 {
-                map.missing
-            } else {
-                map.map((sum / n as f64) as f32)
-            };
-            fb.fill_span(fx, fy, len, color);
+        }
+        // One allocation each: a kept grid lives as long as its layout.
+        let ranges = py.clone().map(|p| covered(p, n_rows, h));
+        let (_, n_colour_rows) = ranges.fold((None, 0), |(above, n), rows| {
+            (Some(rows), n + usize::from(above != Some(rows)))
+        });
+        grid.colours.reserve_exact(n_colour_rows * cols.len());
+        grid.rows.reserve_exact(py.len());
+        let mut above = None;
+        for p in py {
+            let rows = covered(p, n_rows, h);
+            if above != Some(rows) {
+                above = Some(rows);
+                for &(c0, c1) in &cols {
+                    let mut sum = 0.0f64;
+                    let mut n = 0usize;
+                    for r in rows.0..rows.1 {
+                        for c in c0..c1 {
+                            if let Some(v) = src(r, c) {
+                                sum += v as f64;
+                                n += 1;
+                            }
+                        }
+                    }
+                    grid.colours.push(if n == 0 {
+                        map.missing
+                    } else {
+                        map.map((sum / n as f64) as f32)
+                    });
+                }
+            }
+            grid.rows.push(grid.colours.len() / cols.len() - 1);
+        }
+        grid
+    }
+
+    /// Whether this grid is the one a `w × h` pane under `map` shows (the
+    /// map compared by bits, so a contrast of `-0.0` is not `0.0`).
+    pub fn fits(&self, w: usize, h: usize, map: &ExpressionColorMap) -> bool {
+        let bits = |m: &ExpressionColorMap| (m.scheme, m.contrast.to_bits(), m.missing);
+        (self.w, self.h, bits(&self.map)) == (w, h, bits(map))
+    }
+
+    /// Paint the grid's pane with its top-left corner at `(x, y)`, clipped
+    /// to the framebuffer: each visible pixel row is a copy of the row
+    /// above when both show one colour row, else one span per run.
+    pub fn fill_at(&self, fb: &mut Framebuffer, x: i64, y: i64) {
+        let (Some(&(first_x, _)), Some(&(last_x, last_len))) =
+            (self.runs.first(), self.runs.last())
+        else {
+            return;
+        };
+        let (px0, px1) = visible(x, first_x, last_x + last_len, fb.width());
+        let (py0, py1) = visible(y, self.y0, self.y0 + self.rows.len(), fb.height());
+        if px0 >= px1 || py0 >= py1 {
+            return;
+        }
+        let fx = |px: usize| (x + px as i64) as usize;
+        let first = self.runs.partition_point(|&(s, len)| s + len <= px0);
+        let n_runs = self.runs.len();
+        let mut above = None;
+        for py in py0..py1 {
+            let fy = (y + py as i64) as usize;
+            let row = self.rows[py - self.y0];
+            if above == Some(row) {
+                fb.copy_span(fx(px0), fy - 1, fy, px1 - px0);
+                continue;
+            }
+            above = Some(row);
+            let colours = &self.colours[row * n_runs..(row + 1) * n_runs];
+            for (&(s, len), &colour) in self.runs[first..].iter().zip(&colours[first..]) {
+                if s >= px1 {
+                    break;
+                }
+                let (a, b) = (s.max(px0), (s + len).min(px1));
+                fb.fill_span(fx(a), fy, b - a, colour);
+            }
         }
     }
 }
@@ -495,9 +628,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
 
-        /// The run-sharing painter against the per-pixel loop it replaced:
-        /// more and fewer pixels than cells on either axis, missing cells,
-        /// origins off any edge, framebuffers smaller than the region.
+        /// The clipped painter, and a whole-pane grid filled into the same
+        /// clip, against the per-pixel loop they replaced: more and fewer
+        /// pixels than cells on either axis, missing cells, origins off any
+        /// edge, framebuffers smaller than the region.
         #[test]
         fn global_equals_per_pixel_reference(
             (n_rows, n_cols) in (1usize..48, 1usize..48),
@@ -518,10 +652,39 @@ mod tests {
             let src = |r: usize, c: usize| cells[r * n_cols + c];
             let mut fast = Framebuffer::filled(fb_w, fb_h, Rgb::BLUE);
             let mut slow = fast.clone();
+            let mut filled = fast.clone();
             paint_global_at(&mut fast, x, y, w, h, n_rows, n_cols, src, &map());
             paint_global_reference(&mut slow, x, y, w, h, n_rows, n_cols, src, &map());
-            proptest::prop_assert_eq!(fast, slow);
+            let grid = ColourGrid::new(w, h, n_rows, n_cols, src, &map());
+            grid.fill_at(&mut filled, x, y);
+            proptest::prop_assert_eq!(&fast, &slow);
+            proptest::prop_assert_eq!(&filled, &slow);
         }
+    }
+
+    #[test]
+    fn a_grid_fits_its_pane_size_and_the_bits_of_its_map() {
+        let grid = ColourGrid::new(8, 6, 3, 2, |_, _| Some(0.5), &map());
+        assert!(grid.fits(8, 6, &map()));
+        assert!(!grid.fits(8, 7, &map()) && !grid.fits(9, 6, &map()));
+        let mut other = map();
+        other.scheme = ColorScheme::RedBlue;
+        assert!(!grid.fits(8, 6, &other));
+        let mut other = map();
+        other.contrast = f32::from_bits(other.contrast.to_bits() + 1);
+        assert!(!grid.fits(8, 6, &other));
+        let mut other = map();
+        other.missing = Rgb::BLUE;
+        assert!(!grid.fits(8, 6, &other));
+    }
+
+    #[test]
+    fn an_empty_pane_grid_fills_nothing() {
+        let mut fb = Framebuffer::filled(4, 4, Rgb::BLUE);
+        for (w, h, n_rows, n_cols) in [(0, 4, 2, 2), (4, 0, 2, 2), (4, 4, 0, 2), (4, 4, 2, 0)] {
+            ColourGrid::new(w, h, n_rows, n_cols, |_, _| Some(1.0), &map()).fill_at(&mut fb, 0, 0);
+        }
+        assert_eq!(fb.count_pixels(Rgb::BLUE), 16);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # fv-spell — SPELL: Serial Patterns of Expression Levels Locator
 //!
-//! SPELL (Hibbs et al., paper reference [8]) is the search engine ForestView
+//! SPELL (Hibbs et al., paper reference \[8\]) is the search engine ForestView
 //! integrates in Section 3: "take a small query of related genes from a
 //! user, examine all of the available data to identify datasets where these
 //! genes are most related, then within those datasets identify additional

@@ -1,8 +1,8 @@
 //! # fv-synth — synthetic genomic workloads with planted structure
 //!
 //! The paper's evaluation runs on published yeast data: the Gasch
-//! environmental-stress compendium [11], the Saldanha/Brauer nutrient
-//! limitation chemostats [12] and the Hughes knockout compendium [13].
+//! environmental-stress compendium \[11\], the Saldanha/Brauer nutrient
+//! limitation chemostats \[12\] and the Hughes knockout compendium \[13\].
 //! Those datasets are not redistributable here, so this crate generates
 //! structurally equivalent synthetic ones (see DESIGN.md's substitution
 //! table): yeast-like gene names, planted co-expression modules — most

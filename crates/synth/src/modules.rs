@@ -2,7 +2,7 @@
 //!
 //! A module is a set of genes that move together under some conditions.
 //! The central one is the **ESR** (environmental stress response, after
-//! Gasch et al. [11]): a large gene set induced (or repressed) by *any*
+//! Gasch et al. \[11\]): a large gene set induced (or repressed) by *any*
 //! stress — the signal the Section-4 case study traces across dataset
 //! types. Specific modules (heat, oxidative, nutrient, ribosome, …)
 //! respond only to their own conditions.

@@ -88,7 +88,7 @@ impl TileGrid {
     }
 
     /// The original Princeton scalable display wall: 24 projectors in a
-    /// 6×4 grid (Li et al. 2000, paper reference [5]), XGA-class tiles.
+    /// 6×4 grid (Li et al. 2000, paper reference \[5\]), XGA-class tiles.
     pub fn princeton_wall() -> Self {
         TileGrid::new(6, 4, 1024, 768)
     }
