@@ -44,14 +44,11 @@ pub enum ScriptItem {
 
 /// One parsed *wire* line: everything a script line can be, plus the
 /// transport-level control requests. Control lines are answered by the
-/// server itself (`ping` → `pong`, `shutdown` → `bye` + server stop,
-/// `close` → `closed <name>`, `stats` → a server-metrics reply,
-/// `list-sessions` → a merged cross-shard session listing, `migrate` →
-/// `migrated <name> shard=<s>`) and never reach an engine's request
-/// surface; scripts deliberately reject them ([`parse_script`] treats
-/// control keywords as unknown requests). `use <name>` and
-/// `close <name>` are script items — they work identically in scripts
-/// and on the wire.
+/// server itself — a [`ControlReply`], or a `stats`, `list-sessions` or
+/// `balance` snapshot — and never reach an engine's request surface;
+/// scripts deliberately reject them ([`parse_script`] treats control
+/// keywords as unknown requests). `use <name>` and `close <name>` are
+/// script items — they work identically in scripts and on the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireItem {
     /// A script item (`use`, `close <name>`, or a request).
@@ -74,8 +71,7 @@ pub enum WireItem {
     /// sorted by name (see [`format_sessions_reply`]).
     ListSessions,
     /// `migrate <session> <shard>` — move a live session to another
-    /// shard without re-parsing its datasets. Answered
-    /// `migrated <name> shard=<s>`.
+    /// shard without re-parsing its datasets.
     Migrate {
         /// Session to move.
         session: String,
@@ -83,18 +79,16 @@ pub enum WireItem {
         shard: usize,
     },
     /// `balance` (status snapshot of the automatic rebalancer) or
-    /// `balance auto` / `balance off` (flip its mode at runtime,
-    /// acknowledged `balance mode=<mode>`).
+    /// `balance auto` / `balance off` (flip its mode at runtime).
     Balance {
         /// `None` asks for status; `Some(mode)` sets the mode.
         set: Option<BalanceMode>,
     },
     /// `subscribe <session> <tiles_x>x<tiles_y>` — register this
     /// connection as a streaming viewer of a session through a tile grid.
-    /// Acknowledged `subscribed <session> <tx>x<ty> <wall_w>x<wall_h>`,
-    /// then followed by an out-of-band keyframe burst of binary tile
-    /// frames (see fv-wall's stream codec) and damage-limited deltas after
-    /// every executed run.
+    /// After the ack, a keyframe burst of binary tile frames (see
+    /// fv-wall's stream codec) and damage-limited deltas after every
+    /// executed run.
     Subscribe {
         /// Session to view.
         session: String,
@@ -102,8 +96,8 @@ pub enum WireItem {
         /// non-zero.
         tiles: (usize, usize),
     },
-    /// Bare `unsubscribe` — stop streaming to this connection.
-    /// Acknowledged `unsubscribed` (idempotent).
+    /// Bare `unsubscribe` — stop streaming to this connection
+    /// (idempotent).
     Unsubscribe,
     /// `ack <seq>` — subscriber flow control: the highest tile-frame
     /// sequence number fully consumed. Never answered; a subscriber that
@@ -124,13 +118,6 @@ pub enum BalanceMode {
     Auto,
     /// Placement is operator-driven (`migrate` lines) only.
     Off,
-}
-
-/// The wire token (`auto` / `off`).
-impl std::fmt::Display for BalanceMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&written(self, Token::put))
-    }
 }
 
 /// Parse a wire token; inverse of the `Display` form.
@@ -222,6 +209,55 @@ line_table! {
         "list_datasets" => (Query::ListDatasets);
     }
     else Request::Mutate(mutation) => write_mutation;
+}
+
+crate::wire_record! {
+    /// The one-line ack a server answers a control line or a `use`/`close`
+    /// directive with, declared once: [`format_control_reply`] writes it
+    /// and [`parse_control_reply`] reads it, on both sides of the wire.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum ControlReply {
+        /// To `ping`.
+        Pong = "pong" {},
+        /// To `shutdown`, before the server stops.
+        Bye = "bye" {},
+        /// To `use <session>`.
+        Using = "using" { session: String => _ as Name, },
+        /// To `close` and `close <session>`: the session that ended.
+        Closed = "closed" { session: String => _ as Name, },
+        /// To `migrate`: the shard the session lives on now.
+        Migrated = "migrated" { session: String => _ as Name, shard: usize => "shard", },
+        /// To `balance auto|off`.
+        Balance = "balance" { mode: BalanceMode => "mode", },
+        /// To `subscribe`: the viewer's grid and the wall it cuts, in
+        /// pixels. Tile frames follow.
+        Subscribed = "subscribed" {
+            session: String => _ as Name,
+            tiles: (usize, usize) => _ as Grid,
+            wall: (usize, usize) => _,
+        },
+        /// To `unsubscribe`: the session a subscriber watched; none for a
+        /// connection that watched nothing.
+        Unsubscribed = "unsubscribed" { session: Option<String> => _ as Optional, },
+    }
+}
+
+/// Canonical text of a control ack; the exact inverse of
+/// [`parse_control_reply`].
+pub fn format_control_reply(reply: &ControlReply) -> String {
+    written(reply, ControlReply::put_text)
+}
+
+/// Read a control ack. Only its canonical text is one: the kit reads the
+/// values a table names and passes over other text, which an ack holds
+/// none of.
+pub fn parse_control_reply(text: &str) -> Result<ControlReply, ApiError> {
+    let (keyword, head) = text.split_once(' ').unwrap_or((text, ""));
+    let reply = ControlReply::get_record(keyword, head, &mut Rows::none())?;
+    let canonical = format_control_reply(&reply) == text;
+    canonical
+        .then_some(reply)
+        .ok_or_else(|| ApiError::parse(format!("not an ack: {text:?}")))
 }
 
 /// `value`'s text, as `write` spells it.
@@ -755,6 +791,88 @@ mod tests {
         for (response, text) in &table {
             assert_eq!(&format_response(response), text);
             assert_eq!(&parse_response(text).unwrap(), response, "{text:?}");
+        }
+    }
+
+    /// Every control ack, pinned to the text servers answer, read both
+    /// ways; text that is not exactly an ack is refused.
+    #[test]
+    fn every_control_ack_has_one_pinned_text() {
+        let s = || "sëss:1".to_string();
+        let table = [
+            (ControlReply::Pong {}, "pong".to_string()),
+            (ControlReply::Bye {}, "bye".into()),
+            (ControlReply::Using { session: s() }, "using sëss:1".into()),
+            (
+                ControlReply::Closed { session: s() },
+                "closed sëss:1".into(),
+            ),
+            (
+                ControlReply::Migrated {
+                    session: "shard=3".into(),
+                    shard: 1,
+                },
+                "migrated shard=3 shard=1".into(),
+            ),
+            (
+                ControlReply::Balance {
+                    mode: BalanceMode::Auto,
+                },
+                "balance mode=auto".into(),
+            ),
+            (
+                ControlReply::Balance {
+                    mode: BalanceMode::Off,
+                },
+                "balance mode=off".into(),
+            ),
+            (
+                ControlReply::Subscribed {
+                    session: s(),
+                    tiles: (4, 2),
+                    wall: (1280, 960),
+                },
+                "subscribed sëss:1 4x2 1280x960".into(),
+            ),
+            (
+                ControlReply::Unsubscribed { session: Some(s()) },
+                "unsubscribed sëss:1".into(),
+            ),
+            (
+                ControlReply::Unsubscribed { session: None },
+                "unsubscribed".into(),
+            ),
+        ];
+        for (ack, text) in &table {
+            assert_eq!(&format_control_reply(ack), text);
+            assert_eq!(&parse_control_reply(text).unwrap(), ack, "{text:?}");
+        }
+        for bad in [
+            "",
+            "pong ",
+            "pong x",
+            "Pong",
+            "using",
+            "using a b",
+            "using a\tb",
+            "closed ",
+            "migrated a",
+            "migrated a shard=x",
+            "migrated a shard=1 x",
+            "migrated a x shard=1",
+            "balance mode=sideways",
+            "balance mode=auto ticks=3",
+            "subscribed s 0x2 800x600",
+            "subscribed s 4by2 800x600",
+            "subscribed s 2x2",
+            "subscribed s 2x2 800x600 x",
+            "unsubscribed ",
+            "unsubscribed a b",
+            "sessions n=0",
+            "wat",
+        ] {
+            let err = parse_control_reply(bad).unwrap_err();
+            assert_eq!(err.code, crate::error::ErrorCode::Parse, "{bad:?}");
         }
     }
 

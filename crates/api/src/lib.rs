@@ -72,9 +72,10 @@ pub mod workload;
 
 pub use cache::{CacheStats, DatasetCache};
 pub use codec::{
-    format_request, format_response, format_script_item, format_sessions_reply, format_wire_item,
-    parse_request, parse_response, parse_script, parse_script_item, parse_sessions_reply,
-    parse_wire_item, parse_wire_line, BalanceMode, SessionEntry, WireItem,
+    format_control_reply, format_request, format_response, format_script_item,
+    format_sessions_reply, format_wire_item, parse_control_reply, parse_request, parse_response,
+    parse_script, parse_script_item, parse_sessions_reply, parse_wire_item, parse_wire_line,
+    BalanceMode, ControlReply, SessionEntry, WireItem,
 };
 pub use engine::{Engine, EngineCost, RunOutcome};
 pub use error::{ApiError, ErrorCode};

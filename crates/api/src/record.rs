@@ -23,7 +23,8 @@
 //! - `"key"`: a ` key=value` token (several keys differ from their field:
 //!   `busy`, `trigger`, `missing`, …);
 //! - `_`: a **leading value**, ` value`, before every key (`shard <i>`,
-//!   `move <session> <from> <to>`, a frame's `<w>x<h>`);
+//!   `move <session> <from> <to>`, a frame's `<w>x<h>`); spelled
+//!   [`Optional`], an absent one is no text at all (`unsubscribed`);
 //! - `..`: an **embedded record**, its own table's tokens (a shard row's
 //!   latency histogram);
 //! - `["count" rows "word"]`: a **counted row section**, ` count=<n>` here
@@ -261,6 +262,9 @@ impl Token for CacheStats {
 pub trait Spelling<T> {
     /// Whether the value may hold spaces (see [`Spaced`]).
     const SPACED: bool = false;
+    /// Whether some value is written as nothing ([`Optional`]'s `None`);
+    /// a leading value so written takes its space with it.
+    const ELIDES: bool = false;
     /// Append the value's text.
     fn put(value: &T, out: &mut String);
     /// Parse the value's text; `None` if it is not one of ours.
@@ -361,6 +365,7 @@ macro_rules! word_or_value {
         pub struct $name;
 
         impl<T: Token> Spelling<Option<T>> for $name {
+            const ELIDES: bool = $word.is_empty();
             fn put(value: &Option<T>, out: &mut String) {
                 match value {
                     Some(value) => value.put(out),
@@ -385,7 +390,8 @@ word_or_value! {
     OrAll = "all";
     /// `selection` or a value: the current selection, or the genes named.
     OrSelection = "selection";
-    /// Nothing or a value: an optional last argument (`render … [path]`).
+    /// Nothing or a value: an optional last argument (`render … [path]`),
+    /// or an optional leading value, its space written only with it.
     Optional = "";
 }
 
@@ -821,7 +827,11 @@ macro_rules! __line {
     };
     (put $out:ident, _, $spelling:ty, $ty:ty, $value:expr) => {{
         $out.push(' ');
+        let at = $out.len();
         <$spelling as $crate::record::Spelling<$ty>>::put($value, $out);
+        if <$spelling as $crate::record::Spelling<$ty>>::ELIDES && $out.len() == at {
+            $out.pop();
+        }
     }};
     (put $out:ident, .., $spelling:ty, $ty:ty, $value:expr) => {
         $crate::record::Record::put_record($value, $out)

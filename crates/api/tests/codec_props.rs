@@ -1,8 +1,9 @@
 //! Wire-codec round-trip property tests: `parse(format(req)) == req` for
 //! every [`Request`] variant, through both the single-request parser and
 //! the script parser; `parse_wire_line(format_wire_item(x)) == Some(x)`
-//! for every [`WireItem`] variant, control lines included — and the
-//! response side's
+//! for every [`WireItem`] variant, control lines included;
+//! `parse_control_reply(format_control_reply(a)) == a` for every
+//! [`ControlReply`] ack — and the response side's
 //! `format_response(parse_response(t)) == t` for every `t` that
 //! `format_response` can produce (multi-line bodies, empty damage-rect
 //! lists, and free-text fields included), with names and paths that hold
@@ -13,9 +14,9 @@
 
 use forestview::command::Command;
 use fv_api::codec::{
-    format_request, format_response, format_script_item, format_wire_item, parse_request,
-    parse_script, parse_script_item, parse_wire_item, parse_wire_line, BalanceMode, ScriptItem,
-    WireItem,
+    format_control_reply, format_request, format_response, format_script_item, format_wire_item,
+    parse_control_reply, parse_request, parse_script, parse_script_item, parse_wire_item,
+    parse_wire_line, BalanceMode, ControlReply, ScriptItem, WireItem,
 };
 use fv_api::response::{
     DamageRect, DatasetRow, EnrichmentRow, SessionInfoData, SpellDatasetRow, SpellGeneRow,
@@ -344,6 +345,52 @@ fn arb_wire_item() -> impl Strategy<Value = WireItem> {
     })
 }
 
+/// A session name: one whitespace-free token, non-ASCII letters and the
+/// look of a key (`shard=3`) included.
+fn arb_session() -> impl Strategy<Value = String> {
+    FnStrategy::new(|rng: &mut TestRng| {
+        const PARTS: [&str; 12] = [
+            "a", "Z", "0", "_", ".", "-", "ë", "名", "Δσ", "🙂", "shard=", ":",
+        ];
+        let len = 1 + rng.below(6) as usize;
+        (0..len)
+            .map(|_| PARTS[rng.below(PARTS.len() as u64) as usize])
+            .collect()
+    })
+}
+
+/// Every [`ControlReply`] kind, over generated sessions, shards, modes
+/// and grids.
+fn arb_control_reply() -> impl Strategy<Value = ControlReply> {
+    FnStrategy::new(|rng: &mut TestRng| {
+        let session = arb_session().generate(rng);
+        let mut dim = |most| 1 + rng.below(most) as usize;
+        let (tiles, wall) = ((dim(16), dim(16)), (dim(8192), dim(8192)));
+        match rng.below(9) {
+            0 => ControlReply::Pong {},
+            1 => ControlReply::Bye {},
+            2 => ControlReply::Using { session },
+            3 => ControlReply::Closed { session },
+            4 => ControlReply::Migrated {
+                session,
+                shard: rng.below(64) as usize,
+            },
+            5 => ControlReply::Balance {
+                mode: [BalanceMode::Auto, BalanceMode::Off][rng.below(2) as usize],
+            },
+            6 => ControlReply::Subscribed {
+                session,
+                tiles,
+                wall,
+            },
+            7 => ControlReply::Unsubscribed {
+                session: Some(session),
+            },
+            _ => ControlReply::Unsubscribed { session: None },
+        }
+    })
+}
+
 /// Multi-line free text for `Response::Text` bodies and session
 /// summaries: word lines, blank lines, and adversarial lines that mimic
 /// frame headers (`err …`, `ok …`) — all of which the continuation
@@ -565,6 +612,20 @@ proptest! {
         let line = format_wire_item(&item);
         prop_assert_eq!(parse_wire_item(&line).unwrap(), item.clone(), "line was {}", line);
         prop_assert_eq!(parse_wire_line(&line).unwrap(), Some(item));
+    }
+
+    #[test]
+    fn every_control_reply_roundtrips(ack in arb_control_reply(), cut in 0usize..64) {
+        let text = format_control_reply(&ack);
+        prop_assert_eq!(parse_control_reply(&text).unwrap(), ack.clone(), "text was {}", text);
+        // a cut or padded ack is refused, or reads as another ack whose
+        // text it exactly is
+        let at = text.char_indices().map(|(i, _)| i).nth(cut % text.chars().count());
+        for mangled in [&text[..at.unwrap_or(0)], &format!("{text} "), &format!("{text} x")] {
+            if let Ok(other) = parse_control_reply(mangled) {
+                prop_assert_eq!(format_control_reply(&other), mangled.to_string());
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 use crate::frame::{read_reply, LineReader};
 use fv_api::codec::{ScriptItem, ScriptLine};
 use fv_api::{
-    format_request, format_script_item, format_wire_item, parse_response, parse_script,
-    transcript_block, ApiError, Request, Response, WireItem,
+    format_request, format_script_item, format_wire_item, parse_control_reply, parse_response,
+    parse_script, transcript_block, ApiError, ControlReply, Request, Response, WireItem,
 };
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
@@ -50,16 +50,19 @@ impl Client {
         self.roundtrip(&format_wire_item(&item))?
     }
 
-    /// Send `item`, whose only acceptable reply is `expected`.
-    fn expect(&mut self, item: WireItem, expected: &str) -> Result<(), ApiError> {
+    /// Send `item` and read its ack, which `fits` must accept.
+    fn expect(
+        &mut self,
+        item: WireItem,
+        fits: impl FnOnce(&ControlReply) -> bool,
+    ) -> Result<(), ApiError> {
         let line = format_wire_item(&item);
         let reply = self.roundtrip(&line)??;
-        if reply == expected {
-            Ok(())
-        } else {
-            Err(ApiError::io(format!(
+        match parse_control_reply(&reply) {
+            Ok(ack) if fits(&ack) => Ok(()),
+            _ => Err(ApiError::io(format!(
                 "unexpected reply {reply:?} to {line:?}"
-            )))
+            ))),
         }
     }
 
@@ -72,19 +75,20 @@ impl Client {
     /// Switch (and materialize) the connection's current session.
     pub fn use_session(&mut self, name: &str) -> Result<(), ApiError> {
         let item = WireItem::Script(ScriptItem::Use(name.to_string()));
-        self.expect(item, &format!("using {name}"))
+        let want = ControlReply::Using {
+            session: name.to_string(),
+        };
+        self.expect(item, |ack| *ack == want)
     }
 
     /// Drop the connection's current session server-side (the connection
     /// falls back to the default session). How one-shot clients avoid
-    /// leaking scratch sessions.
+    /// leaking scratch sessions. The ack names the session closed, which
+    /// only the server knows (a raw `use` line may have switched it).
     pub fn close_session(&mut self) -> Result<(), ApiError> {
-        let reply = self.send(WireItem::Close)?;
-        if reply.starts_with("closed ") {
-            Ok(())
-        } else {
-            Err(ApiError::io(format!("unexpected close reply {reply:?}")))
-        }
+        self.expect(WireItem::Close, |ack| {
+            matches!(ack, ControlReply::Closed { .. })
+        })
     }
 
     /// Move a live session to another shard (`migrate` control line) by
@@ -103,19 +107,22 @@ impl Client {
     /// naming the target's reason) — and a failed move leaves the session
     /// untouched on its source shard.
     pub fn migrate(&mut self, session: &str, shard: usize) -> Result<(), ApiError> {
-        let expected = format!("migrated {session} shard={shard}");
         let session = session.to_string();
-        self.expect(WireItem::Migrate { session, shard }, &expected)
+        let want = ControlReply::Migrated {
+            session: session.clone(),
+            shard,
+        };
+        self.expect(WireItem::Migrate { session, shard }, |ack| *ack == want)
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ApiError> {
-        self.expect(WireItem::Ping, "pong")
+        self.expect(WireItem::Ping, |ack| *ack == ControlReply::Pong {})
     }
 
     /// Ask the server to stop (acknowledged with `bye` before it does).
     pub fn shutdown_server(&mut self) -> Result<(), ApiError> {
-        self.expect(WireItem::Shutdown, "bye")
+        self.expect(WireItem::Shutdown, |ack| *ack == ControlReply::Bye {})
     }
 
     /// Snapshot the server's metrics (`stats` control line), decoded into
@@ -134,8 +141,8 @@ impl Client {
     /// Flip the rebalancer mode at runtime (`balance auto|off`). The
     /// policy's counters and cooldowns survive the flip.
     pub fn set_balance(&mut self, mode: crate::balance::BalanceMode) -> Result<(), ApiError> {
-        let expected = format!("balance mode={mode}");
-        self.expect(WireItem::Balance { set: Some(mode) }, &expected)
+        let item = WireItem::Balance { set: Some(mode) };
+        self.expect(item, |ack| *ack == ControlReply::Balance { mode })
     }
 
     /// List every live session across all shards (`list-sessions`

@@ -30,9 +30,9 @@
 //! blocking `Read` streams (the client side). [`ReplyAssembler`] turns
 //! lines into completed [`Reply`] frames and is the **only** decoder of
 //! the `ok`/`err` grammar above: [`read_reply`] drives it from a
-//! `LineReader`, the recording tap (`crate::tap`) from the bytes it
-//! proxies, the stream `Watcher` (`crate::stream`) from the private
-//! buffer that keeps it from over-reading into binary tile frames, and
+//! `LineReader` (the client's, and the stream `Watcher`'s, which takes
+//! the binary tile frames between reply lines from the same buffer), the
+//! recording tap (`crate::tap`) from the bytes it proxies, and
 //! `decode_replies` from the frames a process shard answers a run with.
 
 use fv_api::{ApiError, ErrorCode};
@@ -138,6 +138,17 @@ impl FrameBuf {
         None
     }
 
+    /// The bytes fed and not yet taken.
+    pub(crate) fn pending(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+
+    /// Take `n` pending bytes that are not a line (a binary tile frame).
+    pub(crate) fn consume(&mut self, n: usize) {
+        self.start += n;
+        self.scanned = 0;
+    }
+
     fn compact(&mut self) {
         if self.start > 8192 {
             self.buf.drain(..self.start);
@@ -147,10 +158,11 @@ impl FrameBuf {
 }
 
 /// Buffered line reader over a blocking `Read` stream — [`FrameBuf`]
-/// plus the reads.
+/// plus the reads. A stream `Watcher` takes the binary tile frames
+/// between reply lines from the same buffer.
 pub struct LineReader<R: Read> {
     inner: R,
-    frames: FrameBuf,
+    pub(crate) frames: FrameBuf,
 }
 
 impl<R: Read> LineReader<R> {
@@ -179,13 +191,24 @@ impl<R: Read> LineReader<R> {
                 }
                 None => {}
             }
-            let mut chunk = [0u8; 4096];
-            let n = self.inner.read(&mut chunk)?;
-            if n == 0 {
+            if !self.fill(&mut [0u8; 4096])? {
                 return Ok(None);
             }
-            self.frames.feed(&chunk[..n]);
         }
+    }
+
+    /// Read once from the stream through `chunk` into the buffer,
+    /// retrying an interrupted read: `Ok(false)` at EOF.
+    pub(crate) fn fill(&mut self, chunk: &mut [u8]) -> std::io::Result<bool> {
+        self.frames.compact();
+        let n = loop {
+            match self.inner.read(chunk) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                read => break read?,
+            }
+        };
+        self.frames.feed(&chunk[..n]);
+        Ok(n > 0)
     }
 }
 

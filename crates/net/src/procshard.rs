@@ -47,8 +47,7 @@
 //! run <publish 0|1> <n> <session>      → run-done dropped=<0|1> frames=<k>
 //!   <n request lines>                      frame=<0|1>
 //!                                        <reply blob: k ok/err frames>
-//!                                        [frame <w> <h> <nrects>
-//!                                         <nrects "x y w h" lines>
+//!                                        [frame <w>x<h> damage=<x:y:w:h,…>
 //!                                         <rgb blob>]
 //! close <session>                      → closed <0|1>
 //! end <session>                        → closed <0|1>
@@ -57,9 +56,9 @@
 //!                                          lat_us=<counts> lat_max_us=<u>
 //!                                          cache=<e>,<h>,<m>,<ev>,<de>,<dh>,<dm>
 //!                                          sessions=<k>
-//!                                        <k "session datasets=<n>
+//!                                        <k "  session datasets=<n>
 //!                                           requests=<r> bytes=<b>
-//!                                           name=<name>" lines>
+//!                                           name=<name>" rows>
 //! snapshot <session>                   → image <0|1> [image blob]
 //! install <session>                    → installed ok
 //!   <image blob>                       | installed err <CODE>
@@ -92,14 +91,13 @@
 )]
 
 use crate::frame::decode_replies;
-use crate::metrics::LatencyHistogram;
 use crate::poll::{self, PollEntry};
 use crate::server::ServerConfig;
 use crate::shard::{
-    Backend, Link, PubFrame, RunDone, SessionReport, ShardOp, ShardReply, ShardReport, Shards,
-    WorkerCore,
+    Backend, Link, PubFrame, RunDone, ShardOp, ShardReply, ShardReport, Shards, WorkerCore,
 };
-use fv_api::record::{self, field, num, Token};
+use fv_api::record::{num, read_text, write_text, Token};
+use fv_api::response::DamageRect;
 use fv_api::{
     format_request, format_session_image, parse_request, parse_session_image, ApiError,
     DatasetCache, ErrorCode, SessionId, SessionStore,
@@ -345,7 +343,7 @@ fn decode_reply(payload: &[u8], op: &ShardOp) -> Result<ShardReply, ApiError> {
             ShardReply::Run(decode_run_done(header, &mut c, session)?)
         }
         (ShardOp::Close { .. }, "closed") => ShardReply::Closed(flag(rest)?),
-        (ShardOp::Report, "report") => ShardReply::Report(decode_report(header, &mut c)?),
+        (ShardOp::Report, "report") => return decode_report(payload).map(ShardReply::Report),
         (ShardOp::Snapshot { .. }, "image") => ShardReply::Image(if flag(rest)? {
             Some(parse_session_image(c.text_blob()?)?)
         } else {
@@ -380,30 +378,29 @@ fv_api::wire_record! {
     }
 }
 
+fv_api::wire_record! {
+    /// A `run-done`'s publish frame: the wall's size and its damage; the
+    /// pixel blob follows.
+    struct FrameHead {
+        wall: (usize, usize) => _,
+        damage: Vec<DamageRect> => "damage",
+    }
+}
+
 fn encode_run_done(done: &RunDone) -> Vec<u8> {
     let head = RunDoneHead {
         dropped: done.dropped.is_some(),
         frames: done.frames,
         frame: done.frame.is_some(),
     };
-    let mut out = String::from("run-done");
-    head.put_fields(&mut out);
-    out.push('\n');
-    let mut out = out.into_bytes();
+    let mut out = (write_text("run-done", &head) + "\n").into_bytes();
     push_blob(&mut out, &done.reply);
     if let Some(frame) = &done.frame {
-        out.extend_from_slice(
-            format!(
-                "frame {} {} {}\n",
-                frame.wall.width(),
-                frame.wall.height(),
-                frame.damage.len()
-            )
-            .as_bytes(),
-        );
-        for d in &frame.damage {
-            out.extend_from_slice(format!("{} {} {} {}\n", d.x, d.y, d.w, d.h).as_bytes());
-        }
+        let head = FrameHead {
+            wall: (frame.wall.width(), frame.wall.height()),
+            damage: frame.damage.iter().map(|&d| d.into()).collect(),
+        };
+        out.extend_from_slice((write_text("frame", &head) + "\n").as_bytes());
         push_blob(&mut out, frame.wall.bytes());
     }
     out
@@ -422,34 +419,14 @@ fn decode_run_done(header: &str, c: &mut Cursor, session: &SessionId) -> Result<
         )));
     }
     let frame = if head.frame {
-        let fl = c.line()?;
-        let mut parts = fl.split(' ');
-        let (verb, w, h, nrects) = (parts.next(), parts.next(), parts.next(), parts.next());
-        if verb != Some("frame") || parts.next().is_some() {
-            return Err(ApiError::parse(format!("bad frame line {fl:?}")));
-        }
-        let w: usize = num(w.unwrap_or(""), "frame width")?;
-        let h: usize = num(h.unwrap_or(""), "frame height")?;
-        let nrects = c.count(nrects.unwrap_or(""), "damage rect count")?;
+        let FrameHead {
+            wall: (w, h),
+            damage,
+        } = read_text("frame", c.line()?)?;
         if w.saturating_mul(h).saturating_mul(3) > MAX_FRAME {
             return Err(ApiError::parse(format!(
                 "frame {w}x{h} is implausibly large"
             )));
-        }
-        let mut damage = Vec::with_capacity(nrects);
-        for _ in 0..nrects {
-            let rl = c.line()?;
-            let mut n = rl.split(' ').map(|v| num::<usize>(v, "damage rect"));
-            let (x, y, rw, rh) = (n.next(), n.next(), n.next(), n.next());
-            match (x, y, rw, rh, n.next()) {
-                (Some(x), Some(y), Some(rw), Some(rh), None) => damage.push(Viewport {
-                    x: x?,
-                    y: y?,
-                    w: rw?,
-                    h: rh?,
-                }),
-                _ => return Err(ApiError::parse(format!("bad damage rect {rl:?}"))),
-            }
         }
         let rgb = c.blob()?;
         if rgb.len() != w * h * 3 {
@@ -461,10 +438,13 @@ fn decode_run_done(header: &str, c: &mut Cursor, session: &SessionId) -> Result<
         }
         let mut wall = Framebuffer::new(w, h);
         wall.write_rect(0, 0, w, h, rgb);
+        let damage = damage
+            .into_iter()
+            .map(|DamageRect { x, y, w, h }| Viewport { x, y, w, h });
         Some(PubFrame {
             session: session.clone(),
             wall,
-            damage,
+            damage: damage.collect(),
         })
     } else {
         None
@@ -478,36 +458,18 @@ fn decode_run_done(header: &str, c: &mut Cursor, session: &SessionId) -> Result<
 }
 
 fn encode_report(report: &ShardReport) -> Vec<u8> {
-    let mut out = String::from("report");
-    report.put_fields(&mut out);
-    report.latency.put_fields(&mut out);
-    record::put(&mut out, "cache", &report.cache);
-    record::put(&mut out, "sessions", &report.sessions.len());
-    out.push('\n');
-    for s in &report.sessions {
-        out.push_str("session");
-        s.put_fields(&mut out);
-        out.push('\n');
-    }
-    out.into_bytes()
+    (write_text("report", report) + "\n").into_bytes()
 }
 
-fn decode_report(header: &str, c: &mut Cursor) -> Result<ShardReport, ApiError> {
-    let n_sessions = c.count(field(header, "sessions")?, "session count")?;
-    let mut sessions = Vec::with_capacity(n_sessions);
-    for _ in 0..n_sessions {
-        let row = c.line()?;
-        if !row.starts_with("session ") {
-            return Err(ApiError::parse(format!("bad session row {row:?}")));
-        }
-        sessions.push(SessionReport::get_fields(row)?);
-    }
-    Ok(ShardReport {
-        latency: LatencyHistogram::get_fields(header)?,
-        cache: record::get(header, "cache")?,
-        sessions,
-        ..ShardReport::get_fields(header)?
-    })
+/// A `report` payload is the table's text and its last newline.
+fn decode_report(payload: &[u8]) -> Result<ShardReport, ApiError> {
+    let text = std::str::from_utf8(payload)
+        .ok()
+        .and_then(|t| t.strip_suffix('\n'));
+    read_text(
+        "report",
+        text.ok_or_else(|| ApiError::parse("bad report payload"))?,
+    )
 }
 
 /// One exchange with the process taken out: `op` and its reply cross the
@@ -832,8 +794,9 @@ mod tests {
         for (op, garbage) in [
             (run, &b"nope\n"[..]),
             (run, b"run-done dropped=0 frames=18446744073709551615 frame=0\n0\n"),
-            (run, b"run-done dropped=0 frames=0 frame=1\n0\nframe 1 1 18446744073709551615\n"),
-            (run, b"run-done dropped=0 frames=0 frame=1\n0\nframe 4294967296 4294967296 0\n0\n"),
+            (run, b"run-done dropped=0 frames=0 frame=1\n0\nframe 1x1 damage=0:0:1:1:1\n3\nabc"),
+            (run, b"run-done dropped=0 frames=0 frame=1\n0\nframe 1 1 0\n3\nabc"), // the old line
+            (run, b"run-done dropped=0 frames=0 frame=1\n0\nframe 4294967296x4294967296 damage=-\n0\n"),
             (run, b"run-done dropped=0 frames=0 frame=0\n"), // missing reply blob
             (run, b"run-done dropped=0 nresp=0 err=- lat=- frame=0\n"), // the old grammar
             // `frames=` disagreeing with the blob, either way

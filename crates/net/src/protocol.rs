@@ -35,7 +35,10 @@ use crate::shard::{shard_of, PubFrame, ShardOp, ShardReply, ShardReport, Shards}
 use crate::stream::{StreamPlane, SubState};
 use crate::BalanceMode;
 use fv_api::codec::ScriptItem;
-use fv_api::{ApiError, EngineHub, Request, SessionId, SessionStore, WireItem};
+use fv_api::{
+    format_control_reply, ApiError, ControlReply, EngineHub, Request, SessionId, SessionStore,
+    WireItem,
+};
 use fv_render::Framebuffer;
 use fv_wall::stream::tile_damage;
 use fv_wall::tile::TileGrid;
@@ -140,6 +143,10 @@ impl Conn {
     fn push_ok(&mut self, body: &str, metrics: &mut LoopMetrics) {
         push_ok_frame(&mut self.out, body);
         metrics.frames_out += 1;
+    }
+
+    fn push_ack(&mut self, ack: &ControlReply, metrics: &mut LoopMetrics) {
+        self.push_ok(&format_control_reply(ack), metrics);
     }
 
     fn push_err(&mut self, e: &ApiError, metrics: &mut LoopMetrics) {
@@ -708,7 +715,8 @@ impl Core {
         let answer = match (result, to) {
             (Ok(()), None) => {
                 self.end_session(&session);
-                Ok(format!("closed {session}"))
+                let session = session.to_string();
+                Ok(ControlReply::Closed { session })
             }
             (Ok(()), Some(to)) => {
                 if to == shard_of(&session, self.st.shards.n_shards()) {
@@ -724,7 +732,8 @@ impl Core {
                     self.st
                         .submit_run(session.clone(), Vec::new(), true, Waiter::StreamResync);
                 }
-                Ok(format!("migrated {session} shard={to}"))
+                let session = session.to_string();
+                Ok(ControlReply::Migrated { session, shard: to })
             }
             (Err(e), _) => Err(e),
         };
@@ -742,7 +751,7 @@ impl Core {
                     if matches!(conn.inflight, Some(Inflight::Migrate)) {
                         conn.inflight = None;
                         match answer {
-                            Ok(body) => conn.push_ok(&body, &mut self.st.metrics),
+                            Ok(ack) => conn.push_ack(&ack, &mut self.st.metrics),
                             Err(e) => conn.push_err(&e, &mut self.st.metrics),
                         }
                     }
@@ -915,31 +924,30 @@ fn dispatch(conn: &mut Conn, id: u64, st: &mut LoopState, item: WireItem) -> Res
             st.submit_run(conn.session.clone(), requests, publish, Waiter::Conn(id));
         }
         WireItem::Script(ScriptItem::Use(name)) => {
-            let session = SessionId::new(name)?;
+            let session = SessionId::new(name.clone())?;
             // Answer now, as `subscribe` is answered: the connection
             // pumps nothing until the run lands, so no reply can pass
             // this one, and a refused empty run answers nothing. Then
             // materialize eagerly (the `use` semantics) on the owning
             // shard, publishing to its viewers like any other run.
-            conn.push_ok(&format!("using {session}"), &mut st.metrics);
+            conn.push_ack(&ControlReply::Using { session: name }, &mut st.metrics);
             conn.inflight_requests = 0;
             conn.inflight = Some(Inflight::Run);
             let publish = st.streams.has_subscribers(&session);
             st.submit_run(session.clone(), Vec::new(), publish, Waiter::Conn(id));
             conn.session = session;
         }
-        WireItem::Ping => conn.push_ok("pong", &mut st.metrics),
+        WireItem::Ping => conn.push_ack(&ControlReply::Pong {}, &mut st.metrics),
         WireItem::Balance { set } => {
             // Answered from loop state — no shard round trip, so a
             // `balance` line never stalls behind engine work.
-            let reply = match set {
-                None => format_balance(&st.balancer.status()),
+            match set {
+                None => conn.push_ok(&format_balance(&st.balancer.status()), &mut st.metrics),
                 Some(mode) => {
                     st.balancer.set_mode(mode);
-                    format!("balance mode={mode}")
+                    conn.push_ack(&ControlReply::Balance { mode }, &mut st.metrics);
                 }
-            };
-            conn.push_ok(&reply, &mut st.metrics);
+            }
         }
         WireItem::Subscribe {
             session,
@@ -966,23 +974,23 @@ fn dispatch(conn: &mut Conn, id: u64, st: &mut LoopState, item: WireItem) -> Res
             // the keyframe immediately), and the text ack must
             // precede them. Then materialize the session and render
             // via an empty *published* run on the owning shard.
-            conn.push_ok(
-                &format!("subscribed {session} {tiles_x}x{tiles_y} {sw}x{sh}"),
-                &mut st.metrics,
-            );
+            let ack = ControlReply::Subscribed {
+                session: session.to_string(),
+                tiles: (tiles_x, tiles_y),
+                wall: (sw, sh),
+            };
+            conn.push_ack(&ack, &mut st.metrics);
             conn.inflight_requests = 0;
             conn.inflight = Some(Inflight::Run);
             st.submit_run(session, Vec::new(), true, Waiter::Conn(id));
         }
         WireItem::Unsubscribe => {
-            match conn.sub.take() {
-                Some(sub) => {
-                    st.streams.unsubscribe(&sub.session, id);
-                    conn.push_ok(&format!("unsubscribed {}", sub.session), &mut st.metrics);
-                }
-                // Idempotent: unsubscribing a non-subscriber is fine.
-                None => conn.push_ok("unsubscribed", &mut st.metrics),
-            }
+            // Idempotent: a non-subscriber is answered a bare ack.
+            let session = conn.sub.take().map(|sub| {
+                st.streams.unsubscribe(&sub.session, id);
+                sub.session.to_string()
+            });
+            conn.push_ack(&ControlReply::Unsubscribed { session }, &mut st.metrics);
         }
         WireItem::Ack { seq } => {
             if let Some(sub) = conn.sub.as_mut() {
@@ -1027,7 +1035,7 @@ fn dispatch(conn: &mut Conn, id: u64, st: &mut LoopState, item: WireItem) -> Res
             // inbox ends the pump.
             conn.inbox.clear();
             conn.queued_requests = 0;
-            conn.push_ok("bye", &mut st.metrics);
+            conn.push_ack(&ControlReply::Bye {}, &mut st.metrics);
             st.stop = true;
         }
     }

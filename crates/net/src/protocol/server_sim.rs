@@ -99,40 +99,72 @@ fn script(rng: &mut Rng, pcl: &str, n_shards: usize) -> Vec<u8> {
 /// What the one frame answering a line must be.
 #[derive(Debug)]
 enum Kind {
-    /// `ok` with exactly this body.
-    Exact(String),
-    /// `ok` with a body that starts so; `true` where the state of the
-    /// server may answer a typed `err` instead (`migrate`, `subscribe`).
-    Starts(&'static str, bool),
+    /// `ok` with exactly this ack; `true` where the state of the server
+    /// may answer a typed `err` instead (a `migrate`).
+    Ack(ControlReply, bool),
+    /// `ok` with the `unsubscribed` ack that names the session watched
+    /// when it is answered, if any.
+    Unsubscribe,
+    /// `ok` with a `stats` snapshot.
+    Stats,
+    /// `ok` with a `list-sessions` listing, each session once.
+    Sessions,
+    /// `ok` with a `balance` status.
+    Balance,
     /// A typed `E_PARSE` / `E_INVALID`, the connection surviving.
     Reject,
     /// An engine request: `E_BUSY`, or the next frame its run produced.
     Request,
 }
 
-/// What the grammar owes `line` — `None` for a blank, a comment or an
-/// `ack`, which are not answered. `session` follows the connection's
-/// session pointer the way the core will.
-fn owed(line: Result<String, LineFault>, session: &mut String) -> Option<Kind> {
+/// What the grammar owes `line` on a server of `config`'s shape —
+/// `None` for a blank, a comment or an `ack`, which are not answered.
+/// `session` follows the connection's session pointer the way the core
+/// will.
+fn owed(
+    line: Result<String, LineFault>,
+    session: &mut String,
+    config: &ServerConfig,
+) -> Option<Kind> {
     use ScriptItem::{Close, Request, Use};
+    let (w, h) = config.scene;
     let kind = match line.map(|text| fv_api::parse_wire_line(&text)) {
         Ok(Ok(item)) => match item? {
-            WireItem::Ping => Kind::Exact("pong".into()),
+            WireItem::Ping => Kind::Ack(ControlReply::Pong {}, false),
             WireItem::Script(Use(name)) => {
-                *session = name;
-                Kind::Exact(format!("using {session}"))
+                *session = name.clone();
+                Kind::Ack(ControlReply::Using { session: name }, false)
             }
-            WireItem::Script(Close(name)) => Kind::Exact(format!("closed {name}")),
+            WireItem::Script(Close(session)) => Kind::Ack(ControlReply::Closed { session }, false),
             WireItem::Close => {
-                let closed = std::mem::replace(session, "main".into());
-                Kind::Exact(format!("closed {closed}"))
+                let session = std::mem::replace(session, "main".into());
+                Kind::Ack(ControlReply::Closed { session }, false)
             }
-            WireItem::Stats => Kind::Starts("stats ", false),
-            WireItem::ListSessions => Kind::Starts("sessions n=", false),
-            WireItem::Balance { .. } => Kind::Starts("balance mode=", false),
-            WireItem::Migrate { .. } => Kind::Starts("migrated ", true),
-            WireItem::Subscribe { .. } => Kind::Starts("subscribed ", true),
-            WireItem::Unsubscribe => Kind::Starts("unsubscribed", false),
+            WireItem::Stats => Kind::Stats,
+            WireItem::ListSessions => Kind::Sessions,
+            WireItem::Balance { set: None } => Kind::Balance,
+            WireItem::Balance { set: Some(mode) } => {
+                Kind::Ack(ControlReply::Balance { mode }, false)
+            }
+            WireItem::Migrate { shard, .. } if shard >= config.shards => Kind::Reject,
+            WireItem::Migrate { session, shard } => {
+                Kind::Ack(ControlReply::Migrated { session, shard }, true)
+            }
+            WireItem::Subscribe {
+                tiles: (tx, ty), ..
+            } if w % tx != 0 || h % ty != 0 => Kind::Reject,
+            WireItem::Subscribe { session, tiles } => {
+                let wall = config.scene;
+                Kind::Ack(
+                    ControlReply::Subscribed {
+                        session,
+                        tiles,
+                        wall,
+                    },
+                    false,
+                )
+            }
+            WireItem::Unsubscribe => Kind::Unsubscribe,
             WireItem::Script(Request(_)) => Kind::Request,
             WireItem::Ack { .. } | WireItem::Shutdown => return None,
         },
@@ -485,7 +517,7 @@ impl World {
         client.framer.feed(&client.script[chunk.clone()]);
         while let Some(line) = client.framer.next_line() {
             self.garbage += line.is_err() as u64;
-            let Some(kind) = owed(line, &mut client.session) else {
+            let Some(kind) = owed(line, &mut client.session, &self.config) else {
                 continue;
             };
             if let Kind::Request = kind {
@@ -702,10 +734,19 @@ impl World {
                 continue;
             };
             let asked = client.asked.pop_front().expect("a frame no line asked for");
+            let ack = |body: &str| fv_api::parse_control_reply(body).ok();
             let fits = match (&asked, &reply) {
-                (Kind::Exact(want), Ok(body)) => body == want,
-                (Kind::Starts(want, _), Ok(body)) => body.starts_with(want),
-                (Kind::Starts(_, may_fail), Err(_)) => *may_fail,
+                (Kind::Ack(want, _), Ok(body)) => ack(body).as_ref() == Some(want),
+                (Kind::Ack(_, may_fail), Err(_)) => *may_fail,
+                (Kind::Unsubscribe, Ok(body)) => {
+                    let session = client.viewer.as_ref().map(|(session, _)| session.clone());
+                    ack(body) == Some(ControlReply::Unsubscribed { session })
+                }
+                (Kind::Stats, Ok(body)) => parse_stats(body).is_ok(),
+                // A session listed twice is out of name order too.
+                (Kind::Sessions, Ok(body)) => fv_api::parse_sessions_reply(body)
+                    .is_ok_and(|listed| listed.windows(2).all(|w| w[0].name < w[1].name)),
+                (Kind::Balance, Ok(body)) => crate::balance::parse_balance(body).is_ok(),
                 (Kind::Reject, Err(e)) => {
                     matches!(e.code, ErrorCode::Parse | ErrorCode::InvalidRequest)
                 }
@@ -717,29 +758,31 @@ impl World {
                 _ => false,
             };
             assert!(fits, "c{}: {asked:?} answered {reply:?}", client.id);
-            if let Kind::Request = asked {
-                let busy = matches!(&reply, Err(e) if e.code == ErrorCode::Busy);
-                let mark = client.marks.iter_mut().find(|m| m.1.is_none());
-                mark.expect("a request line arrived").1 = Some((step, busy));
-            } else if let Ok(body) = &reply {
-                if body.starts_with("sessions n=") {
-                    let listed = fv_api::parse_sessions_reply(body).expect("the listing parses");
-                    let twice = listed.windows(2).find(|w| w[0].name >= w[1].name);
-                    assert!(twice.is_none(), "a session listed on two shards: {body}");
-                } else if let Some(ack) = body.strip_prefix("subscribed ") {
-                    let fields: Vec<&str> = ack.split([' ', 'x']).collect();
-                    let numbers = fields[1..].iter().map(|n| n.parse().expect("a number"));
-                    let [tx, ty, w, h] = numbers.collect::<Vec<usize>>()[..] else {
-                        panic!("subscribe ack {body:?}");
-                    };
+            match (asked, &reply) {
+                (Kind::Request, reply) => {
+                    let busy = matches!(reply, Err(e) if e.code == ErrorCode::Busy);
+                    let mark = client.marks.iter_mut().find(|m| m.1.is_none());
+                    mark.expect("a request line arrived").1 = Some((step, busy));
+                }
+                (
+                    Kind::Ack(
+                        ControlReply::Subscribed {
+                            session,
+                            tiles,
+                            wall,
+                        },
+                        _,
+                    ),
+                    Ok(_),
+                ) => {
+                    let ((tx, ty), (w, h)) = (tiles, wall);
                     let wall = TileAssembler::new(TileGrid::new(tx, ty, w / tx, h / ty));
-                    client.viewer = Some((fields[0].to_string(), wall));
-                    client.materializing = true;
-                } else if body.starts_with("unsubscribed") {
-                    client.viewer = None;
-                } else if body.starts_with("using ") {
+                    client.viewer = Some((session, wall));
                     client.materializing = true;
                 }
+                (Kind::Ack(ControlReply::Using { .. }, _), Ok(_)) => client.materializing = true,
+                (Kind::Unsubscribe, _) => client.viewer = None,
+                _ => {}
             }
             client.heard.push(reply);
         }

@@ -92,8 +92,8 @@ fv_api::wire_record! {
     /// One shard's contribution to a `stats`, `list-sessions`, or balancer
     /// snapshot: sessions it owns (with cost estimates) plus its
     /// cumulative execution counters — read where it lands, never copied
-    /// into another shape. The keyed fields open a process shard's
-    /// `report` header.
+    /// into another shape. A process shard's `report` is this table's
+    /// text.
     #[derive(Debug, Clone, PartialEq, Default)]
     pub struct ShardReport {
         /// Shard index.
@@ -105,15 +105,14 @@ fv_api::wire_record! {
         pub requests: u64 => "requests",
         /// Largest single run.
         pub max_run: usize => "max_run",
-        ..
         /// Per-request latency histogram of everything this shard executed.
-        pub latency: LatencyHistogram,
+        pub latency: LatencyHistogram => ..,
         /// Gauges of the dataset cache this shard's hub loads through (one
         /// cache shared by all thread shards, a private one per child
         /// process — which is how the parent learns a child's gauges).
-        pub cache: CacheStats,
+        pub cache: CacheStats => "cache",
         /// Per-session reports, sorted by name (hub order).
-        pub sessions: Vec<SessionReport>,
+        pub sessions: Vec<SessionReport> => ["sessions" rows "session"],
     }
 }
 

@@ -32,19 +32,19 @@
 //! tile frames into a local [`Framebuffer`] and can verify it against a
 //! local render (`fvtool watch --verify-script`). Its two text replies
 //! (the `subscribe` ack, the `unsubscribe` confirmation) are ordinary
-//! reply frames, decoded by the one [`ReplyAssembler`] — fed from the
-//! watcher's own byte buffer, because a `LineReader` would read ahead
-//! into the binary tile frames that follow.
+//! reply frames, read by [`crate::frame::read_reply`] from the same
+//! [`LineReader`] buffer the tile frames between them are taken from.
 
-use crate::frame::ReplyAssembler;
+use crate::frame::{read_reply, LineReader};
 use crate::metrics::StreamStats;
-use fv_api::record::Token;
-use fv_api::{format_wire_item, ApiError, SessionId, WireItem};
+use fv_api::{
+    format_wire_item, parse_control_reply, ApiError, ControlReply, ErrorCode, SessionId, WireItem,
+};
 use fv_render::Framebuffer;
 use fv_wall::stream::{decode, TileAssembler, TileFrame, TileStreamEncoder};
 use fv_wall::tile::{TileGrid, Viewport};
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
 use std::rc::Rc;
 use std::time::Duration;
@@ -185,9 +185,10 @@ impl StreamPlane {
 /// # let _ = fb;
 /// ```
 pub struct Watcher {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    start: usize,
+    writer: TcpStream,
+    /// The one place the watcher reads: reply lines and, between them,
+    /// the binary tile frames, from one buffer.
+    reader: LineReader<TcpStream>,
     assembler: TileAssembler,
     /// The server closed the connection (EOF) — as opposed to a read
     /// timeout, which also surfaces as `Ok(None)` from `next_frame`.
@@ -204,41 +205,32 @@ impl Watcher {
         tiles_x: usize,
         tiles_y: usize,
     ) -> Result<Watcher, ApiError> {
-        let mut stream = TcpStream::connect(addr).map_err(|e| ApiError::io(e.to_string()))?;
-        let session = session.to_string();
-        let tiles = (tiles_x, tiles_y);
-        send(&mut stream, WireItem::Subscribe { session, tiles })?;
-        let mut buf = Vec::new();
-        let mut start = 0usize;
-        // The ack is an ordinary reply frame. A server dying mid-reply
-        // surfaces as the typed E_IO a dropped connection deserves
-        // (`read_text_line` at EOF), never as a parse error on whatever
-        // fragment did arrive; a refusal is the server's own typed error.
-        let mut ack = ReplyAssembler::new();
-        let body = loop {
-            let line = read_text_line(&mut stream, &mut buf, &mut start)?;
-            if let Some(reply) = ack.push_line(&line)? {
-                break reply?;
-            }
+        let mut writer = TcpStream::connect(addr).map_err(|e| ApiError::io(e.to_string()))?;
+        let mut reader = LineReader::new(writer.try_clone()?);
+        let (session, tiles) = (session.to_string(), (tiles_x, tiles_y));
+        let line = WireItem::Subscribe {
+            session: session.clone(),
+            tiles,
         };
-        // "subscribed <session> <TX>x<TY> <W>x<H>"
-        let fields: Vec<&str> = body.split(' ').collect();
-        let dims = match fields.as_slice() {
-            ["subscribed", _, _, dims] => *dims,
+        send(&mut writer, line)?;
+        let body = reply(&mut reader, "subscribe")?;
+        let (w, h) = match parse_control_reply(&body) {
+            Ok(ControlReply::Subscribed {
+                session: watched,
+                tiles: grid,
+                wall,
+            }) if watched == session && grid == tiles => wall,
             _ => return Err(ApiError::parse(format!("malformed subscribe ack {body:?}"))),
         };
-        let (w, h) = <(usize, usize)>::get(dims)
-            .ok_or_else(|| ApiError::parse(format!("malformed wall dimensions {dims:?}")))?;
-        if tiles_x == 0 || tiles_y == 0 || w % tiles_x != 0 || h % tiles_y != 0 {
+        if w == 0 || h == 0 || w % tiles_x != 0 || h % tiles_y != 0 {
             return Err(ApiError::parse(format!(
                 "server wall {w}x{h} does not divide into {tiles_x}x{tiles_y} tiles"
             )));
         }
         let grid = TileGrid::new(tiles_x, tiles_y, w / tiles_x, h / tiles_y);
         Ok(Watcher {
-            stream,
-            buf,
-            start,
+            writer,
+            reader,
             assembler: TileAssembler::new(grid),
             hung_up: false,
         })
@@ -258,48 +250,42 @@ impl Watcher {
     /// went idle for that long.
     pub fn next_frame(&mut self) -> Result<Option<TileFrame>, ApiError> {
         loop {
-            match decode(&self.buf[self.start..]) {
-                Err(e) => return Err(ApiError::parse(e.to_string())),
-                Ok(Some((frame, used))) => {
-                    self.start += used;
-                    if self.start > 1 << 20 {
-                        self.buf.drain(..self.start);
-                        self.start = 0;
-                    }
-                    self.assembler
-                        .apply(&frame)
-                        .map_err(|e| ApiError::parse(e.to_string()))?;
-                    return Ok(Some(frame));
+            if let Some(frame) = self.take_frame()? {
+                return Ok(Some(frame));
+            }
+            match self.reader.fill(&mut [0u8; 64 * 1024]) {
+                Ok(true) => {}
+                Ok(false) => {
+                    self.hung_up = true;
+                    return Ok(None);
                 }
-                Ok(None) => {
-                    let mut chunk = [0u8; 64 * 1024];
-                    match self.stream.read(&mut chunk) {
-                        Ok(0) => {
-                            self.hung_up = true;
-                            return Ok(None);
-                        }
-                        Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                        Err(e)
-                            if matches!(
-                                e.kind(),
-                                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                            ) =>
-                        {
-                            return Ok(None)
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(e) => return Err(ApiError::io(e.to_string())),
-                    }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Ok(None)
                 }
+                Err(e) => return Err(e.into()),
             }
         }
+    }
+
+    /// Decode and apply the tile frame at the front of the buffer, if a
+    /// whole one is there.
+    fn take_frame(&mut self) -> Result<Option<TileFrame>, ApiError> {
+        let decoded = decode(self.reader.frames.pending());
+        let Some((frame, used)) = decoded.map_err(|e| ApiError::parse(e.to_string()))? else {
+            return Ok(None);
+        };
+        self.reader.frames.consume(used);
+        self.assembler
+            .apply(&frame)
+            .map_err(|e| ApiError::parse(e.to_string()))?;
+        Ok(Some(frame))
     }
 
     /// Tell the server how far we have decoded. Optional pacing: the
     /// server answers nothing (acks are flow control, not requests), but
     /// uses the lag to drop-to-keyframe a subscriber that falls behind.
     pub fn ack(&mut self, seq: u64) {
-        let _ = send(&mut self.stream, WireItem::Ack { seq });
+        let _ = send(&mut self.writer, WireItem::Ack { seq });
     }
 
     /// Stop streaming: sends `unsubscribe`, then drains (and applies) any
@@ -307,44 +293,27 @@ impl Watcher {
     /// arrives. The connection stays usable as a watcher object (frames,
     /// framebuffer, …) but receives no further frames.
     pub fn unsubscribe(&mut self) -> Result<(), ApiError> {
-        send(&mut self.stream, WireItem::Unsubscribe)?;
-        let mut reply = ReplyAssembler::new();
+        send(&mut self.writer, WireItem::Unsubscribe)?;
+        // What is next in the byte stream: a binary tile frame ("tile …")
+        // or the reply ("ok 1", then "unsubscribed …"), the last thing
+        // the server sends? Three bytes tell.
         loop {
-            // What is next in the byte stream: a binary tile frame
-            // ("tile …") or a line of the text reply ("ok 1", then
-            // "unsubscribed …")? Three bytes tell; inside an open reply
-            // frame every line is text.
-            let pending = &self.buf[self.start..];
-            if reply.mid_frame() || (pending.len() >= 3 && !pending.starts_with(b"til")) {
-                let line = read_text_line(&mut self.stream, &mut self.buf, &mut self.start)?;
-                match reply.push_line(&line)? {
-                    Some(Ok(body)) if body.starts_with("unsubscribed") => return Ok(()),
-                    Some(Ok(body)) => {
-                        return Err(ApiError::parse(format!(
-                            "unexpected unsubscribe reply {body:?}"
-                        )))
-                    }
-                    Some(Err(e)) => return Err(e),
-                    None => continue,
-                }
+            let pending = self.reader.frames.pending();
+            if pending.len() >= 3 && !pending.starts_with(b"til") {
+                break;
             }
-            if pending.len() >= 3 {
-                let decoded = decode(pending).map_err(|e| ApiError::parse(e.to_string()))?;
-                if let Some((frame, used)) = decoded {
-                    self.start += used;
-                    self.assembler
-                        .apply(&frame)
-                        .map_err(|e| ApiError::parse(e.to_string()))?;
-                    continue;
-                }
+            if (pending.len() < 3 || self.take_frame()?.is_none())
+                && !self.reader.fill(&mut [0u8; 64 * 1024])?
+            {
+                return Err(ApiError::io("connection closed during unsubscribe"));
             }
-            let mut chunk = [0u8; 64 * 1024];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(ApiError::io("connection closed during unsubscribe")),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(ApiError::io(e.to_string())),
-            }
+        }
+        let body = reply(&mut self.reader, "unsubscribe")?;
+        match parse_control_reply(&body) {
+            Ok(ControlReply::Unsubscribed { .. }) => Ok(()),
+            _ => Err(ApiError::parse(format!(
+                "unexpected unsubscribe reply {body:?}"
+            ))),
         }
     }
 
@@ -352,7 +321,7 @@ impl Watcher {
     /// into "Ok(None) after `dur` of silence" — how `fvtool watch` idles
     /// out.
     pub fn set_read_timeout(&mut self, dur: Option<Duration>) -> std::io::Result<()> {
-        self.stream.set_read_timeout(dur)
+        self.writer.set_read_timeout(dur)
     }
 
     /// The reassembled wall framebuffer (every applied frame painted in).
@@ -388,31 +357,14 @@ fn send(stream: &mut TcpStream, item: WireItem) -> Result<(), ApiError> {
         .map_err(|e| ApiError::io(e.to_string()))
 }
 
-/// Read one `\n`-terminated text line from `stream` through the watcher's
-/// own buffer (a [`crate::frame::LineReader`] would swallow bytes of the
-/// binary stream that follows; this buffer keeps them). EOF is `E_IO`.
-fn read_text_line(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    start: &mut usize,
-) -> Result<String, ApiError> {
-    loop {
-        if let Some(pos) = buf[*start..].iter().position(|&b| b == b'\n') {
-            let end = *start + pos;
-            let line = std::str::from_utf8(&buf[*start..end])
-                .map_err(|_| ApiError::parse("reply line is not valid UTF-8"))?
-                .trim_end_matches('\r')
-                .to_string();
-            *start = end + 1;
-            return Ok(line);
-        }
-        let mut chunk = [0u8; 4096];
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(ApiError::io("connection closed during subscribe")),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(ApiError::io(e.to_string())),
-        }
+/// The body of the next reply frame; a refusal is the server's own typed
+/// error, and a connection that ends first is `E_IO` naming `during`.
+fn reply(reader: &mut LineReader<TcpStream>, during: &str) -> Result<String, ApiError> {
+    match read_reply(reader) {
+        Ok(Some(reply)) => reply,
+        Ok(None) => Err(ApiError::io(format!("connection closed during {during}"))),
+        Err(e) if e.code == ErrorCode::Io => Err(ApiError::io(format!("{during}: {}", e.message))),
+        Err(e) => Err(e),
     }
 }
 

@@ -134,6 +134,64 @@ fn hostile_subscribe_acks_are_typed_errors_through_every_entry_point() {
     }
 }
 
+/// A fake server for one watcher: answers its `subscribe` line with
+/// `ack`, its `unsubscribe` line with `then`, and hangs up.
+fn fake_stream_server(ack: &'static str, then: Vec<u8>) -> (String, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = std::thread::spawn(move || {
+        let (conn, _) = listener.accept().unwrap();
+        let mut lines = LineReader::new(conn.try_clone().unwrap());
+        let mut conn = conn;
+        assert_eq!(lines.read_line().unwrap().unwrap(), "subscribe d 2x2");
+        conn.write_all(ack.as_bytes()).unwrap();
+        if let Ok(Some(line)) = lines.read_line() {
+            assert_eq!(line, "unsubscribe");
+            conn.write_all(&then).unwrap();
+        }
+    });
+    (addr, server)
+}
+
+/// A watcher reads its socket in one place, and names what a hang-up cut
+/// short: a reply that ends mid-frame during `unsubscribe` says so. Tile
+/// frames ahead of the confirmation are applied; an ack for another
+/// session or grid than the one asked for, or for an empty wall (which
+/// used to panic building the grid), is refused.
+#[test]
+fn a_watcher_drains_to_its_confirmation_and_names_a_cut_exchange() {
+    let ack = "ok 1\nsubscribed d 2x2 4x2\n";
+    let grid = fv_wall::tile::TileGrid::new(2, 2, 2, 1);
+    let mut tiles = fv_wall::stream::TileStreamEncoder::new(grid);
+    let frames = tiles.keyframe(&fv_render::Framebuffer::new(4, 2));
+    let mut then: Vec<u8> = frames.iter().flat_map(|f| f.encode()).collect();
+    then.extend_from_slice(b"ok 1\nunsubscribed d\n");
+    let (addr, server) = fake_stream_server(ack, then);
+    let mut watcher = Watcher::connect(&addr, "d", 2, 2).unwrap();
+    watcher.unsubscribe().unwrap();
+    assert_eq!(watcher.frames(), 4, "the keyframe ahead of the reply");
+    server.join().unwrap();
+
+    let (addr, server) = fake_stream_server(ack, b"ok 1\n".to_vec());
+    let mut watcher = Watcher::connect(&addr, "d", 2, 2).unwrap();
+    let cut = watcher.unsubscribe().unwrap_err();
+    assert_eq!(cut.code, ErrorCode::Io);
+    assert!(cut.message.starts_with("unsubscribe:"), "{cut:?}");
+    server.join().unwrap();
+
+    // another session, another grid, and a wall no grid can cut
+    for other in [
+        "ok 1\nsubscribed e 2x2 4x2\n",
+        "ok 1\nsubscribed d 1x2 4x2\n",
+        "ok 1\nsubscribed d 2x2 0x0\n",
+    ] {
+        let (addr, server) = fake_stream_server(other, Vec::new());
+        let refused = Watcher::connect(&addr, "d", 2, 2).map(|_| ()).unwrap_err();
+        assert_eq!(refused.code, ErrorCode::Parse, "{other:?}");
+        server.join().unwrap();
+    }
+}
+
 // ── total parsers for the transport records ─────────────────────────────
 
 /// One canonical text per `key=value` record the client decodes — the

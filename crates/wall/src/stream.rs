@@ -402,8 +402,9 @@ fn unpack(payload: &[u8], rect: Viewport, fb: &mut Framebuffer) {
 /// (read more bytes and retry), or `Ok(Some((frame, consumed)))` where
 /// `consumed` bytes should be drained from the front of the buffer. A
 /// header whose rect overflows or whose `nbytes` passes
-/// [`max_payload_len`] is refused before any payload is buffered, and a
-/// payload that does not unpack to exactly its rect is refused.
+/// [`max_payload_len`] is refused before any payload is buffered. The
+/// payload is not walked here: [`TileAssembler::apply`] refuses one that
+/// does not unpack to exactly its rect, before it paints a pixel.
 pub fn decode(buf: &[u8]) -> Result<Option<(TileFrame, usize)>, StreamError> {
     let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
         if buf.len() > MAX_HEADER {
@@ -470,14 +471,12 @@ pub fn decode(buf: &[u8]) -> Result<Option<(TileFrame, usize)>, StreamError> {
     if buf.len() - body < nbytes {
         return Ok(None);
     }
-    let payload = &buf[body..body + nbytes];
-    check_payload(payload, pixels)?;
     let frame = TileFrame {
         seq,
         kind,
         tile,
         rect,
-        payload: payload.to_vec(),
+        payload: buf[body..body + nbytes].to_vec(),
     };
     Ok(Some((frame, body + nbytes)))
 }

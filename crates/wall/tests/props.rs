@@ -245,6 +245,24 @@ proptest! {
         want.write_rect(rect.x, rect.y, rect.w, rect.h, after.crop(rect.x, rect.y, rect.w, rect.h).bytes());
         prop_assert_eq!(wall.framebuffer(), &want);
     }
+
+    /// Any bytes under a header `decode` takes: `apply` unpacks them
+    /// whole or refuses them and paints nothing, and neither panics.
+    #[test]
+    fn any_payload_applies_whole_or_not_at_all(
+        (w, h) in (1usize..6, 1usize..6),
+        bytes in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let payload = &bytes[..bytes.len().min(max_payload_len(w * h).unwrap())];
+        let mut wire = format!("tile 0 key 0 0:0:{w}:{h} {}\n", payload.len()).into_bytes();
+        wire.extend_from_slice(payload);
+        let frame = decode_whole(&wire).expect("the header is in bounds");
+        let mut wall = TileAssembler::new(TileGrid::new(1, 1, w, h));
+        match wall.apply(&frame) {
+            Ok(()) => prop_assert_eq!(wall.frames(), 1),
+            Err(_) => prop_assert_eq!(wall.framebuffer(), &Framebuffer::new(w, h)),
+        }
+    }
 }
 
 #[test]
@@ -289,18 +307,27 @@ fn runs_at_the_codec_limits_pack_to_their_control_bytes() {
     assert_eq!(frame.payload.len(), 320_usize * 480 / 129 * 4 + 4);
 }
 
+/// `decode` reads a frame's header; `apply` is the one check that its
+/// payload fills its rect, and a frame it refuses paints nothing.
 #[test]
 fn a_payload_must_fill_its_rect_exactly() {
     let frame = |rect: &str, payload: &[u8]| {
         let mut wire = format!("tile 0 key 0 {rect} {}\n", payload.len()).into_bytes();
         wire.extend_from_slice(payload);
-        decode_whole(&wire)
+        let frame = decode_whole(&wire)?;
+        let mut wall = TileAssembler::new(TileGrid::new(1, 1, 2, 2));
+        let applied = wall.apply(&frame).map_err(|e| e.to_string());
+        if applied.is_err() {
+            assert_eq!(wall.framebuffer(), &Framebuffer::new(2, 2), "{payload:?}");
+        }
+        applied
     };
     assert!(frame("0:0:2:1", &[128, 5, 5, 5]).is_ok());
     // under-fills: one pixel of two, or three of four across rows
     assert!(frame("0:0:2:1", &[0, 5, 5, 5]).is_err());
     assert!(frame("0:0:2:2", &[129, 5, 5, 5]).is_err());
-    // over-fills: three pixels into two
+    // over-fills: three pixels into two (eight bytes also pass the
+    // header's bound, below)
     assert!(frame("0:0:2:1", &[129, 5, 5, 5]).is_err());
     assert!(frame("0:0:2:1", &[0, 5, 5, 5, 128, 6, 6, 6]).is_err());
     // a control byte whose run overruns the payload

@@ -99,7 +99,7 @@ play() {
     home=$(shard_of "$listed" wd)
     fhome=$(shard_of "$listed" wdfile)
     w2home=$(shard_of "$listed" wd2)
-    ask "stats" "balance" \
+    ask "ping" "unsubscribe" "stats" "balance" \
       "migrate wd $home" "migrate wd $((1 - home))" "list-sessions" \
       "${probes[@]}" "list_datasets" \
       "migrate wd $home" "list-sessions" "${probes[@]}" \

@@ -42,7 +42,8 @@
 
 use forestview::command::Command;
 use fv_api::{
-    record, ApiError, Engine, EngineHub, Mutation, Query, Request, Response, SelectionExport,
+    format_control_reply, record, ApiError, ControlReply, Engine, EngineHub, Mutation, Query,
+    Request, Response, SelectionExport,
 };
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -731,7 +732,7 @@ fn run(cmd: &str, rest: &[String], remote: Option<&str>) -> Result<(), Failure> 
         "ping" => {
             let addr = remote.ok_or_else(|| ApiError::invalid("ping needs --remote <addr>"))?;
             fv_net::Client::connect(addr)?.ping()?;
-            outln!("pong");
+            outln!("{}", format_control_reply(&ControlReply::Pong {}));
             return Ok(());
         }
         "watch" => return Ok(cmd_watch(remote, rest)?),
@@ -767,7 +768,11 @@ fn run(cmd: &str, rest: &[String], remote: Option<&str>) -> Result<(), Failure> 
                 .parse()
                 .map_err(|_| ApiError::parse("bad shard index"))?;
             fv_net::Client::connect(addr)?.migrate(session, shard)?;
-            outln!("migrated {session} shard={shard}");
+            let session = session.clone();
+            outln!(
+                "{}",
+                format_control_reply(&ControlReply::Migrated { session, shard })
+            );
             return Ok(());
         }
         "balance" => {
@@ -783,7 +788,7 @@ fn run(cmd: &str, rest: &[String], remote: Option<&str>) -> Result<(), Failure> 
                 [mode] => {
                     let mode: fv_api::BalanceMode = mode.parse()?;
                     fv_net::Client::connect(addr)?.set_balance(mode)?;
-                    outln!("balance mode={mode}");
+                    outln!("{}", format_control_reply(&ControlReply::Balance { mode }));
                 }
                 _ => {
                     return Err(ApiError::invalid("balance takes at most one arg: auto|off").into())

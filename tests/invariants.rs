@@ -183,6 +183,23 @@ fn the_readme_verb_tables_are_the_line_tables() {
         line_table_keywords("WireItem"),
         "crates/api/README.md's Control lines table against the control-line table"
     );
+    assert_eq!(
+        readme_verbs(&readme, "Acks"),
+        ack_table_keywords(),
+        "crates/api/README.md's Acks table against the ControlReply table"
+    );
+}
+
+/// The keywords of the `ControlReply` table in `crates/api/src/codec.rs`:
+/// each row is `Variant = "keyword" {`.
+fn ack_table_keywords() -> BTreeSet<String> {
+    let codec = read(&root().join("crates/api/src/codec.rs"));
+    let (_, table) = codec
+        .split_once("pub enum ControlReply {")
+        .expect("a ControlReply table in codec.rs");
+    let rows = table.split("\n}\n").next().unwrap_or_default().lines();
+    let keyword = |row: &str| Some(row.split_once(" = \"")?.1.split('"').next()?.to_string());
+    rows.filter_map(keyword).collect()
 }
 
 /// Clippy's `undocumented_unsafe_blocks` sees `unsafe` blocks and impls;
